@@ -15,7 +15,7 @@ from .admm import AdmmConfig, MapResult, offset_direction, solve_map
 from .artifacts import (CredibleLevelMap, credible_level, credible_level_map,
                         inject_artifact)
 from .calibrate import (CalibrationResult, SelectionResult,
-                        admissible_interval, admissible_search, chi2_cdf,
+                        admissible_interval, admissible_search,
                         chi2_discrepancy, chi2_sf, classical_p,
                         posterior_predictive_p, select_lambda,
                         stochastic_approximation)
@@ -27,9 +27,8 @@ from .fields import (Grid, ScalarField, VectorField, divergence, field_dot,
                      field_norm, gradient, psnr, read_field_csv, read_pgm,
                      tv_seminorm, write_field_csv, write_pgm)
 from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
-                      potential_bounds, potential_phi, potential_phi_grad,
-                      read_sinogram_bin, read_sinogram_csv, simulate_data,
-                      write_sinogram_bin, write_sinogram_csv)
+                      potential_bounds, read_sinogram_bin, read_sinogram_csv,
+                      simulate_data, write_sinogram_bin, write_sinogram_csv)
 from .klbasis import (CovarianceSpec, KLBasis, build_kl_basis, load_basis,
                       save_basis)
 from .phantom import brain_phantom, load_band_image
@@ -45,7 +44,7 @@ __all__ = [
     "CredibleLevelMap", "credible_level", "credible_level_map",
     "inject_artifact",
     "CalibrationResult", "SelectionResult", "admissible_interval",
-    "admissible_search", "chi2_cdf", "chi2_discrepancy", "chi2_sf",
+    "admissible_search", "chi2_discrepancy", "chi2_sf",
     "classical_p", "posterior_predictive_p", "select_lambda",
     "stochastic_approximation",
     "ConfigError", "RunConfig", "parse_config",
@@ -56,8 +55,7 @@ __all__ = [
     "field_norm", "gradient", "psnr", "read_field_csv", "read_pgm",
     "tv_seminorm", "write_field_csv", "write_pgm",
     "RadonOperator", "Reparam", "Sinogram", "build_radon_operator",
-    "potential_bounds", "potential_phi", "potential_phi_grad",
-    "read_sinogram_bin", "read_sinogram_csv", "simulate_data",
+    "potential_bounds", "read_sinogram_bin", "read_sinogram_csv", "simulate_data",
     "write_sinogram_bin", "write_sinogram_csv",
     "CovarianceSpec", "KLBasis", "build_kl_basis", "load_basis",
     "save_basis",

@@ -8,20 +8,24 @@ augmented Lagrangian
 
 all pairings cell-weighted.  The z-update is an inexact gradient descent with
 backtracking, the p-update is the exact pointwise isotropic shrinkage, and
-the multiplier follows the standard ascent direction (a config switch flips
-its sign for comparison runs).  The converged triple also anchors the
-gradient-informed sampler: ``offset_direction`` is the coefficient-space
-derivative of L(., p*, eta*), truncated to the leading modes.
+the multiplier follows the standard ascent direction.  The z-subproblem
+value and gradient at a line-search point, and the p- and multiplier
+updates, residuals and objective history at the accepted one, all reuse the
+line search's single ``TGPosterior.evaluate`` of that point.  The converged
+triple also anchors the gradient-informed sampler: ``offset_direction`` is
+the coefficient-space derivative of L(., p*, eta*) at the caller's
+evaluation, truncated to the leading modes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import VectorField, div_arrays, grad_arrays, tv_arrays
-from .posterior import TGPosterior
+from .fields import VectorField, div_arrays, grad_arrays
+from .posterior import PosteriorEval, TGPosterior
 
 __all__ = [
     "AdmmConfig",
@@ -48,7 +52,6 @@ class AdmmConfig:
     tol: float = 1e-4
     inner_iters: int = 50
     inner_tol: float = 1e-6
-    paper_dual_sign: bool = False
 
     def __post_init__(self):
         if self.rho_pen <= 0.0:
@@ -74,56 +77,81 @@ def initial_state(post: TGPosterior, init=None) -> AdmmState:
     """Start from given coefficients (default zero), p = grad z, eta = 0."""
     n = post.n_modes
     c = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
-    z = post.basis.synthesize_values(c).reshape(post.grid.shape)
-    g1, g2 = grad_arrays(z, post.grid.hx, post.grid.hy)
+    g1, g2 = _grad_z(post, c)
     zero = np.zeros_like(g1)
     return AdmmState(c, g1, g2, zero, zero.copy())
 
 
-def _zgrad_fields(post: TGPosterior, c: np.ndarray):
-    z = post.basis.synthesize_values(c).reshape(post.grid.shape)
-    g1, g2 = grad_arrays(z, post.grid.hx, post.grid.hy)
-    return z, g1, g2
+def _grad_z(post: TGPosterior, c, ev: PosteriorEval | None = None):
+    """grad z at coefficients c, from the evaluation ev at c when given."""
+    z = post.basis.synthesize_values(c) if ev is None else ev.z
+    return grad_arrays(z.reshape(post.grid.shape), post.grid.hx, post.grid.hy)
 
 
-def _smooth_value(post: TGPosterior, c, state: AdmmState, rho_pen: float) -> float:
-    """phi + <eta, grad z> + (rho/2)||grad z - p||^2  (the z-subproblem)."""
-    ev = post.evaluate(c)
-    g1, g2 = grad_arrays(ev.z.reshape(post.grid.shape), post.grid.hx, post.grid.hy)
-    d1, d2 = g1 - state.p1, g2 - state.p2
+class _ZPoint(NamedTuple):
+    """The smooth z-subproblem at one evaluated state, plus the pieces its
+    gradient reuses."""
+
+    value: float
+    ev: PosteriorEval
+    g1: np.ndarray      # grad z
+    g2: np.ndarray
+
+
+def _z_point(post: TGPosterior, ev: PosteriorEval, p, eta,
+             rho_pen: float) -> _ZPoint:
+    """phi + <eta, grad z> + (rho/2)||grad z - p||^2  (the z-subproblem) at
+    the state of ev; p and eta are (component 1, component 2) pairs."""
+    g1, g2 = grad_arrays(ev.z.reshape(post.grid.shape),
+                         post.grid.hx, post.grid.hy)
+    d1, d2 = g1 - p[0], g2 - p[1]
     cell = post.grid.cell
-    pair = cell * float(np.vdot(state.eta1, g1) + np.vdot(state.eta2, g2))
+    pair = cell * float(np.vdot(eta[0], g1) + np.vdot(eta[1], g2))
     quad = 0.5 * rho_pen * cell * float(np.vdot(d1, d1) + np.vdot(d2, d2))
-    return ev.phi + pair + quad
+    return _ZPoint(ev.phi + pair + quad, ev, g1, g2)
 
 
-def _smooth_grad(post: TGPosterior, c, state: AdmmState, rho_pen: float) -> np.ndarray:
-    ev = post.evaluate(c)
-    g1, g2 = grad_arrays(ev.z.reshape(post.grid.shape), post.grid.hx, post.grid.hy)
-    dfield = div_arrays(state.eta1 + rho_pen * (g1 - state.p1),
-                        state.eta2 + rho_pen * (g2 - state.p2),
+def _z_grad(post: TGPosterior, pt: _ZPoint, p, eta,
+            rho_pen: float) -> np.ndarray:
+    """Coefficient gradient of the z-subproblem: the likelihood gradient
+    minus the pullback of cell * div(eta + rho (grad z - p)).
+
+    Summing the two pixel derivatives before one pullback would save a
+    pullback, but it changes the rounding of the gradient, and near the
+    rounding floor of the line search the descent then takes another path
+    (see CHANGES.md); this form keeps the iterates as they were.
+    """
+    dfield = div_arrays(eta[0] + rho_pen * (pt.g1 - p[0]),
+                        eta[1] + rho_pen * (pt.g2 - p[1]),
                         post.grid.hx, post.grid.hy)
-    return (post.phi_grad_at(ev)
+    return (post.phi_grad_at(pt.ev)
             - post.grid.cell * post.basis.pullback(dfield.reshape(-1)))
 
 
 def lagrangian(post: TGPosterior, c, state: AdmmState, rho_pen: float) -> float:
     """Full augmented Lagrangian, including the TV term of the split field."""
     tv = float(np.sum(np.hypot(state.p1, state.p2))) * post.grid.cell
-    return _smooth_value(post, c, state, rho_pen) + post.tv_weight * tv
+    pt = _z_point(post, post.evaluate(c), (state.p1, state.p2),
+                  (state.eta1, state.eta2), rho_pen)
+    return pt.value + post.tv_weight * tv
 
 
 def z_step(post: TGPosterior, state: AdmmState,
-           cfg: AdmmConfig = AdmmConfig()) -> tuple[AdmmState, dict]:
+           cfg: AdmmConfig = AdmmConfig(),
+           ev: PosteriorEval | None = None) -> tuple[AdmmState, dict]:
     """Descend the smooth z-subproblem with Armijo backtracking.
 
-    Stops at the gradient tolerance or the inner budget; reports which in the
-    returned info dict.  Raises if a single line search backtracks
+    ev, when given, is the evaluation at state.coeffs.  Stops at the
+    gradient tolerance or the inner budget; the returned info dict says
+    which, and carries the evaluation at the returned coefficients under
+    "eval".  The gradient at an accepted point comes from the evaluation its
+    line search already made.  Raises if a single line search backtracks
     MAX_BACKTRACKS times without a sufficient decrease.
     """
+    p, eta, rho = (state.p1, state.p2), (state.eta1, state.eta2), cfg.rho_pen
     c = state.coeffs.copy()
-    val = _smooth_value(post, c, state, cfg.rho_pen)
-    grad = _smooth_grad(post, c, state, cfg.rho_pen)
+    pt = _z_point(post, post.evaluate(c) if ev is None else ev, p, eta, rho)
+    grad = _z_grad(post, pt, p, eta, rho)
     step = 1.0
     iterations = 0
     converged = False
@@ -132,36 +160,37 @@ def z_step(post: TGPosterior, state: AdmmState,
         if np.sqrt(gn2) <= cfg.inner_tol:
             converged = True
             break
-        ok = False
         for _bt in range(MAX_BACKTRACKS):
             c_try = c - step * grad
-            val_try = _smooth_value(post, c_try, state, cfg.rho_pen)
-            if val_try <= val - ARMIJO_C1 * step * gn2:
-                ok = True
+            trial = _z_point(post, post.evaluate(c_try), p, eta, rho)
+            if trial.value <= pt.value - ARMIJO_C1 * step * gn2:
                 break
             step *= 0.5
-        if not ok:
+        else:
             raise RuntimeError(f"z-step line search failed {MAX_BACKTRACKS} "
                                "consecutive times")
-        c, val = c_try, val_try
-        grad = _smooth_grad(post, c, state, cfg.rho_pen)
+        c, pt = c_try, trial
+        grad = _z_grad(post, pt, p, eta, rho)
         step *= 2.0
         iterations += 1
     info = {"iterations": iterations,
             "grad_norm": float(np.linalg.norm(grad)),
             "converged": converged,
-            "value": val}
+            "value": pt.value,
+            "eval": pt.ev}
     return replace(state, coeffs=c), info
 
 
 def phi_step(post: TGPosterior, state: AdmmState,
-             cfg: AdmmConfig = AdmmConfig()) -> AdmmState:
+             cfg: AdmmConfig = AdmmConfig(),
+             ev: PosteriorEval | None = None) -> AdmmState:
     """Exact minimizer in the split field: pointwise isotropic shrinkage.
 
     With q = grad z + eta / rho, each pixel maps to
-    max(0, 1 - (tv_weight/rho)/|q|) q; the zero vector stays zero.
+    max(0, 1 - (tv_weight/rho)/|q|) q; the zero vector stays zero.  ev, when
+    given, is the evaluation at state.coeffs.
     """
-    _, g1, g2 = _zgrad_fields(post, state.coeffs)
+    g1, g2 = _grad_z(post, state.coeffs, ev)
     q1 = g1 + state.eta1 / cfg.rho_pen
     q2 = g2 + state.eta2 / cfg.rho_pen
     thresh = post.tv_weight / cfg.rho_pen
@@ -174,16 +203,14 @@ def phi_step(post: TGPosterior, state: AdmmState,
 
 
 def dual_step(post: TGPosterior, state: AdmmState,
-              cfg: AdmmConfig = AdmmConfig()) -> AdmmState:
-    """Multiplier ascent eta += rho (grad z - p); the config switch flips the
-    increment's sign to mirror the alternative printed convention."""
-    _, g1, g2 = _zgrad_fields(post, state.coeffs)
-    r1, r2 = g1 - state.p1, g2 - state.p2
-    if cfg.paper_dual_sign:
-        r1, r2 = -r1, -r2
+              cfg: AdmmConfig = AdmmConfig(),
+              ev: PosteriorEval | None = None) -> AdmmState:
+    """Multiplier ascent eta += rho (grad z - p); ev, when given, is the
+    evaluation at state.coeffs."""
+    g1, g2 = _grad_z(post, state.coeffs, ev)
     return replace(state,
-                   eta1=state.eta1 + cfg.rho_pen * r1,
-                   eta2=state.eta2 + cfg.rho_pen * r2)
+                   eta1=state.eta1 + cfg.rho_pen * (g1 - state.p1),
+                   eta2=state.eta2 + cfg.rho_pen * (g2 - state.p2))
 
 
 @dataclass(frozen=True)
@@ -210,25 +237,25 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
     history is the actual target  phi + tv_weight * TV(z).
     """
     state = initial_state(post, init)
-    cell = post.grid.cell
-    sqrt_cell = np.sqrt(cell)
+    grid = post.grid
+    sqrt_cell = np.sqrt(grid.cell)
     objective, primal, dual = [], [], []
     converged = False
+    ev = None
     it = 0
     for it in range(1, cfg.max_outer + 1):
-        state, _info = z_step(post, state, cfg)
+        state, info = z_step(post, state, cfg, ev)
+        ev = info["eval"]
         p1_old, p2_old = state.p1, state.p2
-        state = phi_step(post, state, cfg)
-        z, g1, g2 = _zgrad_fields(post, state.coeffs)
+        state = phi_step(post, state, cfg, ev)
+        g1, g2 = _grad_z(post, state.coeffs, ev)
         r1, r2 = g1 - state.p1, g2 - state.p2
         pr = sqrt_cell * float(np.sqrt(np.vdot(r1, r1) + np.vdot(r2, r2)))
         dv = div_arrays(state.p1 - p1_old, state.p2 - p2_old,
-                        post.grid.hx, post.grid.hy)
+                        grid.hx, grid.hy)
         du = cfg.rho_pen * sqrt_cell * float(np.linalg.norm(dv))
-        obj = (post.evaluate(state.coeffs).phi
-               + post.tv_weight * tv_arrays(z, post.grid.hx, post.grid.hy))
-        state = dual_step(post, state, cfg)
-        objective.append(obj)
+        state = dual_step(post, state, cfg, ev)
+        objective.append(ev.psi)
         primal.append(pr)
         dual.append(du)
         if pr <= cfg.tol and du <= cfg.tol:
@@ -236,8 +263,7 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
             break
     # final latent polish against the returned splitting pair, so the offset
     # direction evaluated at the returned coefficients vanishes to inner_tol
-    state, _info = z_step(post, state, cfg)
-    grid = post.grid
+    state, _info = z_step(post, state, cfg, ev)
     return MapResult(state.coeffs,
                      VectorField(grid, state.p1, state.p2),
                      VectorField(grid, state.eta1, state.eta2),
@@ -245,15 +271,15 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
                      it, converged)
 
 
-def offset_direction(post: TGPosterior, c, split: VectorField,
+def offset_direction(post: TGPosterior, ev: PosteriorEval, split: VectorField,
                      multiplier: VectorField, rho_pen: float,
                      k_proj: int | None = None) -> np.ndarray:
     """Drift used by the gradient-informed sampler at a frozen (p*, eta*).
 
-    Coefficient-space derivative of the augmented Lagrangian in z only,
-    projected onto the leading k_proj modes (the tail is zeroed).  k_proj = 0
-    returns the zero vector, which reduces the sampler to its plain
-    preconditioned form.
+    Coefficient-space derivative of the augmented Lagrangian in z only, at
+    the state of the caller's evaluation ev, projected onto the leading
+    k_proj modes (the tail is zeroed).  k_proj = 0 returns the zero vector,
+    which reduces the sampler to its plain preconditioned form.
     """
     n = post.n_modes
     k = n if k_proj is None else int(k_proj)
@@ -261,10 +287,9 @@ def offset_direction(post: TGPosterior, c, split: VectorField,
         raise ValueError(f"k_proj must be in [0, {n}], got {k}")
     if k == 0:
         return np.zeros(n)
-    state = AdmmState(np.asarray(c, dtype=float).reshape(n),
-                      split.comp1, split.comp2,
-                      multiplier.comp1, multiplier.comp2)
-    g = _smooth_grad(post, state.coeffs, state, rho_pen)
+    p = (split.comp1, split.comp2)
+    eta = (multiplier.comp1, multiplier.comp2)
+    g = _z_grad(post, _z_point(post, ev, p, eta, rho_pen), p, eta, rho_pen)
     if k < n:
         g[k:] = 0.0
     return g

@@ -2,18 +2,21 @@
 
 For one intensity sample the goodness-of-fit statistic
 
-    D = sum_i (y_i - theta_i)^2 / theta_i^2        (default denominator)
+    D = sum_i (y_i - theta_i)^2 / theta_i          (default: Pearson)
 
-is referred to a chi-squared law with one degree of freedom per ray; the
-classical upper-tail probability averaged over posterior samples gives the
-posterior-predictive p-value p_b.  Sweeping the TV weight traces p_b down
-from near 1 (overfit) to near 0 (oversmoothed); the admissible weights are
-those with p_b inside a fixed band, and a projected stochastic-approximation
-iteration picks a single weight inside that interval.
+is referred to a chi-squared law with one degree of freedom per ray (scipy's
+regularized upper incomplete gamma); the classical upper-tail probability
+averaged over posterior samples gives the posterior-predictive p-value p_b.
+Pearson's form follows that law approximately when the counts are drawn at
+theta, so p is roughly uniform at the truth.  The paper's printed
+denominator theta^2 ("theta_sq") stays selectable, but its statistic has
+mean sum_i 1/theta_i instead of the ray count, so at mean counts below one
+per ray its p is near 0 even at the truth.
 
-The chi-squared tail function is evaluated through an in-house regularized
-incomplete gamma (series / continued fraction), so no statistics package is
-required at runtime.
+Sweeping the TV weight traces p_b down from near 1 (overfit) to near 0
+(oversmoothed); the admissible weights are those with p_b inside a fixed
+band, and a projected stochastic-approximation iteration picks a single
+weight inside that interval.
 """
 
 from __future__ import annotations
@@ -25,15 +28,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaincc
 
 from .fields import tv_arrays
 from .posterior import TGPosterior
 from .samplers import Chain, SamplerConfig, run_chain, tune_stepsize
 
 __all__ = [
-    "reg_lower_gamma",
-    "reg_upper_gamma",
-    "chi2_cdf",
     "chi2_sf",
     "chi2_discrepancy",
     "classical_p",
@@ -53,97 +54,24 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 PB_BAND = (0.1, 0.7)
-DENOMINATORS = ("theta_sq", "theta")
-
-_GAMMA_ITMAX = 600
-_GAMMA_EPS = 1e-15
+DENOMINATORS = ("theta", "theta_sq")
 
 
-def _gamma_series(a: float, x: float) -> float:
-    """P(a, x) by the ascending series, reliable for x < a + 1.
-
-    gamma(a, x) = e^-x x^a sum_k x^k Gamma(a) / Gamma(a + 1 + k); terms are
-    accumulated until they stop moving the sum at relative 1e-15.
-    """
-    ap = a
-    term = 1.0 / a
-    total = term
-    for _ in range(_GAMMA_ITMAX):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    else:
-        raise RuntimeError("incomplete gamma series failed to converge")
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def chi2_sf(x, dof: float):
+    """Upper-tail chi-squared probability Q(dof/2, x/2), elementwise in x."""
+    x = np.asarray(x, dtype=float)
+    if dof <= 0.0:
+        raise ValueError(f"dof must be positive, got {dof}")
+    if np.any(x < 0.0):
+        raise ValueError("chi-squared argument must be nonnegative")
+    return gammaincc(0.5 * dof, 0.5 * x)
 
 
-def _gamma_contfrac(a: float, x: float) -> float:
-    """Q(a, x) by the Lentz continued fraction, reliable for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_ITMAX):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    else:
-        raise RuntimeError("incomplete gamma continued fraction failed to converge")
-    return math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_contfrac(a, x)
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError(f"shape must be positive, got {a}")
-    if x < 0.0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_contfrac(a, x)
-
-
-def chi2_cdf(x: float, dof: float) -> float:
-    return reg_lower_gamma(0.5 * dof, 0.5 * x)
-
-
-def chi2_sf(x: float, dof: float) -> float:
-    return reg_upper_gamma(0.5 * dof, 0.5 * x)
-
-
-def chi2_discrepancy(counts, theta, denominator: str = "theta_sq") -> float:
+def chi2_discrepancy(counts, theta, denominator: str = "theta") -> float:
     """Squared-misfit statistic of counts against expected counts.
 
-    denominator "theta_sq" divides by theta^2 (the default); "theta" gives
-    the Pearson form.
+    denominator "theta" gives the Pearson form (the default); "theta_sq"
+    divides by theta^2.
     """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}, "
@@ -176,7 +104,7 @@ class PredictiveResult:
 
 def posterior_predictive_p(chain: Chain, post: TGPosterior,
                            max_samples: int | None = None,
-                           denominator: str = "theta_sq",
+                           denominator: str = "theta",
                            block: int = 1024) -> PredictiveResult:
     """Average the classical p-value over posterior intensity samples.
 
@@ -191,18 +119,15 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
     n = samples.shape[0]
     if n == 0:
         raise ValueError("chain holds no kept samples")
-    basis, rep, op = post.basis, post.rep, post.op
+    rep, op = post.rep, post.op
     counts = post.data.counts.astype(float)
-    dof = op.n_rays
     pvals = np.empty(n)
-    sqrt_eta = np.sqrt(basis.eigenvalues)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        z = (samples[lo:hi] * sqrt_eta) @ basis.modes + basis.mean
+        z = post.basis.synthesize_values(samples[lo:hi])
         theta = op.kappa * (op.matrix @ rep.apply(z).T).T
-        for r in range(theta.shape[0]):
-            d = chi2_discrepancy(counts, theta[r], denominator)
-            pvals[lo + r] = chi2_sf(d, dof)
+        d = [chi2_discrepancy(counts, row, denominator) for row in theta]
+        pvals[lo:hi] = chi2_sf(d, op.n_rays)
     stderr = float(np.std(pvals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return PredictiveResult(float(np.mean(pvals)), stderr, n)
 
@@ -263,7 +188,7 @@ def admissible_interval(weights: Sequence[float], pvalues: Sequence[float],
     if hi is None:
         hi = float(w[-1])
     elif hi <= lo:
-        return None           # band skipped between two grid points
+        return None           # p starts below the band at w[0]
     return (lo, hi)
 
 
@@ -274,7 +199,7 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
                       seed: int = 0,
                       beta: float | None = None,
                       max_eval_samples: int = 2000,
-                      denominator: str = "theta_sq") -> CalibrationResult:
+                      denominator: str = "theta") -> CalibrationResult:
     """Estimate p_b on a weight grid with short chains and bracket the band.
 
     One pcn chain per weight (stepsize tuned on the first grid point unless
@@ -374,10 +299,9 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
                             seed=seed + 1000 * k)
         chain = run_chain(post, cfg, init=state["c"])
         state["c"] = chain.samples[-1]
-        sqrt_eta = np.sqrt(post.basis.eigenvalues)
         tv = 0.0
         for row in chain.samples:
-            z = ((row * sqrt_eta) @ post.basis.modes + post.basis.mean)
+            z = post.basis.synthesize_values(row)
             tv += tv_arrays(z.reshape(grid.shape), grid.hx, grid.hy)
         return tv / chain.n_kept
 

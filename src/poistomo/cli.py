@@ -190,14 +190,16 @@ def cmd_sample(args) -> int:
     outputs = []
     anchor = None
     init = None
+    map_converged = None
     if scfg.kind == "pdpcn":
         result = solve_map(post, cfg.admm)
         write_residual_csv(result, outdir / "map_residuals.csv")
         write_field_csv(basis.synthesize(result.coeffs),
                         outdir / "map_latent.csv")
         outputs += ["map_residuals.csv", "map_latent.csv"]
-        anchor = anchor_from_map(result, cfg.admm)
+        anchor = anchor_from_map(result, cfg.admm.rho_pen)
         init = result.coeffs
+        map_converged = result.converged
         if not result.converged:
             log.warning("MAP solve hit max_outer without meeting tol")
     if cfg.autotune:
@@ -214,7 +216,8 @@ def cmd_sample(args) -> int:
     outputs += ["chain.bin", "chain.bin.json"]
     _write_manifest(outdir, "sample", cfg, {"sinogram.bin": sino_path},
                     outputs, {"acceptance_rate": chain.acceptance_rate,
-                              "kept_samples": chain.n_kept})
+                              "kept_samples": chain.n_kept,
+                              "map_converged": map_converged})
     print(f"chain of {chain.n_kept} kept samples, "
           f"acceptance {chain.acceptance_rate:.3f}")
     return _EXIT_OK

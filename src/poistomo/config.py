@@ -15,6 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .admm import AdmmConfig
+from .calibrate import DENOMINATORS
 from .fields import Grid
 from .forward import Reparam
 from .klbasis import CovarianceSpec
@@ -68,8 +69,7 @@ _SCHEMA = {
                 "k_proj": _parse_opt_int, "seed": int,
                 "autotune": _parse_bool},
     "map": {"rho_pen": float, "max_outer": int, "tol": float,
-            "inner_iters": int, "inner_tol": float,
-            "paper_dual_sign": _parse_bool},
+            "inner_iters": int, "inner_tol": float},
     "calibration": {"weight_grid": _parse_float_list, "chain_steps": int,
                     "band_lo": float, "band_hi": float, "denominator": str,
                     "max_eval_samples": _parse_opt_int, "select_iters": int,
@@ -88,11 +88,10 @@ _DEFAULTS = {
                 "thinning": "1", "beta": "0.1", "delta": "0.1",
                 "k_proj": "none", "seed": "0", "autotune": "false"},
     "map": {"rho_pen": "1.0", "max_outer": "200", "tol": "1e-4",
-            "inner_iters": "50", "inner_tol": "1e-6",
-            "paper_dual_sign": "false"},
+            "inner_iters": "50", "inner_tol": "1e-6"},
     "calibration": {"weight_grid": "0.0, 1.0, 2.0, 3.0",
                     "chain_steps": "20000", "band_lo": "0.1",
-                    "band_hi": "0.7", "denominator": "theta_sq",
+                    "band_hi": "0.7", "denominator": "theta",
                     "max_eval_samples": "2000", "select_iters": "60",
                     "select_inner_steps": "200"},
     "detect": {"thin": "1"},
@@ -268,8 +267,7 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     a = parsed["map"]
     admm = build("map", AdmmConfig, rho_pen=a["rho_pen"],
                  max_outer=a["max_outer"], tol=a["tol"],
-                 inner_iters=a["inner_iters"], inner_tol=a["inner_tol"],
-                 paper_dual_sign=a["paper_dual_sign"])
+                 inner_iters=a["inner_iters"], inner_tol=a["inner_tol"])
     c = parsed["calibration"]
     calibration = build("calibration", CalibrationSettings,
                         weight_grid=c["weight_grid"],
@@ -279,9 +277,9 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
                         max_eval_samples=c["max_eval_samples"],
                         select_iters=c["select_iters"],
                         select_inner_steps=c["select_inner_steps"])
-    if calibration.denominator not in ("theta_sq", "theta"):
+    if calibration.denominator not in DENOMINATORS:
         raise ConfigError(
-            "[calibration] denominator must be 'theta_sq' or 'theta', "
+            f"[calibration] denominator must be one of {DENOMINATORS}, "
             f"got {calibration.denominator!r}")
     d = parsed["detect"]
     if d["thin"] < 1:

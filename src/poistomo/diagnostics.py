@@ -105,9 +105,7 @@ def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
     out = np.empty((samples.shape[0], basis.grid.npix))
     for lo in range(0, samples.shape[0], block):
         hi = min(lo + block, samples.shape[0])
-        z = (samples[lo:hi] * np.sqrt(basis.eigenvalues)) @ basis.modes
-        z += basis.mean
-        out[lo:hi] = rep.apply(z)
+        out[lo:hi] = rep.apply(basis.synthesize_values(samples[lo:hi]))
     return out
 
 

@@ -5,7 +5,8 @@ Rays are traced exactly: each matrix entry is the length of the intersection
 of a ray with a pixel, so the adjoint is the plain matrix transpose and the
 operator pair passes a machine-precision adjointness test.  Expected counts
 are theta = kappa * (path integrals of u), and the negative log-likelihood up
-to a data-only constant is  phi = sum(theta) - sum(y * log(theta)).
+to a data-only constant is  phi = sum(theta) - sum(y * log(theta)); its
+value and derivatives at coefficient vectors come from ``TGPosterior``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import scipy.sparse as sp
 from scipy.special import erf
 
 from .fields import Grid, ScalarField
-from .klbasis import KLBasis
 
 __all__ = [
     "Reparam",
@@ -28,8 +28,6 @@ __all__ = [
     "Sinogram",
     "build_radon_operator",
     "simulate_data",
-    "potential_phi",
-    "potential_phi_grad",
     "potential_bounds",
     "write_sinogram_csv",
     "read_sinogram_csv",
@@ -244,31 +242,6 @@ def _phi_of_theta(theta: np.ndarray, counts: np.ndarray) -> float:
     if np.any(theta <= 0.0):
         raise ValueError("nonpositive expected count in the likelihood potential")
     return float(np.sum(theta) - np.dot(counts, np.log(theta)))
-
-
-def potential_phi(op: RadonOperator, rep: Reparam, basis: KLBasis,
-                  c, counts) -> float:
-    """Negative Poisson log-likelihood (up to a data constant) at coefficients c."""
-    counts = np.asarray(counts, dtype=float).reshape(-1)
-    theta = op.apply(rep.apply(basis.synthesize_values(c)))
-    return _phi_of_theta(theta, counts)
-
-
-def potential_phi_grad(op: RadonOperator, rep: Reparam, basis: KLBasis,
-                       c, counts) -> np.ndarray:
-    """Gradient of potential_phi with respect to the coefficients.
-
-    Chain rule through the reparametrization and the ray transform:
-    d phi / d u = A^T (1 - y / theta) scaled pointwise by the slope of the
-    intensity map, then pulled back to coefficient space.
-    """
-    counts = np.asarray(counts, dtype=float).reshape(-1)
-    z = basis.synthesize_values(c)
-    theta = op.apply(rep.apply(z))
-    if np.any(theta <= 0.0):
-        raise ValueError("nonpositive expected count in the likelihood gradient")
-    dv = rep.deriv(z) * op.adjoint(1.0 - counts / theta)
-    return basis.pullback(dv)
 
 
 def potential_bounds(op: RadonOperator, rep: Reparam, r: float):

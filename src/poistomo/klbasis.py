@@ -97,16 +97,21 @@ class KLBasis:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def _coeffs(self, c) -> np.ndarray:
-        c = np.asarray(c, dtype=float).reshape(-1)
-        if c.size != self.n_modes:
-            raise ValueError(f"expected {self.n_modes} coefficients, got {c.size}")
-        return c
-
     def synthesize_values(self, c) -> np.ndarray:
-        """Flat pixel values of mean + sum_i c_i sqrt(eta_i) e_i."""
-        c = self._coeffs(c)
-        return self.mean + (c * self._sqrt_eta) @ self.modes
+        """Flat pixel values of mean + sum_i c_i sqrt(eta_i) e_i.
+
+        A (k, n_modes) block of coefficient rows gives a (k, npix) block of
+        pixel rows; any other shape is read as one coefficient vector.
+        """
+        c = np.asarray(c, dtype=float)
+        if c.ndim != 2:
+            c = c.reshape(-1)
+        if c.shape[-1] != self.n_modes:
+            raise ValueError(f"expected {self.n_modes} coefficients per row, "
+                             f"got {c.shape[-1]}")
+        values = (c * self._sqrt_eta) @ self.modes
+        values += self.mean
+        return values
 
     def synthesize(self, c) -> ScalarField:
         return ScalarField(self.grid, self.synthesize_values(c))

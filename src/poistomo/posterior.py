@@ -5,8 +5,9 @@ reference, where  psi = phi + reg:  phi is the Poisson likelihood potential
 and  reg = tv_weight * TV(z)  acts on the latent field, before the intensity
 map.  Everything here works on coefficient vectors; in those coordinates the
 reference is standard normal and derivative vectors already carry the
-covariance square root (see klbasis.pullback), so the acceptance functional
-below uses plain Euclidean pairings.
+covariance square root (see klbasis.pullback), so the samplers' acceptance
+functional ``rho`` (a private function of ``samplers``) uses plain Euclidean
+pairings.
 """
 
 from __future__ import annotations
@@ -73,13 +74,6 @@ class TGPosterior:
     def phi(self, c) -> float:
         return self.evaluate(c).phi
 
-    def reg(self, c) -> float:
-        """TV penalty tv_weight * TV(z) on the latent field."""
-        if self.tv_weight == 0.0:
-            return 0.0
-        z = self.basis.synthesize_values(c).reshape(self.grid.shape)
-        return self.tv_weight * tv_arrays(z, self.grid.hx, self.grid.hy)
-
     def psi(self, c) -> float:
         return self.evaluate(c).psi
 
@@ -88,41 +82,6 @@ class TGPosterior:
         return self.phi_grad_at(self.evaluate(c))
 
     def phi_grad_at(self, ev: PosteriorEval) -> np.ndarray:
+        """phi_grad at the state of an existing evaluation."""
         dv = self.rep.deriv(ev.z) * self.op.adjoint(1.0 - self._counts / ev.theta)
         return self.basis.pullback(dv)
-
-    def psi_grad(self, c) -> np.ndarray:
-        """Gradient of psi; only defined for the smooth case tv_weight = 0."""
-        if self.tv_weight != 0.0:
-            raise ValueError("psi is not differentiable for tv_weight > 0; "
-                             "use the splitting solver's offset direction instead")
-        return self.phi_grad(c)
-
-    def rho(self, z, v, g, delta: float) -> float:
-        """Acceptance functional of the gradient-informed proposal family.
-
-        rho(z, v) = psi(z) + <v - z, g>/2 + (delta/4) <z + v, g>
-                    + (delta/4) ||g||^2,
-        with g a coefficient-space derivative vector evaluated at z.  The
-        proposal kernel is reversible when the same g enters forward and
-        reverse evaluations; pairings are Euclidean because derivative
-        vectors already absorb the covariance square root.
-        """
-        if not 0.0 <= delta <= 2.0:
-            raise ValueError(f"delta must lie in [0, 2], got {delta}")
-        z = np.asarray(z, dtype=float)
-        v = np.asarray(v, dtype=float)
-        g = np.asarray(g, dtype=float)
-        if not (z.shape == v.shape == g.shape):
-            raise ValueError("state, proposal and direction shapes disagree")
-        return (self.psi(z)
-                + 0.5 * float(np.dot(v - z, g))
-                + 0.25 * delta * float(np.dot(z + v, g))
-                + 0.25 * delta * float(np.dot(g, g)))
-
-    def rho_from_eval(self, ev_z: PosteriorEval, z, v, g, delta: float) -> float:
-        """rho with psi(z) taken from a cached evaluation (hot path)."""
-        return (ev_z.psi
-                + 0.5 * float(np.dot(v - z, g))
-                + 0.25 * delta * float(np.dot(z + v, g))
-                + 0.25 * delta * float(np.dot(g, g)))

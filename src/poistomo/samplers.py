@@ -2,7 +2,7 @@
 
 Three kernels share one structure: a reference-preserving Gaussian proposal,
 optionally recentred by a drift vector, accepted by a Metropolis-Hastings
-ratio of the acceptance functional ``rho``:
+ratio of the acceptance functional ``rho`` (``_rho`` below):
 
 * ``pcn``    v = sqrt(1 - beta^2) z + beta w, accept on psi(z) - psi(v);
 * ``pcnl``   drift = gradient of psi (smooth case only);
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .admm import AdmmConfig, MapResult, offset_direction, solve_map
+from .admm import MapResult, offset_direction
 from .fields import VectorField
 from .posterior import PosteriorEval, TGPosterior
 
@@ -149,6 +149,22 @@ def pcn_step(post: TGPosterior, z, beta: float, rng: np.random.Generator,
     return StepResult(np.asarray(z, dtype=float), False, log_ratio, ev)
 
 
+def _rho(ev_z: PosteriorEval, z, v, g, delta: float) -> float:
+    """Acceptance functional of the gradient-informed proposal family.
+
+    rho(z, v) = psi(z) + <v - z, g>/2 + (delta/4) <z + v, g>
+                + (delta/4) ||g||^2,
+    with psi(z) from the evaluation ev_z at z and g a coefficient-space
+    derivative vector evaluated at z.  The proposal kernel is reversible when
+    the same g enters forward and reverse evaluations; pairings are Euclidean
+    because derivative vectors already absorb the covariance square root.
+    """
+    return (ev_z.psi
+            + 0.5 * float(np.dot(v - z, g))
+            + 0.25 * delta * float(np.dot(z + v, g))
+            + 0.25 * delta * float(np.dot(g, g)))
+
+
 def _drift_propose(z, g, delta: float, rng: np.random.Generator) -> np.ndarray:
     w = rng.standard_normal(z.size)
     return ((2.0 - delta) * z - 2.0 * delta * g
@@ -164,12 +180,12 @@ def _drift_step(post, z, delta, rng, drift_fn, cache) -> StepResult:
     z = np.asarray(z, dtype=float)
     if cache is None:
         ev = post.evaluate(z)
-        cache = _DriftCache(ev, drift_fn(z, ev))
+        cache = _DriftCache(ev, drift_fn(ev))
     v = _drift_propose(z, cache.g, delta, rng)
     ev_v = post.evaluate(v)
-    g_v = drift_fn(v, ev_v)
-    forward = post.rho_from_eval(cache.ev, z, v, cache.g, delta)
-    backward = post.rho_from_eval(ev_v, v, z, g_v, delta)
+    g_v = drift_fn(ev_v)
+    forward = _rho(cache.ev, z, v, cache.g, delta)
+    backward = _rho(ev_v, v, z, g_v, delta)
     log_ratio = forward - backward
     if _accept(log_ratio, rng):
         return StepResult(v, True, log_ratio, _DriftCache(ev_v, g_v))
@@ -188,10 +204,7 @@ def pcnl_step(post: TGPosterior, z, delta: float, rng: np.random.Generator,
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
 
-    def drift(_v, ev):
-        return post.phi_grad_at(ev)
-
-    return _drift_step(post, z, delta, rng, drift, cache)
+    return _drift_step(post, z, delta, rng, post.phi_grad_at, cache)
 
 
 def pdpcn_step(post: TGPosterior, z, delta: float, rng: np.random.Generator,
@@ -206,8 +219,8 @@ def pdpcn_step(post: TGPosterior, z, delta: float, rng: np.random.Generator,
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
 
-    def drift(v, _ev):
-        return offset_direction(post, v, anchor.split, anchor.multiplier,
+    def drift(ev):
+        return offset_direction(post, ev, anchor.split, anchor.multiplier,
                                 anchor.rho_pen, k_proj)
 
     return _drift_step(post, z, delta, rng, drift, cache)
@@ -239,23 +252,25 @@ class Chain:
         return self.samples.shape[1]
 
 
+def _require_anchor(kind: str, anchor: Anchor | None) -> None:
+    if kind == "pdpcn" and anchor is None:
+        raise ValueError("the pdpcn kernel needs a splitting anchor; solve the "
+                         "MAP problem and pass anchor_from_map(result, rho_pen)")
+
+
 def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
               anchor: Anchor | None = None) -> Chain:
     """Drive one chain and collect kept states.
 
     Burn-in defaults to a tenth of the run; a state is kept every
     ``thinning`` post-burn-in steps, giving floor((n - burn) / thinning)
-    samples.  For the pdpcn kernel a missing anchor triggers a splitting
-    solve, whose iterate also becomes the default initial state.  The whole
-    run is a pure function of (posterior, config, init, anchor).
+    samples.  The pdpcn kernel needs the caller's splitting anchor (see
+    anchor_from_map).  The whole run is a pure function of (posterior,
+    config, init, anchor).
     """
+    _require_anchor(config.kind, anchor)
     rng = np.random.default_rng(config.seed)
     n = post.n_modes
-    if config.kind == "pdpcn" and anchor is None:
-        result = solve_map(post, AdmmConfig())
-        anchor = anchor_from_map(result, AdmmConfig().rho_pen)
-        if init is None:
-            init = result.coeffs
     z = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
 
     if config.kind == "pcn":
@@ -296,10 +311,12 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
     """Bisect the stepsize until the pilot acceptance rate is near target.
 
     Acceptance decreases with the stepsize, so plain bisection applies.  The
-    pilot chains share one seed, making the tuning deterministic.
+    pilot chains share one seed, making the tuning deterministic.  The pdpcn
+    kernel needs the caller's anchor, as in run_chain.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _require_anchor(kind, anchor)
     lo, hi = 1e-5, (1.0 if kind == "pcn" else 2.0)
 
     def acc(step: float) -> float:

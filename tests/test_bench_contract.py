@@ -1,0 +1,53 @@
+"""The benchmark's tracer must find every poistomo name it wraps.
+
+``bench/tracing.py`` patches poistomo functions and methods by name.  A
+refactor that deletes or renames one of them would break the benchmark's
+traced run; entering and leaving the tracer here makes it fail the unit
+tests instead.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _references(tracing):
+    """Every reference the tracer may patch: each traced function in every
+    namespace that holds it, and each traced method on its class."""
+    refs = {}
+    for module, attr in tracing.FUNCTIONS:
+        for name in tracing.NAMESPACES:
+            ns = importlib.import_module(name)
+            if hasattr(ns, attr):
+                refs[(name, attr)] = getattr(ns, attr)
+    for module, cls, attr in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"poistomo.{module}"), cls)
+        refs[(f"poistomo.{module}.{cls}", attr)] = owner.__dict__[attr]
+    return refs
+
+
+def test_tracer_patches_and_restores_every_traced_name(monkeypatch, post16):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    before = _references(tracing)
+    for module, attr in tracing.FUNCTIONS:
+        assert (f"poistomo.{module}", attr) in before, (module, attr)
+
+    with tracing.Tracer() as tr:
+        during = _references(tracing)
+        for key, original in before.items():
+            assert during[key] is not original, key
+        post16.evaluate(np.zeros(post16.n_modes))
+        post16.phi_grad_at(post16.evaluate(np.zeros(post16.n_modes)))
+    assert tr.calls("posterior.evaluate") == 2
+    assert tr.calls("posterior.phi_grad_at") == 1
+    assert tr.calls("klbasis.synthesize") == 2
+    assert tr.calls("klbasis.pullback") == 1
+
+    after = _references(tracing)
+    assert after.keys() == before.keys()
+    for key, original in before.items():
+        assert after[key] is original, key

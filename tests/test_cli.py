@@ -1,0 +1,79 @@
+"""End-to-end runs of every subcommand on a tiny grid, and the exit codes."""
+
+import json
+
+import pytest
+
+from poistomo import cli
+
+TINY_INI = """
+[grid]
+nx = 8
+ny = 8
+
+[prior]
+n_modes = 24
+
+[operator]
+n_angles = 6
+n_det = 8
+
+[sampler]
+n_samples = 200
+burn_in = 20
+
+[map]
+max_outer = 5
+inner_iters = 5
+
+[calibration]
+weight_grid = 0.0, 1.0
+chain_steps = 100
+max_eval_samples = 50
+select_iters = 3
+select_inner_steps = 20
+"""
+
+PIPELINE = ("phantom", "simulate", "calibrate", "sample", "summarize",
+            "detect", "diag")
+
+
+@pytest.fixture
+def tiny_ini(tmp_path):
+    path = tmp_path / "tiny.ini"
+    path.write_text(TINY_INI, encoding="utf-8")
+    return path
+
+
+def _run(command, ini, outdir, *extra):
+    return cli.main([command, "--config", str(ini), "--output", str(outdir),
+                     "--seed", "3", *extra])
+
+
+def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
+    # the default sampler kind is pdpcn, so `sample` solves the MAP problem
+    # and anchors the chain at it
+    out = tmp_path / "out"
+    for command in PIPELINE:
+        assert _run(command, tiny_ini, out) == 0, command
+        assert (out / f"{command}_manifest.json").is_file(), command
+    manifest = json.loads((out / "sample_manifest.json").read_text())
+    assert manifest["map_converged"] in (True, False)
+    assert (out / "map_residuals.csv").is_file()
+    assert 0.0 <= manifest["acceptance_rate"] <= 1.0
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, tiny_ini):
+    # the removed dual-sign switch is now an unknown key like any other
+    bad = tmp_path / "bad.ini"
+    bad.write_text(TINY_INI.replace("inner_iters = 5",
+                                    "inner_iters = 5\npaper_dual_sign = true"),
+                   encoding="utf-8")
+    assert _run("phantom", bad, tmp_path / "out") == 2
+    assert not (tmp_path / "out" / "phantom_manifest.json").exists()
+
+
+def test_missing_chain_is_a_runtime_error(tmp_path, tiny_ini):
+    out = tmp_path / "empty"
+    assert _run("summarize", tiny_ini, out) == 3
+    assert not (out / "summarize_manifest.json").exists()

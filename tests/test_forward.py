@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from poistomo.fields import Grid, ScalarField
-from poistomo.forward import (Reparam, Sinogram, build_radon_operator,
-                              potential_bounds, potential_phi,
-                              potential_phi_grad, read_sinogram_bin,
-                              read_sinogram_csv, simulate_data,
-                              write_geometry_manifest, write_sinogram_bin,
-                              write_sinogram_csv)
+from poistomo.forward import (Reparam, Sinogram, _phi_of_theta,
+                              build_radon_operator, potential_bounds,
+                              read_sinogram_bin, read_sinogram_csv,
+                              simulate_data, write_geometry_manifest,
+                              write_sinogram_bin, write_sinogram_csv)
 from poistomo.klbasis import CovarianceSpec, build_kl_basis
 
 
@@ -168,28 +167,27 @@ def test_simulate_data_rejects_negative_intensity(op16, grid16):
         simulate_data(op16, bad, np.random.default_rng(0))
 
 
-def test_potential_matches_direct_sum(op16, rep, basis60, sino16):
+def test_potential_matches_direct_sum(op16, rep, basis60, sino16,
+                                      post16_smooth):
     # independent accumulation of sum(theta) - sum(y log theta) with fsum
     rng = np.random.default_rng(31)
     c = 0.4 * rng.standard_normal(60)
     theta = op16.apply(rep.apply(basis60.synthesize_values(c)))
     direct = math.fsum(theta) - math.fsum(
         y * math.log(t) for y, t in zip(sino16.counts, theta) if y)
-    assert potential_phi(op16, rep, basis60, c, sino16.counts) == \
-        pytest.approx(direct, rel=1e-12)
+    assert post16_smooth.phi(c) == pytest.approx(direct, rel=1e-12)
 
 
-def test_potential_grad_matches_central_differences(op16, rep, basis60, sino16):
+def test_potential_grad_matches_central_differences(post16_smooth):
     rng = np.random.default_rng(37)
     c = 0.3 * rng.standard_normal(60)
-    grad = potential_phi_grad(op16, rep, basis60, c, sino16.counts)
+    grad = post16_smooth.phi_grad(c)
     eps = 1e-6
     for i in rng.choice(60, size=12, replace=False):
         cp, cm = c.copy(), c.copy()
         cp[i] += eps
         cm[i] -= eps
-        fd = (potential_phi(op16, rep, basis60, cp, sino16.counts)
-              - potential_phi(op16, rep, basis60, cm, sino16.counts)) / (2 * eps)
+        fd = (post16_smooth.phi(cp) - post16_smooth.phi(cm)) / (2 * eps)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -202,11 +200,13 @@ def test_potential_envelope_contains_all_values(op16, rep, basis60):
         c = rng.standard_normal(60) * rng.uniform(0.1, 3.0)
         y = np.abs(rng.standard_normal(op16.n_rays))
         y *= r * rng.uniform(0.0, 1.0) / np.linalg.norm(y)
-        val = potential_phi(op16, rep, basis60, c, y)
+        # real-valued data, so the potential is formed from theta directly
+        val = _phi_of_theta(op16.apply(rep.apply(basis60.synthesize_values(c))),
+                            y)
         assert lo <= val <= hi
 
 
-def test_potential_lipschitz_bound(op16, rep, basis60, sino16):
+def test_potential_lipschitz_bound(op16, rep, basis60, sino16, post16_smooth):
     from scipy.sparse.linalg import svds
     opnorm = float(svds(op16.kappa * op16.matrix, k=1,
                         return_singular_vectors=False)[0])
@@ -220,13 +220,11 @@ def test_potential_lipschitz_bound(op16, rep, basis60, sino16):
         c2 = c1 + rng.standard_normal(60) * rng.uniform(0.01, 1.0)
         z1 = basis60.synthesize_values(c1)
         z2 = basis60.synthesize_values(c2)
-        dphi = abs(potential_phi(op16, rep, basis60, c1, y)
-                   - potential_phi(op16, rep, basis60, c2, y))
+        dphi = abs(post16_smooth.phi(c1) - post16_smooth.phi(c2))
         assert dphi <= lip * np.linalg.norm(z1 - z2) + 1e-9
 
 
 def test_phi_rejects_nonpositive_theta(op16, rep, basis60):
-    from poistomo.forward import _phi_of_theta
     with pytest.raises(ValueError):
         _phi_of_theta(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 

@@ -179,3 +179,18 @@ def test_synthesize_returns_field_on_grid():
     f = basis.synthesize(np.zeros(6))
     assert isinstance(f, ScalarField)
     assert f.grid == grid
+
+
+def test_synthesize_values_takes_a_block_of_rows():
+    grid = Grid(5, 8)
+    basis = build_kl_basis(grid, CovarianceSpec(corr_len=0.2), 6, mean=0.7)
+    rows = np.random.default_rng(2).standard_normal((4, 6))
+    block = basis.synthesize_values(rows)
+    assert block.shape == (4, grid.npix)
+    for r in range(4):
+        np.testing.assert_allclose(block[r], basis.synthesize_values(rows[r]),
+                                   rtol=1e-13, atol=1e-13)
+    with pytest.raises(ValueError):
+        basis.synthesize_values(np.zeros((4, 5)))
+    with pytest.raises(ValueError):
+        basis.synthesize_values(np.zeros(7))

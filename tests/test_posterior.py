@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from poistomo.fields import tv_arrays
+from poistomo.fields import VectorField, tv_arrays
 from poistomo.posterior import TGPosterior
+from poistomo.samplers import Anchor, _rho, pcnl_step, pdpcn_step
 
 
 def transition_logdensity(src, dst, g_src, delta):
@@ -23,7 +24,8 @@ def test_rho_difference_is_exact_mh_log_ratio(post16, delta):
         v = 0.5 * rng.standard_normal(60)
         g_z = rng.standard_normal(60)
         g_v = rng.standard_normal(60)
-        lhs = post16.rho(z, v, g_z, delta) - post16.rho(v, z, g_v, delta)
+        lhs = (_rho(post16.evaluate(z), z, v, g_z, delta)
+               - _rho(post16.evaluate(v), v, z, g_v, delta))
         rhs = (post16.psi(z) - post16.psi(v)
                + 0.5 * (float(z @ z) - float(v @ v))
                + transition_logdensity(v, z, g_v, delta)
@@ -36,17 +38,23 @@ def test_rho_zero_drift_collapses_to_psi(post16):
     z = rng.standard_normal(60)
     v = rng.standard_normal(60)
     zero = np.zeros(60)
-    assert post16.rho(z, v, zero, 0.3) == pytest.approx(post16.psi(z))
+    assert _rho(post16.evaluate(z), z, v, zero, 0.3) == \
+        pytest.approx(post16.psi(z))
 
 
 def test_rho_validates_delta_and_shapes(post16):
+    # the kernels check delta before rho is formed; rho's pairings refuse
+    # mismatched shapes
     z = np.zeros(60)
+    zeros = np.zeros(post16.grid.shape)
+    anchor = Anchor(VectorField(post16.grid, zeros, zeros),
+                    VectorField(post16.grid, zeros, zeros), 1.0)
+    rng = np.random.default_rng(5)
+    for bad in (-0.1, 2.5):
+        with pytest.raises(ValueError):
+            pdpcn_step(post16, z, bad, rng, anchor)
     with pytest.raises(ValueError):
-        post16.rho(z, z, z, -0.1)
-    with pytest.raises(ValueError):
-        post16.rho(z, z, z, 2.5)
-    with pytest.raises(ValueError):
-        post16.rho(z, np.zeros(59), z, 0.3)
+        _rho(post16.evaluate(z), z, np.zeros(59), z, 0.3)
 
 
 def test_psi_splits_into_phi_and_tv(post16, basis60):
@@ -76,10 +84,19 @@ def test_phi_grad_at_reuses_evaluation(post16_smooth):
 
 
 def test_psi_grad_refuses_nonsmooth(post16, post16_smooth):
+    # the gradient of psi exists only without TV: there it is phi_grad (the
+    # pcnl drift), and the pcnl kernel refuses a positive TV weight
     c = np.zeros(60)
     with pytest.raises(ValueError):
-        post16.psi_grad(c)
-    assert np.allclose(post16_smooth.psi_grad(c), post16_smooth.phi_grad(c))
+        pcnl_step(post16, c, 0.3, np.random.default_rng(0))
+    g = post16_smooth.phi_grad(c)
+    h = 1e-6
+    for k in (0, 7, 31, 59):
+        cp, cm = c.copy(), c.copy()
+        cp[k] += h
+        cm[k] -= h
+        fd = (post16_smooth.psi(cp) - post16_smooth.psi(cm)) / (2 * h)
+        assert fd == pytest.approx(g[k], rel=1e-5, abs=1e-8)
 
 
 def test_posterior_validation(op16, rep, basis60, sino16):

@@ -15,7 +15,7 @@ import pytest
 from poistomo import TGPosterior
 from poistomo.posterior import PosteriorEval
 from poistomo.samplers import (Anchor, Chain, ChainDivergence, SamplerConfig,
-                               anchor_from_map, load_chain, pcn_accept,
+                               _rho, anchor_from_map, load_chain, pcn_accept,
                                pcn_propose, pcn_step, pcnl_step, pdpcn_step,
                                run_chain, save_chain, tune_stepsize)
 from poistomo.admm import AdmmConfig, offset_direction, solve_map
@@ -24,8 +24,9 @@ from test_admm import _Toy
 
 # ---------------------------------------------------------------------------
 # duck-typed targets: the kernels only touch evaluate / psi / phi_grad_at /
-# rho_from_eval / tv_weight / n_modes, so small closed-form stand-ins let the
-# statistical checks run against known answers
+# tv_weight / n_modes (the acceptance functional reads psi from the
+# evaluation), so small closed-form stand-ins let the statistical checks run
+# against known answers
 
 
 class _StubTarget:
@@ -50,12 +51,6 @@ class _StubTarget:
 
     def phi_grad_at(self, ev):
         return self.gradient(ev.z)
-
-    def rho_from_eval(self, ev_z, z, v, g, delta):
-        return (ev_z.psi
-                + 0.5 * float(np.dot(v - z, g))
-                + 0.25 * delta * float(np.dot(z + v, g))
-                + 0.25 * delta * float(np.dot(g, g)))
 
 
 class _FlatTarget(_StubTarget):
@@ -216,8 +211,8 @@ def test_self_proposal_accepted_with_certainty(post16_smooth):
     z = 0.3 * rng.standard_normal(post16_smooth.n_modes)
     ev = post16_smooth.evaluate(z)
     g = post16_smooth.phi_grad_at(ev)
-    forward = post16_smooth.rho_from_eval(ev, z, z, g, 0.4)
-    backward = post16_smooth.rho_from_eval(ev, z, z, g, 0.4)
+    forward = _rho(ev, z, z, g, 0.4)
+    backward = _rho(ev, z, z, g, 0.4)
     assert forward - backward == 0.0
 
 
@@ -266,12 +261,13 @@ def test_acceptance_exponent_antisymmetry(post16, map16):
     for _ in range(6):
         z = 0.5 * rng.standard_normal(post16.n_modes)
         v = 0.5 * rng.standard_normal(post16.n_modes)
-        g_z = offset_direction(post16, z, res.split, res.multiplier,
+        ev_z, ev_v = post16.evaluate(z), post16.evaluate(v)
+        g_z = offset_direction(post16, ev_z, res.split, res.multiplier,
                                cfg.rho_pen)
-        g_v = offset_direction(post16, v, res.split, res.multiplier,
+        g_v = offset_direction(post16, ev_v, res.split, res.multiplier,
                                cfg.rho_pen)
-        fwd = post16.rho(z, v, g_z, delta) - post16.rho(v, z, g_v, delta)
-        rev = post16.rho(v, z, g_v, delta) - post16.rho(z, v, g_z, delta)
+        fwd = _rho(ev_z, z, v, g_z, delta) - _rho(ev_v, v, z, g_v, delta)
+        rev = _rho(ev_v, v, z, g_v, delta) - _rho(ev_z, z, v, g_z, delta)
         assert fwd == -rev
 
 
@@ -349,14 +345,42 @@ def test_divergent_potential_aborts():
                                          burn_in=0, seed=19))
 
 
-def test_anchored_chain_solves_for_missing_anchor():
-    # omitting the anchor triggers an internal splitting solve and starts
-    # the chain from its coefficients
+def test_anchored_chain_requires_anchor():
+    # the pdpcn kernel never solves for its own anchor: without one the
+    # chain and the tuner refuse; with the caller's MAP solve it runs
     toy = _Toy(tv_weight=0.8)
     cfg = SamplerConfig("pdpcn", 50, delta=0.005, burn_in=0, seed=20)
-    chain = run_chain(toy.post, cfg)
+    with pytest.raises(ValueError):
+        run_chain(toy.post, cfg)
+    with pytest.raises(ValueError):
+        tune_stepsize(toy.post, "pdpcn")
+    admm = AdmmConfig()
+    res = solve_map(toy.post, admm)
+    chain = run_chain(toy.post, cfg, init=res.coeffs,
+                      anchor=anchor_from_map(res, admm.rho_pen))
     assert chain.samples.shape == (50, 2)
     assert np.all(np.isfinite(chain.samples))
+
+
+@pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
+def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
+                                         monkeypatch, kind):
+    # one posterior evaluation per proposal plus one for the initial state;
+    # the drift at a proposal reuses the proposal's evaluation
+    res, admm = map16
+    post = post16_smooth if kind == "pcnl" else post16
+    calls = []
+    evaluate = TGPosterior.evaluate
+
+    def counted(self, c):
+        calls.append(1)
+        return evaluate(self, c)
+
+    monkeypatch.setattr(TGPosterior, "evaluate", counted)
+    anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
+    cfg = SamplerConfig(kind, 40, beta=0.05, delta=0.01, burn_in=0, seed=26)
+    run_chain(post, cfg, init=res.coeffs, anchor=anchor)
+    assert len(calls) == 40 + 1
 
 
 @pytest.mark.parametrize("kwargs", [
