@@ -29,8 +29,7 @@ from .fields import (Grid, ScalarField, VectorField, divergence, field_dot,
 from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
                       potential_bounds, read_sinogram_bin, read_sinogram_csv,
                       simulate_data, write_sinogram_bin, write_sinogram_csv)
-from .klbasis import (CovarianceSpec, KLBasis, build_kl_basis, load_basis,
-                      save_basis)
+from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
 from .phantom import brain_phantom, load_band_image
 from .posterior import TGPosterior
 from .samplers import (Chain, ChainDivergence, SamplerConfig, anchor_from_map,
@@ -57,8 +56,7 @@ __all__ = [
     "RadonOperator", "Reparam", "Sinogram", "build_radon_operator",
     "potential_bounds", "read_sinogram_bin", "read_sinogram_csv", "simulate_data",
     "write_sinogram_bin", "write_sinogram_csv",
-    "CovarianceSpec", "KLBasis", "build_kl_basis", "load_basis",
-    "save_basis",
+    "CovarianceSpec", "KLBasis", "build_kl_basis",
     "brain_phantom", "load_band_image",
     "TGPosterior",
     "Chain", "ChainDivergence", "SamplerConfig", "anchor_from_map",

@@ -43,6 +43,12 @@ __all__ = [
 
 ARMIJO_C1 = 1e-4
 MAX_BACKTRACKS = 50
+# Below this relative change the subproblem values of two points tie at
+# rounding noise, and the line search judges the trial by its slope instead:
+# the approximate Wolfe test of Hager & Zhang (2005), delta 0.1, sigma 0.9.
+VALUE_TIE_REL = 1e-14
+WOLFE_DELTA = 0.1
+WOLFE_SIGMA = 0.9
 
 
 @dataclass(frozen=True)
@@ -113,19 +119,13 @@ def _z_point(post: TGPosterior, ev: PosteriorEval, p, eta,
 
 def _z_grad(post: TGPosterior, pt: _ZPoint, p, eta,
             rho_pen: float) -> np.ndarray:
-    """Coefficient gradient of the z-subproblem: the likelihood gradient
-    minus the pullback of cell * div(eta + rho (grad z - p)).
-
-    Summing the two pixel derivatives before one pullback would save a
-    pullback, but it changes the rounding of the gradient, and near the
-    rounding floor of the line search the descent then takes another path
-    (see CHANGES.md); this form keeps the iterates as they were.
-    """
+    """Coefficient gradient of the z-subproblem: one pullback of the
+    likelihood's pixel derivative minus cell * div(eta + rho (grad z - p))."""
     dfield = div_arrays(eta[0] + rho_pen * (pt.g1 - p[0]),
                         eta[1] + rho_pen * (pt.g2 - p[1]),
                         post.grid.hx, post.grid.hy)
-    return (post.phi_grad_at(pt.ev)
-            - post.grid.cell * post.basis.pullback(dfield.reshape(-1)))
+    return post.basis.pullback(post.phi_pixel_grad_at(pt.ev)
+                               - post.grid.cell * dfield.reshape(-1))
 
 
 def lagrangian(post: TGPosterior, c, state: AdmmState, rho_pen: float) -> float:
@@ -141,12 +141,15 @@ def z_step(post: TGPosterior, state: AdmmState,
            ev: PosteriorEval | None = None) -> tuple[AdmmState, dict]:
     """Descend the smooth z-subproblem with Armijo backtracking.
 
-    ev, when given, is the evaluation at state.coeffs.  Stops at the
-    gradient tolerance or the inner budget; the returned info dict says
+    ev, when given, is the evaluation at state.coeffs.  A trial whose value
+    ties the current one within VALUE_TIE_REL (the Armijo test then reads
+    rounding noise) is accepted instead when its slope along the step passes
+    the approximate Wolfe test; the gradient that test computes is reused.
+    Stops at the gradient tolerance, at the inner budget, or unconverged when
+    the step no longer changes the coefficients; the returned info dict says
     which, and carries the evaluation at the returned coefficients under
-    "eval".  The gradient at an accepted point comes from the evaluation its
-    line search already made.  Raises if a single line search backtracks
-    MAX_BACKTRACKS times without a sufficient decrease.
+    "eval".  Raises if a single line search backtracks MAX_BACKTRACKS times
+    without an acceptable point.
     """
     p, eta, rho = (state.p1, state.p2), (state.eta1, state.eta2), cfg.rho_pen
     c = state.coeffs.copy()
@@ -160,17 +163,29 @@ def z_step(post: TGPosterior, state: AdmmState,
         if np.sqrt(gn2) <= cfg.inner_tol:
             converged = True
             break
+        g_try = None
         for _bt in range(MAX_BACKTRACKS):
             c_try = c - step * grad
+            if np.array_equal(c_try, c):
+                break
             trial = _z_point(post, post.evaluate(c_try), p, eta, rho)
             if trial.value <= pt.value - ARMIJO_C1 * step * gn2:
                 break
+            if abs(trial.value - pt.value) <= VALUE_TIE_REL * abs(pt.value):
+                g_try = _z_grad(post, trial, p, eta, rho)
+                slope = -float(np.dot(g_try, grad))
+                if (-WOLFE_SIGMA * gn2 <= slope
+                        <= (1.0 - 2.0 * WOLFE_DELTA) * gn2):
+                    break
+                g_try = None
             step *= 0.5
         else:
             raise RuntimeError(f"z-step line search failed {MAX_BACKTRACKS} "
                                "consecutive times")
+        if np.array_equal(c_try, c):
+            break   # the step is below the coefficients' resolution
         c, pt = c_try, trial
-        grad = _z_grad(post, pt, p, eta, rho)
+        grad = _z_grad(post, pt, p, eta, rho) if g_try is None else g_try
         step *= 2.0
         iterations += 1
     info = {"iterations": iterations,

@@ -142,6 +142,7 @@ class CalibrationRow:
     p: float
     stderr: float
     chain_steps: int
+    acceptance: float
 
 
 @dataclass(frozen=True)
@@ -202,24 +203,33 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
                       denominator: str = "theta") -> CalibrationResult:
     """Estimate p_b on a weight grid with short chains and bracket the band.
 
-    One pcn chain per weight (stepsize tuned on the first grid point unless
-    given), p_b averaged over an even subsample of kept states.
+    One pcn chain per weight, p_b averaged over an even subsample of kept
+    states.  Each chain starts at the last state of the previous weight's
+    chain (the first at the prior mean, whose zero TV makes it a sticky
+    start at large weights), and without a given beta the stepsize is tuned
+    at every weight from that start: the posterior narrows as the weight
+    grows, so a stepsize tuned at the first weight can leave later chains
+    where they began.
     """
     weights = [float(v) for v in weight_grid]
     if sorted(weights) != weights:
         raise ValueError("weight grid must be increasing")
     rows = []
+    start = None
     for i, w in enumerate(weights):
         post = make_posterior(w)
-        if beta is None:
-            beta = tune_stepsize(post, "pcn", n_pilot=1000, seed=seed)
-        cfg = SamplerConfig("pcn", chain_steps, beta=beta, seed=seed + i)
-        chain = run_chain(post, cfg)
+        step = (tune_stepsize(post, "pcn", n_pilot=1000, seed=seed, init=start)
+                if beta is None else beta)
+        cfg = SamplerConfig("pcn", chain_steps, beta=step, seed=seed + i)
+        chain = run_chain(post, cfg, init=start)
+        start = chain.samples[-1]
         res = posterior_predictive_p(chain, post, max_samples=max_eval_samples,
                                      denominator=denominator)
-        rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps))
-        log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g)",
-                 w, res.p, res.stderr)
+        rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,
+                                   chain.acceptance_rate))
+        log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "
+                 "acceptance %.3f)", w, res.p, res.stderr,
+                 chain.acceptance_rate)
     interval = admissible_interval(weights, [r.p for r in rows], band)
     return CalibrationResult(tuple(rows), interval, band)
 
@@ -315,12 +325,12 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
 
 
 def write_calibration_csv(result: CalibrationResult, path) -> None:
-    """Rows of (tv_weight, p_b, MC stderr, chain steps)."""
+    """Rows of (tv_weight, p_b, MC stderr, chain steps, acceptance rate)."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("tv_weight,p_b,stderr,chain_steps\n")
+        fh.write("tv_weight,p_b,stderr,chain_steps,acceptance\n")
         for r in result.rows:
             fh.write(f"{r.tv_weight:.17g},{r.p:.17g},{r.stderr:.17g},"
-                     f"{r.chain_steps}\n")
+                     f"{r.chain_steps},{r.acceptance:.17g}\n")
 
 
 def write_selection_csv(result: SelectionResult, path) -> None:

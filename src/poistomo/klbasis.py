@@ -2,7 +2,11 @@
 
 The covariance kernel gamma * exp(-||x - x'||_1 / d) is separable in the two
 coordinates, so its discrete eigenpairs are tensor products of two cheap 1d
-eigendecompositions.  Coefficient vectors are standard normal under the
+eigendecompositions: mode r is the outer product ex[ii_r] (x) ey[jj_r] of two
+1d eigenvectors.  The basis keeps only those factors and index pairs
+(``KLModes``), never the dense (n_modes, npix) matrix, and applies it as
+``ex^T . scatter(weights) . ey``; the transpose gathers ``ex . D . ey^T`` at
+the index pairs.  Coefficient vectors are standard normal under the
 reference measure; the covariance acts diagonally on expansion weights, which
 is what makes the preconditioned samplers dimension-robust.
 
@@ -18,7 +22,6 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 import logging
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +31,8 @@ from .fields import Grid, ScalarField
 __all__ = [
     "CovarianceSpec",
     "KLBasis",
+    "KLModes",
     "build_kl_basis",
-    "save_basis",
-    "load_basis",
 ]
 
 log = logging.getLogger(__name__)
@@ -62,34 +64,105 @@ def _axis_eigpairs(n: int, h: float, corr_len: float):
     return vals[order], (vecs[:, order] / np.sqrt(h)).T
 
 
+@dataclass(frozen=True, eq=False)
+class KLModes:
+    """The (n_modes, npix) eigenfield matrix, held as its Kronecker factors.
+
+    Row r is ex[ii[r]] (x) ey[jj[r]] flattened row-major, where the rows of
+    the square matrices ex, ey are 1d eigenvectors.  ``w @ modes`` (synthesis
+    of a weight vector or a (k, n_modes) block) and ``modes @ d`` (inner
+    products with one vector of pixel values) run as two small matrix
+    products each, without forming the matrix.  Integer indexing gives one
+    dense row, slicing a sub-basis that shares the factors;
+    ``np.asarray(modes)`` forms the dense matrix and is meant for tests.
+    ``__array_ufunc__ = None`` makes ``ndarray @ modes`` defer to
+    ``__rmatmul__`` instead of densifying.
+    """
+
+    ex: np.ndarray = field(repr=False)
+    ey: np.ndarray = field(repr=False)
+    ii: np.ndarray = field(repr=False)
+    jj: np.ndarray = field(repr=False)
+
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        for name, dtype in (("ex", float), ("ey", float), ("ii", np.intp),
+                            ("jj", np.intp)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.ii.size, self.ex.shape[1] * self.ey.shape[1])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.ex, self.ey, self.ii, self.jj))
+
+    def __len__(self) -> int:
+        return self.ii.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return KLModes(self.ex, self.ey, self.ii[key], self.jj[key])
+        return np.outer(self.ex[self.ii[key]], self.ey[self.jj[key]]).reshape(-1)
+
+    def __array__(self, dtype=None, copy=None):
+        dense = self.ex[self.ii][:, :, None] * self.ey[self.jj][:, None, :]
+        return dense.reshape(self.shape).astype(dtype or float, copy=False)
+
+    def __rmatmul__(self, w):
+        """Pixel rows sum_r w[..., r] e_r of a weight vector or block."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim not in (1, 2) or w.shape[-1] != len(self):
+            raise ValueError(f"cannot contract shape {w.shape} with the "
+                             f"{self.shape} modes")
+        # two (k, nx, ny) buffers: the scatter, then the product back into it
+        buf = np.zeros((w.size // len(self), self.ex.shape[0],
+                        self.ey.shape[0]))
+        buf[:, self.ii, self.jj] = w.reshape(-1, len(self))
+        np.matmul(np.matmul(self.ex.T, buf), self.ey, out=buf)
+        return buf.reshape(w.shape[:-1] + (self.shape[1],))
+
+    def __matmul__(self, d):
+        """Inner products <e_r, d> with one vector of pixel values."""
+        d = np.asarray(d, dtype=float)
+        if d.shape != (self.shape[1],):
+            raise ValueError(f"cannot contract the {self.shape} modes with "
+                             f"shape {d.shape}")
+        full = self.ex @ d.reshape(self.ex.shape[0], self.ey.shape[0]) @ self.ey.T
+        return full[self.ii, self.jj]
+
+
 @dataclass(frozen=True)
 class KLBasis:
     """Truncated eigenexpansion of the reference covariance on a grid.
 
-    ``modes`` holds one eigenfield per row (row-major pixels); rows are
-    orthonormal in the cell-weighted inner product.  ``eigenvalues`` are the
-    matching covariance eigenvalues, sorted descending.
+    ``modes`` holds one eigenfield per row (row-major pixels) in factored
+    form (``KLModes``); rows are orthonormal in the cell-weighted inner
+    product.  ``eigenvalues`` are the matching covariance eigenvalues, sorted
+    descending.
     """
 
     grid: Grid
     cov: CovarianceSpec
     eigenvalues: np.ndarray = field(repr=False)
-    modes: np.ndarray = field(repr=False)
+    modes: KLModes = field(repr=False)
     mean: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
-        md = np.asarray(self.modes, dtype=float)
         mn = np.asarray(self.mean, dtype=float).reshape(-1)
-        if md.shape != (ev.size, self.grid.npix):
-            raise ValueError(f"modes shape {md.shape} does not match "
+        if self.modes.shape != (ev.size, self.grid.npix):
+            raise ValueError(f"modes shape {self.modes.shape} does not match "
                              f"{ev.size} eigenvalues on {self.grid.npix} pixels")
         if mn.size != self.grid.npix:
             raise ValueError("mean length does not match the grid")
-        for a in (ev, md, mn):
+        for a in (ev, mn):
             a.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "modes", md)
         object.__setattr__(self, "mean", mn)
         object.__setattr__(self, "_sqrt_eta", np.sqrt(ev))
 
@@ -154,8 +227,9 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
 
     The two 1d kernel matrices are eigendecomposed with the cell-width
     quadrature weight; products of 1d eigenvalues (scaled by gamma) are sorted
-    descending and the top n_modes retained.  Numerically non-positive
-    products are clamped at 1e-14 times the leading eigenvalue and reported.
+    descending and the top n_modes retained as index pairs into the two 1d
+    eigenvector sets.  Numerically non-positive products are clamped at 1e-14
+    times the leading eigenvalue and reported.
     """
     if not 1 <= n_modes <= grid.npix:
         raise ValueError(f"n_modes must be in [1, {grid.npix}], got {n_modes}")
@@ -171,50 +245,10 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
         log.warning("clamped %d kl eigenvalues below %.3e", n_clamped, floor)
         eta = np.maximum(eta, floor)
     ii, jj = np.unravel_index(order, prod.shape)
-    modes = np.empty((n_modes, grid.npix))
-    for r, (i, j) in enumerate(zip(ii, jj)):
-        modes[r] = np.outer(ex[i], ey[j]).reshape(-1)
     if isinstance(mean, ScalarField):
         if mean.grid != grid:
             raise ValueError("mean field grid does not match")
         mean_vals = mean.ravel().copy()
     else:
         mean_vals = np.full(grid.npix, float(mean))
-    return KLBasis(grid, cov, eta, modes, mean_vals)
-
-
-# ---------------------------------------------------------------------------
-# cache file: magic "KLB1", little-endian header, then float64 payload
-
-_HEADER = struct.Struct("<4sIIddI")
-
-
-def save_basis(basis: KLBasis, path) -> None:
-    """Cache a basis: header (grid dims, kernel parameters, mode count),
-    then eigenvalues, eigenfields and the mean field as little-endian f64."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(b"KLB1", basis.grid.nx, basis.grid.ny,
-                              basis.cov.gamma, basis.cov.corr_len,
-                              basis.n_modes))
-        fh.write(basis.eigenvalues.astype("<f8").tobytes())
-        fh.write(basis.modes.astype("<f8").tobytes())
-        fh.write(basis.mean.astype("<f8").tobytes())
-
-
-def load_basis(path) -> KLBasis:
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ValueError(f"{path}: truncated basis file")
-        magic, nx, ny, gamma, corr_len, n = _HEADER.unpack(head)
-        if magic != b"KLB1":
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        grid = Grid(nx, ny)
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    want = n + n * grid.npix + grid.npix
-    if payload.size != want:
-        raise ValueError(f"{path}: payload has {payload.size} floats, expected {want}")
-    eigenvalues = payload[:n]
-    modes = payload[n:n + n * grid.npix].reshape(n, grid.npix)
-    mean = payload[n + n * grid.npix:]
-    return KLBasis(grid, CovarianceSpec(gamma, corr_len), eigenvalues, modes, mean)
+    return KLBasis(grid, cov, eta, KLModes(ex, ey, ii, jj), mean_vals)

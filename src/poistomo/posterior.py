@@ -83,5 +83,8 @@ class TGPosterior:
 
     def phi_grad_at(self, ev: PosteriorEval) -> np.ndarray:
         """phi_grad at the state of an existing evaluation."""
-        dv = self.rep.deriv(ev.z) * self.op.adjoint(1.0 - self._counts / ev.theta)
-        return self.basis.pullback(dv)
+        return self.basis.pullback(self.phi_pixel_grad_at(ev))
+
+    def phi_pixel_grad_at(self, ev: PosteriorEval) -> np.ndarray:
+        """Derivative of phi in the flat latent pixel values at ev's state."""
+        return self.rep.deriv(ev.z) * self.op.adjoint(1.0 - self._counts / ev.theta)

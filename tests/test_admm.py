@@ -268,6 +268,57 @@ def test_zstep_matches_subproblem_grid_search(toy):
     assert np.max(np.abs(out.coeffs - c_best)) <= 2 * step + 1e-12
 
 
+def _record_evaluations(monkeypatch):
+    """Coefficient vectors passed to TGPosterior.evaluate, as bytes."""
+    seen = []
+    evaluate = TGPosterior.evaluate
+
+    def recorded(self, c):
+        seen.append(np.asarray(c, dtype=float).tobytes())
+        return evaluate(self, c)
+
+    monkeypatch.setattr(TGPosterior, "evaluate", recorded)
+    return seen
+
+
+def test_first_toy_zstep_converges(toy, monkeypatch):
+    # from the grid-search test's start: the Armijo test alone sat at its
+    # rounding floor (gradient norm 3.3e-6 after 2,000 iterations)
+    seen = _record_evaluations(monkeypatch)
+    cfg = AdmmConfig(rho_pen=1.0, inner_iters=2000, inner_tol=1e-6)
+    _, info = z_step(toy.post, initial_state(toy.post, [0.4, -0.3]), cfg)
+    assert info["converged"]
+    assert info["grad_norm"] <= cfg.inner_tol
+    assert info["iterations"] < 200
+    assert len(seen) == len(set(seen))
+
+
+def test_zstep_never_evaluates_a_point_twice(toy, monkeypatch):
+    # far below the rounding floor the descent runs out its budget, but every
+    # trial it evaluates is a new point
+    seen = _record_evaluations(monkeypatch)
+    state = initial_state(toy.post, [0.4, -0.3])
+    _, info = z_step(toy.post, state, AdmmConfig(inner_iters=500,
+                                                 inner_tol=1e-300))
+    assert not info["converged"]
+    assert len(seen) == len(set(seen))
+
+
+def test_zstep_stops_when_the_step_cannot_move(toy, monkeypatch):
+    # a gradient far below the coefficients' resolution: c - step * grad
+    # rounds to c, so the z-step stops unconverged after its first evaluation
+    from poistomo import admm
+    z_grad = admm._z_grad
+    monkeypatch.setattr(admm, "_z_grad", lambda *a: 1e-150 * z_grad(*a))
+    seen = _record_evaluations(monkeypatch)
+    state = initial_state(toy.post, [0.4, -0.3])
+    out, info = z_step(toy.post, state, AdmmConfig(inner_tol=1e-200))
+    assert not info["converged"]
+    assert info["iterations"] == 0
+    assert len(seen) == 1
+    np.testing.assert_array_equal(out.coeffs, state.coeffs)
+
+
 # ---------------------------------------------------------------------------
 # multiplier step
 
@@ -508,19 +559,11 @@ def test_objective_history_tracks_true_target(toy):
 
 def test_solver_evaluates_each_state_once(toy, monkeypatch):
     # the z-subproblem gradient, the split and multiplier updates, the
-    # residuals and the objective history reuse the line search's evaluation.
-    # A short inner budget keeps the descent above its rounding floor, where
-    # a line search may also re-evaluate a point its step no longer moves.
-    seen = []
-    evaluate = TGPosterior.evaluate
-
-    def recorded(self, c):
-        seen.append(np.asarray(c, dtype=float).tobytes())
-        return evaluate(self, c)
-
-    monkeypatch.setattr(TGPosterior, "evaluate", recorded)
-    res = solve_map(toy.post, AdmmConfig(max_outer=6, inner_iters=5,
-                                         tol=1e-12))
+    # residuals and the objective history reuse the line search's evaluation,
+    # and no line search re-evaluates a point (default inner budget, which
+    # reaches the rounding floor of the value test on this problem)
+    seen = _record_evaluations(monkeypatch)
+    res = solve_map(toy.post, AdmmConfig(max_outer=6, tol=1e-12))
     assert res.iterations == 6
     assert len(seen) == len(set(seen))
 

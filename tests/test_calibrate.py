@@ -2,8 +2,8 @@
 
 The chi-squared tail is checked against closed forms, the admissible
 interval against hand-made p-value grids, the batched predictive p-value
-against a per-row loop, and the default statistic against its reference law
-at the true image.
+against a per-row loop, the default statistic against its reference law
+at the true image, and the weight sweep for chains that move.
 """
 
 import math
@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from poistomo import brain_phantom, build_radon_operator, parse_config
-from poistomo.calibrate import (admissible_interval, chi2_discrepancy, chi2_sf,
-                                classical_p, posterior_predictive_p)
+from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
+                      parse_config)
+from poistomo.calibrate import (admissible_interval, admissible_search,
+                                chi2_discrepancy, chi2_sf, classical_p,
+                                posterior_predictive_p, write_calibration_csv)
 from poistomo.samplers import Chain, SamplerConfig
 
 # ---------------------------------------------------------------------------
@@ -121,3 +123,31 @@ def test_default_statistic_is_calibrated_at_the_truth():
     p_sq = pvalues(denominator="theta_sq")
     assert np.median(p_sq) <= 1e-6
     assert p_sq.mean() <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# weight sweep
+
+
+def test_every_calibration_chain_accepts(post16_strong, tmp_path):
+    # a stepsize tuned at weight 0 and chains started at the prior mean (TV
+    # zero, a sticky start once the weight is large) left the chains at
+    # weights 10 and 20 without a single accepted step
+    base = post16_strong
+
+    def make_posterior(w):
+        return TGPosterior(base.op, base.rep, base.basis, base.data,
+                           tv_weight=w)
+
+    weights = [0.0, 5.0, 10.0, 20.0]
+    result = admissible_search(make_posterior, weights, chain_steps=500,
+                               seed=5, max_eval_samples=50)
+    assert [r.tv_weight for r in result.rows] == weights
+    for row in result.rows:
+        assert 0.0 < row.acceptance <= 1.0, row
+    path = tmp_path / "calibration.csv"
+    write_calibration_csv(result, path)
+    lines = path.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "tv_weight,p_b,stderr,chain_steps,acceptance"
+    assert [float(x.split(",")[-1]) for x in lines[1:]] == \
+        [r.acceptance for r in result.rows]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from poistomo.fields import Grid, ScalarField
-from poistomo.klbasis import (CovarianceSpec, build_kl_basis, load_basis,
-                              save_basis)
+from poistomo.klbasis import CovarianceSpec, build_kl_basis
 
 
 def kernel_matrix(grid: Grid, cov: CovarianceSpec) -> np.ndarray:
@@ -32,8 +31,13 @@ def test_modes_satisfy_weighted_eigenproblem():
 def test_modes_orthonormal_in_cell_weighted_product():
     grid = Grid(6, 9)
     basis = build_kl_basis(grid, CovarianceSpec(gamma=2.0, corr_len=0.25), 15)
-    G = grid.cell * (basis.modes @ basis.modes.T)
+    dense = np.asarray(basis.modes)
+    assert dense.shape == (15, grid.npix)
+    G = grid.cell * (dense @ dense.T)
     assert np.abs(G - np.eye(15)).max() < 1e-10
+    # the factored contraction gives the same Gram matrix
+    G2 = grid.cell * np.stack([basis.modes @ row for row in dense])
+    assert np.abs(G2 - np.eye(15)).max() < 1e-10
 
 
 def test_leading_pair_matches_power_iteration():
@@ -152,27 +156,6 @@ def test_covariance_spec_validation():
         CovarianceSpec(corr_len=-1.0)
 
 
-def test_save_load_roundtrip(tmp_path):
-    grid = Grid(6, 7)
-    basis = build_kl_basis(grid, CovarianceSpec(gamma=1.5, corr_len=0.2), 11,
-                           mean=0.7)
-    path = tmp_path / "basis.klb"
-    save_basis(basis, path)
-    back = load_basis(path)
-    assert back.grid == basis.grid
-    assert back.cov == basis.cov
-    assert np.array_equal(back.eigenvalues, basis.eigenvalues)
-    assert np.array_equal(back.modes, basis.modes)
-    assert np.array_equal(back.mean, basis.mean)
-
-
-def test_load_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "bad.klb"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ValueError):
-        load_basis(path)
-
-
 def test_synthesize_returns_field_on_grid():
     grid = Grid(5, 8)
     basis = build_kl_basis(grid, CovarianceSpec(corr_len=0.2), 6)
@@ -194,3 +177,58 @@ def test_synthesize_values_takes_a_block_of_rows():
         basis.synthesize_values(np.zeros((4, 5)))
     with pytest.raises(ValueError):
         basis.synthesize_values(np.zeros(7))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-factored transform against a dense matrix formed here
+
+
+def _dense_from_factors(basis):
+    """Mode matrix row r = ex[ii_r] (x) ey[jj_r], built by explicit loops."""
+    m = basis.modes
+    rows = [np.outer(m.ex[i], m.ey[j]).reshape(-1) for i, j in zip(m.ii, m.jj)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("nx,ny,n", [(7, 5, 20), (6, 9, 54)])
+def test_factored_transform_matches_dense_matrix(nx, ny, n):
+    grid = Grid(nx, ny)
+    basis = build_kl_basis(grid, CovarianceSpec(gamma=1.3, corr_len=0.3), n,
+                           mean=0.4)
+    dense = _dense_from_factors(basis)
+    sq = np.sqrt(basis.eigenvalues)
+    rng = np.random.default_rng(nx * ny)
+    tol = dict(rtol=0.0, atol=1e-13)
+
+    c = rng.standard_normal(n)
+    np.testing.assert_allclose(basis.synthesize_values(c),
+                               basis.mean + (c * sq) @ dense, **tol)
+    block = rng.standard_normal((4, n))
+    np.testing.assert_allclose(basis.synthesize_values(block),
+                               basis.mean + (block * sq) @ dense, **tol)
+
+    d = rng.standard_normal(grid.npix)
+    np.testing.assert_allclose(basis.pullback(d), sq * (dense @ d), **tol)
+
+    f = ScalarField(grid, d.reshape(grid.shape))
+    for k in (0, 1, n // 2, n):
+        np.testing.assert_allclose(basis.project(f, k),
+                                   grid.cell * (dense[:k] @ d), **tol)
+    np.testing.assert_array_equal(np.asarray(basis.modes), dense)
+    np.testing.assert_array_equal(basis.modes[3], dense[3])
+    assert basis.modes[:5].shape == (5, grid.npix)
+
+
+def test_factored_modes_are_small_and_read_only():
+    grid = Grid(64, 64)
+    basis = build_kl_basis(grid, CovarianceSpec(corr_len=0.1), 2000)
+    assert basis.modes.shape == (2000, grid.npix)
+    assert basis.modes.nbytes < 0.01 * 2000 * grid.npix * 8
+    with pytest.raises(AttributeError):
+        basis.modes.ex = None
+    with pytest.raises(ValueError):
+        basis.modes.ex[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        basis.modes @ np.zeros(grid.npix + 1)
+    with pytest.raises(ValueError):
+        np.zeros(2001) @ basis.modes
