@@ -20,12 +20,10 @@ from .calibrate import (CalibrationResult, SelectionResult,
                         posterior_predictive_p, select_lambda,
                         stochastic_approximation)
 from .config import ConfigError, RunConfig, parse_config
-from .diagnostics import (acf, acf_matrix, ess, ess_matrix, hpdi_sorted,
-                          integrated_time, intensity_samples,
-                          pointwise_hpdi, posterior_mean)
-from .fields import (Grid, ScalarField, VectorField, divergence, field_dot,
-                     field_norm, gradient, psnr, read_field_csv, read_pgm,
-                     tv_seminorm, write_field_csv, write_pgm)
+from .diagnostics import (acf_matrix, ess_matrix, hpdi_sorted,
+                          intensity_samples, pointwise_hpdi, posterior_mean)
+from .fields import (Grid, ScalarField, psnr, read_field_csv, read_pgm,
+                     write_field_csv, write_pgm)
 from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
                       potential_bounds, read_sinogram_bin, read_sinogram_csv,
                       simulate_data, write_sinogram_bin, write_sinogram_csv)
@@ -47,12 +45,10 @@ __all__ = [
     "classical_p", "posterior_predictive_p", "select_lambda",
     "stochastic_approximation",
     "ConfigError", "RunConfig", "parse_config",
-    "acf", "acf_matrix", "ess", "ess_matrix", "hpdi_sorted",
-    "integrated_time", "intensity_samples", "pointwise_hpdi",
-    "posterior_mean",
-    "Grid", "ScalarField", "VectorField", "divergence", "field_dot",
-    "field_norm", "gradient", "psnr", "read_field_csv", "read_pgm",
-    "tv_seminorm", "write_field_csv", "write_pgm",
+    "acf_matrix", "ess_matrix", "hpdi_sorted", "intensity_samples",
+    "pointwise_hpdi", "posterior_mean",
+    "Grid", "ScalarField", "psnr", "read_field_csv", "read_pgm",
+    "write_field_csv", "write_pgm",
     "RadonOperator", "Reparam", "Sinogram", "build_radon_operator",
     "potential_bounds", "read_sinogram_bin", "read_sinogram_csv", "simulate_data",
     "write_sinogram_bin", "write_sinogram_csv",

@@ -6,15 +6,18 @@ augmented Lagrangian
     L(z, p, eta) = phi(z) + tv_weight * |p|_1,iso + <eta, grad z - p>
                    + (rho_pen / 2) ||grad z - p||^2,
 
-all pairings cell-weighted.  The z-update is an inexact gradient descent with
-backtracking, the p-update is the exact pointwise isotropic shrinkage, and
-the multiplier follows the standard ascent direction.  The z-subproblem
-value and gradient at a line-search point, and the p- and multiplier
-updates, residuals and objective history at the accepted one, all reuse the
-line search's single ``TGPosterior.evaluate`` of that point.  The converged
-triple also anchors the gradient-informed sampler: ``offset_direction`` is
-the coefficient-space derivative of L(., p*, eta*) at the caller's
-evaluation, truncated to the leading modes.
+all pairings cell-weighted.  The split field p and the multiplier eta are
+(2, nx, ny) arrays shaped like grad z (see ``fields``).  The z-update is an
+inexact gradient descent with backtracking, the p-update is the exact
+pointwise isotropic shrinkage, and the multiplier follows the standard
+ascent direction; the last two are plain array updates given grad z.  The
+z-subproblem value and gradient at a line-search point, and the p- and
+multiplier updates, residuals and objective history at the accepted one,
+all read the line search's single ``TGPosterior.evaluate`` of that point,
+grad z included (``PosteriorEval.grad``).  The converged triple also
+anchors the gradient-informed sampler: ``offset_direction`` is the
+coefficient-space derivative of L(., p*, eta*) at the caller's evaluation,
+truncated to the leading modes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import VectorField, div_arrays, grad_arrays
+from .fields import div_arrays, iso_l1
 from .posterior import PosteriorEval, TGPosterior
 
 __all__ = [
@@ -70,78 +73,76 @@ class AdmmConfig:
 
 @dataclass(frozen=True)
 class AdmmState:
-    """One iterate: coefficients plus split field and multiplier components."""
+    """One iterate: coefficients plus the (2, nx, ny) split field p and
+    multiplier eta."""
 
     coeffs: np.ndarray = field(repr=False)
-    p1: np.ndarray = field(repr=False)
-    p2: np.ndarray = field(repr=False)
-    eta1: np.ndarray = field(repr=False)
-    eta2: np.ndarray = field(repr=False)
+    p: np.ndarray = field(repr=False)
+    eta: np.ndarray = field(repr=False)
 
 
-def initial_state(post: TGPosterior, init=None) -> AdmmState:
-    """Start from given coefficients (default zero), p = grad z, eta = 0."""
+def initial_state(post: TGPosterior,
+                  init=None) -> tuple[AdmmState, PosteriorEval]:
+    """Start from given coefficients (default zero), p = grad z, eta = 0.
+
+    Returns the state and the evaluation at its coefficients.
+    """
     n = post.n_modes
     c = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
-    g1, g2 = _grad_z(post, c)
-    zero = np.zeros_like(g1)
-    return AdmmState(c, g1, g2, zero, zero.copy())
+    ev = post.evaluate(c)
+    return AdmmState(c, ev.grad, np.zeros_like(ev.grad)), ev
 
 
-def _grad_z(post: TGPosterior, c, ev: PosteriorEval | None = None):
-    """grad z at coefficients c, from the evaluation ev at c when given."""
-    z = post.basis.synthesize_values(c) if ev is None else ev.z
-    return grad_arrays(z.reshape(post.grid.shape), post.grid.hx, post.grid.hy)
+def _pair(a: np.ndarray, b: np.ndarray) -> float:
+    """Uniform-weight pairing of two (2, nx, ny) fields.
+
+    Summed per component: one vdot over both rounds differently and moves
+    the solver's residual history in the last bits.
+    """
+    return float(np.vdot(a[0], b[0]) + np.vdot(a[1], b[1]))
 
 
 class _ZPoint(NamedTuple):
-    """The smooth z-subproblem at one evaluated state, plus the pieces its
-    gradient reuses."""
+    """The smooth z-subproblem at one evaluated state."""
 
     value: float
     ev: PosteriorEval
-    g1: np.ndarray      # grad z
-    g2: np.ndarray
 
 
-def _z_point(post: TGPosterior, ev: PosteriorEval, p, eta,
-             rho_pen: float) -> _ZPoint:
+def _z_point(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
+             eta: np.ndarray, rho_pen: float) -> _ZPoint:
     """phi + <eta, grad z> + (rho/2)||grad z - p||^2  (the z-subproblem) at
-    the state of ev; p and eta are (component 1, component 2) pairs."""
-    g1, g2 = grad_arrays(ev.z.reshape(post.grid.shape),
-                         post.grid.hx, post.grid.hy)
-    d1, d2 = g1 - p[0], g2 - p[1]
+    the state of ev."""
+    d = ev.grad - p
     cell = post.grid.cell
-    pair = cell * float(np.vdot(eta[0], g1) + np.vdot(eta[1], g2))
-    quad = 0.5 * rho_pen * cell * float(np.vdot(d1, d1) + np.vdot(d2, d2))
-    return _ZPoint(ev.phi + pair + quad, ev, g1, g2)
+    pair = cell * _pair(eta, ev.grad)
+    quad = 0.5 * rho_pen * cell * _pair(d, d)
+    return _ZPoint(ev.phi + pair + quad, ev)
 
 
-def _z_grad(post: TGPosterior, pt: _ZPoint, p, eta,
-            rho_pen: float) -> np.ndarray:
-    """Coefficient gradient of the z-subproblem: one pullback of the
-    likelihood's pixel derivative minus cell * div(eta + rho (grad z - p))."""
-    dfield = div_arrays(eta[0] + rho_pen * (pt.g1 - p[0]),
-                        eta[1] + rho_pen * (pt.g2 - p[1]),
-                        post.grid.hx, post.grid.hy)
-    return post.basis.pullback(post.phi_pixel_grad_at(pt.ev)
-                               - post.grid.cell * dfield.reshape(-1))
+def _z_grad(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
+            eta: np.ndarray, rho_pen: float) -> np.ndarray:
+    """Coefficient gradient of the z-subproblem at the state of ev: one
+    pullback of the likelihood's pixel derivative minus
+    cell * div(eta + rho (grad z - p))."""
+    g = post.grid
+    dfield = div_arrays(eta + rho_pen * (ev.grad - p), g.hx, g.hy)
+    return post.basis.pullback(post.phi_pixel_grad_at(ev)
+                               - g.cell * dfield.reshape(-1))
 
 
 def lagrangian(post: TGPosterior, c, state: AdmmState, rho_pen: float) -> float:
     """Full augmented Lagrangian, including the TV term of the split field."""
-    tv = float(np.sum(np.hypot(state.p1, state.p2))) * post.grid.cell
-    pt = _z_point(post, post.evaluate(c), (state.p1, state.p2),
-                  (state.eta1, state.eta2), rho_pen)
+    tv = iso_l1(state.p, post.grid.hx, post.grid.hy)
+    pt = _z_point(post, post.evaluate(c), state.p, state.eta, rho_pen)
     return pt.value + post.tv_weight * tv
 
 
-def z_step(post: TGPosterior, state: AdmmState,
-           cfg: AdmmConfig = AdmmConfig(),
-           ev: PosteriorEval | None = None) -> tuple[AdmmState, dict]:
+def z_step(post: TGPosterior, state: AdmmState, ev: PosteriorEval,
+           cfg: AdmmConfig = AdmmConfig()) -> tuple[AdmmState, dict]:
     """Descend the smooth z-subproblem with Armijo backtracking.
 
-    ev, when given, is the evaluation at state.coeffs.  A trial whose value
+    ev is the evaluation at state.coeffs.  A trial whose value
     ties the current one within VALUE_TIE_REL (the Armijo test then reads
     rounding noise) is accepted instead when its slope along the step passes
     the approximate Wolfe test; the gradient that test computes is reused.
@@ -151,10 +152,10 @@ def z_step(post: TGPosterior, state: AdmmState,
     "eval".  Raises if a single line search backtracks MAX_BACKTRACKS times
     without an acceptable point.
     """
-    p, eta, rho = (state.p1, state.p2), (state.eta1, state.eta2), cfg.rho_pen
+    p, eta, rho = state.p, state.eta, cfg.rho_pen
     c = state.coeffs.copy()
-    pt = _z_point(post, post.evaluate(c) if ev is None else ev, p, eta, rho)
-    grad = _z_grad(post, pt, p, eta, rho)
+    pt = _z_point(post, ev, p, eta, rho)
+    grad = _z_grad(post, pt.ev, p, eta, rho)
     step = 1.0
     iterations = 0
     converged = False
@@ -172,7 +173,7 @@ def z_step(post: TGPosterior, state: AdmmState,
             if trial.value <= pt.value - ARMIJO_C1 * step * gn2:
                 break
             if abs(trial.value - pt.value) <= VALUE_TIE_REL * abs(pt.value):
-                g_try = _z_grad(post, trial, p, eta, rho)
+                g_try = _z_grad(post, trial.ev, p, eta, rho)
                 slope = -float(np.dot(g_try, grad))
                 if (-WOLFE_SIGMA * gn2 <= slope
                         <= (1.0 - 2.0 * WOLFE_DELTA) * gn2):
@@ -185,7 +186,7 @@ def z_step(post: TGPosterior, state: AdmmState,
         if np.array_equal(c_try, c):
             break   # the step is below the coefficients' resolution
         c, pt = c_try, trial
-        grad = _z_grad(post, pt, p, eta, rho) if g_try is None else g_try
+        grad = _z_grad(post, pt.ev, p, eta, rho) if g_try is None else g_try
         step *= 2.0
         iterations += 1
     info = {"iterations": iterations,
@@ -196,43 +197,36 @@ def z_step(post: TGPosterior, state: AdmmState,
     return replace(state, coeffs=c), info
 
 
-def phi_step(post: TGPosterior, state: AdmmState,
-             cfg: AdmmConfig = AdmmConfig(),
-             ev: PosteriorEval | None = None) -> AdmmState:
+def phi_step(state: AdmmState, g: np.ndarray, tv_weight: float,
+             rho_pen: float) -> AdmmState:
     """Exact minimizer in the split field: pointwise isotropic shrinkage.
 
-    With q = grad z + eta / rho, each pixel maps to
-    max(0, 1 - (tv_weight/rho)/|q|) q; the zero vector stays zero.  ev, when
-    given, is the evaluation at state.coeffs.
+    g is grad z at state.coeffs.  With q = g + eta / rho, each pixel maps to
+    max(0, 1 - (tv_weight/rho)/|q|) q; the zero vector stays zero.
     """
-    g1, g2 = _grad_z(post, state.coeffs, ev)
-    q1 = g1 + state.eta1 / cfg.rho_pen
-    q2 = g2 + state.eta2 / cfg.rho_pen
-    thresh = post.tv_weight / cfg.rho_pen
-    mag = np.hypot(q1, q2)
+    q = g + state.eta / rho_pen
+    thresh = tv_weight / rho_pen
+    mag = np.hypot(q[0], q[1])
     # divide only where the result is nonzero; avoids denormal blowups
     scale = np.zeros_like(mag)
     live = mag > thresh
     scale[live] = 1.0 - thresh / mag[live]
-    return replace(state, p1=scale * q1, p2=scale * q2)
+    return replace(state, p=scale * q)
 
 
-def dual_step(post: TGPosterior, state: AdmmState,
-              cfg: AdmmConfig = AdmmConfig(),
-              ev: PosteriorEval | None = None) -> AdmmState:
-    """Multiplier ascent eta += rho (grad z - p); ev, when given, is the
-    evaluation at state.coeffs."""
-    g1, g2 = _grad_z(post, state.coeffs, ev)
-    return replace(state,
-                   eta1=state.eta1 + cfg.rho_pen * (g1 - state.p1),
-                   eta2=state.eta2 + cfg.rho_pen * (g2 - state.p2))
+def dual_step(state: AdmmState, g: np.ndarray, rho_pen: float) -> AdmmState:
+    """Multiplier ascent eta += rho (g - p), with g = grad z at state.coeffs."""
+    return replace(state, eta=state.eta + rho_pen * (g - state.p))
 
 
 @dataclass(frozen=True)
 class MapResult:
+    """The MAP coefficients with the split field and multiplier of the last
+    iterate, each (2, nx, ny), and the per-iteration history."""
+
     coeffs: np.ndarray = field(repr=False)
-    split: VectorField = field(repr=False)
-    multiplier: VectorField = field(repr=False)
+    split: np.ndarray = field(repr=False)
+    multiplier: np.ndarray = field(repr=False)
     objective: np.ndarray = field(repr=False)
     primal: np.ndarray = field(repr=False)
     dual: np.ndarray = field(repr=False)
@@ -251,25 +245,22 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
     before the coefficients are stationary.  The objective column of the
     history is the actual target  phi + tv_weight * TV(z).
     """
-    state = initial_state(post, init)
+    state, ev = initial_state(post, init)
     grid = post.grid
     sqrt_cell = np.sqrt(grid.cell)
     objective, primal, dual = [], [], []
     converged = False
-    ev = None
     it = 0
     for it in range(1, cfg.max_outer + 1):
-        state, info = z_step(post, state, cfg, ev)
+        state, info = z_step(post, state, ev, cfg)
         ev = info["eval"]
-        p1_old, p2_old = state.p1, state.p2
-        state = phi_step(post, state, cfg, ev)
-        g1, g2 = _grad_z(post, state.coeffs, ev)
-        r1, r2 = g1 - state.p1, g2 - state.p2
-        pr = sqrt_cell * float(np.sqrt(np.vdot(r1, r1) + np.vdot(r2, r2)))
-        dv = div_arrays(state.p1 - p1_old, state.p2 - p2_old,
-                        grid.hx, grid.hy)
+        p_old = state.p
+        state = phi_step(state, ev.grad, post.tv_weight, cfg.rho_pen)
+        r = ev.grad - state.p
+        pr = sqrt_cell * float(np.sqrt(_pair(r, r)))
+        dv = div_arrays(state.p - p_old, grid.hx, grid.hy)
         du = cfg.rho_pen * sqrt_cell * float(np.linalg.norm(dv))
-        state = dual_step(post, state, cfg, ev)
+        state = dual_step(state, ev.grad, cfg.rho_pen)
         objective.append(ev.psi)
         primal.append(pr)
         dual.append(du)
@@ -278,33 +269,34 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
             break
     # final latent polish against the returned splitting pair, so the offset
     # direction evaluated at the returned coefficients vanishes to inner_tol
-    state, _info = z_step(post, state, cfg, ev)
-    return MapResult(state.coeffs,
-                     VectorField(grid, state.p1, state.p2),
-                     VectorField(grid, state.eta1, state.eta2),
-                     np.array(objective), np.array(primal), np.array(dual),
-                     it, converged)
+    state, _info = z_step(post, state, ev, cfg)
+    return MapResult(state.coeffs, state.p, state.eta, np.array(objective),
+                     np.array(primal), np.array(dual), it, converged)
 
 
-def offset_direction(post: TGPosterior, ev: PosteriorEval, split: VectorField,
-                     multiplier: VectorField, rho_pen: float,
+def offset_direction(post: TGPosterior, ev: PosteriorEval, split: np.ndarray,
+                     multiplier: np.ndarray, rho_pen: float,
                      k_proj: int | None = None) -> np.ndarray:
     """Drift used by the gradient-informed sampler at a frozen (p*, eta*).
 
     Coefficient-space derivative of the augmented Lagrangian in z only, at
     the state of the caller's evaluation ev, projected onto the leading
     k_proj modes (the tail is zeroed).  k_proj = 0 returns the zero vector,
-    which reduces the sampler to its plain preconditioned form.
+    which reduces the sampler to its plain preconditioned form.  split and
+    multiplier must be (2, nx, ny) arrays on the posterior's grid.
     """
+    shape = (2,) + post.grid.shape
+    for name, v in (("split", split), ("multiplier", multiplier)):
+        if np.shape(v) != shape:
+            raise ValueError(f"{name} must have shape {shape}, "
+                             f"got {np.shape(v)}")
     n = post.n_modes
     k = n if k_proj is None else int(k_proj)
     if not 0 <= k <= n:
         raise ValueError(f"k_proj must be in [0, {n}], got {k}")
     if k == 0:
         return np.zeros(n)
-    p = (split.comp1, split.comp2)
-    eta = (multiplier.comp1, multiplier.comp2)
-    g = _z_grad(post, _z_point(post, ev, p, eta, rho_pen), p, eta, rho_pen)
+    g = _z_grad(post, ev, split, multiplier, rho_pen)
     if k < n:
         g[k:] = 0.0
     return g

@@ -67,23 +67,29 @@ def chi2_sf(x, dof: float):
     return gammaincc(0.5 * dof, 0.5 * x)
 
 
-def chi2_discrepancy(counts, theta, denominator: str = "theta") -> float:
+def chi2_discrepancy(counts, theta, denominator: str = "theta"):
     """Squared-misfit statistic of counts against expected counts.
 
     denominator "theta" gives the Pearson form (the default); "theta_sq"
-    divides by theta^2.
+    divides by theta^2.  A flat theta gives one float; a (k, n_rays) block
+    gives one statistic per row.
     """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}, "
                          f"got {denominator!r}")
     y = np.asarray(counts, dtype=float).reshape(-1)
-    th = np.asarray(theta, dtype=float).reshape(-1)
-    if y.shape != th.shape:
+    th = np.asarray(theta, dtype=float)
+    if th.ndim != 2:
+        th = th.reshape(-1)
+    if th.shape[-1] != y.size:
         raise ValueError("counts and theta lengths disagree")
     if np.any(th <= 0.0):
         raise ValueError("theta must be strictly positive")
-    r = (y - th) ** 2
-    return float(np.sum(r / th ** 2 if denominator == "theta_sq" else r / th))
+    r = y - th          # in place from here: a block is k * n_rays floats
+    r *= r
+    r /= th ** 2 if denominator == "theta_sq" else th
+    d = np.sum(r, axis=-1)
+    return float(d) if th.ndim == 1 else d
 
 
 def classical_p(discrepancy: float, dof: int) -> float:
@@ -119,15 +125,14 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
     n = samples.shape[0]
     if n == 0:
         raise ValueError("chain holds no kept samples")
-    rep, op = post.rep, post.op
-    counts = post.data.counts.astype(float)
     pvals = np.empty(n)
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        z = post.basis.synthesize_values(samples[lo:hi])
-        theta = op.kappa * (op.matrix @ rep.apply(z).T).T
-        d = [chi2_discrepancy(counts, row, denominator) for row in theta]
-        pvals[lo:hi] = chi2_sf(d, op.n_rays)
+        # nested so that each intermediate block is freed once it is used
+        theta = post.op.apply(post.rep.apply(
+            post.basis.synthesize_values(samples[lo:hi])))
+        d = chi2_discrepancy(post.data.counts, theta, denominator)
+        pvals[lo:hi] = chi2_sf(d, post.op.n_rays)
     stderr = float(np.std(pvals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return PredictiveResult(float(np.mean(pvals)), stderr, n)
 

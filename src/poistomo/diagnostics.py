@@ -19,10 +19,7 @@ from .klbasis import KLBasis
 from .samplers import Chain
 
 __all__ = [
-    "acf",
     "acf_matrix",
-    "integrated_time",
-    "ess",
     "ess_matrix",
     "intensity_samples",
     "posterior_mean",
@@ -64,11 +61,6 @@ def acf_matrix(traces: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     return out
 
 
-def acf(x, max_lag: int | None = None) -> np.ndarray:
-    """Autocorrelation of a single series; see acf_matrix."""
-    return acf_matrix(np.asarray(x, dtype=float).reshape(-1, 1), max_lag)[:, 0]
-
-
 def _tau_from_acf(rho: np.ndarray) -> np.ndarray:
     """Integrated time per column: sum rho[1:] up to the first nonpositive lag."""
     tail = rho[1:]
@@ -79,21 +71,11 @@ def _tau_from_acf(rho: np.ndarray) -> np.ndarray:
     return csum[first, np.arange(tail.shape[1])]
 
 
-def integrated_time(x) -> float:
-    """Initial-positive-sequence estimate of the autocorrelation time."""
-    rho = acf_matrix(np.asarray(x, dtype=float).reshape(-1, 1))
-    return float(_tau_from_acf(rho)[0])
-
-
 def ess_matrix(traces: np.ndarray) -> np.ndarray:
     """Effective sample size n / (1 + 2 tau) per column."""
     x = np.asarray(traces, dtype=float)
     rho = acf_matrix(x)
     return x.shape[0] / (1.0 + 2.0 * _tau_from_acf(rho))
-
-
-def ess(x) -> float:
-    return float(ess_matrix(np.asarray(x, dtype=float).reshape(-1, 1))[0])
 
 
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
@@ -117,18 +99,25 @@ def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
                        intensity_samples(chain, basis, rep).mean(axis=0))
 
 
-def hpdi_sorted(sorted_vals: np.ndarray, alpha: float) -> tuple[float, float]:
-    """Narrowest window of ceil((1 - alpha) n) consecutive order statistics."""
+def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
+    """Narrowest window of ceil((1 - alpha) n) consecutive order statistics.
+
+    Works along axis 0: a sorted (n,) sample gives the two window ends as
+    scalars, an (n, k) block sorted down its columns gives two length-k
+    arrays, one window per column.  Ties go to the lowest window.
+    """
     s = np.asarray(sorted_vals, dtype=float)
-    n = s.size
+    n = s.shape[0] if s.ndim else 0
     if n == 0:
         raise ValueError("empty sample")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     m = max(1, int(np.ceil((1.0 - alpha) * n)))
     widths = s[m - 1:] - s[:n - m + 1]
-    i = int(np.argmin(widths))
-    return float(s[i]), float(s[i + m - 1])
+    i = np.expand_dims(np.argmin(widths, axis=0), 0)
+    lo = np.take_along_axis(s, i, axis=0)[0]
+    hi = np.take_along_axis(s, i + m - 1, axis=0)[0]
+    return lo, hi
 
 
 def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
@@ -141,16 +130,9 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     u = intensity_samples(chain, basis, rep)
-    n = u.shape[0]
-    if n == 0:
+    if u.shape[0] == 0:
         raise ValueError("chain holds no kept samples")
-    s = np.sort(u, axis=0)
-    m = max(1, int(np.ceil((1.0 - alpha) * n)))
-    widths = s[m - 1:, :] - s[:n - m + 1, :]
-    idx = np.argmin(widths, axis=0)
-    cols = np.arange(s.shape[1])
-    lo = s[idx, cols]
-    hi = s[idx + m - 1, cols]
+    lo, hi = hpdi_sorted(np.sort(u, axis=0), alpha)
     return (ScalarField(basis.grid, lo), ScalarField(basis.grid, hi))
 
 

@@ -1,9 +1,15 @@
 """Pixel grids on the unit square and the discrete calculus used everywhere else.
 
-Fields are stored as (nx, ny) arrays; axis 0 is the first spatial coordinate.
-All inner products and norms carry the cell-area quadrature weight, so sums
-approximate integrals over the domain.  Field objects are immutable: the
-wrapped arrays are marked read-only and every operation returns a new object.
+Images are (nx, ny) arrays; axis 0 is the first spatial coordinate.  A
+vector field, such as the gradient of an image, is one stacked (2, nx, ny)
+array whose first index picks the component along axis 0 or axis 1.  The
+calculus is three raw kernels on such arrays: ``grad_arrays`` (forward
+differences), ``div_arrays`` (its exact negative adjoint) and ``iso_l1``
+(the isotropic l1 norm, so that TV(z) = iso_l1(grad z)); the norm carries
+the cell-area quadrature weight, so it approximates an integral over the
+domain.  ``ScalarField`` pairs an image with its grid where one
+crosses an API boundary (image files, phantoms, summaries); its values are
+read-only.
 """
 
 from __future__ import annotations
@@ -16,14 +22,10 @@ import numpy as np
 __all__ = [
     "Grid",
     "ScalarField",
-    "VectorField",
-    "gradient",
-    "divergence",
-    "field_dot",
-    "vector_dot",
-    "field_norm",
-    "vector_norm",
-    "tv_seminorm",
+    "grad_arrays",
+    "div_arrays",
+    "iso_l1",
+    "tv_arrays",
     "psnr",
     "write_pgm",
     "read_pgm",
@@ -53,11 +55,6 @@ class Grid:
     @property
     def hy(self) -> float:
         return 1.0 / self.ny
-
-    @property
-    def h(self) -> float:
-        """Spacing along the first axis; equals hy on square grids."""
-        return self.hx
 
     @property
     def cell(self) -> float:
@@ -112,46 +109,33 @@ class ScalarField:
         """Row-major flat view of the values."""
         return self.values.reshape(-1)
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Two-component field; comp1/comp2 pair with the two spatial axes."""
-
-    grid: Grid
-    comp1: np.ndarray = field(repr=False)
-    comp2: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "comp1", _freeze(_conform(self.comp1, self.grid)))
-        object.__setattr__(self, "comp2", _freeze(_conform(self.comp2, self.grid)))
-
 
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
-# Raw-array kernels; the samplers and the splitting solver call these in hot
-# loops without paying for field-object construction.
+def grad_arrays(vals: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Discrete gradient of an (nx, ny) image as a (2, nx, ny) array.
 
-def grad_arrays(vals: np.ndarray, hx: float, hy: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences with replicate boundary (last difference is zero)."""
-    g1 = np.zeros_like(vals)
-    g2 = np.zeros_like(vals)
-    g1[:-1, :] = (vals[1:, :] - vals[:-1, :]) / hx
-    g2[:, :-1] = (vals[:, 1:] - vals[:, :-1]) / hy
-    return g1, g2
-
-
-def div_arrays(c1: np.ndarray, c2: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """Exact negative adjoint of grad_arrays under the uniform-weight L2 pairing.
-
-    Backward differences in the interior; the boundary rows carry the
-    one-sided terms that make the adjoint identity exact.
+    Forward differences scaled by the spacing; the replicate (Neumann)
+    boundary zeroes the last difference along each axis, so constant images
+    map to the zero field exactly.
     """
+    g = np.zeros((2,) + vals.shape)
+    g[0, :-1, :] = (vals[1:, :] - vals[:-1, :]) / hx
+    g[1, :, :-1] = (vals[:, 1:] - vals[:, :-1]) / hy
+    return g
+
+
+def div_arrays(v: np.ndarray, hx: float, hy: float) -> np.ndarray:
+    """Exact negative adjoint of grad_arrays for a (2, nx, ny) field.
+
+    <grad_arrays(f), v> + <f, div_arrays(v)> = 0 for every pair under the
+    uniform-weight pairing: backward differences in the interior, and the
+    boundary rows carry the one-sided terms that make the identity exact.
+    """
+    c1, c2 = v
     out = np.zeros_like(c1)
     out[0, :] += c1[0, :] / hx
     out[1:-1, :] += (c1[1:-1, :] - c1[:-2, :]) / hx
@@ -162,58 +146,20 @@ def div_arrays(c1: np.ndarray, c2: np.ndarray, hx: float, hy: float) -> np.ndarr
     return out
 
 
-def gradient(f: ScalarField) -> VectorField:
-    """Discrete gradient: forward differences scaled by the grid spacing.
-
-    The replicate (Neumann) boundary zeroes the last difference along each
-    axis, so constant fields map to the zero vector field exactly.
-    """
-    g1, g2 = grad_arrays(f.values, f.grid.hx, f.grid.hy)
-    return VectorField(f.grid, g1, g2)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    """Discrete divergence, defined as the exact negative adjoint of gradient.
-
-    Satisfies <gradient(f), v> + <f, divergence(v)> = 0 for every pair, with
-    the cell-weighted inner products of this module.
-    """
-    out = div_arrays(v.comp1, v.comp2, v.grid.hx, v.grid.hy)
-    return ScalarField(v.grid, out)
-
-
-def field_dot(f: ScalarField, g: ScalarField) -> float:
-    _check_same_grid(f, g)
-    return float(np.vdot(f.values, g.values)) * f.grid.cell
-
-
-def vector_dot(v: VectorField, w: VectorField) -> float:
-    _check_same_grid(v, w)
-    s = np.vdot(v.comp1, w.comp1) + np.vdot(v.comp2, w.comp2)
-    return float(s) * v.grid.cell
-
-
-def field_norm(f: ScalarField) -> float:
-    return math.sqrt(max(field_dot(f, f), 0.0))
-
-
-def vector_norm(v: VectorField) -> float:
-    return math.sqrt(max(vector_dot(v, v), 0.0))
+def iso_l1(v: np.ndarray, hx: float, hy: float) -> float:
+    """Cell-weighted isotropic l1 norm of a (2, nx, ny) field: the sum of the
+    pointwise magnitudes times the pixel area."""
+    return float(np.sum(np.hypot(v[0], v[1]))) * hx * hy
 
 
 def tv_arrays(vals: np.ndarray, hx: float, hy: float) -> float:
-    g1, g2 = grad_arrays(vals, hx, hy)
-    return float(np.sum(np.hypot(g1, g2))) * hx * hy
-
-
-def tv_seminorm(f: ScalarField) -> float:
-    """Isotropic total variation: cell * sum of pointwise gradient magnitudes.
+    """Isotropic total variation of an (nx, ny) image.
 
     One-homogeneous, satisfies the triangle inequality and is invariant under
     constant shifts.  On a unit ramp it returns 1 - 1/nx (the replicate
     boundary drops the last column of differences).
     """
-    return tv_arrays(f.values, f.grid.hx, f.grid.hy)
+    return iso_l1(grad_arrays(vals, hx, hy), hx, hy)
 
 
 def psnr(f: ScalarField, ref: ScalarField) -> float:

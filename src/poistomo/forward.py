@@ -144,16 +144,17 @@ class RadonOperator:
         return (np.arange(self.n_det) + 0.5 - 0.5 * self.n_det) * (DETECTOR_SPAN / self.n_det)
 
     def apply(self, u) -> np.ndarray:
-        vals = u.ravel() if isinstance(u, ScalarField) else np.asarray(u, dtype=float).reshape(-1)
-        return self.kappa * (self.matrix @ vals)
+        """Expected counts of an image given flat or as (nx, ny) values; a
+        (k, npix) block of flat images gives one row of counts per image."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2 and u.shape[1] == self.grid.npix:
+            return self.kappa * (self.matrix @ u.T).T
+        return self.kappa * (self.matrix @ u.reshape(-1))
 
     def adjoint(self, w) -> np.ndarray:
         """Transpose action, returned as flat pixel values."""
         w = np.asarray(w, dtype=float).reshape(-1)
         return self.kappa * (self.matrix.T @ w)
-
-    def adjoint_field(self, w) -> ScalarField:
-        return ScalarField(self.grid, self.adjoint(w))
 
 
 def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
@@ -231,7 +232,7 @@ class Sinogram:
 def simulate_data(op: RadonOperator, u_true: ScalarField,
                   rng: np.random.Generator) -> Sinogram:
     """Draw independent Poisson counts with means kappa * (path integrals)."""
-    theta = op.apply(u_true)
+    theta = op.apply(u_true.values)
     if np.any(theta < 0.0):
         raise ValueError("negative expected counts; intensity must be nonnegative")
     counts = rng.poisson(theta)

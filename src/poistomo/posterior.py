@@ -8,6 +8,11 @@ reference is standard normal and derivative vectors already carry the
 covariance square root (see klbasis.pullback), so the samplers' acceptance
 functional ``rho`` (a private function of ``samplers``) uses plain Euclidean
 pairings.
+
+One ``evaluate`` synthesizes the latent field once and computes its discrete
+gradient once; ``PosteriorEval.grad`` carries that (2, nx, ny) array to the
+TV term here and to every splitting-solver and drift computation in
+``admm``, none of which differentiates the field again.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import tv_arrays
+from .fields import grad_arrays, iso_l1
 from .forward import RadonOperator, Reparam, Sinogram, _phi_of_theta
 from .klbasis import KLBasis
 
@@ -31,6 +36,7 @@ class PosteriorEval(NamedTuple):
     phi: float
     reg: float
     z: np.ndarray       # latent field values, flat
+    grad: np.ndarray    # discrete gradient of the latent field, (2, nx, ny)
     theta: np.ndarray   # expected counts
 
 
@@ -62,14 +68,14 @@ class TGPosterior:
         return self.basis.grid
 
     def evaluate(self, c) -> PosteriorEval:
+        g = self.grid
         z = self.basis.synthesize_values(c)
+        grad = grad_arrays(z.reshape(g.shape), g.hx, g.hy)
         theta = self.op.apply(self.rep.apply(z))
         phi = _phi_of_theta(theta, self._counts)
-        reg = 0.0
-        if self.tv_weight > 0.0:
-            reg = self.tv_weight * tv_arrays(z.reshape(self.grid.shape),
-                                             self.grid.hx, self.grid.hy)
-        return PosteriorEval(phi + reg, phi, reg, z, theta)
+        reg = (self.tv_weight * iso_l1(grad, g.hx, g.hy)
+               if self.tv_weight > 0.0 else 0.0)
+        return PosteriorEval(phi + reg, phi, reg, z, grad, theta)
 
     def phi(self, c) -> float:
         return self.evaluate(c).phi

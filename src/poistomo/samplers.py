@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .admm import MapResult, offset_direction
-from .fields import VectorField
 from .posterior import PosteriorEval, TGPosterior
 
 __all__ = [
@@ -98,10 +97,11 @@ class SamplerConfig:
 
 
 class Anchor(NamedTuple):
-    """Frozen splitting variables that define the pdpcn drift."""
+    """Frozen splitting variables that define the pdpcn drift: the split
+    field and multiplier, each a (2, nx, ny) array, and the penalty."""
 
-    split: VectorField
-    multiplier: VectorField
+    split: np.ndarray
+    multiplier: np.ndarray
     rho_pen: float
 
 

@@ -23,19 +23,20 @@ from poistomo.fields import grad_arrays, tv_arrays
 # helpers
 
 
-def _state_with_q(post, q1, q2, rho_pen):
-    """State whose shrinkage input grad z + eta/rho equals (q1, q2) exactly."""
+def _shrink_q(post, q1, q2, rho_pen):
+    """Shrinkage of a state whose input grad z + eta/rho equals (q1, q2)."""
     c = np.zeros(post.n_modes)
     z = post.basis.synthesize_values(c).reshape(post.grid.shape)
-    g1, g2 = grad_arrays(z, post.grid.hx, post.grid.hy)
-    return AdmmState(c, np.zeros_like(g1), np.zeros_like(g2),
-                     rho_pen * (q1 - g1), rho_pen * (q2 - g2))
+    g = grad_arrays(z, post.grid.hx, post.grid.hy)
+    state = AdmmState(c, np.zeros_like(g),
+                      rho_pen * (np.stack([q1, q2]) - g))
+    return phi_step(state, g, post.tv_weight, rho_pen)
 
 
 def _subproblem_value(post, c, state, rho_pen):
     """The smooth z-subproblem at coefficients c, frozen split/multiplier."""
-    return _z_point(post, post.evaluate(c), (state.p1, state.p2),
-                    (state.eta1, state.eta2), rho_pen).value
+    return _z_point(post, post.evaluate(c), state.p, state.eta,
+                    rho_pen).value
 
 
 def _scan_shrink_magnitude(qnorm, weight, rho_pen, n=200_001):
@@ -102,8 +103,9 @@ class _Toy:
         """The smooth z-subproblem value at frozen split/multiplier fields."""
         cell = self.grid.cell
         g1, g2 = self.grad_components(self.latents(coeff_rows))
-        pair = (g1 * state.eta1 + g2 * state.eta2).sum(axis=(1, 2)) * cell
-        quad = (((g1 - state.p1) ** 2 + (g2 - state.p2) ** 2)
+        (p1, p2), (eta1, eta2) = state.p, state.eta
+        pair = (g1 * eta1 + g2 * eta2).sum(axis=(1, 2)) * cell
+        quad = (((g1 - p1) ** 2 + (g2 - p2) ** 2)
                 .sum(axis=(1, 2)) * (0.5 * rho_pen * cell))
         return self.data_misfit(coeff_rows) + pair + quad
 
@@ -138,13 +140,13 @@ def test_shrinkage_hand_value_matches_radial_scan(post16):
     # q = (3, 4) with unit threshold shrinks along q to 4/5 of its length
     q1 = np.full(post16.grid.shape, 3.0)
     q2 = np.full(post16.grid.shape, 4.0)
-    cfg = AdmmConfig(rho_pen=1.0)
-    state = phi_step(post16, _state_with_q(post16, q1, q2, cfg.rho_pen), cfg)
-    t_star = _scan_shrink_magnitude(5.0, post16.tv_weight, cfg.rho_pen)
-    np.testing.assert_allclose(state.p1, 3.0 / 5.0 * t_star, atol=1e-4)
-    np.testing.assert_allclose(state.p2, 4.0 / 5.0 * t_star, atol=1e-4)
-    np.testing.assert_allclose(state.p1, 2.4, atol=1e-12)
-    np.testing.assert_allclose(state.p2, 3.2, atol=1e-12)
+    rho = 1.0
+    p1, p2 = _shrink_q(post16, q1, q2, rho).p
+    t_star = _scan_shrink_magnitude(5.0, post16.tv_weight, rho)
+    np.testing.assert_allclose(p1, 3.0 / 5.0 * t_star, atol=1e-4)
+    np.testing.assert_allclose(p2, 4.0 / 5.0 * t_star, atol=1e-4)
+    np.testing.assert_allclose(p1, 2.4, atol=1e-12)
+    np.testing.assert_allclose(p2, 3.2, atol=1e-12)
 
 
 def test_shrinkage_small_inputs_vanish(post16):
@@ -152,10 +154,8 @@ def test_shrinkage_small_inputs_vanish(post16):
     rng = np.random.default_rng(3)
     ang = rng.uniform(0, 2 * np.pi, size=post16.grid.shape)
     mag = rng.uniform(0.0, 1.0, size=post16.grid.shape)  # tv_weight/rho = 1
-    state = _state_with_q(post16, mag * np.cos(ang), mag * np.sin(ang), 1.0)
-    out = phi_step(post16, state, AdmmConfig(rho_pen=1.0))
-    assert np.all(out.p1 == 0.0)
-    assert np.all(out.p2 == 0.0)
+    out = _shrink_q(post16, mag * np.cos(ang), mag * np.sin(ang), 1.0)
+    assert np.all(out.p == 0.0)
 
 
 def test_shrinkage_identity_without_penalty(op16, rep, basis60, sino16):
@@ -163,10 +163,9 @@ def test_shrinkage_identity_without_penalty(op16, rep, basis60, sino16):
     rng = np.random.default_rng(4)
     q1 = rng.standard_normal(post.grid.shape)
     q2 = rng.standard_normal(post.grid.shape)
-    state = phi_step(post, _state_with_q(post, q1, q2, 2.0),
-                     AdmmConfig(rho_pen=2.0))
-    np.testing.assert_array_equal(state.p1, q1)
-    np.testing.assert_array_equal(state.p2, q2)
+    state = _shrink_q(post, q1, q2, 2.0)
+    np.testing.assert_array_equal(state.p[0], q1)
+    np.testing.assert_array_equal(state.p[1], q2)
 
 
 def test_shrinkage_pointwise_minimality(post16):
@@ -175,8 +174,7 @@ def test_shrinkage_pointwise_minimality(post16):
     q1 = 3.0 * rng.standard_normal(post16.grid.shape)
     q2 = 3.0 * rng.standard_normal(post16.grid.shape)
     rho = 1.7
-    cfg = AdmmConfig(rho_pen=rho)
-    out = phi_step(post16, _state_with_q(post16, q1, q2, rho), cfg)
+    p1, p2 = _shrink_q(post16, q1, q2, rho).p
     lam = post16.tv_weight
 
     def energy(p1, p2, i, j):
@@ -188,12 +186,12 @@ def test_shrinkage_pointwise_minimality(post16):
         qn = np.hypot(q1[i, j], q2[i, j])
         ts = np.linspace(0.0, qn, 40_001)
         scan = lam * ts + 0.5 * rho * (ts - qn) ** 2
-        assert energy(out.p1[i, j], out.p2[i, j], i, j) <= scan.min() + 1e-8
+        assert energy(p1[i, j], p2[i, j], i, j) <= scan.min() + 1e-8
         # random off-axis perturbations cannot do better either
         for _ in range(20):
             d1, d2 = 1e-3 * rng.standard_normal(2)
-            assert (energy(out.p1[i, j] + d1, out.p2[i, j] + d2, i, j)
-                    >= energy(out.p1[i, j], out.p2[i, j], i, j) - 1e-8)
+            assert (energy(p1[i, j] + d1, p2[i, j] + d2, i, j)
+                    >= energy(p1[i, j], p2[i, j], i, j) - 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +200,26 @@ def test_shrinkage_pointwise_minimality(post16):
 
 def test_zstep_descends_and_reports_convergence(post16):
     rng = np.random.default_rng(6)
-    state = initial_state(post16, 0.3 * rng.standard_normal(post16.n_modes))
+    state, ev = initial_state(post16,
+                              0.3 * rng.standard_normal(post16.n_modes))
     cfg = AdmmConfig(inner_iters=100, inner_tol=1e-2)
     before = _subproblem_value(post16, state.coeffs, state, cfg.rho_pen)
-    out, info = z_step(post16, state, cfg)
+    out, info = z_step(post16, state, ev, cfg)
     assert info["value"] <= before
     # the reported evaluation is the one at the returned coefficients
     np.testing.assert_array_equal(info["eval"].z,
                                   post16.evaluate(out.coeffs).z)
     assert info["converged"]
     assert info["grad_norm"] <= 1e-2
-    # split and multiplier components pass through untouched
-    np.testing.assert_array_equal(out.p1, state.p1)
-    np.testing.assert_array_equal(out.eta1, state.eta1)
+    # split and multiplier pass through untouched
+    np.testing.assert_array_equal(out.p, state.p)
+    np.testing.assert_array_equal(out.eta, state.eta)
 
 
 def test_zstep_budget_exhaustion_is_reported(post16):
-    state = initial_state(post16, np.full(post16.n_modes, 0.5))
-    out, info = z_step(post16, state, AdmmConfig(inner_iters=1, inner_tol=1e-14))
+    state, ev = initial_state(post16, np.full(post16.n_modes, 0.5))
+    out, info = z_step(post16, state, ev,
+                       AdmmConfig(inner_iters=1, inner_tol=1e-14))
     assert not info["converged"]
     assert info["iterations"] == 1
     assert np.any(out.coeffs != state.coeffs)
@@ -227,16 +227,13 @@ def test_zstep_budget_exhaustion_is_reported(post16):
 
 def test_zstep_gradient_matches_finite_differences(post16):
     rng = np.random.default_rng(8)
-    state = initial_state(post16, 0.2 * rng.standard_normal(post16.n_modes))
+    state, ev = initial_state(post16,
+                              0.2 * rng.standard_normal(post16.n_modes))
     state = AdmmState(state.coeffs,
-                      state.p1 + 0.3 * rng.standard_normal(state.p1.shape),
-                      state.p2 + 0.3 * rng.standard_normal(state.p2.shape),
-                      0.5 * rng.standard_normal(state.p1.shape),
-                      0.5 * rng.standard_normal(state.p2.shape))
+                      state.p + 0.3 * rng.standard_normal(state.p.shape),
+                      0.5 * rng.standard_normal(state.p.shape))
     rho = 1.4
-    p, eta = (state.p1, state.p2), (state.eta1, state.eta2)
-    g = _z_grad(post16, _z_point(post16, post16.evaluate(state.coeffs), p, eta,
-                                 rho), p, eta, rho)
+    g = _z_grad(post16, ev, state.p, state.eta, rho)
     for k in rng.choice(post16.n_modes, size=8, replace=False):
         h = 1e-6
         cp = state.coeffs.copy()
@@ -251,13 +248,15 @@ def test_zstep_gradient_matches_finite_differences(post16):
 def test_zstep_matches_subproblem_grid_search(toy):
     # one outer sweep manufactures a nontrivial split/multiplier pair
     cfg = AdmmConfig(rho_pen=1.0, inner_iters=2000, inner_tol=1e-6)
-    state = initial_state(toy.post, [0.4, -0.3])
-    state, _ = z_step(toy.post, state, cfg)
-    state = phi_step(toy.post, state, cfg)
-    state = dual_step(toy.post, state, cfg)
+    state, ev = initial_state(toy.post, [0.4, -0.3])
+    state, info = z_step(toy.post, state, ev, cfg)
+    g = info["eval"].grad
+    state = phi_step(state, g, toy.post.tv_weight, cfg.rho_pen)
+    state = dual_step(state, g, cfg.rho_pen)
 
-    frozen = AdmmState(np.zeros(2), state.p1, state.p2, state.eta1, state.eta2)
-    out, info = z_step(toy.post, frozen, cfg)
+    frozen = AdmmState(np.zeros(2), state.p, state.eta)
+    out, info = z_step(toy.post, frozen, toy.post.evaluate(frozen.coeffs),
+                       cfg)
     assert info["converged"]
 
     step = 0.01
@@ -286,7 +285,8 @@ def test_first_toy_zstep_converges(toy, monkeypatch):
     # rounding floor (gradient norm 3.3e-6 after 2,000 iterations)
     seen = _record_evaluations(monkeypatch)
     cfg = AdmmConfig(rho_pen=1.0, inner_iters=2000, inner_tol=1e-6)
-    _, info = z_step(toy.post, initial_state(toy.post, [0.4, -0.3]), cfg)
+    state, ev = initial_state(toy.post, [0.4, -0.3])
+    _, info = z_step(toy.post, state, ev, cfg)
     assert info["converged"]
     assert info["grad_norm"] <= cfg.inner_tol
     assert info["iterations"] < 200
@@ -297,22 +297,23 @@ def test_zstep_never_evaluates_a_point_twice(toy, monkeypatch):
     # far below the rounding floor the descent runs out its budget, but every
     # trial it evaluates is a new point
     seen = _record_evaluations(monkeypatch)
-    state = initial_state(toy.post, [0.4, -0.3])
-    _, info = z_step(toy.post, state, AdmmConfig(inner_iters=500,
-                                                 inner_tol=1e-300))
+    state, ev = initial_state(toy.post, [0.4, -0.3])
+    _, info = z_step(toy.post, state, ev,
+                     AdmmConfig(inner_iters=500, inner_tol=1e-300))
     assert not info["converged"]
     assert len(seen) == len(set(seen))
 
 
 def test_zstep_stops_when_the_step_cannot_move(toy, monkeypatch):
     # a gradient far below the coefficients' resolution: c - step * grad
-    # rounds to c, so the z-step stops unconverged after its first evaluation
+    # rounds to c, so the z-step stops unconverged without evaluating any
+    # point beyond its start
     from poistomo import admm
     z_grad = admm._z_grad
     monkeypatch.setattr(admm, "_z_grad", lambda *a: 1e-150 * z_grad(*a))
     seen = _record_evaluations(monkeypatch)
-    state = initial_state(toy.post, [0.4, -0.3])
-    out, info = z_step(toy.post, state, AdmmConfig(inner_tol=1e-200))
+    state, ev = initial_state(toy.post, [0.4, -0.3])
+    out, info = z_step(toy.post, state, ev, AdmmConfig(inner_tol=1e-200))
     assert not info["converged"]
     assert info["iterations"] == 0
     assert len(seen) == 1
@@ -327,29 +328,27 @@ def test_dual_update_vanishes_on_exact_split(post16):
     rng = np.random.default_rng(9)
     c = 0.3 * rng.standard_normal(post16.n_modes)
     z = post16.basis.synthesize_values(c).reshape(post16.grid.shape)
-    g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    eta = rng.standard_normal(g1.shape)
-    state = AdmmState(c, g1, g2, eta, 2.0 * eta)
-    out = dual_step(post16, state, AdmmConfig(rho_pen=1.3))
-    np.testing.assert_array_equal(out.eta1, state.eta1)
-    np.testing.assert_array_equal(out.eta2, state.eta2)
+    g = grad_arrays(z, post16.grid.hx, post16.grid.hy)
+    eta = rng.standard_normal(g.shape)
+    state = AdmmState(c, g, eta)
+    out = dual_step(state, g, 1.3)
+    np.testing.assert_array_equal(out.eta, state.eta)
 
 
 def test_dual_update_increment_scales_with_penalty(post16):
     rng = np.random.default_rng(10)
     c = 0.3 * rng.standard_normal(post16.n_modes)
-    shape = post16.grid.shape
-    state = AdmmState(c, rng.standard_normal(shape), rng.standard_normal(shape),
-                      np.zeros(shape), np.zeros(shape))
-    one = dual_step(post16, state, AdmmConfig(rho_pen=1.0))
-    two = dual_step(post16, state, AdmmConfig(rho_pen=2.0))
-    np.testing.assert_allclose(two.eta1, 2.0 * one.eta1, rtol=1e-14)
-    np.testing.assert_allclose(two.eta2, 2.0 * one.eta2, rtol=1e-14)
+    shape = (2,) + post16.grid.shape
+    state = AdmmState(c, rng.standard_normal(shape), np.zeros(shape))
+    g = post16.evaluate(c).grad
+    one = dual_step(state, g, 1.0)
+    two = dual_step(state, g, 2.0)
+    np.testing.assert_allclose(two.eta, 2.0 * one.eta, rtol=1e-14)
     # and the increment equals rho times the independently recomputed residual
-    z = post16.basis.synthesize_values(c).reshape(shape)
+    z = post16.basis.synthesize_values(c).reshape(post16.grid.shape)
     g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    np.testing.assert_allclose(one.eta1, g1 - state.p1, atol=1e-14)
-    np.testing.assert_allclose(one.eta2, g2 - state.p2, atol=1e-14)
+    np.testing.assert_allclose(one.eta[0], g1 - state.p[0], atol=1e-14)
+    np.testing.assert_allclose(one.eta[1], g2 - state.p[1], atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +436,8 @@ def test_median_primal_residual_trend(map16):
 def test_returned_split_pair_near_feasible(post16, map16):
     res, cfg = map16
     z = post16.basis.synthesize_values(res.coeffs).reshape(post16.grid.shape)
-    g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    r = np.sqrt(post16.grid.cell
-                * float(np.vdot(g1 - res.split.comp1, g1 - res.split.comp1)
-                        + np.vdot(g2 - res.split.comp2, g2 - res.split.comp2)))
+    d = grad_arrays(z, post16.grid.hx, post16.grid.hy) - res.split
+    r = np.sqrt(post16.grid.cell * float(np.vdot(d, d)))
     # the final latent polish moves z slightly off the recorded residual
     assert r <= 5.0 * cfg.tol
 
@@ -483,8 +480,7 @@ def test_offset_direction_matches_finite_differences(post16, map16):
     c = res.coeffs + 0.4 * rng.standard_normal(post16.n_modes)
     g = offset_direction(post16, post16.evaluate(c), res.split,
                          res.multiplier, cfg.rho_pen)
-    state = AdmmState(c, res.split.comp1, res.split.comp2,
-                      res.multiplier.comp1, res.multiplier.comp2)
+    state = AdmmState(c, res.split, res.multiplier)
     for k in rng.choice(post16.n_modes, size=8, replace=False):
         h = 1e-6
         cp = c.copy()
@@ -494,6 +490,17 @@ def test_offset_direction_matches_finite_differences(post16, map16):
         fd = (lagrangian(post16, cp, state, cfg.rho_pen)
               - lagrangian(post16, cm, state, cfg.rho_pen)) / (2 * h)
         assert fd == pytest.approx(g[k], rel=1e-5, abs=1e-8)
+
+
+def test_offset_direction_checks_anchor_shape(post16, map16):
+    # split and multiplier must be (2, nx, ny) on the posterior's grid
+    res, cfg = map16
+    ev = post16.evaluate(res.coeffs)
+    for bad in (res.split[0], res.split[:, :-1], np.zeros((3, 16, 16))):
+        for split, mult in ((bad, res.multiplier), (res.split, bad)):
+            with pytest.raises(ValueError):
+                offset_direction(post16, ev, split, mult, cfg.rho_pen,
+                                 k_proj=0)
 
 
 def test_offset_direction_validates_projection_size(post16, map16):
@@ -509,33 +516,33 @@ def test_offset_direction_validates_projection_size(post16, map16):
 
 
 def test_initial_state_contract(post16):
-    state = initial_state(post16)
+    state, ev = initial_state(post16)
     assert np.all(state.coeffs == 0.0)
     z = post16.basis.synthesize_values(state.coeffs).reshape(post16.grid.shape)
-    g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    np.testing.assert_array_equal(state.p1, g1)
-    np.testing.assert_array_equal(state.p2, g2)
-    assert np.all(state.eta1 == 0.0) and np.all(state.eta2 == 0.0)
+    np.testing.assert_array_equal(ev.z, z.reshape(-1))
+    np.testing.assert_array_equal(
+        state.p, grad_arrays(z, post16.grid.hx, post16.grid.hy))
+    assert state.eta.shape == state.p.shape and np.all(state.eta == 0.0)
     c0 = np.arange(post16.n_modes, dtype=float)
-    np.testing.assert_array_equal(initial_state(post16, c0).coeffs, c0)
+    np.testing.assert_array_equal(initial_state(post16, c0)[0].coeffs, c0)
 
 
 def test_lagrangian_is_the_explicit_sum(post16):
     rng = np.random.default_rng(14)
     shape = post16.grid.shape
     c = 0.3 * rng.standard_normal(post16.n_modes)
-    state = AdmmState(c, rng.standard_normal(shape), rng.standard_normal(shape),
-                      rng.standard_normal(shape), rng.standard_normal(shape))
+    state = AdmmState(c, rng.standard_normal((2,) + shape),
+                      rng.standard_normal((2,) + shape))
+    (p1, p2), (eta1, eta2) = state.p, state.eta
     rho = 1.9
     cell = post16.grid.cell
     z = post16.basis.synthesize_values(c).reshape(shape)
     g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
     expect = (post16.phi(c)
-              + cell * float(np.sum(state.eta1 * g1 + state.eta2 * g2))
-              + 0.5 * rho * cell * float(np.sum((g1 - state.p1) ** 2
-                                                + (g2 - state.p2) ** 2))
-              + post16.tv_weight * cell
-              * float(np.sum(np.hypot(state.p1, state.p2))))
+              + cell * float(np.sum(eta1 * g1 + eta2 * g2))
+              + 0.5 * rho * cell * float(np.sum((g1 - p1) ** 2
+                                                + (g2 - p2) ** 2))
+              + post16.tv_weight * cell * float(np.sum(np.hypot(p1, p2))))
     assert lagrangian(post16, c, state, rho) == pytest.approx(expect,
                                                               rel=1e-12)
 
@@ -545,11 +552,12 @@ def test_objective_history_tracks_true_target(toy):
     res = solve_map(toy.post, cfg)
     # spot-check the last recorded value against a from-scratch evaluation,
     # replaying the iteration to recover the pre-polish coefficients
-    state = initial_state(toy.post)
+    state, ev = initial_state(toy.post)
     for _ in range(res.iterations):
-        state, _ = z_step(toy.post, state, cfg)
-        state = phi_step(toy.post, state, cfg)
-        state = dual_step(toy.post, state, cfg)
+        state, info = z_step(toy.post, state, ev, cfg)
+        ev = info["eval"]
+        state = phi_step(state, ev.grad, toy.post.tv_weight, cfg.rho_pen)
+        state = dual_step(state, ev.grad, cfg.rho_pen)
     z = toy.post.basis.synthesize_values(state.coeffs)
     want = (toy.post.phi(state.coeffs)
             + toy.post.tv_weight * tv_arrays(z.reshape(2, 2),

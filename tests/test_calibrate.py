@@ -106,7 +106,8 @@ def test_default_statistic_is_calibrated_at_the_truth():
     cfg = parse_config()
     op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
     lo, hi = cfg.reparam.bounds
-    theta = op.apply(brain_phantom(cfg.grid, low=lo + 0.05, high=hi - 0.05))
+    theta = op.apply(brain_phantom(cfg.grid, low=lo + 0.05,
+                                   high=hi - 0.05).values)
     rng = np.random.default_rng(1)
     draws = [rng.poisson(theta) for _ in range(200)]
 

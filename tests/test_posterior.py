@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poistomo.fields import VectorField, tv_arrays
+from poistomo.fields import grad_arrays, tv_arrays
 from poistomo.posterior import TGPosterior
 from poistomo.samplers import Anchor, _rho, pcnl_step, pdpcn_step
 
@@ -46,9 +46,8 @@ def test_rho_validates_delta_and_shapes(post16):
     # the kernels check delta before rho is formed; rho's pairings refuse
     # mismatched shapes
     z = np.zeros(60)
-    zeros = np.zeros(post16.grid.shape)
-    anchor = Anchor(VectorField(post16.grid, zeros, zeros),
-                    VectorField(post16.grid, zeros, zeros), 1.0)
+    zeros = np.zeros((2,) + post16.grid.shape)
+    anchor = Anchor(zeros, zeros, 1.0)
     rng = np.random.default_rng(5)
     for bad in (-0.1, 2.5):
         with pytest.raises(ValueError):
@@ -64,6 +63,7 @@ def test_psi_splits_into_phi_and_tv(post16, basis60):
     g = post16.grid
     z = basis60.synthesize_values(c).reshape(g.shape)
     assert ev.reg == pytest.approx(1.0 * tv_arrays(z, g.hx, g.hy), rel=1e-12)
+    np.testing.assert_array_equal(ev.grad, grad_arrays(z, g.hx, g.hy))
     assert ev.psi == pytest.approx(ev.phi + ev.reg, rel=1e-12)
     assert np.all(ev.theta > 0.0)
 

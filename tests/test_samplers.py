@@ -44,7 +44,8 @@ class _StubTarget:
     def evaluate(self, c):
         c = np.asarray(c, dtype=float)
         p = self.potential(c)
-        return PosteriorEval(p, p, 0.0, c, None)
+        return PosteriorEval(p, p, 0.0, c, grad=np.zeros((2,) + c.shape),
+                             theta=None)
 
     def psi(self, c):
         return self.potential(np.asarray(c, dtype=float))
@@ -241,10 +242,8 @@ def test_anchored_kernel_reduces_to_pcn_without_projection(post16):
     delta = 0.3
     beta = math.sqrt(8.0 * delta) / (2.0 + delta)
     grid = post16.grid
-    from poistomo.fields import VectorField
-    zeros = np.zeros(grid.shape)
-    anchor = Anchor(VectorField(grid, zeros, zeros),
-                    VectorField(grid, zeros, zeros), 1.0)
+    zeros = np.zeros((2,) + grid.shape)
+    anchor = Anchor(zeros, zeros, 1.0)
     a = run_chain(post16, SamplerConfig("pcn", 300, beta=beta,
                                         burn_in=0, seed=12))
     b = run_chain(post16, SamplerConfig("pdpcn", 300, delta=delta,
