@@ -16,9 +16,8 @@ from .artifacts import (CredibleLevelMap, credible_level, credible_level_map,
                         inject_artifact)
 from .calibrate import (CalibrationResult, SelectionResult,
                         admissible_interval, admissible_search,
-                        chi2_discrepancy, chi2_sf, classical_p,
-                        posterior_predictive_p, select_lambda,
-                        stochastic_approximation)
+                        chi2_discrepancy, chi2_sf, posterior_predictive_p,
+                        select_lambda, stochastic_approximation)
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (acf_matrix, ess_matrix, hpdi_sorted,
                           intensity_samples, pointwise_hpdi, posterior_mean)
@@ -28,11 +27,10 @@ from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
                       potential_bounds, read_sinogram_bin, read_sinogram_csv,
                       simulate_data, write_sinogram_bin, write_sinogram_csv)
 from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
-from .phantom import brain_phantom, load_band_image
+from .phantom import brain_phantom
 from .posterior import TGPosterior
 from .samplers import (Chain, ChainDivergence, SamplerConfig, anchor_from_map,
-                       load_chain, pcn_step, pcnl_step, pdpcn_step, run_chain,
-                       save_chain, tune_stepsize)
+                       load_chain, run_chain, save_chain, tune_stepsize)
 
 __version__ = "0.1.0"
 
@@ -42,8 +40,7 @@ __all__ = [
     "inject_artifact",
     "CalibrationResult", "SelectionResult", "admissible_interval",
     "admissible_search", "chi2_discrepancy", "chi2_sf",
-    "classical_p", "posterior_predictive_p", "select_lambda",
-    "stochastic_approximation",
+    "posterior_predictive_p", "select_lambda", "stochastic_approximation",
     "ConfigError", "RunConfig", "parse_config",
     "acf_matrix", "ess_matrix", "hpdi_sorted", "intensity_samples",
     "pointwise_hpdi", "posterior_mean",
@@ -53,10 +50,9 @@ __all__ = [
     "potential_bounds", "read_sinogram_bin", "read_sinogram_csv", "simulate_data",
     "write_sinogram_bin", "write_sinogram_csv",
     "CovarianceSpec", "KLBasis", "build_kl_basis",
-    "brain_phantom", "load_band_image",
+    "brain_phantom",
     "TGPosterior",
     "Chain", "ChainDivergence", "SamplerConfig", "anchor_from_map",
-    "load_chain", "pcn_step", "pcnl_step", "pdpcn_step", "run_chain",
-    "save_chain", "tune_stepsize",
+    "load_chain", "run_chain", "save_chain", "tune_stepsize",
     "__version__",
 ]

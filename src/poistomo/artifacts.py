@@ -55,8 +55,10 @@ def credible_level(sorted_vals: np.ndarray, value: float) -> float:
 
     Bisection over the window size of the sliding order-statistic interval;
     the answer has resolution 1/n.  Values outside the sample range return
-    1.0.  For multimodal marginals the interval convention is the narrowest
-    single window, matching the interval summaries elsewhere in the package.
+    1.0.  Every size-1 window has width 0, so one never counts as containing
+    the value, and a value equal to a sample gets at least 2/n.  For
+    multimodal marginals the interval convention is the narrowest single
+    window, matching the interval summaries elsewhere in the package.
     """
     s = np.asarray(sorted_vals, dtype=float)
     n = s.size
@@ -65,7 +67,7 @@ def credible_level(sorted_vals: np.ndarray, value: float) -> float:
     if value < s[0] or value > s[-1]:
         return 1.0
     tol = 1e-12 * max(float(s[-1] - s[0]), 1.0)
-    lo, hi = 1, n
+    lo, hi = min(2, n), n
     while lo < hi:
         mid = (lo + hi) // 2
         if _contained(s, mid, value, tol):

@@ -30,14 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .fields import tv_arrays
 from .posterior import TGPosterior
 from .samplers import Chain, SamplerConfig, run_chain, tune_stepsize
 
 __all__ = [
     "chi2_sf",
     "chi2_discrepancy",
-    "classical_p",
     "PredictiveResult",
     "posterior_predictive_p",
     "CalibrationRow",
@@ -90,15 +88,6 @@ def chi2_discrepancy(counts, theta, denominator: str = "theta"):
     r /= th ** 2 if denominator == "theta_sq" else th
     d = np.sum(r, axis=-1)
     return float(d) if th.ndim == 1 else d
-
-
-def classical_p(discrepancy: float, dof: int) -> float:
-    """Upper-tail chi-squared probability of the observed discrepancy."""
-    if dof < 1:
-        raise ValueError(f"dof must be at least 1, got {dof}")
-    if discrepancy < 0.0:
-        raise ValueError("discrepancy must be nonnegative")
-    return chi2_sf(discrepancy, dof)
 
 
 @dataclass(frozen=True)
@@ -292,7 +281,8 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     """Pick one TV weight inside the admissible interval.
 
     Each iteration runs a short warm-started pcn chain at the current weight
-    and feeds the batch-mean TV of the latent field to the projected
+    and feeds the batch-mean TV of the latent field, read off the chain's
+    own evaluations (its regularizer trace over the weight), to the projected
     stochastic-approximation update.  n_eff defaults to the coefficient
     dimension, an identification that is approximate for this reference
     measure, so the iterate is meaningful only within the interval it is
@@ -305,7 +295,6 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
         beta = tune_stepsize(probe, "pcn", n_pilot=1000, seed=seed)
     if a0 is None:
         a0 = (interval[1] - interval[0]) / n_eff
-    grid = probe.grid
     state = {"c": np.zeros(probe.n_modes)}
 
     def mean_reg(weight: float, k: int) -> float:
@@ -314,11 +303,7 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
                             seed=seed + 1000 * k)
         chain = run_chain(post, cfg, init=state["c"])
         state["c"] = chain.samples[-1]
-        tv = 0.0
-        for row in chain.samples:
-            z = post.basis.synthesize_values(row)
-            tv += tv_arrays(z.reshape(grid.shape), grid.hx, grid.hy)
-        return tv / chain.n_kept
+        return float(np.mean(chain.reg_trace)) / weight
 
     lam, trace = stochastic_approximation(mean_reg, n_eff, interval,
                                           a0=a0, n_iters=n_iters)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 for configuration or input validation errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -37,8 +38,8 @@ from .forward import (build_radon_operator, read_sinogram_bin, simulate_data,
 from .klbasis import build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
-from .samplers import (SamplerConfig, anchor_from_map, load_chain, run_chain,
-                       save_chain, tune_stepsize)
+from .samplers import (anchor_from_map, load_chain, run_chain, save_chain,
+                       tune_stepsize)
 
 log = logging.getLogger(__name__)
 
@@ -206,10 +207,7 @@ def cmd_sample(args) -> int:
         step = tune_stepsize(post, scfg.kind, seed=scfg.seed, init=init,
                              anchor=anchor, k_proj=scfg.k_proj)
         name = "beta" if scfg.kind == "pcn" else "delta"
-        scfg = SamplerConfig(kind=scfg.kind, n_samples=scfg.n_samples,
-                             burn_in=scfg.burn_in, thinning=scfg.thinning,
-                             seed=scfg.seed, k_proj=scfg.k_proj,
-                             **{name: step})
+        scfg = dataclasses.replace(scfg, **{name: step})
         print(f"tuned {name} = {step:.5f}")
     chain = run_chain(post, scfg, init=init, anchor=anchor)
     save_chain(chain, outdir / "chain.bin")

@@ -198,18 +198,6 @@ class KLBasis:
             raise ValueError("field grid does not match the basis grid")
         return self.grid.cell * (self.modes[:k] @ f.ravel())
 
-    def sample_reference(self, rng: np.random.Generator) -> np.ndarray:
-        """Coefficient draw from the reference measure: i.i.d. standard normal."""
-        return rng.standard_normal(self.n_modes)
-
-    def apply_c0(self, vec) -> np.ndarray:
-        """Covariance acting on expansion weights: multiply by eta_i."""
-        return self.eigenvalues * np.asarray(vec, dtype=float)
-
-    def apply_c0_sqrt(self, vec) -> np.ndarray:
-        """Covariance square root on expansion weights: multiply by sqrt(eta_i)."""
-        return self._sqrt_eta * np.asarray(vec, dtype=float)
-
     def pullback(self, dvalues) -> np.ndarray:
         """Chain rule: pixel-value derivative dF/du -> coefficient derivative dF/dc.
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid, ScalarField, read_pgm
+from .fields import Grid, ScalarField
 
-__all__ = ["brain_phantom", "load_band_image"]
+__all__ = ["brain_phantom"]
 
 
 def _ellipse(x, y, cx: float, cy: float, rx: float, ry: float,
@@ -57,18 +57,3 @@ def brain_phantom(grid: Grid, low: float = 1.05, high: float = 2.95
 
     return ScalarField(grid, vals)
 
-
-def load_band_image(path, grid: Grid, low: float = 1.05, high: float = 2.95
-                    ) -> ScalarField:
-    """Read a PGM image and map its gray range affinely onto [low, high].
-
-    The image must match the grid shape.  Useful for testing reconstruction
-    against arbitrary external truths.
-    """
-    if not high > low:
-        raise ValueError(f"need low < high, got low={low}, high={high}")
-    img = read_pgm(path, vmax=1.0)
-    if img.grid.shape != grid.shape:
-        raise ValueError(
-            f"image shape {img.grid.shape} does not match grid {grid.shape}")
-    return ScalarField(grid, low + (high - low) * img.values)

@@ -77,18 +77,9 @@ class TGPosterior:
                if self.tv_weight > 0.0 else 0.0)
         return PosteriorEval(phi + reg, phi, reg, z, grad, theta)
 
-    def phi(self, c) -> float:
-        return self.evaluate(c).phi
-
-    def psi(self, c) -> float:
-        return self.evaluate(c).psi
-
-    def phi_grad(self, c) -> np.ndarray:
-        """Coefficient-space gradient of the likelihood potential."""
-        return self.phi_grad_at(self.evaluate(c))
-
     def phi_grad_at(self, ev: PosteriorEval) -> np.ndarray:
-        """phi_grad at the state of an existing evaluation."""
+        """Coefficient-space gradient of the likelihood potential at the
+        state of an evaluation."""
         return self.basis.pullback(self.phi_pixel_grad_at(ev))
 
     def phi_pixel_grad_at(self, ev: PosteriorEval) -> np.ndarray:

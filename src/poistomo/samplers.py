@@ -1,19 +1,26 @@
 """Dimension-robust MCMC kernels for the coefficient-space posterior.
 
-Three kernels share one structure: a reference-preserving Gaussian proposal,
-optionally recentred by a drift vector, accepted by a Metropolis-Hastings
-ratio of the acceptance functional ``rho`` (``_rho`` below):
+Every kernel is one Metropolis step: a reference-preserving Gaussian
+proposal recentred by a drift vector g,
 
-* ``pcn``    v = sqrt(1 - beta^2) z + beta w, accept on psi(z) - psi(v);
-* ``pcnl``   drift = gradient of psi (smooth case only);
-* ``pdpcn``  drift = offset_direction at the frozen splitting anchor, so the
+    (2 + delta) v = (2 - delta) z - 2 delta g + sqrt(8 delta) w,
+
+accepted by the ratio of the acceptance functional ``rho`` (``_rho`` below).
+The kernels differ only in the drift:
+
+* ``pcn``    g = 0, so the step is v = sqrt(1 - beta^2) z + beta w and the
+  log ratio is psi(z) - psi(v).  It runs at
+  delta(beta) = 2 beta^2 / (1 + sqrt(1 - beta^2))^2, where
+  (2 - delta)/(2 + delta) = sqrt(1 - beta^2) and
+  sqrt(8 delta)/(2 + delta) = beta;
+* ``pcnl``   g = gradient of psi (smooth case only);
+* ``pdpcn``  g = offset_direction at the frozen splitting anchor, so the
   nonsmooth TV term is handled without ever differentiating it.
 
-With drift g the proposal is (2 + delta) v = (2 - delta) z - 2 delta g
-+ sqrt(8 delta) w, and zero drift recovers pcn with
-beta = sqrt(8 delta) / (2 + delta).  Every kernel consumes randomness in the
-same order (noise vector first, acceptance uniform second), which keeps
-matched-seed comparisons meaningful.
+A state is its coefficients, their evaluation and their drift, so each step
+evaluates the posterior once, at the proposal.  Every kernel consumes
+randomness in the same order (noise vector first, acceptance uniform
+second), which keeps matched-seed comparisons meaningful.
 """
 
 from __future__ import annotations
@@ -34,12 +41,6 @@ __all__ = [
     "Chain",
     "ChainDivergence",
     "Anchor",
-    "StepResult",
-    "pcn_propose",
-    "pcn_accept",
-    "pcn_step",
-    "pcnl_step",
-    "pdpcn_step",
     "run_chain",
     "tune_stepsize",
     "anchor_from_map",
@@ -109,44 +110,8 @@ def anchor_from_map(result: MapResult, rho_pen: float) -> Anchor:
     return Anchor(result.split, result.multiplier, rho_pen)
 
 
-class StepResult(NamedTuple):
-    coeffs: np.ndarray
-    accepted: bool
-    log_ratio: float
-    cache: object
-
-
 def _accept(log_ratio: float, rng: np.random.Generator) -> bool:
     return rng.random() < math.exp(min(log_ratio, 0.0))
-
-
-def pcn_propose(z, beta: float, rng: np.random.Generator) -> np.ndarray:
-    """Reference-preserving autoregressive proposal.
-
-    beta = 0 returns z unchanged (noise still drawn, keeping the stream
-    aligned); beta = 1 is a pure reference draw.  Chain configs insist on
-    beta > 0, but the raw proposal admits the closed interval.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    z = np.asarray(z, dtype=float)
-    return math.sqrt(1.0 - beta * beta) * z + beta * rng.standard_normal(z.size)
-
-
-def pcn_accept(post: TGPosterior, z, v, rng: np.random.Generator) -> bool:
-    """Accept v against z with probability min(1, exp(psi(z) - psi(v)))."""
-    return _accept(post.psi(z) - post.psi(v), rng)
-
-
-def pcn_step(post: TGPosterior, z, beta: float, rng: np.random.Generator,
-             cache: PosteriorEval | None = None) -> StepResult:
-    ev = post.evaluate(z) if cache is None else cache
-    v = pcn_propose(z, beta, rng)
-    ev_v = post.evaluate(v)
-    log_ratio = ev.psi - ev_v.psi
-    if _accept(log_ratio, rng):
-        return StepResult(v, True, log_ratio, ev_v)
-    return StepResult(np.asarray(z, dtype=float), False, log_ratio, ev)
 
 
 def _rho(ev_z: PosteriorEval, z, v, g, delta: float) -> float:
@@ -165,76 +130,55 @@ def _rho(ev_z: PosteriorEval, z, v, g, delta: float) -> float:
             + 0.25 * delta * float(np.dot(g, g)))
 
 
-def _drift_propose(z, g, delta: float, rng: np.random.Generator) -> np.ndarray:
-    w = rng.standard_normal(z.size)
-    return ((2.0 - delta) * z - 2.0 * delta * g
-            + math.sqrt(8.0 * delta) * w) / (2.0 + delta)
+def _drift(post: TGPosterior, config: SamplerConfig, anchor: Anchor | None):
+    """The configured kernel's drift, a function of an evaluation."""
+    if config.kind == "pcn":
+        zero = np.zeros(post.n_modes)
+        return lambda ev: zero
+    if config.kind == "pcnl":
+        if post.tv_weight != 0.0:
+            raise ValueError("pcnl requires a differentiable potential; "
+                             "tv_weight must be 0")
+        return post.phi_grad_at
+    if anchor is None:
+        raise ValueError("the pdpcn kernel needs a splitting anchor; solve the "
+                         "MAP problem and pass anchor_from_map(result, rho_pen)")
 
-
-class _DriftCache(NamedTuple):
-    ev: PosteriorEval
-    g: np.ndarray
-
-
-def _drift_step(post, z, delta, rng, drift_fn, cache) -> StepResult:
-    z = np.asarray(z, dtype=float)
-    if cache is None:
-        ev = post.evaluate(z)
-        cache = _DriftCache(ev, drift_fn(ev))
-    v = _drift_propose(z, cache.g, delta, rng)
-    ev_v = post.evaluate(v)
-    g_v = drift_fn(ev_v)
-    forward = _rho(cache.ev, z, v, cache.g, delta)
-    backward = _rho(ev_v, v, z, g_v, delta)
-    log_ratio = forward - backward
-    if _accept(log_ratio, rng):
-        return StepResult(v, True, log_ratio, _DriftCache(ev_v, g_v))
-    return StepResult(z, False, log_ratio, cache)
-
-
-def pcnl_step(post: TGPosterior, z, delta: float, rng: np.random.Generator,
-              cache: _DriftCache | None = None) -> StepResult:
-    """Langevin-type step with the full potential gradient as drift.
-
-    Only valid when the potential is smooth; a positive TV weight raises.
-    """
-    if post.tv_weight != 0.0:
-        raise ValueError("pcnl requires a differentiable potential; "
-                         "tv_weight must be 0")
-    if not 0.0 < delta <= 2.0:
-        raise ValueError(f"delta must lie in (0, 2], got {delta}")
-
-    return _drift_step(post, z, delta, rng, post.phi_grad_at, cache)
-
-
-def pdpcn_step(post: TGPosterior, z, delta: float, rng: np.random.Generator,
-               anchor: Anchor, k_proj: int | None = None,
-               cache: _DriftCache | None = None) -> StepResult:
-    """Drift step recentred by the splitting anchor's offset direction.
-
-    The drift is recomputed at the current and proposed states each step, and
-    both enter the acceptance ratio, so the kernel targets the posterior
-    exactly for any fixed anchor.
-    """
-    if not 0.0 < delta <= 2.0:
-        raise ValueError(f"delta must lie in (0, 2], got {delta}")
-
-    def drift(ev):
+    def offset(ev):
+        # looked up at call time, so that a wrapped offset_direction is seen
         return offset_direction(post, ev, anchor.split, anchor.multiplier,
-                                anchor.rho_pen, k_proj)
+                                anchor.rho_pen, config.k_proj)
+    return offset
 
-    return _drift_step(post, z, delta, rng, drift, cache)
+
+def _step(post, z, ev, g, delta, drift, rng):
+    """One Metropolis step from z, whose evaluation and drift are ev and g.
+
+    Returns the next (z, ev, g) and whether the proposal was accepted.  The
+    drift is recomputed at the proposal and both drifts enter the ratio, so
+    the kernel targets the posterior exactly.
+    """
+    w = rng.standard_normal(z.size)
+    v = ((2.0 - delta) * z - 2.0 * delta * g
+         + math.sqrt(8.0 * delta) * w) / (2.0 + delta)
+    ev_v = post.evaluate(v)
+    g_v = drift(ev_v)
+    log_ratio = _rho(ev, z, v, g, delta) - _rho(ev_v, v, z, g_v, delta)
+    if _accept(log_ratio, rng):
+        return v, ev_v, g_v, True
+    return z, ev, g, False
 
 
 @dataclass(frozen=True)
 class Chain:
-    """Kept samples plus per-step acceptance and potential traces."""
+    """Kept samples plus per-step acceptance, potential and TV traces."""
 
     samples: np.ndarray = field(repr=False)
     config: SamplerConfig
     acceptance_rate: float
     accepted: np.ndarray | None = field(default=None, repr=False)
     psi_trace: np.ndarray | None = field(default=None, repr=False)
+    reg_trace: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -252,12 +196,6 @@ class Chain:
         return self.samples.shape[1]
 
 
-def _require_anchor(kind: str, anchor: Anchor | None) -> None:
-    if kind == "pdpcn" and anchor is None:
-        raise ValueError("the pdpcn kernel needs a splitting anchor; solve the "
-                         "MAP problem and pass anchor_from_map(result, rho_pen)")
-
-
 def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
               anchor: Anchor | None = None) -> Chain:
     """Drive one chain and collect kept states.
@@ -268,40 +206,36 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     anchor_from_map).  The whole run is a pure function of (posterior,
     config, init, anchor).
     """
-    _require_anchor(config.kind, anchor)
+    drift = _drift(post, config, anchor)
+    if config.kind == "pcn":
+        b = config.beta
+        delta = 2.0 * b * b / (1.0 + math.sqrt(1.0 - b * b)) ** 2
+    else:
+        delta = config.delta
     rng = np.random.default_rng(config.seed)
     n = post.n_modes
     z = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
-
-    if config.kind == "pcn":
-        def step(zc, cache):
-            return pcn_step(post, zc, config.beta, rng, cache)
-    elif config.kind == "pcnl":
-        def step(zc, cache):
-            return pcnl_step(post, zc, config.delta, rng, cache)
-    else:
-        def step(zc, cache):
-            return pdpcn_step(post, zc, config.delta, rng, anchor,
-                              config.k_proj, cache)
+    ev = post.evaluate(z)
+    g = drift(ev)
 
     burn = config.effective_burn_in
     thin = config.thinning
     kept = np.empty((config.n_kept, n))
     accepted = np.empty(config.n_samples, dtype=bool)
     psi_trace = np.empty(config.n_samples)
-    cache = None
+    reg_trace = np.empty(config.n_samples)
     j = 0
     for k in range(config.n_samples):
-        z, acc, _lr, cache = step(z, cache)
-        psi = cache.psi if isinstance(cache, PosteriorEval) else cache.ev.psi
-        if not math.isfinite(psi):
+        z, ev, g, accepted[k] = _step(post, z, ev, g, delta, drift, rng)
+        if not math.isfinite(ev.psi):
             raise ChainDivergence(f"non-finite potential at step {k}")
-        accepted[k] = acc
-        psi_trace[k] = psi
+        psi_trace[k] = ev.psi
+        reg_trace[k] = ev.reg
         if k >= burn and (k - burn + 1) % thin == 0:
             kept[j] = z
             j += 1
-    return Chain(kept, config, float(np.mean(accepted)), accepted, psi_trace)
+    return Chain(kept, config, float(np.mean(accepted)), accepted, psi_trace,
+                 reg_trace)
 
 
 def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
@@ -311,12 +245,10 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
     """Bisect the stepsize until the pilot acceptance rate is near target.
 
     Acceptance decreases with the stepsize, so plain bisection applies.  The
-    pilot chains share one seed, making the tuning deterministic.  The pdpcn
-    kernel needs the caller's anchor, as in run_chain.
+    pilot chains share one seed, making the tuning deterministic.  The
+    stepsize is beta for pcn and delta otherwise; the pdpcn kernel needs the
+    caller's anchor, as in run_chain.
     """
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    _require_anchor(kind, anchor)
     lo, hi = 1e-5, (1.0 if kind == "pcn" else 2.0)
 
     def acc(step: float) -> float:

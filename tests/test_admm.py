@@ -361,24 +361,26 @@ def test_smooth_case_matches_plain_gradient_descent():
                      inner_iters=2000, inner_tol=1e-9)
     res = solve_map(smooth.post, cfg)
     assert res.converged
-    f_admm = smooth.post.phi(res.coeffs)
+    f_admm = smooth.post.evaluate(res.coeffs).phi
 
     # independent optimizer: Armijo gradient descent straight on the misfit
     c = np.zeros(smooth.post.n_modes)
-    f = smooth.post.phi(c)
+    ev = smooth.post.evaluate(c)
+    f = ev.phi
     step = 1.0
     for _ in range(5000):
-        g = smooth.post.phi_grad(c)
+        g = smooth.post.phi_grad_at(ev)
         gn2 = float(g @ g)
         if np.sqrt(gn2) <= 1e-9:
             break
         while True:
             c_try = c - step * g
-            f_try = smooth.post.phi(c_try)
+            ev_try = smooth.post.evaluate(c_try)
+            f_try = ev_try.phi
             if f_try <= f - 1e-4 * step * gn2:
                 break
             step *= 0.5
-        c, f = c_try, f_try
+        c, f, ev = c_try, f_try, ev_try
         step *= 2.0
     assert abs(f_admm - f) <= 1e-4
     assert np.max(np.abs(res.coeffs - c)) <= 1e-3
@@ -389,7 +391,7 @@ def test_toy_objective_matches_exhaustive_search(toy):
                      inner_iters=200, inner_tol=1e-8)
     res = solve_map(toy.post, cfg)
     assert res.converged
-    f_solver = toy.post.psi(res.coeffs)
+    f_solver = toy.post.evaluate(res.coeffs).psi
 
     coarse_val, c_best, axis = _grid_search(toy.objective, -5.0, 5.0, 0.01)
     assert np.all(np.abs(c_best) < axis[-1] - 0.01)
@@ -538,7 +540,7 @@ def test_lagrangian_is_the_explicit_sum(post16):
     cell = post16.grid.cell
     z = post16.basis.synthesize_values(c).reshape(shape)
     g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    expect = (post16.phi(c)
+    expect = (post16.evaluate(c).phi
               + cell * float(np.sum(eta1 * g1 + eta2 * g2))
               + 0.5 * rho * cell * float(np.sum((g1 - p1) ** 2
                                                 + (g2 - p2) ** 2))
@@ -559,7 +561,7 @@ def test_objective_history_tracks_true_target(toy):
         state = phi_step(state, ev.grad, toy.post.tv_weight, cfg.rho_pen)
         state = dual_step(state, ev.grad, cfg.rho_pen)
     z = toy.post.basis.synthesize_values(state.coeffs)
-    want = (toy.post.phi(state.coeffs)
+    want = (toy.post.evaluate(state.coeffs).phi
             + toy.post.tv_weight * tv_arrays(z.reshape(2, 2),
                                              toy.grid.hx, toy.grid.hy))
     assert res.objective[-1] == pytest.approx(want, rel=1e-12)

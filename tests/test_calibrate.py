@@ -15,7 +15,7 @@ from scipy.special import erfc
 from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
                       parse_config)
 from poistomo.calibrate import (admissible_interval, admissible_search,
-                                chi2_discrepancy, chi2_sf, classical_p,
+                                chi2_discrepancy, chi2_sf,
                                 posterior_predictive_p, write_calibration_csv)
 from poistomo.samplers import Chain, SamplerConfig
 
@@ -92,7 +92,7 @@ def test_predictive_p_matches_row_loop(post16, denominator):
         z = post16.basis.synthesize_values(row)
         theta = post16.op.apply(post16.rep.apply(z))
         d = chi2_discrepancy(counts, theta, denominator)
-        pvals.append(classical_p(d, post16.op.n_rays))
+        pvals.append(chi2_sf(d, post16.op.n_rays))
     assert res.n_used == 37
     assert res.p == pytest.approx(np.mean(pvals), rel=1e-12, abs=1e-300)
     assert res.stderr == pytest.approx(
@@ -112,8 +112,8 @@ def test_default_statistic_is_calibrated_at_the_truth():
     draws = [rng.poisson(theta) for _ in range(200)]
 
     def pvalues(**kwargs):
-        return np.array([classical_p(chi2_discrepancy(y, theta, **kwargs),
-                                     op.n_rays) for y in draws])
+        return np.array([chi2_sf(chi2_discrepancy(y, theta, **kwargs),
+                                 op.n_rays) for y in draws])
 
     p = pvalues()
     assert cfg.calibration.denominator == "theta"

@@ -77,3 +77,37 @@ def test_missing_chain_is_a_runtime_error(tmp_path, tiny_ini):
     out = tmp_path / "empty"
     assert _run("summarize", tiny_ini, out) == 3
     assert not (out / "summarize_manifest.json").exists()
+
+
+def _kernel_ini(tmp_path, kind, sampler="", model=""):
+    path = tmp_path / f"{kind}.ini"
+    text = TINY_INI.replace("[sampler]\n",
+                            f"[sampler]\nkind = {kind}\n{sampler}")
+    path.write_text(text + f"\n[model]\n{model}\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind, sampler, model", [
+    ("pcn", "autotune = true\n", ""),
+    ("pcnl", "", "tv_weight = 0\n"),
+])
+def test_every_kernel_runs_through_the_cli(tmp_path, kind, sampler, model):
+    ini = _kernel_ini(tmp_path, kind, sampler, model)
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "sample", "summarize", "diag"):
+        assert _run(command, ini, out) == 0, command
+        assert (out / f"{command}_manifest.json").is_file(), command
+    sidecar = json.loads((out / "chain.bin.json").read_text())
+    assert sidecar["kind"] == kind
+    assert 0.0 <= sidecar["acceptance_rate"] <= 1.0
+
+
+def test_gradient_kernel_with_tv_is_a_usage_error(tmp_path):
+    # pcnl needs a differentiable potential; the default TV weight is 1
+    ini = _kernel_ini(tmp_path, "pcnl")
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate"):
+        assert _run(command, ini, out) == 0, command
+    assert _run("sample", ini, out) == 2
+    assert not (out / "sample_manifest.json").exists()
+    assert not (out / "chain.bin").exists()

@@ -89,6 +89,15 @@ def test_credible_level_known_answers_at_resolution_one_over_n():
         assert level * n == pytest.approx(round(level * n), abs=1e-9)
 
 
+def test_credible_level_of_a_sample_value_skips_size_one_windows():
+    # every size-1 window has width 0, so none counts as containing a value
+    # that equals a sample: the median and its neighbour need two points
+    n = 101
+    q = ndtri((np.arange(n) + 0.5) / n)
+    for i, points in ((50, 2), (51, 2), (55, 10), (60, 20), (70, 40)):
+        assert credible_level(q, q[i]) == pytest.approx(points / n)
+
+
 # ---------------------------------------------------------------------------
 # effective sample size
 

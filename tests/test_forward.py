@@ -181,19 +181,20 @@ def test_potential_matches_direct_sum(op16, rep, basis60, sino16,
     theta = op16.apply(rep.apply(basis60.synthesize_values(c)))
     direct = math.fsum(theta) - math.fsum(
         y * math.log(t) for y, t in zip(sino16.counts, theta) if y)
-    assert post16_smooth.phi(c) == pytest.approx(direct, rel=1e-12)
+    assert post16_smooth.evaluate(c).phi == pytest.approx(direct, rel=1e-12)
 
 
 def test_potential_grad_matches_central_differences(post16_smooth):
     rng = np.random.default_rng(37)
     c = 0.3 * rng.standard_normal(60)
-    grad = post16_smooth.phi_grad(c)
+    grad = post16_smooth.phi_grad_at(post16_smooth.evaluate(c))
     eps = 1e-6
     for i in rng.choice(60, size=12, replace=False):
         cp, cm = c.copy(), c.copy()
         cp[i] += eps
         cm[i] -= eps
-        fd = (post16_smooth.phi(cp) - post16_smooth.phi(cm)) / (2 * eps)
+        fd = (post16_smooth.evaluate(cp).phi
+              - post16_smooth.evaluate(cm).phi) / (2 * eps)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
@@ -226,7 +227,8 @@ def test_potential_lipschitz_bound(op16, rep, basis60, sino16, post16_smooth):
         c2 = c1 + rng.standard_normal(60) * rng.uniform(0.01, 1.0)
         z1 = basis60.synthesize_values(c1)
         z2 = basis60.synthesize_values(c2)
-        dphi = abs(post16_smooth.phi(c1) - post16_smooth.phi(c2))
+        dphi = abs(post16_smooth.evaluate(c1).phi
+                   - post16_smooth.evaluate(c2).phi)
         assert dphi <= lip * np.linalg.norm(z1 - z2) + 1e-9
 
 

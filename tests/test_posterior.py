@@ -3,7 +3,7 @@ import pytest
 
 from poistomo.fields import grad_arrays, tv_arrays
 from poistomo.posterior import TGPosterior
-from poistomo.samplers import Anchor, _rho, pcnl_step, pdpcn_step
+from poistomo.samplers import SamplerConfig, _rho, run_chain
 
 
 def transition_logdensity(src, dst, g_src, delta):
@@ -24,9 +24,9 @@ def test_rho_difference_is_exact_mh_log_ratio(post16, delta):
         v = 0.5 * rng.standard_normal(60)
         g_z = rng.standard_normal(60)
         g_v = rng.standard_normal(60)
-        lhs = (_rho(post16.evaluate(z), z, v, g_z, delta)
-               - _rho(post16.evaluate(v), v, z, g_v, delta))
-        rhs = (post16.psi(z) - post16.psi(v)
+        ev_z, ev_v = post16.evaluate(z), post16.evaluate(v)
+        lhs = _rho(ev_z, z, v, g_z, delta) - _rho(ev_v, v, z, g_v, delta)
+        rhs = (ev_z.psi - ev_v.psi
                + 0.5 * (float(z @ z) - float(v @ v))
                + transition_logdensity(v, z, g_v, delta)
                - transition_logdensity(z, v, g_z, delta))
@@ -38,20 +38,17 @@ def test_rho_zero_drift_collapses_to_psi(post16):
     z = rng.standard_normal(60)
     v = rng.standard_normal(60)
     zero = np.zeros(60)
-    assert _rho(post16.evaluate(z), z, v, zero, 0.3) == \
-        pytest.approx(post16.psi(z))
+    ev = post16.evaluate(z)
+    assert _rho(ev, z, v, zero, 0.3) == pytest.approx(ev.psi)
 
 
 def test_rho_validates_delta_and_shapes(post16):
-    # the kernels check delta before rho is formed; rho's pairings refuse
-    # mismatched shapes
+    # the chain config checks delta before rho is formed; rho's pairings
+    # refuse mismatched shapes
     z = np.zeros(60)
-    zeros = np.zeros((2,) + post16.grid.shape)
-    anchor = Anchor(zeros, zeros, 1.0)
-    rng = np.random.default_rng(5)
     for bad in (-0.1, 2.5):
         with pytest.raises(ValueError):
-            pdpcn_step(post16, z, bad, rng, anchor)
+            SamplerConfig("pdpcn", 10, delta=bad)
     with pytest.raises(ValueError):
         _rho(post16.evaluate(z), z, np.zeros(59), z, 0.3)
 
@@ -76,11 +73,13 @@ def test_smooth_posterior_has_zero_reg(post16_smooth):
 
 
 def test_phi_grad_at_reuses_evaluation(post16_smooth):
+    # the gradient depends on the evaluation passed in, not on the latest one
     rng = np.random.default_rng(19)
     c = 0.3 * rng.standard_normal(60)
     ev = post16_smooth.evaluate(c)
+    post16_smooth.evaluate(-c)
     assert np.allclose(post16_smooth.phi_grad_at(ev),
-                       post16_smooth.phi_grad(c))
+                       post16_smooth.phi_grad_at(post16_smooth.evaluate(c)))
 
 
 def test_psi_grad_refuses_nonsmooth(post16, post16_smooth):
@@ -88,14 +87,15 @@ def test_psi_grad_refuses_nonsmooth(post16, post16_smooth):
     # pcnl drift), and the pcnl kernel refuses a positive TV weight
     c = np.zeros(60)
     with pytest.raises(ValueError):
-        pcnl_step(post16, c, 0.3, np.random.default_rng(0))
-    g = post16_smooth.phi_grad(c)
+        run_chain(post16, SamplerConfig("pcnl", 10, delta=0.3, seed=0))
+    g = post16_smooth.phi_grad_at(post16_smooth.evaluate(c))
     h = 1e-6
     for k in (0, 7, 31, 59):
         cp, cm = c.copy(), c.copy()
         cp[k] += h
         cm[k] -= h
-        fd = (post16_smooth.psi(cp) - post16_smooth.psi(cm)) / (2 * h)
+        fd = (post16_smooth.evaluate(cp).psi
+              - post16_smooth.evaluate(cm).psi) / (2 * h)
         assert fd == pytest.approx(g[k], rel=1e-5, abs=1e-8)
 
 

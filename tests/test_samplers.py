@@ -15,15 +15,15 @@ import pytest
 from poistomo import TGPosterior
 from poistomo.posterior import PosteriorEval
 from poistomo.samplers import (Anchor, Chain, ChainDivergence, SamplerConfig,
-                               _rho, anchor_from_map, load_chain, pcn_accept,
-                               pcn_propose, pcn_step, pcnl_step, pdpcn_step,
+                               _accept, _rho, anchor_from_map, load_chain,
                                run_chain, save_chain, tune_stepsize)
+from poistomo.fields import tv_arrays
 from poistomo.admm import AdmmConfig, offset_direction, solve_map
 
 from test_admm import _Toy
 
 # ---------------------------------------------------------------------------
-# duck-typed targets: the kernels only touch evaluate / psi / phi_grad_at /
+# duck-typed targets: the kernels only touch evaluate / phi_grad_at /
 # tv_weight / n_modes (the acceptance functional reads psi from the
 # evaluation), so small closed-form stand-ins let the statistical checks run
 # against known answers
@@ -46,9 +46,6 @@ class _StubTarget:
         p = self.potential(c)
         return PosteriorEval(p, p, 0.0, c, grad=np.zeros((2,) + c.shape),
                              theta=None)
-
-    def psi(self, c):
-        return self.potential(np.asarray(c, dtype=float))
 
     def phi_grad_at(self, ev):
         return self.gradient(ev.z)
@@ -94,6 +91,13 @@ class _DriftlessGauss(_GaussTarget):
         return np.zeros(self.n_modes)
 
 
+def _pcn_log_ratio(t, z, v):
+    """Zero-drift Metropolis log ratio of v against z: psi(z) - psi(v)."""
+    zero = np.zeros(z.size)
+    return (_rho(t.evaluate(z), z, v, zero, 0.3)
+            - _rho(t.evaluate(v), v, z, zero, 0.3))
+
+
 def _batch_stderr(x, n_batches=100):
     """Batch-means standard error of the mean of a correlated series."""
     n = x.size - x.size % n_batches
@@ -106,16 +110,20 @@ def _batch_stderr(x, n_batches=100):
 
 
 def test_propose_endpoints():
-    rng = np.random.default_rng(0)
-    z = rng.standard_normal(6)
-    np.testing.assert_array_equal(pcn_propose(z, 0.0, np.random.default_rng(1)),
-                                  z)
-    w = np.random.default_rng(2).standard_normal(6)
-    np.testing.assert_array_equal(pcn_propose(z, 1.0, np.random.default_rng(2)),
-                                  w)
+    # at beta = 1 the state is forgotten: on a flat target every sample is
+    # the stream's reference draw (each step's uniform follows its noise)
+    t = _FlatTarget(6)
+    init = np.random.default_rng(0).standard_normal(6)
+    chain = run_chain(t, SamplerConfig("pcn", 5, beta=1.0, burn_in=0, seed=2),
+                      init=init)
+    rng = np.random.default_rng(2)
+    for k in range(5):
+        np.testing.assert_array_equal(chain.samples[k],
+                                      rng.standard_normal(6))
+        rng.random()
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError):
-            pcn_propose(z, bad, rng)
+            SamplerConfig("pcn", 5, beta=bad)
 
 
 def test_propose_preserves_reference_moments():
@@ -123,7 +131,10 @@ def test_propose_preserves_reference_moments():
     rng = np.random.default_rng(3)
     n = 500_000
     z = rng.standard_normal(n)
-    v = pcn_propose(z, 0.37, rng)
+    chain = run_chain(_FlatTarget(n), SamplerConfig("pcn", 1, beta=0.37,
+                                                    burn_in=0, seed=4),
+                      init=z)
+    v = chain.samples[0]
     assert abs(v.mean()) <= 5.0 / math.sqrt(n)
     assert abs(v.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
 
@@ -136,7 +147,9 @@ def test_accept_certain_when_potential_drops():
     t = _GaussTarget(1, 4.0, 0.0)
     rng = np.random.default_rng(4)
     z, v = np.array([2.0]), np.array([0.1])  # potential drops sharply
-    assert all(pcn_accept(t, z, v, rng) for _ in range(200))
+    log_ratio = _pcn_log_ratio(t, z, v)
+    assert log_ratio == t.potential(z) - t.potential(v)
+    assert all(_accept(log_ratio, rng) for _ in range(200))
 
 
 def test_accept_rate_matches_log_two_gap():
@@ -148,8 +161,9 @@ def test_accept_rate_matches_log_two_gap():
     t = _LnTwo(1)
     rng = np.random.default_rng(5)
     n = 100_000
-    hits = sum(pcn_accept(t, np.array([0.0]), np.array([1.0]), rng)
-               for _ in range(n))
+    log_ratio = _pcn_log_ratio(t, np.array([0.0]), np.array([1.0]))
+    assert log_ratio == -math.log(2.0)
+    hits = sum(_accept(log_ratio, rng) for _ in range(n))
     assert abs(hits / n - 0.5) <= 5.0 * math.sqrt(0.25 / n)
 
 
@@ -157,7 +171,7 @@ def test_accept_certain_for_flat_potential():
     t = _FlatTarget(3)
     rng = np.random.default_rng(6)
     z = rng.standard_normal(3)
-    assert all(pcn_accept(t, z, rng.standard_normal(3), rng)
+    assert all(_accept(_pcn_log_ratio(t, z, rng.standard_normal(3)), rng)
                for _ in range(200))
 
 
@@ -197,13 +211,12 @@ def test_gradient_kernel_matches_conjugate_posterior():
 
 def test_gradient_kernel_rejects_nonsmooth_and_bad_stepsize(post16,
                                                             post16_smooth):
-    rng = np.random.default_rng(9)
-    z = np.zeros(post16.n_modes)
-    with pytest.raises(ValueError):
-        pcnl_step(post16, z, 0.3, rng)  # tv_weight > 0
+    with pytest.raises(ValueError):  # tv_weight > 0
+        run_chain(post16, SamplerConfig("pcnl", 10, delta=0.3, seed=9))
     for bad in (0.0, 2.5, -0.1):
         with pytest.raises(ValueError):
-            pcnl_step(post16_smooth, z, bad, rng)
+            run_chain(post16_smooth, SamplerConfig("pcnl", 10, delta=bad,
+                                                   seed=9))
 
 
 def test_self_proposal_accepted_with_certainty(post16_smooth):
@@ -312,7 +325,20 @@ def test_kept_sample_count_and_traces():
     assert chain.samples.shape == (cfg.n_kept, 2)
     assert chain.accepted.shape == (103,)
     assert chain.psi_trace.shape == (103,)
+    assert chain.reg_trace.shape == (103,)
     assert chain.config == cfg
+
+
+def test_reg_trace_is_the_tv_of_each_state(post16):
+    # with every step kept, step k's regularizer is the weighted TV of the
+    # k-th sample's latent field
+    chain = run_chain(post16, SamplerConfig("pcn", 60, beta=0.3, burn_in=0,
+                                            seed=29))
+    g = post16.grid
+    for k, row in enumerate(chain.samples):
+        z = post16.basis.synthesize_values(row).reshape(g.shape)
+        assert chain.reg_trace[k] == pytest.approx(
+            post16.tv_weight * tv_arrays(z, g.hx, g.hy), rel=0, abs=1e-12)
 
 
 def test_default_burn_in_is_a_tenth():
