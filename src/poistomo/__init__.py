@@ -24,8 +24,8 @@ from .diagnostics import (acf_matrix, ess_matrix, hpdi_sorted,
 from .fields import (Grid, ScalarField, psnr, read_field_csv, read_pgm,
                      write_field_csv, write_pgm)
 from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
-                      potential_bounds, read_sinogram_bin, read_sinogram_csv,
-                      simulate_data, write_sinogram_bin, write_sinogram_csv)
+                      read_sinogram_bin, simulate_data, write_sinogram_bin,
+                      write_sinogram_csv)
 from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
@@ -47,8 +47,8 @@ __all__ = [
     "Grid", "ScalarField", "psnr", "read_field_csv", "read_pgm",
     "write_field_csv", "write_pgm",
     "RadonOperator", "Reparam", "Sinogram", "build_radon_operator",
-    "potential_bounds", "read_sinogram_bin", "read_sinogram_csv", "simulate_data",
-    "write_sinogram_bin", "write_sinogram_csv",
+    "read_sinogram_bin", "simulate_data", "write_sinogram_bin",
+    "write_sinogram_csv",
     "CovarianceSpec", "KLBasis", "build_kl_basis",
     "brain_phantom",
     "TGPosterior",

@@ -1,19 +1,27 @@
 """Parallel-beam Radon operator, positivity reparametrization and the Poisson
 log-likelihood potential.
 
-Rays are traced exactly: each matrix entry is the length of the intersection
-of a ray with a pixel, so the adjoint is the plain matrix transpose and the
-operator pair passes a machine-precision adjointness test.  Expected counts
-are theta = kappa * (path integrals of u), and the negative log-likelihood up
-to a data-only constant is  phi = sum(theta) - sum(y * log(theta)); its
-value and derivatives at coefficient vectors come from ``TGPosterior``.
+Rays are traced exactly (Siddon's method): each matrix entry is the length
+of the intersection of a ray with a pixel, so the adjoint is the plain matrix
+transpose and the operator pair passes a machine-precision adjointness test.
+All rays of one projection angle share a direction and are traced together
+as array operations, one angle at a time; the matrix comes back in canonical
+CSR form (sorted, duplicate-free column indices), on which the summation
+order of ``apply`` and ``adjoint`` depends.
+
+Expected counts are theta = kappa * (path integrals of u), and the negative
+log-likelihood up to a data-only constant is
+phi = sum(theta) - sum(y * log(theta)); its value and derivatives at
+coefficient vectors come from ``TGPosterior``.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 import struct
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,13 +36,13 @@ __all__ = [
     "Sinogram",
     "build_radon_operator",
     "simulate_data",
-    "potential_bounds",
     "write_sinogram_csv",
-    "read_sinogram_csv",
     "write_sinogram_bin",
     "read_sinogram_bin",
     "write_geometry_manifest",
 ]
+
+log = logging.getLogger(__name__)
 
 DETECTOR_SPAN = math.sqrt(2.0)  # projected width of the unit square
 
@@ -79,44 +87,15 @@ class Reparam:
 _EPS = 1e-12
 
 
-def _trace_ray(p0x, p0y, tx, ty, nx, ny, hx, hy):
-    """Exact pixel-intersection lengths of one line with the unit square."""
-    tlo, thi = -np.inf, np.inf
-    for p, t in ((p0x, tx), (p0y, ty)):
-        if abs(t) < _EPS:
-            if p <= 0.0 or p >= 1.0:
-                return None
-        else:
-            a1, a2 = (0.0 - p) / t, (1.0 - p) / t
-            tlo = max(tlo, min(a1, a2))
-            thi = min(thi, max(a1, a2))
-    if thi - tlo <= _EPS:
-        return None
-    cuts = [np.array([tlo, thi])]
-    if abs(tx) >= _EPS:
-        tv = (np.arange(nx + 1) * hx - p0x) / tx
-        cuts.append(tv[(tv > tlo) & (tv < thi)])
-    if abs(ty) >= _EPS:
-        th = (np.arange(ny + 1) * hy - p0y) / ty
-        cuts.append(th[(th > tlo) & (th < thi)])
-    ts = np.sort(np.concatenate(cuts))
-    lengths = np.diff(ts)
-    keep = lengths > 1e-13
-    if not np.any(keep):
-        return None
-    mids = 0.5 * (ts[:-1] + ts[1:])[keep]
-    ix = np.clip((p0x + mids * tx) / hx, 0, nx - 1).astype(int)
-    iy = np.clip((p0y + mids * ty) / hy, 0, ny - 1).astype(int)
-    return ix * ny + iy, lengths[keep]
-
-
 @dataclass(frozen=True)
 class RadonOperator:
     """Sparse parallel-beam path-integral operator theta = kappa * W u.
 
     The matrix keeps unit intersection lengths; kappa scales both apply and
     adjoint.  Rays that miss the domain are dropped at build time, so every
-    retained row has positive weight, bounded by the diagonal sqrt(2).
+    retained row has positive weight, bounded by the diagonal sqrt(2).  Rows
+    run angle-major, detector-minor (``angle_idx``, ``det_idx``), and the
+    matrix is canonical CSR, so each row sums its entries in pixel order.
     """
 
     grid: Grid
@@ -162,42 +141,85 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     """Trace n_angles * n_det rays across the grid and assemble the matrix.
 
     Projection angles are equispaced on [0, pi); for each angle the detector
-    bins span the full projected width sqrt(2), centered on the domain.
+    bins span the full projected width sqrt(2), centered on the domain.  The
+    rays of one angle share a direction and are traced together; rows come
+    in angle-major, detector-minor order.  The matrix is returned in
+    canonical CSR form (sorted, duplicate-free column indices), which fixes
+    the summation order of ``apply`` and ``adjoint``.
     """
     if n_angles < 1 or n_det < 1:
         raise ValueError("need at least one angle and one detector bin")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
+    t0 = time.perf_counter()
     offsets = (np.arange(n_det) + 0.5 - 0.5 * n_det) * (DETECTOR_SPAN / n_det)
-    rows, cols, vals = [], [], []
-    angle_idx, det_idx = [], []
-    n_dropped = 0
-    row = 0
+    counts, cols, vals, angle_idx, det_idx = [], [], [], [], []
     for k in range(n_angles):
         phi = k * math.pi / n_angles
         nxv, nyv = math.cos(phi), math.sin(phi)
-        txv, tyv = -nyv, nxv
-        for j, s in enumerate(offsets):
-            traced = _trace_ray(0.5 + s * nxv, 0.5 + s * nyv, txv, tyv,
-                                grid.nx, grid.ny, grid.hx, grid.hy)
-            if traced is None:
-                n_dropped += 1
-                continue
-            pix, lengths = traced
-            rows.append(np.full(pix.size, row))
-            cols.append(pix)
-            vals.append(lengths)
-            angle_idx.append(k)
-            det_idx.append(j)
-            row += 1
-    if row == 0:
+        n_seg, pix, lengths = _trace_angle(0.5 + offsets * nxv,
+                                           0.5 + offsets * nyv, -nyv, nxv,
+                                           grid)
+        kept = np.flatnonzero(n_seg)
+        counts.append(n_seg[kept])
+        cols.append(pix)
+        vals.append(lengths)
+        angle_idx.append(np.full(kept.size, k, dtype=np.uint32))
+        det_idx.append(kept.astype(np.uint32))
+    counts = np.concatenate(counts)
+    n_rays = counts.size
+    if n_rays == 0:
         raise ValueError("all rays missed the domain")
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(row, grid.npix))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    matrix = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
+                           shape=(n_rays, grid.npix))
+    matrix.sum_duplicates()
+    n_dropped = n_angles * n_det - n_rays
+    log.info("radon operator: %d rays kept, %d dropped, %d entries, %.3f s",
+             n_rays, n_dropped, matrix.nnz, time.perf_counter() - t0)
     return RadonOperator(grid, n_angles, n_det, kappa, matrix,
-                         np.array(angle_idx, dtype=np.uint32),
-                         np.array(det_idx, dtype=np.uint32), n_dropped)
+                         np.concatenate(angle_idx), np.concatenate(det_idx),
+                         n_dropped)
+
+
+def _trace_angle(p0x, p0y, tx, ty, grid: Grid):
+    """Exact pixel-intersection lengths of the parallel lines p0 + t (tx, ty)
+    with the unit square, one line per entry of p0x, p0y.
+
+    Returns the number of kept segments of each line (0 for a line that
+    misses the square), then the pixel index and length of every kept
+    segment, line after line, each line's segments in order of t.
+    """
+    n = p0x.size
+    tlo, thi = np.full(n, -np.inf), np.full(n, np.inf)
+    hit = np.ones(n, dtype=bool)
+    crossings = []
+    for p, t, m, h in ((p0x, tx, grid.nx, grid.hx), (p0y, ty, grid.ny, grid.hy)):
+        if abs(t) < _EPS:
+            hit &= (p > 0.0) & (p < 1.0)
+            continue
+        a1, a2 = (0.0 - p) / t, (1.0 - p) / t
+        tlo = np.maximum(tlo, np.minimum(a1, a2))
+        thi = np.minimum(thi, np.maximum(a1, a2))
+        crossings.append((np.arange(m + 1) * h - p[:, None]) / t)
+    hit &= thi - tlo > _EPS
+    lo, hi = tlo[hit, None], thi[hit, None]
+    # grid-line crossings outside (tlo, thi) clip onto an end point, where
+    # they only add zero-length segments
+    ts = np.concatenate([lo] + [np.clip(c[hit], lo, hi) for c in crossings]
+                        + [hi], axis=1)
+    ts.sort(axis=1)
+    lengths = np.diff(ts, axis=1)
+    keep = lengths > 1e-13
+    mids = (0.5 * (ts[:, :-1] + ts[:, 1:]))[keep]
+    n_kept = np.count_nonzero(keep, axis=1)
+    ix = np.clip((np.repeat(p0x[hit], n_kept) + mids * tx) / grid.hx,
+                 0, grid.nx - 1).astype(int)
+    iy = np.clip((np.repeat(p0y[hit], n_kept) + mids * ty) / grid.hy,
+                 0, grid.ny - 1).astype(int)
+    n_seg = np.zeros(n, dtype=np.int64)
+    n_seg[hit] = n_kept
+    return n_seg, ix * grid.ny + iy, lengths[keep]
 
 
 @dataclass(frozen=True)
@@ -245,23 +267,6 @@ def _phi_of_theta(theta: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sum(theta) - np.dot(counts, np.log(theta)))
 
 
-def potential_bounds(op: RadonOperator, rep: Reparam, r: float):
-    """Deterministic envelope M(r) <= phi <= N(r) for all data with ||y||_2 <= r.
-
-    Monotonicity in the intensity band gives per-ray bounds on theta; the
-    log-term is controlled by Cauchy-Schwarz against the worst-case log norm.
-    Returns (lower, upper, log_norm_bound).
-    """
-    lo, hi = rep.bounds
-    w = op.kappa * op.ray_weights
-    theta_lo, theta_hi = w * lo, w * hi
-    log_bound = math.sqrt(float(np.sum(np.maximum(np.log(theta_lo) ** 2,
-                                                  np.log(theta_hi) ** 2))))
-    return (float(np.sum(theta_lo)) - log_bound * r,
-            float(np.sum(theta_hi)) + log_bound * r,
-            log_bound)
-
-
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -271,15 +276,6 @@ def write_sinogram_csv(sino: Sinogram, path) -> None:
         fh.write("angle,det,count\n")
         for a, d, c in zip(sino.angle_idx, sino.det_idx, sino.counts):
             fh.write(f"{a},{d},{c}\n")
-
-
-def read_sinogram_csv(path, n_angles: int, n_det: int) -> Sinogram:
-    raw = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns, found {raw.shape[1]}")
-    if np.any(raw[:, 0] >= n_angles) or np.any(raw[:, 1] >= n_det):
-        raise ValueError(f"{path}: ray index outside the stated geometry")
-    return Sinogram(raw[:, 2], raw[:, 0], raw[:, 1], n_angles, n_det)
 
 
 _SIN_HEADER = struct.Struct("<4sIII")
@@ -322,6 +318,7 @@ def write_geometry_manifest(op: RadonOperator, path) -> None:
         "detector_span": DETECTOR_SPAN,
         "rays_kept": op.n_rays,
         "rays_dropped": op.n_dropped,
+        "nnz": op.matrix.nnz,
     }
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -1,13 +1,14 @@
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from poistomo.fields import Grid, ScalarField
-from poistomo.forward import (Reparam, Sinogram, _phi_of_theta,
-                              build_radon_operator, potential_bounds,
-                              read_sinogram_bin, read_sinogram_csv,
+from poistomo.forward import (DETECTOR_SPAN, Reparam, Sinogram, _phi_of_theta,
+                              build_radon_operator, read_sinogram_bin,
                               simulate_data, write_geometry_manifest,
                               write_sinogram_bin, write_sinogram_csv)
 from poistomo.klbasis import CovarianceSpec, build_kl_basis
@@ -151,6 +152,104 @@ def test_apply_accepts_images_flat_and_blocks(grid16, op16):
         np.testing.assert_allclose(block[k], op16.apply(vals[k]), rtol=1e-14)
 
 
+# --- reference tracer --------------------------------------------------------
+
+def _reference_ray(p0x, p0y, tx, ty, nx, ny, hx, hy, eps=1e-12):
+    """Pixel-intersection lengths of one line with the unit square, traced on
+    its own: the ray-by-ray form of the builder's per-angle tracer."""
+    tlo, thi = -np.inf, np.inf
+    for p, t in ((p0x, tx), (p0y, ty)):
+        if abs(t) < eps:
+            if p <= 0.0 or p >= 1.0:
+                return None
+        else:
+            a1, a2 = (0.0 - p) / t, (1.0 - p) / t
+            tlo = max(tlo, min(a1, a2))
+            thi = min(thi, max(a1, a2))
+    if thi - tlo <= eps:
+        return None
+    cuts = [np.array([tlo, thi])]
+    if abs(tx) >= eps:
+        tv = (np.arange(nx + 1) * hx - p0x) / tx
+        cuts.append(tv[(tv > tlo) & (tv < thi)])
+    if abs(ty) >= eps:
+        th = (np.arange(ny + 1) * hy - p0y) / ty
+        cuts.append(th[(th > tlo) & (th < thi)])
+    ts = np.sort(np.concatenate(cuts))
+    lengths = np.diff(ts)
+    keep = lengths > 1e-13
+    if not np.any(keep):
+        return None
+    mids = 0.5 * (ts[:-1] + ts[1:])[keep]
+    ix = np.clip((p0x + mids * tx) / hx, 0, nx - 1).astype(int)
+    iy = np.clip((p0y + mids * ty) / hy, 0, ny - 1).astype(int)
+    return ix * ny + iy, lengths[keep]
+
+
+def _reference_operator(grid, n_angles, n_det):
+    """Matrix, ray tables and drop count of a ray-by-ray trace, assembled
+    through COO."""
+    offsets = (np.arange(n_det) + 0.5 - 0.5 * n_det) * (DETECTOR_SPAN / n_det)
+    rows, cols, vals, angle_idx, det_idx = [], [], [], [], []
+    n_dropped = 0
+    for k in range(n_angles):
+        phi = k * math.pi / n_angles
+        nxv, nyv = math.cos(phi), math.sin(phi)
+        for j, s in enumerate(offsets):
+            traced = _reference_ray(0.5 + s * nxv, 0.5 + s * nyv, -nyv, nxv,
+                                    grid.nx, grid.ny, grid.hx, grid.hy)
+            if traced is None:
+                n_dropped += 1
+                continue
+            pix, lengths = traced
+            rows.append(np.full(pix.size, len(angle_idx)))
+            cols.append(pix)
+            vals.append(lengths)
+            angle_idx.append(k)
+            det_idx.append(j)
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(angle_idx), grid.npix))
+    return (matrix, np.array(angle_idx, dtype=np.uint32),
+            np.array(det_idx, dtype=np.uint32), n_dropped)
+
+
+@pytest.mark.parametrize("shape,n_angles,n_det", [
+    ((32, 32), 30, 32), ((128, 128), 60, 128), ((16, 16), 7, 9),
+    ((20, 20), 13, 31), ((64, 64), 4, 64), ((24, 16), 9, 20),
+    ((16, 40), 8, 33), ((8, 8), 1, 1),
+    ((8, 8), 2, 64),     # the second angle is pi/2: rays parallel to x
+    ((16, 16), 12, 16),  # the shared test operator
+    ((16, 16), 4, 15),   # one ray through the center at 45 degrees
+])
+def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det):
+    # the per-angle tracer reproduces the ray-by-ray trace bit for bit, so
+    # every product with the matrix rounds the same way
+    op = build_radon_operator(Grid(*shape), n_angles, n_det)
+    matrix, angle_idx, det_idx, n_dropped = _reference_operator(
+        op.grid, n_angles, n_det)
+    assert op.matrix.has_canonical_format
+    assert op.matrix.shape == matrix.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(op.matrix, name), getattr(matrix, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+    assert op.angle_idx.dtype == angle_idx.dtype == op.det_idx.dtype
+    assert np.array_equal(op.angle_idx, angle_idx)
+    assert np.array_equal(op.det_idx, det_idx)
+    assert op.n_dropped == n_dropped
+
+
+def test_build_logs_one_summary_line(caplog):
+    with caplog.at_level(logging.INFO, logger="poistomo.forward"):
+        op = build_radon_operator(Grid(8, 8), 3, 8)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "poistomo.forward"]
+    assert len(lines) == 1
+    assert f"{op.n_rays} rays kept, {op.n_dropped} dropped, " \
+           f"{op.matrix.nnz} entries" in lines[0]
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         build_radon_operator(Grid(8, 8), 0, 8)
@@ -198,9 +297,24 @@ def test_potential_grad_matches_central_differences(post16_smooth):
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
+def _potential_envelope(op, rep, r):
+    """Deterministic envelope M(r) <= phi <= N(r) for all data with
+    ||y||_2 <= r: monotonicity in the intensity band bounds theta ray by ray,
+    and Cauchy-Schwarz against the worst-case log norm bounds the log term.
+    Returns (lower, upper, log_norm_bound)."""
+    lo, hi = rep.bounds
+    w = op.kappa * op.ray_weights
+    theta_lo, theta_hi = w * lo, w * hi
+    log_bound = math.sqrt(float(np.sum(np.maximum(np.log(theta_lo) ** 2,
+                                                  np.log(theta_hi) ** 2))))
+    return (float(np.sum(theta_lo)) - log_bound * r,
+            float(np.sum(theta_hi)) + log_bound * r,
+            log_bound)
+
+
 def test_potential_envelope_contains_all_values(op16, rep, basis60):
     r = 40.0
-    lo, hi, log_bound = potential_bounds(op16, rep, r)
+    lo, hi, log_bound = _potential_envelope(op16, rep, r)
     assert log_bound > 0.0
     rng = np.random.default_rng(41)
     for _ in range(100):
@@ -239,10 +353,20 @@ def test_phi_rejects_nonpositive_theta(op16, rep, basis60):
 
 # --- serialization -----------------------------------------------------------
 
+def _read_sinogram_csv(path, n_angles, n_det):
+    """Read back the (angle, det, count) rows ``write_sinogram_csv`` writes."""
+    raw = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+    if raw.shape[1] != 3:
+        raise ValueError(f"{path}: expected 3 columns, found {raw.shape[1]}")
+    if np.any(raw[:, 0] >= n_angles) or np.any(raw[:, 1] >= n_det):
+        raise ValueError(f"{path}: ray index outside the stated geometry")
+    return Sinogram(raw[:, 2], raw[:, 0], raw[:, 1], n_angles, n_det)
+
+
 def test_sinogram_csv_roundtrip(tmp_path, sino16):
     path = tmp_path / "s.csv"
     write_sinogram_csv(sino16, path)
-    back = read_sinogram_csv(path, sino16.n_angles, sino16.n_det)
+    back = _read_sinogram_csv(path, sino16.n_angles, sino16.n_det)
     assert np.array_equal(back.counts, sino16.counts)
     assert np.array_equal(back.angle_idx, sino16.angle_idx)
     assert np.array_equal(back.det_idx, sino16.det_idx)
@@ -252,7 +376,7 @@ def test_sinogram_csv_rejects_out_of_range(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("angle,det,count\n5,0,3\n")
     with pytest.raises(ValueError):
-        read_sinogram_csv(path, 4, 4)
+        _read_sinogram_csv(path, 4, 4)
 
 
 def test_sinogram_bin_roundtrip(tmp_path, sino16):
@@ -293,4 +417,5 @@ def test_geometry_manifest(tmp_path, op16):
     assert doc["n_det"] == 16
     assert doc["rays_kept"] == op16.n_rays
     assert doc["rays_dropped"] == op16.n_dropped
+    assert doc["nnz"] == op16.matrix.nnz
     assert list(doc) == sorted(doc)
