@@ -5,6 +5,9 @@ test value enters the interval: near 0 where the value sits at the center of
 the marginal, near 1 far in the tails, exactly 1 outside the sample range.
 Structure that the data cannot support lights up as a coherent high-level
 region, while mere noise stays diffuse.
+
+Memory: the screen holds one (n, npix) array of intensity samples, sorted
+in place, plus synthesis blocks of ``diagnostics.BLOCK_FLOATS`` floats.
 """
 
 from __future__ import annotations
@@ -97,11 +100,11 @@ def credible_level_map(chain: Chain, basis: KLBasis, rep: Reparam,
     n = u.shape[0]
     if n == 0:
         raise ValueError("chain holds no kept samples")
-    s = np.sort(u, axis=0)
+    u.sort(axis=0)
     target = test_image.ravel()
     levels = np.empty(target.size)
     for p in range(target.size):
-        levels[p] = credible_level(s[:, p], float(target[p]))
+        levels[p] = credible_level(u[:, p], float(target[p]))
     return CredibleLevelMap(ScalarField(basis.grid, levels), n)
 
 

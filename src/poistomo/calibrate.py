@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
+from .diagnostics import block_rows
 from .posterior import TGPosterior
 from .samplers import Chain, SamplerConfig, run_chain, tune_stepsize
 
@@ -100,12 +101,15 @@ class PredictiveResult:
 def posterior_predictive_p(chain: Chain, post: TGPosterior,
                            max_samples: int | None = None,
                            denominator: str = "theta",
-                           block: int = 1024) -> PredictiveResult:
+                           block: int | None = None) -> PredictiveResult:
     """Average the classical p-value over posterior intensity samples.
 
     The Monte Carlo standard error treats samples as independent; thin the
     chain first when autocorrelation matters.  An even subsample of at most
-    max_samples kept states is used when the cap is set.
+    max_samples kept states is used when the cap is set.  Samples go through
+    in blocks of ``block`` rows, by default as many rows of max(npix, n_rays)
+    floats as fit ``diagnostics.BLOCK_FLOATS``, so the extra memory is
+    O(budget); the p-values do not depend on the block.
     """
     samples = chain.samples
     if max_samples is not None and samples.shape[0] > max_samples:
@@ -114,6 +118,8 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
     n = samples.shape[0]
     if n == 0:
         raise ValueError("chain holds no kept samples")
+    if block is None:
+        block = block_rows(max(post.basis.grid.npix, post.op.n_rays))
     pvals = np.empty(n)
     for lo in range(0, n, block):
         hi = min(lo + block, n)

@@ -5,7 +5,9 @@ Every subcommand reads the same layered configuration (preset, optional INI
 file, --seed override) and writes its products plus a manifest of sha256
 hashes into the output directory.  Outputs are deterministic functions of
 configuration and seed, so rerunning a command reproduces its files byte for
-byte; the manifests make drift detectable.
+byte; the manifests make drift detectable.  Each manifest also records the
+command's cost, its wall time ``wall_s`` and the process's peak resident
+memory ``peak_rss_mb``, which vary from run to run.
 
 Exit codes: 0 success, 2 for configuration or input validation errors,
 3 for runtime failures (solver breakdown, unreadable files, diverged chains).
@@ -18,7 +20,9 @@ import dataclasses
 import hashlib
 import json
 import logging
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +60,21 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, cfg: RunConfig,
-                    inputs: dict, outputs: list, extra: dict | None = None
-                    ) -> Path:
+def _write_manifest(args, outdir: Path, cfg: RunConfig, inputs: dict,
+                    outputs: list, extra: dict | None = None) -> Path:
+    # ru_maxrss counts KiB on Linux
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     body = {
-        "command": command,
+        "command": args.command,
         "config_hash": cfg.config_hash(),
         "inputs": {name: _sha256(Path(p)) for name, p in inputs.items()},
         "outputs": {name: _sha256(outdir / name) for name in outputs},
+        "wall_s": time.perf_counter() - args.started,
+        "peak_rss_mb": peak_kib / 1024,
     }
     if extra:
         body.update(extra)
-    path = outdir / f"{command}_manifest.json"
+    path = outdir / f"{args.command}_manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -115,7 +122,7 @@ def cmd_phantom(args) -> int:
     write_field_csv(truth, outdir / "phantom.csv")
     write_pgm(truth, outdir / "phantom.pgm")
     write_config(cfg, outdir / "effective_config.ini")
-    _write_manifest(outdir, "phantom", cfg, {},
+    _write_manifest(args, outdir, cfg, {},
                     ["phantom.csv", "phantom.pgm", "effective_config.ini"])
     print(f"phantom written to {outdir}")
     return _EXIT_OK
@@ -132,7 +139,7 @@ def cmd_simulate(args) -> int:
     write_sinogram_bin(sino, outdir / "sinogram.bin")
     write_sinogram_csv(sino, outdir / "sinogram.csv")
     write_geometry_manifest(op, outdir / "geometry.json")
-    _write_manifest(outdir, "simulate", cfg,
+    _write_manifest(args, outdir, cfg,
                     {"phantom.csv": phantom_path},
                     ["sinogram.bin", "sinogram.csv", "geometry.json"],
                     {"total_counts": int(sino.counts.sum()),
@@ -173,7 +180,7 @@ def cmd_calibrate(args) -> int:
               f"selected tv_weight {sel.tv_weight:.4f}")
     else:
         print("no admissible interval found on the given grid")
-    _write_manifest(outdir, "calibrate", cfg, {"sinogram.bin": sino_path},
+    _write_manifest(args, outdir, cfg, {"sinogram.bin": sino_path},
                     outputs, extra)
     return _EXIT_OK
 
@@ -212,7 +219,7 @@ def cmd_sample(args) -> int:
     chain = run_chain(post, scfg, init=init, anchor=anchor)
     save_chain(chain, outdir / "chain.bin")
     outputs += ["chain.bin", "chain.bin.json"]
-    _write_manifest(outdir, "sample", cfg, {"sinogram.bin": sino_path},
+    _write_manifest(args, outdir, cfg, {"sinogram.bin": sino_path},
                     outputs, {"acceptance_rate": chain.acceptance_rate,
                               "kept_samples": chain.n_kept,
                               "map_converged": map_converged})
@@ -253,7 +260,7 @@ def cmd_summarize(args) -> int:
     with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_manifest(outdir, "summarize", cfg, inputs,
+    _write_manifest(args, outdir, cfg, inputs,
                     ["mean.csv", "mean.pgm", "hpdi_lo.csv", "hpdi_hi.csv",
                      "hpdi_width.csv", "summary.json"])
     if "psnr_mean_vs_truth" in summary:
@@ -292,7 +299,7 @@ def cmd_detect(args) -> int:
     write_level_map(level_map, outdir / "levels.pgm", outdir / "levels.csv")
     extra["max_level"] = float(level_map.levels.values.max())
     extra["level_resolution"] = level_map.resolution
-    _write_manifest(outdir, "detect", cfg,
+    _write_manifest(args, outdir, cfg,
                     {"chain.bin": chain_path, "test_image.csv": test_path},
                     ["levels.pgm", "levels.csv"], extra)
     print(f"credible level map written, max level "
@@ -316,7 +323,7 @@ def cmd_diag(args) -> int:
     ess = ess_matrix(chain.samples)
     write_ess_csv(outdir / "ess.csv", ess,
                   labels=[f"coeff{j}" for j in range(chain.n_modes)])
-    _write_manifest(outdir, "diag", cfg, {"chain.bin": chain_path},
+    _write_manifest(args, outdir, cfg, {"chain.bin": chain_path},
                     ["acf.csv", "ess.csv"],
                     {"median_ess": float(np.median(ess)),
                      "min_ess": float(ess.min()),
@@ -408,6 +415,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (ConfigError, ValueError) as exc:

@@ -5,6 +5,12 @@ synthesized to latent fields and passed through the positivity map before
 averaging or interval construction.  ESS uses the initial-positive-sequence
 rule: the integrated autocorrelation time sums ACF values until the first
 nonpositive lag.
+
+Memory: every pass that synthesizes chain rows, or transforms chain columns,
+works on blocks of at most ``BLOCK_FLOATS`` floats (4 MB), so the posterior
+mean and the ESS take O(budget) memory beyond the chain.  Exact pointwise
+HPD bounds need every sample of a pixel at once: ``pointwise_hpdi`` holds
+one (n, npix) intensity array and sorts it in place.
 """
 
 from __future__ import annotations
@@ -31,6 +37,51 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# float budget of one block of any blocked pass over a chain (2^19 floats)
+BLOCK_FLOATS = 1 << 19
+
+
+def block_rows(width: int) -> int:
+    """Rows of a width-wide float block that fit the block budget."""
+    return max(1, BLOCK_FLOATS // width)
+
+
+def _columns(traces) -> np.ndarray:
+    """A (steps, series) float array; a 1-D trace is one column."""
+    x = np.atleast_2d(np.asarray(traces, dtype=float))
+    if x.shape[0] == 1 and x.ndim == 2 and np.asarray(traces).ndim == 1:
+        x = x.T
+    if x.shape[0] < 2:
+        raise ValueError("need at least two steps for an autocorrelation")
+    return x
+
+
+def _nfft(n: int) -> int:
+    return 1 << int(np.ceil(np.log2(2 * n)))
+
+
+def _acf(x: np.ndarray, mean: np.ndarray, max_lag: int):
+    """ACF of the columns of x about the given column means, lags 0..max_lag;
+    also returns the count of degenerate (constant) columns, set to 1."""
+    n = x.shape[0]
+    nfft = _nfft(n)
+    spec = np.fft.rfft(x - mean, n=nfft, axis=0)
+    # not in place: numpy's in-place complex product rounds differently
+    cov = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=0)[:max_lag + 1]
+    del spec
+    var = cov[0].copy()
+    degenerate = var <= 0.0
+    var[degenerate] = 1.0
+    out = cov / var
+    out[:, degenerate] = 1.0
+    return out, int(np.sum(degenerate))
+
+
+def _warn_degenerate(count: int) -> None:
+    if count:
+        log.warning("acf: %d degenerate (constant) series, returning 1 at "
+                    "all lags", count)
+
 
 def acf_matrix(traces: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     """Column-wise autocorrelation of a (steps, series) array.
@@ -39,25 +90,11 @@ def acf_matrix(traces: np.ndarray, max_lag: int | None = None) -> np.ndarray:
     lag zero, computed with an FFT.  Columns with zero variance return 1 at
     every lag by convention after a degenerate-series warning.
     """
-    x = np.atleast_2d(np.asarray(traces, dtype=float))
-    if x.shape[0] == 1 and x.ndim == 2 and np.asarray(traces).ndim == 1:
-        x = x.T
+    x = _columns(traces)
     n = x.shape[0]
-    if n < 2:
-        raise ValueError("need at least two steps for an autocorrelation")
     max_lag = n - 1 if max_lag is None else min(int(max_lag), n - 1)
-    centered = x - x.mean(axis=0)
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
-    spec = np.fft.rfft(centered, n=nfft, axis=0)
-    cov = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=0)[:max_lag + 1]
-    var = cov[0].copy()
-    degenerate = var <= 0.0
-    if np.any(degenerate):
-        log.warning("acf: %d degenerate (constant) series, returning 1 at "
-                    "all lags", int(np.sum(degenerate)))
-        var[degenerate] = 1.0
-    out = cov / var
-    out[:, degenerate] = 1.0
+    out, degenerate = _acf(x, x.mean(axis=0), max_lag)
+    _warn_degenerate(degenerate)
     return out
 
 
@@ -72,31 +109,63 @@ def _tau_from_acf(rho: np.ndarray) -> np.ndarray:
 
 
 def ess_matrix(traces: np.ndarray) -> np.ndarray:
-    """Effective sample size n / (1 + 2 tau) per column."""
-    x = np.asarray(traces, dtype=float)
-    rho = acf_matrix(x)
-    return x.shape[0] / (1.0 + 2.0 * _tau_from_acf(rho))
+    """Effective sample size n / (1 + 2 tau) per column.
+
+    Columns go through the FFT in blocks whose FFT length times column count
+    fits ``BLOCK_FLOATS``, so the extra memory is a few budgets, not several
+    copies of the chain.  Column means are taken over the whole array first,
+    so each column's ESS is the same, bit for bit, as from ``acf_matrix``.
+    """
+    x = _columns(traces)
+    n, m = x.shape
+    mean = x.mean(axis=0)
+    cols = block_rows(_nfft(n))
+    tau = np.empty(m)
+    degenerate = 0
+    for lo in range(0, m, cols):
+        rho, d = _acf(x[:, lo:lo + cols], mean[lo:lo + cols], n - 1)
+        tau[lo:lo + cols] = _tau_from_acf(rho)
+        degenerate += d
+    _warn_degenerate(degenerate)
+    return n / (1.0 + 2.0 * tau)
+
+
+def _intensity_blocks(samples: np.ndarray, basis: KLBasis, rep: Reparam):
+    """(first row, intensity block) pairs over the rows of samples."""
+    rows = block_rows(basis.grid.npix)
+    for lo in range(0, samples.shape[0], rows):
+        yield lo, rep.apply(basis.synthesize_values(samples[lo:lo + rows]))
 
 
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
-                      thin: int = 1, block: int = 2048) -> np.ndarray:
-    """Intensity fields of (possibly thinned) kept samples, (count, npix)."""
+                      thin: int = 1) -> np.ndarray:
+    """Intensity fields of (possibly thinned) kept samples, (count, npix).
+
+    The result is one (count, npix) array; synthesis runs in row blocks of
+    at most ``BLOCK_FLOATS`` floats on top of it.
+    """
     if thin < 1:
         raise ValueError("thin must be at least 1")
     samples = chain.samples[::thin]
     out = np.empty((samples.shape[0], basis.grid.npix))
-    for lo in range(0, samples.shape[0], block):
-        hi = min(lo + block, samples.shape[0])
-        out[lo:hi] = rep.apply(basis.synthesize_values(samples[lo:hi]))
+    for lo, u in _intensity_blocks(samples, basis, rep):
+        out[lo:lo + u.shape[0]] = u
     return out
 
 
 def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
-    """Sample average of the intensity u = f(z) over kept states."""
+    """Sample average of the intensity u = f(z) over kept states.
+
+    Rows are added one at a time in chain order, the order of
+    ``intensity_samples(...).mean(axis=0)``, without forming that array.
+    """
     if chain.n_kept == 0:
         raise ValueError("chain holds no kept samples")
-    return ScalarField(basis.grid,
-                       intensity_samples(chain, basis, rep).mean(axis=0))
+    total = np.zeros(basis.grid.npix)
+    for _, u in _intensity_blocks(chain.samples, basis, rep):
+        for row in u:
+            total += row
+    return ScalarField(basis.grid, total / chain.n_kept)
 
 
 def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
@@ -125,14 +194,16 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     """Per-pixel highest-posterior-density intervals of the intensity.
 
     Marginal credible intervals only; nothing joint is claimed.  Returns the
-    lower and upper envelope fields.
+    lower and upper envelope fields.  Holds one (n, npix) intensity array,
+    sorted in place.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     u = intensity_samples(chain, basis, rep)
     if u.shape[0] == 0:
         raise ValueError("chain holds no kept samples")
-    lo, hi = hpdi_sorted(np.sort(u, axis=0), alpha)
+    u.sort(axis=0)
+    lo, hi = hpdi_sorted(u, alpha)
     return (ScalarField(basis.grid, lo), ScalarField(basis.grid, hi))
 
 

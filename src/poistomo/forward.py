@@ -285,9 +285,10 @@ def write_sinogram_bin(sino: Sinogram, path) -> None:
     """Binary form: magic "SIN1", geometry and ray tables, then int64 counts."""
     with open(path, "wb") as fh:
         fh.write(_SIN_HEADER.pack(b"SIN1", sino.n_angles, sino.n_det, sino.n_rays))
-        fh.write(sino.angle_idx.astype("<u4").tobytes())
-        fh.write(sino.det_idx.astype("<u4").tobytes())
-        fh.write(sino.counts.astype("<i8").tobytes())
+        # each table is copied only if its dtype or byte order differs
+        fh.write(np.ascontiguousarray(sino.angle_idx, dtype="<u4"))
+        fh.write(np.ascontiguousarray(sino.det_idx, dtype="<u4"))
+        fh.write(np.ascontiguousarray(sino.counts, dtype="<i8"))
 
 
 def read_sinogram_bin(path) -> Sinogram:

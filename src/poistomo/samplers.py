@@ -291,7 +291,8 @@ def save_chain(chain: Chain, path) -> None:
         fh.write(_CHAIN_HEADER.pack(b"CHN1", 1, chain.n_modes, chain.n_kept,
                                     cfg.thinning, cfg.seed,
                                     _KIND_CODE[cfg.kind], cfg.stepsize))
-        fh.write(chain.samples.astype("<f8").tobytes())
+        # converts (copies) only if the samples are not little-endian f8 rows
+        fh.write(np.ascontiguousarray(chain.samples, dtype="<f8"))
     sidecar = {
         "kind": cfg.kind,
         "n_samples": cfg.n_samples,

@@ -99,6 +99,15 @@ def test_predictive_p_matches_row_loop(post16, denominator):
         np.std(pvals, ddof=1) / math.sqrt(37), rel=1e-9, abs=1e-300)
 
 
+def test_predictive_p_does_not_depend_on_the_block(post16):
+    rng = np.random.default_rng(5)
+    samples = 0.3 * rng.standard_normal((150, post16.n_modes))
+    chain = Chain(samples, SamplerConfig("pcn", 150, burn_in=0), 1.0)
+    default = posterior_predictive_p(chain, post16)
+    small = posterior_predictive_p(chain, post16, block=16)
+    assert (default.p, default.stderr) == (small.p, small.stderr)
+
+
 def test_default_statistic_is_calibrated_at_the_truth():
     # counts drawn at the true expected counts on the desk geometry: the
     # default (Pearson) p-value is roughly uniform, while the theta^2

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand on a tiny grid, and the exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,10 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
     for command in PIPELINE:
         assert _run(command, tiny_ini, out) == 0, command
         assert (out / f"{command}_manifest.json").is_file(), command
+    for command in PIPELINE:
+        cost = json.loads((out / f"{command}_manifest.json").read_text())
+        for key in ("wall_s", "peak_rss_mb"):
+            assert math.isfinite(cost[key]) and cost[key] > 0, (command, key)
     manifest = json.loads((out / "sample_manifest.json").read_text())
     assert manifest["map_converged"] in (True, False)
     assert (out / "map_residuals.csv").is_file()

@@ -3,17 +3,24 @@
 HPD windows are checked against hand-made samples, the per-pixel intervals
 against the one-dimensional window search, credible levels against the
 symmetric quantile sample whose answers are known in closed form, and the
-effective sample size against the AR(1) formula.
+effective sample size against the AR(1) formula.  The blocked passes are
+checked bit for bit against their unblocked forms, and their memory peaks
+(tracemalloc) on a desk-sized chain against fixed multiples of its size.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from poistomo.artifacts import credible_level
-from poistomo.diagnostics import (ess_matrix, hpdi_sorted, intensity_samples,
-                                  pointwise_hpdi)
+from poistomo import build_kl_basis, parse_config
+from poistomo.artifacts import credible_level, credible_level_map
+from poistomo.diagnostics import (_nfft, _tau_from_acf, acf_matrix,
+                                  block_rows, ess_matrix, hpdi_sorted,
+                                  intensity_samples, pointwise_hpdi,
+                                  posterior_mean)
 from poistomo.samplers import Chain, SamplerConfig
 
 # ---------------------------------------------------------------------------
@@ -110,3 +117,77 @@ def test_ess_of_ar1_matches_the_closed_form():
     ratio = ess_matrix(x) / (n * (1.0 - s) / (1.0 + s))
     assert np.all(np.abs(ratio - 1.0) <= 0.15)
     assert abs(float(np.mean(ratio)) - 1.0) <= 0.05
+
+
+def test_blocked_ess_matches_the_whole_array_bit_for_bit():
+    # 4,500 steps: 32 columns per FFT block, so 65 columns leave a last
+    # block of one column
+    n = 4500
+    cols = block_rows(_nfft(n))
+    x = lfilter([1.0], [1.0, -0.7],
+                np.random.default_rng(5).standard_normal((n, 2 * cols + 1)),
+                axis=0)
+    assert x.shape[1] % cols == 1
+    whole = n / (1.0 + 2.0 * _tau_from_acf(acf_matrix(x)))
+    assert np.array_equal(ess_matrix(x), whole)
+    one = x[:, 7].copy()
+    assert np.array_equal(ess_matrix(one),
+                          n / (1.0 + 2.0 * _tau_from_acf(acf_matrix(one))))
+    assert ess_matrix(one).shape == (1,)
+
+
+def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
+    # more rows than one synthesis block holds, ending in a partial block
+    rows = block_rows(basis60.grid.npix)
+    n = 2 * rows + 5
+    chain = Chain(0.7 * np.random.default_rng(6).standard_normal(
+        (n, basis60.n_modes)), SamplerConfig("pcn", n, burn_in=0), 1.0)
+    mean = posterior_mean(chain, basis60, rep)
+    assert np.array_equal(mean.ravel(),
+                          intensity_samples(chain, basis60, rep).mean(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# memory of the summaries on a desk-sized chain
+
+
+@pytest.fixture(scope="module")
+def desk_chain():
+    cfg = parse_config(preset="desk")
+    basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
+    samples = 0.5 * np.random.default_rng(7).standard_normal(
+        (4500, basis.n_modes))
+    chain = Chain(samples, SamplerConfig("pcn", 4500, burn_in=0), 1.0)
+    return chain, basis, cfg.reparam
+
+
+def _peak_bytes(fn, *args, **kwargs) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ess_peak_memory_stays_below_the_chain(desk_chain):
+    chain, _, _ = desk_chain
+    assert chain.samples.shape == (4500, 500)
+    assert _peak_bytes(ess_matrix, chain.samples) <= chain.samples.nbytes
+
+
+def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):
+    chain, basis, rep = desk_chain
+    intensities = chain.n_kept * basis.grid.npix * 8
+    assert _peak_bytes(posterior_mean, chain, basis, rep) \
+        <= 0.75 * intensities
+
+
+def test_hpd_and_levels_hold_one_intensity_array(desk_chain):
+    chain, basis, rep = desk_chain
+    intensities = chain.n_kept * basis.grid.npix * 8
+    assert _peak_bytes(pointwise_hpdi, chain, basis, rep, 0.05) \
+        <= 1.5 * intensities
+    image = posterior_mean(chain, basis, rep)
+    assert _peak_bytes(credible_level_map, chain, basis, rep, image) \
+        <= 1.5 * intensities

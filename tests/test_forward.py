@@ -388,6 +388,15 @@ def test_sinogram_bin_roundtrip(tmp_path, sino16):
     assert back.n_det == sino16.n_det
 
 
+def test_sinogram_bin_tables_are_little_endian(tmp_path, sino16):
+    path = tmp_path / "s.bin"
+    write_sinogram_bin(sino16, path)
+    tables = (sino16.angle_idx.astype("<u4").tobytes()
+              + sino16.det_idx.astype("<u4").tobytes()
+              + sino16.counts.astype("<i8").tobytes())
+    assert path.read_bytes()[-len(tables):] == tables
+
+
 def test_sinogram_bin_bad_magic(tmp_path):
     path = tmp_path / "s.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 12)

@@ -8,6 +8,7 @@ on matched random streams.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,23 @@ def test_chain_roundtrip(tmp_path, post16):
     sidecar = json.loads((tmp_path / "chain.bin.json").read_text())
     assert sidecar["kind"] == "pcn"
     assert sidecar["n_kept"] == chain.n_kept
+
+
+def test_chain_file_holds_the_little_endian_samples(tmp_path):
+    rng = np.random.default_rng(29)
+    chain = Chain(rng.standard_normal((2000, 500)),
+                  SamplerConfig("pcn", 2000, beta=0.5, burn_in=0), 1.0)
+    path = tmp_path / "chain.bin"
+    tracemalloc.start()
+    try:
+        save_chain(chain, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the samples go to the file without an intermediate copy
+    assert peak < chain.samples.nbytes / 4
+    payload = path.read_bytes()[-chain.samples.nbytes:]
+    assert payload == chain.samples.astype("<f8").tobytes()
 
 
 def test_chain_loads_without_sidecar(tmp_path):
