@@ -6,8 +6,10 @@ the marginal, near 1 far in the tails, exactly 1 outside the sample range.
 Structure that the data cannot support lights up as a coherent high-level
 region, while mere noise stays diffuse.
 
-Memory: the screen holds one (n, npix) array of intensity samples, sorted
-in place, plus synthesis blocks of ``diagnostics.BLOCK_FLOATS`` floats.
+Memory: the screen runs over ``diagnostics.sorted_strips``, so it holds the
+sorted intensity samples of one strip of image x-rows at a time (n x strip
+pixels within ``diagnostics.BLOCK_FLOATS`` floats, but at least one x-row),
+never the (n, npix) array.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import intensity_samples
+from .diagnostics import sorted_strips
 from .fields import ScalarField, write_field_csv, write_pgm
 from .forward import Reparam
 from .klbasis import KLBasis
@@ -96,15 +98,17 @@ def credible_level_map(chain: Chain, basis: KLBasis, rep: Reparam,
     """Per-pixel credible levels of a test image under the chain's posterior."""
     if test_image.grid != basis.grid:
         raise ValueError("test image grid does not match the basis grid")
-    u = intensity_samples(chain, basis, rep, thin=thin)
-    n = u.shape[0]
+    if thin < 1:
+        raise ValueError("thin must be at least 1")
+    samples = chain.samples[::thin]
+    n = samples.shape[0]
     if n == 0:
         raise ValueError("chain holds no kept samples")
-    u.sort(axis=0)
     target = test_image.ravel()
     levels = np.empty(target.size)
-    for p in range(target.size):
-        levels[p] = credible_level(u[:, p], float(target[p]))
+    for pixels, strip in sorted_strips(samples, basis, rep):
+        for j, p in enumerate(range(pixels.start, pixels.stop)):
+            levels[p] = credible_level(strip[:, j], float(target[p]))
     return CredibleLevelMap(ScalarField(basis.grid, levels), n)
 
 

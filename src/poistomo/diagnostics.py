@@ -8,9 +8,14 @@ nonpositive lag.
 
 Memory: every pass that synthesizes chain rows, or transforms chain columns,
 works on blocks of at most ``BLOCK_FLOATS`` floats (4 MB), so the posterior
-mean and the ESS take O(budget) memory beyond the chain.  Exact pointwise
-HPD bounds need every sample of a pixel at once: ``pointwise_hpdi`` holds
-one (n, npix) intensity array and sorts it in place.
+mean and the ESS take a few budgets of memory beyond the chain.  Exact
+pointwise HPD bounds need every sample of a pixel at once, so
+``sorted_strips`` synthesizes, maps and sorts the samples of one strip of
+whole image x-rows at a time, sized so that n x strip pixels fits the budget;
+``pointwise_hpdi`` (and ``artifacts.credible_level_map``) never hold the
+(n, npix) intensity array.  A strip is at least one x-row, so when n * ny
+exceeds ``BLOCK_FLOATS`` a strip exceeds the budget: a chain that long must
+be thinned first.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "posterior_mean",
     "pointwise_hpdi",
     "hpdi_sorted",
+    "sorted_strips",
     "write_acf_csv",
     "write_ess_csv",
 ]
@@ -165,7 +171,36 @@ def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
     for _, u in _intensity_blocks(chain.samples, basis, rep):
         for row in u:
             total += row
+        del u, row   # free this block before the next one is synthesized
     return ScalarField(basis.grid, total / chain.n_kept)
+
+
+def sorted_strips(samples: np.ndarray, basis: KLBasis, rep: Reparam):
+    """Sorted intensity samples of the pixels, one strip of x-rows at a time.
+
+    Yields (pixels, strip) pairs: ``pixels`` slices the flat image and
+    ``strip`` holds the intensities of those pixels for every row of
+    samples, each column sorted.  A strip holds as many whole x-rows as fit
+    n x strip pixels in ``BLOCK_FLOATS``, at least one.  One strip buffer
+    and one synthesis scatter buffer serve the whole pass, so each yielded
+    strip is overwritten by the next.
+    """
+    n = samples.shape[0]
+    nx, ny = basis.grid.shape
+    width = min(nx, max(1, BLOCK_FLOATS // (n * ny)))
+    rows = min(n, block_rows(basis.grid.npix))
+    buf = np.empty(n * width * ny)
+    scatter = basis.modes.scatter_buffer(rows)
+    log.info("strip pass: %d samples, %d pixels, %d strips of %.2f MB",
+             n, basis.grid.npix, -(-nx // width), buf.nbytes / 2**20)
+    for x0 in range(0, nx, width):
+        x_rows = slice(x0, min(x0 + width, nx))
+        strip = buf[:n * (x_rows.stop - x0) * ny].reshape(n, -1)
+        for lo in range(0, n, rows):
+            strip[lo:lo + rows] = rep.apply(basis.synthesize_values(
+                samples[lo:lo + rows], x_rows, scatter))
+        strip.sort(axis=0)
+        yield slice(x0 * ny, x_rows.stop * ny), strip
 
 
 def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
@@ -194,16 +229,16 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     """Per-pixel highest-posterior-density intervals of the intensity.
 
     Marginal credible intervals only; nothing joint is claimed.  Returns the
-    lower and upper envelope fields.  Holds one (n, npix) intensity array,
-    sorted in place.
+    lower and upper envelope fields.  Works over ``sorted_strips``, so it
+    never holds the (n, npix) intensity array.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    u = intensity_samples(chain, basis, rep)
-    if u.shape[0] == 0:
+    if chain.n_kept == 0:
         raise ValueError("chain holds no kept samples")
-    u.sort(axis=0)
-    lo, hi = hpdi_sorted(u, alpha)
+    lo, hi = np.empty(basis.grid.npix), np.empty(basis.grid.npix)
+    for pixels, strip in sorted_strips(chain.samples, basis, rep):
+        lo[pixels], hi[pixels] = hpdi_sorted(strip, alpha)
     return (ScalarField(basis.grid, lo), ScalarField(basis.grid, hi))
 
 

@@ -77,7 +77,13 @@ class Reparam:
         return self.a / (self.c * math.sqrt(math.pi))
 
     def apply(self, z):
-        return 0.5 * self.a * (erf(np.asarray(z, dtype=float) / self.c) + self.b)
+        # one fresh array, updated in place: the bits of
+        # 0.5 * a * (erf(z / c) + b) without its three temporaries
+        u = np.divide(z, self.c, out=np.empty(np.shape(z)))
+        erf(u, out=u)
+        u += self.b
+        u *= 0.5 * self.a
+        return u if u.ndim else u[()]
 
     def deriv(self, z):
         z = np.asarray(z, dtype=float)

@@ -72,11 +72,13 @@ class KLModes:
     the square matrices ex, ey are 1d eigenvectors.  ``w @ modes`` (synthesis
     of a weight vector or a (k, n_modes) block) and ``modes @ d`` (inner
     products with one vector of pixel values) run as two small matrix
-    products each, without forming the matrix.  Integer indexing gives one
-    dense row, slicing a sub-basis that shares the factors;
-    ``np.asarray(modes)`` forms the dense matrix and is meant for tests.
-    ``__array_ufunc__ = None`` makes ``ndarray @ modes`` defer to
-    ``__rmatmul__`` instead of densifying.
+    products each, without forming the matrix.  ``x_strip`` synthesizes only
+    the pixels of a band of image x-rows X through the rectangular factor
+    ex[:, X]: since pixels run row-major, those are one contiguous slice of
+    every pixel row.  Integer indexing gives one dense row, slicing a
+    sub-basis that shares the factors; ``np.asarray(modes)`` forms the dense
+    matrix and is meant for tests.  ``__array_ufunc__ = None`` makes
+    ``ndarray @ modes`` defer to ``__rmatmul__`` instead of densifying.
     """
 
     ex: np.ndarray = field(repr=False)
@@ -126,6 +128,38 @@ class KLModes:
         np.matmul(np.matmul(self.ex.T, buf), self.ey, out=buf)
         return buf.reshape(w.shape[:-1] + (self.shape[1],))
 
+    def scatter_buffer(self, rows: int) -> np.ndarray:
+        """A zeroed (nx, ny, rows) weight buffer for ``x_strip``.
+
+        Every ``x_strip`` call writes the same mode positions and leaves the
+        rest at zero, so one buffer serves a whole pass of calls.
+        """
+        return np.zeros((self.ex.shape[0], self.ey.shape[0], rows))
+
+    def x_strip(self, w, x_rows: slice, scatter: np.ndarray) -> np.ndarray:
+        """The pixels of image x-rows ``x_rows`` in the rows of ``w @ modes``.
+
+        w is a (k, n_modes) weight block with k at most the rows of
+        ``scatter``, a buffer from ``scatter_buffer``.  The weights go into it
+        transposed (a short block zeroes the columns it leaves), x is
+        contracted for the strip with one matrix product over every column,
+        then y with one more.  The result is (k, strip pixels).
+        """
+        w = np.asarray(w, dtype=float)
+        k, nx, ny, cols = w.shape[0], *scatter.shape
+        scatter[self.ii, self.jj, :k] = w.T
+        scatter[self.ii, self.jj, k:] = 0.0
+        start, stop, _ = x_rows.indices(self.ex.shape[1])
+        # numpy runs a one-row product as a matrix-vector product, which
+        # rounds differently: a one-row strip takes a neighbour along
+        lo = min(start, self.ex.shape[1] - 2) if stop - start == 1 else start
+        hi = max(stop, lo + 2)
+        t = self.ex[:, lo:hi].T @ scatter.reshape(nx, ny * cols)
+        t = np.ascontiguousarray(
+            t.reshape(hi - lo, ny, cols)[:, :, :k].transpose(2, 0, 1))
+        t = (t.reshape(-1, ny) @ self.ey).reshape(k, hi - lo, -1)
+        return t[:, start - lo:stop - lo].reshape(k, -1)
+
     def __matmul__(self, d):
         """Inner products <e_r, d> with one vector of pixel values."""
         d = np.asarray(d, dtype=float)
@@ -170,11 +204,18 @@ class KLBasis:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def synthesize_values(self, c) -> np.ndarray:
+    def synthesize_values(self, c, x_rows: slice | None = None,
+                          scatter: np.ndarray | None = None) -> np.ndarray:
         """Flat pixel values of mean + sum_i c_i sqrt(eta_i) e_i.
 
         A (k, n_modes) block of coefficient rows gives a (k, npix) block of
         pixel rows; any other shape is read as one coefficient vector.
+
+        With ``x_rows`` (a slice of image x-rows with unit step) only the
+        pixels of those x-rows are formed, as a (k, len(x_rows) * ny) block,
+        through ``KLModes.x_strip``; ``scatter`` is the buffer it reuses
+        across calls, a fresh one when None.  The values equal the matching
+        columns of the whole-image block bit for bit.
         """
         c = np.asarray(c, dtype=float)
         if c.ndim != 2:
@@ -182,9 +223,16 @@ class KLBasis:
         if c.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} coefficients per row, "
                              f"got {c.shape[-1]}")
-        values = (c * self._sqrt_eta) @ self.modes
-        values += self.mean
-        return values
+        if x_rows is None:
+            values = (c * self._sqrt_eta) @ self.modes
+            values += self.mean
+            return values
+        w = np.atleast_2d(c * self._sqrt_eta)
+        if scatter is None:
+            scatter = self.modes.scatter_buffer(w.shape[0])
+        values = self.modes.x_strip(w, x_rows, scatter)
+        values += self.mean.reshape(self.grid.shape)[x_rows].reshape(-1)
+        return values.reshape(c.shape[:-1] + (-1,))
 
     def synthesize(self, c) -> ScalarField:
         return ScalarField(self.grid, self.synthesize_values(c))

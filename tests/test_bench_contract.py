@@ -11,6 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+import poistomo
+from poistomo.samplers import Chain, SamplerConfig
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -51,3 +54,20 @@ def test_tracer_patches_and_restores_every_traced_name(monkeypatch, post16):
     assert after.keys() == before.keys()
     for key, original in before.items():
         assert after[key] is original, key
+
+
+def test_tracer_counts_summary_synthesis(monkeypatch, basis60, rep):
+    # the strip passes of the HPD bounds and the credible levels synthesize
+    # through KLBasis.synthesize_values, which the per-layer counts read
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    samples = np.random.default_rng(11).standard_normal((6, basis60.n_modes))
+    chain = Chain(samples, SamplerConfig("pcn", 6, burn_in=0), 1.0)
+    image = poistomo.posterior_mean(chain, basis60, rep)
+    with tracing.Tracer() as tr:
+        poistomo.pointwise_hpdi(chain, basis60, rep, 0.05)
+        poistomo.credible_level_map(chain, basis60, rep, image)
+    assert tr.calls("diagnostics.pointwise_hpdi") == 1
+    assert tr.calls("artifacts.credible_level_map") == 1
+    assert tr.calls("klbasis.synthesize") > 0
+    assert tr.calls("artifacts.credible_level") == basis60.grid.npix

@@ -3,11 +3,13 @@
 HPD windows are checked against hand-made samples, the per-pixel intervals
 against the one-dimensional window search, credible levels against the
 symmetric quantile sample whose answers are known in closed form, and the
-effective sample size against the AR(1) formula.  The blocked passes are
-checked bit for bit against their unblocked forms, and their memory peaks
-(tracemalloc) on a desk-sized chain against fixed multiples of its size.
+effective sample size against the AR(1) formula.  The blocked and strip
+passes are checked bit for bit against their unblocked forms, and their
+memory peaks (tracemalloc) on desk-sized chains against fixed multiples of
+the chain or of the block budget.
 """
 
+import logging
 import tracemalloc
 
 import numpy as np
@@ -15,12 +17,13 @@ import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from poistomo import build_kl_basis, parse_config
+from poistomo import build_kl_basis, diagnostics, parse_config
 from poistomo.artifacts import credible_level, credible_level_map
-from poistomo.diagnostics import (_nfft, _tau_from_acf, acf_matrix,
-                                  block_rows, ess_matrix, hpdi_sorted,
-                                  intensity_samples, pointwise_hpdi,
-                                  posterior_mean)
+from poistomo.diagnostics import (BLOCK_FLOATS, _nfft, _tau_from_acf,
+                                  acf_matrix, block_rows, ess_matrix,
+                                  hpdi_sorted, intensity_samples,
+                                  pointwise_hpdi, posterior_mean)
+from poistomo.fields import ScalarField
 from poistomo.samplers import Chain, SamplerConfig
 
 # ---------------------------------------------------------------------------
@@ -67,6 +70,51 @@ def test_pointwise_hpdi_columns_match_the_1d_search(basis60, rep):
             hpdi_sorted(np.sort(u[:, j]), 0.05)
 
 
+def _chain(rows: int, n_modes: int, seed: int) -> Chain:
+    samples = 0.7 * np.random.default_rng(seed).standard_normal((rows, n_modes))
+    return Chain(samples, SamplerConfig("pcn", rows, burn_in=0), 1.0)
+
+
+# 41 samples on the 16x16 grid: the default budget holds the image in one
+# strip; n*ny floats give one-row strips and synthesis blocks of 2 rows
+# (the last one short); 3*n*ny give strips of 3 rows (the last one short)
+# and blocks of 7 rows (the last one short)
+@pytest.mark.parametrize("budget", [None, 41 * 16, 3 * 41 * 16])
+def test_strip_summaries_equal_the_sorted_intensity_reference(
+        basis60, rep, monkeypatch, budget):
+    chain = _chain(41, basis60.n_modes, 8)
+    if budget is not None:
+        monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", budget)
+    u = intensity_samples(chain, basis60, rep)
+    u.sort(axis=0)
+    lo, hi = pointwise_hpdi(chain, basis60, rep, 0.05)
+    ref_lo, ref_hi = hpdi_sorted(u, 0.05)
+    assert np.array_equal(lo.ravel(), ref_lo)
+    assert np.array_equal(hi.ravel(), ref_hi)
+
+    # a test image off the samples, partly outside their range
+    image = posterior_mean(chain, basis60, rep)
+    image = ScalarField(basis60.grid, image.values + np.linspace(
+        -0.6, 0.6, basis60.grid.npix).reshape(basis60.grid.shape))
+    target = image.ravel()
+    for thin in (1, 2):
+        ut = intensity_samples(chain, basis60, rep, thin=thin)
+        ut.sort(axis=0)
+        ref = [credible_level(ut[:, p], target[p]) for p in range(target.size)]
+        level_map = credible_level_map(chain, basis60, rep, image, thin=thin)
+        assert level_map.n_samples == ut.shape[0]
+        assert np.array_equal(level_map.levels.ravel(), ref)
+
+
+def test_strip_pass_logs_one_line(basis60, rep, caplog):
+    with caplog.at_level(logging.INFO, logger="poistomo.diagnostics"):
+        pointwise_hpdi(_chain(41, basis60.n_modes, 9), basis60, rep, 0.05)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "poistomo.diagnostics"]
+    assert lines == [f"strip pass: 41 samples, 256 pixels, 1 strips of "
+                     f"{41 * 256 * 8 / 2**20:.2f} MB"]
+
+
 # ---------------------------------------------------------------------------
 # credible levels
 
@@ -94,6 +142,20 @@ def test_credible_level_known_answers_at_resolution_one_over_n():
         level = credible_level(q, v)
         assert 0.0 < level <= 1.0
         assert level * n == pytest.approx(round(level * n), abs=1e-9)
+
+
+def test_credible_level_map_rejects_bad_thin_and_empty_chains(basis60, rep):
+    chain = _chain(10, basis60.n_modes, 10)
+    image = posterior_mean(chain, basis60, rep)
+    for thin in (0, -1):
+        with pytest.raises(ValueError, match="thin"):
+            credible_level_map(chain, basis60, rep, image, thin=thin)
+    empty = Chain(np.empty((0, basis60.n_modes)),
+                  SamplerConfig("pcn", 10, burn_in=0), 1.0)
+    with pytest.raises(ValueError, match="no kept samples"):
+        credible_level_map(empty, basis60, rep, image)
+    with pytest.raises(ValueError, match="no kept samples"):
+        pointwise_hpdi(empty, basis60, rep, 0.05)
 
 
 def test_credible_level_of_a_sample_value_skips_size_one_windows():
@@ -148,17 +210,23 @@ def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
 
 
 # ---------------------------------------------------------------------------
-# memory of the summaries on a desk-sized chain
+# memory of the summaries on desk-sized chains
+
+BUDGET_BYTES = BLOCK_FLOATS * 8
+
+
+def _desk_chain(rows: int):
+    cfg = parse_config(preset="desk")
+    basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
+    samples = 0.5 * np.random.default_rng(7).standard_normal(
+        (rows, basis.n_modes))
+    chain = Chain(samples, SamplerConfig("pcn", rows, burn_in=0), 1.0)
+    return chain, basis, cfg.reparam
 
 
 @pytest.fixture(scope="module")
 def desk_chain():
-    cfg = parse_config(preset="desk")
-    basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
-    samples = 0.5 * np.random.default_rng(7).standard_normal(
-        (4500, basis.n_modes))
-    chain = Chain(samples, SamplerConfig("pcn", 4500, burn_in=0), 1.0)
-    return chain, basis, cfg.reparam
+    return _desk_chain(4500)
 
 
 def _peak_bytes(fn, *args, **kwargs) -> int:
@@ -177,17 +245,21 @@ def test_ess_peak_memory_stays_below_the_chain(desk_chain):
 
 
 def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):
+    # one intensity block and the synthesis buffers of the next, about 2.5
+    # budgets; holding the previous block as well took 4
     chain, basis, rep = desk_chain
-    intensities = chain.n_kept * basis.grid.npix * 8
-    assert _peak_bytes(posterior_mean, chain, basis, rep) \
-        <= 0.75 * intensities
+    assert _peak_bytes(posterior_mean, chain, basis, rep) <= 3 * BUDGET_BYTES
 
 
-def test_hpd_and_levels_hold_one_intensity_array(desk_chain):
-    chain, basis, rep = desk_chain
-    intensities = chain.n_kept * basis.grid.npix * 8
-    assert _peak_bytes(pointwise_hpdi, chain, basis, rep, 0.05) \
-        <= 1.5 * intensities
-    image = posterior_mean(chain, basis, rep)
-    assert _peak_bytes(credible_level_map, chain, basis, rep, image) \
-        <= 1.5 * intensities
+def test_hpd_and_levels_stay_within_four_budgets():
+    # the (n, npix) intensity array alone is 35 MB at 4,500 samples and
+    # 70 MB at 9,000; a strip pass holds one strip and one scatter buffer,
+    # however long the chain, until one x-row of it outgrows the budget
+    for rows in (4500, 9000):
+        chain, basis, rep = _desk_chain(rows)
+        assert rows * basis.grid.npix * 8 > 8 * BUDGET_BYTES
+        assert _peak_bytes(pointwise_hpdi, chain, basis, rep, 0.05) \
+            <= 4 * BUDGET_BYTES
+        image = posterior_mean(chain, basis, rep)
+        assert _peak_bytes(credible_level_map, chain, basis, rep, image) \
+            <= 4 * BUDGET_BYTES

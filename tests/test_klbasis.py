@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from poistomo import parse_config
 from poistomo.fields import Grid, ScalarField
 from poistomo.klbasis import CovarianceSpec, build_kl_basis
 
@@ -183,11 +184,15 @@ def _dense_from_factors(basis):
     return np.array(rows)
 
 
+def _small_basis(nx, ny, n):
+    return build_kl_basis(Grid(nx, ny), CovarianceSpec(gamma=1.3, corr_len=0.3),
+                          n, mean=0.4)
+
+
 @pytest.mark.parametrize("nx,ny,n", [(7, 5, 20), (6, 9, 54)])
 def test_factored_transform_matches_dense_matrix(nx, ny, n):
-    grid = Grid(nx, ny)
-    basis = build_kl_basis(grid, CovarianceSpec(gamma=1.3, corr_len=0.3), n,
-                           mean=0.4)
+    basis = _small_basis(nx, ny, n)
+    grid = basis.grid
     dense = _dense_from_factors(basis)
     sq = np.sqrt(basis.eigenvalues)
     rng = np.random.default_rng(nx * ny)
@@ -210,6 +215,34 @@ def test_factored_transform_matches_dense_matrix(nx, ny, n):
     np.testing.assert_array_equal(np.asarray(basis.modes), dense)
     np.testing.assert_array_equal(basis.modes[3], dense[3])
     assert basis.modes[:5].shape == (5, grid.npix)
+
+
+def _desk_basis():
+    cfg = parse_config(preset="desk")
+    return build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
+
+
+@pytest.mark.parametrize("make", [lambda: _small_basis(7, 5, 20),
+                                  lambda: _small_basis(6, 9, 54),
+                                  _desk_basis], ids=["7x5", "6x9", "desk"])
+def test_strip_synthesis_equals_the_whole_image_bit_for_bit(make):
+    basis = make()
+    nx, ny = basis.grid.shape
+    c = np.random.default_rng(nx * ny).standard_normal((11, basis.n_modes))
+    whole = basis.synthesize_values(c)
+    scatter = basis.modes.scatter_buffer(4)   # blocks of 4, 4 and a short 3
+    # one-row strips; strips of two, the last of one row on odd nx; nx - 1
+    # rows, then a last strip of one; the whole image
+    for width in (1, 2, nx - 1, nx):
+        for x0 in range(0, nx, width):
+            x_rows = slice(x0, min(x0 + width, nx))
+            pixels = slice(x0 * ny, x_rows.stop * ny)
+            for lo in range(0, 11, 4):
+                strip = basis.synthesize_values(c[lo:lo + 4], x_rows, scatter)
+                assert np.array_equal(strip, whole[lo:lo + 4, pixels])
+    # one coefficient vector, with a buffer of its own
+    assert np.array_equal(basis.synthesize_values(c[3], slice(1, 2)),
+                          whole[3, ny:2 * ny])
 
 
 def test_factored_modes_are_small_and_read_only():
