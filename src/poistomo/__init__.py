@@ -30,7 +30,8 @@ from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
 from .samplers import (Chain, ChainDivergence, SamplerConfig, anchor_from_map,
-                       load_chain, run_chain, save_chain, tune_stepsize)
+                       chain_states, load_chain, run_chain, save_chain,
+                       stream_chain, tune_stepsize)
 
 __version__ = "0.1.0"
 
@@ -53,6 +54,7 @@ __all__ = [
     "brain_phantom",
     "TGPosterior",
     "Chain", "ChainDivergence", "SamplerConfig", "anchor_from_map",
-    "load_chain", "run_chain", "save_chain", "tune_stepsize",
+    "chain_states", "load_chain", "run_chain", "save_chain", "stream_chain",
+    "tune_stepsize",
     "__version__",
 ]

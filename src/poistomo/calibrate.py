@@ -16,7 +16,11 @@ per ray its p is near 0 even at the truth.
 Sweeping the TV weight traces p_b down from near 1 (overfit) to near 0
 (oversmoothed); the admissible weights are those with p_b inside a fixed
 band, and a projected stochastic-approximation iteration picks a single
-weight inside that interval.
+weight inside that interval.  The sweep streams its chains: p_b comes from
+the expected counts of each subsampled state's own evaluation, so a weight
+costs O(max_eval_samples) floats plus one state, not a chain of kept
+samples.  ``posterior_predictive_p`` computes the same p_b from a stored
+chain.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from scipy.special import gammaincc
 
 from .diagnostics import block_rows
 from .posterior import TGPosterior
-from .samplers import Chain, SamplerConfig, run_chain, tune_stepsize
+from .samplers import (Chain, SamplerConfig, chain_states, kept_steps,
+                       run_chain, tune_stepsize)
 
 __all__ = [
     "chi2_sf",
@@ -98,6 +103,23 @@ class PredictiveResult:
     n_used: int
 
 
+def _even_subsample(n: int, max_samples: int | None) -> np.ndarray:
+    """Indices of an even subsample of at most max_samples of n items."""
+    if max_samples is not None and n > max_samples:
+        return np.linspace(0, n - 1, max_samples).astype(int)
+    return np.arange(n)
+
+
+def _predictive(discrepancies: np.ndarray, n_rays: int) -> PredictiveResult:
+    """p_b and its Monte Carlo standard error from per-sample discrepancies."""
+    n = discrepancies.size
+    if n == 0:
+        raise ValueError("chain holds no kept samples")
+    pvals = chi2_sf(discrepancies, n_rays)
+    stderr = float(np.std(pvals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return PredictiveResult(float(np.mean(pvals)), stderr, n)
+
+
 def posterior_predictive_p(chain: Chain, post: TGPosterior,
                            max_samples: int | None = None,
                            denominator: str = "theta",
@@ -106,30 +128,23 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
 
     The Monte Carlo standard error treats samples as independent; thin the
     chain first when autocorrelation matters.  An even subsample of at most
-    max_samples kept states is used when the cap is set.  Samples go through
-    in blocks of ``block`` rows, by default as many rows of max(npix, n_rays)
-    floats as fit ``diagnostics.BLOCK_FLOATS``, so the extra memory is
-    O(budget); the p-values do not depend on the block.
+    max_samples kept states is used when the cap is set.  Samples are
+    gathered, synthesized and projected in blocks of ``block`` rows, by
+    default as many rows of max(npix, n_rays) floats as fit
+    ``diagnostics.BLOCK_FLOATS``, so the extra memory is O(budget) plus one
+    discrepancy per sample; the p-values do not depend on the block.
     """
-    samples = chain.samples
-    if max_samples is not None and samples.shape[0] > max_samples:
-        idx = np.linspace(0, samples.shape[0] - 1, max_samples).astype(int)
-        samples = samples[idx]
-    n = samples.shape[0]
-    if n == 0:
-        raise ValueError("chain holds no kept samples")
+    idx = _even_subsample(chain.n_kept, max_samples)
     if block is None:
         block = block_rows(max(post.basis.grid.npix, post.op.n_rays))
-    pvals = np.empty(n)
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    d = np.empty(idx.size)
+    for lo in range(0, idx.size, block):
+        hi = min(lo + block, idx.size)
         # nested so that each intermediate block is freed once it is used
         theta = post.op.apply(post.rep.apply(
-            post.basis.synthesize_values(samples[lo:hi])))
-        d = chi2_discrepancy(post.data.counts, theta, denominator)
-        pvals[lo:hi] = chi2_sf(d, post.op.n_rays)
-    stderr = float(np.std(pvals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return PredictiveResult(float(np.mean(pvals)), stderr, n)
+            post.basis.synthesize_values(chain.samples[idx[lo:hi]])))
+        d[lo:hi] = chi2_discrepancy(post.data.counts, theta, denominator)
+    return _predictive(d, post.op.n_rays)
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +214,22 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
                       band: tuple[float, float] = PB_BAND,
                       seed: int = 0,
                       beta: float | None = None,
-                      max_eval_samples: int = 2000,
+                      max_eval_samples: int | None = 2000,
                       denominator: str = "theta") -> CalibrationResult:
     """Estimate p_b on a weight grid with short chains and bracket the band.
 
-    One pcn chain per weight, p_b averaged over an even subsample of kept
-    states.  Each chain starts at the last state of the previous weight's
-    chain (the first at the prior mean, whose zero TV makes it a sticky
-    start at large weights), and without a given beta the stepsize is tuned
-    at every weight from that start: the posterior narrows as the weight
-    grows, so a stepsize tuned at the first weight can leave later chains
-    where they began.
+    One pcn chain per weight, p_b averaged over an even subsample of at most
+    max_eval_samples kept states (every kept state when it is None), the
+    subsample posterior_predictive_p takes.  Each chain is streamed: a
+    subsampled state's discrepancy is read off the expected counts of the
+    chain's own evaluation of it, so no state is synthesized or projected
+    twice and nothing holds the kept samples; memory is O(max_eval_samples)
+    floats plus one state.  Each chain starts at the last state of the
+    previous weight's chain (the first at the prior mean, whose zero TV
+    makes it a sticky start at large weights), and without a given beta the
+    stepsize is tuned at every weight from that start: the posterior
+    narrows as the weight grows, so a stepsize tuned at the first weight can
+    leave later chains where they began.
     """
     weights = [float(v) for v in weight_grid]
     if sorted(weights) != weights:
@@ -221,15 +241,23 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
         step = (tune_stepsize(post, "pcn", n_pilot=1000, seed=seed, init=start)
                 if beta is None else beta)
         cfg = SamplerConfig("pcn", chain_steps, beta=step, seed=seed + i)
-        chain = run_chain(post, cfg, init=start)
-        start = chain.samples[-1]
-        res = posterior_predictive_p(chain, post, max_samples=max_eval_samples,
-                                     denominator=denominator)
+        steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
+        d = np.empty(steps.size)
+        n_accepted = 0
+        j = 0
+        for k, (z, ev, moved) in enumerate(chain_states(post, cfg, start)):
+            n_accepted += moved
+            if j < steps.size and k == steps[j]:
+                d[j] = chi2_discrepancy(post.data.counts, ev.theta,
+                                        denominator)
+                j += 1
+        start = z
+        res = _predictive(d, post.op.n_rays)
+        acceptance = n_accepted / chain_steps
         rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,
-                                   chain.acceptance_rate))
+                                   acceptance))
         log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "
-                 "acceptance %.3f)", w, res.p, res.stderr,
-                 chain.acceptance_rate)
+                 "acceptance %.3f)", w, res.p, res.stderr, acceptance)
     interval = admissible_interval(weights, [r.p for r in rows], band)
     return CalibrationResult(tuple(rows), interval, band)
 
@@ -305,8 +333,9 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
 
     def mean_reg(weight: float, k: int) -> float:
         post = make_posterior(weight)
+        # only the traces and the last state are read: keep one state
         cfg = SamplerConfig("pcn", inner_steps, beta=beta, burn_in=0,
-                            seed=seed + 1000 * k)
+                            thinning=inner_steps, seed=seed + 1000 * k)
         chain = run_chain(post, cfg, init=state["c"])
         state["c"] = chain.samples[-1]
         return float(np.mean(chain.reg_trace)) / weight

@@ -42,8 +42,7 @@ from .forward import (build_radon_operator, read_sinogram_bin, simulate_data,
 from .klbasis import build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
-from .samplers import (anchor_from_map, load_chain, run_chain, save_chain,
-                       tune_stepsize)
+from .samplers import anchor_from_map, load_chain, stream_chain, tune_stepsize
 
 log = logging.getLogger(__name__)
 
@@ -216,15 +215,15 @@ def cmd_sample(args) -> int:
         name = "beta" if scfg.kind == "pcn" else "delta"
         scfg = dataclasses.replace(scfg, **{name: step})
         print(f"tuned {name} = {step:.5f}")
-    chain = run_chain(post, scfg, init=init, anchor=anchor)
-    save_chain(chain, outdir / "chain.bin")
+    # kept states go to disk as the chain yields them, never all in memory
+    rate = stream_chain(post, scfg, outdir / "chain.bin", init=init,
+                        anchor=anchor)
     outputs += ["chain.bin", "chain.bin.json"]
     _write_manifest(args, outdir, cfg, {"sinogram.bin": sino_path},
-                    outputs, {"acceptance_rate": chain.acceptance_rate,
-                              "kept_samples": chain.n_kept,
+                    outputs, {"acceptance_rate": rate,
+                              "kept_samples": scfg.n_kept,
                               "map_converged": map_converged})
-    print(f"chain of {chain.n_kept} kept samples, "
-          f"acceptance {chain.acceptance_rate:.3f}")
+    print(f"chain of {scfg.n_kept} kept samples, acceptance {rate:.3f}")
     return _EXIT_OK
 
 

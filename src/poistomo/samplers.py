@@ -18,17 +18,23 @@ The kernels differ only in the drift:
   nonsmooth TV term is handled without ever differentiating it.
 
 A state is its coefficients, their evaluation and their drift, so each step
-evaluates the posterior once, at the proposal.  Every kernel consumes
-randomness in the same order (noise vector first, acceptance uniform
-second), which keeps matched-seed comparisons meaningful.
+evaluates the posterior once, at the proposal.  ``chain_states`` yields each
+state with its evaluation, so a consumer reads what it needs (kept rows in
+``run_chain``, a file in ``stream_chain``, predictive discrepancies in the
+calibration sweep) without holding the chain or evaluating again.  Every
+kernel consumes randomness in the same order (noise vector first,
+acceptance uniform second), which keeps matched-seed comparisons
+meaningful.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -41,10 +47,13 @@ __all__ = [
     "Chain",
     "ChainDivergence",
     "Anchor",
+    "chain_states",
+    "kept_steps",
     "run_chain",
     "tune_stepsize",
     "anchor_from_map",
     "save_chain",
+    "stream_chain",
     "load_chain",
 ]
 
@@ -196,15 +205,17 @@ class Chain:
         return self.samples.shape[1]
 
 
-def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
-              anchor: Anchor | None = None) -> Chain:
-    """Drive one chain and collect kept states.
+def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
+                 anchor: Anchor | None = None):
+    """Drive one chain, yielding ``(z, ev, accepted)`` after every step.
 
-    Burn-in defaults to a tenth of the run; a state is kept every
-    ``thinning`` post-burn-in steps, giving floor((n - burn) / thinning)
-    samples.  The pdpcn kernel needs the caller's splitting anchor (see
-    anchor_from_map).  The whole run is a pure function of (posterior,
-    config, init, anchor).
+    z is the chain's state after the step (a fresh array whenever a proposal
+    is accepted, never written in place), ev its posterior evaluation and
+    accepted whether the step moved.  All ``config.n_samples`` steps are
+    yielded; burn-in and thinning are left to the consumer (see run_chain).
+    The pdpcn kernel needs the caller's splitting anchor (see
+    anchor_from_map).  The sequence is a pure function of (posterior,
+    config, init, anchor); a non-finite potential raises ChainDivergence.
     """
     drift = _drift(post, config, anchor)
     if config.kind == "pcn":
@@ -217,21 +228,42 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     z = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
     ev = post.evaluate(z)
     g = drift(ev)
+    for k in range(config.n_samples):
+        z, ev, g, accepted = _step(post, z, ev, g, delta, drift, rng)
+        if not math.isfinite(ev.psi):
+            raise ChainDivergence(f"non-finite potential at step {k}")
+        yield z, ev, accepted
 
-    burn = config.effective_burn_in
+
+def kept_steps(config: SamplerConfig) -> np.ndarray:
+    """Step indices whose states a chain keeps: every ``thinning``-th
+    post-burn-in step, floor((n - burn) / thinning) of them."""
     thin = config.thinning
-    kept = np.empty((config.n_kept, n))
+    return (config.effective_burn_in + thin - 1
+            + thin * np.arange(config.n_kept))
+
+
+def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
+              anchor: Anchor | None = None) -> Chain:
+    """Drive one chain and collect kept states and per-step traces.
+
+    Burn-in defaults to a tenth of the run; a state is kept every
+    ``thinning`` post-burn-in steps (kept_steps).  The states are those of
+    chain_states, so the whole run is a pure function of (posterior,
+    config, init, anchor).
+    """
+    keep = kept_steps(config)
+    kept = np.empty((keep.size, post.n_modes))
     accepted = np.empty(config.n_samples, dtype=bool)
     psi_trace = np.empty(config.n_samples)
     reg_trace = np.empty(config.n_samples)
     j = 0
-    for k in range(config.n_samples):
-        z, ev, g, accepted[k] = _step(post, z, ev, g, delta, drift, rng)
-        if not math.isfinite(ev.psi):
-            raise ChainDivergence(f"non-finite potential at step {k}")
+    for k, (z, ev, moved) in enumerate(chain_states(post, config, init,
+                                                    anchor)):
+        accepted[k] = moved
         psi_trace[k] = ev.psi
         reg_trace[k] = ev.reg
-        if k >= burn and (k - burn + 1) % thin == 0:
+        if j < keep.size and k == keep[j]:
             kept[j] = z
             j += 1
     return Chain(kept, config, float(np.mean(accepted)), accepted, psi_trace,
@@ -253,8 +285,9 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
 
     def acc(step: float) -> float:
         size = {"beta": step} if kind == "pcn" else {"delta": step}
-        cfg = SamplerConfig(kind, n_pilot, burn_in=0, seed=seed,
-                            k_proj=k_proj, **size)
+        # only the acceptance trace is read: keep one state, not n_pilot
+        cfg = SamplerConfig(kind, n_pilot, burn_in=0, thinning=n_pilot,
+                            seed=seed, k_proj=k_proj, **size)
         chain = run_chain(post, cfg, init=init, anchor=anchor)
         # rate over the tail only: a cold start biases the early acceptance
         return float(np.mean(chain.accepted[n_pilot // 4:]))
@@ -279,6 +312,33 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
 _CHAIN_HEADER = struct.Struct("<4sIIIIqBxxxxxxxd")
 
 
+def _write_header(fh, config: SamplerConfig, n_modes: int,
+                  n_kept: int) -> None:
+    fh.write(_CHAIN_HEADER.pack(b"CHN1", 1, n_modes, n_kept, config.thinning,
+                                config.seed, _KIND_CODE[config.kind],
+                                config.stepsize))
+
+
+def _write_sidecar(path, config: SamplerConfig, n_modes: int, n_kept: int,
+                   acceptance_rate: float) -> None:
+    sidecar = {
+        "kind": config.kind,
+        "n_samples": config.n_samples,
+        "burn_in": config.effective_burn_in,
+        "thinning": config.thinning,
+        "seed": config.seed,
+        "beta": config.beta,
+        "delta": config.delta,
+        "k_proj": config.k_proj,
+        "n_kept": n_kept,
+        "n_modes": n_modes,
+        "acceptance_rate": acceptance_rate,
+    }
+    with open(str(path) + ".json", "w", encoding="ascii") as fh:
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_chain(chain: Chain, path) -> None:
     """Write samples in binary with a JSON sidecar (path + ".json").
 
@@ -286,29 +346,44 @@ def save_chain(chain: Chain, path) -> None:
     seed, kernel code, stepsize; then row-major little-endian float64
     samples.  The sidecar records the full config and acceptance summary.
     """
-    cfg = chain.config
     with open(path, "wb") as fh:
-        fh.write(_CHAIN_HEADER.pack(b"CHN1", 1, chain.n_modes, chain.n_kept,
-                                    cfg.thinning, cfg.seed,
-                                    _KIND_CODE[cfg.kind], cfg.stepsize))
+        _write_header(fh, chain.config, chain.n_modes, chain.n_kept)
         # converts (copies) only if the samples are not little-endian f8 rows
         fh.write(np.ascontiguousarray(chain.samples, dtype="<f8"))
-    sidecar = {
-        "kind": cfg.kind,
-        "n_samples": cfg.n_samples,
-        "burn_in": cfg.effective_burn_in,
-        "thinning": cfg.thinning,
-        "seed": cfg.seed,
-        "beta": cfg.beta,
-        "delta": cfg.delta,
-        "k_proj": cfg.k_proj,
-        "n_kept": chain.n_kept,
-        "n_modes": chain.n_modes,
-        "acceptance_rate": chain.acceptance_rate,
-    }
-    with open(str(path) + ".json", "w", encoding="ascii") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_sidecar(path, chain.config, chain.n_modes, chain.n_kept,
+                   chain.acceptance_rate)
+
+
+def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
+                 anchor: Anchor | None = None) -> float:
+    """Run a chain and write each kept state to a chain file as it comes.
+
+    The file and sidecar have the bytes ``save_chain(run_chain(...))``
+    writes, but only one state is held at a time.  The samples go to a
+    temporary file beside ``path`` that is renamed once the chain
+    completes, so a chain that fails (ChainDivergence, a bad kernel
+    configuration) leaves no file at ``path``.  Returns the acceptance rate.
+    """
+    path = Path(path)
+    part = path.with_name(path.name + ".part")
+    keep = kept_steps(config)
+    n_accepted = 0
+    j = 0
+    try:
+        with open(part, "wb") as fh:
+            _write_header(fh, config, post.n_modes, keep.size)
+            for k, (z, _, moved) in enumerate(chain_states(post, config, init,
+                                                           anchor)):
+                n_accepted += moved
+                if j < keep.size and k == keep[j]:
+                    fh.write(np.ascontiguousarray(z, dtype="<f8"))
+                    j += 1
+        rate = n_accepted / config.n_samples
+        _write_sidecar(path, config, post.n_modes, keep.size, rate)
+        os.replace(part, path)
+    finally:
+        part.unlink(missing_ok=True)
+    return rate
 
 
 def load_chain(path) -> Chain:

@@ -4,6 +4,8 @@ Everything here is sized to make a full module-test run take seconds; the
 acceptance tests build their own larger setups.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,22 @@ def map16_strong(post16_strong):
     cfg = AdmmConfig(rho_pen=1.0, max_outer=120, tol=1e-4,
                      inner_iters=100, inner_tol=1e-6)
     return solve_map(post16_strong, cfg), cfg
+
+
+@pytest.fixture
+def unthinned(monkeypatch):
+    """Make every run_chain keep every post-burn-in state, so a test can show
+    that keeping one state does not change what the tuning pilots and the
+    selection chains compute.  Returns the thinning each call asked for."""
+    from poistomo import calibrate, samplers
+    thinned = samplers.run_chain
+    asked = []
+
+    def full(post, config, init=None, anchor=None):
+        asked.append(config.thinning)
+        return thinned(post, dataclasses.replace(config, thinning=1),
+                       init, anchor)
+
+    monkeypatch.setattr(samplers, "run_chain", full)
+    monkeypatch.setattr(calibrate, "run_chain", full)
+    return asked

@@ -71,3 +71,30 @@ def test_tracer_counts_summary_synthesis(monkeypatch, basis60, rep):
     assert tr.calls("artifacts.credible_level_map") == 1
     assert tr.calls("klbasis.synthesize") > 0
     assert tr.calls("artifacts.credible_level") == basis60.grid.npix
+
+
+def test_traced_calibration_reports_its_chains(monkeypatch, post16):
+    # the traced benchmark divides by the steps of the chains that pass
+    # through run_chain; calibration must leave some there (the tuning
+    # pilots and the selection chains), or the report divides by zero
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    run = importlib.import_module("run")
+
+    def make_posterior(w):
+        return poistomo.TGPosterior(post16.op, post16.rep, post16.basis,
+                                    post16.data, tv_weight=w)
+
+    chains = {"steps": 0, "accepted": 0}
+    tracer = tracing.Tracer()
+    tracer.hooks["samplers.run_chain"] = run.chain_hook(chains)
+    clock = run.StageClock(tracer)
+    with tracer:
+        clock("calibrate", poistomo.admissible_search, make_posterior,
+              [0.0, 1.0], chain_steps=100, seed=2, max_eval_samples=20)
+        clock("select", poistomo.select_lambda, make_posterior, (1.0, 2.0),
+              n_iters=3, inner_steps=20, seed=2)
+    values = run.span_values(tracer, chains, clock.medians())
+    assert values["samplers.steps"] > 0
+    assert values["posterior.evals_per_step"] > 0
+    assert 0.0 <= values["samplers.acceptance"] <= 1.0

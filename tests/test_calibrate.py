@@ -3,10 +3,13 @@
 The chi-squared tail is checked against closed forms, the admissible
 interval against hand-made p-value grids, the batched predictive p-value
 against a per-row loop, the default statistic against its reference law
-at the true image, and the weight sweep for chains that move.
+at the true image, and the weight sweep for chains that move.  The sweep
+streams its chains, so it is checked against the predictive p of the same
+chains run and stored, and for the memory it holds.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +19,9 @@ from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
                       parse_config)
 from poistomo.calibrate import (admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
-                                posterior_predictive_p, write_calibration_csv)
-from poistomo.samplers import Chain, SamplerConfig
+                                posterior_predictive_p, select_lambda,
+                                write_calibration_csv)
+from poistomo.samplers import Chain, SamplerConfig, run_chain
 
 # ---------------------------------------------------------------------------
 # chi-squared tail
@@ -161,3 +165,67 @@ def test_every_calibration_chain_accepts(post16_strong, tmp_path):
     assert lines[0] == "tv_weight,p_b,stderr,chain_steps,acceptance"
     assert [float(x.split(",")[-1]) for x in lines[1:]] == \
         [r.acceptance for r in result.rows]
+
+
+def _weights_of(base):
+    def make_posterior(w):
+        return TGPosterior(base.op, base.rep, base.basis, base.data,
+                           tv_weight=w)
+    return make_posterior
+
+
+@pytest.mark.parametrize("denominator", ["theta", "theta_sq"])
+@pytest.mark.parametrize("max_eval", [70, None])
+def test_streamed_search_matches_the_stored_chains(post16, denominator,
+                                                   max_eval):
+    # each row equals posterior_predictive_p of the same warm-started chain,
+    # run and stored; theta summed as one vector instead of a row of an
+    # F-ordered block is the only rounding difference, and the std of
+    # p-values near 1 amplifies it in the stderr
+    make_posterior = _weights_of(post16)
+    weights = [0.0, 1.0, 3.0]
+    steps, beta, seed = 300, 0.3, 7
+    result = admissible_search(make_posterior, weights, chain_steps=steps,
+                               seed=seed, beta=beta,
+                               max_eval_samples=max_eval,
+                               denominator=denominator)
+    start = None
+    for i, (w, row) in enumerate(zip(weights, result.rows)):
+        post = make_posterior(w)
+        chain = run_chain(post, SamplerConfig("pcn", steps, beta=beta,
+                                              seed=seed + i), init=start)
+        start = chain.samples[-1]
+        ref = posterior_predictive_p(chain, post, max_samples=max_eval,
+                                     denominator=denominator)
+        assert row.acceptance == chain.acceptance_rate
+        assert row.p == pytest.approx(ref.p, rel=1e-14, abs=0.0)
+        assert row.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0.0)
+        assert row.chain_steps == steps
+
+
+def test_search_holds_less_than_one_chain(post16):
+    # nothing keeps a weight's samples, the previous weight's chain or a
+    # copy of the subsample
+    steps = 2000
+    cfg = SamplerConfig("pcn", steps, beta=0.3)
+    one_chain = cfg.n_kept * post16.n_modes * 8
+    make_posterior = _weights_of(post16)
+    tracemalloc.start()
+    try:
+        admissible_search(make_posterior, [0.0, 1.0], chain_steps=steps,
+                          seed=3, beta=0.3, max_eval_samples=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_chain
+
+
+def test_selection_does_not_depend_on_keeping_samples(post16, request):
+    # the inner chains and the tuning pilots keep one state; keeping all of
+    # them selects along the same trace
+    make_posterior = _weights_of(post16)
+    kwargs = dict(n_iters=6, inner_steps=40, beta=None, seed=4)
+    thinned = select_lambda(make_posterior, (1.0, 2.0), **kwargs)
+    asked = request.getfixturevalue("unthinned")
+    assert select_lambda(make_posterior, (1.0, 2.0), **kwargs) == thinned
+    assert asked and all(t > 1 for t in asked)

@@ -16,8 +16,9 @@ import pytest
 from poistomo import TGPosterior
 from poistomo.posterior import PosteriorEval
 from poistomo.samplers import (Anchor, Chain, ChainDivergence, SamplerConfig,
-                               _accept, _rho, anchor_from_map, load_chain,
-                               run_chain, save_chain, tune_stepsize)
+                               _accept, _rho, anchor_from_map, chain_states,
+                               kept_steps, load_chain, run_chain, save_chain,
+                               stream_chain, tune_stepsize)
 from poistomo.fields import tv_arrays
 from poistomo.admm import AdmmConfig, offset_direction, solve_map
 
@@ -330,6 +331,34 @@ def test_kept_sample_count_and_traces():
     assert chain.config == cfg
 
 
+def test_run_chain_collects_the_yielded_states(post16):
+    cfg = SamplerConfig("pcn", 90, beta=0.4, burn_in=11, thinning=4, seed=31)
+    states = list(chain_states(post16, cfg))
+    chain = run_chain(post16, cfg)
+    assert len(states) == cfg.n_samples
+    keep = kept_steps(cfg)
+    assert keep.size == cfg.n_kept and keep[0] == 11 + 4 - 1
+    np.testing.assert_array_equal(chain.samples,
+                                  np.array([states[k][0] for k in keep]))
+    np.testing.assert_array_equal(chain.accepted, [s[2] for s in states])
+    np.testing.assert_array_equal(chain.psi_trace, [s[1].psi for s in states])
+    np.testing.assert_array_equal(chain.reg_trace, [s[1].reg for s in states])
+    # each yielded evaluation is the evaluation of the yielded state
+    z, ev, _ = states[-1]
+    np.testing.assert_array_equal(ev.z, post16.basis.synthesize_values(z))
+
+
+def test_tuning_does_not_depend_on_keeping_samples(post16_strong,
+                                                   map16_strong, request):
+    # the pilots keep one state; keeping all of them tunes the same stepsize
+    res, _ = map16_strong
+    kwargs = dict(target=0.25, n_pilot=400, seed=25, init=res.coeffs)
+    thinned = tune_stepsize(post16_strong, "pcn", **kwargs)
+    asked = request.getfixturevalue("unthinned")
+    assert tune_stepsize(post16_strong, "pcn", **kwargs) == thinned
+    assert asked and all(t == 400 for t in asked)
+
+
 def test_reg_trace_is_the_tv_of_each_state(post16):
     # with every step kept, step k's regularizer is the weighted TV of the
     # k-th sample's latent field
@@ -503,6 +532,38 @@ def test_chain_file_holds_the_little_endian_samples(tmp_path):
     assert peak < chain.samples.nbytes / 4
     payload = path.read_bytes()[-chain.samples.nbytes:]
     assert payload == chain.samples.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("kind", ["pcn", "pdpcn"])
+def test_streamed_chain_file_equals_the_saved_chain(tmp_path, post16, map16,
+                                                    kind):
+    res, admm = map16
+    anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
+    cfg = SamplerConfig(kind, 75, beta=0.3, delta=0.01, burn_in=9,
+                        thinning=4, seed=30)
+    saved, streamed = tmp_path / "saved.bin", tmp_path / "streamed.bin"
+    save_chain(run_chain(post16, cfg, init=res.coeffs, anchor=anchor), saved)
+    rate = stream_chain(post16, cfg, streamed, init=res.coeffs, anchor=anchor)
+    assert streamed.read_bytes() == saved.read_bytes()
+    assert (tmp_path / "streamed.bin.json").read_text() == \
+        (tmp_path / "saved.bin.json").read_text()
+    assert rate == load_chain(saved).acceptance_rate
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "saved.bin", "saved.bin.json", "streamed.bin", "streamed.bin.json"]
+
+
+def test_failed_stream_leaves_no_chain_file(tmp_path, post16):
+    class _NaN(_StubTarget):
+        def potential(self, c):
+            return math.nan
+
+    path = tmp_path / "chain.bin"
+    with pytest.raises(ChainDivergence):
+        stream_chain(_NaN(2), SamplerConfig("pcn", 10, beta=0.5, burn_in=0,
+                                            seed=19), path)
+    with pytest.raises(ValueError):    # pdpcn without an anchor
+        stream_chain(post16, SamplerConfig("pdpcn", 10, seed=19), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chain_loads_without_sidecar(tmp_path):
