@@ -94,10 +94,12 @@ def _outdir(args) -> Path:
     return out
 
 
-def _build_model(cfg: RunConfig):
-    op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
-    basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
-    return op, basis
+def _operator(cfg: RunConfig):
+    return build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
+
+
+def _basis(cfg: RunConfig):
+    return build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
 
 
 def _read_sinogram(path: Path, cfg: RunConfig):
@@ -132,7 +134,7 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     phantom_path = Path(args.phantom) if args.phantom else outdir / "phantom.csv"
     truth = read_field_csv(phantom_path, cfg.grid)
-    op, _ = _build_model(cfg)
+    op = _operator(cfg)
     rng = np.random.default_rng(cfg.sampler.seed)
     sino = simulate_data(op, truth, rng)
     write_sinogram_bin(sino, outdir / "sinogram.bin")
@@ -152,7 +154,7 @@ def cmd_calibrate(args) -> int:
     outdir = _outdir(args)
     sino_path = Path(args.sinogram) if args.sinogram else outdir / "sinogram.bin"
     sino = _read_sinogram(sino_path, cfg)
-    op, basis = _build_model(cfg)
+    op, basis = _operator(cfg), _basis(cfg)
 
     def make_posterior(w: float) -> TGPosterior:
         return TGPosterior(op, cfg.reparam, basis, sino, tv_weight=w)
@@ -189,7 +191,7 @@ def cmd_sample(args) -> int:
     outdir = _outdir(args)
     sino_path = Path(args.sinogram) if args.sinogram else outdir / "sinogram.bin"
     sino = _read_sinogram(sino_path, cfg)
-    op, basis = _build_model(cfg)
+    op, basis = _operator(cfg), _basis(cfg)
     post = TGPosterior(op, cfg.reparam, basis, sino,
                        tv_weight=cfg.tv_weight)
 
@@ -232,7 +234,7 @@ def cmd_summarize(args) -> int:
     outdir = _outdir(args)
     chain_path = _chain_path(args, outdir)
     chain = load_chain(chain_path)
-    _, basis = _build_model(cfg)
+    basis = _basis(cfg)
     if chain.n_modes != basis.n_modes:
         raise ValueError(
             f"chain has {chain.n_modes} modes, basis has {basis.n_modes}")
@@ -281,7 +283,7 @@ def cmd_detect(args) -> int:
     outdir = _outdir(args)
     chain_path = _chain_path(args, outdir)
     chain = load_chain(chain_path)
-    _, basis = _build_model(cfg)
+    basis = _basis(cfg)
     test_path = Path(args.test_image) if args.test_image else outdir / "mean.csv"
     image = read_field_csv(test_path, cfg.grid)
     extra: dict = {}

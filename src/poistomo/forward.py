@@ -4,10 +4,13 @@ log-likelihood potential.
 Rays are traced exactly (Siddon's method): each matrix entry is the length
 of the intersection of a ray with a pixel, so the adjoint is the plain matrix
 transpose and the operator pair passes a machine-precision adjointness test.
-All rays of one projection angle share a direction and are traced together
-as array operations, one angle at a time; the matrix comes back in canonical
-CSR form (sorted, duplicate-free column indices), on which the summation
-order of ``apply`` and ``adjoint`` depends.
+Rays are traced as array operations in batches of consecutive rays, which
+may span several projection angles; each batch's table of grid-line
+crossings stays within a small fixed budget of floats.  The batches' int32
+pixel indices and lengths go straight into the CSR arrays, so the build
+peaks below twice the finished matrix's bytes.  The matrix comes back in
+canonical CSR form (int32, sorted, duplicate-free column indices), on which
+the summation order of ``apply`` and ``adjoint`` depends.
 
 Expected counts are theta = kappa * (path integrals of u), and the negative
 log-likelihood up to a data-only constant is
@@ -123,10 +126,10 @@ class RadonOperator:
         return np.asarray(self.matrix.sum(axis=1)).reshape(-1)
 
     def angles(self) -> np.ndarray:
-        return np.arange(self.n_angles) * math.pi / self.n_angles
+        return _geometry(self.n_angles, self.n_det)[0]
 
     def offsets(self) -> np.ndarray:
-        return (np.arange(self.n_det) + 0.5 - 0.5 * self.n_det) * (DETECTOR_SPAN / self.n_det)
+        return _geometry(self.n_angles, self.n_det)[1]
 
     def apply(self, u) -> np.ndarray:
         """Expected counts of an image given flat or as (nx, ny) values; a
@@ -147,85 +150,132 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     """Trace n_angles * n_det rays across the grid and assemble the matrix.
 
     Projection angles are equispaced on [0, pi); for each angle the detector
-    bins span the full projected width sqrt(2), centered on the domain.  The
-    rays of one angle share a direction and are traced together; rows come
-    in angle-major, detector-minor order.  The matrix is returned in
-    canonical CSR form (sorted, duplicate-free column indices), which fixes
-    the summation order of ``apply`` and ``adjoint``.
+    bins span the full projected width sqrt(2), centered on the domain.
+    Rays run angle-major, detector-minor and are traced in batches of
+    consecutive rays, which may span several angles, each batch's crossing
+    table within ``_BATCH_FLOATS`` floats.  Each batch's pixel indices
+    (int32) and lengths are kept, then joined into the CSR arrays one array
+    at a time, so the build peaks below twice the finished matrix's bytes.
+    The matrix is returned in canonical CSR form (int32 indices, sorted and
+    duplicate-free within each row), which fixes the summation order of
+    ``apply`` and ``adjoint``.
     """
     if n_angles < 1 or n_det < 1:
         raise ValueError("need at least one angle and one detector bin")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     t0 = time.perf_counter()
-    offsets = (np.arange(n_det) + 0.5 - 0.5 * n_det) * (DETECTOR_SPAN / n_det)
-    counts, cols, vals, angle_idx, det_idx = [], [], [], [], []
-    for k in range(n_angles):
-        phi = k * math.pi / n_angles
-        nxv, nyv = math.cos(phi), math.sin(phi)
-        n_seg, pix, lengths = _trace_angle(0.5 + offsets * nxv,
-                                           0.5 + offsets * nyv, -nyv, nxv,
-                                           grid)
-        kept = np.flatnonzero(n_seg)
-        counts.append(n_seg[kept])
+    ray_ids, rays = _ray_table(n_angles, n_det)
+    n_seg = np.empty(ray_ids.size, dtype=np.intp)
+    cols, vals = [], []
+    step = max(1, _BATCH_FLOATS // (grid.nx + grid.ny + 4))
+    batches = range(0, ray_ids.size, step)
+    for lo in batches:
+        n_seg[lo:lo + step], pix, lengths = _trace_rays(rays[:, lo:lo + step],
+                                                        grid)
         cols.append(pix)
         vals.append(lengths)
-        angle_idx.append(np.full(kept.size, k, dtype=np.uint32))
-        det_idx.append(kept.astype(np.uint32))
-    counts = np.concatenate(counts)
-    n_rays = counts.size
+    traced = n_seg > 0
+    kept = ray_ids[traced]
+    n_rays = kept.size
     if n_rays == 0:
         raise ValueError("all rays missed the domain")
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    matrix = sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr),
-                           shape=(n_rays, grid.npix))
+    indptr = np.zeros(n_rays + 1, dtype=np.int32)
+    np.cumsum(n_seg[traced], out=indptr[1:])
+    # join one array's pieces at a time and drop them: the lengths are
+    # joined while only the index pieces wait
+    data = np.concatenate(vals)
+    del vals
+    indices = np.concatenate(cols)
+    del cols
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rays, grid.npix))
     matrix.sum_duplicates()
     n_dropped = n_angles * n_det - n_rays
-    log.info("radon operator: %d rays kept, %d dropped, %d entries, %.3f s",
-             n_rays, n_dropped, matrix.nnz, time.perf_counter() - t0)
+    log.info("radon operator: %d rays kept, %d dropped, %d entries, "
+             "%d batches, %.3f s", n_rays, n_dropped, matrix.nnz,
+             len(batches), time.perf_counter() - t0)
     return RadonOperator(grid, n_angles, n_det, kappa, matrix,
-                         np.concatenate(angle_idx), np.concatenate(det_idx),
-                         n_dropped)
+                         (kept // n_det).astype(np.uint32),
+                         (kept % n_det).astype(np.uint32), n_dropped)
 
 
-def _trace_angle(p0x, p0y, tx, ty, grid: Grid):
-    """Exact pixel-intersection lengths of the parallel lines p0 + t (tx, ty)
-    with the unit square, one line per entry of p0x, p0y.
+# floats in one batch's crossing table: a batch's work arrays stay small
+# beside the matrix, whose own arrays set the build's peak
+_BATCH_FLOATS = 2 ** 13
 
-    Returns the number of kept segments of each line (0 for a line that
-    misses the square), then the pixel index and length of every kept
-    segment, line after line, each line's segments in order of t.
+
+def _geometry(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
+    """Projection angles and detector-bin centers of the acquisition."""
+    angles = np.arange(n_angles) * math.pi / n_angles
+    offsets = (np.arange(n_det) + 0.5 - 0.5 * n_det) * (DETECTOR_SPAN / n_det)
+    return angles, offsets
+
+
+def _ray_table(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rays that cross the unit square: their numbers k * n_det + j in
+    angle-major order, and one column of (p0x, p0y, tx, ty, tlo, thi) each.
+
+    Ray (k, j) is the line p0 + t (tx, ty) with p0 = (0.5, 0.5) + s_j n_k
+    and (tx, ty) = (-n_k[1], n_k[0]), n_k = (cos phi_k, sin phi_k) taken
+    from ``math``; it lies inside the unit square for t in (tlo, thi).
     """
-    n = p0x.size
-    tlo, thi = np.full(n, -np.inf), np.full(n, np.inf)
-    hit = np.ones(n, dtype=bool)
-    crossings = []
-    for p, t, m, h in ((p0x, tx, grid.nx, grid.hx), (p0y, ty, grid.ny, grid.hy)):
-        if abs(t) < _EPS:
-            hit &= (p > 0.0) & (p < 1.0)
-            continue
+    angles, offsets = _geometry(n_angles, n_det)
+    rays = np.empty((6, n_angles, n_det))
+    p0x, p0y, tx, ty, tlo, thi = rays
+    nxv = np.array([math.cos(phi) for phi in angles])[:, None]
+    nyv = np.array([math.sin(phi) for phi in angles])[:, None]
+    p0x[:], p0y[:] = 0.5 + offsets * nxv, 0.5 + offsets * nyv
+    tx[:], ty[:] = -nyv, nxv
+    tlo[:], thi[:] = -np.inf, np.inf
+    hit = np.ones((n_angles, n_det), dtype=bool)
+    for p, t in ((p0x, tx), (p0y, ty)):
+        # a ray parallel to this axis hits only inside the slab 0 < p < 1,
+        # and the slab does not bound its t
+        flat = np.abs(t) < _EPS
+        hit &= ~flat | ((p > 0.0) & (p < 1.0))
+        t = np.where(flat, 1.0, t)
         a1, a2 = (0.0 - p) / t, (1.0 - p) / t
-        tlo = np.maximum(tlo, np.minimum(a1, a2))
-        thi = np.minimum(thi, np.maximum(a1, a2))
-        crossings.append((np.arange(m + 1) * h - p[:, None]) / t)
+        np.maximum(tlo, np.where(flat, -np.inf, np.minimum(a1, a2)), out=tlo)
+        np.minimum(thi, np.where(flat, np.inf, np.maximum(a1, a2)), out=thi)
     hit &= thi - tlo > _EPS
-    lo, hi = tlo[hit, None], thi[hit, None]
-    # grid-line crossings outside (tlo, thi) clip onto an end point, where
-    # they only add zero-length segments
-    ts = np.concatenate([lo] + [np.clip(c[hit], lo, hi) for c in crossings]
-                        + [hi], axis=1)
+    return np.flatnonzero(hit), rays[:, hit]
+
+
+def _trace_rays(rays: np.ndarray, grid: Grid):
+    """Exact pixel-intersection lengths with the unit square of the rays of
+    a ``_ray_table`` slice, which may span several angles.
+
+    Returns the number of kept segments of each ray, then the int32 pixel
+    index and the length of every kept segment, ray after ray, each ray's
+    segments in order of t.
+    """
+    tlo, thi = rays[4], rays[5]
+    nx, ny = grid.nx, grid.ny
+    ts = np.empty((tlo.size, nx + ny + 4))
+    ts[:, 0], ts[:, -1] = tlo, thi
+    # a ray parallel to an axis crosses that axis's grid lines at -inf
+    flat = np.abs(rays[2:4]) < _EPS
+    p = np.where(flat, np.inf, rays[:2])
+    t = np.where(flat, 1.0, rays[2:4])
+    for k, m, h, cut in ((0, nx, grid.hx, ts[:, 1:nx + 2]),
+                         (1, ny, grid.hy, ts[:, nx + 2:-1])):
+        np.subtract(np.arange(m + 1) * h, p[k, :, None], out=cut)
+        np.divide(cut, t[k, :, None], out=cut)
+    # crossings outside (tlo, thi) clip onto an end point, where they only
+    # add zero-length segments
+    np.minimum(np.maximum(ts, tlo[:, None], out=ts), thi[:, None], out=ts)
     ts.sort(axis=1)
-    lengths = np.diff(ts, axis=1)
+    lengths = ts[:, 1:] - ts[:, :-1]
     keep = lengths > 1e-13
-    mids = (0.5 * (ts[:, :-1] + ts[:, 1:]))[keep]
-    n_kept = np.count_nonzero(keep, axis=1)
-    ix = np.clip((np.repeat(p0x[hit], n_kept) + mids * tx) / grid.hx,
-                 0, grid.nx - 1).astype(int)
-    iy = np.clip((np.repeat(p0y[hit], n_kept) + mids * ty) / grid.hy,
-                 0, grid.ny - 1).astype(int)
-    n_seg = np.zeros(n, dtype=np.int64)
-    n_seg[hit] = n_kept
-    return n_seg, ix * grid.ny + iy, lengths[keep]
+    n_seg = keep.sum(axis=1)
+    # pixel of each segment's midpoint p0 + t (tx, ty), x in row 0, y in row 1
+    line = np.repeat(rays[:4], n_seg, axis=1)
+    xy = 0.5 * (ts[:, :-1][keep] + ts[:, 1:][keep]) * line[2:]
+    xy += line[:2]
+    xy /= [[grid.hx], [grid.hy]]
+    np.minimum(np.maximum(xy, 0.0, out=xy), [[nx - 1], [ny - 1]], out=xy)
+    ix, iy = xy.astype(np.int32)
+    return n_seg, ix * ny + iy, lengths[keep]
 
 
 @dataclass(frozen=True)

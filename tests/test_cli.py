@@ -68,6 +68,27 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
     assert 0.0 <= manifest["acceptance_rate"] <= 1.0
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("this command should not build it")
+
+
+def test_chain_commands_build_no_operator(tmp_path, tiny_ini, monkeypatch):
+    # summarize, detect and diag read a chain and need the KL basis at most
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "sample"):
+        assert _run(command, tiny_ini, out) == 0, command
+    monkeypatch.setattr(cli, "build_radon_operator", _refuse)
+    for command in ("summarize", "detect", "diag"):
+        assert _run(command, tiny_ini, out) == 0, command
+
+
+def test_simulate_builds_no_basis(tmp_path, tiny_ini, monkeypatch):
+    out = tmp_path / "out"
+    assert _run("phantom", tiny_ini, out) == 0
+    monkeypatch.setattr(cli, "build_kl_basis", _refuse)
+    assert _run("simulate", tiny_ini, out) == 0
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, tiny_ini):
     # the removed dual-sign switch is now an unknown key like any other
     bad = tmp_path / "bad.ini"

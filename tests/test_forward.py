@@ -1,11 +1,13 @@
 import json
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from poistomo import forward
 from poistomo.fields import Grid, ScalarField
 from poistomo.forward import (DETECTOR_SPAN, Reparam, Sinogram, _phi_of_theta,
                               build_radon_operator, read_sinogram_bin,
@@ -156,7 +158,7 @@ def test_apply_accepts_images_flat_and_blocks(grid16, op16):
 
 def _reference_ray(p0x, p0y, tx, ty, nx, ny, hx, hy, eps=1e-12):
     """Pixel-intersection lengths of one line with the unit square, traced on
-    its own: the ray-by-ray form of the builder's per-angle tracer."""
+    its own: the ray-by-ray form of build_radon_operator's batched tracer."""
     tlo, thi = -np.inf, np.inf
     for p, t in ((p0x, tx), (p0y, ty)):
         if abs(t) < eps:
@@ -214,17 +216,37 @@ def _reference_operator(grid, n_angles, n_det):
             np.array(det_idx, dtype=np.uint32), n_dropped)
 
 
-@pytest.mark.parametrize("shape,n_angles,n_det", [
+GEOMETRIES = [
     ((32, 32), 30, 32), ((128, 128), 60, 128), ((16, 16), 7, 9),
     ((20, 20), 13, 31), ((64, 64), 4, 64), ((24, 16), 9, 20),
     ((16, 40), 8, 33), ((8, 8), 1, 1),
     ((8, 8), 2, 64),     # the second angle is pi/2: rays parallel to x
     ((16, 16), 12, 16),  # the shared test operator
     ((16, 16), 4, 15),   # one ray through the center at 45 degrees
-])
-def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det):
-    # the per-angle tracer reproduces the ray-by-ray trace bit for bit, so
+]
+
+# floats of one batch's crossing table: the default, one ray per batch, and
+# a few rays per batch, which splits one angle's rays between batches and
+# puts the rays parallel to an axis in a batch with other angles' rays
+BUDGETS = [forward._BATCH_FLOATS, 1, 500]
+
+
+def _trace_case(i, geometry, budget):
+    shape, n_angles, n_det = geometry
+    label = f"shape{i}-{n_angles}-{n_det}"
+    if budget != forward._BATCH_FLOATS:
+        label += f"-budget{budget}"
+    return pytest.param(shape, n_angles, n_det, budget, id=label)
+
+
+@pytest.mark.parametrize("shape,n_angles,n_det,budget", [
+    _trace_case(i, geometry, budget)
+    for budget in BUDGETS for i, geometry in enumerate(GEOMETRIES)])
+def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det, budget,
+                                           monkeypatch):
+    # the batched tracer reproduces the ray-by-ray trace bit for bit, so
     # every product with the matrix rounds the same way
+    monkeypatch.setattr(forward, "_BATCH_FLOATS", budget)
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
     matrix, angle_idx, det_idx, n_dropped = _reference_operator(
         op.grid, n_angles, n_det)
@@ -248,6 +270,21 @@ def test_build_logs_one_summary_line(caplog):
     assert len(lines) == 1
     assert f"{op.n_rays} rays kept, {op.n_dropped} dropped, " \
            f"{op.matrix.nnz} entries" in lines[0]
+    assert ", 1 batches, " in lines[0]   # 24 rays fit one batch
+
+
+def test_build_peaks_below_a_multiple_of_the_matrix():
+    # batches are traced within a small budget and joined one CSR array at a
+    # time, so the build's peak stays near the finished matrix itself
+    tracemalloc.start()
+    try:
+        op = build_radon_operator(Grid(64, 64), 30, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = op.matrix
+    assert m.indices.dtype == m.indptr.dtype == np.int32
+    assert peak <= 2.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 def test_build_validation():
