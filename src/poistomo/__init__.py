@@ -17,7 +17,7 @@ from .artifacts import (CredibleLevelMap, credible_level, credible_level_map,
 from .calibrate import (CalibrationResult, SelectionResult,
                         admissible_interval, admissible_search,
                         chi2_discrepancy, chi2_sf, posterior_predictive_p,
-                        select_lambda, stochastic_approximation)
+                        select_lambda)
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (acf_matrix, ess_matrix, hpdi_sorted,
                           intensity_samples, pointwise_hpdi, posterior_mean)
@@ -41,7 +41,7 @@ __all__ = [
     "inject_artifact",
     "CalibrationResult", "SelectionResult", "admissible_interval",
     "admissible_search", "chi2_discrepancy", "chi2_sf",
-    "posterior_predictive_p", "select_lambda", "stochastic_approximation",
+    "posterior_predictive_p", "select_lambda",
     "ConfigError", "RunConfig", "parse_config",
     "acf_matrix", "ess_matrix", "hpdi_sorted", "intensity_samples",
     "pointwise_hpdi", "posterior_mean",

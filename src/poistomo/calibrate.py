@@ -48,7 +48,6 @@ __all__ = [
     "CalibrationResult",
     "admissible_interval",
     "admissible_search",
-    "stochastic_approximation",
     "SelectionResult",
     "select_lambda",
     "write_calibration_csv",
@@ -224,12 +223,13 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     subsampled state's discrepancy is read off the expected counts of the
     chain's own evaluation of it, so no state is synthesized or projected
     twice and nothing holds the kept samples; memory is O(max_eval_samples)
-    floats plus one state.  Each chain starts at the last state of the
+    floats plus one state.  Each weight starts at the last state of the
     previous weight's chain (the first at the prior mean, whose zero TV
-    makes it a sticky start at large weights), and without a given beta the
-    stepsize is tuned at every weight from that start: the posterior
-    narrows as the weight grows, so a stepsize tuned at the first weight can
-    leave later chains where they began.
+    makes it a sticky start at large weights).  Without a given beta, a
+    tuning pilot at every weight adapts beta from that start and the chain
+    starts where the pilot ended: the posterior narrows as the weight
+    grows, so a stepsize tuned at the first weight can leave later chains
+    where they began.
     """
     weights = [float(v) for v in weight_grid]
     if sorted(weights) != weights:
@@ -238,8 +238,10 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     start = None
     for i, w in enumerate(weights):
         post = make_posterior(w)
-        step = (tune_stepsize(post, "pcn", n_pilot=1000, seed=seed, init=start)
-                if beta is None else beta)
+        step = beta
+        if step is None:
+            step, start = tune_stepsize(post, "pcn", n_pilot=1000, seed=seed,
+                                        init=start)
         cfg = SamplerConfig("pcn", chain_steps, beta=step, seed=seed + i)
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
         d = np.empty(steps.size)
@@ -262,41 +264,6 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     return CalibrationResult(tuple(rows), interval, band)
 
 
-def stochastic_approximation(mean_reg: Callable[[float, int], float],
-                             n_eff: float,
-                             interval: tuple[float, float],
-                             a0: float = 1.0,
-                             n_iters: int = 200,
-                             start: float | None = None
-                             ) -> tuple[float, list]:
-    """Projected root-finding iteration for the evidence stationarity condition.
-
-    mean_reg(weight, k) must return a Monte Carlo estimate of the posterior
-    mean regularizer value at the given weight; the ascent direction is
-    n_eff / weight - mean_reg, stepped with a_k = a0 / k and projected onto
-    the interval.  Returns the final iterate and the (k, weight, gradient)
-    trace; a non-settling trajectory raises a warning but still returns.
-    """
-    lo, hi = interval
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"invalid interval {interval}")
-    lo = max(lo, 1e-8)  # the gradient needs a positive weight
-    lam = 0.5 * (lo + hi) if start is None else float(start)
-    lam = min(max(lam, lo), hi)
-    trace = []
-    for k in range(1, n_iters + 1):
-        r_hat = mean_reg(lam, k)
-        grad = n_eff / lam - r_hat
-        lam = min(max(lam + (a0 / k) * grad, lo), hi)
-        trace.append((k, lam, grad))
-    tail = [t[1] for t in trace[-max(1, n_iters // 4):]]
-    if max(tail) - min(tail) > 0.25 * (hi - lo):
-        warnings.warn("weight selection did not settle within the iteration "
-                      "cap; returning the last projected iterate",
-                      RuntimeWarning, stacklevel=2)
-    return lam, trace
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     tv_weight: float
@@ -314,34 +281,45 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
                   seed: int = 0) -> SelectionResult:
     """Pick one TV weight inside the admissible interval.
 
-    Each iteration runs a short warm-started pcn chain at the current weight
-    and feeds the batch-mean TV of the latent field, read off the chain's
-    own evaluations (its regularizer trace over the weight), to the projected
-    stochastic-approximation update.  n_eff defaults to the coefficient
+    Projected root-finding for the evidence stationarity condition: from
+    the midpoint, the weight steps by a0 / k times n_eff / weight minus the
+    batch-mean TV of the latent field, read off the regularizer trace of a
+    short pcn chain warm started at the previous chain's last state.
+    Without a given beta, a pilot at the midpoint tunes it and the first
+    chain starts where the pilot ended.  n_eff defaults to the coefficient
     dimension, an identification that is approximate for this reference
-    measure, so the iterate is meaningful only within the interval it is
-    projected onto.
+    measure, so the iterate is meaningful only within the interval.  The
+    trace holds (k, weight, gradient) rows; an iterate that does not
+    settle raises a warning but is still returned.
     """
-    probe = make_posterior(0.5 * (interval[0] + interval[1]))
+    lo, hi = interval
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"invalid interval {interval}")
+    probe = make_posterior(0.5 * (lo + hi))
     if n_eff is None:
         n_eff = float(probe.n_modes)
+    c = None
     if beta is None:
-        beta = tune_stepsize(probe, "pcn", n_pilot=1000, seed=seed)
+        beta, c = tune_stepsize(probe, "pcn", n_pilot=1000, seed=seed)
     if a0 is None:
-        a0 = (interval[1] - interval[0]) / n_eff
-    state = {"c": np.zeros(probe.n_modes)}
-
-    def mean_reg(weight: float, k: int) -> float:
-        post = make_posterior(weight)
+        a0 = (hi - lo) / n_eff
+    lo = max(lo, 1e-8)  # the gradient needs a positive weight
+    lam = 0.5 * (lo + hi)
+    trace = []
+    for k in range(1, n_iters + 1):
         # only the traces and the last state are read: keep one state
         cfg = SamplerConfig("pcn", inner_steps, beta=beta, burn_in=0,
                             thinning=inner_steps, seed=seed + 1000 * k)
-        chain = run_chain(post, cfg, init=state["c"])
-        state["c"] = chain.samples[-1]
-        return float(np.mean(chain.reg_trace)) / weight
-
-    lam, trace = stochastic_approximation(mean_reg, n_eff, interval,
-                                          a0=a0, n_iters=n_iters)
+        chain = run_chain(make_posterior(lam), cfg, init=c)
+        c = chain.samples[-1]
+        grad = n_eff / lam - float(np.mean(chain.reg_trace)) / lam
+        lam = min(max(lam + (a0 / k) * grad, lo), hi)
+        trace.append((k, lam, grad))
+    tail = [t[1] for t in trace[-max(1, n_iters // 4):]]
+    if max(tail) - min(tail) > 0.25 * (hi - lo):
+        warnings.warn("weight selection did not settle within the iteration "
+                      "cap; returning the last projected iterate",
+                      RuntimeWarning, stacklevel=2)
     return SelectionResult(lam, tuple(trace), tuple(interval))
 
 

@@ -212,8 +212,9 @@ def cmd_sample(args) -> int:
         if not result.converged:
             log.warning("MAP solve hit max_outer without meeting tol")
     if cfg.autotune:
-        step = tune_stepsize(post, scfg.kind, seed=scfg.seed, init=init,
-                             anchor=anchor, k_proj=scfg.k_proj)
+        # the chain starts where the tuning pilot ended
+        step, init = tune_stepsize(post, scfg.kind, seed=scfg.seed, init=init,
+                                   anchor=anchor, k_proj=scfg.k_proj)
         name = "beta" if scfg.kind == "pcn" else "delta"
         scfg = dataclasses.replace(scfg, **{name: step})
         print(f"tuned {name} = {step:.5f}")

@@ -30,6 +30,7 @@ meaningful.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import struct
@@ -56,6 +57,8 @@ __all__ = [
     "stream_chain",
     "load_chain",
 ]
+
+log = logging.getLogger(__name__)
 
 KINDS = ("pcn", "pcnl", "pdpcn")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
@@ -205,6 +208,14 @@ class Chain:
         return self.samples.shape[1]
 
 
+def _delta(kind: str, stepsize: float) -> float:
+    """The proposal's delta at a stepsize: delta(beta) for pcn, else itself."""
+    if kind != "pcn":
+        return stepsize
+    b = stepsize
+    return 2.0 * b * b / (1.0 + math.sqrt(1.0 - b * b)) ** 2
+
+
 def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
                  anchor: Anchor | None = None):
     """Drive one chain, yielding ``(z, ev, accepted)`` after every step.
@@ -216,13 +227,11 @@ def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
     The pdpcn kernel needs the caller's splitting anchor (see
     anchor_from_map).  The sequence is a pure function of (posterior,
     config, init, anchor); a non-finite potential raises ChainDivergence.
+    A consumer may ``send`` a stepsize (beta for pcn, delta otherwise) in
+    place of calling ``next``; the steps after that use it (tune_stepsize).
     """
     drift = _drift(post, config, anchor)
-    if config.kind == "pcn":
-        b = config.beta
-        delta = 2.0 * b * b / (1.0 + math.sqrt(1.0 - b * b)) ** 2
-    else:
-        delta = config.delta
+    delta = _delta(config.kind, config.stepsize)
     rng = np.random.default_rng(config.seed)
     n = post.n_modes
     z = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
@@ -232,7 +241,9 @@ def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
         z, ev, g, accepted = _step(post, z, ev, g, delta, drift, rng)
         if not math.isfinite(ev.psi):
             raise ChainDivergence(f"non-finite potential at step {k}")
-        yield z, ev, accepted
+        stepsize = yield z, ev, accepted
+        if stepsize is not None:
+            delta = _delta(config.kind, stepsize)
 
 
 def kept_steps(config: SamplerConfig) -> np.ndarray:
@@ -271,39 +282,40 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
 
 
 def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
-                  n_pilot: int = 2000, tol: float = 0.03, max_rounds: int = 12,
-                  seed: int = 0, init=None, anchor: Anchor | None = None,
-                  k_proj: int | None = None) -> float:
-    """Bisect the stepsize until the pilot acceptance rate is near target.
+                  n_pilot: int = 2000, seed: int = 0, init=None,
+                  anchor: Anchor | None = None, k_proj: int | None = None
+                  ) -> tuple[float, np.ndarray]:
+    """Tune the stepsize on one pilot chain; return it and the last state.
 
-    Acceptance decreases with the stepsize, so plain bisection applies.  The
-    pilot chains share one seed, making the tuning deterministic.  The
-    stepsize is beta for pcn and delta otherwise; the pdpcn kernel needs the
-    caller's anchor, as in run_chain.
+    Robbins-Monro on log s (Andrieu & Thoms 2008): from a tenth of the top
+    stepsize (beta 1 for pcn, delta 2 otherwise), pilot step k moves log s
+    by (accepted - target) / k^0.6, capped at the top; s is then frozen at
+    exp of the mean of log s over the pilot's second half.  Start the tuned
+    chain from the returned state: a start such as the prior mean at a
+    large TV weight may be one that the tuned chain never leaves.  The
+    pdpcn kernel needs the caller's anchor, as in run_chain.
     """
-    lo, hi = 1e-5, (1.0 if kind == "pcn" else 2.0)
-
-    def acc(step: float) -> float:
-        size = {"beta": step} if kind == "pcn" else {"delta": step}
-        # only the acceptance trace is read: keep one state, not n_pilot
-        cfg = SamplerConfig(kind, n_pilot, burn_in=0, thinning=n_pilot,
-                            seed=seed, k_proj=k_proj, **size)
-        chain = run_chain(post, cfg, init=init, anchor=anchor)
-        # rate over the tail only: a cold start biases the early acceptance
-        return float(np.mean(chain.accepted[n_pilot // 4:]))
-
-    if acc(hi) >= target:
-        return hi
-    for _ in range(max_rounds):
-        mid = math.sqrt(lo * hi)
-        a = acc(mid)
-        if abs(a - target) <= tol:
-            return mid
-        if a > target:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    top = 1.0 if kind == "pcn" else 2.0
+    log_s = math.log(0.1 * top)
+    name = "beta" if kind == "pcn" else "delta"
+    pilot = chain_states(post, SamplerConfig(kind, n_pilot, seed=seed,
+                                             k_proj=k_proj,
+                                             **{name: 0.1 * top}),
+                         init, anchor)
+    n_accepted = 0
+    tail = 0.0
+    z, _, accepted = next(pilot)
+    for k in range(1, n_pilot + 1):
+        n_accepted += accepted
+        log_s = min(log_s + (accepted - target) / k ** 0.6, math.log(top))
+        if 2 * k > n_pilot:
+            tail += log_s
+        if k < n_pilot:
+            z, _, accepted = pilot.send(math.exp(log_s))
+    step = math.exp(tail / (n_pilot - n_pilot // 2))
+    log.info("tuned %s %s = %.4g, pilot acceptance %.3f", kind, name, step,
+             n_accepted / n_pilot)
+    return step, z
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ def map16_strong(post16_strong):
 @pytest.fixture
 def unthinned(monkeypatch):
     """Make every run_chain keep every post-burn-in state, so a test can show
-    that keeping one state does not change what the tuning pilots and the
-    selection chains compute.  Returns the thinning each call asked for."""
+    that keeping one state does not change what the selection chains
+    compute.  Returns the thinning each call asked for."""
     from poistomo import calibrate, samplers
     thinned = samplers.run_chain
     asked = []

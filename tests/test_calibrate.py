@@ -221,11 +221,31 @@ def test_search_holds_less_than_one_chain(post16):
 
 
 def test_selection_does_not_depend_on_keeping_samples(post16, request):
-    # the inner chains and the tuning pilots keep one state; keeping all of
-    # them selects along the same trace
+    # the inner chains keep one state; keeping all of them selects along
+    # the same trace
     make_posterior = _weights_of(post16)
     kwargs = dict(n_iters=6, inner_steps=40, beta=None, seed=4)
     thinned = select_lambda(make_posterior, (1.0, 2.0), **kwargs)
     asked = request.getfixturevalue("unthinned")
     assert select_lambda(make_posterior, (1.0, 2.0), **kwargs) == thinned
     assert asked and all(t > 1 for t in asked)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_every_selection_chain_accepts(post16, monkeypatch, seed):
+    # the selection chains start where the tuning pilot ended; a tuned beta
+    # with the first chain restarted at the prior mean left every chain
+    # here without an accepted step
+    from poistomo import calibrate
+    rates = []
+
+    def recorded(*args, **kwargs):
+        chain = run_chain(*args, **kwargs)
+        rates.append(chain.acceptance_rate)
+        return chain
+
+    monkeypatch.setattr(calibrate, "run_chain", recorded)
+    select_lambda(_weights_of(post16), (1.0, 2.0), beta=None, n_iters=6,
+                  inner_steps=40, seed=seed)
+    assert len(rates) == 6
+    assert min(rates) > 0.0, rates

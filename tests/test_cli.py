@@ -126,6 +126,9 @@ def test_every_kernel_runs_through_the_cli(tmp_path, kind, sampler, model):
     sidecar = json.loads((out / "chain.bin.json").read_text())
     assert sidecar["kind"] == kind
     assert 0.0 <= sidecar["acceptance_rate"] <= 1.0
+    if "autotune" in sampler:
+        # the tuned chain starts where the tuning pilot ended, so it moves
+        assert sidecar["acceptance_rate"] > 0.0
 
 
 def test_gradient_kernel_with_tv_is_a_usage_error(tmp_path):

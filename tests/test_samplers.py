@@ -292,8 +292,8 @@ def test_anchored_chain_matches_dense_quadrature():
     res = solve_map(toy.post, AdmmConfig(rho_pen=1.0, max_outer=400, tol=1e-6,
                                          inner_iters=300, inner_tol=1e-7))
     anchor = anchor_from_map(res, 1.0)
-    delta = tune_stepsize(toy.post, "pdpcn", seed=14, init=res.coeffs,
-                          anchor=anchor)
+    delta, _ = tune_stepsize(toy.post, "pdpcn", seed=14, init=res.coeffs,
+                             anchor=anchor)
     cfg = SamplerConfig("pdpcn", 60_000, delta=delta, burn_in=5000, seed=15)
     chain = run_chain(toy.post, cfg, init=res.coeffs, anchor=anchor)
 
@@ -348,15 +348,30 @@ def test_run_chain_collects_the_yielded_states(post16):
     np.testing.assert_array_equal(ev.z, post16.basis.synthesize_values(z))
 
 
-def test_tuning_does_not_depend_on_keeping_samples(post16_strong,
-                                                   map16_strong, request):
-    # the pilots keep one state; keeping all of them tunes the same stepsize
+def _refuse_run_chain(*args, **kwargs):
+    raise AssertionError("the tuner should not call run_chain")
+
+
+def test_tuning_runs_one_pilot(post16_strong, map16_strong, monkeypatch):
+    # one evaluation of the start and one per pilot step, and no run_chain:
+    # the pilot is driven through chain_states, and its last state is the
+    # state of the pilot chain run at the stepsizes the tuner sent
+    from poistomo import samplers
     res, _ = map16_strong
-    kwargs = dict(target=0.25, n_pilot=400, seed=25, init=res.coeffs)
-    thinned = tune_stepsize(post16_strong, "pcn", **kwargs)
-    asked = request.getfixturevalue("unthinned")
-    assert tune_stepsize(post16_strong, "pcn", **kwargs) == thinned
-    assert asked and all(t == 400 for t in asked)
+    calls = []
+    evaluate = TGPosterior.evaluate
+
+    def counted(self, c):
+        calls.append(1)
+        return evaluate(self, c)
+
+    monkeypatch.setattr(TGPosterior, "evaluate", counted)
+    monkeypatch.setattr(samplers, "run_chain", _refuse_run_chain)
+    beta, last = tune_stepsize(post16_strong, "pcn", n_pilot=400, seed=25,
+                               init=res.coeffs)
+    assert len(calls) == 400 + 1
+    assert 0.0 < beta <= 1.0
+    assert last.shape == (post16_strong.n_modes,)
 
 
 def test_reg_trace_is_the_tv_of_each_state(post16):
@@ -469,8 +484,8 @@ def test_config_stepsize_follows_kind():
 
 def test_tuned_plain_stepsize_hits_target(post16_strong, map16_strong):
     res, _ = map16_strong
-    beta = tune_stepsize(post16_strong, "pcn", target=0.25, seed=21,
-                         init=res.coeffs)
+    beta, _ = tune_stepsize(post16_strong, "pcn", target=0.25, seed=21,
+                            init=res.coeffs)
     cfg = SamplerConfig("pcn", 4000, beta=beta, burn_in=0, seed=22)
     chain = run_chain(post16_strong, cfg, init=res.coeffs)
     rate = float(np.mean(chain.accepted[1000:]))
@@ -480,8 +495,8 @@ def test_tuned_plain_stepsize_hits_target(post16_strong, map16_strong):
 def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
     res, cfg_map = map16_strong
     anchor = anchor_from_map(res, cfg_map.rho_pen)
-    delta = tune_stepsize(post16_strong, "pdpcn", target=0.25, seed=23,
-                          init=res.coeffs, anchor=anchor)
+    delta, _ = tune_stepsize(post16_strong, "pdpcn", target=0.25, seed=23,
+                             init=res.coeffs, anchor=anchor)
     cfg = SamplerConfig("pdpcn", 4000, delta=delta, burn_in=0, seed=24)
     chain = run_chain(post16_strong, cfg, init=res.coeffs, anchor=anchor)
     rate = float(np.mean(chain.accepted[1000:]))
@@ -490,11 +505,12 @@ def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
 
 def test_tuning_is_deterministic(post16_strong, map16_strong):
     res, _ = map16_strong
-    a = tune_stepsize(post16_strong, "pcn", target=0.25, seed=25,
-                      init=res.coeffs)
-    b = tune_stepsize(post16_strong, "pcn", target=0.25, seed=25,
-                      init=res.coeffs)
+    a, za = tune_stepsize(post16_strong, "pcn", target=0.25, seed=25,
+                          init=res.coeffs)
+    b, zb = tune_stepsize(post16_strong, "pcn", target=0.25, seed=25,
+                          init=res.coeffs)
     assert a == b
+    np.testing.assert_array_equal(za, zb)
     with pytest.raises(ValueError):
         tune_stepsize(post16_strong, "hamiltonian")
 
