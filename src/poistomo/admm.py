@@ -22,8 +22,7 @@ truncated to the leading modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,12 +31,9 @@ from .posterior import PosteriorEval, TGPosterior
 
 __all__ = [
     "AdmmConfig",
-    "AdmmState",
     "MapResult",
-    "initial_state",
     "phi_step",
     "z_step",
-    "dual_step",
     "solve_map",
     "offset_direction",
     "lagrangian",
@@ -71,28 +67,6 @@ class AdmmConfig:
             raise ValueError("iteration budgets must be at least 1")
 
 
-@dataclass(frozen=True)
-class AdmmState:
-    """One iterate: coefficients plus the (2, nx, ny) split field p and
-    multiplier eta."""
-
-    coeffs: np.ndarray = field(repr=False)
-    p: np.ndarray = field(repr=False)
-    eta: np.ndarray = field(repr=False)
-
-
-def initial_state(post: TGPosterior,
-                  init=None) -> tuple[AdmmState, PosteriorEval]:
-    """Start from given coefficients (default zero), p = grad z, eta = 0.
-
-    Returns the state and the evaluation at its coefficients.
-    """
-    n = post.n_modes
-    c = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
-    ev = post.evaluate(c)
-    return AdmmState(c, ev.grad, np.zeros_like(ev.grad)), ev
-
-
 def _pair(a: np.ndarray, b: np.ndarray) -> float:
     """Uniform-weight pairing of two (2, nx, ny) fields.
 
@@ -102,22 +76,15 @@ def _pair(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a[0], b[0]) + np.vdot(a[1], b[1]))
 
 
-class _ZPoint(NamedTuple):
-    """The smooth z-subproblem at one evaluated state."""
-
-    value: float
-    ev: PosteriorEval
-
-
-def _z_point(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
-             eta: np.ndarray, rho_pen: float) -> _ZPoint:
+def _z_value(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
+             eta: np.ndarray, rho_pen: float) -> float:
     """phi + <eta, grad z> + (rho/2)||grad z - p||^2  (the z-subproblem) at
     the state of ev."""
     d = ev.grad - p
     cell = post.grid.cell
     pair = cell * _pair(eta, ev.grad)
     quad = 0.5 * rho_pen * cell * _pair(d, d)
-    return _ZPoint(ev.phi + pair + quad, ev)
+    return ev.phi + pair + quad
 
 
 def _z_grad(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
@@ -131,31 +98,33 @@ def _z_grad(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
                                - g.cell * dfield.reshape(-1))
 
 
-def lagrangian(post: TGPosterior, c, state: AdmmState, rho_pen: float) -> float:
+def lagrangian(post: TGPosterior, c, p: np.ndarray, eta: np.ndarray,
+               rho_pen: float) -> float:
     """Full augmented Lagrangian, including the TV term of the split field."""
-    tv = iso_l1(state.p, post.grid.hx, post.grid.hy)
-    pt = _z_point(post, post.evaluate(c), state.p, state.eta, rho_pen)
-    return pt.value + post.tv_weight * tv
+    tv = iso_l1(p, post.grid.hx, post.grid.hy)
+    return (_z_value(post, post.evaluate(c), p, eta, rho_pen)
+            + post.tv_weight * tv)
 
 
-def z_step(post: TGPosterior, state: AdmmState, ev: PosteriorEval,
-           cfg: AdmmConfig = AdmmConfig()) -> tuple[AdmmState, dict]:
-    """Descend the smooth z-subproblem with Armijo backtracking.
+def z_step(post: TGPosterior, c: np.ndarray, ev: PosteriorEval, p: np.ndarray,
+           eta: np.ndarray,
+           cfg: AdmmConfig = AdmmConfig()) -> tuple[np.ndarray, dict]:
+    """Descend the smooth z-subproblem at frozen (p, eta) from coefficients c
+    with Armijo backtracking.
 
-    ev is the evaluation at state.coeffs.  A trial whose value
-    ties the current one within VALUE_TIE_REL (the Armijo test then reads
-    rounding noise) is accepted instead when its slope along the step passes
-    the approximate Wolfe test; the gradient that test computes is reused.
+    ev is the evaluation at c.  A trial whose value ties the current one
+    within VALUE_TIE_REL (the Armijo test then reads rounding noise) is
+    accepted instead when its slope along the step passes the approximate
+    Wolfe test; the gradient that test computes is reused.
     Stops at the gradient tolerance, at the inner budget, or unconverged when
-    the step no longer changes the coefficients; the returned info dict says
-    which, and carries the evaluation at the returned coefficients under
-    "eval".  Raises if a single line search backtracks MAX_BACKTRACKS times
-    without an acceptable point.
+    the step no longer changes the coefficients; returns the coefficients and
+    an info dict that says which, and carries the evaluation at the returned
+    coefficients under "eval".  Raises if a single line search backtracks
+    MAX_BACKTRACKS times without an acceptable point.
     """
-    p, eta, rho = state.p, state.eta, cfg.rho_pen
-    c = state.coeffs.copy()
-    pt = _z_point(post, ev, p, eta, rho)
-    grad = _z_grad(post, pt.ev, p, eta, rho)
+    rho = cfg.rho_pen
+    value = _z_value(post, ev, p, eta, rho)
+    grad = _z_grad(post, ev, p, eta, rho)
     step = 1.0
     iterations = 0
     converged = False
@@ -169,11 +138,12 @@ def z_step(post: TGPosterior, state: AdmmState, ev: PosteriorEval,
             c_try = c - step * grad
             if np.array_equal(c_try, c):
                 break
-            trial = _z_point(post, post.evaluate(c_try), p, eta, rho)
-            if trial.value <= pt.value - ARMIJO_C1 * step * gn2:
+            ev_try = post.evaluate(c_try)
+            v_try = _z_value(post, ev_try, p, eta, rho)
+            if v_try <= value - ARMIJO_C1 * step * gn2:
                 break
-            if abs(trial.value - pt.value) <= VALUE_TIE_REL * abs(pt.value):
-                g_try = _z_grad(post, trial.ev, p, eta, rho)
+            if abs(v_try - value) <= VALUE_TIE_REL * abs(value):
+                g_try = _z_grad(post, ev_try, p, eta, rho)
                 slope = -float(np.dot(g_try, grad))
                 if (-WOLFE_SIGMA * gn2 <= slope
                         <= (1.0 - 2.0 * WOLFE_DELTA) * gn2):
@@ -185,38 +155,34 @@ def z_step(post: TGPosterior, state: AdmmState, ev: PosteriorEval,
                                "consecutive times")
         if np.array_equal(c_try, c):
             break   # the step is below the coefficients' resolution
-        c, pt = c_try, trial
-        grad = _z_grad(post, pt.ev, p, eta, rho) if g_try is None else g_try
+        c, ev, value = c_try, ev_try, v_try
+        grad = _z_grad(post, ev, p, eta, rho) if g_try is None else g_try
         step *= 2.0
         iterations += 1
     info = {"iterations": iterations,
             "grad_norm": float(np.linalg.norm(grad)),
             "converged": converged,
-            "value": pt.value,
-            "eval": pt.ev}
-    return replace(state, coeffs=c), info
+            "value": value,
+            "eval": ev}
+    return c, info
 
 
-def phi_step(state: AdmmState, g: np.ndarray, tv_weight: float,
-             rho_pen: float) -> AdmmState:
+def phi_step(g: np.ndarray, eta: np.ndarray, tv_weight: float,
+             rho_pen: float) -> np.ndarray:
     """Exact minimizer in the split field: pointwise isotropic shrinkage.
 
-    g is grad z at state.coeffs.  With q = g + eta / rho, each pixel maps to
-    max(0, 1 - (tv_weight/rho)/|q|) q; the zero vector stays zero.
+    g is grad z at the current coefficients.  With q = g + eta / rho, each
+    pixel maps to max(0, 1 - (tv_weight/rho)/|q|) q; the zero vector stays
+    zero.
     """
-    q = g + state.eta / rho_pen
+    q = g + eta / rho_pen
     thresh = tv_weight / rho_pen
     mag = np.hypot(q[0], q[1])
     # divide only where the result is nonzero; avoids denormal blowups
     scale = np.zeros_like(mag)
     live = mag > thresh
     scale[live] = 1.0 - thresh / mag[live]
-    return replace(state, p=scale * q)
-
-
-def dual_step(state: AdmmState, g: np.ndarray, rho_pen: float) -> AdmmState:
-    """Multiplier ascent eta += rho (g - p), with g = grad z at state.coeffs."""
-    return replace(state, eta=state.eta + rho_pen * (g - state.p))
+    return scale * q
 
 
 @dataclass(frozen=True)
@@ -245,22 +211,23 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
     before the coefficients are stationary.  The objective column of the
     history is the actual target  phi + tv_weight * TV(z).
     """
-    state, ev = initial_state(post, init)
-    grid = post.grid
-    sqrt_cell = np.sqrt(grid.cell)
+    n = post.n_modes
+    c = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
+    ev = post.evaluate(c)
+    p, eta = ev.grad, np.zeros_like(ev.grad)   # p = grad z, eta = 0
+    sqrt_cell = np.sqrt(post.grid.cell)
     objective, primal, dual = [], [], []
     converged = False
     it = 0
     for it in range(1, cfg.max_outer + 1):
-        state, info = z_step(post, state, ev, cfg)
+        c, info = z_step(post, c, ev, p, eta, cfg)
         ev = info["eval"]
-        p_old = state.p
-        state = phi_step(state, ev.grad, post.tv_weight, cfg.rho_pen)
-        r = ev.grad - state.p
+        p_old, p = p, phi_step(ev.grad, eta, post.tv_weight, cfg.rho_pen)
+        r = ev.grad - p
         pr = sqrt_cell * float(np.sqrt(_pair(r, r)))
-        dv = div_arrays(state.p - p_old, grid.hx, grid.hy)
+        dv = div_arrays(p - p_old, post.grid.hx, post.grid.hy)
         du = cfg.rho_pen * sqrt_cell * float(np.linalg.norm(dv))
-        state = dual_step(state, ev.grad, cfg.rho_pen)
+        eta = eta + cfg.rho_pen * r
         objective.append(ev.psi)
         primal.append(pr)
         dual.append(du)
@@ -269,9 +236,9 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
             break
     # final latent polish against the returned splitting pair, so the offset
     # direction evaluated at the returned coefficients vanishes to inner_tol
-    state, _info = z_step(post, state, ev, cfg)
-    return MapResult(state.coeffs, state.p, state.eta, np.array(objective),
-                     np.array(primal), np.array(dual), it, converged)
+    c, _info = z_step(post, c, ev, p, eta, cfg)
+    return MapResult(c, p, eta, np.array(objective), np.array(primal),
+                     np.array(dual), it, converged)
 
 
 def offset_direction(post: TGPosterior, ev: PosteriorEval, split: np.ndarray,

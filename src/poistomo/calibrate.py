@@ -104,6 +104,8 @@ class PredictiveResult:
 
 def _even_subsample(n: int, max_samples: int | None) -> np.ndarray:
     """Indices of an even subsample of at most max_samples of n items."""
+    if max_samples is not None and max_samples < 1:
+        raise ValueError(f"sample cap must be None or >= 1, got {max_samples}")
     if max_samples is not None and n > max_samples:
         return np.linspace(0, n - 1, max_samples).astype(int)
     return np.arange(n)

@@ -57,47 +57,35 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in parts)
 
 
-_SCHEMA = {
-    "grid": {"nx": int, "ny": int},
-    "reparam": {"a": float, "b": float, "c": float},
-    "prior": {"gamma": float, "corr_len": float, "n_modes": int,
-              "mean": float},
-    "operator": {"n_angles": int, "n_det": int, "kappa": float},
-    "model": {"tv_weight": float},
-    "sampler": {"kind": str, "n_samples": int, "burn_in": _parse_opt_int,
-                "thinning": int, "beta": float, "delta": float,
-                "k_proj": _parse_opt_int, "seed": int,
-                "autotune": _parse_bool},
-    "map": {"rho_pen": float, "max_outer": int, "tol": float,
-            "inner_iters": int, "inner_tol": float},
-    "calibration": {"weight_grid": _parse_float_list, "chain_steps": int,
-                    "band_lo": float, "band_hi": float, "denominator": str,
-                    "max_eval_samples": _parse_opt_int, "select_iters": int,
-                    "select_inner_steps": int},
-    "detect": {"thin": int},
+# section -> key -> (parser, default), defaults as raw INI strings.  The keys
+# of grid, reparam, map and sampler (except autotune) are the fields of the
+# dataclass their section builds.
+_KEYS = {
+    "grid": {"nx": (int, "32"), "ny": (int, "32")},
+    "reparam": {"a": (float, "2.0"), "b": (float, "2.0"), "c": (float, "1.0")},
+    "prior": {"gamma": (float, "2.0"), "corr_len": (float, "1e-3"),
+              "n_modes": (int, "500"), "mean": (float, "0.0")},
+    "operator": {"n_angles": (int, "30"), "n_det": (int, "32"),
+                 "kappa": (float, "1.0")},
+    "model": {"tv_weight": (float, "1.0")},
+    "sampler": {"kind": (str, "pdpcn"), "n_samples": (int, "20000"),
+                "burn_in": (_parse_opt_int, "2000"), "thinning": (int, "1"),
+                "beta": (float, "0.1"), "delta": (float, "0.1"),
+                "k_proj": (_parse_opt_int, "none"), "seed": (int, "0"),
+                "autotune": (_parse_bool, "false")},
+    "map": {"rho_pen": (float, "1.0"), "max_outer": (int, "200"),
+            "tol": (float, "1e-4"), "inner_iters": (int, "50"),
+            "inner_tol": (float, "1e-6")},
+    "calibration": {"weight_grid": (_parse_float_list, "0.0, 1.0, 2.0, 3.0"),
+                    "chain_steps": (int, "20000"), "band_lo": (float, "0.1"),
+                    "band_hi": (float, "0.7"), "denominator": (str, "theta"),
+                    "max_eval_samples": (_parse_opt_int, "2000"),
+                    "select_iters": (int, "60"),
+                    "select_inner_steps": (int, "200")},
+    "detect": {"thin": (int, "1")},
 }
 
-_DEFAULTS = {
-    "grid": {"nx": "32", "ny": "32"},
-    "reparam": {"a": "2.0", "b": "2.0", "c": "1.0"},
-    "prior": {"gamma": "2.0", "corr_len": "1e-3", "n_modes": "500",
-              "mean": "0.0"},
-    "operator": {"n_angles": "30", "n_det": "32", "kappa": "1.0"},
-    "model": {"tv_weight": "1.0"},
-    "sampler": {"kind": "pdpcn", "n_samples": "20000", "burn_in": "2000",
-                "thinning": "1", "beta": "0.1", "delta": "0.1",
-                "k_proj": "none", "seed": "0", "autotune": "false"},
-    "map": {"rho_pen": "1.0", "max_outer": "200", "tol": "1e-4",
-            "inner_iters": "50", "inner_tol": "1e-6"},
-    "calibration": {"weight_grid": "0.0, 1.0, 2.0, 3.0",
-                    "chain_steps": "20000", "band_lo": "0.1",
-                    "band_hi": "0.7", "denominator": "theta",
-                    "max_eval_samples": "2000", "select_iters": "60",
-                    "select_inner_steps": "200"},
-    "detect": {"thin": "1"},
-}
-
-# Presets are overlays on the defaults above.  "desk" is sized to run in
+# Presets are overlays on the defaults in _KEYS.  "desk" is sized to run in
 # seconds on one core; "paper" reproduces the full-scale tomography setup
 # (128x128 image, 60 projection angles, half-strength source, long chains).
 PRESETS = {
@@ -133,6 +121,9 @@ class CalibrationSettings:
             raise ValueError(f"chain_steps must be >= 1, got {self.chain_steps}")
         if self.select_iters < 1 or self.select_inner_steps < 1:
             raise ValueError("selection iteration counts must be >= 1")
+        if self.max_eval_samples is not None and self.max_eval_samples < 1:
+            raise ValueError("max_eval_samples must be none or >= 1, got "
+                             f"{self.max_eval_samples}")
 
 
 @dataclass(frozen=True)
@@ -174,14 +165,26 @@ def _canonical_value(value) -> str:
     return str(value)
 
 
+def _layer(merged: dict, layer: dict, where: str) -> None:
+    """Overlay one layer of raw values; unknown sections and keys raise."""
+    for section, kv in layer.items():
+        if section not in _KEYS:
+            raise ConfigError(f"unknown section [{section}] in {where}; "
+                              f"known sections: {sorted(_KEYS)}")
+        for key, raw in kv.items():
+            if key not in _KEYS[section]:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}] of {where}; "
+                    f"known keys: {sorted(_KEYS[section])}")
+            merged[section][key] = str(raw)
+
+
 def _merge_layers(preset: str, path, overrides) -> dict:
-    merged = {s: dict(kv) for s, kv in _DEFAULTS.items()}
     if preset not in PRESETS:
         raise ConfigError(
             f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    for section, kv in PRESETS[preset].items():
-        merged[section].update(kv)
-
+    merged = {s: {k: d for k, (_, d) in kv.items()} for s, kv in _KEYS.items()}
+    _layer(merged, PRESETS[preset], f"preset {preset!r}")
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
@@ -191,25 +194,9 @@ def _merge_layers(preset: str, path, overrides) -> dict:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from exc
-        for section in parser.sections():
-            if section not in _SCHEMA:
-                raise ConfigError(
-                    f"unknown section [{section}]; known sections: "
-                    f"{sorted(_SCHEMA)}")
-            for key, raw in parser.items(section):
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(
-                        f"unknown key {key!r} in [{section}]; known keys: "
-                        f"{sorted(_SCHEMA[section])}")
-                merged[section][key] = raw
-
-    for section, kv in (overrides or {}).items():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown override section [{section}]")
-        for key, raw in kv.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown override key [{section}] {key}")
-            merged[section][key] = str(raw)
+        _layer(merged, {s: dict(parser.items(s)) for s in parser.sections()},
+               f"config file {path}")
+    _layer(merged, overrides or {}, "overrides")
     return merged
 
 
@@ -218,9 +205,9 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     merged = _merge_layers(preset, path, overrides)
 
     parsed: dict = {}
-    for section, keys in _SCHEMA.items():
+    for section, keys in _KEYS.items():
         parsed[section] = {}
-        for key, conv in keys.items():
+        for key, (conv, _default) in keys.items():
             raw = merged[section][key]
             try:
                 parsed[section][key] = conv(raw)
@@ -239,10 +226,8 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
 
-    g = parsed["grid"]
-    grid = build("grid", Grid, nx=g["nx"], ny=g["ny"])
-    r = parsed["reparam"]
-    rep = build("reparam", Reparam, a=r["a"], b=r["b"], c=r["c"])
+    grid = build("grid", Grid, **parsed["grid"])
+    rep = build("reparam", Reparam, **parsed["reparam"])
     p = parsed["prior"]
     cov = build("prior", CovarianceSpec, gamma=p["gamma"],
                 corr_len=p["corr_len"])
@@ -258,25 +243,13 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     if m["tv_weight"] < 0.0:
         raise ConfigError(
             f"[model] tv_weight must be nonnegative, got {m['tv_weight']}")
-    s = parsed["sampler"]
-    sampler = build("sampler", SamplerConfig, kind=s["kind"],
-                    n_samples=s["n_samples"], beta=s["beta"],
-                    delta=s["delta"], burn_in=s["burn_in"],
-                    thinning=s["thinning"], seed=s["seed"],
-                    k_proj=s["k_proj"])
-    a = parsed["map"]
-    admm = build("map", AdmmConfig, rho_pen=a["rho_pen"],
-                 max_outer=a["max_outer"], tol=a["tol"],
-                 inner_iters=a["inner_iters"], inner_tol=a["inner_tol"])
-    c = parsed["calibration"]
-    calibration = build("calibration", CalibrationSettings,
-                        weight_grid=c["weight_grid"],
-                        chain_steps=c["chain_steps"],
-                        band=(c["band_lo"], c["band_hi"]),
-                        denominator=c["denominator"],
-                        max_eval_samples=c["max_eval_samples"],
-                        select_iters=c["select_iters"],
-                        select_inner_steps=c["select_inner_steps"])
+    s = dict(parsed["sampler"])
+    autotune = s.pop("autotune")
+    sampler = build("sampler", SamplerConfig, **s)
+    admm = build("map", AdmmConfig, **parsed["map"])
+    c = dict(parsed["calibration"])
+    band = (c.pop("band_lo"), c.pop("band_hi"))
+    calibration = build("calibration", CalibrationSettings, band=band, **c)
     if calibration.denominator not in DENOMINATORS:
         raise ConfigError(
             f"[calibration] denominator must be one of {DENOMINATORS}, "
@@ -289,7 +262,7 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
                      prior_mean=p["mean"], n_angles=o["n_angles"],
                      n_det=o["n_det"], kappa=o["kappa"],
                      tv_weight=m["tv_weight"], sampler=sampler,
-                     autotune=s["autotune"], admm=admm,
+                     autotune=autotune, admm=admm,
                      calibration=calibration, detect_thin=d["thin"],
                      canonical=canonical)
 

@@ -93,6 +93,9 @@ class SamplerConfig:
         burn = self.effective_burn_in
         if not 0 <= burn < self.n_samples:
             raise ValueError(f"burn_in must lie in [0, n_samples), got {burn}")
+        if self.n_kept < 1:
+            raise ValueError(f"burn_in {burn} and thinning {self.thinning} "
+                             f"keep no state of {self.n_samples}")
         if self.k_proj is not None and self.k_proj < 0:
             raise ValueError("k_proj must be nonnegative")
 

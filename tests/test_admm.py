@@ -14,29 +14,31 @@ import pytest
 from poistomo import (AdmmConfig, CovarianceSpec, Grid, ScalarField,
                       TGPosterior, build_kl_basis, build_radon_operator,
                       simulate_data)
-from poistomo.admm import (AdmmState, _z_grad, _z_point, dual_step,
-                           initial_state, lagrangian, offset_direction,
+from poistomo.admm import (_z_grad, _z_value, lagrangian, offset_direction,
                            phi_step, solve_map, write_residual_csv, z_step)
-from poistomo.fields import grad_arrays, tv_arrays
+from poistomo.fields import div_arrays, grad_arrays, tv_arrays
 
 # ---------------------------------------------------------------------------
 # helpers
 
 
 def _shrink_q(post, q1, q2, rho_pen):
-    """Shrinkage of a state whose input grad z + eta/rho equals (q1, q2)."""
-    c = np.zeros(post.n_modes)
-    z = post.basis.synthesize_values(c).reshape(post.grid.shape)
-    g = grad_arrays(z, post.grid.hx, post.grid.hy)
-    state = AdmmState(c, np.zeros_like(g),
-                      rho_pen * (np.stack([q1, q2]) - g))
-    return phi_step(state, g, post.tv_weight, rho_pen)
+    """Split field shrunk from an input grad z + eta/rho equal to (q1, q2)."""
+    q = np.stack([q1, q2])
+    return phi_step(np.zeros_like(q), rho_pen * q, post.tv_weight, rho_pen)
 
 
-def _subproblem_value(post, c, state, rho_pen):
+def _subproblem_value(post, c, p, eta, rho_pen):
     """The smooth z-subproblem at coefficients c, frozen split/multiplier."""
-    return _z_point(post, post.evaluate(c), state.p, state.eta,
-                    rho_pen).value
+    return _z_value(post, post.evaluate(c), p, eta, rho_pen)
+
+
+def _start(post, init):
+    """The solver's starting iterate at init: c, its evaluation, p = grad z
+    and eta = 0."""
+    c = np.array(init, dtype=float)
+    ev = post.evaluate(c)
+    return c, ev, ev.grad, np.zeros_like(ev.grad)
 
 
 def _scan_shrink_magnitude(qnorm, weight, rho_pen, n=200_001):
@@ -99,11 +101,11 @@ class _Toy:
         tv = np.hypot(g1, g2).sum(axis=(1, 2)) * self.grid.cell
         return self.data_misfit(coeff_rows) + self.post.tv_weight * tv
 
-    def subproblem(self, coeff_rows, state, rho_pen):
+    def subproblem(self, coeff_rows, p, eta, rho_pen):
         """The smooth z-subproblem value at frozen split/multiplier fields."""
         cell = self.grid.cell
         g1, g2 = self.grad_components(self.latents(coeff_rows))
-        (p1, p2), (eta1, eta2) = state.p, state.eta
+        (p1, p2), (eta1, eta2) = p, eta
         pair = (g1 * eta1 + g2 * eta2).sum(axis=(1, 2)) * cell
         quad = (((g1 - p1) ** 2 + (g2 - p2) ** 2)
                 .sum(axis=(1, 2)) * (0.5 * rho_pen * cell))
@@ -141,7 +143,7 @@ def test_shrinkage_hand_value_matches_radial_scan(post16):
     q1 = np.full(post16.grid.shape, 3.0)
     q2 = np.full(post16.grid.shape, 4.0)
     rho = 1.0
-    p1, p2 = _shrink_q(post16, q1, q2, rho).p
+    p1, p2 = _shrink_q(post16, q1, q2, rho)
     t_star = _scan_shrink_magnitude(5.0, post16.tv_weight, rho)
     np.testing.assert_allclose(p1, 3.0 / 5.0 * t_star, atol=1e-4)
     np.testing.assert_allclose(p2, 4.0 / 5.0 * t_star, atol=1e-4)
@@ -155,7 +157,7 @@ def test_shrinkage_small_inputs_vanish(post16):
     ang = rng.uniform(0, 2 * np.pi, size=post16.grid.shape)
     mag = rng.uniform(0.0, 1.0, size=post16.grid.shape)  # tv_weight/rho = 1
     out = _shrink_q(post16, mag * np.cos(ang), mag * np.sin(ang), 1.0)
-    assert np.all(out.p == 0.0)
+    assert np.all(out == 0.0)
 
 
 def test_shrinkage_identity_without_penalty(op16, rep, basis60, sino16):
@@ -163,9 +165,9 @@ def test_shrinkage_identity_without_penalty(op16, rep, basis60, sino16):
     rng = np.random.default_rng(4)
     q1 = rng.standard_normal(post.grid.shape)
     q2 = rng.standard_normal(post.grid.shape)
-    state = _shrink_q(post, q1, q2, 2.0)
-    np.testing.assert_array_equal(state.p[0], q1)
-    np.testing.assert_array_equal(state.p[1], q2)
+    p = _shrink_q(post, q1, q2, 2.0)
+    np.testing.assert_array_equal(p[0], q1)
+    np.testing.assert_array_equal(p[1], q2)
 
 
 def test_shrinkage_pointwise_minimality(post16):
@@ -174,7 +176,7 @@ def test_shrinkage_pointwise_minimality(post16):
     q1 = 3.0 * rng.standard_normal(post16.grid.shape)
     q2 = 3.0 * rng.standard_normal(post16.grid.shape)
     rho = 1.7
-    p1, p2 = _shrink_q(post16, q1, q2, rho).p
+    p1, p2 = _shrink_q(post16, q1, q2, rho)
     lam = post16.tv_weight
 
     def energy(p1, p2, i, j):
@@ -200,71 +202,67 @@ def test_shrinkage_pointwise_minimality(post16):
 
 def test_zstep_descends_and_reports_convergence(post16):
     rng = np.random.default_rng(6)
-    state, ev = initial_state(post16,
-                              0.3 * rng.standard_normal(post16.n_modes))
+    c, ev, p, eta = _start(post16, 0.3 * rng.standard_normal(post16.n_modes))
+    p0, eta0 = p.copy(), eta.copy()
     cfg = AdmmConfig(inner_iters=100, inner_tol=1e-2)
-    before = _subproblem_value(post16, state.coeffs, state, cfg.rho_pen)
-    out, info = z_step(post16, state, ev, cfg)
+    before = _subproblem_value(post16, c, p, eta, cfg.rho_pen)
+    out, info = z_step(post16, c, ev, p, eta, cfg)
     assert info["value"] <= before
     # the reported evaluation is the one at the returned coefficients
-    np.testing.assert_array_equal(info["eval"].z,
-                                  post16.evaluate(out.coeffs).z)
+    np.testing.assert_array_equal(info["eval"].z, post16.evaluate(out).z)
     assert info["converged"]
     assert info["grad_norm"] <= 1e-2
-    # split and multiplier pass through untouched
-    np.testing.assert_array_equal(out.p, state.p)
-    np.testing.assert_array_equal(out.eta, state.eta)
+    # split and multiplier are left untouched
+    np.testing.assert_array_equal(p, p0)
+    np.testing.assert_array_equal(eta, eta0)
 
 
 def test_zstep_budget_exhaustion_is_reported(post16):
-    state, ev = initial_state(post16, np.full(post16.n_modes, 0.5))
-    out, info = z_step(post16, state, ev,
+    c, ev, p, eta = _start(post16, np.full(post16.n_modes, 0.5))
+    out, info = z_step(post16, c, ev, p, eta,
                        AdmmConfig(inner_iters=1, inner_tol=1e-14))
     assert not info["converged"]
     assert info["iterations"] == 1
-    assert np.any(out.coeffs != state.coeffs)
+    assert np.any(out != c)
 
 
 def test_zstep_gradient_matches_finite_differences(post16):
     rng = np.random.default_rng(8)
-    state, ev = initial_state(post16,
-                              0.2 * rng.standard_normal(post16.n_modes))
-    state = AdmmState(state.coeffs,
-                      state.p + 0.3 * rng.standard_normal(state.p.shape),
-                      0.5 * rng.standard_normal(state.p.shape))
+    c, ev, p, _ = _start(post16, 0.2 * rng.standard_normal(post16.n_modes))
+    p = p + 0.3 * rng.standard_normal(p.shape)
+    eta = 0.5 * rng.standard_normal(p.shape)
     rho = 1.4
-    g = _z_grad(post16, ev, state.p, state.eta, rho)
+    g = _z_grad(post16, ev, p, eta, rho)
     for k in rng.choice(post16.n_modes, size=8, replace=False):
         h = 1e-6
-        cp = state.coeffs.copy()
+        cp = c.copy()
         cp[k] += h
-        cm = state.coeffs.copy()
+        cm = c.copy()
         cm[k] -= h
-        fd = (_subproblem_value(post16, cp, state, rho)
-              - _subproblem_value(post16, cm, state, rho)) / (2 * h)
+        fd = (_subproblem_value(post16, cp, p, eta, rho)
+              - _subproblem_value(post16, cm, p, eta, rho)) / (2 * h)
         assert fd == pytest.approx(g[k], rel=1e-5, abs=1e-8)
 
 
 def test_zstep_matches_subproblem_grid_search(toy):
     # one outer sweep manufactures a nontrivial split/multiplier pair
     cfg = AdmmConfig(rho_pen=1.0, inner_iters=2000, inner_tol=1e-6)
-    state, ev = initial_state(toy.post, [0.4, -0.3])
-    state, info = z_step(toy.post, state, ev, cfg)
+    c, ev, p, eta = _start(toy.post, [0.4, -0.3])
+    c, info = z_step(toy.post, c, ev, p, eta, cfg)
     g = info["eval"].grad
-    state = phi_step(state, g, toy.post.tv_weight, cfg.rho_pen)
-    state = dual_step(state, g, cfg.rho_pen)
+    p = phi_step(g, eta, toy.post.tv_weight, cfg.rho_pen)
+    eta = eta + cfg.rho_pen * (g - p)
 
-    frozen = AdmmState(np.zeros(2), state.p, state.eta)
-    out, info = z_step(toy.post, frozen, toy.post.evaluate(frozen.coeffs),
-                       cfg)
+    c0 = np.zeros(2)
+    out, info = z_step(toy.post, c0, toy.post.evaluate(c0), p, eta, cfg)
     assert info["converged"]
 
     step = 0.01
     _, c_best, axis = _grid_search(
-        lambda rows: toy.subproblem(rows, frozen, cfg.rho_pen),
+        lambda rows: toy.subproblem(rows, p, eta, cfg.rho_pen),
         -5.0, 5.0, step)
     assert np.all(np.abs(c_best) < axis[-1] - step)  # interior minimum
-    assert np.max(np.abs(out.coeffs - c_best)) <= 2 * step + 1e-12
+    assert np.max(np.abs(out - c_best)) <= 2 * step + 1e-12
 
 
 def _record_evaluations(monkeypatch):
@@ -285,8 +283,7 @@ def test_first_toy_zstep_converges(toy, monkeypatch):
     # rounding floor (gradient norm 3.3e-6 after 2,000 iterations)
     seen = _record_evaluations(monkeypatch)
     cfg = AdmmConfig(rho_pen=1.0, inner_iters=2000, inner_tol=1e-6)
-    state, ev = initial_state(toy.post, [0.4, -0.3])
-    _, info = z_step(toy.post, state, ev, cfg)
+    _, info = z_step(toy.post, *_start(toy.post, [0.4, -0.3]), cfg)
     assert info["converged"]
     assert info["grad_norm"] <= cfg.inner_tol
     assert info["iterations"] < 200
@@ -297,8 +294,7 @@ def test_zstep_never_evaluates_a_point_twice(toy, monkeypatch):
     # far below the rounding floor the descent runs out its budget, but every
     # trial it evaluates is a new point
     seen = _record_evaluations(monkeypatch)
-    state, ev = initial_state(toy.post, [0.4, -0.3])
-    _, info = z_step(toy.post, state, ev,
+    _, info = z_step(toy.post, *_start(toy.post, [0.4, -0.3]),
                      AdmmConfig(inner_iters=500, inner_tol=1e-300))
     assert not info["converged"]
     assert len(seen) == len(set(seen))
@@ -312,43 +308,29 @@ def test_zstep_stops_when_the_step_cannot_move(toy, monkeypatch):
     z_grad = admm._z_grad
     monkeypatch.setattr(admm, "_z_grad", lambda *a: 1e-150 * z_grad(*a))
     seen = _record_evaluations(monkeypatch)
-    state, ev = initial_state(toy.post, [0.4, -0.3])
-    out, info = z_step(toy.post, state, ev, AdmmConfig(inner_tol=1e-200))
+    c, ev, p, eta = _start(toy.post, [0.4, -0.3])
+    out, info = z_step(toy.post, c, ev, p, eta, AdmmConfig(inner_tol=1e-200))
     assert not info["converged"]
     assert info["iterations"] == 0
     assert len(seen) == 1
-    np.testing.assert_array_equal(out.coeffs, state.coeffs)
+    np.testing.assert_array_equal(out, c)
 
 
 # ---------------------------------------------------------------------------
 # multiplier step
 
 
-def test_dual_update_vanishes_on_exact_split(post16):
-    rng = np.random.default_rng(9)
-    c = 0.3 * rng.standard_normal(post16.n_modes)
-    z = post16.basis.synthesize_values(c).reshape(post16.grid.shape)
-    g = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    eta = rng.standard_normal(g.shape)
-    state = AdmmState(c, g, eta)
-    out = dual_step(state, g, 1.3)
-    np.testing.assert_array_equal(out.eta, state.eta)
-
-
-def test_dual_update_increment_scales_with_penalty(post16):
-    rng = np.random.default_rng(10)
-    c = 0.3 * rng.standard_normal(post16.n_modes)
-    shape = (2,) + post16.grid.shape
-    state = AdmmState(c, rng.standard_normal(shape), np.zeros(shape))
-    g = post16.evaluate(c).grad
-    one = dual_step(state, g, 1.0)
-    two = dual_step(state, g, 2.0)
-    np.testing.assert_allclose(two.eta, 2.0 * one.eta, rtol=1e-14)
-    # and the increment equals rho times the independently recomputed residual
-    z = post16.basis.synthesize_values(c).reshape(post16.grid.shape)
-    g1, g2 = grad_arrays(z, post16.grid.hx, post16.grid.hy)
-    np.testing.assert_allclose(one.eta[0], g1 - state.p[0], atol=1e-14)
-    np.testing.assert_allclose(one.eta[1], g2 - state.p[1], atol=1e-14)
+def test_first_multiplier_is_penalty_times_residual(toy):
+    # one sweep from eta = 0 leaves eta = rho (g1 - p1), bit for bit, with g1
+    # grad z after the first z-step; the multiplier vanishes where the split
+    # field matches g1 and scales with the penalty elsewhere
+    cfg = AdmmConfig(rho_pen=1.3, max_outer=1)
+    res = solve_map(toy.post, cfg)
+    _, info = z_step(toy.post, *_start(toy.post, np.zeros(2)), cfg)
+    g1 = info["eval"].grad
+    np.testing.assert_array_equal(res.multiplier,
+                                  cfg.rho_pen * (g1 - res.split))
+    assert np.any(res.multiplier != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +464,15 @@ def test_offset_direction_matches_finite_differences(post16, map16):
     c = res.coeffs + 0.4 * rng.standard_normal(post16.n_modes)
     g = offset_direction(post16, post16.evaluate(c), res.split,
                          res.multiplier, cfg.rho_pen)
-    state = AdmmState(c, res.split, res.multiplier)
+    anchor = (res.split, res.multiplier, cfg.rho_pen)
     for k in rng.choice(post16.n_modes, size=8, replace=False):
         h = 1e-6
         cp = c.copy()
         cp[k] += h
         cm = c.copy()
         cm[k] -= h
-        fd = (lagrangian(post16, cp, state, cfg.rho_pen)
-              - lagrangian(post16, cm, state, cfg.rho_pen)) / (2 * h)
+        fd = (lagrangian(post16, cp, *anchor)
+              - lagrangian(post16, cm, *anchor)) / (2 * h)
         assert fd == pytest.approx(g[k], rel=1e-5, abs=1e-8)
 
 
@@ -517,25 +499,31 @@ def test_offset_direction_validates_projection_size(post16, map16):
 # bookkeeping
 
 
-def test_initial_state_contract(post16):
-    state, ev = initial_state(post16)
-    assert np.all(state.coeffs == 0.0)
-    z = post16.basis.synthesize_values(state.coeffs).reshape(post16.grid.shape)
-    np.testing.assert_array_equal(ev.z, z.reshape(-1))
-    np.testing.assert_array_equal(
-        state.p, grad_arrays(z, post16.grid.hx, post16.grid.hy))
-    assert state.eta.shape == state.p.shape and np.all(state.eta == 0.0)
-    c0 = np.arange(post16.n_modes, dtype=float)
-    np.testing.assert_array_equal(initial_state(post16, c0)[0].coeffs, c0)
+def test_initial_state_contract(toy, monkeypatch):
+    # solve_map starts at init (default zero) with p = grad z and eta = 0:
+    # its first sweep matches one made by hand from that iterate
+    seen = _record_evaluations(monkeypatch)
+    cfg = AdmmConfig(max_outer=1)
+    for init in (None, [0.4, -0.3]):
+        seen.clear()
+        res = solve_map(toy.post, cfg, init=init)
+        c, ev, p, eta = _start(toy.post, np.zeros(2) if init is None else init)
+        assert seen[0] == c.tobytes()
+        _, info = z_step(toy.post, c, ev, p, eta, cfg)
+        p1 = phi_step(info["eval"].grad, eta, toy.post.tv_weight, cfg.rho_pen)
+        np.testing.assert_array_equal(res.split, p1)
+        dv = div_arrays(p1 - p, toy.grid.hx, toy.grid.hy)
+        assert res.dual[0] == (cfg.rho_pen * np.sqrt(toy.grid.cell)
+                               * float(np.linalg.norm(dv)))
 
 
 def test_lagrangian_is_the_explicit_sum(post16):
     rng = np.random.default_rng(14)
     shape = post16.grid.shape
     c = 0.3 * rng.standard_normal(post16.n_modes)
-    state = AdmmState(c, rng.standard_normal((2,) + shape),
-                      rng.standard_normal((2,) + shape))
-    (p1, p2), (eta1, eta2) = state.p, state.eta
+    p = rng.standard_normal((2,) + shape)
+    eta = rng.standard_normal((2,) + shape)
+    (p1, p2), (eta1, eta2) = p, eta
     rho = 1.9
     cell = post16.grid.cell
     z = post16.basis.synthesize_values(c).reshape(shape)
@@ -545,8 +533,8 @@ def test_lagrangian_is_the_explicit_sum(post16):
               + 0.5 * rho * cell * float(np.sum((g1 - p1) ** 2
                                                 + (g2 - p2) ** 2))
               + post16.tv_weight * cell * float(np.sum(np.hypot(p1, p2))))
-    assert lagrangian(post16, c, state, rho) == pytest.approx(expect,
-                                                              rel=1e-12)
+    assert lagrangian(post16, c, p, eta, rho) == pytest.approx(expect,
+                                                               rel=1e-12)
 
 
 def test_objective_history_tracks_true_target(toy):
@@ -554,14 +542,14 @@ def test_objective_history_tracks_true_target(toy):
     res = solve_map(toy.post, cfg)
     # spot-check the last recorded value against a from-scratch evaluation,
     # replaying the iteration to recover the pre-polish coefficients
-    state, ev = initial_state(toy.post)
+    c, ev, p, eta = _start(toy.post, np.zeros(2))
     for _ in range(res.iterations):
-        state, info = z_step(toy.post, state, ev, cfg)
+        c, info = z_step(toy.post, c, ev, p, eta, cfg)
         ev = info["eval"]
-        state = phi_step(state, ev.grad, toy.post.tv_weight, cfg.rho_pen)
-        state = dual_step(state, ev.grad, cfg.rho_pen)
-    z = toy.post.basis.synthesize_values(state.coeffs)
-    want = (toy.post.evaluate(state.coeffs).phi
+        p = phi_step(ev.grad, eta, toy.post.tv_weight, cfg.rho_pen)
+        eta = eta + cfg.rho_pen * (ev.grad - p)
+    z = toy.post.basis.synthesize_values(c)
+    want = (toy.post.evaluate(c).phi
             + toy.post.tv_weight * tv_arrays(z.reshape(2, 2),
                                              toy.grid.hx, toy.grid.hy))
     assert res.objective[-1] == pytest.approx(want, rel=1e-12)

@@ -112,6 +112,18 @@ def test_predictive_p_does_not_depend_on_the_block(post16):
     assert (default.p, default.stderr) == (small.p, small.stderr)
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_sample_cap_below_one_is_refused(post16, cap):
+    # a cap that keeps no sample is named, not reported as an empty chain
+    chain = Chain(np.zeros((5, post16.n_modes)),
+                  SamplerConfig("pcn", 5, burn_in=0), 1.0)
+    with pytest.raises(ValueError, match="sample cap"):
+        posterior_predictive_p(chain, post16, max_samples=cap)
+    with pytest.raises(ValueError, match="sample cap"):
+        admissible_search(_weights_of(post16), [0.0], chain_steps=20,
+                          beta=0.3, max_eval_samples=cap)
+
+
 def test_default_statistic_is_calibrated_at_the_truth():
     # counts drawn at the true expected counts on the desk geometry: the
     # default (Pearson) p-value is roughly uniform, while the theta^2

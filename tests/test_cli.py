@@ -140,3 +140,15 @@ def test_gradient_kernel_with_tv_is_a_usage_error(tmp_path):
     assert _run("sample", ini, out) == 2
     assert not (out / "sample_manifest.json").exists()
     assert not (out / "chain.bin").exists()
+
+
+def test_sampler_that_keeps_no_state_is_a_usage_error(tmp_path, tiny_ini):
+    # 180 post-burn-in steps, every 500th kept: refused before the MAP solve
+    # and the chain, not reported as a chain of no samples
+    ini = _kernel_ini(tmp_path, "pdpcn", sampler="thinning = 500\n")
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate"):
+        assert _run(command, tiny_ini, out) == 0, command
+    assert _run("sample", ini, out) == 2
+    assert not (out / "sample_manifest.json").exists()
+    assert not (out / "chain.bin").exists()

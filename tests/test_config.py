@@ -1,0 +1,78 @@
+"""Run configuration: pinned hashes, the written-file round trip, and the
+refusals of unknown names and bad values."""
+
+from pathlib import Path
+
+import pytest
+
+from poistomo.config import ConfigError, parse_config, write_config
+
+TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
+
+# the hash is what reproducibility is stated against: a change to a default,
+# a preset, a parser or the canonical form moves it
+PINNED = [
+    ({"preset": "desk"},
+     "b915d8d60e2fc8e69dacb281d5fd818e75ad124740068593d24681664d05b612"),
+    ({"preset": "paper"},
+     "6bcdc8deddb1ca5430c1b82fcc4b899bc40e98ca2ad7704647bfdda7f90bc6fe"),
+    ({"path": TINY, "overrides": {"sampler": {"seed": 3}}},
+     "01c3da2d47e645e03f91d5ea730a3c57380c95f2ac9df10d1831c7dd607a9dbe"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", PINNED)
+def test_config_hash_is_pinned(kwargs, digest):
+    assert parse_config(**kwargs).config_hash() == digest
+
+
+@pytest.mark.parametrize("kwargs, digest", PINNED)
+def test_written_config_reproduces_the_hash(tmp_path, kwargs, digest):
+    path = tmp_path / "effective.ini"
+    write_config(parse_config(**kwargs), path)
+    assert parse_config(path=path).config_hash() == digest
+
+
+def _ini(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("section, key, unknown", [
+    ("mapp", "tol", "[mapp]"),
+    ("map", "toll", "'toll' in [map]"),
+], ids=["section", "key"])
+def test_unknown_names_are_refused(tmp_path, section, key, unknown):
+    path = _ini(tmp_path, f"[{section}]\n{key} = 1e-4\n")
+    for kwargs in ({"path": path}, {"overrides": {section: {key: "1e-4"}}}):
+        with pytest.raises(ConfigError) as err:
+            parse_config(**kwargs)
+        assert unknown in str(err.value)
+
+
+def test_unknown_preset_is_refused():
+    with pytest.raises(ConfigError, match="preset"):
+        parse_config(preset="huge")
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("map", "tol", "small"),                # does not parse
+    ("map", "rho_pen", "-1"),               # out of range
+    ("sampler", "autotune", "maybe"),
+    ("sampler", "thinning", "18001"),       # keeps none of 18,000 steps
+    ("calibration", "max_eval_samples", "0"),
+    ("calibration", "max_eval_samples", "-3"),
+])
+def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
+    path = _ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
+    for kwargs in ({"path": path}, {"overrides": {section: {key: raw}}}):
+        with pytest.raises(ConfigError) as err:
+            parse_config(**kwargs)
+        assert f"[{section}]" in str(err.value)
+        assert key in str(err.value)
+
+
+def test_no_cap_on_evaluation_samples():
+    cfg = parse_config(overrides={"calibration": {"max_eval_samples": "none"}})
+    assert cfg.calibration.max_eval_samples is None

@@ -1,0 +1,27 @@
+"""Importing the package and its CLI stays light.
+
+Over a bare ``import poistomo`` (about 56 MB resident with numpy 2.4 and
+scipy 1.17), ``scipy.optimize`` adds about 21 MB, ``scipy.stats`` 44 MB and
+``scipy.sparse.linalg`` 8 MB to every run's peak memory.  Code that needs
+one imports it inside the code path that uses it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+HEAVY = ("scipy.optimize", "scipy.stats", "scipy.sparse.linalg")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_and_cli_import_no_heavy_scipy_module():
+    code = ("import sys, poistomo, poistomo.cli; "
+            f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []

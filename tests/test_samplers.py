@@ -464,6 +464,7 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
     {"burn_in": 100},
     {"burn_in": -1},
     {"k_proj": -1},
+    {"thinning": 91},           # 90 post-burn-in steps keep no state
 ])
 def test_config_validation(kwargs):
     base = {"kind": "pcn", "n_samples": 100, "beta": 0.5, "delta": 0.5}
