@@ -320,17 +320,33 @@ def test_zstep_stops_when_the_step_cannot_move(toy, monkeypatch):
 # multiplier step
 
 
-def test_first_multiplier_is_penalty_times_residual(toy):
-    # one sweep from eta = 0 leaves eta = rho (g1 - p1), bit for bit, with g1
-    # grad z after the first z-step; the multiplier vanishes where the split
-    # field matches g1 and scales with the penalty elsewhere
+def test_dual_update_vanishes_on_exact_split(toy):
+    # without a TV penalty the shrinkage is the identity, so each sweep's
+    # split field equals grad z bit for bit and the multiplier stays zero
+    smooth = _Toy(tv_weight=0.0)
+    res = solve_map(smooth.post, AdmmConfig(rho_pen=1.3, max_outer=3))
+    assert np.all(res.multiplier == 0.0)
+    # with the penalty, one sweep leaves eta zero wherever the split field
+    # matches g1 (the replicate-boundary differences, where both are zero)
     cfg = AdmmConfig(rho_pen=1.3, max_outer=1)
     res = solve_map(toy.post, cfg)
     _, info = z_step(toy.post, *_start(toy.post, np.zeros(2)), cfg)
-    g1 = info["eval"].grad
-    np.testing.assert_array_equal(res.multiplier,
-                                  cfg.rho_pen * (g1 - res.split))
-    assert np.any(res.multiplier != 0.0)
+    exact = res.split == info["eval"].grad
+    assert np.any(exact) and not np.all(exact)
+    assert np.all(res.multiplier[exact] == 0.0)
+
+
+def test_dual_update_increment_scales_with_penalty(toy):
+    # one sweep from eta = 0 leaves eta = rho (g1 - p1), bit for bit, with g1
+    # grad z after the first z-step
+    for rho_pen in (1.0, 1.3, 2.0):
+        cfg = AdmmConfig(rho_pen=rho_pen, max_outer=1)
+        res = solve_map(toy.post, cfg)
+        _, info = z_step(toy.post, *_start(toy.post, np.zeros(2)), cfg)
+        g1 = info["eval"].grad
+        np.testing.assert_array_equal(res.multiplier,
+                                      cfg.rho_pen * (g1 - res.split))
+        assert np.any(res.multiplier != 0.0)
 
 
 # ---------------------------------------------------------------------------
