@@ -6,10 +6,9 @@ the marginal, near 1 far in the tails, exactly 1 outside the sample range.
 Structure that the data cannot support lights up as a coherent high-level
 region, while mere noise stays diffuse.
 
-Memory: the screen runs over ``diagnostics.sorted_strips``, so it holds the
-sorted intensity samples of one strip of image x-rows at a time (n x strip
-pixels within ``diagnostics.BLOCK_FLOATS`` floats, but at least one x-row),
-never the (n, npix) array.
+Memory: the screen runs over ``diagnostics.sorted_strips``: one strip of
+sorted samples and its synthesis blocks share ``diagnostics.BLOCK_FLOATS``,
+with a floor of one x-row and a one-row scatter, never the (n, npix) array.
 """
 
 from __future__ import annotations

@@ -129,22 +129,24 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
 
     The Monte Carlo standard error treats samples as independent; thin the
     chain first when autocorrelation matters.  An even subsample of at most
-    max_samples kept states is used when the cap is set.  Samples are
-    gathered, synthesized and projected in blocks of ``block`` rows, by
-    default as many rows of max(npix, n_rays) floats as fit
-    ``diagnostics.BLOCK_FLOATS``, so the extra memory is O(budget) plus one
-    discrepancy per sample; the p-values do not depend on the block.
+    max_samples kept states is used when the cap is set.  Samples go
+    through in blocks of ``block`` rows, by default as many as fit
+    ``diagnostics.BLOCK_FLOATS`` in the busiest stage: weights with scatter
+    and product, intensities with the sparse product's copy or projections,
+    or counts with residuals; the p-values do not depend on the block.
     """
     idx = _even_subsample(chain.n_kept, max_samples)
     if block is None:
-        block = block_rows(max(post.basis.grid.npix, post.op.n_rays))
+        npix, n_rays = post.basis.grid.npix, post.op.n_rays
+        block = block_rows(max(2 * (post.basis.n_modes + npix),
+                               npix + n_rays + max(npix, n_rays), 3 * n_rays))
     d = np.empty(idx.size)
     for lo in range(0, idx.size, block):
         hi = min(lo + block, idx.size)
         # nested so that each intermediate block is freed once it is used
-        theta = post.op.apply(post.rep.apply(
-            post.basis.synthesize_values(chain.samples[idx[lo:hi]])))
-        d[lo:hi] = chi2_discrepancy(post.data.counts, theta, denominator)
+        d[lo:hi] = chi2_discrepancy(post.data.counts, post.op.apply(
+            post.rep.apply(post.basis.synthesize_values(
+                chain.samples[idx[lo:hi]]))), denominator)
     return _predictive(d, post.op.n_rays)
 
 

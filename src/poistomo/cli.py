@@ -317,9 +317,8 @@ def cmd_diag(args) -> int:
     n = chain.n_kept
     if n < 2:
         raise ValueError("need at least 2 kept samples for diagnostics")
-    max_lag = min(args.max_lag, n - 1)
     n_show = min(8, chain.n_modes)
-    acfs = acf_matrix(chain.samples[:, :n_show], max_lag=max_lag)
+    acfs = acf_matrix(chain.samples[:, :n_show], max_lag=args.max_lag)
     write_acf_csv(outdir / "acf.csv", acfs,
                   labels=[f"coeff{j}" for j in range(n_show)])
     ess = ess_matrix(chain.samples)

@@ -6,16 +6,14 @@ averaging or interval construction.  ESS uses the initial-positive-sequence
 rule: the integrated autocorrelation time sums ACF values until the first
 nonpositive lag.
 
-Memory: every pass that synthesizes chain rows, or transforms chain columns,
-works on blocks of at most ``BLOCK_FLOATS`` floats (4 MB), so the posterior
-mean and the ESS take a few budgets of memory beyond the chain.  Exact
-pointwise HPD bounds need every sample of a pixel at once, so
-``sorted_strips`` synthesizes, maps and sorts the samples of one strip of
-whole image x-rows at a time, sized so that n x strip pixels fits the budget;
-``pointwise_hpdi`` (and ``artifacts.credible_level_map``) never hold the
-(n, npix) intensity array.  A strip is at least one x-row, so when n * ny
-exceeds ``BLOCK_FLOATS`` a strip exceeds the budget: a chain that long must
-be thinned first.
+Memory: ``BLOCK_FLOATS`` floats (4 MB) bound the extra memory of a whole pass
+over a chain: each blocked loop sizes its block with ``block_rows`` from all
+the buffers live at once.  Exact HPD bounds need every sample of a pixel, so
+``sorted_strips`` maps and sorts one strip of whole x-rows at a time, never
+the (n, npix) intensity array; the strip takes most of the budget, the
+synthesis scatter the rest.  Floors: one x-row of a strip (with a one-row
+scatter) and one FFT column (about 12 n floats), so a chain whose x-row or
+column outgrows the budget should be thinned first.
 """
 
 from __future__ import annotations
@@ -47,16 +45,15 @@ log = logging.getLogger(__name__)
 BLOCK_FLOATS = 1 << 19
 
 
-def block_rows(width: int) -> int:
-    """Rows of a width-wide float block that fit the block budget."""
-    return max(1, BLOCK_FLOATS // width)
+def block_rows(width: int, held: int = 0) -> int:
+    """Rows of width floats that fit the budget beside ``held`` ones, >= 1."""
+    return max(1, (BLOCK_FLOATS - held) // width)
 
 
 def _columns(traces) -> np.ndarray:
     """A (steps, series) float array; a 1-D trace is one column."""
-    x = np.atleast_2d(np.asarray(traces, dtype=float))
-    if x.shape[0] == 1 and x.ndim == 2 and np.asarray(traces).ndim == 1:
-        x = x.T
+    x = np.asarray(traces, dtype=float)
+    x = x[:, None] if x.ndim == 1 else np.atleast_2d(x)
     if x.shape[0] < 2:
         raise ValueError("need at least two steps for an autocorrelation")
     return x
@@ -66,41 +63,50 @@ def _nfft(n: int) -> int:
     return 1 << int(np.ceil(np.log2(2 * n)))
 
 
-def _acf(x: np.ndarray, mean: np.ndarray, max_lag: int):
-    """ACF of the columns of x about the given column means, lags 0..max_lag;
-    also returns the count of degenerate (constant) columns, set to 1."""
-    n = x.shape[0]
+def _acf_blocks(x: np.ndarray, max_lag: int):
+    """(first column, ACF block) pairs, lags 0..max_lag about the whole-array
+    column means.  A block takes as many columns as fit their spectra, its
+    product and the inverse transform (3 (nfft + 2) floats a column)."""
+    n, m = x.shape
     nfft = _nfft(n)
-    spec = np.fft.rfft(x - mean, n=nfft, axis=0)
-    # not in place: numpy's in-place complex product rounds differently
-    cov = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=0)[:max_lag + 1]
-    del spec
-    var = cov[0].copy()
-    degenerate = var <= 0.0
-    var[degenerate] = 1.0
-    out = cov / var
-    out[:, degenerate] = 1.0
-    return out, int(np.sum(degenerate))
-
-
-def _warn_degenerate(count: int) -> None:
-    if count:
+    mean = x.mean(axis=0)
+    cols = block_rows(3 * (nfft + 2))
+    degenerate = 0
+    for lo in range(0, m, cols):
+        spec = np.fft.rfft(x[:, lo:lo + cols] - mean[lo:lo + cols], n=nfft,
+                           axis=0)
+        # numpy runs this product in place when the block is 256 KiB or more
+        # (temporary elision), which rounds differently from a smaller one
+        power = spec * np.conj(spec)
+        del spec
+        cov = np.fft.irfft(power, n=nfft, axis=0)[:max_lag + 1]
+        del power
+        flat = cov[0] <= 0.0
+        cov = cov / np.where(flat, 1.0, cov[0])   # frees the whole transform
+        cov[:, flat] = 1.0
+        degenerate += int(np.sum(flat))
+        yield lo, cov
+    if degenerate:
         log.warning("acf: %d degenerate (constant) series, returning 1 at "
-                    "all lags", count)
+                    "all lags", degenerate)
 
 
 def acf_matrix(traces: np.ndarray, max_lag: int | None = None) -> np.ndarray:
-    """Column-wise autocorrelation of a (steps, series) array.
+    """Column-wise autocorrelation of a (steps, series) array, (lags, series).
 
     The standard biased estimator: empirical autocovariances normalized by
     lag zero, computed with an FFT.  Columns with zero variance return 1 at
-    every lag by convention after a degenerate-series warning.
+    every lag by convention after a degenerate-series warning.  max_lag must
+    be nonnegative; above steps - 1 it is cut to that.
     """
     x = _columns(traces)
     n = x.shape[0]
+    if max_lag is not None and max_lag < 0:
+        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
     max_lag = n - 1 if max_lag is None else min(int(max_lag), n - 1)
-    out, degenerate = _acf(x, x.mean(axis=0), max_lag)
-    _warn_degenerate(degenerate)
+    out = np.empty((max_lag + 1, x.shape[1]))
+    for lo, rho in _acf_blocks(x, max_lag):
+        out[:, lo:lo + rho.shape[1]] = rho
     return out
 
 
@@ -115,41 +121,25 @@ def _tau_from_acf(rho: np.ndarray) -> np.ndarray:
 
 
 def ess_matrix(traces: np.ndarray) -> np.ndarray:
-    """Effective sample size n / (1 + 2 tau) per column.
-
-    Columns go through the FFT in blocks whose FFT length times column count
-    fits ``BLOCK_FLOATS``, so the extra memory is a few budgets, not several
-    copies of the chain.  Column means are taken over the whole array first,
-    so each column's ESS is the same, bit for bit, as from ``acf_matrix``.
-    """
+    """Effective sample size n / (1 + 2 tau) per column, over the column
+    blocks of ``acf_matrix``."""
     x = _columns(traces)
-    n, m = x.shape
-    mean = x.mean(axis=0)
-    cols = block_rows(_nfft(n))
-    tau = np.empty(m)
-    degenerate = 0
-    for lo in range(0, m, cols):
-        rho, d = _acf(x[:, lo:lo + cols], mean[lo:lo + cols], n - 1)
-        tau[lo:lo + cols] = _tau_from_acf(rho)
-        degenerate += d
-    _warn_degenerate(degenerate)
-    return n / (1.0 + 2.0 * tau)
+    tau = [_tau_from_acf(rho) for _, rho in _acf_blocks(x, x.shape[0] - 1)]
+    return x.shape[0] / (1.0 + 2.0 * np.concatenate(tau))
 
 
 def _intensity_blocks(samples: np.ndarray, basis: KLBasis, rep: Reparam):
-    """(first row, intensity block) pairs over the rows of samples."""
-    rows = block_rows(basis.grid.npix)
+    """(first row, intensity block) pairs over the rows of samples; a row
+    holds n_modes + 2 npix floats at once (``KLModes.__rmatmul__``)."""
+    rows = block_rows(basis.n_modes + 2 * basis.grid.npix)
     for lo in range(0, samples.shape[0], rows):
         yield lo, rep.apply(basis.synthesize_values(samples[lo:lo + rows]))
 
 
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
                       thin: int = 1) -> np.ndarray:
-    """Intensity fields of (possibly thinned) kept samples, (count, npix).
-
-    The result is one (count, npix) array; synthesis runs in row blocks of
-    at most ``BLOCK_FLOATS`` floats on top of it.
-    """
+    """Intensity fields of (possibly thinned) kept samples, (count, npix);
+    synthesis runs in blocks within ``BLOCK_FLOATS`` on top of the result."""
     if thin < 1:
         raise ValueError("thin must be at least 1")
     samples = chain.samples[::thin]
@@ -181,15 +171,17 @@ def sorted_strips(samples: np.ndarray, basis: KLBasis, rep: Reparam):
     Yields (pixels, strip) pairs: ``pixels`` slices the flat image and
     ``strip`` holds the intensities of those pixels for every row of
     samples, each column sorted.  A strip holds as many whole x-rows as fit
-    n x strip pixels in ``BLOCK_FLOATS``, at least one.  One strip buffer
-    and one synthesis scatter buffer serve the whole pass, so each yielded
-    strip is overwritten by the next.
+    in ``BLOCK_FLOATS``, at least one; synthesis blocks take the rest, a row
+    costing a scatter row, weights and the two ``KLModes.x_strip`` products.
+    One strip and one scatter buffer serve the pass, so each yielded strip
+    is overwritten by the next.
     """
     n = samples.shape[0]
     nx, ny = basis.grid.shape
-    width = min(nx, max(1, BLOCK_FLOATS // (n * ny)))
-    rows = min(n, block_rows(basis.grid.npix))
+    width = min(nx, block_rows(n * ny))
     buf = np.empty(n * width * ny)
+    rows = min(n, block_rows(basis.grid.npix + basis.n_modes
+                             + 2 * (width + 1) * ny, held=buf.size))
     scatter = basis.modes.scatter_buffer(rows)
     log.info("strip pass: %d samples, %d pixels, %d strips of %.2f MB",
              n, basis.grid.npix, -(-nx // width), buf.nbytes / 2**20)
@@ -243,10 +235,10 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
 
 
 def write_acf_csv(path, rho: np.ndarray, labels=None) -> None:
-    """Lag-by-series ACF table; one column per series."""
-    rho = np.atleast_2d(np.asarray(rho, dtype=float))
-    if rho.shape[0] == 1:
-        rho = rho.T
+    """Lag-by-series ACF table: a 2-D rho is (lags, series), a 1-D rho the
+    lags of one series."""
+    rho = np.asarray(rho, dtype=float)
+    rho = rho[:, None] if rho.ndim == 1 else rho
     labels = labels or [f"series{i}" for i in range(rho.shape[1])]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("lag," + ",".join(labels) + "\n")

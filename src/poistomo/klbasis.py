@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,13 +116,18 @@ class KLModes:
         dense = self.ex[self.ii][:, :, None] * self.ey[self.jj][:, None, :]
         return dense.reshape(self.shape).astype(dtype or float, copy=False)
 
+    @cached_property
+    def _cells(self) -> np.ndarray:   # flat pixel index of each mode
+        return self.ii * self.ey.shape[0] + self.jj
+
     def __rmatmul__(self, w):
-        """Pixel rows sum_r w[..., r] e_r of a weight vector or block."""
+        """Pixel rows sum_r w[..., r] e_r of a weight vector or block; a
+        (k, n_modes) block peaks at k (n_modes + 2 npix) floats, the count a
+        block budget (``diagnostics.block_rows``) takes."""
         w = np.asarray(w, dtype=float)
         if w.ndim not in (1, 2) or w.shape[-1] != len(self):
             raise ValueError(f"cannot contract shape {w.shape} with the "
                              f"{self.shape} modes")
-        # two (k, nx, ny) buffers: the scatter, then the product back into it
         buf = np.zeros((w.size // len(self), self.ex.shape[0],
                         self.ey.shape[0]))
         buf[:, self.ii, self.jj] = w.reshape(-1, len(self))
@@ -147,8 +153,10 @@ class KLModes:
         """
         w = np.asarray(w, dtype=float)
         k, nx, ny, cols = w.shape[0], *scatter.shape
-        scatter[self.ii, self.jj, :k] = w.T
-        scatter[self.ii, self.jj, k:] = 0.0
+        cells = scatter.reshape(nx * ny, cols)
+        cells[self._cells, :k] = w.T
+        if k < cols:
+            cells[self._cells, k:] = 0.0
         start, stop, _ = x_rows.indices(self.ex.shape[1])
         # numpy runs a one-row product as a matrix-vector product, which
         # rounds differently: a one-row strip takes a neighbour along

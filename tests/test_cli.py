@@ -152,3 +152,17 @@ def test_sampler_that_keeps_no_state_is_a_usage_error(tmp_path, tiny_ini):
     assert _run("sample", ini, out) == 2
     assert not (out / "sample_manifest.json").exists()
     assert not (out / "chain.bin").exists()
+
+
+def test_diag_refuses_a_negative_max_lag(tmp_path, tiny_ini):
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "sample"):
+        assert _run(command, tiny_ini, out) == 0, command
+    assert _run("diag", tiny_ini, out, "--max-lag", "-5") == 2
+    assert not (out / "acf.csv").exists()
+    assert not (out / "diag_manifest.json").exists()
+    # lag 0 alone: one row of the eight exported series
+    assert _run("diag", tiny_ini, out, "--max-lag", "0") == 0
+    lines = (out / "acf.csv").read_text().splitlines()
+    assert lines == ["lag," + ",".join(f"coeff{j}" for j in range(8)),
+                     "0," + ",".join(["1"] * 8)]

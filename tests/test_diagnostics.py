@@ -4,9 +4,9 @@ HPD windows are checked against hand-made samples, the per-pixel intervals
 against the one-dimensional window search, credible levels against the
 symmetric quantile sample whose answers are known in closed form, and the
 effective sample size against the AR(1) formula.  The blocked and strip
-passes are checked bit for bit against their unblocked forms, and their
-memory peaks (tracemalloc) on desk-sized chains against fixed multiples of
-the chain or of the block budget.
+passes are checked bit for bit against their unblocked forms, and the
+memory peak (tracemalloc) of every pass over a desk-sized chain against one
+block budget.
 """
 
 import logging
@@ -17,12 +17,16 @@ import pytest
 from scipy.signal import lfilter
 from scipy.special import ndtri
 
-from poistomo import build_kl_basis, diagnostics, parse_config
+from poistomo import (TGPosterior, brain_phantom, build_kl_basis,
+                      build_radon_operator, diagnostics, parse_config,
+                      simulate_data)
 from poistomo.artifacts import credible_level, credible_level_map
+from poistomo.calibrate import posterior_predictive_p
 from poistomo.diagnostics import (BLOCK_FLOATS, _nfft, _tau_from_acf,
                                   acf_matrix, block_rows, ess_matrix,
                                   hpdi_sorted, intensity_samples,
-                                  pointwise_hpdi, posterior_mean)
+                                  pointwise_hpdi, posterior_mean,
+                                  sorted_strips, write_acf_csv)
 from poistomo.fields import ScalarField
 from poistomo.samplers import Chain, SamplerConfig
 
@@ -75,35 +79,47 @@ def _chain(rows: int, n_modes: int, seed: int) -> Chain:
     return Chain(samples, SamplerConfig("pcn", rows, burn_in=0), 1.0)
 
 
-# 41 samples on the 16x16 grid: the default budget holds the image in one
-# strip; n*ny floats give one-row strips and synthesis blocks of 2 rows
-# (the last one short); 3*n*ny give strips of 3 rows (the last one short)
-# and blocks of 7 rows (the last one short)
-@pytest.mark.parametrize("budget", [None, 41 * 16, 3 * 41 * 16])
-def test_strip_summaries_equal_the_sorted_intensity_reference(
-        basis60, rep, monkeypatch, budget):
-    chain = _chain(41, basis60.n_modes, 8)
-    if budget is not None:
-        monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", budget)
-    u = intensity_samples(chain, basis60, rep)
+def _check_strip_summaries(chain, basis, rep):
+    u = intensity_samples(chain, basis, rep)
     u.sort(axis=0)
-    lo, hi = pointwise_hpdi(chain, basis60, rep, 0.05)
+    lo, hi = pointwise_hpdi(chain, basis, rep, 0.05)
     ref_lo, ref_hi = hpdi_sorted(u, 0.05)
     assert np.array_equal(lo.ravel(), ref_lo)
     assert np.array_equal(hi.ravel(), ref_hi)
 
     # a test image off the samples, partly outside their range
-    image = posterior_mean(chain, basis60, rep)
-    image = ScalarField(basis60.grid, image.values + np.linspace(
-        -0.6, 0.6, basis60.grid.npix).reshape(basis60.grid.shape))
+    image = posterior_mean(chain, basis, rep)
+    image = ScalarField(basis.grid, image.values + np.linspace(
+        -0.6, 0.6, basis.grid.npix).reshape(basis.grid.shape))
     target = image.ravel()
     for thin in (1, 2):
-        ut = intensity_samples(chain, basis60, rep, thin=thin)
+        ut = intensity_samples(chain, basis, rep, thin=thin)
         ut.sort(axis=0)
         ref = [credible_level(ut[:, p], target[p]) for p in range(target.size)]
-        level_map = credible_level_map(chain, basis60, rep, image, thin=thin)
+        level_map = credible_level_map(chain, basis, rep, image, thin=thin)
         assert level_map.n_samples == ut.shape[0]
         assert np.array_equal(level_map.levels.ravel(), ref)
+
+
+# 41 samples on the 16x16 grid: the default budget holds the image in one
+# strip; n*ny floats give one-row strips, a one-row scatter and (reference)
+# synthesis blocks of one row; 3*n*ny give strips of 3 rows (the last one
+# short), a one-row scatter and reference blocks of 3 rows (the last short)
+@pytest.mark.parametrize("budget", [None, 41 * 16, 3 * 41 * 16])
+def test_strip_summaries_equal_the_sorted_intensity_reference(
+        basis60, rep, monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", budget)
+    _check_strip_summaries(_chain(41, basis60.n_modes, 8), basis60, rep)
+
+
+def test_strips_beside_a_multirow_scatter_equal_the_reference(
+        basis60, rep, monkeypatch):
+    # 101 samples: one-row strips hold 1,616 floats and leave 1,140 for
+    # scatter rows of 256 + 60 + 4 x 16 floats, so blocks of 3 rows, the
+    # last one short
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", 101 * 16 + 1140)
+    _check_strip_summaries(_chain(101, basis60.n_modes, 12), basis60, rep)
 
 
 def test_strip_pass_logs_one_line(basis60, rep, caplog):
@@ -181,26 +197,88 @@ def test_ess_of_ar1_matches_the_closed_form():
     assert abs(float(np.mean(ratio)) - 1.0) <= 0.05
 
 
-def test_blocked_ess_matches_the_whole_array_bit_for_bit():
-    # 4,500 steps: 32 columns per FFT block, so 65 columns leave a last
-    # block of one column
+def _fft_widths(monkeypatch) -> list:
+    """Record the column count of every forward FFT the ACF loop runs."""
+    widths, rfft = [], np.fft.rfft
+
+    def counting(a, *args, **kwargs):
+        widths.append(a.shape[1])
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    return widths
+
+
+def _whole_acf(x, max_lag):
+    """The one-transform ACF of every column at once."""
+    nfft = _nfft(x.shape[0])
+    spec = np.fft.rfft(x - x.mean(axis=0), n=nfft, axis=0)
+    cov = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=0)[:max_lag + 1]
+    return cov / cov[0]
+
+
+def _ar1(n, m, seed):
+    return lfilter([1.0], [1.0, -0.7],
+                   np.random.default_rng(seed).standard_normal((n, m)), axis=0)
+
+
+def test_blocked_ess_matches_the_whole_array_bit_for_bit(monkeypatch):
+    # 4,500 steps: 10 columns per FFT block (the spectrum, its product and
+    # the inverse transform of a column are 3 x 16,386 floats), so 21
+    # columns leave a last block of one column
     n = 4500
-    cols = block_rows(_nfft(n))
-    x = lfilter([1.0], [1.0, -0.7],
-                np.random.default_rng(5).standard_normal((n, 2 * cols + 1)),
-                axis=0)
-    assert x.shape[1] % cols == 1
-    whole = n / (1.0 + 2.0 * _tau_from_acf(acf_matrix(x)))
+    cols = block_rows(3 * (_nfft(n) + 2))
+    x = _ar1(n, 2 * cols + 1, 5)
+    whole = n / (1.0 + 2.0 * _tau_from_acf(_whole_acf(x, n - 1)))
+    widths = _fft_widths(monkeypatch)
     assert np.array_equal(ess_matrix(x), whole)
+    assert widths == [cols, cols, 1]
     one = x[:, 7].copy()
     assert np.array_equal(ess_matrix(one),
                           n / (1.0 + 2.0 * _tau_from_acf(acf_matrix(one))))
     assert ess_matrix(one).shape == (1,)
 
 
+def test_blocked_acf_matches_the_whole_array_bit_for_bit(monkeypatch):
+    # a last block of three columns: numpy multiplies spectra of 256 KiB
+    # or more in place, which rounds differently, and one 4,500-step
+    # column's spectrum is 128 KiB
+    n = 4500
+    cols = block_rows(3 * (_nfft(n) + 2))
+    x = _ar1(n, 2 * cols + 3, 13)
+    whole = _whole_acf(x, n - 1)
+    widths = _fft_widths(monkeypatch)
+    for max_lag in (None, 0, 200):
+        rho = acf_matrix(x, max_lag=max_lag)
+        assert np.array_equal(rho, whole[:rho.shape[0]])
+        assert rho.shape[0] == (n if max_lag is None else max_lag + 1)
+    assert widths == 3 * [cols, cols, 3]
+    # a lag beyond the chain is cut to n - 1
+    assert np.array_equal(acf_matrix(x[:50, :3], max_lag=80),
+                          _whole_acf(x[:50, :3], 49))
+
+
+def test_negative_max_lag_is_refused():
+    with pytest.raises(ValueError, match="max_lag"):
+        acf_matrix(_ar1(100, 2, 14), max_lag=-5)
+
+
+def test_acf_table_has_one_row_per_lag_and_one_column_per_series(tmp_path):
+    path = tmp_path / "acf.csv"
+    # one lag of eight series: one row under an eight-column header
+    write_acf_csv(path, np.ones((1, 8)))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "lag," + ",".join(f"series{i}" for i in range(8))
+    assert lines[1:] == ["0," + ",".join(["1"] * 8)]
+    # a 1-D input is the lags of one series
+    write_acf_csv(path, [1.0, 0.5, 0.25], labels=["c"])
+    assert path.read_text().splitlines() == ["lag,c", "0,1", "1,0.5",
+                                             "2,0.25"]
+
+
 def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
     # more rows than one synthesis block holds, ending in a partial block
-    rows = block_rows(basis60.grid.npix)
+    rows = block_rows(basis60.n_modes + 2 * basis60.grid.npix)
     n = 2 * rows + 5
     chain = Chain(0.7 * np.random.default_rng(6).standard_normal(
         (n, basis60.n_modes)), SamplerConfig("pcn", n, burn_in=0), 1.0)
@@ -210,9 +288,12 @@ def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
 
 
 # ---------------------------------------------------------------------------
-# memory of the summaries on desk-sized chains
+# memory of the passes over desk-sized chains
 
 BUDGET_BYTES = BLOCK_FLOATS * 8
+# every pass holds one budget of blocks beside the chain and its result;
+# the rest is the small per-pass arrays (means, indices, the HPD widths)
+PASS_BUDGETS = 1.25
 
 
 def _desk_chain(rows: int):
@@ -221,45 +302,48 @@ def _desk_chain(rows: int):
     samples = 0.5 * np.random.default_rng(7).standard_normal(
         (rows, basis.n_modes))
     chain = Chain(samples, SamplerConfig("pcn", rows, burn_in=0), 1.0)
-    return chain, basis, cfg.reparam
-
-
-@pytest.fixture(scope="module")
-def desk_chain():
-    return _desk_chain(4500)
+    return chain, basis, cfg
 
 
 def _peak_bytes(fn, *args, **kwargs) -> int:
+    """Peak traced bytes of one call, less the array it returns."""
     tracemalloc.start()
     try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - getattr(result, "nbytes", 0)
     finally:
         tracemalloc.stop()
 
 
-def test_ess_peak_memory_stays_below_the_chain(desk_chain):
-    chain, _, _ = desk_chain
-    assert chain.samples.shape == (4500, 500)
-    assert _peak_bytes(ess_matrix, chain.samples) <= chain.samples.nbytes
-
-
-def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):
-    # one intensity block and the synthesis buffers of the next, about 2.5
-    # budgets; holding the previous block as well took 4
-    chain, basis, rep = desk_chain
-    assert _peak_bytes(posterior_mean, chain, basis, rep) <= 3 * BUDGET_BYTES
-
-
-def test_hpd_and_levels_stay_within_four_budgets():
+@pytest.mark.parametrize("rows", [4500, 9000])
+def test_every_chain_pass_stays_within_one_budget(rows):
     # the (n, npix) intensity array alone is 35 MB at 4,500 samples and
-    # 70 MB at 9,000; a strip pass holds one strip and one scatter buffer,
-    # however long the chain, until one x-row of it outgrows the budget
-    for rows in (4500, 9000):
-        chain, basis, rep = _desk_chain(rows)
-        assert rows * basis.grid.npix * 8 > 8 * BUDGET_BYTES
-        assert _peak_bytes(pointwise_hpdi, chain, basis, rep, 0.05) \
-            <= 4 * BUDGET_BYTES
-        image = posterior_mean(chain, basis, rep)
-        assert _peak_bytes(credible_level_map, chain, basis, rep, image) \
-            <= 4 * BUDGET_BYTES
+    # 70 MB at 9,000; with 9,000 samples a strip is one x-row
+    chain, basis, cfg = _desk_chain(rows)
+    assert rows * basis.grid.npix * 8 > 8 * BUDGET_BYTES
+    op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
+    sino = simulate_data(op, brain_phantom(cfg.grid),
+                         np.random.default_rng(8))
+    post = TGPosterior(op, cfg.reparam, basis, sino, tv_weight=1.0)
+    rep, image = cfg.reparam, posterior_mean(chain, basis, cfg.reparam)
+    passes = {
+        "posterior_mean": (posterior_mean, chain, basis, rep),
+        "pointwise_hpdi": (pointwise_hpdi, chain, basis, rep, 0.05),
+        "credible_level_map": (credible_level_map, chain, basis, rep, image),
+        "ess_matrix": (ess_matrix, chain.samples),
+        "acf_matrix": (acf_matrix, chain.samples),
+        "posterior_predictive_p": (posterior_predictive_p, chain, post),
+    }
+    for name, (fn, *args) in passes.items():
+        assert _peak_bytes(fn, *args) <= PASS_BUDGETS * BUDGET_BYTES, name
+
+
+@pytest.mark.parametrize("preset, rows, strips", [("desk", 4500, 11),
+                                                  ("paper", 180, 6)])
+def test_strip_count_is_what_the_strip_alone_allows(preset, rows, strips):
+    # the scatter takes what the strip leaves, so it adds no strip
+    cfg = parse_config(preset=preset)
+    basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
+    samples = np.zeros((rows, basis.n_modes))
+    assert sum(1 for _ in sorted_strips(samples, basis, cfg.reparam)) \
+        == strips
