@@ -315,6 +315,25 @@ def _peak_bytes(fn, *args, **kwargs) -> int:
         tracemalloc.stop()
 
 
+@pytest.fixture(scope="module")
+def desk_chain():
+    return _desk_chain(4500)
+
+
+def test_ess_peak_memory_stays_below_the_chain(desk_chain):
+    chain, _, _ = desk_chain
+    assert chain.samples.shape == (4500, 500)
+    assert _peak_bytes(ess_matrix, chain.samples) <= chain.samples.nbytes
+
+
+def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):
+    # the (4500, npix) intensity array is 35 MB; the pass holds one block
+    chain, basis, cfg = desk_chain
+    assert chain.samples.shape[0] * basis.grid.npix * 8 > 8 * BUDGET_BYTES
+    assert _peak_bytes(posterior_mean, chain, basis, cfg.reparam) \
+        <= 3 * BUDGET_BYTES
+
+
 @pytest.mark.parametrize("rows", [4500, 9000])
 def test_every_chain_pass_stays_within_one_budget(rows):
     # the (n, npix) intensity array alone is 35 MB at 4,500 samples and
