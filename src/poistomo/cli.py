@@ -328,7 +328,8 @@ def cmd_diag(args) -> int:
                     ["acf.csv", "ess.csv"],
                     {"median_ess": float(np.median(ess)),
                      "min_ess": float(ess.min()),
-                     "acceptance_rate": chain.acceptance_rate})
+                     "acceptance_rate": chain.acceptance_rate,
+                     "distinct_states": chain.samples.n_runs})
     print(f"median coefficient ESS {np.median(ess):.1f} of {n} samples")
     return _EXIT_OK
 

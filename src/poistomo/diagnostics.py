@@ -8,7 +8,10 @@ nonpositive lag.
 
 Memory: ``BLOCK_FLOATS`` floats (4 MB) bound the extra memory of a whole pass
 over a chain: each blocked loop sizes its block with ``block_rows`` from all
-the buffers live at once.  Exact HPD bounds need every sample of a pixel, so
+the buffers live at once.  The samples are a ``RunMatrix`` that stores each
+run of a repeated state once, so every pass gathers the row or column blocks
+it reads from it and counts them among those buffers; no pass forms the
+dense (n, n_modes) chain.  Exact HPD bounds need every sample of a pixel, so
 ``sorted_strips`` maps and sorts one strip of whole x-rows at a time, never
 the (n, npix) intensity array; the strip takes most of the budget, the
 synthesis scatter the rest.  Floors: one x-row of a strip (with a one-row
@@ -25,7 +28,7 @@ import numpy as np
 from .fields import ScalarField
 from .forward import Reparam
 from .klbasis import KLBasis
-from .samplers import Chain
+from .samplers import Chain, RunMatrix
 
 __all__ = [
     "acf_matrix",
@@ -50,10 +53,13 @@ def block_rows(width: int, held: int = 0) -> int:
     return max(1, (BLOCK_FLOATS - held) // width)
 
 
-def _columns(traces) -> np.ndarray:
-    """A (steps, series) float array; a 1-D trace is one column."""
-    x = np.asarray(traces, dtype=float)
-    x = x[:, None] if x.ndim == 1 else np.atleast_2d(x)
+def _columns(traces):
+    """A (steps, series) float array, or a RunMatrix as it is; a 1-D trace is
+    one column."""
+    x = traces
+    if not isinstance(x, RunMatrix):
+        x = np.asarray(x, dtype=float)
+        x = x[:, None] if x.ndim == 1 else np.atleast_2d(x)
     if x.shape[0] < 2:
         raise ValueError("need at least two steps for an autocorrelation")
     return x
@@ -63,21 +69,36 @@ def _nfft(n: int) -> int:
     return 1 << int(np.ceil(np.log2(2 * n)))
 
 
-def _acf_blocks(x: np.ndarray, max_lag: int):
+def _column_means(x) -> np.ndarray:
+    """Column means, the rows added one at a time in order.  numpy's
+    ``mean(axis=0)`` does the same for two columns or more but sums a lone
+    contiguous column pairwise, which would make a column's ACF depend on
+    its neighbours."""
+    total = np.array(x[0], dtype=float)
+    for row in x[1:]:
+        total += row
+    return total / x.shape[0]
+
+
+def _acf_blocks(x, max_lag: int):
     """(first column, ACF block) pairs, lags 0..max_lag about the whole-array
     column means.  A block takes as many columns as fit their spectra, its
-    product and the inverse transform (3 (nfft + 2) floats a column)."""
+    product and the inverse transform (3 (nfft + 2) floats a column); the
+    gathered column block and its centred copy (2 n <= nfft floats a column)
+    are freed before the product."""
     n, m = x.shape
     nfft = _nfft(n)
-    mean = x.mean(axis=0)
+    mean = _column_means(x)
     cols = block_rows(3 * (nfft + 2))
     degenerate = 0
     for lo in range(0, m, cols):
         spec = np.fft.rfft(x[:, lo:lo + cols] - mean[lo:lo + cols], n=nfft,
                            axis=0)
-        # numpy runs this product in place when the block is 256 KiB or more
-        # (temporary elision), which rounds differently from a smaller one
-        power = spec * np.conj(spec)
+        # in place at every block size: numpy elides the temporary of
+        # spec * np.conj(spec) only from 256 KiB, and the two products round
+        # differently, so a column's values would depend on its block
+        power = np.conj(spec)
+        power *= spec
         del spec
         cov = np.fft.irfft(power, n=nfft, axis=0)[:max_lag + 1]
         del power
@@ -128,12 +149,13 @@ def ess_matrix(traces: np.ndarray) -> np.ndarray:
     return x.shape[0] / (1.0 + 2.0 * np.concatenate(tau))
 
 
-def _intensity_blocks(samples: np.ndarray, basis: KLBasis, rep: Reparam):
+def _intensity_blocks(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     """(first row, intensity block) pairs over the rows of samples; a row
-    holds n_modes + 2 npix floats at once (``KLModes.__rmatmul__``)."""
-    rows = block_rows(basis.n_modes + 2 * basis.grid.npix)
+    holds 2 n_modes + 2 npix floats at once: the gathered coefficients, their
+    weights, and the scatter and its product (``KLModes.__rmatmul__``)."""
+    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
     for lo in range(0, samples.shape[0], rows):
-        yield lo, rep.apply(basis.synthesize_values(samples[lo:lo + rows]))
+        yield lo, rep.apply(basis.synthesize_values(samples[lo:lo + rows, :]))
 
 
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
@@ -165,14 +187,16 @@ def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
     return ScalarField(basis.grid, total / chain.n_kept)
 
 
-def sorted_strips(samples: np.ndarray, basis: KLBasis, rep: Reparam):
+def sorted_strips(samples: RunMatrix | np.ndarray, basis: KLBasis,
+                  rep: Reparam):
     """Sorted intensity samples of the pixels, one strip of x-rows at a time.
 
     Yields (pixels, strip) pairs: ``pixels`` slices the flat image and
     ``strip`` holds the intensities of those pixels for every row of
     samples, each column sorted.  A strip holds as many whole x-rows as fit
     in ``BLOCK_FLOATS``, at least one; synthesis blocks take the rest, a row
-    costing a scatter row, weights and the two ``KLModes.x_strip`` products.
+    costing a scatter row, the gathered coefficients, their weights and the
+    two ``KLModes.x_strip`` products.
     One strip and one scatter buffer serve the pass, so each yielded strip
     is overwritten by the next.
     """
@@ -180,7 +204,7 @@ def sorted_strips(samples: np.ndarray, basis: KLBasis, rep: Reparam):
     nx, ny = basis.grid.shape
     width = min(nx, block_rows(n * ny))
     buf = np.empty(n * width * ny)
-    rows = min(n, block_rows(basis.grid.npix + basis.n_modes
+    rows = min(n, block_rows(basis.grid.npix + 2 * basis.n_modes
                              + 2 * (width + 1) * ny, held=buf.size))
     scatter = basis.modes.scatter_buffer(rows)
     log.info("strip pass: %d samples, %d pixels, %d strips of %.2f MB",
@@ -190,7 +214,7 @@ def sorted_strips(samples: np.ndarray, basis: KLBasis, rep: Reparam):
         strip = buf[:n * (x_rows.stop - x0) * ny].reshape(n, -1)
         for lo in range(0, n, rows):
             strip[lo:lo + rows] = rep.apply(basis.synthesize_values(
-                samples[lo:lo + rows], x_rows, scatter))
+                samples[lo:lo + rows, :], x_rows, scatter))
         strip.sort(axis=0)
         yield slice(x0 * ny, x_rows.stop * ny), strip
 
@@ -200,7 +224,9 @@ def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
 
     Works along axis 0: a sorted (n,) sample gives the two window ends as
     scalars, an (n, k) block sorted down its columns gives two length-k
-    arrays, one window per column.  Ties go to the lowest window.
+    arrays, one window per column.  Ties go to the lowest window.  The
+    window widths are formed a chunk of windows at a time, a sixteenth of
+    ``BLOCK_FLOATS``, so the HPD pass holds its budget at any alpha.
     """
     s = np.asarray(sorted_vals, dtype=float)
     n = s.shape[0] if s.ndim else 0
@@ -209,8 +235,17 @@ def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     m = max(1, int(np.ceil((1.0 - alpha) * n)))
-    widths = s[m - 1:] - s[:n - m + 1]
-    i = np.expand_dims(np.argmin(widths, axis=0), 0)
+    starts = n - m + 1
+    chunk = block_rows(16 * max(1, s.size // n))
+    best, first = [], []   # narrowest width and its window, chunk by chunk
+    for a in range(0, starts, chunk):
+        widths = s[a + m - 1:a + chunk + m - 1] - s[a:min(a + chunk, starts)]
+        i = np.expand_dims(np.argmin(widths, axis=0), 0)
+        best.append(np.take_along_axis(widths, i, axis=0)[0])
+        first.append(i[0] + a)
+    # argmin takes the first of equal chunk minima, as over the whole array
+    c = np.expand_dims(np.argmin(best, axis=0), 0)
+    i = np.expand_dims(np.take_along_axis(np.array(first), c, axis=0)[0], 0)
     lo = np.take_along_axis(s, i, axis=0)[0]
     hi = np.take_along_axis(s, i + m - 1, axis=0)[0]
     return lo, hi

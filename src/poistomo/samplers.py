@@ -25,6 +25,11 @@ calibration sweep) without holding the chain or evaluating again.  Every
 kernel consumes randomness in the same order (noise vector first,
 acceptance uniform second), which keeps matched-seed comparisons
 meaningful.
+
+A rejected step repeats the state, so the kept states of a chain come in
+runs of equal consecutive rows.  ``Chain.samples`` is a ``RunMatrix``: it
+stores one row per run plus the run index of every kept row, and the passes
+over a chain gather the row or column blocks they need from it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "SamplerConfig",
     "Chain",
     "ChainDivergence",
+    "RunMatrix",
     "Anchor",
     "chain_states",
     "kept_steps",
@@ -184,11 +190,87 @@ def _step(post, z, ev, g, delta, drift, rng):
     return z, ev, g, False
 
 
+@dataclass(frozen=True, eq=False)
+class RunMatrix:
+    """A read-only (count, n_cols) matrix held as its runs of equal rows.
+
+    ``rows`` stores one row per run and ``run`` the run index of every row:
+    row i is ``rows[run[i]]``.  Like ``KLModes`` it answers only the access
+    forms that the passes over a chain use.  A row slice (``[lo:hi]``,
+    ``[::thin]``) is another RunMatrix that shares ``rows``; an integer, an
+    index array or a (rows, columns) pair gives an ndarray gathered from the
+    runs, and iteration gives the rows in order.  ``np.asarray`` forms the
+    dense matrix and is meant for tests; ``__array_ufunc__ = None`` keeps
+    ufuncs and operators from forming it unasked.
+    """
+
+    rows: np.ndarray = field(repr=False)
+    run: np.ndarray = field(repr=False)
+
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=float)
+        run = np.asarray(self.run, dtype=np.intp)
+        if rows.ndim != 2 or run.ndim != 1:
+            raise ValueError("a run matrix needs (runs, n_cols) rows and a "
+                             "1-D run index")
+        for name, a in (("rows", rows), ("run", run)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_blocks(cls, blocks, n_cols: int) -> "RunMatrix":
+        """Group consecutive rows, over a sequence of (k, n_cols) blocks, that
+        are equal bit for bit (so -0.0 and 0.0 differ and NaN payloads are
+        kept); each run stores a copy of its first row."""
+        kept, index, last, count = [], [], None, 0
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=float).reshape(-1, n_cols)
+            if block.shape[0] == 0:
+                continue
+            bits = block.view(np.uint64)
+            new = np.empty(block.shape[0], dtype=bool)
+            new[0] = last is None or bool(np.any(bits[0] != last))
+            np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
+            kept.append(block[new])
+            index.append(count - 1 + np.cumsum(new))
+            count += kept[-1].shape[0]
+            last = bits[-1].copy()
+        if not kept:
+            return cls(np.empty((0, n_cols)), np.empty(0, dtype=np.intp))
+        return cls(np.concatenate(kept), np.concatenate(index))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.run.size, self.rows.shape[1])
+
+    @property
+    def n_runs(self) -> int:
+        """Stored rows: the distinct states of a chain's kept samples."""
+        return self.rows.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return RunMatrix(self.rows, self.run[key])
+        if isinstance(key, tuple):
+            rows, cols = key
+            return self.rows[:, cols][self.run[rows]]
+        return self.rows[self.run[key]]
+
+    def __array__(self, dtype=None, copy=None):
+        return self.rows[self.run].astype(dtype or float, copy=False)
+
+
 @dataclass(frozen=True)
 class Chain:
-    """Kept samples plus per-step acceptance, potential and TV traces."""
+    """Kept samples plus per-step acceptance, potential and TV traces.
 
-    samples: np.ndarray = field(repr=False)
+    ``samples`` is a ``RunMatrix``; a (count, n_modes) array given in its
+    place is grouped into its runs (``RunMatrix.from_blocks``).
+    """
+
+    samples: RunMatrix = field(repr=False)
     config: SamplerConfig
     acceptance_rate: float
     accepted: np.ndarray | None = field(default=None, repr=False)
@@ -196,11 +278,13 @@ class Chain:
     reg_trace: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 2:
-            raise ValueError("samples must be a (count, n_modes) array")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
+        s = self.samples
+        if not isinstance(s, RunMatrix):
+            s = np.asarray(s, dtype=float)
+            if s.ndim != 2:
+                raise ValueError("samples must be a (count, n_modes) array")
+            object.__setattr__(self, "samples",
+                               RunMatrix.from_blocks([s], s.shape[1]))
 
     @property
     def n_kept(self) -> int:
@@ -264,10 +348,12 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     Burn-in defaults to a tenth of the run; a state is kept every
     ``thinning`` post-burn-in steps (kept_steps).  The states are those of
     chain_states, so the whole run is a pure function of (posterior,
-    config, init, anchor).
+    config, init, anchor).  chain_states yields the same array object
+    until a proposal is accepted, so a kept state is stored once per run
+    (``RunMatrix``); the others add only a run index.
     """
     keep = kept_steps(config)
-    kept = np.empty((keep.size, post.n_modes))
+    rows, run = [], np.empty(keep.size, dtype=np.intp)
     accepted = np.empty(config.n_samples, dtype=bool)
     psi_trace = np.empty(config.n_samples)
     reg_trace = np.empty(config.n_samples)
@@ -278,10 +364,12 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
         psi_trace[k] = ev.psi
         reg_trace[k] = ev.reg
         if j < keep.size and k == keep[j]:
-            kept[j] = z
+            if not rows or z is not rows[-1]:
+                rows.append(z)
+            run[j] = len(rows) - 1
             j += 1
-    return Chain(kept, config, float(np.mean(accepted)), accepted, psi_trace,
-                 reg_trace)
+    return Chain(RunMatrix(np.array(rows), run), config,
+                 float(np.mean(accepted)), accepted, psi_trace, reg_trace)
 
 
 def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
@@ -360,11 +448,16 @@ def save_chain(chain: Chain, path) -> None:
     Header: magic, format version, mode count, kept-sample count, thinning,
     seed, kernel code, stepsize; then row-major little-endian float64
     samples.  The sidecar records the full config and acceptance summary.
+    Each kept row is written straight from its stored run, so the dense
+    samples are never formed.
     """
+    samples = chain.samples
+    # converts (copies) the stored runs only on a big-endian machine
+    rows = np.asarray(samples.rows, dtype="<f8")
     with open(path, "wb") as fh:
         _write_header(fh, chain.config, chain.n_modes, chain.n_kept)
-        # converts (copies) only if the samples are not little-endian f8 rows
-        fh.write(np.ascontiguousarray(chain.samples, dtype="<f8"))
+        for i in samples.run:
+            fh.write(rows[i])
     _write_sidecar(path, chain.config, chain.n_modes, chain.n_kept,
                    chain.acceptance_rate)
 
@@ -402,7 +495,11 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
 
 
 def load_chain(path) -> Chain:
-    """Rebuild a chain from disk; per-step traces are not persisted."""
+    """Rebuild a chain from disk; per-step traces are not persisted.
+
+    The samples are read in row blocks and only their runs are kept
+    (``RunMatrix.from_blocks``), never the whole sample block.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
         if len(head) < _CHAIN_HEADER.size:
@@ -413,10 +510,17 @@ def load_chain(path) -> Chain:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != 1:
             raise ValueError(f"{path}: unsupported version {version}")
-        samples = np.frombuffer(fh.read(), dtype="<f8")
-    if samples.size != n_modes * n_kept:
-        raise ValueError(f"{path}: sample block has {samples.size} floats, "
-                         f"expected {n_modes * n_kept}")
+        size = os.fstat(fh.fileno()).st_size - _CHAIN_HEADER.size
+        if size != 8 * n_modes * n_kept:
+            raise ValueError(f"{path}: sample block has {size} bytes, "
+                             f"expected {8 * n_modes * n_kept}")
+        from .diagnostics import block_rows   # it imports this module
+        # a row of the block read and its comparison with the row before
+        rows = block_rows(2 * n_modes)
+        samples = RunMatrix.from_blocks(
+            (np.frombuffer(fh.read(8 * n_modes * min(rows, n_kept - lo)),
+                           dtype="<f8") for lo in range(0, n_kept, rows)),
+            n_modes)
     try:
         with open(str(path) + ".json", "r", encoding="ascii") as fh:
             sidecar = json.load(fh)
@@ -434,4 +538,4 @@ def load_chain(path) -> Chain:
         k_proj=sidecar.get("k_proj"),
     )
     rate = float(sidecar.get("acceptance_rate", math.nan))
-    return Chain(samples.reshape(n_kept, n_modes), cfg, rate)
+    return Chain(samples, cfg, rate)

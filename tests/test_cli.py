@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from poistomo import cli
+from poistomo import cli, load_chain
 
 TINY_INI = """
 [grid]
@@ -66,6 +67,12 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
     assert manifest["map_converged"] in (True, False)
     assert (out / "map_residuals.csv").is_file()
     assert 0.0 <= manifest["acceptance_rate"] <= 1.0
+    # diag counts the chain's stored runs: one more than the kept rows that
+    # differ from the row before
+    rows = np.asarray(load_chain(out / "chain.bin").samples)
+    moves = int(np.any(rows[1:] != rows[:-1], axis=1).sum())
+    diag = json.loads((out / "diag_manifest.json").read_text())
+    assert diag["distinct_states"] == 1 + moves
 
 
 def _refuse(*args, **kwargs):

@@ -28,7 +28,7 @@ from poistomo.diagnostics import (BLOCK_FLOATS, _nfft, _tau_from_acf,
                                   pointwise_hpdi, posterior_mean,
                                   sorted_strips, write_acf_csv)
 from poistomo.fields import ScalarField
-from poistomo.samplers import Chain, SamplerConfig
+from poistomo.samplers import Chain, RunMatrix, SamplerConfig
 
 # ---------------------------------------------------------------------------
 # highest-density windows
@@ -115,10 +115,10 @@ def test_strip_summaries_equal_the_sorted_intensity_reference(
 
 def test_strips_beside_a_multirow_scatter_equal_the_reference(
         basis60, rep, monkeypatch):
-    # 101 samples: one-row strips hold 1,616 floats and leave 1,140 for
-    # scatter rows of 256 + 60 + 4 x 16 floats, so blocks of 3 rows, the
-    # last one short
-    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", 101 * 16 + 1140)
+    # 101 samples: one-row strips hold 1,616 floats and leave 1,320 for
+    # scatter rows of 256 + 2 x 60 + 4 x 16 floats, so blocks of 3 rows,
+    # the last one short
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", 101 * 16 + 1320)
     _check_strip_summaries(_chain(101, basis60.n_modes, 12), basis60, rep)
 
 
@@ -210,10 +210,13 @@ def _fft_widths(monkeypatch) -> list:
 
 
 def _whole_acf(x, max_lag):
-    """The one-transform ACF of every column at once."""
+    """The one-transform ACF of every column at once, its power spectrum
+    multiplied in place as numpy does by itself from 256 KiB."""
     nfft = _nfft(x.shape[0])
     spec = np.fft.rfft(x - x.mean(axis=0), n=nfft, axis=0)
-    cov = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=0)[:max_lag + 1]
+    power = np.conj(spec)
+    power *= spec
+    cov = np.fft.irfft(power, n=nfft, axis=0)[:max_lag + 1]
     return cov / cov[0]
 
 
@@ -240,9 +243,7 @@ def test_blocked_ess_matches_the_whole_array_bit_for_bit(monkeypatch):
 
 
 def test_blocked_acf_matches_the_whole_array_bit_for_bit(monkeypatch):
-    # a last block of three columns: numpy multiplies spectra of 256 KiB
-    # or more in place, which rounds differently, and one 4,500-step
-    # column's spectrum is 128 KiB
+    # a last block of three columns
     n = 4500
     cols = block_rows(3 * (_nfft(n) + 2))
     x = _ar1(n, 2 * cols + 3, 13)
@@ -256,6 +257,17 @@ def test_blocked_acf_matches_the_whole_array_bit_for_bit(monkeypatch):
     # a lag beyond the chain is cut to n - 1
     assert np.array_equal(acf_matrix(x[:50, :3], max_lag=80),
                           _whole_acf(x[:50, :3], 49))
+
+
+def test_acf_of_a_column_does_not_depend_on_its_block():
+    # one 4,500-step column's spectrum is 128 KiB, under the 256 KiB from
+    # which numpy multiplies spectra in place by itself; the ACF loop always
+    # does, so a column alone and inside a wide block get the same bits
+    x = _ar1(4500, 12, 15)
+    rho = acf_matrix(x, max_lag=200)
+    for j in (0, 7, 11):
+        assert np.array_equal(rho[:, [j]], acf_matrix(x[:, [j]], max_lag=200))
+    assert np.array_equal(ess_matrix(x)[[3]], ess_matrix(x[:, [3]]))
 
 
 def test_negative_max_lag_is_refused():
@@ -278,7 +290,7 @@ def test_acf_table_has_one_row_per_lag_and_one_column_per_series(tmp_path):
 
 def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
     # more rows than one synthesis block holds, ending in a partial block
-    rows = block_rows(basis60.n_modes + 2 * basis60.grid.npix)
+    rows = block_rows(2 * basis60.n_modes + 2 * basis60.grid.npix)
     n = 2 * rows + 5
     chain = Chain(0.7 * np.random.default_rng(6).standard_normal(
         (n, basis60.n_modes)), SamplerConfig("pcn", n, burn_in=0), 1.0)
@@ -323,7 +335,8 @@ def desk_chain():
 def test_ess_peak_memory_stays_below_the_chain(desk_chain):
     chain, _, _ = desk_chain
     assert chain.samples.shape == (4500, 500)
-    assert _peak_bytes(ess_matrix, chain.samples) <= chain.samples.nbytes
+    assert _peak_bytes(ess_matrix, chain.samples) \
+        <= np.asarray(chain.samples).nbytes
 
 
 def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):
@@ -348,6 +361,8 @@ def test_every_chain_pass_stays_within_one_budget(rows):
     passes = {
         "posterior_mean": (posterior_mean, chain, basis, rep),
         "pointwise_hpdi": (pointwise_hpdi, chain, basis, rep, 0.05),
+        "pointwise_hpdi 0.32": (pointwise_hpdi, chain, basis, rep, 0.32),
+        "pointwise_hpdi 0.5": (pointwise_hpdi, chain, basis, rep, 0.5),
         "credible_level_map": (credible_level_map, chain, basis, rep, image),
         "ess_matrix": (ess_matrix, chain.samples),
         "acf_matrix": (acf_matrix, chain.samples),
@@ -355,6 +370,31 @@ def test_every_chain_pass_stays_within_one_budget(rows):
     }
     for name, (fn, *args) in passes.items():
         assert _peak_bytes(fn, *args) <= PASS_BUDGETS * BUDGET_BYTES, name
+
+
+def test_bench_chain_tail_never_holds_the_dense_chain():
+    # a desk chain of 4,500 kept states in 9 runs, as a sticky pdpcn chain
+    # keeps them: the dense samples would be 18 MB, the tail's passes read
+    # blocks gathered from the 9 stored rows
+    cfg = parse_config(preset="desk")
+    basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
+    rng = np.random.default_rng(17)
+    samples = RunMatrix(0.5 * rng.standard_normal((9, basis.n_modes)),
+                        np.repeat(np.arange(9), 500))
+    chain = Chain(samples, SamplerConfig("pcn", 4500, burn_in=0), 0.002)
+    dense = chain.n_kept * chain.n_modes * 8
+    rep = cfg.reparam
+    mean = posterior_mean(chain, basis, rep)
+    tail = {
+        "posterior_mean": lambda: posterior_mean(chain, basis, rep),
+        "pointwise_hpdi": lambda: pointwise_hpdi(chain, basis, rep, 0.05),
+        "credible_level_map": lambda: credible_level_map(
+            chain, basis, rep, mean, thin=cfg.detect_thin),
+        "ess_matrix": lambda: ess_matrix(chain.samples),
+        "acf_matrix": lambda: acf_matrix(chain.samples[:, :8], max_lag=200),
+    }
+    for name, fn in tail.items():
+        assert _peak_bytes(fn) < dense / 3, name
 
 
 @pytest.mark.parametrize("preset, rows, strips", [("desk", 4500, 11),

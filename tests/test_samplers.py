@@ -15,10 +15,10 @@ import pytest
 
 from poistomo import TGPosterior
 from poistomo.posterior import PosteriorEval
-from poistomo.samplers import (Anchor, Chain, ChainDivergence, SamplerConfig,
-                               _accept, _rho, anchor_from_map, chain_states,
-                               kept_steps, load_chain, run_chain, save_chain,
-                               stream_chain, tune_stepsize)
+from poistomo.samplers import (Anchor, Chain, ChainDivergence, RunMatrix,
+                               SamplerConfig, _accept, _rho, anchor_from_map,
+                               chain_states, kept_steps, load_chain, run_chain,
+                               save_chain, stream_chain, tune_stepsize)
 from poistomo.fields import tv_arrays
 from poistomo.admm import AdmmConfig, offset_direction, solve_map
 
@@ -386,6 +386,24 @@ def test_reg_trace_is_the_tv_of_each_state(post16):
             post16.tv_weight * tv_arrays(z, g.hx, g.hy), rel=0, abs=1e-12)
 
 
+def test_run_chain_stores_each_run_once(post16_strong, map16_strong):
+    # beta 1 from the MAP point accepts almost nothing: every rejected step
+    # adds a run index, not a row, so the chain holds a fraction of the
+    # dense (4000, 60) samples while it runs and after
+    res, _ = map16_strong
+    cfg = SamplerConfig("pcn", 4000, beta=1.0, burn_in=0, seed=32)
+    dense = cfg.n_kept * post16_strong.n_modes * 8
+    tracemalloc.start()
+    try:
+        chain = run_chain(post16_strong, cfg, init=res.coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4
+    assert chain.samples.n_runs == 1 + int(chain.accepted[1:].sum())
+    assert chain.samples.n_runs < cfg.n_kept / 100
+
+
 def test_default_burn_in_is_a_tenth():
     cfg = SamplerConfig("pcn", 1000, beta=0.5, seed=0)
     assert cfg.effective_burn_in == 100
@@ -399,7 +417,7 @@ def test_chain_is_deterministic_per_seed(post16):
     np.testing.assert_array_equal(a.samples, b.samples)
     other = run_chain(post16, SamplerConfig("pcn", 200, beta=0.6,
                                             burn_in=0, seed=18))
-    assert np.any(other.samples != a.samples)
+    assert np.any(np.asarray(other.samples) != np.asarray(a.samples))
 
 
 def test_divergent_potential_aborts():
@@ -429,7 +447,7 @@ def test_anchored_chain_requires_anchor():
     chain = run_chain(toy.post, cfg, init=res.coeffs,
                       anchor=anchor_from_map(res, admm.rho_pen))
     assert chain.samples.shape == (50, 2)
-    assert np.all(np.isfinite(chain.samples))
+    assert np.all(np.isfinite(np.asarray(chain.samples)))
 
 
 @pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
@@ -546,9 +564,10 @@ def test_chain_file_holds_the_little_endian_samples(tmp_path):
     finally:
         tracemalloc.stop()
     # the samples go to the file without an intermediate copy
-    assert peak < chain.samples.nbytes / 4
-    payload = path.read_bytes()[-chain.samples.nbytes:]
-    assert payload == chain.samples.astype("<f8").tobytes()
+    dense = np.asarray(chain.samples)
+    assert peak < dense.nbytes / 4
+    payload = path.read_bytes()[-dense.nbytes:]
+    assert payload == dense.astype("<f8").tobytes()
 
 
 @pytest.mark.parametrize("kind", ["pcn", "pdpcn"])
@@ -621,6 +640,78 @@ def test_chain_load_rejects_corruption(tmp_path):
     clipped.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="sample block"):
         load_chain(clipped)
+
+
+def test_load_chain_keeps_only_the_runs(tmp_path):
+    # 4,500 kept rows of 500 modes in 9 runs: the file holds the dense
+    # 18 MB, the loaded chain its 9 rows, read a row block at a time
+    rng = np.random.default_rng(33)
+    samples = RunMatrix(rng.standard_normal((9, 500)),
+                        np.repeat(np.arange(9), 500))
+    chain = Chain(samples, SamplerConfig("pcn", 4500, beta=0.5, burn_in=0),
+                  0.002)
+    path = tmp_path / "chain.bin"
+    save_chain(chain, path)
+    dense = np.asarray(samples).nbytes
+    tracemalloc.start()
+    try:
+        back = load_chain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 4
+    assert back.samples.n_runs == 9
+    np.testing.assert_array_equal(back.samples, samples)
+    again = tmp_path / "again.bin"
+    save_chain(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def test_run_matrix_groups_consecutive_rows_by_bits():
+    # -0.0 and 0.0 compare equal but are different states; a NaN payload
+    # survives; rows equal to an earlier run but not to the last start a
+    # new one
+    nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+    rows = np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [nan, 2.0],
+                     [nan, 2.0], [0.0, 1.0]])
+    m = Chain(rows, SamplerConfig("pcn", 6, burn_in=0), 1.0).samples
+    assert m.n_runs == 4
+    assert m.run.tolist() == [0, 0, 1, 2, 2, 3]
+    assert np.array_equal(_bits(m), _bits(rows))
+    # row blocks that split the runs, an empty one among them
+    split = RunMatrix.from_blocks([rows[:1], rows[1:4], rows[4:4], rows[4:]],
+                                  2)
+    assert split.run.tolist() == m.run.tolist()
+    assert np.array_equal(_bits(split.rows), _bits(m.rows))
+
+
+def test_run_matrix_answers_every_access_form():
+    m = RunMatrix(np.random.default_rng(34).standard_normal((4, 3)),
+                  [0, 0, 1, 1, 1, 2, 3, 3, 3])
+    dense = np.asarray(m)
+    assert dense.shape == m.shape == (9, 3)
+    assert not (m.rows.flags.writeable or m.run.flags.writeable)
+    # integer, index-array and column indexing gather ndarrays
+    for key in (0, -1, 4, [2, 0, 8], np.arange(9)[::2], (slice(None), 1),
+                (slice(None), slice(0, 2)), (slice(2, 7), [2, 0]),
+                (3, slice(None)), (np.array([1, 5]), 2), (slice(2, 5), ...),
+                (slice(6, 9), [1, 2]), (slice(6, 9), 0)):
+        got = m[key]
+        assert isinstance(got, np.ndarray), key
+        assert np.array_equal(got, dense[key]), key
+    # row slices, thinning included, share the stored rows
+    for key in (slice(2, 7), slice(None, None, 3), slice(1, None, 4),
+                slice(5, 5)):
+        part = m[key]
+        assert isinstance(part, RunMatrix) and part.rows is m.rows
+        assert np.array_equal(np.asarray(part), dense[key])
+    assert np.array_equal(np.array(list(m)), dense)
+    with pytest.raises(TypeError):
+        np.isfinite(m)
 
 
 def test_chain_shape_validation():
