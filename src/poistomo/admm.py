@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import div_arrays, iso_l1
+from .fields import div_arrays
 from .posterior import PosteriorEval, TGPosterior
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "z_step",
     "solve_map",
     "offset_direction",
-    "lagrangian",
     "write_residual_csv",
 ]
 
@@ -96,14 +95,6 @@ def _z_grad(post: TGPosterior, ev: PosteriorEval, p: np.ndarray,
     dfield = div_arrays(eta + rho_pen * (ev.grad - p), g.hx, g.hy)
     return post.basis.pullback(post.phi_pixel_grad_at(ev)
                                - g.cell * dfield.reshape(-1))
-
-
-def lagrangian(post: TGPosterior, c, p: np.ndarray, eta: np.ndarray,
-               rho_pen: float) -> float:
-    """Full augmented Lagrangian, including the TV term of the split field."""
-    tv = iso_l1(p, post.grid.hx, post.grid.hy)
-    return (_z_value(post, post.evaluate(c), p, eta, rho_pen)
-            + post.tv_weight * tv)
 
 
 def z_step(post: TGPosterior, c: np.ndarray, ev: PosteriorEval, p: np.ndarray,

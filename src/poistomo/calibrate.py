@@ -36,8 +36,8 @@ from scipy.special import gammaincc
 
 from .diagnostics import block_rows
 from .posterior import TGPosterior
-from .samplers import (Chain, SamplerConfig, chain_states, kept_steps,
-                       run_chain, tune_stepsize)
+from .samplers import (Chain, RunMatrix, SamplerConfig, chain_states,
+                       kept_steps, run_chain, tune_stepsize)
 
 __all__ = [
     "chi2_sf",
@@ -129,24 +129,29 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
 
     The Monte Carlo standard error treats samples as independent; thin the
     chain first when autocorrelation matters.  An even subsample of at most
-    max_samples kept states is used when the cap is set.  Samples go
-    through in blocks of ``block`` rows, by default as many as fit
+    max_samples kept states is used when the cap is set.  Each stretch of
+    the subsample that repeats one state is synthesized and projected once,
+    and its discrepancy counts once per row.  States go through in blocks
+    of ``block`` rows, by default as many as fit
     ``diagnostics.BLOCK_FLOATS`` in the busiest stage: weights with scatter
     and product, intensities with the sparse product's copy or projections,
     or counts with residuals; the p-values do not depend on the block.
     """
     idx = _even_subsample(chain.n_kept, max_samples)
+    runs, lengths = RunMatrix(chain.samples.rows,
+                              chain.samples.run[idx]).stretches()
     if block is None:
         npix, n_rays = post.basis.grid.npix, post.op.n_rays
         block = block_rows(max(2 * (post.basis.n_modes + npix),
                                npix + n_rays + max(npix, n_rays), 3 * n_rays))
-    d = np.empty(idx.size)
-    for lo in range(0, idx.size, block):
-        hi = min(lo + block, idx.size)
+    d = np.empty(runs.size)
+    for lo in range(0, runs.size, block):
+        hi = min(lo + block, runs.size)
         # nested so that each intermediate block is freed once it is used
         d[lo:hi] = chi2_discrepancy(post.data.counts, post.op.apply(
             post.rep.apply(post.basis.synthesize_values(
-                chain.samples[idx[lo:hi]]))), denominator)
+                chain.samples.rows[runs[lo:hi]]))), denominator)
+    d = np.repeat(d, lengths)
     return _predictive(d, post.op.n_rays)
 
 

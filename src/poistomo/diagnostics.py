@@ -6,17 +6,20 @@ averaging or interval construction.  ESS uses the initial-positive-sequence
 rule: the integrated autocorrelation time sums ACF values until the first
 nonpositive lag.
 
-Memory: ``BLOCK_FLOATS`` floats (4 MB) bound the extra memory of a whole pass
+Memory: ``BLOCK_FLOATS`` floats (2 MB) bound the extra memory of a whole pass
 over a chain: each blocked loop sizes its block with ``block_rows`` from all
 the buffers live at once.  The samples are a ``RunMatrix`` that stores each
-run of a repeated state once, so every pass gathers the row or column blocks
-it reads from it and counts them among those buffers; no pass forms the
-dense (n, n_modes) chain.  Exact HPD bounds need every sample of a pixel, so
-``sorted_strips`` maps and sorts one strip of whole x-rows at a time, never
-the (n, npix) intensity array; the strip takes most of the budget, the
-synthesis scatter the rest.  Floors: one x-row of a strip (with a one-row
-scatter) and one FFT column (about 12 n floats), so a chain whose x-row or
-column outgrows the budget should be thinned first.
+run of a repeated state once, and every pass that synthesizes intensities
+(``posterior_mean``, the strip passes, ``posterior_predictive_p``) does so
+once for each run and carries its length; no pass forms the dense
+(n, n_modes) chain.  Exact HPD bounds need every sample of a pixel, so
+``sorted_strips`` copies each synthesized run into its rows of one strip of
+whole x-rows at a time, never the (n, npix) intensity array; the strip
+takes most of the budget, the synthesis scatter the rest.  ``run_strips``
+holds each run once, for the weighted credible levels.  Floors: one x-row
+of a strip beside a sixteenth of the budget for synthesis, and one FFT
+column (about 3 nfft floats, nfft the smallest 2^a 3^b 5^c at least 2 n), so
+a chain whose x-row or column outgrows the budget should be thinned first.
 """
 
 from __future__ import annotations
@@ -38,14 +41,15 @@ __all__ = [
     "pointwise_hpdi",
     "hpdi_sorted",
     "sorted_strips",
+    "run_strips",
     "write_acf_csv",
     "write_ess_csv",
 ]
 
 log = logging.getLogger(__name__)
 
-# float budget of one block of any blocked pass over a chain (2^19 floats)
-BLOCK_FLOATS = 1 << 19
+# float budget of one block of any blocked pass over a chain (2^18 floats)
+BLOCK_FLOATS = 1 << 18
 
 
 def block_rows(width: int, held: int = 0) -> int:
@@ -66,7 +70,11 @@ def _columns(traces):
 
 
 def _nfft(n: int) -> int:
-    return 1 << int(np.ceil(np.log2(2 * n)))
+    """The smallest 2^a 3^b 5^c at least 2 n: the transform has no circular
+    wrap, and pocketfft factors such a length fast."""
+    bits = (2 * n).bit_length()
+    return min(odd << (-(-2 * n // odd) - 1).bit_length() for odd in
+               (3 ** b * 5 ** c for b in range(bits) for c in range(bits)))
 
 
 def _column_means(x) -> np.ndarray:
@@ -149,74 +157,106 @@ def ess_matrix(traces: np.ndarray) -> np.ndarray:
     return x.shape[0] / (1.0 + 2.0 * np.concatenate(tau))
 
 
-def _intensity_blocks(samples: RunMatrix, basis: KLBasis, rep: Reparam):
-    """(first row, intensity block) pairs over the rows of samples; a row
-    holds 2 n_modes + 2 npix floats at once: the gathered coefficients, their
-    weights, and the scatter and its product (``KLModes.__rmatmul__``)."""
-    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
-    for lo in range(0, samples.shape[0], rows):
-        yield lo, rep.apply(basis.synthesize_values(samples[lo:lo + rows, :]))
-
-
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
                       thin: int = 1) -> np.ndarray:
-    """Intensity fields of (possibly thinned) kept samples, (count, npix);
-    synthesis runs in blocks within ``BLOCK_FLOATS`` on top of the result."""
+    """Intensity fields of (possibly thinned) kept samples, (count, npix).
+
+    Synthesis runs in row blocks within ``BLOCK_FLOATS`` on top of the
+    result; a row holds 2 n_modes + 2 npix floats at once: the gathered
+    coefficients, their weights, and the scatter and its product
+    (``KLModes.__rmatmul__``).
+    """
     if thin < 1:
         raise ValueError("thin must be at least 1")
     samples = chain.samples[::thin]
+    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
     out = np.empty((samples.shape[0], basis.grid.npix))
-    for lo, u in _intensity_blocks(samples, basis, rep):
-        out[lo:lo + u.shape[0]] = u
+    for lo in range(0, samples.shape[0], rows):
+        out[lo:lo + rows] = rep.apply(
+            basis.synthesize_values(samples[lo:lo + rows, :]))
     return out
 
 
 def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
     """Sample average of the intensity u = f(z) over kept states.
 
-    Rows are added one at a time in chain order, the order of
+    Each run of a repeated state is synthesized once, in blocks of runs
+    counted as in ``intensity_samples``, and its intensity is added once per
+    kept row in chain order, the order of
     ``intensity_samples(...).mean(axis=0)``, without forming that array.
     """
     if chain.n_kept == 0:
         raise ValueError("chain holds no kept samples")
+    runs, lengths = chain.samples.stretches()
+    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
     total = np.zeros(basis.grid.npix)
-    for _, u in _intensity_blocks(chain.samples, basis, rep):
-        for row in u:
-            total += row
+    for a in range(0, runs.size, rows):
+        u = rep.apply(basis.synthesize_values(
+            chain.samples.rows[runs[a:a + rows]]))
+        for row, count in zip(u, lengths[a:a + rows]):
+            for _ in range(count):
+                total += row
         del u, row   # free this block before the next one is synthesized
     return ScalarField(basis.grid, total / chain.n_kept)
 
 
-def sorted_strips(samples: RunMatrix | np.ndarray, basis: KLBasis,
-                  rep: Reparam):
-    """Sorted intensity samples of the pixels, one strip of x-rows at a time.
+def run_strips(samples: RunMatrix | np.ndarray, basis: KLBasis,
+               rep: Reparam, expand: bool = False):
+    """Intensity samples of the pixels, one strip of whole x-rows at a time.
 
-    Yields (pixels, strip) pairs: ``pixels`` slices the flat image and
-    ``strip`` holds the intensities of those pixels for every row of
-    samples, each column sorted.  A strip holds as many whole x-rows as fit
-    in ``BLOCK_FLOATS``, at least one; synthesis blocks take the rest, a row
-    costing a scatter row, the gathered coefficients, their weights and the
-    two ``KLModes.x_strip`` products.
-    One strip and one scatter buffer serve the pass, so each yielded strip
-    is overwritten by the next.
+    Yields (pixels, strip, lengths) triples: ``pixels`` slices the flat
+    image, and ``strip`` holds the intensities of those pixels for each
+    stretch of ``samples.stretches()`` (a chain's runs), synthesized once,
+    unsorted; ``lengths`` counts the sample rows of each stretch.  Such a
+    strip takes as many x-rows as fit in half of ``BLOCK_FLOATS``.  With
+    ``expand`` each stretch fills its rows, one strip row a sample row, and
+    the strip takes as many x-rows as fit in the whole budget; either way at
+    least one.  Synthesis blocks take the rest, at least a sixteenth of the
+    budget, a row costing a scatter row, the gathered coefficients, their
+    weights and the two ``KLModes.x_strip`` products; their scatter is freed
+    before the strip is yielded.  One strip buffer serves the pass, so each
+    yielded strip is overwritten by the next.
     """
-    n = samples.shape[0]
+    if not isinstance(samples, RunMatrix):
+        samples = RunMatrix.from_blocks([samples], samples.shape[1])
+    lengths = samples.stretches()[1]
+    n = samples.shape[0] if expand else lengths.size
     nx, ny = basis.grid.shape
-    width = min(nx, block_rows(n * ny))
+    width = min(nx, block_rows((1 if expand else 2) * n * ny))
     buf = np.empty(n * width * ny)
-    rows = min(n, block_rows(basis.grid.npix + 2 * basis.n_modes
-                             + 2 * (width + 1) * ny, held=buf.size))
-    scatter = basis.modes.scatter_buffer(rows)
-    log.info("strip pass: %d samples, %d pixels, %d strips of %.2f MB",
-             n, basis.grid.npix, -(-nx // width), buf.nbytes / 2**20)
+    per_row = basis.grid.npix + 2 * basis.n_modes + 2 * (width + 1) * ny
+    rows = min(lengths.size, max(block_rows(per_row, held=buf.size),
+                                 block_rows(16 * per_row)))
+    log.info("strip pass: %d samples, %d states synthesized, %d pixels, "
+             "%d strips of %.2f MB", samples.shape[0], lengths.size,
+             basis.grid.npix, -(-nx // width), buf.nbytes / 2**20)
     for x0 in range(0, nx, width):
         x_rows = slice(x0, min(x0 + width, nx))
         strip = buf[:n * (x_rows.stop - x0) * ny].reshape(n, -1)
-        for lo in range(0, n, rows):
-            strip[lo:lo + rows] = rep.apply(basis.synthesize_values(
-                samples[lo:lo + rows, :], x_rows, scatter))
+        scatter = basis.modes.scatter_buffer(rows)
+        top = 0                                # first sample row of a block
+        for a in range(0, lengths.size, rows):
+            count = lengths[a:a + rows]
+            first = top + np.cumsum(count) - count
+            u = rep.apply(basis.synthesize_values(
+                samples.rows[samples.run[first]], x_rows, scatter))
+            if expand:
+                for row, lo, c in zip(u, first, count):
+                    strip[lo:lo + c] = row
+            else:
+                strip[a:a + rows] = u
+            top = first[-1] + count[-1]
+        del scatter, u
+        yield slice(x0 * ny, x_rows.stop * ny), strip, lengths
+
+
+def sorted_strips(samples: RunMatrix | np.ndarray, basis: KLBasis,
+                  rep: Reparam):
+    """(pixels, strip) pairs of ``run_strips`` with ``expand``, each column
+    of the strip sorted: every sample of every pixel, for the HPD bounds."""
+    for pixels, strip, _ in run_strips(samples, basis, rep, expand=True):
         strip.sort(axis=0)
-        yield slice(x0 * ny, x_rows.stop * ny), strip
+        yield pixels, strip
 
 
 def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
@@ -225,8 +265,9 @@ def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
     Works along axis 0: a sorted (n,) sample gives the two window ends as
     scalars, an (n, k) block sorted down its columns gives two length-k
     arrays, one window per column.  Ties go to the lowest window.  The
-    window widths are formed a chunk of windows at a time, a sixteenth of
-    ``BLOCK_FLOATS``, so the HPD pass holds its budget at any alpha.
+    window widths are formed a chunk of windows at a time, a thirty-second
+    of ``BLOCK_FLOATS`` (``argmin`` down the columns copies it once), so the
+    HPD pass holds its budget at any alpha.
     """
     s = np.asarray(sorted_vals, dtype=float)
     n = s.shape[0] if s.ndim else 0
@@ -236,7 +277,7 @@ def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     m = max(1, int(np.ceil((1.0 - alpha) * n)))
     starts = n - m + 1
-    chunk = block_rows(16 * max(1, s.size // n))
+    chunk = block_rows(32 * max(1, s.size // n))
     best, first = [], []   # narrowest width and its window, chunk by chunk
     for a in range(0, starts, chunk):
         widths = s[a + m - 1:a + chunk + m - 1] - s[a:min(a + chunk, starts)]

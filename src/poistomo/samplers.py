@@ -250,6 +250,15 @@ class RunMatrix:
         """Stored rows: the distinct states of a chain's kept samples."""
         return self.rows.shape[0]
 
+    def stretches(self) -> tuple[np.ndarray, np.ndarray]:
+        """(stored row, length) of each stretch of consecutive rows that share
+        a stored row, in row order: the runs of a chain, fewer after a thin."""
+        new = np.empty(self.run.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(self.run[1:], self.run[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        return self.run[starts], np.diff(starts, append=self.run.size)
+
     def __getitem__(self, key):
         if isinstance(key, slice):
             return RunMatrix(self.rows, self.run[key])

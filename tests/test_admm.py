@@ -14,12 +14,19 @@ import pytest
 from poistomo import (AdmmConfig, CovarianceSpec, Grid, ScalarField,
                       TGPosterior, build_kl_basis, build_radon_operator,
                       simulate_data)
-from poistomo.admm import (_z_grad, _z_value, lagrangian, offset_direction,
-                           phi_step, solve_map, write_residual_csv, z_step)
-from poistomo.fields import div_arrays, grad_arrays, tv_arrays
+from poistomo.admm import (_z_grad, _z_value, offset_direction, phi_step,
+                           solve_map, write_residual_csv, z_step)
+from poistomo.fields import div_arrays, grad_arrays, iso_l1, tv_arrays
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def lagrangian(post, c, p, eta, rho_pen):
+    """Full augmented Lagrangian, including the TV term of the split field."""
+    tv = iso_l1(p, post.grid.hx, post.grid.hy)
+    return (_z_value(post, post.evaluate(c), p, eta, rho_pen)
+            + post.tv_weight * tv)
 
 
 def _shrink_q(post, q1, q2, rho_pen):

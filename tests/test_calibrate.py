@@ -17,11 +17,12 @@ from scipy.special import erfc
 
 from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
                       parse_config)
-from poistomo.calibrate import (admissible_interval, admissible_search,
+from poistomo.calibrate import (_even_subsample, _predictive,
+                                admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
                                 posterior_predictive_p, select_lambda,
                                 write_calibration_csv)
-from poistomo.samplers import Chain, SamplerConfig, run_chain
+from poistomo.samplers import Chain, RunMatrix, SamplerConfig, run_chain
 
 # ---------------------------------------------------------------------------
 # chi-squared tail
@@ -110,6 +111,34 @@ def test_predictive_p_does_not_depend_on_the_block(post16):
     default = posterior_predictive_p(chain, post16)
     small = posterior_predictive_p(chain, post16, block=16)
     assert (default.p, default.stderr) == (small.p, small.stderr)
+
+
+@pytest.mark.parametrize("max_samples, states", [(None, 6), (23, 5)])
+def test_predictive_p_synthesizes_each_repeated_state_once(
+        post16, monkeypatch, max_samples, states):
+    # 150 kept rows in 6 runs, as a sticky chain keeps them; an even
+    # subsample of 23 rows misses the one-row run.  The subsample's states
+    # are synthesized once each, and the p-value is that of every
+    # subsampled row in one block, as the rows were read before
+    rng = np.random.default_rng(6)
+    runs = RunMatrix(0.3 * rng.standard_normal((6, post16.n_modes)),
+                     np.repeat(np.arange(6), [40, 5, 30, 25, 1, 49]))
+    chain = Chain(runs, SamplerConfig("pcn", 150, burn_in=0), 0.03)
+    rows = np.asarray(runs)[_even_subsample(150, max_samples)]
+    ref = _predictive(chi2_discrepancy(post16.data.counts, post16.op.apply(
+        post16.rep.apply(post16.basis.synthesize_values(rows))), "theta"),
+        post16.op.n_rays)
+    synthesized = []
+    synthesize = type(post16.basis).synthesize_values
+
+    def counting(self, c, *args, **kwargs):
+        synthesized.append(np.atleast_2d(c).shape[0])
+        return synthesize(self, c, *args, **kwargs)
+
+    monkeypatch.setattr(type(post16.basis), "synthesize_values", counting)
+    res = posterior_predictive_p(chain, post16, max_samples=max_samples)
+    assert synthesized == [states]
+    assert (res.p, res.stderr, res.n_used) == (ref.p, ref.stderr, ref.n_used)
 
 
 @pytest.mark.parametrize("cap", [0, -3])
