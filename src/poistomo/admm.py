@@ -233,31 +233,19 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
 
 
 def offset_direction(post: TGPosterior, ev: PosteriorEval, split: np.ndarray,
-                     multiplier: np.ndarray, rho_pen: float,
-                     k_proj: int | None = None) -> np.ndarray:
+                     multiplier: np.ndarray, rho_pen: float) -> np.ndarray:
     """Drift used by the gradient-informed sampler at a frozen (p*, eta*).
 
     Coefficient-space derivative of the augmented Lagrangian in z only, at
-    the state of the caller's evaluation ev, projected onto the leading
-    k_proj modes (the tail is zeroed).  k_proj = 0 returns the zero vector,
-    which reduces the sampler to its plain preconditioned form.  split and
-    multiplier must be (2, nx, ny) arrays on the posterior's grid.
+    the state of the caller's evaluation ev.  split and multiplier must be
+    (2, nx, ny) arrays on the posterior's grid.
     """
     shape = (2,) + post.grid.shape
     for name, v in (("split", split), ("multiplier", multiplier)):
         if np.shape(v) != shape:
             raise ValueError(f"{name} must have shape {shape}, "
                              f"got {np.shape(v)}")
-    n = post.n_modes
-    k = n if k_proj is None else int(k_proj)
-    if not 0 <= k <= n:
-        raise ValueError(f"k_proj must be in [0, {n}], got {k}")
-    if k == 0:
-        return np.zeros(n)
-    g = _z_grad(post, ev, split, multiplier, rho_pen)
-    if k < n:
-        g[k:] = 0.0
-    return g
+    return _z_grad(post, ev, split, multiplier, rho_pen)
 
 
 def write_residual_csv(result: MapResult, path) -> None:

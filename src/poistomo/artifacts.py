@@ -8,8 +8,10 @@ a multiple of 1/n for n kept samples.  Structure that the data cannot
 support lights up as a coherent high-level region, while mere noise stays
 diffuse.
 
-Memory: the screen runs over ``diagnostics.run_strips``, whose strips hold
-each distinct kept state once, never the (n, npix) intensity array.
+Memory: the screen runs over ``diagnostics.run_strips``, the strip form
+that the HPD bounds also use: each strip holds every distinct kept state
+once beside its run length, never the (n, npix) intensity array, and the
+level histograms of its columns take what it leaves of the budget.
 """
 
 from __future__ import annotations

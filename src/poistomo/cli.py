@@ -214,7 +214,7 @@ def cmd_sample(args) -> int:
     if cfg.autotune:
         # the chain starts where the tuning pilot ended
         step, init = tune_stepsize(post, scfg.kind, seed=scfg.seed, init=init,
-                                   anchor=anchor, k_proj=scfg.k_proj)
+                                   anchor=anchor)
         name = "beta" if scfg.kind == "pcn" else "delta"
         scfg = dataclasses.replace(scfg, **{name: step})
         print(f"tuned {name} = {step:.5f}")

@@ -71,8 +71,7 @@ _KEYS = {
     "sampler": {"kind": (str, "pdpcn"), "n_samples": (int, "20000"),
                 "burn_in": (_parse_opt_int, "2000"), "thinning": (int, "1"),
                 "beta": (float, "0.1"), "delta": (float, "0.1"),
-                "k_proj": (_parse_opt_int, "none"), "seed": (int, "0"),
-                "autotune": (_parse_bool, "false")},
+                "seed": (int, "0"), "autotune": (_parse_bool, "false")},
     "map": {"rho_pen": (float, "1.0"), "max_outer": (int, "200"),
             "tol": (float, "1e-4"), "inner_iters": (int, "50"),
             "inner_tol": (float, "1e-6")},

@@ -12,14 +12,15 @@ the buffers live at once.  The samples are a ``RunMatrix`` that stores each
 run of a repeated state once, and every pass that synthesizes intensities
 (``posterior_mean``, the strip passes, ``posterior_predictive_p``) does so
 once for each run and carries its length; no pass forms the dense
-(n, n_modes) chain.  Exact HPD bounds need every sample of a pixel, so
-``sorted_strips`` copies each synthesized run into its rows of one strip of
-whole x-rows at a time, never the (n, npix) intensity array; the strip
-takes most of the budget, the synthesis scatter the rest.  ``run_strips``
-holds each run once, for the weighted credible levels.  Floors: one x-row
-of a strip beside a sixteenth of the budget for synthesis, and one FFT
-column (about 3 nfft floats, nfft the smallest 2^a 3^b 5^c at least 2 n), so
-a chain whose x-row or column outgrows the budget should be thinned first.
+(n, n_modes) chain.  The HPD bounds and the credible levels need every
+sample of a pixel, so both run over ``run_strips``: one strip of whole
+x-rows at a time, holding each run once beside its length, never the
+(n, npix) intensity array.  The strip takes half of the budget; synthesis
+and then the sort and windows of the HPD bounds, or the level histograms,
+take what it leaves.  Floors: one x-row of a strip beside a sixteenth of
+the budget for synthesis and one column of windows, and one FFT column
+(about 3 nfft floats, nfft the smallest 2^a 3^b 5^c at least 2 n), so a
+chain whose x-row or column outgrows the budget should be thinned first.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "posterior_mean",
     "pointwise_hpdi",
     "hpdi_sorted",
-    "sorted_strips",
     "run_strips",
     "write_acf_csv",
     "write_ess_csv",
@@ -200,96 +200,90 @@ def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
     return ScalarField(basis.grid, total / chain.n_kept)
 
 
-def run_strips(samples: RunMatrix | np.ndarray, basis: KLBasis,
-               rep: Reparam, expand: bool = False):
+def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     """Intensity samples of the pixels, one strip of whole x-rows at a time.
 
     Yields (pixels, strip, lengths) triples: ``pixels`` slices the flat
-    image, and ``strip`` holds the intensities of those pixels for each
-    stretch of ``samples.stretches()`` (a chain's runs), synthesized once,
-    unsorted; ``lengths`` counts the sample rows of each stretch.  Such a
-    strip takes as many x-rows as fit in half of ``BLOCK_FLOATS``.  With
-    ``expand`` each stretch fills its rows, one strip row a sample row, and
-    the strip takes as many x-rows as fit in the whole budget; either way at
-    least one.  Synthesis blocks take the rest, at least a sixteenth of the
-    budget, a row costing a scatter row, the gathered coefficients, their
-    weights and the two ``KLModes.x_strip`` products; their scatter is freed
-    before the strip is yielded.  One strip buffer serves the pass, so each
-    yielded strip is overwritten by the next.
+    image, ``strip`` holds the intensities of those pixels for each stretch
+    of ``samples.stretches()`` (a chain's runs), synthesized once, unsorted,
+    and ``lengths`` counts the sample rows of each stretch.  A strip takes
+    as many x-rows as fit in half of ``BLOCK_FLOATS``, at least one.
+    Synthesis blocks take the rest, at least a sixteenth of the budget, a
+    row costing a scatter row, the gathered coefficients, their weights and
+    the two products of ``KLBasis.synthesize_values`` for the band.  One
+    strip buffer serves the pass, so each yielded strip is overwritten by
+    the next.
     """
-    if not isinstance(samples, RunMatrix):
-        samples = RunMatrix.from_blocks([samples], samples.shape[1])
     lengths = samples.stretches()[1]
-    n = samples.shape[0] if expand else lengths.size
+    n = lengths.size
     nx, ny = basis.grid.shape
-    width = min(nx, block_rows((1 if expand else 2) * n * ny))
+    width = min(nx, block_rows(2 * n * ny))
     buf = np.empty(n * width * ny)
     per_row = basis.grid.npix + 2 * basis.n_modes + 2 * (width + 1) * ny
-    rows = min(lengths.size, max(block_rows(per_row, held=buf.size),
-                                 block_rows(16 * per_row)))
+    rows = min(n, max(block_rows(per_row, held=buf.size),
+                      block_rows(16 * per_row)))
     log.info("strip pass: %d samples, %d states synthesized, %d pixels, "
-             "%d strips of %.2f MB", samples.shape[0], lengths.size,
-             basis.grid.npix, -(-nx // width), buf.nbytes / 2**20)
+             "%d strips of %.2f MB", samples.shape[0], n, basis.grid.npix,
+             -(-nx // width), buf.nbytes / 2**20)
     for x0 in range(0, nx, width):
         x_rows = slice(x0, min(x0 + width, nx))
         strip = buf[:n * (x_rows.stop - x0) * ny].reshape(n, -1)
-        scatter = basis.modes.scatter_buffer(rows)
         top = 0                                # first sample row of a block
-        for a in range(0, lengths.size, rows):
+        for a in range(0, n, rows):
             count = lengths[a:a + rows]
             first = top + np.cumsum(count) - count
-            u = rep.apply(basis.synthesize_values(
-                samples.rows[samples.run[first]], x_rows, scatter))
-            if expand:
-                for row, lo, c in zip(u, first, count):
-                    strip[lo:lo + c] = row
-            else:
-                strip[a:a + rows] = u
+            strip[a:a + rows] = rep.apply(basis.synthesize_values(
+                samples.rows[samples.run[first]], x_rows))
             top = first[-1] + count[-1]
-        del scatter, u
         yield slice(x0 * ny, x_rows.stop * ny), strip, lengths
 
 
-def sorted_strips(samples: RunMatrix | np.ndarray, basis: KLBasis,
-                  rep: Reparam):
-    """(pixels, strip) pairs of ``run_strips`` with ``expand``, each column
-    of the strip sorted: every sample of every pixel, for the HPD bounds."""
-    for pixels, strip, _ in run_strips(samples, basis, rep, expand=True):
-        strip.sort(axis=0)
-        yield pixels, strip
-
-
-def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
+def hpdi_sorted(sorted_vals: np.ndarray, alpha: float, weights=None):
     """Narrowest window of ceil((1 - alpha) n) consecutive order statistics.
 
-    Works along axis 0: a sorted (n,) sample gives the two window ends as
-    scalars, an (n, k) block sorted down its columns gives two length-k
-    arrays, one window per column.  Ties go to the lowest window.  The
-    window widths are formed a chunk of windows at a time, a thirty-second
-    of ``BLOCK_FLOATS`` (``argmin`` down the columns copies it once), so the
-    HPD pass holds its budget at any alpha.
+    Works along axis 0: a sorted (m,) sample gives the two window ends as
+    scalars, an (m, k) block sorted down its columns gives two length-k
+    arrays, one window per column.  ``weights``, of the sample's shape,
+    counts the copies of each value (a chain's run lengths, sorted with the
+    values), one each by default; n is their total, the same in every
+    column, and the window is one of the sample with every copy written
+    out.  Such a window is narrowest from the first copy of a row, so only
+    those starts are tried, and the row of its last sample is found in the
+    cumulative counts, by one search over the columns' counts offset by n
+    each.  Ties go to the lowest window.  The window arrays are a few times
+    the size of the sample; ``pointwise_hpdi`` hands over column chunks
+    that fit its budget.
     """
     s = np.asarray(sorted_vals, dtype=float)
-    n = s.shape[0] if s.ndim else 0
-    if n == 0:
+    m = s.shape[0] if s.ndim else 0
+    if m == 0:
         raise ValueError("empty sample")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    m = max(1, int(np.ceil((1.0 - alpha) * n)))
-    starts = n - m + 1
-    chunk = block_rows(32 * max(1, s.size // n))
-    best, first = [], []   # narrowest width and its window, chunk by chunk
-    for a in range(0, starts, chunk):
-        widths = s[a + m - 1:a + chunk + m - 1] - s[a:min(a + chunk, starts)]
-        i = np.expand_dims(np.argmin(widths, axis=0), 0)
-        best.append(np.take_along_axis(widths, i, axis=0)[0])
-        first.append(i[0] + a)
-    # argmin takes the first of equal chunk minima, as over the whole array
-    c = np.expand_dims(np.argmin(best, axis=0), 0)
-    i = np.expand_dims(np.take_along_axis(np.array(first), c, axis=0)[0], 0)
-    lo = np.take_along_axis(s, i, axis=0)[0]
-    hi = np.take_along_axis(s, i + m - 1, axis=0)[0]
-    return lo, hi
+    if weights is not None and np.shape(weights) != s.shape:
+        raise ValueError(f"expected weights of shape {s.shape}, got "
+                         f"{np.shape(weights)}")
+    v = s.reshape(m, -1)
+    col = np.arange(v.shape[1])
+    w = None if weights is None else np.reshape(weights, v.shape)
+    n = m if w is None else int(w[:, 0].sum())
+    size = max(1, int(np.ceil((1.0 - alpha) * n)))
+    if w is None:
+        first = np.argmin(v[size - 1:] - v[:n - size + 1], axis=0)
+        last = first + size - 1
+    else:
+        top = np.cumsum(w, axis=0) + n * col   # copies up to each row
+        r = min(m, n - size + 1)   # a row a copy: no window starts later
+        start = top[:r] - w[:r]                # the row's first copy
+        last = np.searchsorted(top.ravel("F"),
+                               (start + (size - 1)).ravel("F"), side="right")
+        last = np.minimum(last.reshape(-1, r).T - m * col, m - 1)
+        widths = np.take_along_axis(v, last, axis=0) - v[:r]
+        widths[start > n * col + n - size] = np.inf   # past the last window
+        first = np.argmin(widths, axis=0)
+        last = last[first, col]
+    return (v[first, col].reshape(s.shape[1:])[()],
+            v[last, col].reshape(s.shape[1:])[()])
 
 
 def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
@@ -297,16 +291,33 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     """Per-pixel highest-posterior-density intervals of the intensity.
 
     Marginal credible intervals only; nothing joint is claimed.  Returns the
-    lower and upper envelope fields.  Works over ``sorted_strips``, so it
-    never holds the (n, npix) intensity array.
+    lower and upper envelope fields.  Works over ``run_strips``, so it never
+    holds the (n, npix) intensity array: each strip is sorted down its
+    columns, together with its run lengths when a run repeats a state, and
+    ``hpdi_sorted`` takes the windows, a chunk of columns at a time that
+    fits what the strip leaves of ``BLOCK_FLOATS`` (at least one column).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if chain.n_kept == 0:
         raise ValueError("chain holds no kept samples")
     lo, hi = np.empty(basis.grid.npix), np.empty(basis.grid.npix)
-    for pixels, strip in sorted_strips(chain.samples, basis, rep):
-        lo[pixels], hi[pixels] = hpdi_sorted(strip, alpha)
+    for pixels, strip, lengths in run_strips(chain.samples, basis, rep):
+        # unit lengths are no weights, so that no count array is formed
+        unit = lengths.size == chain.n_kept
+        cols = block_rows((2 if unit else 8) * lengths.size, held=strip.size)
+        for j in range(0, strip.shape[1], cols):
+            part = strip[:, j:j + cols]
+            counts = None
+            if unit:
+                part.sort(axis=0)
+            else:
+                order = np.argsort(part, axis=0)
+                part[...] = np.take_along_axis(part, order, axis=0)
+                counts = lengths[order]
+                del order
+            p = slice(pixels.start + j, pixels.start + j + part.shape[1])
+            lo[p], hi[p] = hpdi_sorted(part, alpha, counts)
     return (ScalarField(basis.grid, lo), ScalarField(basis.grid, hi))
 
 

@@ -22,8 +22,7 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,12 +69,12 @@ class KLModes:
     """The (n_modes, npix) eigenfield matrix, held as its Kronecker factors.
 
     Row r is ex[ii[r]] (x) ey[jj[r]] flattened row-major, where the rows of
-    the square matrices ex, ey are 1d eigenvectors.  ``w @ modes`` (synthesis
-    of a weight vector or a (k, n_modes) block) and ``modes @ d`` (inner
-    products with one vector of pixel values) run as two small matrix
-    products each, without forming the matrix.  ``x_strip`` synthesizes only
-    the pixels of a band of image x-rows X through the rectangular factor
-    ex[:, X]: since pixels run row-major, those are one contiguous slice of
+    ex, ey are 1d eigenvectors.  ``w @ modes`` (synthesis of a weight vector
+    or a (k, n_modes) block) and ``modes @ d`` (inner products with one
+    vector of pixel values) run as two small matrix products each, without
+    forming the matrix.  With ex cut to a band of image x-rows X
+    (``ex[:, X]``) the same two products give only the pixels of those
+    x-rows: since pixels run row-major, those are one contiguous slice of
     every pixel row.  Integer indexing gives one dense row, slicing a
     sub-basis that shares the factors; ``np.asarray(modes)`` forms the dense
     matrix and is meant for tests.  ``__array_ufunc__ = None`` makes
@@ -116,10 +115,6 @@ class KLModes:
         dense = self.ex[self.ii][:, :, None] * self.ey[self.jj][:, None, :]
         return dense.reshape(self.shape).astype(dtype or float, copy=False)
 
-    @cached_property
-    def _cells(self) -> np.ndarray:   # flat pixel index of each mode
-        return self.ii * self.ey.shape[0] + self.jj
-
     def __rmatmul__(self, w):
         """Pixel rows sum_r w[..., r] e_r of a weight vector or block; a
         (k, n_modes) block peaks at k (n_modes + 2 npix) floats, the count a
@@ -131,42 +126,10 @@ class KLModes:
         buf = np.zeros((w.size // len(self), self.ex.shape[0],
                         self.ey.shape[0]))
         buf[:, self.ii, self.jj] = w.reshape(-1, len(self))
-        np.matmul(np.matmul(self.ex.T, buf), self.ey, out=buf)
-        return buf.reshape(w.shape[:-1] + (self.shape[1],))
-
-    def scatter_buffer(self, rows: int) -> np.ndarray:
-        """A zeroed (nx, ny, rows) weight buffer for ``x_strip``.
-
-        Every ``x_strip`` call writes the same mode positions and leaves the
-        rest at zero, so one buffer serves a whole pass of calls.
-        """
-        return np.zeros((self.ex.shape[0], self.ey.shape[0], rows))
-
-    def x_strip(self, w, x_rows: slice, scatter: np.ndarray) -> np.ndarray:
-        """The pixels of image x-rows ``x_rows`` in the rows of ``w @ modes``.
-
-        w is a (k, n_modes) weight block with k at most the rows of
-        ``scatter``, a buffer from ``scatter_buffer``.  The weights go into it
-        transposed (a short block zeroes the columns it leaves), x is
-        contracted for the strip with one matrix product over every column,
-        then y with one more.  The result is (k, strip pixels).
-        """
-        w = np.asarray(w, dtype=float)
-        k, nx, ny, cols = w.shape[0], *scatter.shape
-        cells = scatter.reshape(nx * ny, cols)
-        cells[self._cells, :k] = w.T
-        if k < cols:
-            cells[self._cells, k:] = 0.0
-        start, stop, _ = x_rows.indices(self.ex.shape[1])
-        # numpy runs a one-row product as a matrix-vector product, which
-        # rounds differently: a one-row strip takes a neighbour along
-        lo = min(start, self.ex.shape[1] - 2) if stop - start == 1 else start
-        hi = max(stop, lo + 2)
-        t = self.ex[:, lo:hi].T @ scatter.reshape(nx, ny * cols)
-        t = np.ascontiguousarray(
-            t.reshape(hi - lo, ny, cols)[:, :, :k].transpose(2, 0, 1))
-        t = (t.reshape(-1, ny) @ self.ey).reshape(k, hi - lo, -1)
-        return t[:, start - lo:stop - lo].reshape(k, -1)
+        t = np.matmul(self.ex.T, buf)
+        # the product goes back into the scatter, a band's into its first rows
+        out = np.matmul(t, self.ey, out=buf[:, :t.shape[1]])
+        return out.reshape(w.shape[:-1] + (self.shape[1],))
 
     def __matmul__(self, d):
         """Inner products <e_r, d> with one vector of pixel values."""
@@ -212,8 +175,7 @@ class KLBasis:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def synthesize_values(self, c, x_rows: slice | None = None,
-                          scatter: np.ndarray | None = None) -> np.ndarray:
+    def synthesize_values(self, c, x_rows: slice | None = None) -> np.ndarray:
         """Flat pixel values of mean + sum_i c_i sqrt(eta_i) e_i.
 
         A (k, n_modes) block of coefficient rows gives a (k, npix) block of
@@ -221,9 +183,9 @@ class KLBasis:
 
         With ``x_rows`` (a slice of image x-rows with unit step) only the
         pixels of those x-rows are formed, as a (k, len(x_rows) * ny) block,
-        through ``KLModes.x_strip``; ``scatter`` is the buffer it reuses
-        across calls, a fresh one when None.  The values equal the matching
-        columns of the whole-image block bit for bit.
+        by the same contraction with the x-factor cut to the band.  The
+        values equal the matching columns of the whole-image block bit for
+        bit.
         """
         c = np.asarray(c, dtype=float)
         if c.ndim != 2:
@@ -235,12 +197,17 @@ class KLBasis:
             values = (c * self._sqrt_eta) @ self.modes
             values += self.mean
             return values
-        w = np.atleast_2d(c * self._sqrt_eta)
-        if scatter is None:
-            scatter = self.modes.scatter_buffer(w.shape[0])
-        values = self.modes.x_strip(w, x_rows, scatter)
-        values += self.mean.reshape(self.grid.shape)[x_rows].reshape(-1)
-        return values.reshape(c.shape[:-1] + (-1,))
+        nx, ny = self.grid.shape
+        start, stop, _ = x_rows.indices(nx)
+        # numpy runs a one-row product as a matrix-vector product, which
+        # rounds differently: a one-row band takes a neighbour along
+        lo = min(start, nx - 2) if stop - start == 1 else start
+        hi = max(stop, lo + 2)
+        band = replace(self.modes, ex=self.modes.ex[:, lo:hi])
+        values = ((c * self._sqrt_eta) @ band)[
+            ..., (start - lo) * ny:(stop - lo) * ny]
+        values += self.mean[start * ny:stop * ny]
+        return values
 
     def synthesize(self, c) -> ScalarField:
         return ScalarField(self.grid, self.synthesize_values(c))

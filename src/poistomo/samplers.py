@@ -83,7 +83,6 @@ class SamplerConfig:
     burn_in: int | None = None
     thinning: int = 1
     seed: int = 0
-    k_proj: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -102,8 +101,6 @@ class SamplerConfig:
         if self.n_kept < 1:
             raise ValueError(f"burn_in {burn} and thinning {self.thinning} "
                              f"keep no state of {self.n_samples}")
-        if self.k_proj is not None and self.k_proj < 0:
-            raise ValueError("k_proj must be nonnegative")
 
     @property
     def effective_burn_in(self) -> int:
@@ -168,7 +165,7 @@ def _drift(post: TGPosterior, config: SamplerConfig, anchor: Anchor | None):
     def offset(ev):
         # looked up at call time, so that a wrapped offset_direction is seen
         return offset_direction(post, ev, anchor.split, anchor.multiplier,
-                                anchor.rho_pen, config.k_proj)
+                                anchor.rho_pen)
     return offset
 
 
@@ -383,8 +380,7 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
 
 def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
                   n_pilot: int = 2000, seed: int = 0, init=None,
-                  anchor: Anchor | None = None, k_proj: int | None = None
-                  ) -> tuple[float, np.ndarray]:
+                  anchor: Anchor | None = None) -> tuple[float, np.ndarray]:
     """Tune the stepsize on one pilot chain; return it and the last state.
 
     Robbins-Monro on log s (Andrieu & Thoms 2008): from a tenth of the top
@@ -399,7 +395,6 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
     log_s = math.log(0.1 * top)
     name = "beta" if kind == "pcn" else "delta"
     pilot = chain_states(post, SamplerConfig(kind, n_pilot, seed=seed,
-                                             k_proj=k_proj,
                                              **{name: 0.1 * top}),
                          init, anchor)
     n_accepted = 0
@@ -441,7 +436,6 @@ def _write_sidecar(path, config: SamplerConfig, n_modes: int, n_kept: int,
         "seed": config.seed,
         "beta": config.beta,
         "delta": config.delta,
-        "k_proj": config.k_proj,
         "n_kept": n_kept,
         "n_modes": n_modes,
         "acceptance_rate": acceptance_rate,
@@ -544,7 +538,6 @@ def load_chain(path) -> Chain:
         burn_in=int(sidecar["burn_in"]) if "burn_in" in sidecar else None,
         thinning=thinning,
         seed=seed,
-        k_proj=sidecar.get("k_proj"),
     )
     rate = float(sidecar.get("acceptance_rate", math.nan))
     return Chain(samples, cfg, rate)

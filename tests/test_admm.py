@@ -453,27 +453,6 @@ def test_returned_split_pair_near_feasible(post16, map16):
 # offset direction
 
 
-def test_offset_direction_empty_projection(post16, map16):
-    res, cfg = map16
-    g = offset_direction(post16, post16.evaluate(res.coeffs), res.split,
-                         res.multiplier, cfg.rho_pen, k_proj=0)
-    assert g.shape == (post16.n_modes,)
-    assert np.all(g == 0.0)
-
-
-def test_offset_direction_tail_is_zeroed(post16, map16):
-    res, cfg = map16
-    rng = np.random.default_rng(12)
-    c = res.coeffs + 0.5 * rng.standard_normal(post16.n_modes)
-    ev = post16.evaluate(c)
-    full = offset_direction(post16, ev, res.split, res.multiplier, cfg.rho_pen)
-    head = offset_direction(post16, ev, res.split, res.multiplier,
-                            cfg.rho_pen, k_proj=7)
-    assert np.all(head[7:] == 0.0)
-    np.testing.assert_array_equal(head[:7], full[:7])
-    assert np.any(full[7:] != 0.0)
-
-
 def test_offset_direction_vanishes_at_solution(post16, map16):
     res, cfg = map16
     g = offset_direction(post16, post16.evaluate(res.coeffs), res.split,
@@ -506,16 +485,7 @@ def test_offset_direction_checks_anchor_shape(post16, map16):
     for bad in (res.split[0], res.split[:, :-1], np.zeros((3, 16, 16))):
         for split, mult in ((bad, res.multiplier), (res.split, bad)):
             with pytest.raises(ValueError):
-                offset_direction(post16, ev, split, mult, cfg.rho_pen,
-                                 k_proj=0)
-
-
-def test_offset_direction_validates_projection_size(post16, map16):
-    res, cfg = map16
-    for bad in (-1, post16.n_modes + 1):
-        with pytest.raises(ValueError):
-            offset_direction(post16, post16.evaluate(res.coeffs), res.split,
-                             res.multiplier, cfg.rho_pen, k_proj=bad)
+                offset_direction(post16, ev, split, mult, cfg.rho_pen)
 
 
 # ---------------------------------------------------------------------------

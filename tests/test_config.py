@@ -13,11 +13,11 @@ TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 # a preset, a parser or the canonical form moves it
 PINNED = [
     ({"preset": "desk"},
-     "b915d8d60e2fc8e69dacb281d5fd818e75ad124740068593d24681664d05b612"),
+     "5e781cdae2e35bf86f5f67c964c1592b0cc8691dc8b2e3854498baefd30e2605"),
     ({"preset": "paper"},
-     "6bcdc8deddb1ca5430c1b82fcc4b899bc40e98ca2ad7704647bfdda7f90bc6fe"),
+     "83081ed64a42258ed3bf82d02f33ccb50c291eaf61f7dd6102f80bbafffa4196"),
     ({"path": TINY, "overrides": {"sampler": {"seed": 3}}},
-     "01c3da2d47e645e03f91d5ea730a3c57380c95f2ac9df10d1831c7dd607a9dbe"),
+     "bb392bfcc4eea8e5205c678165bde56107c3a87f797567dc56938383ed2bc1a8"),
 ]
 
 

@@ -1,12 +1,12 @@
 """Summary and screening tests.
 
-HPD windows are checked against hand-made samples, the per-pixel intervals
-against the one-dimensional window search, credible levels against the HPD
-regions of a Gaussian and a two-component mixture, and the effective sample
-size against the AR(1) formula.  The blocked and strip passes are checked
-bit for bit against their unblocked forms, and the memory peak
-(tracemalloc) of every pass over a desk-sized chain against one block
-budget.
+HPD windows are checked against hand-made samples and, weighted, against the
+expanded sample; the per-pixel intervals against the one-dimensional window
+search, credible levels against the HPD regions of a Gaussian and a
+two-component mixture, and the effective sample size against the AR(1)
+formula.  The blocked and strip passes are checked bit for bit against
+their unblocked forms, and the memory peak (tracemalloc) of every pass over
+a desk-sized chain against one block budget.
 """
 
 import logging
@@ -26,7 +26,7 @@ from poistomo.diagnostics import (BLOCK_FLOATS, _nfft, _tau_from_acf,
                                   acf_matrix, block_rows, ess_matrix,
                                   hpdi_sorted, intensity_samples,
                                   pointwise_hpdi, posterior_mean,
-                                  sorted_strips, write_acf_csv)
+                                  run_strips, write_acf_csv)
 from poistomo.fields import ScalarField
 from poistomo.samplers import Chain, RunMatrix, SamplerConfig
 
@@ -53,6 +53,31 @@ def test_hpdi_sorted_block_matches_columns():
     assert lo.shape == hi.shape == (6,)
     for j in range(6):
         assert (lo[j], hi[j]) == hpdi_sorted(block[:, j], 0.1)
+
+
+def test_hpdi_sorted_weights_stand_for_repeated_values():
+    s = np.array([0.0, 5.0, 6.0, 7.0, 20.0])
+    # 0 5 6 6 6 7 20: five of seven points, widths 6, 2 and 14
+    assert hpdi_sorted(s, 0.4, [1, 1, 3, 1, 1]) == (5.0, 7.0)
+    # 0 0 0 5 6 7 20: widths 6, 7 and 20
+    assert hpdi_sorted(s, 0.4, [3, 1, 1, 1, 1]) == (0.0, 6.0)
+    # random blocks, sorted down each column with their weights, against
+    # the expanded sample: ties within and across rows, alpha 0 to 0.99
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        rows, k = rng.integers(1, 30), rng.integers(1, 5)
+        vals = (rng.integers(0, 6, (rows, k)).astype(float) if case % 2
+                else rng.standard_normal((rows, k)))
+        weights = rng.integers(1, 6, rows)
+        alpha = rng.choice([0.0, 0.05, 0.5, 0.9, 0.99])
+        order = np.argsort(vals, axis=0)
+        lo, hi = hpdi_sorted(np.take_along_axis(vals, order, axis=0), alpha,
+                             weights[order])
+        ref_lo, ref_hi = hpdi_sorted(
+            np.sort(np.repeat(vals, weights, axis=0), axis=0), alpha)
+        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
+    with pytest.raises(ValueError, match="weights"):
+        hpdi_sorted(s, 0.1, [1, 1, 1])
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0])
@@ -126,24 +151,27 @@ def test_strips_beside_a_multirow_scatter_equal_the_reference(
 def test_strips_of_a_run_held_chain_equal_the_expanded_reference(
         basis60, rep, monkeypatch, budget):
     # 41 rows in 5 runs, in one strip or in one-row strips: the HPD bounds
-    # are those of every kept row bit for bit, and the levels weighted by
-    # run length those of the expanded sample
+    # at alpha 0, 0.05 and 0.9 are those of every kept row bit for bit, and
+    # the levels weighted by run length those of the expanded sample; runs
+    # that store a row again tie across runs in every pixel
     if budget is not None:
         monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", budget)
     rows = 0.7 * np.random.default_rng(16).standard_normal(
         (5, basis60.n_modes))
-    chain = Chain(RunMatrix(rows, np.repeat(np.arange(5), [9, 8, 1, 15, 8])),
-                  SamplerConfig("pcn", 41, burn_in=0), 0.1)
-    u = intensity_samples(chain, basis60, rep)
-    u.sort(axis=0)
-    lo, hi = pointwise_hpdi(chain, basis60, rep, 0.05)
-    ref_lo, ref_hi = hpdi_sorted(u, 0.05)
-    assert np.array_equal(lo.ravel(), ref_lo)
-    assert np.array_equal(hi.ravel(), ref_hi)
-    image = posterior_mean(chain, basis60, rep)
-    level = credible_level_map(chain, basis60, rep, image).levels.ravel()
-    assert np.allclose(level, credible_level(u, image.ravel()), rtol=0,
-                       atol=1e-12)
+    for run in ([0, 1, 2, 3, 4], [0, 1, 0, 2, 1]):
+        chain = Chain(RunMatrix(rows, np.repeat(run, [9, 8, 1, 15, 8])),
+                      SamplerConfig("pcn", 41, burn_in=0), 0.1)
+        u = intensity_samples(chain, basis60, rep)
+        u.sort(axis=0)
+        for alpha in (0.0, 0.05, 0.9):
+            lo, hi = pointwise_hpdi(chain, basis60, rep, alpha)
+            ref_lo, ref_hi = hpdi_sorted(u, alpha)
+            assert np.array_equal(lo.ravel(), ref_lo)
+            assert np.array_equal(hi.ravel(), ref_hi)
+        image = posterior_mean(chain, basis60, rep)
+        level = credible_level_map(chain, basis60, rep, image).levels.ravel()
+        assert np.allclose(level, credible_level(u, image.ravel()), rtol=0,
+                           atol=1e-12)
 
 
 def test_strip_pass_logs_one_line(basis60, rep, caplog):
@@ -157,8 +185,8 @@ def test_strip_pass_logs_one_line(basis60, rep, caplog):
     lines = [r.getMessage() for r in caplog.records
              if r.name == "poistomo.diagnostics"]
     assert lines == [f"strip pass: 41 samples, {states} states synthesized, "
-                     f"256 pixels, 1 strips of {41 * 256 * 8 / 2**20:.2f} MB"
-                     for states in (41, 5)]
+                     f"256 pixels, 1 strips of {states * 256 * 8 / 2**20:.2f} "
+                     f"MB" for states in (41, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +524,13 @@ def test_bench_chain_tail_never_holds_the_dense_chain():
         assert _peak_bytes(fn) < dense / 3, name
 
 
-@pytest.mark.parametrize("preset, rows, strips", [("desk", 4500, 32),
-                                                  ("paper", 180, 12)])
-def test_strip_count_is_what_the_strip_alone_allows(preset, rows, strips):
-    # the scatter takes what the strip leaves, so it adds no strip
+@pytest.mark.parametrize("preset, rows, runs, strips", [
+    ("desk", 4500, 9, 1), ("desk", 4500, 4500, 32), ("paper", 180, 121, 16)])
+def test_strip_count_follows_the_distinct_states(preset, rows, runs, strips):
+    # a strip holds each run once, so the bench-shaped desk chain (9 runs of
+    # 500 rows) takes one strip, and the synthesis takes what it leaves
     cfg = parse_config(preset=preset)
     basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
-    samples = np.zeros((rows, basis.n_modes))
-    assert sum(1 for _ in sorted_strips(samples, basis, cfg.reparam)) \
-        == strips
+    samples = RunMatrix(np.zeros((runs, basis.n_modes)),
+                        np.arange(rows) * runs // rows)
+    assert sum(1 for _ in run_strips(samples, basis, cfg.reparam)) == strips

@@ -217,30 +217,32 @@ def test_factored_transform_matches_dense_matrix(nx, ny, n):
     assert basis.modes[:5].shape == (5, grid.npix)
 
 
-def _desk_basis():
-    cfg = parse_config(preset="desk")
+def _preset_basis(preset):
+    cfg = parse_config(preset=preset)
     return build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
 
 
 @pytest.mark.parametrize("make", [lambda: _small_basis(7, 5, 20),
                                   lambda: _small_basis(6, 9, 54),
-                                  _desk_basis], ids=["7x5", "6x9", "desk"])
+                                  lambda: _preset_basis("desk"),
+                                  lambda: _preset_basis("paper")],
+                         ids=["7x5", "6x9", "desk", "paper"])
 def test_strip_synthesis_equals_the_whole_image_bit_for_bit(make):
     basis = make()
     nx, ny = basis.grid.shape
     c = np.random.default_rng(nx * ny).standard_normal((11, basis.n_modes))
     whole = basis.synthesize_values(c)
-    scatter = basis.modes.scatter_buffer(4)   # blocks of 4, 4 and a short 3
     # one-row strips; strips of two, the last of one row on odd nx; nx - 1
-    # rows, then a last strip of one; the whole image
+    # rows, then a last strip of one; the whole image; each in blocks of 4,
+    # 4 and a short 3 rows
     for width in (1, 2, nx - 1, nx):
         for x0 in range(0, nx, width):
             x_rows = slice(x0, min(x0 + width, nx))
             pixels = slice(x0 * ny, x_rows.stop * ny)
             for lo in range(0, 11, 4):
-                strip = basis.synthesize_values(c[lo:lo + 4], x_rows, scatter)
+                strip = basis.synthesize_values(c[lo:lo + 4], x_rows)
                 assert np.array_equal(strip, whole[lo:lo + 4, pixels])
-    # one coefficient vector, with a buffer of its own
+    # one coefficient vector
     assert np.array_equal(basis.synthesize_values(c[3], slice(1, 2)),
                           whole[3, ny:2 * ny])
 

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from poistomo import TGPosterior
+from poistomo import TGPosterior, samplers
 from poistomo.posterior import PosteriorEval
 from poistomo.samplers import (Anchor, Chain, ChainDivergence, RunMatrix,
                                SamplerConfig, _accept, _rho, anchor_from_map,
@@ -252,18 +252,19 @@ def test_zero_drift_gradient_kernel_is_plain_pcn():
 # anchored kernel
 
 
-def test_anchored_kernel_reduces_to_pcn_without_projection(post16):
-    # k_proj = 0 zeroes the drift before the anchor is ever read
+def test_anchored_kernel_reduces_to_pcn_without_projection(post16,
+                                                            monkeypatch):
+    # a zero offset direction is the pcn kernel at the matching beta
     delta = 0.3
     beta = math.sqrt(8.0 * delta) / (2.0 + delta)
-    grid = post16.grid
-    zeros = np.zeros((2,) + grid.shape)
+    zero = np.zeros(post16.n_modes)
+    monkeypatch.setattr(samplers, "offset_direction", lambda *args: zero)
+    zeros = np.zeros((2,) + post16.grid.shape)
     anchor = Anchor(zeros, zeros, 1.0)
     a = run_chain(post16, SamplerConfig("pcn", 300, beta=beta,
                                         burn_in=0, seed=12))
     b = run_chain(post16, SamplerConfig("pdpcn", 300, delta=delta,
-                                        burn_in=0, seed=12, k_proj=0),
-                  anchor=anchor)
+                                        burn_in=0, seed=12), anchor=anchor)
     np.testing.assert_array_equal(a.accepted, b.accepted)
     np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
 
@@ -481,7 +482,7 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
     {"thinning": 0},
     {"burn_in": 100},
     {"burn_in": -1},
-    {"k_proj": -1},
+    {"beta": math.nan},
     {"thinning": 91},           # 90 post-burn-in steps keep no state
 ])
 def test_config_validation(kwargs):
@@ -616,6 +617,22 @@ def test_chain_loads_without_sidecar(tmp_path):
     assert back.config.seed == 27
     assert back.config.delta == 0.7
     assert math.isnan(back.acceptance_rate)
+
+
+def test_chain_loads_an_older_sidecar_with_k_proj(tmp_path):
+    # sidecars written before the k_proj key was removed hold "k_proj": null
+    chain = run_chain(_FlatTarget(3), SamplerConfig("pcn", 30, beta=0.5,
+                                                    burn_in=5, seed=31))
+    path = tmp_path / "chain.bin"
+    save_chain(chain, path)
+    sidecar_path = tmp_path / "chain.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    assert "k_proj" not in sidecar
+    sidecar_path.write_text(json.dumps({**sidecar, "k_proj": None}))
+    back = load_chain(path)
+    np.testing.assert_array_equal(back.samples, chain.samples)
+    assert back.config == chain.config
+    assert back.acceptance_rate == chain.acceptance_rate
 
 
 def test_chain_load_rejects_corruption(tmp_path):
