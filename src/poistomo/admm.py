@@ -16,8 +16,7 @@ multiplier updates, residuals and objective history at the accepted one,
 all read the line search's single ``TGPosterior.evaluate`` of that point,
 grad z included (``PosteriorEval.grad``).  The converged triple also
 anchors the gradient-informed sampler: ``offset_direction`` is the
-coefficient-space derivative of L(., p*, eta*) at the caller's evaluation,
-truncated to the leading modes.
+coefficient-space derivative of L(., p*, eta*) at the caller's evaluation.
 """
 
 from __future__ import annotations

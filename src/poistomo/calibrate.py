@@ -36,8 +36,8 @@ from scipy.special import gammaincc
 
 from .diagnostics import block_rows
 from .posterior import TGPosterior
-from .samplers import (Chain, RunMatrix, SamplerConfig, chain_states,
-                       kept_steps, run_chain, tune_stepsize)
+from .samplers import (Chain, SamplerConfig, chain_states, kept_steps,
+                       run_chain, tune_stepsize)
 
 __all__ = [
     "chi2_sf",
@@ -123,8 +123,7 @@ def _predictive(discrepancies: np.ndarray, n_rays: int) -> PredictiveResult:
 
 def posterior_predictive_p(chain: Chain, post: TGPosterior,
                            max_samples: int | None = None,
-                           denominator: str = "theta",
-                           block: int | None = None) -> PredictiveResult:
+                           denominator: str = "theta") -> PredictiveResult:
     """Average the classical p-value over posterior intensity samples.
 
     The Monte Carlo standard error treats samples as independent; thin the
@@ -132,18 +131,16 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
     max_samples kept states is used when the cap is set.  Each stretch of
     the subsample that repeats one state is synthesized and projected once,
     and its discrepancy counts once per row.  States go through in blocks
-    of ``block`` rows, by default as many as fit
-    ``diagnostics.BLOCK_FLOATS`` in the busiest stage: weights with scatter
-    and product, intensities with the sparse product's copy or projections,
-    or counts with residuals; the p-values do not depend on the block.
+    of as many rows as fit ``diagnostics.BLOCK_FLOATS`` in the busiest
+    stage: weights with scatter and product, intensities with the sparse
+    product's copy or projections, or counts with residuals; the p-values
+    do not depend on the block.
     """
     idx = _even_subsample(chain.n_kept, max_samples)
-    runs, lengths = RunMatrix(chain.samples.rows,
-                              chain.samples.run[idx]).stretches()
-    if block is None:
-        npix, n_rays = post.basis.grid.npix, post.op.n_rays
-        block = block_rows(max(2 * (post.basis.n_modes + npix),
-                               npix + n_rays + max(npix, n_rays), 3 * n_rays))
+    runs, lengths = chain.samples[idx].stretches()
+    npix, n_rays = post.basis.grid.npix, post.op.n_rays
+    block = block_rows(max(2 * (post.basis.n_modes + npix),
+                           npix + n_rays + max(npix, n_rays), 3 * n_rays))
     d = np.empty(runs.size)
     for lo in range(0, runs.size, block):
         hi = min(lo + block, runs.size)

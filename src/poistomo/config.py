@@ -123,6 +123,9 @@ class CalibrationSettings:
         if self.max_eval_samples is not None and self.max_eval_samples < 1:
             raise ValueError("max_eval_samples must be none or >= 1, got "
                              f"{self.max_eval_samples}")
+        if self.denominator not in DENOMINATORS:
+            raise ValueError(f"denominator must be one of {DENOMINATORS}, "
+                             f"got {self.denominator!r}")
 
 
 @dataclass(frozen=True)
@@ -249,10 +252,6 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     c = dict(parsed["calibration"])
     band = (c.pop("band_lo"), c.pop("band_hi"))
     calibration = build("calibration", CalibrationSettings, band=band, **c)
-    if calibration.denominator not in DENOMINATORS:
-        raise ConfigError(
-            f"[calibration] denominator must be one of {DENOMINATORS}, "
-            f"got {calibration.denominator!r}")
     d = parsed["detect"]
     if d["thin"] < 1:
         raise ConfigError(f"[detect] thin must be >= 1, got {d['thin']}")

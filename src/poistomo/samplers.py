@@ -29,7 +29,8 @@ meaningful.
 A rejected step repeats the state, so the kept states of a chain come in
 runs of equal consecutive rows.  ``Chain.samples`` is a ``RunMatrix``: it
 stores one row per run plus the run index of every kept row, and the passes
-over a chain gather the row or column blocks they need from it.
+over a chain gather the row or column blocks they need from it.  A chain
+file stores the same runs: each run's row and length.
 """
 
 from __future__ import annotations
@@ -194,11 +195,11 @@ class RunMatrix:
     ``rows`` stores one row per run and ``run`` the run index of every row:
     row i is ``rows[run[i]]``.  Like ``KLModes`` it answers only the access
     forms that the passes over a chain use.  A row slice (``[lo:hi]``,
-    ``[::thin]``) is another RunMatrix that shares ``rows``; an integer, an
-    index array or a (rows, columns) pair gives an ndarray gathered from the
-    runs, and iteration gives the rows in order.  ``np.asarray`` forms the
-    dense matrix and is meant for tests; ``__array_ufunc__ = None`` keeps
-    ufuncs and operators from forming it unasked.
+    ``[::thin]``) or a 1-D index array is another RunMatrix that shares
+    ``rows``; an integer or a (rows, columns) pair gives an ndarray gathered
+    from the runs, and iteration gives the rows in order.  ``np.asarray``
+    forms the dense matrix and is meant for tests; ``__array_ufunc__ = None``
+    keeps ufuncs and operators from forming it unasked.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -215,28 +216,6 @@ class RunMatrix:
         for name, a in (("rows", rows), ("run", run)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    @classmethod
-    def from_blocks(cls, blocks, n_cols: int) -> "RunMatrix":
-        """Group consecutive rows, over a sequence of (k, n_cols) blocks, that
-        are equal bit for bit (so -0.0 and 0.0 differ and NaN payloads are
-        kept); each run stores a copy of its first row."""
-        kept, index, last, count = [], [], None, 0
-        for block in blocks:
-            block = np.ascontiguousarray(block, dtype=float).reshape(-1, n_cols)
-            if block.shape[0] == 0:
-                continue
-            bits = block.view(np.uint64)
-            new = np.empty(block.shape[0], dtype=bool)
-            new[0] = last is None or bool(np.any(bits[0] != last))
-            np.any(bits[1:] != bits[:-1], axis=1, out=new[1:])
-            kept.append(block[new])
-            index.append(count - 1 + np.cumsum(new))
-            count += kept[-1].shape[0]
-            last = bits[-1].copy()
-        if not kept:
-            return cls(np.empty((0, n_cols)), np.empty(0, dtype=np.intp))
-        return cls(np.concatenate(kept), np.concatenate(index))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -257,12 +236,13 @@ class RunMatrix:
         return self.run[starts], np.diff(starts, append=self.run.size)
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return RunMatrix(self.rows, self.run[key])
         if isinstance(key, tuple):
             rows, cols = key
             return self.rows[:, cols][self.run[rows]]
-        return self.rows[self.run[key]]
+        run = self.run[key]
+        if run.ndim == 1:
+            return RunMatrix(self.rows, run)
+        return self.rows[run]
 
     def __array__(self, dtype=None, copy=None):
         return self.rows[self.run].astype(dtype or float, copy=False)
@@ -273,7 +253,7 @@ class Chain:
     """Kept samples plus per-step acceptance, potential and TV traces.
 
     ``samples`` is a ``RunMatrix``; a (count, n_modes) array given in its
-    place is grouped into its runs (``RunMatrix.from_blocks``).
+    place is stored as one run per row.
     """
 
     samples: RunMatrix = field(repr=False)
@@ -290,7 +270,7 @@ class Chain:
             if s.ndim != 2:
                 raise ValueError("samples must be a (count, n_modes) array")
             object.__setattr__(self, "samples",
-                               RunMatrix.from_blocks([s], s.shape[1]))
+                               RunMatrix(s, np.arange(len(s))))
 
     @property
     def n_kept(self) -> int:
@@ -414,16 +394,17 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
 
 
 # ---------------------------------------------------------------------------
-# chain file: magic "CHN1", little-endian header, f64 samples, JSON sidecar
+# chain file: magic "CHN1", little-endian header, one f64 row per run of
+# equal kept states, then the <i8 length of each run; JSON sidecar
 
-_CHAIN_HEADER = struct.Struct("<4sIIIIqBxxxxxxxd")
+_CHAIN_HEADER = struct.Struct("<4sIIIIIqBxxxd")
 
 
-def _write_header(fh, config: SamplerConfig, n_modes: int,
-                  n_kept: int) -> None:
-    fh.write(_CHAIN_HEADER.pack(b"CHN1", 1, n_modes, n_kept, config.thinning,
-                                config.seed, _KIND_CODE[config.kind],
-                                config.stepsize))
+def _write_header(fh, config: SamplerConfig, n_modes: int, n_kept: int,
+                  n_runs: int) -> None:
+    fh.write(_CHAIN_HEADER.pack(b"CHN1", 2, n_modes, n_kept, n_runs,
+                                config.thinning, config.seed,
+                                _KIND_CODE[config.kind], config.stepsize))
 
 
 def _write_sidecar(path, config: SamplerConfig, n_modes: int, n_kept: int,
@@ -446,49 +427,64 @@ def _write_sidecar(path, config: SamplerConfig, n_modes: int, n_kept: int,
 
 
 def save_chain(chain: Chain, path) -> None:
-    """Write samples in binary with a JSON sidecar (path + ".json").
+    """Write the samples' runs in binary with a JSON sidecar (path + ".json").
 
-    Header: magic, format version, mode count, kept-sample count, thinning,
-    seed, kernel code, stepsize; then row-major little-endian float64
-    samples.  The sidecar records the full config and acceptance summary.
-    Each kept row is written straight from its stored run, so the dense
-    samples are never formed.
+    Header: magic, format version 2, mode count, kept-sample count, run
+    count, thinning, seed, kernel code, stepsize; then each run's row as
+    little-endian float64, then each run's length as little-endian int64.
+    A run is a stretch of kept rows that share a stored row
+    (``RunMatrix.stretches``), so a thinned chain is written compacted.
+    The sidecar records the full config and acceptance summary.
     """
-    samples = chain.samples
+    runs, lengths = chain.samples.stretches()
     # converts (copies) the stored runs only on a big-endian machine
-    rows = np.asarray(samples.rows, dtype="<f8")
+    rows = np.asarray(chain.samples.rows, dtype="<f8")
     with open(path, "wb") as fh:
-        _write_header(fh, chain.config, chain.n_modes, chain.n_kept)
-        for i in samples.run:
+        _write_header(fh, chain.config, chain.n_modes, chain.n_kept,
+                      runs.size)
+        for i in runs:
             fh.write(rows[i])
+        fh.write(lengths.astype("<i8").tobytes())
     _write_sidecar(path, chain.config, chain.n_modes, chain.n_kept,
                    chain.acceptance_rate)
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
                  anchor: Anchor | None = None) -> float:
-    """Run a chain and write each kept state to a chain file as it comes.
+    """Run a chain and write each new kept state to a chain file as it comes.
 
     The file and sidecar have the bytes ``save_chain(run_chain(...))``
-    writes, but only one state is held at a time.  The samples go to a
-    temporary file beside ``path`` that is renamed once the chain
-    completes, so a chain that fails (ChainDivergence, a bad kernel
-    configuration) leaves no file at ``path``.  Returns the acceptance rate.
+    writes, but no kept state is held after the next one is written: a kept
+    state is written when it is a new array (chain_states yields the same
+    object until a proposal is accepted), and the run lengths, counted as
+    the chain goes, follow the rows once it ends, with the run count patched
+    into the header.  The file is written beside ``path`` and renamed once
+    the chain completes, so a chain that fails (ChainDivergence, a bad
+    kernel configuration) leaves no file at ``path``.  Returns the
+    acceptance rate.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
     keep = kept_steps(config)
-    n_accepted = 0
-    j = 0
+    lengths = np.zeros(keep.size, dtype="<i8")
+    n_accepted = n_runs = j = 0
+    last = None
     try:
         with open(part, "wb") as fh:
-            _write_header(fh, config, post.n_modes, keep.size)
+            _write_header(fh, config, post.n_modes, keep.size, 0)
             for k, (z, _, moved) in enumerate(chain_states(post, config, init,
                                                            anchor)):
                 n_accepted += moved
                 if j < keep.size and k == keep[j]:
-                    fh.write(np.ascontiguousarray(z, dtype="<f8"))
+                    if z is not last:
+                        fh.write(np.ascontiguousarray(z, dtype="<f8"))
+                        last = z
+                        n_runs += 1
+                    lengths[n_runs - 1] += 1
                     j += 1
+            fh.write(lengths[:n_runs].tobytes())
+            fh.seek(0)
+            _write_header(fh, config, post.n_modes, keep.size, n_runs)
         rate = n_accepted / config.n_samples
         _write_sidecar(path, config, post.n_modes, keep.size, rate)
         os.replace(part, path)
@@ -500,30 +496,35 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
 def load_chain(path) -> Chain:
     """Rebuild a chain from disk; per-step traces are not persisted.
 
-    The samples are read in row blocks and only their runs are kept
-    (``RunMatrix.from_blocks``), never the whole sample block.
+    The chain holds the file's rows, one per run, and their lengths.  A
+    format version other than 2, an unknown kernel code, a size that does
+    not match the header, or run lengths that are not positive or do not
+    add up to the kept count raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
         if len(head) < _CHAIN_HEADER.size:
             raise ValueError(f"{path}: truncated chain file")
-        magic, version, n_modes, n_kept, thinning, seed, code, step = \
-            _CHAIN_HEADER.unpack(head)
+        (magic, version, n_modes, n_kept, n_runs, thinning, seed, code,
+         step) = _CHAIN_HEADER.unpack(head)
         if magic != b"CHN1":
             raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != 1:
-            raise ValueError(f"{path}: unsupported version {version}")
+        if version != 2:
+            raise ValueError(f"{path}: unsupported chain file version "
+                             f"{version}, expected 2")
+        if code >= len(KINDS):
+            raise ValueError(f"{path}: unknown kernel code {code}")
         size = os.fstat(fh.fileno()).st_size - _CHAIN_HEADER.size
-        if size != 8 * n_modes * n_kept:
+        if size != 8 * n_runs * (n_modes + 1):
             raise ValueError(f"{path}: sample block has {size} bytes, "
-                             f"expected {8 * n_modes * n_kept}")
-        from .diagnostics import block_rows   # it imports this module
-        # a row of the block read and its comparison with the row before
-        rows = block_rows(2 * n_modes)
-        samples = RunMatrix.from_blocks(
-            (np.frombuffer(fh.read(8 * n_modes * min(rows, n_kept - lo)),
-                           dtype="<f8") for lo in range(0, n_kept, rows)),
-            n_modes)
+                             f"expected {8 * n_runs * (n_modes + 1)}")
+        rows = np.fromfile(fh, dtype="<f8", count=n_runs * n_modes)
+        lengths = np.fromfile(fh, dtype="<i8", count=n_runs)
+    if np.any(lengths < 1) or lengths.sum() != n_kept:
+        raise ValueError(f"{path}: run lengths must be positive and add up "
+                         f"to the {n_kept} kept samples")
+    samples = RunMatrix(rows.reshape(n_runs, n_modes),
+                        np.repeat(np.arange(n_runs), lengths))
     try:
         with open(str(path) + ".json", "r", encoding="ascii") as fh:
             sidecar = json.load(fh)

@@ -16,7 +16,7 @@ import pytest
 from scipy.special import erfc
 
 from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
-                      parse_config)
+                      diagnostics, parse_config)
 from poistomo.calibrate import (_even_subsample, _predictive,
                                 admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
@@ -83,14 +83,23 @@ def test_admissible_interval_starts_at_first_weight_inside_band():
 # posterior-predictive p-value
 
 
+def _sixteen_row_blocks(monkeypatch, post):
+    """Set the float budget to 16 rows of posterior_predictive_p's busiest
+    stage, so that its blocks hold 16 states."""
+    npix, n_rays = post.basis.grid.npix, post.op.n_rays
+    width = max(2 * (post.basis.n_modes + npix),
+                npix + n_rays + max(npix, n_rays), 3 * n_rays)
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", 16 * width)
+
+
 @pytest.mark.parametrize("denominator", ["theta", "theta_sq"])
-def test_predictive_p_matches_row_loop(post16, denominator):
+def test_predictive_p_matches_row_loop(post16, monkeypatch, denominator):
     rng = np.random.default_rng(4)
     samples = 0.3 * rng.standard_normal((37, post16.n_modes))
     chain = Chain(samples, SamplerConfig("pcn", 37, burn_in=0), 1.0)
-    # a block size that leaves a partial last block
-    res = posterior_predictive_p(chain, post16, denominator=denominator,
-                                 block=16)
+    # blocks of 16 states leave a partial last block
+    _sixteen_row_blocks(monkeypatch, post16)
+    res = posterior_predictive_p(chain, post16, denominator=denominator)
     counts = post16.data.counts
     pvals = []
     for row in samples:
@@ -104,12 +113,13 @@ def test_predictive_p_matches_row_loop(post16, denominator):
         np.std(pvals, ddof=1) / math.sqrt(37), rel=1e-9, abs=1e-300)
 
 
-def test_predictive_p_does_not_depend_on_the_block(post16):
+def test_predictive_p_does_not_depend_on_the_block(post16, monkeypatch):
     rng = np.random.default_rng(5)
     samples = 0.3 * rng.standard_normal((150, post16.n_modes))
     chain = Chain(samples, SamplerConfig("pcn", 150, burn_in=0), 1.0)
     default = posterior_predictive_p(chain, post16)
-    small = posterior_predictive_p(chain, post16, block=16)
+    _sixteen_row_blocks(monkeypatch, post16)
+    small = posterior_predictive_p(chain, post16)
     assert (default.p, default.stderr) == (small.p, small.stderr)
 
 

@@ -73,6 +73,9 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
     moves = int(np.any(rows[1:] != rows[:-1], axis=1).sum())
     diag = json.loads((out / "diag_manifest.json").read_text())
     assert diag["distinct_states"] == 1 + moves
+    # the file holds the header, then a row of 24 modes and a length per run
+    assert (out / "chain.bin").stat().st_size == \
+        44 + 8 * diag["distinct_states"] * (24 + 1)
 
 
 def _refuse(*args, **kwargs):

@@ -63,6 +63,7 @@ def test_unknown_preset_is_refused():
     ("sampler", "thinning", "18001"),       # keeps none of 18,000 steps
     ("calibration", "max_eval_samples", "0"),
     ("calibration", "max_eval_samples", "-3"),
+    ("calibration", "denominator", "pearson"),
 ])
 def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
     path = _ini(tmp_path, f"[{section}]\n{key} = {raw}\n")

@@ -8,6 +8,7 @@ on matched random streams.
 
 import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -551,12 +552,30 @@ def test_chain_roundtrip(tmp_path, post16):
     sidecar = json.loads((tmp_path / "chain.bin.json").read_text())
     assert sidecar["kind"] == "pcn"
     assert sidecar["n_kept"] == chain.n_kept
+    # -0.0 and 0.0 compare equal but are different states, a NaN payload
+    # survives, and a run that stores a row again stays a run of its own
+    nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 2.0], [0.0, 1.0]])
+    odd = RunMatrix(rows, [0, 0, 1, 2, 2, 3])
+    save_chain(Chain(odd, SamplerConfig("pcn", 6, burn_in=0), 1.0), path)
+    back = load_chain(path).samples
+    assert back.run.tolist() == odd.run.tolist()
+    assert np.array_equal(_bits(back.rows), _bits(rows))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
 def test_chain_file_holds_the_little_endian_samples(tmp_path):
+    # 400 runs of 1 to 8 rows of 500 modes: the file holds the header, each
+    # run's row, then each run's length
     rng = np.random.default_rng(29)
-    chain = Chain(rng.standard_normal((2000, 500)),
-                  SamplerConfig("pcn", 2000, beta=0.5, burn_in=0), 1.0)
+    rows = rng.standard_normal((400, 500))
+    lengths = rng.integers(1, 9, 400)
+    n_kept = int(lengths.sum())
+    chain = Chain(RunMatrix(rows, np.repeat(np.arange(400), lengths)),
+                  SamplerConfig("pcn", n_kept, beta=0.5, burn_in=0), 1.0)
     path = tmp_path / "chain.bin"
     tracemalloc.start()
     try:
@@ -564,11 +583,14 @@ def test_chain_file_holds_the_little_endian_samples(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the samples go to the file without an intermediate copy
+    # the runs go to the file without an intermediate copy
     dense = np.asarray(chain.samples)
     assert peak < dense.nbytes / 4
-    payload = path.read_bytes()[-dense.nbytes:]
-    assert payload == dense.astype("<f8").tobytes()
+    raw = path.read_bytes()
+    assert struct.unpack("<4sIIII", raw[:20]) == (b"CHN1", 2, 500, n_kept,
+                                                  400)
+    assert raw[44:] == (rows.astype("<f8").tobytes()
+                        + lengths.astype("<i8").tobytes())
 
 
 @pytest.mark.parametrize("kind", ["pcn", "pdpcn"])
@@ -658,10 +680,34 @@ def test_chain_load_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="sample block"):
         load_chain(clipped)
 
+    header = struct.Struct("<4sIIIIIqBxxxd")
+    head = header.unpack(raw[:header.size])
+    n_kept, n_runs = head[3], head[4]
+    lengths = np.frombuffer(raw[-8 * n_runs:], dtype="<i8")
+    assert lengths.sum() == n_kept and n_runs > 1
+
+    def refused(match, version=2, kept=n_kept, code=head[7], runs=lengths):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(header.pack(head[0], version, head[2], kept,
+                                    *head[4:7], code, head[8])
+                        + raw[header.size:-8 * n_runs]
+                        + np.asarray(runs, dtype="<i8").tobytes())
+        with pytest.raises(ValueError, match=match):
+            load_chain(bad)
+
+    refused("version 1", version=1)
+    refused("kernel code 3", code=3)
+    refused("kernel code 255", code=255)
+    zero = lengths.copy()
+    zero[1] += zero[0]
+    zero[0] = 0
+    refused("run lengths", runs=zero)
+    refused("run lengths", kept=n_kept + 1)     # lengths add up to one less
+
 
 def test_load_chain_keeps_only_the_runs(tmp_path):
-    # 4,500 kept rows of 500 modes in 9 runs: the file holds the dense
-    # 18 MB, the loaded chain its 9 rows, read a row block at a time
+    # 4,500 kept rows of 500 modes in 9 runs: the file and the loaded chain
+    # hold the 9 rows and their lengths, never the dense 18 MB
     rng = np.random.default_rng(33)
     samples = RunMatrix(rng.standard_normal((9, 500)),
                         np.repeat(np.arange(9), 500))
@@ -682,28 +728,14 @@ def test_load_chain_keeps_only_the_runs(tmp_path):
     again = tmp_path / "again.bin"
     save_chain(back, again)
     assert again.read_bytes() == path.read_bytes()
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
-
-
-def test_run_matrix_groups_consecutive_rows_by_bits():
-    # -0.0 and 0.0 compare equal but are different states; a NaN payload
-    # survives; rows equal to an earlier run but not to the last start a
-    # new one
-    nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
-    rows = np.array([[0.0, 1.0], [0.0, 1.0], [-0.0, 1.0], [nan, 2.0],
-                     [nan, 2.0], [0.0, 1.0]])
-    m = Chain(rows, SamplerConfig("pcn", 6, burn_in=0), 1.0).samples
-    assert m.n_runs == 4
-    assert m.run.tolist() == [0, 0, 1, 2, 2, 3]
-    assert np.array_equal(_bits(m), _bits(rows))
-    # row blocks that split the runs, an empty one among them
-    split = RunMatrix.from_blocks([rows[:1], rows[1:4], rows[4:4], rows[4:]],
-                                  2)
-    assert split.run.tolist() == m.run.tolist()
-    assert np.array_equal(_bits(split.rows), _bits(m.rows))
+    # a thinned chain is written compacted: every third row of 9 runs of
+    # 500 rows falls in 9 runs of 166 or 167
+    thinned = Chain(samples[::3], SamplerConfig("pcn", 4500, beta=0.5,
+                                                burn_in=0, thinning=3), 0.002)
+    save_chain(thinned, again)
+    assert again.stat().st_size == 44 + 8 * 9 * 501
+    np.testing.assert_array_equal(load_chain(again).samples,
+                                  np.asarray(samples)[::3])
 
 
 def test_run_matrix_answers_every_access_form():
@@ -712,17 +744,18 @@ def test_run_matrix_answers_every_access_form():
     dense = np.asarray(m)
     assert dense.shape == m.shape == (9, 3)
     assert not (m.rows.flags.writeable or m.run.flags.writeable)
-    # integer, index-array and column indexing gather ndarrays
-    for key in (0, -1, 4, [2, 0, 8], np.arange(9)[::2], (slice(None), 1),
+    # integer and (rows, columns) indexing gather ndarrays
+    for key in (0, -1, 4, (slice(None), 1),
                 (slice(None), slice(0, 2)), (slice(2, 7), [2, 0]),
                 (3, slice(None)), (np.array([1, 5]), 2), (slice(2, 5), ...),
                 (slice(6, 9), [1, 2]), (slice(6, 9), 0)):
         got = m[key]
         assert isinstance(got, np.ndarray), key
         assert np.array_equal(got, dense[key]), key
-    # row slices, thinning included, share the stored rows
+    # row slices, thinning included, and 1-D index arrays share the stored
+    # rows
     for key in (slice(2, 7), slice(None, None, 3), slice(1, None, 4),
-                slice(5, 5)):
+                slice(5, 5), [2, 0, 8], np.arange(9)[::2]):
         part = m[key]
         assert isinstance(part, RunMatrix) and part.rows is m.rows
         assert np.array_equal(np.asarray(part), dense[key])
