@@ -279,8 +279,6 @@ class SelectionResult:
 
 def select_lambda(make_posterior: Callable[[float], TGPosterior],
                   interval: tuple[float, float],
-                  n_eff: float | None = None,
-                  a0: float | None = None,
                   n_iters: int = 60,
                   inner_steps: int = 200,
                   beta: float | None = None,
@@ -292,9 +290,9 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     batch-mean TV of the latent field, read off the regularizer trace of a
     short pcn chain warm started at the previous chain's last state.
     Without a given beta, a pilot at the midpoint tunes it and the first
-    chain starts where the pilot ended.  n_eff defaults to the coefficient
-    dimension, an identification that is approximate for this reference
-    measure, so the iterate is meaningful only within the interval.  The
+    chain starts where the pilot ended.  n_eff is the coefficient dimension
+    (approximate for this reference measure, so the iterate is meaningful
+    only within the interval) and a0 the interval's width over n_eff.  The
     trace holds (k, weight, gradient) rows; an iterate that does not
     settle raises a warning but is still returned.
     """
@@ -302,13 +300,11 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid interval {interval}")
     probe = make_posterior(0.5 * (lo + hi))
-    if n_eff is None:
-        n_eff = float(probe.n_modes)
+    n_eff = float(probe.n_modes)
+    a0 = (hi - lo) / n_eff
     c = None
     if beta is None:
         beta, c = tune_stepsize(probe, "pcn", n_pilot=1000, seed=seed)
-    if a0 is None:
-        a0 = (hi - lo) / n_eff
     lo = max(lo, 1e-8)  # the gradient needs a positive weight
     lam = 0.5 * (lo + hi)
     trace = []

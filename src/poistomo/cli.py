@@ -115,6 +115,15 @@ def _chain_path(args, outdir: Path) -> Path:
     return Path(args.chain) if args.chain else outdir / "chain.bin"
 
 
+def _load_basis_chain(path: Path, cfg: RunConfig):
+    """load_chain, refusing a chain whose modes are not the basis's."""
+    chain = load_chain(path)
+    if chain.n_modes != cfg.n_modes:
+        raise ValueError(
+            f"chain has {chain.n_modes} modes, basis has {cfg.n_modes}")
+    return chain
+
+
 def cmd_phantom(args) -> int:
     cfg = _load_cfg(args)
     outdir = _outdir(args)
@@ -234,11 +243,8 @@ def cmd_summarize(args) -> int:
     cfg = _load_cfg(args)
     outdir = _outdir(args)
     chain_path = _chain_path(args, outdir)
-    chain = load_chain(chain_path)
+    chain = _load_basis_chain(chain_path, cfg)
     basis = _basis(cfg)
-    if chain.n_modes != basis.n_modes:
-        raise ValueError(
-            f"chain has {chain.n_modes} modes, basis has {basis.n_modes}")
     mean = posterior_mean(chain, basis, cfg.reparam)
     lo, hi = pointwise_hpdi(chain, basis, cfg.reparam, alpha=args.alpha)
     width = ScalarField(cfg.grid, hi.values - lo.values)
@@ -283,7 +289,7 @@ def cmd_detect(args) -> int:
     cfg = _load_cfg(args)
     outdir = _outdir(args)
     chain_path = _chain_path(args, outdir)
-    chain = load_chain(chain_path)
+    chain = _load_basis_chain(chain_path, cfg)
     basis = _basis(cfg)
     test_path = Path(args.test_image) if args.test_image else outdir / "mean.csv"
     image = read_field_csv(test_path, cfg.grid)

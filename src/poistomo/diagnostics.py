@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .fields import ScalarField
 from .forward import Reparam
@@ -69,14 +70,6 @@ def _columns(traces):
     return x
 
 
-def _nfft(n: int) -> int:
-    """The smallest 2^a 3^b 5^c at least 2 n: the transform has no circular
-    wrap, and pocketfft factors such a length fast."""
-    bits = (2 * n).bit_length()
-    return min(odd << (-(-2 * n // odd) - 1).bit_length() for odd in
-               (3 ** b * 5 ** c for b in range(bits) for c in range(bits)))
-
-
 def _column_means(x) -> np.ndarray:
     """Column means, the rows added one at a time in order.  numpy's
     ``mean(axis=0)`` does the same for two columns or more but sums a lone
@@ -95,7 +88,8 @@ def _acf_blocks(x, max_lag: int):
     gathered column block and its centred copy (2 n <= nfft floats a column)
     are freed before the product."""
     n, m = x.shape
-    nfft = _nfft(n)
+    # at least 2 n, so the transform has no circular wrap, and fast to factor
+    nfft = next_fast_len(2 * n, real=True)
     mean = _column_means(x)
     cols = block_rows(3 * (nfft + 2))
     degenerate = 0

@@ -40,7 +40,7 @@ import logging
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,6 +69,7 @@ log = logging.getLogger(__name__)
 
 KINDS = ("pcn", "pcnl", "pdpcn")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
+TARGET_ACCEPTANCE = 0.25    # where tune_stepsize steers its pilot
 
 
 class ChainDivergence(RuntimeError):
@@ -96,7 +97,8 @@ class SamplerConfig:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
-        burn = self.effective_burn_in
+        burn = self.n_samples // 10 if self.burn_in is None else self.burn_in
+        object.__setattr__(self, "burn_in", burn)    # None: a tenth of the run
         if not 0 <= burn < self.n_samples:
             raise ValueError(f"burn_in must lie in [0, n_samples), got {burn}")
         if self.n_kept < 1:
@@ -104,16 +106,12 @@ class SamplerConfig:
                              f"keep no state of {self.n_samples}")
 
     @property
-    def effective_burn_in(self) -> int:
-        return self.n_samples // 10 if self.burn_in is None else self.burn_in
-
-    @property
     def stepsize(self) -> float:
         return self.beta if self.kind == "pcn" else self.delta
 
     @property
     def n_kept(self) -> int:
-        return (self.n_samples - self.effective_burn_in) // self.thinning
+        return (self.n_samples - self.burn_in) // self.thinning
 
 
 class Anchor(NamedTuple):
@@ -323,7 +321,7 @@ def kept_steps(config: SamplerConfig) -> np.ndarray:
     """Step indices whose states a chain keeps: every ``thinning``-th
     post-burn-in step, floor((n - burn) / thinning) of them."""
     thin = config.thinning
-    return (config.effective_burn_in + thin - 1
+    return (config.burn_in + thin - 1
             + thin * np.arange(config.n_kept))
 
 
@@ -358,17 +356,17 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
                  float(np.mean(accepted)), accepted, psi_trace, reg_trace)
 
 
-def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
-                  n_pilot: int = 2000, seed: int = 0, init=None,
+def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
+                  seed: int = 0, init=None,
                   anchor: Anchor | None = None) -> tuple[float, np.ndarray]:
     """Tune the stepsize on one pilot chain; return it and the last state.
 
     Robbins-Monro on log s (Andrieu & Thoms 2008): from a tenth of the top
     stepsize (beta 1 for pcn, delta 2 otherwise), pilot step k moves log s
-    by (accepted - target) / k^0.6, capped at the top; s is then frozen at
-    exp of the mean of log s over the pilot's second half.  Start the tuned
-    chain from the returned state: a start such as the prior mean at a
-    large TV weight may be one that the tuned chain never leaves.  The
+    by (accepted - TARGET_ACCEPTANCE) / k^0.6, capped at the top; s is then
+    frozen at exp of the mean of log s over the pilot's second half.  Start
+    the tuned chain from the returned state: a start such as the prior mean
+    at a large TV weight may be one that the tuned chain never leaves.  The
     pdpcn kernel needs the caller's anchor, as in run_chain.
     """
     top = 1.0 if kind == "pcn" else 2.0
@@ -382,7 +380,8 @@ def tune_stepsize(post: TGPosterior, kind: str, target: float = 0.25,
     z, _, accepted = next(pilot)
     for k in range(1, n_pilot + 1):
         n_accepted += accepted
-        log_s = min(log_s + (accepted - target) / k ** 0.6, math.log(top))
+        log_s = min(log_s + (accepted - TARGET_ACCEPTANCE) / k ** 0.6,
+                    math.log(top))
         if 2 * k > n_pilot:
             tail += log_s
         if k < n_pilot:
@@ -409,18 +408,8 @@ def _write_header(fh, config: SamplerConfig, n_modes: int, n_kept: int,
 
 def _write_sidecar(path, config: SamplerConfig, n_modes: int, n_kept: int,
                    acceptance_rate: float) -> None:
-    sidecar = {
-        "kind": config.kind,
-        "n_samples": config.n_samples,
-        "burn_in": config.effective_burn_in,
-        "thinning": config.thinning,
-        "seed": config.seed,
-        "beta": config.beta,
-        "delta": config.delta,
-        "n_kept": n_kept,
-        "n_modes": n_modes,
-        "acceptance_rate": acceptance_rate,
-    }
+    sidecar = {**asdict(config), "n_kept": n_kept,
+               "n_modes": n_modes, "acceptance_rate": acceptance_rate}
     with open(str(path) + ".json", "w", encoding="ascii") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -496,10 +485,11 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
 def load_chain(path) -> Chain:
     """Rebuild a chain from disk; per-step traces are not persisted.
 
-    The chain holds the file's rows, one per run, and their lengths.  A
-    format version other than 2, an unknown kernel code, a size that does
-    not match the header, or run lengths that are not positive or do not
-    add up to the kept count raise ValueError.
+    It holds the file's rows, one per run, their lengths and the sidecar's
+    config and acceptance rate; without a sidecar, the header's config (no
+    burn-in) and NaN.  A bad magic or version, an unknown kernel code, a size
+    that does not match the header, run lengths that are not positive or do
+    not sum to the kept count, or a sidecar without a field raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
@@ -529,16 +519,15 @@ def load_chain(path) -> Chain:
         with open(str(path) + ".json", "r", encoding="ascii") as fh:
             sidecar = json.load(fh)
     except FileNotFoundError:
-        sidecar = {}
-    kind = KINDS[code]
-    cfg = SamplerConfig(
-        kind,
-        int(sidecar.get("n_samples", max(n_kept * thinning, 1))),
-        beta=float(sidecar.get("beta", step if kind == "pcn" else 0.1)),
-        delta=float(sidecar.get("delta", step if kind != "pcn" else 0.1)),
-        burn_in=int(sidecar["burn_in"]) if "burn_in" in sidecar else None,
-        thinning=thinning,
-        seed=seed,
-    )
-    rate = float(sidecar.get("acceptance_rate", math.nan))
+        kind = KINDS[code]
+        cfg = SamplerConfig(kind, n_kept * thinning, burn_in=0,
+                            thinning=thinning, seed=seed,
+                            **{"beta" if kind == "pcn" else "delta": step})
+        return Chain(samples, cfg, math.nan)
+    try:
+        cfg = SamplerConfig(**{f.name: sidecar[f.name]
+                               for f in fields(SamplerConfig)})
+        rate = float(sidecar["acceptance_rate"])
+    except KeyError as exc:
+        raise ValueError(f"{path}.json: no {exc.args[0]!r} field") from None
     return Chain(samples, cfg, rate)

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand on a tiny grid, and the exit codes."""
 
+import dataclasses
 import json
 import math
 
@@ -176,3 +177,53 @@ def test_diag_refuses_a_negative_max_lag(tmp_path, tiny_ini):
     lines = (out / "acf.csv").read_text().splitlines()
     assert lines == ["lag," + ",".join(f"coeff{j}" for j in range(8)),
                      "0," + ",".join(["1"] * 8)]
+
+
+def test_chain_commands_refuse_a_chain_they_cannot_use(tmp_path, tiny_ini,
+                                                       capsys):
+    # a chain of 24 modes against a 20-mode basis: summarize and detect
+    # both refuse it with the same message, before any synthesis
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "sample"):
+        assert _run(command, tiny_ini, out) == 0, command
+    narrow = tmp_path / "narrow.ini"
+    narrow.write_text(TINY_INI.replace("n_modes = 24", "n_modes = 20"),
+                      encoding="utf-8")
+    for command in ("summarize", "detect"):
+        capsys.readouterr()
+        assert _run(command, narrow, out) == 2, command
+        assert "chain has 24 modes, basis has 20" in capsys.readouterr().err
+        assert not (out / f"{command}_manifest.json").exists()
+    # a sidecar that lacks a config field is named, not filled in
+    sidecar_path = out / "chain.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    del sidecar["burn_in"]
+    sidecar_path.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert _run("diag", tiny_ini, out) == 2
+    assert "'burn_in'" in capsys.readouterr().err
+    assert not (out / "diag_manifest.json").exists()
+
+
+def test_calibrate_selects_a_weight_inside_the_interval(tmp_path, tiny_ini,
+                                                        monkeypatch):
+    # the tiny grid admits no interval, so one is set here to reach the
+    # selection and its report
+    search = cli.admissible_search
+
+    def admits(*args, **kwargs):
+        return dataclasses.replace(search(*args, **kwargs),
+                                   interval=(0.5, 1.5))
+
+    monkeypatch.setattr(cli, "admissible_search", admits)
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "calibrate"):
+        assert _run(command, tiny_ini, out) == 0, command
+    manifest = json.loads((out / "calibrate_manifest.json").read_text())
+    assert manifest["interval"] == [0.5, 1.5]
+    assert 0.5 <= manifest["tv_weight_selected"] <= 1.5
+    assert "selection.csv" in manifest["outputs"]
+    lines = (out / "selection.csv").read_text().splitlines()
+    assert lines[0] == "iteration,tv_weight,gradient"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    assert float(lines[-1].split(",")[1]) == manifest["tv_weight_selected"]

@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.signal import lfilter
 from scipy.special import ndtr
 
@@ -22,7 +23,7 @@ from poistomo import (TGPosterior, brain_phantom, build_kl_basis,
                       simulate_data)
 from poistomo.artifacts import credible_level, credible_level_map
 from poistomo.calibrate import posterior_predictive_p
-from poistomo.diagnostics import (BLOCK_FLOATS, _nfft, _tau_from_acf,
+from poistomo.diagnostics import (BLOCK_FLOATS, _tau_from_acf,
                                   acf_matrix, block_rows, ess_matrix,
                                   hpdi_sorted, intensity_samples,
                                   pointwise_hpdi, posterior_mean,
@@ -339,7 +340,7 @@ def _fft_widths(monkeypatch) -> list:
 def _whole_acf(x, max_lag):
     """The one-transform ACF of every column at once, its power spectrum
     multiplied in place as numpy does by itself from 256 KiB."""
-    nfft = _nfft(x.shape[0])
+    nfft = next_fast_len(2 * x.shape[0], real=True)
     spec = np.fft.rfft(x - x.mean(axis=0), n=nfft, axis=0)
     power = np.conj(spec)
     power *= spec
@@ -357,7 +358,7 @@ def test_blocked_ess_matches_the_whole_array_bit_for_bit(monkeypatch):
     # the inverse transform of a column are 3 x 9,002 floats), so 19
     # columns leave a last block of one column
     n = 4500
-    cols = block_rows(3 * (_nfft(n) + 2))
+    cols = block_rows(3 * (next_fast_len(2 * n, real=True) + 2))
     x = _ar1(n, 2 * cols + 1, 5)
     whole = n / (1.0 + 2.0 * _tau_from_acf(_whole_acf(x, n - 1)))
     widths = _fft_widths(monkeypatch)
@@ -372,7 +373,7 @@ def test_blocked_ess_matches_the_whole_array_bit_for_bit(monkeypatch):
 def test_blocked_acf_matches_the_whole_array_bit_for_bit(monkeypatch):
     # a last block of three columns
     n = 4500
-    cols = block_rows(3 * (_nfft(n) + 2))
+    cols = block_rows(3 * (next_fast_len(2 * n, real=True) + 2))
     x = _ar1(n, 2 * cols + 3, 13)
     whole = _whole_acf(x, n - 1)
     widths = _fft_widths(monkeypatch)

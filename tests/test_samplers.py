@@ -408,7 +408,7 @@ def test_run_chain_stores_each_run_once(post16_strong, map16_strong):
 
 def test_default_burn_in_is_a_tenth():
     cfg = SamplerConfig("pcn", 1000, beta=0.5, seed=0)
-    assert cfg.effective_burn_in == 100
+    assert cfg.burn_in == 100
     assert cfg.n_kept == 900
 
 
@@ -505,7 +505,7 @@ def test_config_stepsize_follows_kind():
 
 def test_tuned_plain_stepsize_hits_target(post16_strong, map16_strong):
     res, _ = map16_strong
-    beta, _ = tune_stepsize(post16_strong, "pcn", target=0.25, seed=21,
+    beta, _ = tune_stepsize(post16_strong, "pcn", seed=21,
                             init=res.coeffs)
     cfg = SamplerConfig("pcn", 4000, beta=beta, burn_in=0, seed=22)
     chain = run_chain(post16_strong, cfg, init=res.coeffs)
@@ -516,7 +516,7 @@ def test_tuned_plain_stepsize_hits_target(post16_strong, map16_strong):
 def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
     res, cfg_map = map16_strong
     anchor = anchor_from_map(res, cfg_map.rho_pen)
-    delta, _ = tune_stepsize(post16_strong, "pdpcn", target=0.25, seed=23,
+    delta, _ = tune_stepsize(post16_strong, "pdpcn", seed=23,
                              init=res.coeffs, anchor=anchor)
     cfg = SamplerConfig("pdpcn", 4000, delta=delta, burn_in=0, seed=24)
     chain = run_chain(post16_strong, cfg, init=res.coeffs, anchor=anchor)
@@ -526,9 +526,9 @@ def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
 
 def test_tuning_is_deterministic(post16_strong, map16_strong):
     res, _ = map16_strong
-    a, za = tune_stepsize(post16_strong, "pcn", target=0.25, seed=25,
+    a, za = tune_stepsize(post16_strong, "pcn", seed=25,
                           init=res.coeffs)
-    b, zb = tune_stepsize(post16_strong, "pcn", target=0.25, seed=25,
+    b, zb = tune_stepsize(post16_strong, "pcn", seed=25,
                           init=res.coeffs)
     assert a == b
     np.testing.assert_array_equal(za, zb)
@@ -638,6 +638,9 @@ def test_chain_loads_without_sidecar(tmp_path):
     assert back.config.thinning == 4
     assert back.config.seed == 27
     assert back.config.delta == 0.7
+    # the header's config keeps exactly the file's rows
+    assert back.config.n_kept == back.n_kept
+    assert kept_steps(back.config).size == back.n_kept
     assert math.isnan(back.acceptance_rate)
 
 
@@ -655,6 +658,26 @@ def test_chain_loads_an_older_sidecar_with_k_proj(tmp_path):
     np.testing.assert_array_equal(back.samples, chain.samples)
     assert back.config == chain.config
     assert back.acceptance_rate == chain.acceptance_rate
+
+
+def test_chain_load_refuses_a_sidecar_without_a_field(tmp_path):
+    # the sidecar holds every config field and the acceptance rate; a
+    # missing one is named, never filled in with a default
+    chain = run_chain(_FlatTarget(2), SamplerConfig("pcn", 20, beta=0.5,
+                                                    seed=28))
+    path = tmp_path / "chain.bin"
+    save_chain(chain, path)
+    sidecar_path = tmp_path / "chain.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    assert sorted(sidecar) == sorted(
+        ["kind", "n_samples", "beta", "delta", "burn_in", "thinning", "seed",
+         "n_kept", "n_modes", "acceptance_rate"])
+    assert sidecar["burn_in"] == 2
+    for key in ("burn_in", "delta", "acceptance_rate"):
+        sidecar_path.write_text(json.dumps(
+            {k: v for k, v in sidecar.items() if k != key}))
+        with pytest.raises(ValueError, match=repr(key)):
+            load_chain(path)
 
 
 def test_chain_load_rejects_corruption(tmp_path):
