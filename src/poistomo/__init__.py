@@ -24,8 +24,7 @@ from .diagnostics import (acf_matrix, ess_matrix, hpdi_sorted,
 from .fields import (Grid, ScalarField, psnr, read_field_csv, read_pgm,
                      write_field_csv, write_pgm)
 from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
-                      read_sinogram_bin, simulate_data, write_sinogram_bin,
-                      write_sinogram_csv)
+                      read_sinogram_bin, simulate_data, write_sinogram_bin)
 from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
@@ -49,7 +48,6 @@ __all__ = [
     "write_field_csv", "write_pgm",
     "RadonOperator", "Reparam", "Sinogram", "build_radon_operator",
     "read_sinogram_bin", "simulate_data", "write_sinogram_bin",
-    "write_sinogram_csv",
     "CovarianceSpec", "KLBasis", "build_kl_basis",
     "brain_phantom",
     "TGPosterior",

@@ -35,7 +35,6 @@ __all__ = [
     "z_step",
     "solve_map",
     "offset_direction",
-    "write_residual_csv",
 ]
 
 ARMIJO_C1 = 1e-4
@@ -245,12 +244,3 @@ def offset_direction(post: TGPosterior, ev: PosteriorEval, split: np.ndarray,
             raise ValueError(f"{name} must have shape {shape}, "
                              f"got {np.shape(v)}")
     return _z_grad(post, ev, split, multiplier, rho_pen)
-
-
-def write_residual_csv(result: MapResult, path) -> None:
-    """History rows: iteration, primal residual, dual residual, objective."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("iteration,primal,dual,objective\n")
-        for i in range(result.primal.size):
-            fh.write(f"{i + 1},{result.primal[i]:.17g},"
-                     f"{result.dual[i]:.17g},{result.objective[i]:.17g}\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import block_rows, run_strips
-from .fields import ScalarField, write_field_csv, write_pgm
+from .fields import ScalarField
 from .forward import Reparam
 from .klbasis import KLBasis
 from .samplers import Chain
@@ -31,7 +31,6 @@ __all__ = [
     "CredibleLevelMap",
     "credible_level_map",
     "inject_artifact",
-    "write_level_map",
 ]
 
 ARTIFACT_KINDS = ("add_blob", "remove_blob", "add_noise")
@@ -184,9 +183,3 @@ def inject_artifact(image: ScalarField, kind: str, magnitude: float,
                   <= radius ** 2)
         vals[inside] += magnitude if kind == "add_blob" else -magnitude
     return ScalarField(image.grid, np.maximum(vals, 0.0))
-
-
-def write_level_map(level_map: CredibleLevelMap, pgm_path, csv_path) -> None:
-    """Heatmap as 16-bit PGM on a fixed [0, 1] scale, plus exact CSV values."""
-    write_pgm(level_map.levels, pgm_path, vmax=1.0)
-    write_field_csv(level_map.levels, csv_path)

@@ -50,8 +50,6 @@ __all__ = [
     "admissible_search",
     "SelectionResult",
     "select_lambda",
-    "write_calibration_csv",
-    "write_selection_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -323,24 +321,3 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
                       "cap; returning the last projected iterate",
                       RuntimeWarning, stacklevel=2)
     return SelectionResult(lam, tuple(trace), tuple(interval))
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-def write_calibration_csv(result: CalibrationResult, path) -> None:
-    """Rows of (tv_weight, p_b, MC stderr, chain steps, acceptance rate)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("tv_weight,p_b,stderr,chain_steps,acceptance\n")
-        for r in result.rows:
-            fh.write(f"{r.tv_weight:.17g},{r.p:.17g},{r.stderr:.17g},"
-                     f"{r.chain_steps},{r.acceptance:.17g}\n")
-
-
-def write_selection_csv(result: SelectionResult, path) -> None:
-    """Trace rows of (iteration, tv_weight, gradient estimate)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("iteration,tv_weight,gradient\n")
-        for k, lam, grad in result.trace:
-            fh.write(f"{k},{lam:.17g},{grad:.17g}\n")

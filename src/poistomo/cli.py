@@ -9,6 +9,9 @@ byte; the manifests make drift detectable.  Each manifest also records the
 command's cost, its wall time ``wall_s`` and the process's peak resident
 memory ``peak_rss_mb``, which vary from run to run.
 
+The reports that nothing reads back (CSV tables, JSON summaries, manifests)
+are written here; a format that has a reader lives beside it in the library.
+
 Exit codes: 0 success, 2 for configuration or input validation errors,
 3 for runtime failures (solver breakdown, unreadable files, diverged chains).
 """
@@ -27,18 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .admm import solve_map, write_residual_csv
-from .artifacts import credible_level_map, inject_artifact, write_level_map
-from .calibrate import (admissible_search, select_lambda,
-                        write_calibration_csv, write_selection_csv)
+from .admm import solve_map
+from .artifacts import credible_level_map, inject_artifact
+from .calibrate import admissible_search, select_lambda
 from .config import ConfigError, RunConfig, parse_config, write_config
-from .diagnostics import (acf_matrix, ess_matrix, pointwise_hpdi,
-                          posterior_mean, write_acf_csv, write_ess_csv)
+from .diagnostics import acf_matrix, ess_matrix, pointwise_hpdi, posterior_mean
 from .fields import (ScalarField, psnr, read_field_csv, write_field_csv,
                      write_pgm)
-from .forward import (build_radon_operator, read_sinogram_bin, simulate_data,
-                      write_geometry_manifest, write_sinogram_bin,
-                      write_sinogram_csv)
+from .forward import (DETECTOR_SPAN, build_radon_operator, read_sinogram_bin,
+                      simulate_data, write_sinogram_bin)
 from .klbasis import build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
@@ -50,6 +50,15 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_RUNTIME = 3
 
+# input file options: option -> (default file in the output directory, help)
+_INPUT_FILES = {
+    "phantom": ("phantom.csv", "truth CSV"),
+    "sinogram": ("sinogram.bin", "counts file"),
+    "chain": ("chain.bin", "chain file"),
+    "truth": ("phantom.csv", "truth CSV for PSNR"),
+    "test-image": ("mean.csv", "image CSV to screen"),
+}
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -59,39 +68,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, outdir: Path, cfg: RunConfig, inputs: dict,
-                    outputs: list, extra: dict | None = None) -> Path:
-    # ru_maxrss counts KiB on Linux
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    body = {
-        "command": args.command,
-        "config_hash": cfg.config_hash(),
-        "inputs": {name: _sha256(Path(p)) for name, p in inputs.items()},
-        "outputs": {name: _sha256(outdir / name) for name in outputs},
-        "wall_s": time.perf_counter() - args.started,
-        "peak_rss_mb": peak_kib / 1024,
-    }
-    if extra:
-        body.update(extra)
-    path = outdir / f"{args.command}_manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, sort_keys=True, indent=2)
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
 
 
-def _load_cfg(args) -> RunConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["sampler"] = {"seed": str(args.seed)}
-    return parse_config(path=args.config, preset=args.preset,
-                        overrides=overrides)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _write_csv(path: Path, header, rows) -> None:
+    """A header line, then one line per row: floats as %.17g, which reads
+    back exactly, and everything else as str."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
 
 
 def _operator(cfg: RunConfig):
@@ -111,10 +101,6 @@ def _read_sinogram(path: Path, cfg: RunConfig):
     return sino
 
 
-def _chain_path(args, outdir: Path) -> Path:
-    return Path(args.chain) if args.chain else outdir / "chain.bin"
-
-
 def _load_basis_chain(path: Path, cfg: RunConfig):
     """load_chain, refusing a chain whose modes are not the basis's."""
     chain = load_chain(path)
@@ -124,45 +110,42 @@ def _load_basis_chain(path: Path, cfg: RunConfig):
     return chain
 
 
-def cmd_phantom(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
+# Each command takes the parsed arguments (input paths resolved), the config
+# and the output directory, and returns its manifest's inputs (name -> path),
+# outputs (file names in the output directory) and extra fields.
+
+def cmd_phantom(args, cfg: RunConfig, outdir: Path):
     truth = brain_phantom(cfg.grid, low=cfg.reparam.bounds[0] + 0.05,
                           high=cfg.reparam.bounds[1] - 0.05)
     write_field_csv(truth, outdir / "phantom.csv")
     write_pgm(truth, outdir / "phantom.pgm")
     write_config(cfg, outdir / "effective_config.ini")
-    _write_manifest(args, outdir, cfg, {},
-                    ["phantom.csv", "phantom.pgm", "effective_config.ini"])
     print(f"phantom written to {outdir}")
-    return _EXIT_OK
+    return {}, ["phantom.csv", "phantom.pgm", "effective_config.ini"], {}
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
-    phantom_path = Path(args.phantom) if args.phantom else outdir / "phantom.csv"
-    truth = read_field_csv(phantom_path, cfg.grid)
+def cmd_simulate(args, cfg: RunConfig, outdir: Path):
+    truth = read_field_csv(args.phantom, cfg.grid)
     op = _operator(cfg)
-    rng = np.random.default_rng(cfg.sampler.seed)
-    sino = simulate_data(op, truth, rng)
+    sino = simulate_data(op, truth, np.random.default_rng(cfg.sampler.seed))
     write_sinogram_bin(sino, outdir / "sinogram.bin")
-    write_sinogram_csv(sino, outdir / "sinogram.csv")
-    write_geometry_manifest(op, outdir / "geometry.json")
-    _write_manifest(args, outdir, cfg,
-                    {"phantom.csv": phantom_path},
-                    ["sinogram.bin", "sinogram.csv", "geometry.json"],
-                    {"total_counts": int(sino.counts.sum()),
-                     "n_rays": int(sino.n_rays)})
+    _write_csv(outdir / "sinogram.csv", ("angle", "det", "count"),
+               zip(sino.angle_idx, sino.det_idx, sino.counts))
+    _write_json(outdir / "geometry.json", {
+        "format": "parallel-beam path-integral operator",
+        "nx": op.grid.nx, "ny": op.grid.ny, "n_angles": op.n_angles,
+        "n_det": op.n_det, "kappa": op.kappa, "detector_span": DETECTOR_SPAN,
+        "rays_kept": op.n_rays, "rays_dropped": op.n_dropped,
+        "nnz": op.matrix.nnz})
     print(f"simulated {sino.n_rays} rays, total counts {sino.counts.sum()}")
-    return _EXIT_OK
+    return ({"phantom.csv": args.phantom},
+            ["sinogram.bin", "sinogram.csv", "geometry.json"],
+            {"total_counts": int(sino.counts.sum()),
+             "n_rays": int(sino.n_rays)})
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
-    sino_path = Path(args.sinogram) if args.sinogram else outdir / "sinogram.bin"
-    sino = _read_sinogram(sino_path, cfg)
+def cmd_calibrate(args, cfg: RunConfig, outdir: Path):
+    sino = _read_sinogram(args.sinogram, cfg)
     op, basis = _operator(cfg), _basis(cfg)
 
     def make_posterior(w: float) -> TGPosterior:
@@ -175,7 +158,10 @@ def cmd_calibrate(args) -> int:
                                seed=cfg.sampler.seed, beta=beta,
                                max_eval_samples=cal.max_eval_samples,
                                denominator=cal.denominator)
-    write_calibration_csv(result, outdir / "calibration.csv")
+    _write_csv(outdir / "calibration.csv",
+               ("tv_weight", "p_b", "stderr", "chain_steps", "acceptance"),
+               ((r.tv_weight, r.p, r.stderr, r.chain_steps, r.acceptance)
+                for r in result.rows))
     outputs = ["calibration.csv"]
     extra: dict = {"interval": list(result.interval) if result.interval else None}
     if result.interval is not None:
@@ -183,23 +169,19 @@ def cmd_calibrate(args) -> int:
                             n_iters=cal.select_iters,
                             inner_steps=cal.select_inner_steps,
                             beta=beta, seed=cfg.sampler.seed)
-        write_selection_csv(sel, outdir / "selection.csv")
+        _write_csv(outdir / "selection.csv",
+                   ("iteration", "tv_weight", "gradient"), sel.trace)
         outputs.append("selection.csv")
         extra["tv_weight_selected"] = sel.tv_weight
         print(f"admissible interval {result.interval}, "
               f"selected tv_weight {sel.tv_weight:.4f}")
     else:
         print("no admissible interval found on the given grid")
-    _write_manifest(args, outdir, cfg, {"sinogram.bin": sino_path},
-                    outputs, extra)
-    return _EXIT_OK
+    return {"sinogram.bin": args.sinogram}, outputs, extra
 
 
-def cmd_sample(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
-    sino_path = Path(args.sinogram) if args.sinogram else outdir / "sinogram.bin"
-    sino = _read_sinogram(sino_path, cfg)
+def cmd_sample(args, cfg: RunConfig, outdir: Path):
+    sino = _read_sinogram(args.sinogram, cfg)
     op, basis = _operator(cfg), _basis(cfg)
     post = TGPosterior(op, cfg.reparam, basis, sino,
                        tv_weight=cfg.tv_weight)
@@ -211,7 +193,10 @@ def cmd_sample(args) -> int:
     map_converged = None
     if scfg.kind == "pdpcn":
         result = solve_map(post, cfg.admm)
-        write_residual_csv(result, outdir / "map_residuals.csv")
+        _write_csv(outdir / "map_residuals.csv",
+                   ("iteration", "primal", "dual", "objective"),
+                   zip(range(1, result.primal.size + 1), result.primal,
+                       result.dual, result.objective))
         write_field_csv(basis.synthesize(result.coeffs),
                         outdir / "map_latent.csv")
         outputs += ["map_residuals.csv", "map_latent.csv"]
@@ -231,19 +216,14 @@ def cmd_sample(args) -> int:
     rate = stream_chain(post, scfg, outdir / "chain.bin", init=init,
                         anchor=anchor)
     outputs += ["chain.bin", "chain.bin.json"]
-    _write_manifest(args, outdir, cfg, {"sinogram.bin": sino_path},
-                    outputs, {"acceptance_rate": rate,
-                              "kept_samples": scfg.n_kept,
-                              "map_converged": map_converged})
     print(f"chain of {scfg.n_kept} kept samples, acceptance {rate:.3f}")
-    return _EXIT_OK
+    return ({"sinogram.bin": args.sinogram}, outputs,
+            {"acceptance_rate": rate, "kept_samples": scfg.n_kept,
+             "map_converged": map_converged})
 
 
-def cmd_summarize(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
-    chain_path = _chain_path(args, outdir)
-    chain = _load_basis_chain(chain_path, cfg)
+def cmd_summarize(args, cfg: RunConfig, outdir: Path):
+    chain = _load_basis_chain(args.chain, cfg)
     basis = _basis(cfg)
     mean = posterior_mean(chain, basis, cfg.reparam)
     lo, hi = pointwise_hpdi(chain, basis, cfg.reparam, alpha=args.alpha)
@@ -259,23 +239,17 @@ def cmd_summarize(args) -> int:
         "mean_max": float(mean.values.max()),
         "median_interval_width": float(np.median(width.values)),
     }
-    truth_path = Path(args.truth) if args.truth else outdir / "phantom.csv"
-    inputs = {"chain.bin": chain_path}
-    if truth_path.exists():
-        truth = read_field_csv(truth_path, cfg.grid)
+    inputs = {"chain.bin": args.chain}
+    if args.truth.exists():
+        truth = read_field_csv(args.truth, cfg.grid)
         summary["psnr_mean_vs_truth"] = psnr(mean, truth)
-        inputs["phantom.csv"] = truth_path
-    with open(outdir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    _write_manifest(args, outdir, cfg, inputs,
-                    ["mean.csv", "mean.pgm", "hpdi_lo.csv", "hpdi_hi.csv",
-                     "hpdi_width.csv", "summary.json"])
-    if "psnr_mean_vs_truth" in summary:
+        inputs["phantom.csv"] = args.truth
         print(f"posterior mean PSNR {summary['psnr_mean_vs_truth']:.2f} dB")
     else:
         print("summaries written (no truth image found, PSNR skipped)")
-    return _EXIT_OK
+    _write_json(outdir / "summary.json", summary)
+    return inputs, ["mean.csv", "mean.pgm", "hpdi_lo.csv", "hpdi_hi.csv",
+                    "hpdi_width.csv", "summary.json"], {}
 
 
 def _parse_center(raw: str) -> tuple[float, float]:
@@ -285,14 +259,10 @@ def _parse_center(raw: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def cmd_detect(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
-    chain_path = _chain_path(args, outdir)
-    chain = _load_basis_chain(chain_path, cfg)
+def cmd_detect(args, cfg: RunConfig, outdir: Path):
+    chain = _load_basis_chain(args.chain, cfg)
     basis = _basis(cfg)
-    test_path = Path(args.test_image) if args.test_image else outdir / "mean.csv"
-    image = read_field_csv(test_path, cfg.grid)
+    image = read_field_csv(args.test_image, cfg.grid)
     extra: dict = {}
     if args.inject:
         center = _parse_center(args.center) if args.center else None
@@ -304,40 +274,34 @@ def cmd_detect(args) -> int:
                              "radius": args.radius}
     level_map = credible_level_map(chain, basis, cfg.reparam, image,
                                    thin=cfg.detect_thin)
-    write_level_map(level_map, outdir / "levels.pgm", outdir / "levels.csv")
+    # the heatmap on a fixed [0, 1] scale, and the exact levels
+    write_pgm(level_map.levels, outdir / "levels.pgm", vmax=1.0)
+    write_field_csv(level_map.levels, outdir / "levels.csv")
     extra["max_level"] = float(level_map.levels.values.max())
     extra["level_resolution"] = level_map.resolution
-    _write_manifest(args, outdir, cfg,
-                    {"chain.bin": chain_path, "test_image.csv": test_path},
-                    ["levels.pgm", "levels.csv"], extra)
     print(f"credible level map written, max level "
           f"{extra['max_level']:.3f} at resolution {level_map.resolution:.4f}")
-    return _EXIT_OK
+    return ({"chain.bin": args.chain, "test_image.csv": args.test_image},
+            ["levels.pgm", "levels.csv"], extra)
 
 
-def cmd_diag(args) -> int:
-    cfg = _load_cfg(args)
-    outdir = _outdir(args)
-    chain_path = _chain_path(args, outdir)
-    chain = load_chain(chain_path)
+def cmd_diag(args, cfg: RunConfig, outdir: Path):
+    chain = load_chain(args.chain)
     n = chain.n_kept
     if n < 2:
         raise ValueError("need at least 2 kept samples for diagnostics")
+    labels = [f"coeff{j}" for j in range(chain.n_modes)]
     n_show = min(8, chain.n_modes)
     acfs = acf_matrix(chain.samples[:, :n_show], max_lag=args.max_lag)
-    write_acf_csv(outdir / "acf.csv", acfs,
-                  labels=[f"coeff{j}" for j in range(n_show)])
+    _write_csv(outdir / "acf.csv", ["lag"] + labels[:n_show],
+               ((lag, *rho) for lag, rho in enumerate(acfs)))
     ess = ess_matrix(chain.samples)
-    write_ess_csv(outdir / "ess.csv", ess,
-                  labels=[f"coeff{j}" for j in range(chain.n_modes)])
-    _write_manifest(args, outdir, cfg, {"chain.bin": chain_path},
-                    ["acf.csv", "ess.csv"],
-                    {"median_ess": float(np.median(ess)),
-                     "min_ess": float(ess.min()),
-                     "acceptance_rate": chain.acceptance_rate,
-                     "distinct_states": chain.samples.n_runs})
+    _write_csv(outdir / "ess.csv", ("series", "ess"), zip(labels, ess))
     print(f"median coefficient ESS {np.median(ess):.1f} of {n} samples")
-    return _EXIT_OK
+    return ({"chain.bin": args.chain}, ["acf.csv", "ess.csv"],
+            {"median_ess": float(np.median(ess)), "min_ess": float(ess.min()),
+             "acceptance_rate": chain.acceptance_rate,
+             "distinct_states": chain.samples.n_runs})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "calibrate, sample, and screen reconstructions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, *files):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="INI file layered over the preset")
         p.add_argument("--preset", default="desk", choices=["desk", "paper"],
@@ -356,48 +321,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the configured seed")
         p.add_argument("--output", default="out", metavar="DIR",
                        help="output directory (default: ./out)")
+        for option in files:
+            default, text = _INPUT_FILES[option]
+            p.add_argument(f"--{option}", default=None, metavar="PATH",
+                           help=f"{text} (default: <output>/{default})")
+        p.set_defaults(func=func, files=files)
+        return p
 
-    p = sub.add_parser("phantom", help="write the synthetic truth image")
-    common(p)
-    p.set_defaults(func=cmd_phantom)
-
-    p = sub.add_parser("simulate", help="generate Poisson counts from a truth")
-    common(p)
-    p.add_argument("--phantom", default=None, metavar="PATH",
-                   help="truth CSV (default: <output>/phantom.csv)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("calibrate",
-                       help="scan the smoothing weight and select one")
-    common(p)
-    p.add_argument("--sinogram", default=None, metavar="PATH",
-                   help="counts file (default: <output>/sinogram.bin)")
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("sample", help="run the posterior sampler")
-    common(p)
-    p.add_argument("--sinogram", default=None, metavar="PATH",
-                   help="counts file (default: <output>/sinogram.bin)")
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("summarize",
-                       help="posterior mean, intervals, PSNR")
-    common(p)
-    p.add_argument("--chain", default=None, metavar="PATH",
-                   help="chain file (default: <output>/chain.bin)")
-    p.add_argument("--truth", default=None, metavar="PATH",
-                   help="truth CSV for PSNR (default: <output>/phantom.csv)")
+    command("phantom", cmd_phantom, "write the synthetic truth image")
+    command("simulate", cmd_simulate, "generate Poisson counts from a truth",
+            "phantom")
+    command("calibrate", cmd_calibrate,
+            "scan the smoothing weight and select one", "sinogram")
+    command("sample", cmd_sample, "run the posterior sampler", "sinogram")
+    p = command("summarize", cmd_summarize, "posterior mean, intervals, PSNR",
+                "chain", "truth")
     p.add_argument("--alpha", type=float, default=0.05,
                    help="HPD miscoverage level (default: 0.05)")
-    p.set_defaults(func=cmd_summarize)
-
-    p = sub.add_parser("detect",
-                       help="credible-level screen of a test image")
-    common(p)
-    p.add_argument("--chain", default=None, metavar="PATH",
-                   help="chain file (default: <output>/chain.bin)")
-    p.add_argument("--test-image", default=None, metavar="PATH",
-                   help="image CSV to screen (default: <output>/mean.csv)")
+    p = command("detect", cmd_detect, "credible-level screen of a test image",
+                "chain", "test-image")
     p.add_argument("--inject", default=None,
                    choices=["add_blob", "remove_blob", "add_noise"],
                    help="perturb the test image before screening")
@@ -407,31 +349,48 @@ def build_parser() -> argparse.ArgumentParser:
                    help="blob radius in domain coordinates")
     p.add_argument("--magnitude", type=float, default=0.5,
                    help="perturbation size (default: 0.5)")
-    p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("diag", help="autocorrelation and ESS of a chain")
-    common(p)
-    p.add_argument("--chain", default=None, metavar="PATH",
-                   help="chain file (default: <output>/chain.bin)")
+    p = command("diag", cmd_diag, "autocorrelation and ESS of a chain",
+                "chain")
     p.add_argument("--max-lag", type=int, default=200,
                    help="longest ACF lag to export (default: 200)")
-    p.set_defaults(func=cmd_diag)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.started = time.perf_counter()
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        overrides = {}
+        if args.seed is not None:
+            overrides["sampler"] = {"seed": str(args.seed)}
+        cfg = parse_config(args.config, args.preset, overrides)
+        outdir = Path(args.output)
+        outdir.mkdir(parents=True, exist_ok=True)
+        for option in args.files:
+            dest = option.replace("-", "_")
+            given = getattr(args, dest)
+            setattr(args, dest, Path(given) if given
+                    else outdir / _INPUT_FILES[option][0])
+        inputs, outputs, extra = args.func(args, cfg, outdir)
+        # ru_maxrss counts KiB on Linux
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        _write_json(outdir / f"{args.command}_manifest.json", {
+            "command": args.command,
+            "config_hash": cfg.config_hash(),
+            "inputs": {name: _sha256(path) for name, path in inputs.items()},
+            "outputs": {name: _sha256(outdir / name) for name in outputs},
+            "wall_s": time.perf_counter() - started,
+            "peak_rss_mb": peak_kib / 1024,
+            **extra,
+        })
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except Exception as exc:  # solver/runtime breakdowns
         print(f"runtime failure: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
+    return _EXIT_OK
 
 
 if __name__ == "__main__":

@@ -43,8 +43,6 @@ __all__ = [
     "pointwise_hpdi",
     "hpdi_sorted",
     "run_strips",
-    "write_acf_csv",
-    "write_ess_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -313,25 +311,3 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
             p = slice(pixels.start + j, pixels.start + j + part.shape[1])
             lo[p], hi[p] = hpdi_sorted(part, alpha, counts)
     return (ScalarField(basis.grid, lo), ScalarField(basis.grid, hi))
-
-
-def write_acf_csv(path, rho: np.ndarray, labels=None) -> None:
-    """Lag-by-series ACF table: a 2-D rho is (lags, series), a 1-D rho the
-    lags of one series."""
-    rho = np.asarray(rho, dtype=float)
-    rho = rho[:, None] if rho.ndim == 1 else rho
-    labels = labels or [f"series{i}" for i in range(rho.shape[1])]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("lag," + ",".join(labels) + "\n")
-        for lag in range(rho.shape[0]):
-            row = ",".join(f"{v:.17g}" for v in rho[lag])
-            fh.write(f"{lag},{row}\n")
-
-
-def write_ess_csv(path, values, labels=None) -> None:
-    values = np.asarray(values, dtype=float).reshape(-1)
-    labels = labels or [f"series{i}" for i in range(values.size)]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("series,ess\n")
-        for lab, v in zip(labels, values):
-            fh.write(f"{lab},{v:.17g}\n")

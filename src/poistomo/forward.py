@@ -20,9 +20,9 @@ coefficient vectors come from ``TGPosterior``.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -39,10 +39,8 @@ __all__ = [
     "Sinogram",
     "build_radon_operator",
     "simulate_data",
-    "write_sinogram_csv",
     "write_sinogram_bin",
     "read_sinogram_bin",
-    "write_geometry_manifest",
 ]
 
 log = logging.getLogger(__name__)
@@ -326,14 +324,6 @@ def _phi_of_theta(theta: np.ndarray, counts: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # file formats
 
-def write_sinogram_csv(sino: Sinogram, path) -> None:
-    """Rows of (angle index, detector index, count) with a header line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("angle,det,count\n")
-        for a, d, c in zip(sino.angle_idx, sino.det_idx, sino.counts):
-            fh.write(f"{a},{d},{c}\n")
-
-
 _SIN_HEADER = struct.Struct("<4sIII")
 
 
@@ -348,6 +338,8 @@ def write_sinogram_bin(sino: Sinogram, path) -> None:
 
 
 def read_sinogram_bin(path) -> Sinogram:
+    """Read ``write_sinogram_bin``'s form; a bad magic or a size other than
+    the header plus 16 bytes per ray raises ValueError."""
     with open(path, "rb") as fh:
         head = fh.read(_SIN_HEADER.size)
         if len(head) < _SIN_HEADER.size:
@@ -355,28 +347,11 @@ def read_sinogram_bin(path) -> Sinogram:
         magic, n_angles, n_det, d = _SIN_HEADER.unpack(head)
         if magic != b"SIN1":
             raise ValueError(f"{path}: bad magic {magic!r}")
+        size = os.fstat(fh.fileno()).st_size - _SIN_HEADER.size
+        if size != 16 * d:
+            raise ValueError(f"{path}: ray block has {size} bytes, expected "
+                             f"{16 * d} for {d} rays")
         angle = np.frombuffer(fh.read(4 * d), dtype="<u4")
         det = np.frombuffer(fh.read(4 * d), dtype="<u4")
         counts = np.frombuffer(fh.read(8 * d), dtype="<i8")
-    if counts.size != d:
-        raise ValueError(f"{path}: truncated counts block")
     return Sinogram(counts, angle, det, n_angles, n_det)
-
-
-def write_geometry_manifest(op: RadonOperator, path) -> None:
-    """Human-readable record of the acquisition geometry."""
-    doc = {
-        "format": "parallel-beam path-integral operator",
-        "nx": op.grid.nx,
-        "ny": op.grid.ny,
-        "n_angles": op.n_angles,
-        "n_det": op.n_det,
-        "kappa": op.kappa,
-        "detector_span": DETECTOR_SPAN,
-        "rays_kept": op.n_rays,
-        "rays_dropped": op.n_dropped,
-        "nnz": op.matrix.nnz,
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

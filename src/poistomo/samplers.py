@@ -489,7 +489,9 @@ def load_chain(path) -> Chain:
     config and acceptance rate; without a sidecar, the header's config (no
     burn-in) and NaN.  A bad magic or version, an unknown kernel code, a size
     that does not match the header, run lengths that are not positive or do
-    not sum to the kept count, or a sidecar without a field raise ValueError.
+    not sum to the kept count, a sidecar without a field, or one whose kind,
+    thinning, seed, stepsize, kept count or mode count is not the header's
+    raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
@@ -528,6 +530,16 @@ def load_chain(path) -> Chain:
         cfg = SamplerConfig(**{f.name: sidecar[f.name]
                                for f in fields(SamplerConfig)})
         rate = float(sidecar["acceptance_rate"])
+        # a sidecar written for another chain must not describe this one
+        for name, value, own in (("kind", cfg.kind, KINDS[code]),
+                                 ("thinning", cfg.thinning, thinning),
+                                 ("seed", cfg.seed, seed),
+                                 ("stepsize", cfg.stepsize, step),
+                                 ("n_kept", sidecar["n_kept"], n_kept),
+                                 ("n_modes", sidecar["n_modes"], n_modes)):
+            if value != own:
+                raise ValueError(f"{path}.json: {name} {value!r} does not "
+                                 f"match the chain file's {own!r}")
     except KeyError as exc:
         raise ValueError(f"{path}.json: no {exc.args[0]!r} field") from None
     return Chain(samples, cfg, rate)

@@ -6,7 +6,6 @@ four-pixel toy problem, and the smooth-case solver against an independent
 plain gradient-descent optimizer.
 """
 
-import csv
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from poistomo import (AdmmConfig, CovarianceSpec, Grid, ScalarField,
                       TGPosterior, build_kl_basis, build_radon_operator,
                       simulate_data)
 from poistomo.admm import (_z_grad, _z_value, offset_direction, phi_step,
-                           solve_map, write_residual_csv, z_step)
+                           solve_map, z_step)
 from poistomo.fields import div_arrays, grad_arrays, iso_l1, tv_arrays
 
 # ---------------------------------------------------------------------------
@@ -557,21 +556,6 @@ def test_solver_evaluates_each_state_once(toy, monkeypatch):
     res = solve_map(toy.post, AdmmConfig(max_outer=6, tol=1e-12))
     assert res.iterations == 6
     assert len(seen) == len(set(seen))
-
-
-def test_residual_csv_roundtrip(tmp_path, toy):
-    res = solve_map(toy.post, AdmmConfig(max_outer=5, tol=1e-12))
-    path = tmp_path / "residuals.csv"
-    write_residual_csv(res, path)
-    with open(path, newline="", encoding="ascii") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "primal", "dual", "objective"]
-    assert len(rows) == 1 + res.primal.size
-    for i, row in enumerate(rows[1:]):
-        assert int(row[0]) == i + 1
-        assert float(row[1]) == res.primal[i]
-        assert float(row[2]) == res.dual[i]
-        assert float(row[3]) == res.objective[i]
 
 
 @pytest.mark.parametrize("kwargs", [

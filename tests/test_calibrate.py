@@ -20,8 +20,7 @@ from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
 from poistomo.calibrate import (_even_subsample, _predictive,
                                 admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
-                                posterior_predictive_p, select_lambda,
-                                write_calibration_csv)
+                                posterior_predictive_p, select_lambda)
 from poistomo.samplers import Chain, RunMatrix, SamplerConfig, run_chain
 
 # ---------------------------------------------------------------------------
@@ -194,7 +193,7 @@ def test_default_statistic_is_calibrated_at_the_truth():
 # weight sweep
 
 
-def test_every_calibration_chain_accepts(post16_strong, tmp_path):
+def test_every_calibration_chain_accepts(post16_strong):
     # a stepsize tuned at weight 0 and chains started at the prior mean (TV
     # zero, a sticky start once the weight is large) left the chains at
     # weights 10 and 20 without a single accepted step
@@ -210,12 +209,6 @@ def test_every_calibration_chain_accepts(post16_strong, tmp_path):
     assert [r.tv_weight for r in result.rows] == weights
     for row in result.rows:
         assert 0.0 < row.acceptance <= 1.0, row
-    path = tmp_path / "calibration.csv"
-    write_calibration_csv(result, path)
-    lines = path.read_text(encoding="ascii").splitlines()
-    assert lines[0] == "tv_weight,p_b,stderr,chain_steps,acceptance"
-    assert [float(x.split(",")[-1]) for x in lines[1:]] == \
-        [r.acceptance for r in result.rows]
 
 
 def _weights_of(base):

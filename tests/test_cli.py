@@ -1,4 +1,5 @@
-"""End-to-end runs of every subcommand on a tiny grid, and the exit codes."""
+"""End-to-end runs of every subcommand on a tiny grid, their reports, and
+the exit codes."""
 
 import dataclasses
 import json
@@ -7,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from poistomo import cli, load_chain
+from poistomo import (acf_matrix, build_radon_operator, cli, ess_matrix,
+                      load_chain, parse_config, read_sinogram_bin)
+from poistomo.forward import DETECTOR_SPAN
 
 TINY_INI = """
 [grid]
@@ -227,3 +230,164 @@ def test_calibrate_selects_a_weight_inside_the_interval(tmp_path, tiny_ini,
     assert lines[0] == "iteration,tv_weight,gradient"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
     assert float(lines[-1].split(",")[1]) == manifest["tv_weight_selected"]
+
+
+def test_diag_refuses_the_sidecar_of_another_chain(tmp_path, tiny_ini,
+                                                   capsys):
+    # a pdpcn chain beside the sidecar of a pcn chain: diag names the field
+    out, other = tmp_path / "out", tmp_path / "other"
+    for command in ("phantom", "simulate", "sample"):
+        assert _run(command, tiny_ini, out) == 0, command
+    pcn = _kernel_ini(tmp_path, "pcn")
+    for command in ("phantom", "simulate", "sample"):
+        assert _run(command, pcn, other) == 0, command
+    (out / "chain.bin.json").write_text(
+        (other / "chain.bin.json").read_text())
+    capsys.readouterr()
+    assert _run("diag", tiny_ini, out) == 2
+    assert "kind 'pcn'" in capsys.readouterr().err
+    assert not (out / "diag_manifest.json").exists()
+
+
+def test_detect_screens_an_injected_blob(tmp_path, tiny_ini):
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "sample", "summarize", "detect"):
+        assert _run(command, tiny_ini, out) == 0, command
+    plain = (out / "levels.csv").read_text()
+    blob = ("--inject", "add_blob", "--center", "0.5,0.5", "--radius", "0.2")
+    assert _run("detect", tiny_ini, out, *blob) == 0
+    manifest = json.loads((out / "detect_manifest.json").read_text())
+    assert manifest["injected"] == {"kind": "add_blob", "magnitude": 0.5,
+                                    "center": [0.5, 0.5], "radius": 0.2}
+    assert (out / "levels.csv").read_text() != plain
+    # a blob without a radius, or a center that is not 'x,y', is refused
+    (out / "detect_manifest.json").unlink()
+    assert _run("detect", tiny_ini, out, *blob[:4]) == 2
+    assert _run("detect", tiny_ini, out, "--inject", "add_blob",
+                "--center", "0.5", "--radius", "0.2") == 2
+    assert not (out / "detect_manifest.json").exists()
+
+
+def test_paper_preset_simulates_the_paper_geometry(tmp_path):
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate"):
+        assert cli.main([command, "--preset", "paper",
+                         "--output", str(out)]) == 0, command
+    geometry = json.loads((out / "geometry.json").read_text())
+    assert (geometry["nx"], geometry["ny"]) == (128, 128)
+    assert (geometry["rays_kept"], geometry["rays_dropped"],
+            geometry["nnz"]) == (6924, 756, 867992)
+
+
+# ---------------------------------------------------------------------------
+# reports: each table is a header line and one row per item; floats read
+# back exactly and integer columns hold integers
+
+
+def _recording(seen, name, fn):
+    def wrapper(*args, **kwargs):
+        seen[name] = fn(*args, **kwargs)
+        return seen[name]
+    return wrapper
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """The tiny pipeline run once, with an interval set to reach the
+    selection, and the results that the CLI wrote its reports from."""
+    tmp = tmp_path_factory.mktemp("reports")
+    ini = tmp / "tiny.ini"
+    ini.write_text(TINY_INI, encoding="utf-8")
+    out = tmp / "out"
+    seen = {}
+    search = cli.admissible_search
+
+    def admits(*args, **kwargs):
+        return dataclasses.replace(search(*args, **kwargs),
+                                   interval=(0.5, 1.5))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "admissible_search",
+                   _recording(seen, "admissible_search", admits))
+        for name in ("select_lambda", "solve_map"):
+            mp.setattr(cli, name, _recording(seen, name, getattr(cli, name)))
+        for command in PIPELINE:
+            assert _run(command, ini, out) == 0, command
+    return out, seen
+
+
+def _table(path):
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    return header, [line.split(",") for line in lines]
+
+
+def _is_int(text):
+    return text.lstrip("-").isdigit()
+
+
+def test_simulate_reports_the_sinogram_and_its_geometry(reports):
+    out, _ = reports
+    header, rows = _table(out / "sinogram.csv")
+    assert header == "angle,det,count"
+    assert all(_is_int(x) for row in rows for x in row)
+    sino = read_sinogram_bin(out / "sinogram.bin")
+    table = np.array(rows, dtype=np.int64)
+    assert table.shape == (sino.n_rays, 3)
+    assert np.array_equal(table[:, 0], sino.angle_idx)
+    assert np.array_equal(table[:, 1], sino.det_idx)
+    assert np.array_equal(table[:, 2], sino.counts)
+    cfg = parse_config(out / "effective_config.ini")
+    op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
+    geometry = json.loads((out / "geometry.json").read_text())
+    assert list(geometry) == sorted(geometry)
+    assert geometry == {
+        "format": "parallel-beam path-integral operator",
+        "nx": 8, "ny": 8, "n_angles": 6, "n_det": 8,
+        "kappa": op.kappa, "detector_span": DETECTOR_SPAN,
+        "rays_kept": op.n_rays, "rays_dropped": op.n_dropped,
+        "nnz": op.matrix.nnz}
+
+
+def test_calibrate_reports_every_weight_and_iterate(reports):
+    out, seen = reports
+    header, rows = _table(out / "calibration.csv")
+    assert header == "tv_weight,p_b,stderr,chain_steps,acceptance"
+    result = seen["admissible_search"]
+    assert len(rows) == len(result.rows) == 2
+    for row, r in zip(rows, result.rows):
+        assert _is_int(row[3]) and int(row[3]) == r.chain_steps
+        assert [float(row[i]) for i in (0, 1, 2, 4)] == \
+            [r.tv_weight, r.p, r.stderr, r.acceptance]
+    header, rows = _table(out / "selection.csv")
+    assert header == "iteration,tv_weight,gradient"
+    assert all(_is_int(row[0]) for row in rows)
+    assert [(int(k), float(w), float(g)) for k, w, g in rows] == \
+        list(seen["select_lambda"].trace)
+
+
+def test_sample_reports_the_map_residuals(reports):
+    out, seen = reports
+    header, rows = _table(out / "map_residuals.csv")
+    assert header == "iteration,primal,dual,objective"
+    res = seen["solve_map"]
+    assert [row[0] for row in rows] == \
+        [str(i) for i in range(1, res.primal.size + 1)]
+    for i, row in enumerate(rows):
+        assert [float(x) for x in row[1:]] == \
+            [res.primal[i], res.dual[i], res.objective[i]]
+
+
+def test_diag_reports_one_row_per_lag_and_per_coefficient(reports):
+    out, _ = reports
+    chain = load_chain(out / "chain.bin")
+    header, rows = _table(out / "acf.csv")
+    assert header == "lag," + ",".join(f"coeff{j}" for j in range(8))
+    acf = acf_matrix(chain.samples[:, :8], max_lag=200)
+    assert [row[0] for row in rows] == [str(k) for k in range(len(acf))]
+    assert np.array_equal([[float(x) for x in row[1:]] for row in rows], acf,
+                          equal_nan=True)
+    header, rows = _table(out / "ess.csv")
+    assert header == "series,ess"
+    assert [row[0] for row in rows] == [f"coeff{j}" for j in range(24)]
+    assert np.array_equal([float(row[1]) for row in rows],
+                          ess_matrix(chain.samples), equal_nan=True)

@@ -27,7 +27,7 @@ from poistomo.diagnostics import (BLOCK_FLOATS, _tau_from_acf,
                                   acf_matrix, block_rows, ess_matrix,
                                   hpdi_sorted, intensity_samples,
                                   pointwise_hpdi, posterior_mean,
-                                  run_strips, write_acf_csv)
+                                  run_strips)
 from poistomo.fields import ScalarField
 from poistomo.samplers import Chain, RunMatrix, SamplerConfig
 
@@ -401,19 +401,6 @@ def test_acf_of_a_column_does_not_depend_on_its_block():
 def test_negative_max_lag_is_refused():
     with pytest.raises(ValueError, match="max_lag"):
         acf_matrix(_ar1(100, 2, 14), max_lag=-5)
-
-
-def test_acf_table_has_one_row_per_lag_and_one_column_per_series(tmp_path):
-    path = tmp_path / "acf.csv"
-    # one lag of eight series: one row under an eight-column header
-    write_acf_csv(path, np.ones((1, 8)))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lag," + ",".join(f"series{i}" for i in range(8))
-    assert lines[1:] == ["0," + ",".join(["1"] * 8)]
-    # a 1-D input is the lags of one series
-    write_acf_csv(path, [1.0, 0.5, 0.25], labels=["c"])
-    assert path.read_text().splitlines() == ["lag,c", "0,1", "1,0.5",
-                                             "2,0.25"]
 
 
 def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):

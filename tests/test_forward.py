@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 import tracemalloc
@@ -11,8 +10,7 @@ from poistomo import forward
 from poistomo.fields import Grid, ScalarField
 from poistomo.forward import (DETECTOR_SPAN, Reparam, Sinogram, _phi_of_theta,
                               build_radon_operator, read_sinogram_bin,
-                              simulate_data, write_geometry_manifest,
-                              write_sinogram_bin, write_sinogram_csv)
+                              simulate_data, write_sinogram_bin)
 from poistomo.klbasis import CovarianceSpec, build_kl_basis
 
 
@@ -390,32 +388,6 @@ def test_phi_rejects_nonpositive_theta(op16, rep, basis60):
 
 # --- serialization -----------------------------------------------------------
 
-def _read_sinogram_csv(path, n_angles, n_det):
-    """Read back the (angle, det, count) rows ``write_sinogram_csv`` writes."""
-    raw = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns, found {raw.shape[1]}")
-    if np.any(raw[:, 0] >= n_angles) or np.any(raw[:, 1] >= n_det):
-        raise ValueError(f"{path}: ray index outside the stated geometry")
-    return Sinogram(raw[:, 2], raw[:, 0], raw[:, 1], n_angles, n_det)
-
-
-def test_sinogram_csv_roundtrip(tmp_path, sino16):
-    path = tmp_path / "s.csv"
-    write_sinogram_csv(sino16, path)
-    back = _read_sinogram_csv(path, sino16.n_angles, sino16.n_det)
-    assert np.array_equal(back.counts, sino16.counts)
-    assert np.array_equal(back.angle_idx, sino16.angle_idx)
-    assert np.array_equal(back.det_idx, sino16.det_idx)
-
-
-def test_sinogram_csv_rejects_out_of_range(tmp_path):
-    path = tmp_path / "s.csv"
-    path.write_text("angle,det,count\n5,0,3\n")
-    with pytest.raises(ValueError):
-        _read_sinogram_csv(path, 4, 4)
-
-
 def test_sinogram_bin_roundtrip(tmp_path, sino16):
     path = tmp_path / "s.bin"
     write_sinogram_bin(sino16, path)
@@ -450,18 +422,15 @@ def test_sinogram_bin_truncated(tmp_path, sino16):
         read_sinogram_bin(path)
 
 
+def test_sinogram_bin_refuses_trailing_bytes(tmp_path, sino16):
+    # the file is the header plus 16 bytes per ray, nothing after them
+    path = tmp_path / "s.bin"
+    write_sinogram_bin(sino16, path)
+    path.write_bytes(path.read_bytes() + bytes(24))
+    with pytest.raises(ValueError, match="ray block"):
+        read_sinogram_bin(path)
+
+
 def test_sinogram_rejects_negative_counts():
     with pytest.raises(ValueError):
         Sinogram([-1, 2], [0, 0], [0, 1], 1, 2)
-
-
-def test_geometry_manifest(tmp_path, op16):
-    path = tmp_path / "geom.json"
-    write_geometry_manifest(op16, path)
-    doc = json.loads(path.read_text())
-    assert doc["n_angles"] == 12
-    assert doc["n_det"] == 16
-    assert doc["rays_kept"] == op16.n_rays
-    assert doc["rays_dropped"] == op16.n_dropped
-    assert doc["nnz"] == op16.matrix.nnz
-    assert list(doc) == sorted(doc)

@@ -680,6 +680,39 @@ def test_chain_load_refuses_a_sidecar_without_a_field(tmp_path):
             load_chain(path)
 
 
+def test_chain_load_refuses_the_sidecar_of_another_chain(tmp_path):
+    # a 9-row pcn file (thinning 2, seed 1) beside the sidecar of a 30-row
+    # pdpcn chain (seed 7) is refused, not loaded as that chain
+    rng = np.random.default_rng(34)
+    ours = Chain(RunMatrix(rng.standard_normal((3, 4)), np.repeat(range(3), 3)),
+                 SamplerConfig("pcn", 20, beta=0.5, burn_in=2, thinning=2,
+                               seed=1), 0.5)
+    other = Chain(rng.standard_normal((30, 4)),
+                  SamplerConfig("pdpcn", 33, delta=0.2, burn_in=3, seed=7),
+                  0.1)
+    path, other_path = tmp_path / "chain.bin", tmp_path / "other.bin"
+    save_chain(ours, path)
+    save_chain(other, other_path)
+    sidecar_path = tmp_path / "chain.bin.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar_path.write_text((tmp_path / "other.bin.json").read_text())
+    with pytest.raises(ValueError, match="kind 'pdpcn'"):
+        load_chain(path)
+    # each field the header also holds is checked on its own
+    for key, value, name in (("kind", "pcnl", "kind"),
+                             ("thinning", 3, "thinning"), ("seed", 2, "seed"),
+                             ("beta", 0.25, "stepsize"),
+                             ("n_kept", 10, "n_kept"),
+                             ("n_modes", 5, "n_modes")):
+        sidecar_path.write_text(json.dumps({**sidecar, key: value}))
+        with pytest.raises(ValueError, match=name):
+            load_chain(path)
+    sidecar_path.write_text(json.dumps(sidecar))
+    back = load_chain(path)
+    assert back.config == ours.config
+    assert back.acceptance_rate == 0.5
+
+
 def test_chain_load_rejects_corruption(tmp_path):
     t = _FlatTarget(2)
     chain = run_chain(t, SamplerConfig("pcn", 20, beta=0.5, burn_in=0,
