@@ -8,9 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from poistomo import (acf_matrix, build_radon_operator, cli, ess_matrix,
-                      load_chain, parse_config, read_sinogram_bin)
-from poistomo.forward import DETECTOR_SPAN
+from poistomo import acf_matrix, cli, ess_matrix, load_chain
 
 TINY_INI = """
 [grid]
@@ -323,29 +321,6 @@ def _table(path):
 
 def _is_int(text):
     return text.lstrip("-").isdigit()
-
-
-def test_simulate_reports_the_sinogram_and_its_geometry(reports):
-    out, _ = reports
-    header, rows = _table(out / "sinogram.csv")
-    assert header == "angle,det,count"
-    assert all(_is_int(x) for row in rows for x in row)
-    sino = read_sinogram_bin(out / "sinogram.bin")
-    table = np.array(rows, dtype=np.int64)
-    assert table.shape == (sino.n_rays, 3)
-    assert np.array_equal(table[:, 0], sino.angle_idx)
-    assert np.array_equal(table[:, 1], sino.det_idx)
-    assert np.array_equal(table[:, 2], sino.counts)
-    cfg = parse_config(out / "effective_config.ini")
-    op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
-    geometry = json.loads((out / "geometry.json").read_text())
-    assert list(geometry) == sorted(geometry)
-    assert geometry == {
-        "format": "parallel-beam path-integral operator",
-        "nx": 8, "ny": 8, "n_angles": 6, "n_det": 8,
-        "kappa": op.kappa, "detector_span": DETECTOR_SPAN,
-        "rays_kept": op.n_rays, "rays_dropped": op.n_dropped,
-        "nnz": op.matrix.nnz}
 
 
 def test_calibrate_reports_every_weight_and_iterate(reports):

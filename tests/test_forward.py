@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from poistomo import forward
+from poistomo import cli, forward
 from poistomo.fields import Grid, ScalarField
 from poistomo.forward import (DETECTOR_SPAN, Reparam, Sinogram, _phi_of_theta,
                               build_radon_operator, read_sinogram_bin,
@@ -434,3 +435,45 @@ def test_sinogram_bin_refuses_trailing_bytes(tmp_path, sino16):
 def test_sinogram_rejects_negative_counts():
     with pytest.raises(ValueError):
         Sinogram([-1, 2], [0, 0], [0, 1], 1, 2)
+
+
+# --- simulate reports: the sinogram table and the geometry manifest ----------
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """``phantom`` then ``simulate`` through the CLI on the op16 geometry."""
+    tmp = tmp_path_factory.mktemp("simulate")
+    ini = tmp / "op16.ini"
+    ini.write_text("[grid]\nnx = 16\nny = 16\n\n[prior]\nn_modes = 60\n\n"
+                   "[operator]\nn_angles = 12\nn_det = 16\nkappa = 1.0\n",
+                   encoding="utf-8")
+    out = tmp / "out"
+    for command in ("phantom", "simulate"):
+        assert cli.main([command, "--config", str(ini), "--output", str(out),
+                         "--seed", "3"]) == 0, command
+    return out
+
+
+def test_sinogram_csv_roundtrip(simulated):
+    header, *lines = (simulated / "sinogram.csv").read_text(
+        encoding="ascii").splitlines()
+    assert header == "angle,det,count"
+    rows = [line.split(",") for line in lines]
+    assert all(x.isdigit() for row in rows for x in row)
+    sino = read_sinogram_bin(simulated / "sinogram.bin")
+    table = np.array(rows, dtype=np.int64)
+    assert table.shape == (sino.n_rays, 3)
+    assert np.array_equal(table[:, 0], sino.angle_idx)
+    assert np.array_equal(table[:, 1], sino.det_idx)
+    assert np.array_equal(table[:, 2], sino.counts)
+
+
+def test_geometry_manifest(simulated, op16):
+    doc = json.loads((simulated / "geometry.json").read_text())
+    assert list(doc) == sorted(doc)
+    assert doc == {
+        "format": "parallel-beam path-integral operator",
+        "nx": 16, "ny": 16, "n_angles": 12, "n_det": 16,
+        "kappa": op16.kappa, "detector_span": DETECTOR_SPAN,
+        "rays_kept": op16.n_rays, "rays_dropped": op16.n_dropped,
+        "nnz": op16.matrix.nnz}
