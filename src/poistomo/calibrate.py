@@ -20,7 +20,8 @@ weight inside that interval.  The sweep streams its chains: p_b comes from
 the expected counts of each subsampled state's own evaluation, so a weight
 costs O(max_eval_samples) floats plus one state, not a chain of kept
 samples.  ``posterior_predictive_p`` computes the same p_b from a stored
-chain.
+chain: it evaluates each distinct subsampled state once, as the chain did,
+so the same states give the same bits.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincc
 
-from .diagnostics import block_rows
 from .posterior import TGPosterior
 from .samplers import (Chain, SamplerConfig, chain_states, kept_steps,
                        run_chain, tune_stepsize)
@@ -68,29 +68,25 @@ def chi2_sf(x, dof: float):
     return gammaincc(0.5 * dof, 0.5 * x)
 
 
-def chi2_discrepancy(counts, theta, denominator: str = "theta"):
+def chi2_discrepancy(counts, theta, denominator: str = "theta") -> float:
     """Squared-misfit statistic of counts against expected counts.
 
     denominator "theta" gives the Pearson form (the default); "theta_sq"
-    divides by theta^2.  A flat theta gives one float; a (k, n_rays) block
-    gives one statistic per row.
+    divides by theta^2.
     """
     if denominator not in DENOMINATORS:
         raise ValueError(f"denominator must be one of {DENOMINATORS}, "
                          f"got {denominator!r}")
     y = np.asarray(counts, dtype=float).reshape(-1)
-    th = np.asarray(theta, dtype=float)
-    if th.ndim != 2:
-        th = th.reshape(-1)
-    if th.shape[-1] != y.size:
+    th = np.asarray(theta, dtype=float).reshape(-1)
+    if th.size != y.size:
         raise ValueError("counts and theta lengths disagree")
     if np.any(th <= 0.0):
         raise ValueError("theta must be strictly positive")
-    r = y - th          # in place from here: a block is k * n_rays floats
+    r = y - th
     r *= r
     r /= th ** 2 if denominator == "theta_sq" else th
-    d = np.sum(r, axis=-1)
-    return float(d) if th.ndim == 1 else d
+    return float(np.sum(r))
 
 
 @dataclass(frozen=True)
@@ -127,27 +123,16 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
     The Monte Carlo standard error treats samples as independent; thin the
     chain first when autocorrelation matters.  An even subsample of at most
     max_samples kept states is used when the cap is set.  Each stretch of
-    the subsample that repeats one state is synthesized and projected once,
-    and its discrepancy counts once per row.  States go through in blocks
-    of as many rows as fit ``diagnostics.BLOCK_FLOATS`` in the busiest
-    stage: weights with scatter and product, intensities with the sparse
-    product's copy or projections, or counts with residuals; the p-values
-    do not depend on the block.
+    the subsample that repeats one state is evaluated once, one state at a
+    time, and its discrepancy, read off the expected counts of that
+    evaluation as admissible_search reads it, counts once per row.
     """
     idx = _even_subsample(chain.n_kept, max_samples)
     runs, lengths = chain.samples[idx].stretches()
-    npix, n_rays = post.basis.grid.npix, post.op.n_rays
-    block = block_rows(max(2 * (post.basis.n_modes + npix),
-                           npix + n_rays + max(npix, n_rays), 3 * n_rays))
-    d = np.empty(runs.size)
-    for lo in range(0, runs.size, block):
-        hi = min(lo + block, runs.size)
-        # nested so that each intermediate block is freed once it is used
-        d[lo:hi] = chi2_discrepancy(post.data.counts, post.op.apply(
-            post.rep.apply(post.basis.synthesize_values(
-                chain.samples.rows[runs[lo:hi]]))), denominator)
-    d = np.repeat(d, lengths)
-    return _predictive(d, post.op.n_rays)
+    d = np.array([chi2_discrepancy(post.data.counts,
+                                   post.evaluate(chain.samples.rows[r]).theta,
+                                   denominator) for r in runs])
+    return _predictive(np.repeat(d, lengths), post.op.n_rays)
 
 
 # ---------------------------------------------------------------------------

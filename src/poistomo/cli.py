@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import resource
 import sys
 import time
@@ -31,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .admm import solve_map
-from .artifacts import credible_level_map, inject_artifact
+from .artifacts import ARTIFACT_KINDS, credible_level_map, inject_artifact
 from .calibrate import admissible_search, select_lambda
-from .config import ConfigError, RunConfig, parse_config, write_config
+from .config import (PRESETS, ConfigError, RunConfig, parse_config,
+                     write_config)
 from .diagnostics import acf_matrix, ess_matrix, pointwise_hpdi, posterior_mean
 from .fields import (ScalarField, psnr, read_field_csv, write_field_csv,
                      write_pgm)
@@ -69,8 +71,10 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
+    """Strict JSON: a NaN or an infinity raises ValueError, never a token
+    that standard parsers refuse."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -240,7 +244,7 @@ def cmd_summarize(args, cfg: RunConfig, outdir: Path):
         "median_interval_width": float(np.median(width.values)),
     }
     inputs = {"chain.bin": args.chain}
-    if args.truth.exists():
+    if "truth" in args.given or args.truth.exists():
         truth = read_field_csv(args.truth, cfg.grid)
         summary["psnr_mean_vs_truth"] = psnr(mean, truth)
         inputs["phantom.csv"] = args.truth
@@ -298,9 +302,10 @@ def cmd_diag(args, cfg: RunConfig, outdir: Path):
     ess = ess_matrix(chain.samples)
     _write_csv(outdir / "ess.csv", ("series", "ess"), zip(labels, ess))
     print(f"median coefficient ESS {np.median(ess):.1f} of {n} samples")
+    rate = chain.acceptance_rate        # NaN without a sidecar: null
     return ({"chain.bin": args.chain}, ["acf.csv", "ess.csv"],
             {"median_ess": float(np.median(ess)), "min_ess": float(ess.min()),
-             "acceptance_rate": chain.acceptance_rate,
+             "acceptance_rate": None if math.isnan(rate) else rate,
              "distinct_states": chain.samples.n_runs})
 
 
@@ -315,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, metavar="PATH",
                        help="INI file layered over the preset")
-        p.add_argument("--preset", default="desk", choices=["desk", "paper"],
+        p.add_argument("--preset", default="desk", choices=sorted(PRESETS),
                        help="baseline parameter set (default: desk)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
@@ -341,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("detect", cmd_detect, "credible-level screen of a test image",
                 "chain", "test-image")
     p.add_argument("--inject", default=None,
-                   choices=["add_blob", "remove_blob", "add_noise"],
+                   choices=ARTIFACT_KINDS,
                    help="perturb the test image before screening")
     p.add_argument("--center", default=None, metavar="X,Y",
                    help="blob center in domain coordinates")
@@ -367,9 +372,14 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, args.preset, overrides)
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
+        # a file named on the command line must exist, where a default file
+        # may be optional (the truth for summarize's PSNR)
+        args.given = set()
         for option in args.files:
             dest = option.replace("-", "_")
             given = getattr(args, dest)
+            if given:
+                args.given.add(option)
             setattr(args, dest, Path(given) if given
                     else outdir / _INPUT_FILES[option][0])
         inputs, outputs, extra = args.func(args, cfg, outdir)

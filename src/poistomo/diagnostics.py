@@ -10,17 +10,18 @@ Memory: ``BLOCK_FLOATS`` floats (2 MB) bound the extra memory of a whole pass
 over a chain: each blocked loop sizes its block with ``block_rows`` from all
 the buffers live at once.  The samples are a ``RunMatrix`` that stores each
 run of a repeated state once, and every pass that synthesizes intensities
-(``posterior_mean``, the strip passes, ``posterior_predictive_p``) does so
-once for each run and carries its length; no pass forms the dense
-(n, n_modes) chain.  The HPD bounds and the credible levels need every
-sample of a pixel, so both run over ``run_strips``: one strip of whole
-x-rows at a time, holding each run once beside its length, never the
-(n, npix) intensity array.  The strip takes half of the budget; synthesis
-and then the sort and windows of the HPD bounds, or the level histograms,
-take what it leaves.  Floors: one x-row of a strip beside a sixteenth of
-the budget for synthesis and one column of windows, and one FFT column
-(about 3 nfft floats, nfft the smallest 2^a 3^b 5^c at least 2 n), so a
-chain whose x-row or column outgrows the budget should be thinned first.
+(``posterior_mean``, the strip passes, and, one state at a time,
+``calibrate.posterior_predictive_p``) does so once for each run and carries
+its length; no pass forms the dense (n, n_modes) chain.  The HPD bounds and
+the credible levels need every sample of a pixel, so both run over
+``run_strips``: one strip of whole x-rows at a time, holding each run once
+beside its length, never the (n, npix) intensity array.  The strip takes
+half of the budget; synthesis and then the sort and windows of the HPD
+bounds, or the level histograms, take what it leaves.  Floors: one x-row of
+a strip beside a sixteenth of the budget for synthesis and one column of
+windows, and one FFT column (about 3 nfft floats, nfft the smallest
+2^a 3^b 5^c at least 2 n), so a chain whose x-row or column outgrows the
+budget should be thinned first.
 """
 
 from __future__ import annotations

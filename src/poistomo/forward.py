@@ -130,11 +130,8 @@ class RadonOperator:
         return _geometry(self.n_angles, self.n_det)[1]
 
     def apply(self, u) -> np.ndarray:
-        """Expected counts of an image given flat or as (nx, ny) values; a
-        (k, npix) block of flat images gives one row of counts per image."""
+        """Expected counts of an image given flat or as (nx, ny) values."""
         u = np.asarray(u, dtype=float)
-        if u.ndim == 2 and u.shape[1] == self.grid.npix:
-            return self.kappa * (self.matrix @ u.T).T
         return self.kappa * (self.matrix @ u.reshape(-1))
 
     def adjoint(self, w) -> np.ndarray:

@@ -101,7 +101,9 @@ class KLModes:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.ex, self.ey, self.ii, self.jj))
+        # a square grid's ey is its ex: count the shared factor once
+        held = {id(a): a for a in (self.ex, self.ey, self.ii, self.jj)}
+        return sum(a.nbytes for a in held.values())
 
     def __len__(self) -> int:
         return self.ii.size
@@ -233,19 +235,20 @@ class KLBasis:
 
 
 def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
-                   mean: float | ScalarField = 0.0) -> KLBasis:
+                   mean: float = 0.0) -> KLBasis:
     """Assemble the leading n_modes eigenpairs of the separable kernel.
 
-    The two 1d kernel matrices are eigendecomposed with the cell-width
-    quadrature weight; products of 1d eigenvalues (scaled by gamma) are sorted
-    descending and the top n_modes retained as index pairs into the two 1d
-    eigenvector sets.  Numerically non-positive products are clamped at 1e-14
-    times the leading eigenvalue and reported.
+    The two 1d kernel matrices (one on a square grid) are eigendecomposed
+    with the cell-width quadrature weight; products of 1d eigenvalues
+    (scaled by gamma) are sorted descending and the top n_modes retained as
+    index pairs into the two 1d eigenvector sets.  Numerically non-positive
+    products are clamped at 1e-14 times the leading eigenvalue and reported.
     """
     if not 1 <= n_modes <= grid.npix:
         raise ValueError(f"n_modes must be in [1, {grid.npix}], got {n_modes}")
     vx, ex = _axis_eigpairs(grid.nx, grid.hx, cov.corr_len)
-    vy, ey = _axis_eigpairs(grid.ny, grid.hy, cov.corr_len)
+    vy, ey = ((vx, ex) if (grid.ny, grid.hy) == (grid.nx, grid.hx)
+              else _axis_eigpairs(grid.ny, grid.hy, cov.corr_len))
     prod = cov.gamma * np.outer(vx, vy)  # (nx, ny) products, index (i, j)
     flat = prod.reshape(-1)
     order = np.argsort(-flat, kind="stable")[:n_modes]
@@ -256,10 +259,5 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
         log.warning("clamped %d kl eigenvalues below %.3e", n_clamped, floor)
         eta = np.maximum(eta, floor)
     ii, jj = np.unravel_index(order, prod.shape)
-    if isinstance(mean, ScalarField):
-        if mean.grid != grid:
-            raise ValueError("mean field grid does not match")
-        mean_vals = mean.ravel().copy()
-    else:
-        mean_vals = np.full(grid.npix, float(mean))
-    return KLBasis(grid, cov, eta, KLModes(ex, ey, ii, jj), mean_vals)
+    return KLBasis(grid, cov, eta, KLModes(ex, ey, ii, jj),
+                   np.full(grid.npix, float(mean)))

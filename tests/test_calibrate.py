@@ -1,11 +1,11 @@
 """Calibration tests.
 
 The chi-squared tail is checked against closed forms, the admissible
-interval against hand-made p-value grids, the batched predictive p-value
-against a per-row loop, the default statistic against its reference law
-at the true image, and the weight sweep for chains that move.  The sweep
-streams its chains, so it is checked against the predictive p of the same
-chains run and stored, and for the memory it holds.
+interval against hand-made p-value grids, the predictive p-value against
+a per-row loop, the default statistic against its reference law at the
+true image, and the weight sweep for chains that move.  The sweep streams
+its chains, so it is checked against the predictive p of the same chains
+run and stored, bit for bit, and for the memory it holds.
 """
 
 import math
@@ -16,7 +16,7 @@ import pytest
 from scipy.special import erfc
 
 from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
-                      diagnostics, parse_config)
+                      parse_config)
 from poistomo.calibrate import (_even_subsample, _predictive,
                                 admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
@@ -82,22 +82,11 @@ def test_admissible_interval_starts_at_first_weight_inside_band():
 # posterior-predictive p-value
 
 
-def _sixteen_row_blocks(monkeypatch, post):
-    """Set the float budget to 16 rows of posterior_predictive_p's busiest
-    stage, so that its blocks hold 16 states."""
-    npix, n_rays = post.basis.grid.npix, post.op.n_rays
-    width = max(2 * (post.basis.n_modes + npix),
-                npix + n_rays + max(npix, n_rays), 3 * n_rays)
-    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", 16 * width)
-
-
 @pytest.mark.parametrize("denominator", ["theta", "theta_sq"])
-def test_predictive_p_matches_row_loop(post16, monkeypatch, denominator):
+def test_predictive_p_matches_row_loop(post16, denominator):
     rng = np.random.default_rng(4)
     samples = 0.3 * rng.standard_normal((37, post16.n_modes))
     chain = Chain(samples, SamplerConfig("pcn", 37, burn_in=0), 1.0)
-    # blocks of 16 states leave a partial last block
-    _sixteen_row_blocks(monkeypatch, post16)
     res = posterior_predictive_p(chain, post16, denominator=denominator)
     counts = post16.data.counts
     pvals = []
@@ -107,35 +96,24 @@ def test_predictive_p_matches_row_loop(post16, monkeypatch, denominator):
         d = chi2_discrepancy(counts, theta, denominator)
         pvals.append(chi2_sf(d, post16.op.n_rays))
     assert res.n_used == 37
-    assert res.p == pytest.approx(np.mean(pvals), rel=1e-12, abs=1e-300)
-    assert res.stderr == pytest.approx(
-        np.std(pvals, ddof=1) / math.sqrt(37), rel=1e-9, abs=1e-300)
-
-
-def test_predictive_p_does_not_depend_on_the_block(post16, monkeypatch):
-    rng = np.random.default_rng(5)
-    samples = 0.3 * rng.standard_normal((150, post16.n_modes))
-    chain = Chain(samples, SamplerConfig("pcn", 150, burn_in=0), 1.0)
-    default = posterior_predictive_p(chain, post16)
-    _sixteen_row_blocks(monkeypatch, post16)
-    small = posterior_predictive_p(chain, post16)
-    assert (default.p, default.stderr) == (small.p, small.stderr)
+    assert res.p == np.mean(pvals)
+    assert res.stderr == np.std(pvals, ddof=1) / math.sqrt(37)
 
 
 @pytest.mark.parametrize("max_samples, states", [(None, 6), (23, 5)])
 def test_predictive_p_synthesizes_each_repeated_state_once(
         post16, monkeypatch, max_samples, states):
     # 150 kept rows in 6 runs, as a sticky chain keeps them; an even
-    # subsample of 23 rows misses the one-row run.  The subsample's states
-    # are synthesized once each, and the p-value is that of every
-    # subsampled row in one block, as the rows were read before
+    # subsample of 23 rows misses the one-row run.  Each of the
+    # subsample's states is synthesized once, and the p-value is that of
+    # every subsampled row evaluated on its own
     rng = np.random.default_rng(6)
     runs = RunMatrix(0.3 * rng.standard_normal((6, post16.n_modes)),
                      np.repeat(np.arange(6), [40, 5, 30, 25, 1, 49]))
     chain = Chain(runs, SamplerConfig("pcn", 150, burn_in=0), 0.03)
     rows = np.asarray(runs)[_even_subsample(150, max_samples)]
-    ref = _predictive(chi2_discrepancy(post16.data.counts, post16.op.apply(
-        post16.rep.apply(post16.basis.synthesize_values(rows))), "theta"),
+    ref = _predictive(np.array([chi2_discrepancy(
+        post16.data.counts, post16.evaluate(row).theta) for row in rows]),
         post16.op.n_rays)
     synthesized = []
     synthesize = type(post16.basis).synthesize_values
@@ -146,7 +124,7 @@ def test_predictive_p_synthesizes_each_repeated_state_once(
 
     monkeypatch.setattr(type(post16.basis), "synthesize_values", counting)
     res = posterior_predictive_p(chain, post16, max_samples=max_samples)
-    assert synthesized == [states]
+    assert synthesized == [1] * states
     assert (res.p, res.stderr, res.n_used) == (ref.p, ref.stderr, ref.n_used)
 
 
@@ -223,9 +201,7 @@ def _weights_of(base):
 def test_streamed_search_matches_the_stored_chains(post16, denominator,
                                                    max_eval):
     # each row equals posterior_predictive_p of the same warm-started chain,
-    # run and stored; theta summed as one vector instead of a row of an
-    # F-ordered block is the only rounding difference, and the std of
-    # p-values near 1 amplifies it in the stderr
+    # run and stored, bit for bit
     make_posterior = _weights_of(post16)
     weights = [0.0, 1.0, 3.0]
     steps, beta, seed = 300, 0.3, 7
@@ -242,9 +218,23 @@ def test_streamed_search_matches_the_stored_chains(post16, denominator,
         ref = posterior_predictive_p(chain, post, max_samples=max_eval,
                                      denominator=denominator)
         assert row.acceptance == chain.acceptance_rate
-        assert row.p == pytest.approx(ref.p, rel=1e-14, abs=0.0)
-        assert row.stderr == pytest.approx(ref.stderr, rel=1e-12, abs=0.0)
+        assert (row.p, row.stderr) == (ref.p, ref.stderr)
         assert row.chain_steps == steps
+
+
+@pytest.mark.parametrize("cap", [50, None])
+def test_stored_p_is_the_streamed_row(post16_strong, cap):
+    # one sweep row, and posterior_predictive_p of the chain that row ran
+    # (its pcn config, seed and cap), stored: the same (p, stderr) exactly
+    make_posterior = _weights_of(post16_strong)
+    steps, beta, seed = 400, 0.05, 3
+    row, = admissible_search(make_posterior, [2.0], chain_steps=steps,
+                             seed=seed, beta=beta, max_eval_samples=cap).rows
+    post = make_posterior(2.0)
+    chain = run_chain(post, SamplerConfig("pcn", steps, beta=beta, seed=seed))
+    assert 0.0 < row.acceptance < 1.0
+    ref = posterior_predictive_p(chain, post, max_samples=cap)
+    assert (row.p, row.stderr) == (ref.p, ref.stderr)
 
 
 def test_search_holds_less_than_one_chain(post16):

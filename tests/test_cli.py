@@ -247,6 +247,57 @@ def test_diag_refuses_the_sidecar_of_another_chain(tmp_path, tiny_ini,
     assert not (out / "diag_manifest.json").exists()
 
 
+@pytest.fixture(scope="module")
+def sampled(tmp_path_factory):
+    """A chain from the tiny pipeline's phantom, simulate and sample."""
+    tmp = tmp_path_factory.mktemp("sampled")
+    ini = tmp / "tiny.ini"
+    ini.write_text(TINY_INI, encoding="utf-8")
+    for command in ("phantom", "simulate", "sample"):
+        assert _run(command, ini, tmp / "out") == 0, command
+    return ini, tmp / "out"
+
+
+def _strict(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_diag_without_a_sidecar_writes_strict_json(tmp_path, sampled):
+    # the acceptance rate of a chain without its sidecar is unknown: null
+    ini, src = sampled
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "chain.bin").write_bytes((src / "chain.bin").read_bytes())
+    assert _run("diag", ini, out) == 0
+    manifest = json.loads((out / "diag_manifest.json").read_text(),
+                          parse_constant=_strict)
+    assert manifest["acceptance_rate"] is None
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli._write_json(tmp_path / "bad.json", {"x": value})
+
+
+def test_summarize_refuses_a_missing_truth_it_was_given(tmp_path, sampled):
+    ini, src = sampled
+    out = tmp_path / "out"
+    assert _run("summarize", ini, out, "--chain", str(src / "chain.bin"),
+                "--truth", str(tmp_path / "missing.csv")) == 3
+    assert not (out / "summarize_manifest.json").exists()
+
+
+def test_summarize_skips_psnr_without_the_default_truth(tmp_path, sampled):
+    # <output>/phantom.csv is optional: without it there is no PSNR
+    ini, src = sampled
+    out = tmp_path / "out"
+    assert _run("summarize", ini, out, "--chain",
+                str(src / "chain.bin")) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert "psnr_mean_vs_truth" not in summary
+    assert _run("summarize", ini, src) == 0
+    summary = json.loads((src / "summary.json").read_text())
+    assert math.isfinite(summary["psnr_mean_vs_truth"])
+
+
 def test_detect_screens_an_injected_blob(tmp_path, tiny_ini):
     out = tmp_path / "out"
     for command in ("phantom", "simulate", "sample", "summarize", "detect"):

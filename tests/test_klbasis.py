@@ -3,7 +3,7 @@ import pytest
 
 from poistomo import parse_config
 from poistomo.fields import Grid, ScalarField
-from poistomo.klbasis import CovarianceSpec, build_kl_basis
+from poistomo.klbasis import CovarianceSpec, _axis_eigpairs, build_kl_basis
 
 
 def kernel_matrix(grid: Grid, cov: CovarianceSpec) -> np.ndarray:
@@ -56,6 +56,23 @@ def test_leading_pair_matches_power_iteration():
     assert basis.eigenvalues[0] == pytest.approx(lam, rel=1e-8)
     e = basis.modes[0] / np.linalg.norm(basis.modes[0])
     assert min(np.abs(e - v).max(), np.abs(e + v).max()) < 1e-6
+
+
+@pytest.mark.parametrize("nx, ny", [(16, 16), (24, 16)])
+def test_each_axis_gets_its_own_eigenpairs(nx, ny):
+    # a square grid decomposes one 1d kernel and uses it for both axes; the
+    # factors are those of two separate decompositions, bit for bit
+    grid = Grid(nx, ny)
+    cov = CovarianceSpec(corr_len=0.2)
+    modes = build_kl_basis(grid, cov, 20).modes
+    assert np.array_equal(modes.ex,
+                          _axis_eigpairs(nx, grid.hx, cov.corr_len)[1])
+    assert np.array_equal(modes.ey,
+                          _axis_eigpairs(ny, grid.hy, cov.corr_len)[1])
+    assert (modes.ex is modes.ey) == (nx == ny)
+    # a shared factor is held, and counted, once
+    factors = modes.ex.nbytes + (modes.ey.nbytes if nx != ny else 0)
+    assert modes.nbytes == factors + modes.ii.nbytes + modes.jj.nbytes
 
 
 def test_eigenvalues_sorted_descending():
