@@ -21,8 +21,7 @@ from .calibrate import (CalibrationResult, SelectionResult,
 from .config import ConfigError, RunConfig, parse_config
 from .diagnostics import (acf_matrix, ess_matrix, hpdi_sorted,
                           intensity_samples, pointwise_hpdi, posterior_mean)
-from .fields import (Grid, ScalarField, psnr, read_field_csv, read_pgm,
-                     write_field_csv, write_pgm)
+from .fields import Grid, ScalarField, psnr, read_field_csv, write_field_csv
 from .forward import (RadonOperator, Reparam, Sinogram, build_radon_operator,
                       read_sinogram_bin, simulate_data, write_sinogram_bin)
 from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
@@ -44,8 +43,7 @@ __all__ = [
     "ConfigError", "RunConfig", "parse_config",
     "acf_matrix", "ess_matrix", "hpdi_sorted", "intensity_samples",
     "pointwise_hpdi", "posterior_mean",
-    "Grid", "ScalarField", "psnr", "read_field_csv", "read_pgm",
-    "write_field_csv", "write_pgm",
+    "Grid", "ScalarField", "psnr", "read_field_csv", "write_field_csv",
     "RadonOperator", "Reparam", "Sinogram", "build_radon_operator",
     "read_sinogram_bin", "simulate_data", "write_sinogram_bin",
     "CovarianceSpec", "KLBasis", "build_kl_basis",

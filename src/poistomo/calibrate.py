@@ -152,7 +152,6 @@ class CalibrationRow:
 class CalibrationResult:
     rows: tuple
     interval: tuple[float, float] | None
-    band: tuple[float, float]
 
 
 def admissible_interval(weights: Sequence[float], pvalues: Sequence[float],
@@ -231,7 +230,9 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
         if step is None:
             step, start = tune_stepsize(post, "pcn", n_pilot=1000, seed=seed,
                                         init=start)
-        cfg = SamplerConfig("pcn", chain_steps, beta=step, seed=seed + i)
+        # derived seeds wrap into SamplerConfig's range [0, 2**63)
+        cfg = SamplerConfig("pcn", chain_steps, beta=step,
+                            seed=(seed + i) % 2 ** 63)
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
         d = np.empty(steps.size)
         n_accepted = 0
@@ -250,14 +251,13 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
         log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "
                  "acceptance %.3f)", w, res.p, res.stderr, acceptance)
     interval = admissible_interval(weights, [r.p for r in rows], band)
-    return CalibrationResult(tuple(rows), interval, band)
+    return CalibrationResult(tuple(rows), interval)
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     tv_weight: float
     trace: tuple
-    interval: tuple[float, float]
 
 
 def select_lambda(make_posterior: Callable[[float], TGPosterior],
@@ -294,7 +294,8 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     for k in range(1, n_iters + 1):
         # only the traces and the last state are read: keep one state
         cfg = SamplerConfig("pcn", inner_steps, beta=beta, burn_in=0,
-                            thinning=inner_steps, seed=seed + 1000 * k)
+                            thinning=inner_steps,
+                            seed=(seed + 1000 * k) % 2 ** 63)
         chain = run_chain(make_posterior(lam), cfg, init=c)
         c = chain.samples[-1]
         grad = n_eff / lam - float(np.mean(chain.reg_trace)) / lam
@@ -305,4 +306,4 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
         warnings.warn("weight selection did not settle within the iteration "
                       "cap; returning the last projected iterate",
                       RuntimeWarning, stacklevel=2)
-    return SelectionResult(lam, tuple(trace), tuple(interval))
+    return SelectionResult(lam, tuple(trace))

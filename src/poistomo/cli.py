@@ -9,8 +9,9 @@ byte; the manifests make drift detectable.  Each manifest also records the
 command's cost, its wall time ``wall_s`` and the process's peak resident
 memory ``peak_rss_mb``, which vary from run to run.
 
-The reports that nothing reads back (CSV tables, JSON summaries, manifests)
-are written here; a format that has a reader lives beside it in the library.
+The reports that nothing reads back (CSV tables, PGM images, JSON summaries,
+manifests) are written here; a format that has a reader lives beside it in
+the library.
 
 Exit codes: 0 success, 2 for configuration or input validation errors,
 3 for runtime failures (solver breakdown, unreadable files, diverged chains).
@@ -37,8 +38,7 @@ from .calibrate import admissible_search, select_lambda
 from .config import (PRESETS, ConfigError, RunConfig, parse_config,
                      write_config)
 from .diagnostics import acf_matrix, ess_matrix, pointwise_hpdi, posterior_mean
-from .fields import (ScalarField, psnr, read_field_csv, write_field_csv,
-                     write_pgm)
+from .fields import ScalarField, psnr, read_field_csv, write_field_csv
 from .forward import (DETECTOR_SPAN, build_radon_operator, read_sinogram_bin,
                       simulate_data, write_sinogram_bin)
 from .klbasis import build_kl_basis
@@ -88,21 +88,30 @@ def _write_csv(path: Path, header, rows) -> None:
                               for v in row) + "\n")
 
 
+def _write_pgm(f: ScalarField, path: Path, vmax: float | None = None) -> None:
+    """A 16-bit binary PGM (P5, maxval 65535, big-endian samples).
+
+    Values are clipped to [0, vmax] and scaled so vmax maps to 65535; vmax
+    defaults to the field maximum.  Rows of the file run along axis 0.
+    """
+    vals = f.values
+    if vmax is None:
+        vmax = float(np.max(vals))
+        if vmax <= 0.0:
+            vmax = 1.0
+    scaled = np.clip(vals / vmax, 0.0, 1.0)
+    samples = np.round(scaled * 65535.0).astype(">u2")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{f.grid.ny} {f.grid.nx}\n65535\n".encode("ascii"))
+        fh.write(samples.tobytes())
+
+
 def _operator(cfg: RunConfig):
     return build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
 
 
 def _basis(cfg: RunConfig):
     return build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
-
-
-def _read_sinogram(path: Path, cfg: RunConfig):
-    sino = read_sinogram_bin(path)
-    if sino.n_angles != cfg.n_angles or sino.n_det != cfg.n_det:
-        raise ValueError(
-            f"sinogram geometry ({sino.n_angles} angles, {sino.n_det} bins) "
-            f"does not match config ({cfg.n_angles}, {cfg.n_det})")
-    return sino
 
 
 def _load_basis_chain(path: Path, cfg: RunConfig):
@@ -122,7 +131,7 @@ def cmd_phantom(args, cfg: RunConfig, outdir: Path):
     truth = brain_phantom(cfg.grid, low=cfg.reparam.bounds[0] + 0.05,
                           high=cfg.reparam.bounds[1] - 0.05)
     write_field_csv(truth, outdir / "phantom.csv")
-    write_pgm(truth, outdir / "phantom.pgm")
+    _write_pgm(truth, outdir / "phantom.pgm")
     write_config(cfg, outdir / "effective_config.ini")
     print(f"phantom written to {outdir}")
     return {}, ["phantom.csv", "phantom.pgm", "effective_config.ini"], {}
@@ -149,7 +158,7 @@ def cmd_simulate(args, cfg: RunConfig, outdir: Path):
 
 
 def cmd_calibrate(args, cfg: RunConfig, outdir: Path):
-    sino = _read_sinogram(args.sinogram, cfg)
+    sino = read_sinogram_bin(args.sinogram)
     op, basis = _operator(cfg), _basis(cfg)
 
     def make_posterior(w: float) -> TGPosterior:
@@ -185,7 +194,7 @@ def cmd_calibrate(args, cfg: RunConfig, outdir: Path):
 
 
 def cmd_sample(args, cfg: RunConfig, outdir: Path):
-    sino = _read_sinogram(args.sinogram, cfg)
+    sino = read_sinogram_bin(args.sinogram)
     op, basis = _operator(cfg), _basis(cfg)
     post = TGPosterior(op, cfg.reparam, basis, sino,
                        tv_weight=cfg.tv_weight)
@@ -233,7 +242,7 @@ def cmd_summarize(args, cfg: RunConfig, outdir: Path):
     lo, hi = pointwise_hpdi(chain, basis, cfg.reparam, alpha=args.alpha)
     width = ScalarField(cfg.grid, hi.values - lo.values)
     write_field_csv(mean, outdir / "mean.csv")
-    write_pgm(mean, outdir / "mean.pgm")
+    _write_pgm(mean, outdir / "mean.pgm")
     write_field_csv(lo, outdir / "hpdi_lo.csv")
     write_field_csv(hi, outdir / "hpdi_hi.csv")
     write_field_csv(width, outdir / "hpdi_width.csv")
@@ -279,7 +288,7 @@ def cmd_detect(args, cfg: RunConfig, outdir: Path):
     level_map = credible_level_map(chain, basis, cfg.reparam, image,
                                    thin=cfg.detect_thin)
     # the heatmap on a fixed [0, 1] scale, and the exact levels
-    write_pgm(level_map.levels, outdir / "levels.pgm", vmax=1.0)
+    _write_pgm(level_map.levels, outdir / "levels.pgm", vmax=1.0)
     write_field_csv(level_map.levels, outdir / "levels.csv")
     extra["max_level"] = float(level_map.levels.values.max())
     extra["level_resolution"] = level_map.resolution

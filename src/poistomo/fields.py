@@ -27,8 +27,6 @@ __all__ = [
     "iso_l1",
     "tv_arrays",
     "psnr",
-    "write_pgm",
-    "read_pgm",
     "write_field_csv",
     "read_field_csv",
 ]
@@ -181,53 +179,6 @@ def psnr(f: ScalarField, ref: ScalarField) -> float:
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def write_pgm(f: ScalarField, path, vmax: float | None = None) -> None:
-    """Write a 16-bit binary PGM (P5, maxval 65535, big-endian samples).
-
-    Values are clipped to [0, vmax] and scaled so vmax maps to 65535; vmax
-    defaults to the field maximum.  Rows of the file run along axis 0.
-    """
-    vals = f.values
-    if vmax is None:
-        vmax = float(np.max(vals))
-        if vmax <= 0.0:
-            vmax = 1.0
-    scaled = np.clip(vals / vmax, 0.0, 1.0)
-    samples = np.round(scaled * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{f.grid.ny} {f.grid.nx}\n65535\n".encode("ascii"))
-        fh.write(samples.tobytes())
-
-
-def _read_pgm_tokens(fh, count):
-    toks = []
-    while len(toks) < count:
-        line = fh.readline()
-        if not line:
-            raise ValueError("truncated PGM header")
-        body = line.split(b"#", 1)[0]
-        toks.extend(body.split())
-    return toks
-
-
-def read_pgm(path, vmax: float = 1.0) -> ScalarField:
-    """Read a binary PGM into a field with values scaled to [0, vmax]."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().split()
-        if not magic or magic[0] != b"P5":
-            raise ValueError(f"{path}: not a binary PGM (P5)")
-        toks = magic[1:]
-        toks.extend(_read_pgm_tokens(fh, 3 - len(toks)))
-        width, height, maxval = (int(t) for t in toks[:3])
-        if maxval <= 0 or maxval > 65535:
-            raise ValueError(f"{path}: unsupported maxval {maxval}")
-        dtype = ">u2" if maxval > 255 else "u1"
-        raw = fh.read()
-    data = np.frombuffer(raw, dtype=dtype, count=width * height)
-    vals = data.astype(float).reshape(height, width) * (vmax / maxval)
-    return ScalarField(Grid(height, width), vals)
 
 
 def write_field_csv(f: ScalarField, path) -> None:

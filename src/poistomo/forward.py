@@ -1,5 +1,5 @@
-"""Parallel-beam Radon operator, positivity reparametrization and the Poisson
-log-likelihood potential.
+"""Parallel-beam Radon operator, positivity reparametrization and the
+Poisson count data.
 
 Rays are traced exactly (Siddon's method): each matrix entry is the length
 of the intersection of a ray with a pixel, so the adjoint is the plain matrix
@@ -12,10 +12,8 @@ peaks below twice the finished matrix's bytes.  The matrix comes back in
 canonical CSR form (int32, sorted, duplicate-free column indices), on which
 the summation order of ``apply`` and ``adjoint`` depends.
 
-Expected counts are theta = kappa * (path integrals of u), and the negative
-log-likelihood up to a data-only constant is
-phi = sum(theta) - sum(y * log(theta)); its value and derivatives at
-coefficient vectors come from ``TGPosterior``.
+Expected counts are theta = kappa * (path integrals of u); ``posterior``
+holds the Poisson likelihood of the counts at theta.
 """
 
 from __future__ import annotations
@@ -117,17 +115,6 @@ class RadonOperator:
     @property
     def n_rays(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def ray_weights(self) -> np.ndarray:
-        """Total intersection length of each retained ray."""
-        return np.asarray(self.matrix.sum(axis=1)).reshape(-1)
-
-    def angles(self) -> np.ndarray:
-        return _geometry(self.n_angles, self.n_det)[0]
-
-    def offsets(self) -> np.ndarray:
-        return _geometry(self.n_angles, self.n_det)[1]
 
     def apply(self, u) -> np.ndarray:
         """Expected counts of an image given flat or as (nx, ny) values."""
@@ -310,12 +297,6 @@ def simulate_data(op: RadonOperator, u_true: ScalarField,
         raise ValueError("negative expected counts; intensity must be nonnegative")
     counts = rng.poisson(theta)
     return Sinogram(counts, op.angle_idx, op.det_idx, op.n_angles, op.n_det)
-
-
-def _phi_of_theta(theta: np.ndarray, counts: np.ndarray) -> float:
-    if np.any(theta <= 0.0):
-        raise ValueError("nonpositive expected count in the likelihood potential")
-    return float(np.sum(theta) - np.dot(counts, np.log(theta)))
 
 
 # ---------------------------------------------------------------------------

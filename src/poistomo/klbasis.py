@@ -13,7 +13,6 @@ is what makes the preconditioned samplers dimension-robust.
 Coordinate conventions used throughout the package:
 
 * a coefficient vector c represents the field  mean + sum_i c_i sqrt(eta_i) e_i,
-* ``project`` returns plain expansion weights <f, e_i> of a field,
 * derivative vectors d/dc of scalar functionals are obtained from pixel-value
   derivatives via ``pullback``; in these coordinates the reference covariance
   is the identity.
@@ -22,6 +21,7 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,10 +75,10 @@ class KLModes:
     forming the matrix.  With ex cut to a band of image x-rows X
     (``ex[:, X]``) the same two products give only the pixels of those
     x-rows: since pixels run row-major, those are one contiguous slice of
-    every pixel row.  Integer indexing gives one dense row, slicing a
-    sub-basis that shares the factors; ``np.asarray(modes)`` forms the dense
-    matrix and is meant for tests.  ``__array_ufunc__ = None`` makes
-    ``ndarray @ modes`` defer to ``__rmatmul__`` instead of densifying.
+    every pixel row.  Integer indexing gives one dense row, and
+    ``np.asarray(modes)`` the dense matrix; both are meant for tests.
+    ``__array_ufunc__ = None`` makes ``ndarray @ modes`` defer to
+    ``__rmatmul__`` instead of densifying.
     """
 
     ex: np.ndarray = field(repr=False)
@@ -109,9 +109,8 @@ class KLModes:
         return self.ii.size
 
     def __getitem__(self, key):
-        if isinstance(key, slice):
-            return KLModes(self.ex, self.ey, self.ii[key], self.jj[key])
-        return np.outer(self.ex[self.ii[key]], self.ey[self.jj[key]]).reshape(-1)
+        r = operator.index(key)     # one row; a slice is refused
+        return np.outer(self.ex[self.ii[r]], self.ey[self.jj[r]]).reshape(-1)
 
     def __array__(self, dtype=None, copy=None):
         dense = self.ex[self.ii][:, :, None] * self.ey[self.jj][:, None, :]
@@ -213,15 +212,6 @@ class KLBasis:
 
     def synthesize(self, c) -> ScalarField:
         return ScalarField(self.grid, self.synthesize_values(c))
-
-    def project(self, f: ScalarField, k: int | None = None) -> np.ndarray:
-        """Expansion weights <f, e_i> of the leading k modes (cell-weighted)."""
-        k = self.n_modes if k is None else int(k)
-        if not 0 <= k <= self.n_modes:
-            raise ValueError(f"k must be in [0, {self.n_modes}], got {k}")
-        if f.grid != self.grid:
-            raise ValueError("field grid does not match the basis grid")
-        return self.grid.cell * (self.modes[:k] @ f.ravel())
 
     def pullback(self, dvalues) -> np.ndarray:
         """Chain rule: pixel-value derivative dF/du -> coefficient derivative dF/dc.

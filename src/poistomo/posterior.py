@@ -23,10 +23,18 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import grad_arrays, iso_l1
-from .forward import RadonOperator, Reparam, Sinogram, _phi_of_theta
+from .forward import RadonOperator, Reparam, Sinogram
 from .klbasis import KLBasis
 
 __all__ = ["TGPosterior", "PosteriorEval"]
+
+
+def _phi_of_theta(theta: np.ndarray, counts: np.ndarray) -> float:
+    """Poisson negative log-likelihood of counts at expected counts theta,
+    up to a data-only constant: sum(theta) - sum(counts * log(theta))."""
+    if np.any(theta <= 0.0):
+        raise ValueError("nonpositive expected count in the likelihood potential")
+    return float(np.sum(theta) - np.dot(counts, np.log(theta)))
 
 
 class PosteriorEval(NamedTuple):
@@ -55,8 +63,14 @@ class TGPosterior:
             raise ValueError(f"tv_weight must be nonnegative, got {self.tv_weight}")
         if self.op.grid != self.basis.grid:
             raise ValueError("operator and basis grids disagree")
-        if self.data.n_rays != self.op.n_rays:
-            raise ValueError("data length does not match the operator rays")
+        d, op = self.data, self.op
+        if ((d.n_angles, d.n_det) != (op.n_angles, op.n_det)
+                or not np.array_equal(d.angle_idx, op.angle_idx)
+                or not np.array_equal(d.det_idx, op.det_idx)):
+            raise ValueError(
+                f"sinogram geometry ({d.n_angles} angles, {d.n_det} bins, "
+                f"{d.n_rays} rays) does not match the operator's "
+                f"({op.n_angles}, {op.n_det}, {op.n_rays}) ray for ray")
         object.__setattr__(self, "_counts", self.data.counts.astype(float))
 
     @property

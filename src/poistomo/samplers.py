@@ -97,6 +97,9 @@ class SamplerConfig:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
+        # what default_rng takes and the chain header's int64 holds
+        if not 0 <= self.seed < 2 ** 63:
+            raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         burn = self.n_samples // 10 if self.burn_in is None else self.burn_in
         object.__setattr__(self, "burn_in", burn)    # None: a tenth of the run
         if not 0 <= burn < self.n_samples:

@@ -7,14 +7,20 @@ tests instead.
 """
 
 import importlib
+import json
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import poistomo
 from poistomo.samplers import Chain, SamplerConfig
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _references(tracing):
@@ -101,3 +107,22 @@ def test_traced_calibration_reports_its_chains(monkeypatch, post16):
     assert values["posterior.evals_per_step"] > 0
     assert 0.0 <= values["samplers.acceptance"] <= 1.0
     assert tracer.calls("samplers.tune_stepsize") == 3
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_every_workload_runs_on_the_tiny_geometry(monkeypatch, name):
+    # each pipeline once through the poistomo names it calls, on the CLI
+    # pass's tiny grid with the workload's own overrides on top, so that a
+    # removed or renamed name fails here rather than in the benchmark run
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    run = importlib.import_module("run")
+    workload = workloads.WORKLOADS[name]
+    overrides = {s: dict(kv) for s, kv in workload.overrides.items()}
+    overrides.setdefault("sampler", {})["seed"] = "1"
+    cfg = poistomo.parse_config(BENCH / "tiny.ini", workload.preset,
+                                overrides)
+    inp = workloads.build_inputs(cfg)
+    out = workload.pipeline(inp, lambda _, fn, *args, **kw: fn(*args, **kw))
+    facts = run.result_facts(inp, out)
+    assert all(math.isfinite(v) for v in facts.values()), facts

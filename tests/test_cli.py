@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from poistomo import acf_matrix, cli, ess_matrix, load_chain
+from poistomo import Grid, ScalarField, acf_matrix, cli, ess_matrix, load_chain
 
 TINY_INI = """
 [grid]
@@ -298,6 +298,42 @@ def test_summarize_skips_psnr_without_the_default_truth(tmp_path, sampled):
     assert math.isfinite(summary["psnr_mean_vs_truth"])
 
 
+def test_sample_refuses_a_sinogram_of_another_geometry(tmp_path, tiny_ini,
+                                                       capsys):
+    # counts simulated on 8 detector bins, sampled against 9
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate"):
+        assert _run(command, tiny_ini, out) == 0, command
+    wide = tmp_path / "wide.ini"
+    wide.write_text(TINY_INI.replace("n_det = 8", "n_det = 9"),
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert _run("sample", wide, out) == 2
+    assert "does not match the operator's" in capsys.readouterr().err
+    assert not (out / "sample_manifest.json").exists()
+
+
+def test_seed_range_is_what_the_chain_header_holds(tmp_path, tiny_ini,
+                                                   capsys):
+    # the largest int64 seeds every command; one past either end of
+    # [0, 2**63) is a usage error at config parse, before any work
+    def run(command, outdir, seed):
+        return cli.main([command, "--config", str(tiny_ini), "--output",
+                         str(outdir), "--seed", str(seed)])
+
+    out = tmp_path / "out"
+    for command in PIPELINE:
+        assert run(command, out, 2 ** 63 - 1) == 0, command
+    assert load_chain(out / "chain.bin").config.seed == 2 ** 63 - 1
+    bad = tmp_path / "bad"
+    for seed in (-1, 2 ** 63):
+        for command in ("phantom", "sample"):
+            capsys.readouterr()
+            assert run(command, bad, seed) == 2, (command, seed)
+            assert "seed must lie in [0, 2**63)" in capsys.readouterr().err
+    assert not bad.exists()
+
+
 def test_detect_screens_an_injected_blob(tmp_path, tiny_ini):
     out = tmp_path / "out"
     for command in ("phantom", "simulate", "sample", "summarize", "detect"):
@@ -401,6 +437,35 @@ def test_sample_reports_the_map_residuals(reports):
     for i, row in enumerate(rows):
         assert [float(x) for x in row[1:]] == \
             [res.primal[i], res.dual[i], res.objective[i]]
+
+
+def test_pgm_header_and_sixteen_bit(tmp_path):
+    g = Grid(2, 3)
+    f = ScalarField(g, [[0.0, 0.5, 1.0], [0.25, 0.75, 1.0]])
+    path = tmp_path / "t.pgm"
+    cli._write_pgm(f, path, vmax=1.0)
+    raw = path.read_bytes()
+    # width (ny) before height (nx): file rows run along axis 0
+    header = b"P5\n3 2\n65535\n"
+    assert raw.startswith(header)
+    samples = np.frombuffer(raw[len(header):], dtype=">u2")
+    assert samples.tolist() == [0, round(0.5 * 65535), 65535,
+                                round(0.25 * 65535), round(0.75 * 65535),
+                                65535]
+
+
+def test_pgm_images_hold_their_csv_values(reports):
+    # each image scaled to its own maximum, the levels to the fixed [0, 1]
+    out, _ = reports
+    header = b"P5\n8 8\n65535\n"
+    for name, vmax in (("phantom", None), ("mean", None), ("levels", 1.0)):
+        values = np.loadtxt(out / f"{name}.csv")
+        scale = values.max() if vmax is None else vmax
+        expected = np.round(np.clip(values / scale, 0.0, 1.0) * 65535.0)
+        raw = (out / f"{name}.pgm").read_bytes()
+        assert raw.startswith(header), name
+        samples = np.frombuffer(raw[len(header):], dtype=">u2")
+        assert np.array_equal(samples, expected), name
 
 
 def test_diag_reports_one_row_per_lag_and_per_coefficient(reports):

@@ -61,6 +61,8 @@ def test_unknown_preset_is_refused():
     ("map", "rho_pen", "-1"),               # out of range
     ("sampler", "autotune", "maybe"),
     ("sampler", "thinning", "18001"),       # keeps none of 18,000 steps
+    ("sampler", "seed", "-1"),              # outside [0, 2**63)
+    ("sampler", "seed", str(2 ** 63)),
     ("calibration", "max_eval_samples", "0"),
     ("calibration", "max_eval_samples", "-3"),
     ("calibration", "denominator", "pearson"),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from poistomo.fields import (Grid, ScalarField, div_arrays, grad_arrays,
-                             iso_l1, psnr, read_field_csv, read_pgm,
-                             tv_arrays, write_field_csv, write_pgm)
+                             iso_l1, psnr, read_field_csv, tv_arrays,
+                             write_field_csv)
 
 
 def test_grid_spacings():
@@ -143,33 +143,6 @@ def test_psnr_rejects_nonpositive_reference():
     f = ScalarField(g, np.ones((4, 4)))
     with pytest.raises(ValueError):
         psnr(f, ScalarField(g, np.zeros((4, 4))))
-
-
-def test_pgm_roundtrip_is_stable(tmp_path):
-    g = Grid(9, 14)
-    rng = np.random.default_rng(3)
-    f = ScalarField(g, rng.uniform(0.0, 2.5, g.shape))
-    p1 = tmp_path / "a.pgm"
-    p2 = tmp_path / "b.pgm"
-    write_pgm(f, p1)
-    back = read_pgm(p1, vmax=f.values.max())
-    assert np.abs(back.values - f.values).max() <= f.values.max() / 65535 + 1e-12
-    write_pgm(back, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_pgm_header_and_sixteen_bit(tmp_path):
-    g = Grid(2, 3)
-    f = ScalarField(g, [[0.0, 0.5, 1.0], [0.25, 0.75, 1.0]])
-    path = tmp_path / "t.pgm"
-    write_pgm(f, path, vmax=1.0)
-    raw = path.read_bytes()
-    assert raw.startswith(b"P5\n")
-    assert b"65535" in raw
-    samples = np.frombuffer(raw[raw.index(b"65535") + 6:], dtype=">u2")
-    assert samples.size == 6
-    assert samples.max() == 65535
-    assert round(0.5 * 65535) in samples.tolist()
 
 
 def test_csv_roundtrip_exact(tmp_path):

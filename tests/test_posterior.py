@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from poistomo.fields import grad_arrays, tv_arrays
+from poistomo.forward import build_radon_operator, simulate_data
+from poistomo.phantom import brain_phantom
 from poistomo.posterior import TGPosterior
 from poistomo.samplers import SamplerConfig, _rho, run_chain
 
@@ -102,3 +106,16 @@ def test_psi_grad_refuses_nonsmooth(post16, post16_smooth):
 def test_posterior_validation(op16, rep, basis60, sino16):
     with pytest.raises(ValueError):
         TGPosterior(op16, rep, basis60, sino16, tv_weight=-0.5)
+
+
+def test_posterior_refuses_the_counts_of_other_rays(op16, rep, basis60,
+                                                    sino16):
+    # a reversed detector table and another geometry's labels keep the
+    # operator's ray count; another operator's counts do not
+    other = build_radon_operator(op16.grid, 12, 15)
+    for data in (dataclasses.replace(sino16, det_idx=sino16.det_idx[::-1]),
+                 dataclasses.replace(sino16, n_angles=7, n_det=999),
+                 simulate_data(other, brain_phantom(op16.grid),
+                               np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="does not match the operator"):
+            TGPosterior(op16, rep, basis60, data)
