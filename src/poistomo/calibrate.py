@@ -139,6 +139,12 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
 # admissible interval and weight selection
 
 
+def _stream_seed(seed: int, index: int) -> int:
+    """Seed in [0, 2**63) of a calibration's pilot or chain: admissible_search
+    counts index up from 0 and select_lambda down from -1, so none coincide."""
+    return (seed + index) % 2 ** 63
+
+
 @dataclass(frozen=True)
 class CalibrationRow:
     tv_weight: float
@@ -228,11 +234,10 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
         post = make_posterior(w)
         step = beta
         if step is None:
-            step, start = tune_stepsize(post, "pcn", n_pilot=1000, seed=seed,
-                                        init=start)
-        # derived seeds wrap into SamplerConfig's range [0, 2**63)
+            step, start = tune_stepsize(post, "pcn", n_pilot=1000, init=start,
+                                        seed=_stream_seed(seed, 2 * i))
         cfg = SamplerConfig("pcn", chain_steps, beta=step,
-                            seed=(seed + i) % 2 ** 63)
+                            seed=_stream_seed(seed, 2 * i + 1))
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
         d = np.empty(steps.size)
         n_accepted = 0
@@ -287,7 +292,8 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     a0 = (hi - lo) / n_eff
     c = None
     if beta is None:
-        beta, c = tune_stepsize(probe, "pcn", n_pilot=1000, seed=seed)
+        beta, c = tune_stepsize(probe, "pcn", n_pilot=1000,
+                                seed=_stream_seed(seed, -1))
     lo = max(lo, 1e-8)  # the gradient needs a positive weight
     lam = 0.5 * (lo + hi)
     trace = []
@@ -295,7 +301,7 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
         # only the traces and the last state are read: keep one state
         cfg = SamplerConfig("pcn", inner_steps, beta=beta, burn_in=0,
                             thinning=inner_steps,
-                            seed=(seed + 1000 * k) % 2 ** 63)
+                            seed=_stream_seed(seed, -1 - k))
         chain = run_chain(make_posterior(lam), cfg, init=c)
         c = chain.samples[-1]
         grad = n_eff / lam - float(np.mean(chain.reg_trace)) / lam

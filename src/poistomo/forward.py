@@ -4,13 +4,13 @@ Poisson count data.
 Rays are traced exactly (Siddon's method): each matrix entry is the length
 of the intersection of a ray with a pixel, so the adjoint is the plain matrix
 transpose and the operator pair passes a machine-precision adjointness test.
-Rays are traced as array operations in batches of consecutive rays, which
-may span several projection angles; each batch's table of grid-line
-crossings stays within a small fixed budget of floats.  The batches' int32
-pixel indices and lengths go straight into the CSR arrays, so the build
-peaks below twice the finished matrix's bytes.  The matrix comes back in
-canonical CSR form (int32, sorted, duplicate-free column indices), on which
-the summation order of ``apply`` and ``adjoint`` depends.
+Point reflection through the image centre maps pixel p to npix-1-p and
+detector offset s_j to s_{n_det-1-j} = -s_j exactly, and keeps each angle's
+direction, so only the near half of each projection is traced, in batches
+within a small fixed budget of floats; a far ray's row is its near twin's,
+reversed onto the reflected pixels.  The build peaks below twice the
+matrix's bytes.  The matrix is canonical CSR (int32, sorted, duplicate-free
+column indices), which fixes the summation order of ``apply``/``adjoint``.
 
 Expected counts are theta = kappa * (path integrals of u); ``posterior``
 holds the Poisson likelihood of the counts at theta.
@@ -129,18 +129,18 @@ class RadonOperator:
 
 def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
                          kappa: float = 1.0) -> RadonOperator:
-    """Trace n_angles * n_det rays across the grid and assemble the matrix.
+    """Trace the near half of the rays, mirror the far half, build the matrix.
 
     Projection angles are equispaced on [0, pi); for each angle the detector
-    bins span the full projected width sqrt(2), centered on the domain.
-    Rays run angle-major, detector-minor and are traced in batches of
-    consecutive rays, which may span several angles, each batch's crossing
-    table within ``_BATCH_FLOATS`` floats.  Each batch's pixel indices
-    (int32) and lengths are kept, then joined into the CSR arrays one array
-    at a time, so the build peaks below twice the finished matrix's bytes.
-    The matrix is returned in canonical CSR form (int32 indices, sorted and
-    duplicate-free within each row), which fixes the summation order of
-    ``apply`` and ``adjoint``.
+    bins span the full projected width sqrt(2), centered on the domain.  The
+    near rays (2 j <= n_det-1) are traced in batches of consecutive rays,
+    each batch's crossing table within ``_BATCH_FLOATS`` floats, and put in
+    canonical CSR form, sorting half the entries.  Each angle's rows are then
+    its near rows as traced followed by its near rows but a middle ray,
+    reversed entry by entry onto pixels npix-1-p: rows (k, n_det-1-j), which
+    are already sorted and duplicate-free.  A far row is the exact reflection
+    of its twin, within 1e-14 of its own trace.  Rows run angle-major,
+    detector-minor, and the build peaks below twice the matrix's bytes.
     """
     if n_angles < 1 or n_det < 1:
         raise ValueError("need at least one angle and one detector bin")
@@ -158,11 +158,8 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
         cols.append(pix)
         vals.append(lengths)
     traced = n_seg > 0
-    kept = ray_ids[traced]
-    n_rays = kept.size
-    if n_rays == 0:
-        raise ValueError("all rays missed the domain")
-    indptr = np.zeros(n_rays + 1, dtype=np.int32)
+    near = ray_ids[traced]
+    indptr = np.zeros(near.size + 1, dtype=np.int32)
     np.cumsum(n_seg[traced], out=indptr[1:])
     # join one array's pieces at a time and drop them: the lengths are
     # joined while only the index pieces wait
@@ -170,11 +167,31 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     del vals
     indices = np.concatenate(cols)
     del cols
+    half = sp.csr_matrix((data, indices, indptr), shape=(near.size, grid.npix))
+    half.sum_duplicates()
+    # per angle, near rows r0:r1 (entries a:b); r0:r2 (a:c) have a far twin
+    r0, r1, r2 = (np.searchsorted(near, np.arange(n_angles) * n_det + j)
+                  for j in (0, n_det, n_det // 2))
+    a, b, c = half.indptr[r0], half.indptr[r1], half.indptr[r2]
+
+    def mirrored(fwd, rev, lo, hi, mid):
+        """Per angle, fwd[lo:hi], then rev[lo:mid] reversed."""
+        return np.concatenate([p for i, j, m in zip(lo, hi, mid)
+                               for p in (fwd[i:j], rev[i:m][::-1])])
+
+    kept = mirrored(near, near + n_det - 1 - 2 * (near % n_det), r0, r1, r2)
+    n_rays = kept.size
+    indptr = np.zeros(n_rays + 1, dtype=np.int32)
+    lens = np.diff(half.indptr)
+    np.cumsum(mirrored(lens, lens, r0, r1, r2), out=indptr[1:])
+    indices = mirrored(half.indices, grid.npix - 1 - half.indices, a, b, c)
+    data = mirrored(half.data, half.data, a, b, c)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rays, grid.npix))
-    matrix.sum_duplicates()
+    matrix.sum_duplicates()  # a linear check: the rows are already canonical
     n_dropped = n_angles * n_det - n_rays
-    log.info("radon operator: %d rays kept, %d dropped, %d entries, "
-             "%d batches, %.3f s", n_rays, n_dropped, matrix.nnz,
+    log.info("radon operator: %d rays traced, %d mirrored; %d kept, "
+             "%d dropped, %d entries, %d batches, %.3f s", ray_ids.size,
+             n_rays - near.size, n_rays, n_dropped, matrix.nnz,
              len(batches), time.perf_counter() - t0)
     return RadonOperator(grid, n_angles, n_det, kappa, matrix,
                          (kept // n_det).astype(np.uint32),
@@ -194,8 +211,8 @@ def _geometry(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ray_table(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rays that cross the unit square: their numbers k * n_det + j in
-    angle-major order, and one column of (p0x, p0y, tx, ty, tlo, thi) each.
+    """The near rays (2 j <= n_det-1) crossing the unit square: numbers
+    k * n_det + j, angle-major, and a column (p0x, p0y, tx, ty, tlo, thi) each.
 
     Ray (k, j) is the line p0 + t (tx, ty) with p0 = (0.5, 0.5) + s_j n_k
     and (tx, ty) = (-n_k[1], n_k[0]), n_k = (cos phi_k, sin phi_k) taken
@@ -210,6 +227,7 @@ def _ray_table(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
     tx[:], ty[:] = -nyv, nxv
     tlo[:], thi[:] = -np.inf, np.inf
     hit = np.ones((n_angles, n_det), dtype=bool)
+    hit[:, (n_det + 1) // 2:] = False   # the far rays are mirrored
     for p, t in ((p0x, tx), (p0y, ty)):
         # a ray parallel to this axis hits only inside the slab 0 < p < 1,
         # and the slab does not bound its t

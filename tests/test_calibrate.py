@@ -17,7 +17,7 @@ from scipy.special import erfc
 
 from poistomo import (TGPosterior, brain_phantom, build_radon_operator,
                       parse_config)
-from poistomo.calibrate import (_even_subsample, _predictive,
+from poistomo.calibrate import (_even_subsample, _predictive, _stream_seed,
                                 admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
                                 posterior_predictive_p, select_lambda)
@@ -212,8 +212,9 @@ def test_streamed_search_matches_the_stored_chains(post16, denominator,
     start = None
     for i, (w, row) in enumerate(zip(weights, result.rows)):
         post = make_posterior(w)
-        chain = run_chain(post, SamplerConfig("pcn", steps, beta=beta,
-                                              seed=seed + i), init=start)
+        chain = run_chain(post, SamplerConfig(
+            "pcn", steps, beta=beta, seed=_stream_seed(seed, 2 * i + 1)),
+            init=start)
         start = chain.samples[-1]
         ref = posterior_predictive_p(chain, post, max_samples=max_eval,
                                      denominator=denominator)
@@ -231,7 +232,8 @@ def test_stored_p_is_the_streamed_row(post16_strong, cap):
     row, = admissible_search(make_posterior, [2.0], chain_steps=steps,
                              seed=seed, beta=beta, max_eval_samples=cap).rows
     post = make_posterior(2.0)
-    chain = run_chain(post, SamplerConfig("pcn", steps, beta=beta, seed=seed))
+    chain = run_chain(post, SamplerConfig("pcn", steps, beta=beta,
+                                          seed=_stream_seed(seed, 1)))
     assert 0.0 < row.acceptance < 1.0
     ref = posterior_predictive_p(chain, post, max_samples=cap)
     assert (row.p, row.stderr) == (ref.p, ref.stderr)
@@ -283,3 +285,27 @@ def test_every_selection_chain_accepts(post16, monkeypatch, seed):
                   inner_steps=40, seed=seed)
     assert len(rates) == 6
     assert min(rates) > 0.0, rates
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2 ** 63 - 1])
+def test_calibration_streams_are_distinct(post16, monkeypatch, seed):
+    # every tuning pilot and chain of a sweep and of the selection after it
+    # at the same seed draws its own stream, each seed in [0, 2**63)
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recorded(s=None):
+        seeds.append(s)
+        return default_rng(s)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    make_posterior = _weights_of(post16)
+    admissible_search(make_posterior, [0.0, 1.0, 2.0], chain_steps=50,
+                      seed=seed, max_eval_samples=10)
+    select_lambda(make_posterior, (1.0, 2.0), n_iters=4, inner_steps=20,
+                  seed=seed)
+    assert len(seeds) == 2 * 3 + 1 + 4
+    assert len(set(seeds)) == len(seeds), seeds
+    assert all(0 <= s < 2 ** 63 for s in seeds)
+    # each seed is a pure function of the call's seed and the stream's index
+    assert seeds[:2] == [_stream_seed(seed, 0), _stream_seed(seed, 1)]

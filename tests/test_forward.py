@@ -186,18 +186,27 @@ def _reference_ray(p0x, p0y, tx, ty, nx, ny, hx, hy, eps=1e-12):
     return ix * ny + iy, lengths[keep]
 
 
-def _reference_operator(grid, n_angles, n_det):
+def _reference_operator(grid, n_angles, n_det, mirror):
     """Matrix, ray tables and drop count of a ray-by-ray trace, assembled
-    through COO."""
+    through COO.  With mirror, a far ray (2 j > n_det-1) is not traced: it
+    takes its near twin n_det-1-j's trace, reversed onto pixels npix-1-p."""
     offsets = (np.arange(n_det) + 0.5 - 0.5 * n_det) * (DETECTOR_SPAN / n_det)
     rows, cols, vals, angle_idx, det_idx = [], [], [], [], []
     n_dropped = 0
     for k in range(n_angles):
         phi = k * math.pi / n_angles
         nxv, nyv = math.cos(phi), math.sin(phi)
+        traces = []
         for j, s in enumerate(offsets):
-            traced = _reference_ray(0.5 + s * nxv, 0.5 + s * nyv, -nyv, nxv,
-                                    grid.nx, grid.ny, grid.hx, grid.hy)
+            if mirror and 2 * j > n_det - 1:
+                twin = traces[n_det - 1 - j]
+                traced = twin and (grid.npix - 1 - twin[0][::-1],
+                                   twin[1][::-1])
+            else:
+                traced = _reference_ray(0.5 + s * nxv, 0.5 + s * nyv, -nyv,
+                                        nxv, grid.nx, grid.ny, grid.hx,
+                                        grid.hy)
+            traces.append(traced)
             if traced is None:
                 n_dropped += 1
                 continue
@@ -212,6 +221,24 @@ def _reference_operator(grid, n_angles, n_det):
         shape=(len(angle_idx), grid.npix))
     return (matrix, np.array(angle_idx, dtype=np.uint32),
             np.array(det_idx, dtype=np.uint32), n_dropped)
+
+
+def _assert_same_operator(op, reference, atol):
+    """Same structure, ray tables and drop count; entries within atol."""
+    matrix, angle_idx, det_idx, n_dropped = reference
+    assert op.matrix.has_canonical_format
+    assert op.matrix.shape == matrix.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(op.matrix, name), getattr(matrix, name)
+        assert got.dtype == want.dtype
+        if name == "data" and atol:
+            assert np.allclose(got, want, rtol=0.0, atol=atol), name
+        else:
+            assert np.array_equal(got, want), name
+    assert op.angle_idx.dtype == angle_idx.dtype == op.det_idx.dtype
+    assert np.array_equal(op.angle_idx, angle_idx)
+    assert np.array_equal(op.det_idx, det_idx)
+    assert op.n_dropped == n_dropped
 
 
 GEOMETRIES = [
@@ -242,22 +269,47 @@ def _trace_case(i, geometry, budget):
     for budget in BUDGETS for i, geometry in enumerate(GEOMETRIES)])
 def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det, budget,
                                            monkeypatch):
-    # the batched tracer reproduces the ray-by-ray trace bit for bit, so
-    # every product with the matrix rounds the same way
+    # the batched tracer reproduces the ray-by-ray trace of the near half,
+    # mirrored, bit for bit, so every product with the matrix rounds the
+    # same way
     monkeypatch.setattr(forward, "_BATCH_FLOATS", budget)
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
-    matrix, angle_idx, det_idx, n_dropped = _reference_operator(
-        op.grid, n_angles, n_det)
-    assert op.matrix.has_canonical_format
-    assert op.matrix.shape == matrix.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(op.matrix, name), getattr(matrix, name)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), name
-    assert op.angle_idx.dtype == angle_idx.dtype == op.det_idx.dtype
-    assert np.array_equal(op.angle_idx, angle_idx)
-    assert np.array_equal(op.det_idx, det_idx)
-    assert op.n_dropped == n_dropped
+    _assert_same_operator(op, _reference_operator(op.grid, n_angles, n_det,
+                                                  mirror=True), atol=0.0)
+
+
+@pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
+def test_operator_is_within_rounding_of_every_ray_traced(shape, n_angles,
+                                                         n_det):
+    # every ray traced by itself, far rays too: the mirrored far rows keep
+    # the same pixels, tables and drops, and their lengths move by rounding
+    op = build_radon_operator(Grid(*shape), n_angles, n_det)
+    _assert_same_operator(op, _reference_operator(op.grid, n_angles, n_det,
+                                                  mirror=False), atol=1e-14)
+
+
+@pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
+def test_far_rows_reflect_their_near_twins(shape, n_angles, n_det):
+    # a far ray (k, n_det-1-j) is kept exactly when its near twin (k, j) is,
+    # and its row is that row reversed onto the pixels npix-1-p, bit for bit
+    # (a middle ray along a grid line is traced, and is not its own mirror)
+    op = build_radon_operator(Grid(*shape), n_angles, n_det)
+    m, npix = op.matrix, op.grid.npix
+    row_of = {(k, j): r for r, (k, j) in enumerate(zip(op.angle_idx.tolist(),
+                                                       op.det_idx.tolist()))}
+    for (k, j), r in row_of.items():
+        if 2 * j <= n_det - 1:
+            continue
+        twin = row_of[(k, n_det - 1 - j)]
+        lo, hi = m.indptr[r], m.indptr[r + 1]
+        tlo, thi = m.indptr[twin], m.indptr[twin + 1]
+        assert np.array_equal(m.indices[lo:hi],
+                              npix - 1 - m.indices[tlo:thi][::-1])
+        assert np.array_equal(m.data[lo:hi], m.data[tlo:thi][::-1])
+    assert sum(2 * j < n_det - 1 for _, j in row_of) == sum(
+        2 * j > n_det - 1 for _, j in row_of)
+    if n_det % 2:   # the middle ray crosses the centre at every angle
+        assert all((k, n_det // 2) in row_of for k in range(n_angles))
 
 
 def test_build_logs_one_summary_line(caplog):
@@ -266,9 +318,12 @@ def test_build_logs_one_summary_line(caplog):
     lines = [r.getMessage() for r in caplog.records
              if r.name == "poistomo.forward"]
     assert len(lines) == 1
-    assert f"{op.n_rays} rays kept, {op.n_dropped} dropped, " \
-           f"{op.matrix.nnz} entries" in lines[0]
-    assert ", 1 batches, " in lines[0]   # 24 rays fit one batch
+    # the near half is traced and each near row is mirrored: no 8-bin
+    # projection has a middle ray
+    near = int(np.sum(op.det_idx < 4))
+    assert f"{near} rays traced, {near} mirrored; {op.n_rays} kept, " \
+           f"{op.n_dropped} dropped, {op.matrix.nnz} entries" in lines[0]
+    assert ", 1 batches, " in lines[0]   # the near rays fit one batch
 
 
 def test_build_peaks_below_a_multiple_of_the_matrix():
