@@ -22,6 +22,8 @@ costs O(max_eval_samples) floats plus one state, not a chain of kept
 samples.  ``posterior_predictive_p`` computes the same p_b from a stored
 chain: it evaluates each distinct subsampled state once, as the chain did,
 so the same states give the same bits.
+Without a given beta, each sweep chain tunes beta in its own burn-in, and
+the selection tunes one beta on a pilot (samplers.tune_stepsize).
 """
 
 from __future__ import annotations
@@ -145,6 +147,15 @@ def _stream_seed(seed: int, index: int) -> int:
     return (seed + index) % 2 ** 63
 
 
+def _check_grid(weights: Sequence[float]) -> tuple[float, ...]:
+    """The weights as floats, if nonempty, nonnegative and increasing."""
+    w = tuple(float(v) for v in weights)
+    if not (w and 0.0 <= w[0] and all(a < b for a, b in zip(w, w[1:]))):
+        raise ValueError("weight_grid must be nonnegative and strictly "
+                         f"increasing, got {w}")
+    return w
+
+
 @dataclass(frozen=True)
 class CalibrationRow:
     tv_weight: float
@@ -152,6 +163,7 @@ class CalibrationRow:
     stderr: float
     chain_steps: int
     acceptance: float
+    beta: float               # the stepsize the chain's kept states used
 
 
 @dataclass(frozen=True)
@@ -169,12 +181,10 @@ def admissible_interval(weights: Sequence[float], pvalues: Sequence[float],
     weight; the lower endpoint comes from the upper band threshold and vice
     versa.  Returns None when the band is never entered.
     """
-    w = np.asarray(weights, dtype=float)
+    w = np.asarray(_check_grid(weights))
     p = np.asarray(pvalues, dtype=float)
-    if w.size != p.size or w.size < 1:
+    if w.size != p.size:
         raise ValueError("need matching, nonempty weight and p-value grids")
-    if np.any(np.diff(w) <= 0.0):
-        raise ValueError("weights must be strictly increasing")
     p_lo, p_hi = band
     if not 0.0 <= p_lo < p_hi <= 1.0:
         raise ValueError(f"invalid band {band}")
@@ -217,32 +227,26 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     subsampled state's discrepancy is read off the expected counts of the
     chain's own evaluation of it, so no state is synthesized or projected
     twice and nothing holds the kept samples; memory is O(max_eval_samples)
-    floats plus one state.  Each weight starts at the last state of the
-    previous weight's chain (the first at the prior mean, whose zero TV
-    makes it a sticky start at large weights).  Without a given beta, a
-    tuning pilot at every weight adapts beta from that start and the chain
-    starts where the pilot ended: the posterior narrows as the weight
-    grows, so a stepsize tuned at the first weight can leave later chains
-    where they began.
+    floats plus one state.  The grid is checked before any chain runs.
+    Each weight starts at the last state of the previous weight's chain
+    (the first at the prior mean, whose zero TV makes it a sticky start at
+    large weights).  Without a given beta, each chain tunes beta in its
+    burn-in: the posterior narrows as the weight grows, so a stepsize tuned
+    at the first weight can leave later chains where they began.
     """
-    weights = [float(v) for v in weight_grid]
-    if sorted(weights) != weights:
-        raise ValueError("weight grid must be increasing")
+    weights = _check_grid(weight_grid)
     rows = []
     start = None
     for i, w in enumerate(weights):
         post = make_posterior(w)
-        step = beta
-        if step is None:
-            step, start = tune_stepsize(post, "pcn", n_pilot=1000, init=start,
-                                        seed=_stream_seed(seed, 2 * i))
-        cfg = SamplerConfig("pcn", chain_steps, beta=step,
-                            seed=_stream_seed(seed, 2 * i + 1))
+        cfg = SamplerConfig("pcn", chain_steps, beta=beta,
+                            seed=_stream_seed(seed, i))
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
         d = np.empty(steps.size)
         n_accepted = 0
         j = 0
-        for k, (z, ev, moved) in enumerate(chain_states(post, cfg, start)):
+        for k, (z, ev, moved, step) in enumerate(chain_states(post, cfg,
+                                                              start)):
             n_accepted += moved
             if j < steps.size and k == steps[j]:
                 d[j] = chi2_discrepancy(post.data.counts, ev.theta,
@@ -252,9 +256,10 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
         res = _predictive(d, post.op.n_rays)
         acceptance = n_accepted / chain_steps
         rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,
-                                   acceptance))
+                                   acceptance, step))
         log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "
-                 "acceptance %.3f)", w, res.p, res.stderr, acceptance)
+                 "acceptance %.3f, beta %.4g)", w, res.p, res.stderr,
+                 acceptance, step)
     interval = admissible_interval(weights, [r.p for r in rows], band)
     return CalibrationResult(tuple(rows), interval)
 

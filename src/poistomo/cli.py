@@ -20,7 +20,6 @@ Exit codes: 0 success, 2 for configuration or input validation errors,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -44,7 +43,7 @@ from .forward import (DETECTOR_SPAN, build_radon_operator, read_sinogram_bin,
 from .klbasis import build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
-from .samplers import anchor_from_map, load_chain, stream_chain, tune_stepsize
+from .samplers import anchor_from_map, load_chain, stream_chain
 
 log = logging.getLogger(__name__)
 
@@ -165,23 +164,23 @@ def cmd_calibrate(args, cfg: RunConfig, outdir: Path):
         return TGPosterior(op, cfg.reparam, basis, sino, tv_weight=w)
 
     cal = cfg.calibration
-    beta = None if cfg.autotune else cfg.sampler.beta
     result = admissible_search(make_posterior, cal.weight_grid,
                                chain_steps=cal.chain_steps, band=cal.band,
-                               seed=cfg.sampler.seed, beta=beta,
+                               seed=cfg.sampler.seed, beta=cfg.sampler.beta,
                                max_eval_samples=cal.max_eval_samples,
                                denominator=cal.denominator)
     _write_csv(outdir / "calibration.csv",
-               ("tv_weight", "p_b", "stderr", "chain_steps", "acceptance"),
-               ((r.tv_weight, r.p, r.stderr, r.chain_steps, r.acceptance)
-                for r in result.rows))
+               ("tv_weight", "p_b", "stderr", "chain_steps", "acceptance",
+                "beta"),
+               ((r.tv_weight, r.p, r.stderr, r.chain_steps, r.acceptance,
+                 r.beta) for r in result.rows))
     outputs = ["calibration.csv"]
     extra: dict = {"interval": list(result.interval) if result.interval else None}
     if result.interval is not None:
         sel = select_lambda(make_posterior, result.interval,
                             n_iters=cal.select_iters,
                             inner_steps=cal.select_inner_steps,
-                            beta=beta, seed=cfg.sampler.seed)
+                            beta=cfg.sampler.beta, seed=cfg.sampler.seed)
         _write_csv(outdir / "selection.csv",
                    ("iteration", "tv_weight", "gradient"), sel.trace)
         outputs.append("selection.csv")
@@ -218,21 +217,15 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
         map_converged = result.converged
         if not result.converged:
             log.warning("MAP solve hit max_outer without meeting tol")
-    if cfg.autotune:
-        # the chain starts where the tuning pilot ended
-        step, init = tune_stepsize(post, scfg.kind, seed=scfg.seed, init=init,
-                                   anchor=anchor)
-        name = "beta" if scfg.kind == "pcn" else "delta"
-        scfg = dataclasses.replace(scfg, **{name: step})
-        print(f"tuned {name} = {step:.5f}")
     # kept states go to disk as the chain yields them, never all in memory
-    rate = stream_chain(post, scfg, outdir / "chain.bin", init=init,
-                        anchor=anchor)
+    scfg, rate = stream_chain(post, scfg, outdir / "chain.bin", init=init,
+                              anchor=anchor)
     outputs += ["chain.bin", "chain.bin.json"]
-    print(f"chain of {scfg.n_kept} kept samples, acceptance {rate:.3f}")
+    print(f"chain of {scfg.n_kept} kept samples at {scfg.stepsize_name} "
+          f"{scfg.stepsize:.5g}, acceptance {rate:.3f}")
     return ({"sinogram.bin": args.sinogram}, outputs,
             {"acceptance_rate": rate, "kept_samples": scfg.n_kept,
-             "map_converged": map_converged})
+             "stepsize": scfg.stepsize, "map_converged": map_converged})
 
 
 def cmd_summarize(args, cfg: RunConfig, outdir: Path):

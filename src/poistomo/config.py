@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .admm import AdmmConfig
-from .calibrate import DENOMINATORS
+from .calibrate import DENOMINATORS, _check_grid
 from .fields import Grid
 from .forward import Reparam
 from .klbasis import CovarianceSpec
@@ -35,19 +35,9 @@ class ConfigError(ValueError):
     """Raised for any malformed, unknown, or out-of-range configuration."""
 
 
-def _parse_bool(raw: str) -> bool:
-    states = configparser.ConfigParser.BOOLEAN_STATES
-    key = raw.strip().lower()
-    if key not in states:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return states[key]
-
-
-def _parse_opt_int(raw: str):
-    s = raw.strip().lower()
-    if s in ("", "none"):
-        return None
-    return int(raw)
+def _optional(conv):
+    """A parser that reads "none" (or nothing) as None and the rest by conv."""
+    return lambda s: None if s.strip().lower() in ("", "none") else conv(s)
 
 
 def _parse_float_list(raw: str) -> tuple[float, ...]:
@@ -58,8 +48,8 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
 
 
 # section -> key -> (parser, default), defaults as raw INI strings.  The keys
-# of grid, reparam, map and sampler (except autotune) are the fields of the
-# dataclass their section builds.
+# of grid, reparam, map and sampler are the fields of the dataclass their
+# section builds.
 _KEYS = {
     "grid": {"nx": (int, "32"), "ny": (int, "32")},
     "reparam": {"a": (float, "2.0"), "b": (float, "2.0"), "c": (float, "1.0")},
@@ -69,16 +59,16 @@ _KEYS = {
                  "kappa": (float, "1.0")},
     "model": {"tv_weight": (float, "1.0")},
     "sampler": {"kind": (str, "pdpcn"), "n_samples": (int, "20000"),
-                "burn_in": (_parse_opt_int, "2000"), "thinning": (int, "1"),
-                "beta": (float, "0.1"), "delta": (float, "0.1"),
-                "seed": (int, "0"), "autotune": (_parse_bool, "false")},
+                "burn_in": (_optional(int), "2000"), "thinning": (int, "1"),
+                "beta": (_optional(float), "0.1"),
+                "delta": (_optional(float), "0.1"), "seed": (int, "0")},
     "map": {"rho_pen": (float, "1.0"), "max_outer": (int, "200"),
             "tol": (float, "1e-4"), "inner_iters": (int, "50"),
             "inner_tol": (float, "1e-6")},
     "calibration": {"weight_grid": (_parse_float_list, "0.0, 1.0, 2.0, 3.0"),
                     "chain_steps": (int, "20000"), "band_lo": (float, "0.1"),
                     "band_hi": (float, "0.7"), "denominator": (str, "theta"),
-                    "max_eval_samples": (_parse_opt_int, "2000"),
+                    "max_eval_samples": (_optional(int), "2000"),
                     "select_iters": (int, "60"),
                     "select_inner_steps": (int, "200")},
     "detect": {"thin": (int, "1")},
@@ -113,6 +103,7 @@ class CalibrationSettings:
     select_inner_steps: int
 
     def __post_init__(self):
+        _check_grid(self.weight_grid)
         lo, hi = self.band
         if not 0.0 < lo < hi < 1.0:
             raise ValueError(f"band must satisfy 0 < lo < hi < 1, got {self.band}")
@@ -140,7 +131,6 @@ class RunConfig:
     kappa: float
     tv_weight: float
     sampler: SamplerConfig
-    autotune: bool
     admm: AdmmConfig
     calibration: CalibrationSettings
     detect_thin: int
@@ -158,8 +148,6 @@ class RunConfig:
 def _canonical_value(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -245,9 +233,7 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     if m["tv_weight"] < 0.0:
         raise ConfigError(
             f"[model] tv_weight must be nonnegative, got {m['tv_weight']}")
-    s = dict(parsed["sampler"])
-    autotune = s.pop("autotune")
-    sampler = build("sampler", SamplerConfig, **s)
+    sampler = build("sampler", SamplerConfig, **parsed["sampler"])
     admm = build("map", AdmmConfig, **parsed["map"])
     c = dict(parsed["calibration"])
     band = (c.pop("band_lo"), c.pop("band_hi"))
@@ -259,8 +245,7 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     return RunConfig(grid=grid, reparam=rep, cov=cov, n_modes=p["n_modes"],
                      prior_mean=p["mean"], n_angles=o["n_angles"],
                      n_det=o["n_det"], kappa=o["kappa"],
-                     tv_weight=m["tv_weight"], sampler=sampler,
-                     autotune=autotune, admm=admm,
+                     tv_weight=m["tv_weight"], sampler=sampler, admm=admm,
                      calibration=calibration, detect_thin=d["thin"],
                      canonical=canonical)
 

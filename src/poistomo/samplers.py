@@ -26,6 +26,11 @@ kernel consumes randomness in the same order (noise vector first,
 acceptance uniform second), which keeps matched-seed comparisons
 meaningful.
 
+A stepsize of None (beta for pcn, delta otherwise) is tuned in the chain's
+own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen before the
+first kept state, so a tuned chain needs no separate pilot; ``run_chain``
+and ``stream_chain`` record the frozen value.
+
 A rejected step repeats the state, so the kept states of a chain come in
 runs of equal consecutive rows.  ``Chain.samples`` is a ``RunMatrix``: it
 stores one row per run plus the run index of every kept row, and the passes
@@ -40,7 +45,8 @@ import logging
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,7 +75,7 @@ log = logging.getLogger(__name__)
 
 KINDS = ("pcn", "pcnl", "pdpcn")
 _KIND_CODE = {k: i for i, k in enumerate(KINDS)}
-TARGET_ACCEPTANCE = 0.25    # where tune_stepsize steers its pilot
+TARGET_ACCEPTANCE = 0.25    # where a tuned burn-in steers the stepsize
 
 
 class ChainDivergence(RuntimeError):
@@ -80,8 +86,8 @@ class ChainDivergence(RuntimeError):
 class SamplerConfig:
     kind: str
     n_samples: int
-    beta: float = 0.1
-    delta: float = 0.1
+    beta: float | None = 0.1
+    delta: float | None = 0.1
     burn_in: int | None = None
     thinning: int = 1
     seed: int = 0
@@ -91,10 +97,11 @@ class SamplerConfig:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"beta must lie in (0, 1], got {self.beta}")
-        if not 0.0 < self.delta <= 2.0:
-            raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
+        for name, top in (("beta", 1.0), ("delta", 2.0)):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value <= top:
+                raise ValueError(f"{name} must lie in (0, {top:g}] or be "
+                                 f"none, got {value}")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
         # what default_rng takes and the chain header's int64 holds
@@ -107,10 +114,17 @@ class SamplerConfig:
         if self.n_kept < 1:
             raise ValueError(f"burn_in {burn} and thinning {self.thinning} "
                              f"keep no state of {self.n_samples}")
+        if self.stepsize is None and burn == 0:
+            raise ValueError(f"{self.stepsize_name} none is tuned in the "
+                             "burn-in, so burn_in must be positive")
 
     @property
-    def stepsize(self) -> float:
-        return self.beta if self.kind == "pcn" else self.delta
+    def stepsize_name(self) -> str:
+        return "beta" if self.kind == "pcn" else "delta"
+
+    @property
+    def stepsize(self) -> float | None:
+        return getattr(self, self.stepsize_name)
 
     @property
     def n_kept(self) -> int:
@@ -292,32 +306,51 @@ def _delta(kind: str, stepsize: float) -> float:
 
 def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
                  anchor: Anchor | None = None):
-    """Drive one chain, yielding ``(z, ev, accepted)`` after every step.
+    """Drive one chain, yielding ``(z, ev, accepted, stepsize)`` per step.
 
     z is the chain's state after the step (a fresh array whenever a proposal
-    is accepted, never written in place), ev its posterior evaluation and
-    accepted whether the step moved.  All ``config.n_samples`` steps are
-    yielded; burn-in and thinning are left to the consumer (see run_chain).
-    The pdpcn kernel needs the caller's splitting anchor (see
+    is accepted, never written in place), ev its posterior evaluation,
+    accepted whether the step moved and stepsize (beta for pcn, delta
+    otherwise) the one the next step takes.  All ``config.n_samples`` steps
+    are yielded; burn-in and thinning are left to the consumer (see
+    run_chain).  The pdpcn kernel needs the caller's splitting anchor (see
     anchor_from_map).  The sequence is a pure function of (posterior,
     config, init, anchor); a non-finite potential raises ChainDivergence.
-    A consumer may ``send`` a stepsize (beta for pcn, delta otherwise) in
-    place of calling ``next``; the steps after that use it (tune_stepsize).
+
+    A stepsize of None is tuned in the burn-in by Robbins-Monro on log s:
+    from a tenth of the top stepsize (beta 1 for pcn, delta 2 otherwise),
+    burn-in step k moves log s by (accepted - TARGET_ACCEPTANCE) / k^0.6,
+    capped at the top; after the burn-in s is frozen at exp of the mean of
+    log s over its second half.
     """
     drift = _drift(post, config, anchor)
-    delta = _delta(config.kind, config.stepsize)
     rng = np.random.default_rng(config.seed)
     n = post.n_modes
     z = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
     ev = post.evaluate(z)
     g = drift(ev)
-    for k in range(config.n_samples):
+    tune, burn = config.stepsize is None, config.burn_in
+    top = 1.0 if config.kind == "pcn" else 2.0
+    step = 0.1 * top if tune else config.stepsize
+    log_s, tail, n_accepted = math.log(step), 0.0, 0
+    delta = _delta(config.kind, step)
+    for k in range(1, config.n_samples + 1):
         z, ev, g, accepted = _step(post, z, ev, g, delta, drift, rng)
         if not math.isfinite(ev.psi):
-            raise ChainDivergence(f"non-finite potential at step {k}")
-        stepsize = yield z, ev, accepted
-        if stepsize is not None:
-            delta = _delta(config.kind, stepsize)
+            raise ChainDivergence(f"non-finite potential at step {k - 1}")
+        if tune and k <= burn:
+            n_accepted += accepted
+            log_s = min(log_s + (accepted - TARGET_ACCEPTANCE) / k ** 0.6,
+                        math.log(top))
+            if 2 * k > burn:
+                tail += log_s
+            step = math.exp(log_s if k < burn else tail / (burn - burn // 2))
+            delta = _delta(config.kind, step)
+            if k == burn:
+                log.info("tuned %s %s = %.4g, burn-in acceptance %.3f",
+                         config.kind, config.stepsize_name, step,
+                         n_accepted / burn)
+        yield z, ev, accepted, step
 
 
 def kept_steps(config: SamplerConfig) -> np.ndarray:
@@ -337,7 +370,8 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     chain_states, so the whole run is a pure function of (posterior,
     config, init, anchor).  chain_states yields the same array object
     until a proposal is accepted, so a kept state is stored once per run
-    (``RunMatrix``); the others add only a run index.
+    (``RunMatrix``); the others add only a run index.  The returned config
+    holds the stepsize the kept states were drawn at, tuned or given.
     """
     keep = kept_steps(config)
     rows, run = [], np.empty(keep.size, dtype=np.intp)
@@ -345,8 +379,8 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     psi_trace = np.empty(config.n_samples)
     reg_trace = np.empty(config.n_samples)
     j = 0
-    for k, (z, ev, moved) in enumerate(chain_states(post, config, init,
-                                                    anchor)):
+    for k, (z, ev, moved, step) in enumerate(chain_states(post, config, init,
+                                                          anchor)):
         accepted[k] = moved
         psi_trace[k] = ev.psi
         reg_trace[k] = ev.reg
@@ -355,43 +389,26 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
                 rows.append(z)
             run[j] = len(rows) - 1
             j += 1
-    return Chain(RunMatrix(np.array(rows), run), config,
+    return Chain(RunMatrix(np.array(rows), run),
+                 replace(config, **{config.stepsize_name: step}),
                  float(np.mean(accepted)), accepted, psi_trace, reg_trace)
 
 
 def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
                   seed: int = 0, init=None,
                   anchor: Anchor | None = None) -> tuple[float, np.ndarray]:
-    """Tune the stepsize on one pilot chain; return it and the last state.
+    """Tune the stepsize on a pilot; return it and the pilot's last state.
 
-    Robbins-Monro on log s (Andrieu & Thoms 2008): from a tenth of the top
-    stepsize (beta 1 for pcn, delta 2 otherwise), pilot step k moves log s
-    by (accepted - TARGET_ACCEPTANCE) / k^0.6, capped at the top; s is then
-    frozen at exp of the mean of log s over the pilot's second half.  Start
-    the tuned chain from the returned state: a start such as the prior mean
-    at a large TV weight may be one that the tuned chain never leaves.  The
+    The pilot is the n_pilot-step burn-in of a chain whose stepsize is None
+    (chain_states).  Start a chain from the returned state: a start such as
+    the prior mean at a large TV weight may be one it never leaves.  The
     pdpcn kernel needs the caller's anchor, as in run_chain.
     """
-    top = 1.0 if kind == "pcn" else 2.0
-    log_s = math.log(0.1 * top)
-    name = "beta" if kind == "pcn" else "delta"
-    pilot = chain_states(post, SamplerConfig(kind, n_pilot, seed=seed,
-                                             **{name: 0.1 * top}),
-                         init, anchor)
-    n_accepted = 0
-    tail = 0.0
-    z, _, accepted = next(pilot)
-    for k in range(1, n_pilot + 1):
-        n_accepted += accepted
-        log_s = min(log_s + (accepted - TARGET_ACCEPTANCE) / k ** 0.6,
-                    math.log(top))
-        if 2 * k > n_pilot:
-            tail += log_s
-        if k < n_pilot:
-            z, _, accepted = pilot.send(math.exp(log_s))
-    step = math.exp(tail / (n_pilot - n_pilot // 2))
-    log.info("tuned %s %s = %.4g, pilot acceptance %.3f", kind, name, step,
-             n_accepted / n_pilot)
+    cfg = SamplerConfig(kind, n_pilot + 1, beta=None, delta=None,
+                        burn_in=n_pilot, seed=seed)
+    for z, _, _, step in islice(chain_states(post, cfg, init, anchor),
+                                n_pilot):
+        pass
     return step, z
 
 
@@ -442,18 +459,18 @@ def save_chain(chain: Chain, path) -> None:
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
-                 anchor: Anchor | None = None) -> float:
+                 anchor: Anchor | None = None) -> tuple[SamplerConfig, float]:
     """Run a chain and write each new kept state to a chain file as it comes.
 
     The file and sidecar have the bytes ``save_chain(run_chain(...))``
     writes, but no kept state is held after the next one is written: a kept
     state is written when it is a new array (chain_states yields the same
     object until a proposal is accepted), and the run lengths, counted as
-    the chain goes, follow the rows once it ends, with the run count patched
-    into the header.  The file is written beside ``path`` and renamed once
-    the chain completes, so a chain that fails (ChainDivergence, a bad
-    kernel configuration) leaves no file at ``path``.  Returns the
-    acceptance rate.
+    the chain goes, follow the rows once it ends, with the header written
+    last.  The file is written beside ``path`` and renamed once the chain
+    completes, so a chain that fails (ChainDivergence, a bad kernel
+    configuration) leaves no file at ``path``.  Returns the config, with
+    the stepsize the kept states were drawn at, and the acceptance rate.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
@@ -463,9 +480,9 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     last = None
     try:
         with open(part, "wb") as fh:
-            _write_header(fh, config, post.n_modes, keep.size, 0)
-            for k, (z, _, moved) in enumerate(chain_states(post, config, init,
-                                                           anchor)):
+            fh.seek(_CHAIN_HEADER.size)
+            for k, (z, _, moved, step) in enumerate(
+                    chain_states(post, config, init, anchor)):
                 n_accepted += moved
                 if j < keep.size and k == keep[j]:
                     if z is not last:
@@ -476,13 +493,14 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
                     j += 1
             fh.write(lengths[:n_runs].tobytes())
             fh.seek(0)
+            config = replace(config, **{config.stepsize_name: step})
             _write_header(fh, config, post.n_modes, keep.size, n_runs)
         rate = n_accepted / config.n_samples
         _write_sidecar(path, config, post.n_modes, keep.size, rate)
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
-    return rate
+    return config, rate
 
 
 def load_chain(path) -> Chain:
@@ -524,11 +542,10 @@ def load_chain(path) -> Chain:
         with open(str(path) + ".json", "r", encoding="ascii") as fh:
             sidecar = json.load(fh)
     except FileNotFoundError:
-        kind = KINDS[code]
-        cfg = SamplerConfig(kind, n_kept * thinning, burn_in=0,
-                            thinning=thinning, seed=seed,
-                            **{"beta" if kind == "pcn" else "delta": step})
-        return Chain(samples, cfg, math.nan)
+        cfg = SamplerConfig(KINDS[code], n_kept * thinning, burn_in=0,
+                            thinning=thinning, seed=seed)
+        return Chain(samples, replace(cfg, **{cfg.stepsize_name: step}),
+                     math.nan)
     try:
         cfg = SamplerConfig(**{f.name: sidecar[f.name]
                                for f in fields(SamplerConfig)})

@@ -83,8 +83,8 @@ def test_tracer_counts_summary_synthesis(monkeypatch, basis60, rep):
 def test_traced_calibration_reports_its_chains(monkeypatch, post16):
     # the traced benchmark divides by the steps of the chains that pass
     # through run_chain; calibration must leave some there (the selection
-    # chains), or the report divides by zero.  One tuning pilot runs at
-    # each of the 2 weights and one for the selection.
+    # chains), or the report divides by zero.  The sweep's chains tune beta
+    # in their own burn-in, so the only tuning pilot is the selection's.
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     run = importlib.import_module("run")
@@ -106,7 +106,7 @@ def test_traced_calibration_reports_its_chains(monkeypatch, post16):
     assert values["samplers.steps"] > 0
     assert values["posterior.evals_per_step"] > 0
     assert 0.0 <= values["samplers.acceptance"] <= 1.0
-    assert tracer.calls("samplers.tune_stepsize") == 3
+    assert tracer.calls("samplers.tune_stepsize") == 1
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -213,14 +213,14 @@ def test_streamed_search_matches_the_stored_chains(post16, denominator,
     for i, (w, row) in enumerate(zip(weights, result.rows)):
         post = make_posterior(w)
         chain = run_chain(post, SamplerConfig(
-            "pcn", steps, beta=beta, seed=_stream_seed(seed, 2 * i + 1)),
-            init=start)
+            "pcn", steps, beta=beta, seed=_stream_seed(seed, i)), init=start)
         start = chain.samples[-1]
         ref = posterior_predictive_p(chain, post, max_samples=max_eval,
                                      denominator=denominator)
         assert row.acceptance == chain.acceptance_rate
         assert (row.p, row.stderr) == (ref.p, ref.stderr)
         assert row.chain_steps == steps
+        assert row.beta == beta
 
 
 @pytest.mark.parametrize("cap", [50, None])
@@ -233,10 +233,42 @@ def test_stored_p_is_the_streamed_row(post16_strong, cap):
                              seed=seed, beta=beta, max_eval_samples=cap).rows
     post = make_posterior(2.0)
     chain = run_chain(post, SamplerConfig("pcn", steps, beta=beta,
-                                          seed=_stream_seed(seed, 1)))
+                                          seed=_stream_seed(seed, 0)))
     assert 0.0 < row.acceptance < 1.0
     ref = posterior_predictive_p(chain, post, max_samples=cap)
     assert (row.p, row.stderr) == (ref.p, ref.stderr)
+
+
+def test_tuned_row_is_the_tuned_stored_chain(post16_strong):
+    # without a beta, a sweep chain tunes beta in its burn-in: the row
+    # reports the frozen beta and the p of that same chain, run and stored
+    make_posterior = _weights_of(post16_strong)
+    steps, seed = 400, 3
+    row, = admissible_search(make_posterior, [2.0], chain_steps=steps,
+                             seed=seed, max_eval_samples=50).rows
+    post = make_posterior(2.0)
+    chain = run_chain(post, SamplerConfig("pcn", steps, beta=None,
+                                          seed=_stream_seed(seed, 0)))
+    assert row.beta == chain.config.beta
+    assert 0.0 < row.beta <= 1.0
+    assert row.acceptance == chain.acceptance_rate
+    ref = posterior_predictive_p(chain, post, max_samples=50)
+    assert (row.p, row.stderr) == (ref.p, ref.stderr)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]])
+def test_search_refuses_a_bad_grid_before_any_chain(post16, monkeypatch,
+                                                    grid):
+    # a repeated, decreasing or negative weight is refused up front, not
+    # after the sweep has run a chain at every weight
+    from poistomo import calibrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no chain should run")
+
+    monkeypatch.setattr(calibrate, "chain_states", refuse)
+    with pytest.raises(ValueError, match="weight_grid"):
+        admissible_search(_weights_of(post16), grid, chain_steps=50)
 
 
 def test_search_holds_less_than_one_chain(post16):
@@ -289,8 +321,9 @@ def test_every_selection_chain_accepts(post16, monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 - 1])
 def test_calibration_streams_are_distinct(post16, monkeypatch, seed):
-    # every tuning pilot and chain of a sweep and of the selection after it
-    # at the same seed draws its own stream, each seed in [0, 2**63)
+    # every chain of a sweep (each tuning its beta in its burn-in) and the
+    # tuning pilot and chains of the selection after it at the same seed
+    # draw their own streams, each seed in [0, 2**63)
     seeds = []
     default_rng = np.random.default_rng
 
@@ -304,7 +337,7 @@ def test_calibration_streams_are_distinct(post16, monkeypatch, seed):
                       seed=seed, max_eval_samples=10)
     select_lambda(make_posterior, (1.0, 2.0), n_iters=4, inner_steps=20,
                   seed=seed)
-    assert len(seeds) == 2 * 3 + 1 + 4
+    assert len(seeds) == 3 + 1 + 4
     assert len(set(seeds)) == len(seeds), seeds
     assert all(0 <= s < 2 ** 63 for s in seeds)
     # each seed is a pure function of the call's seed and the stream's index

@@ -67,6 +67,7 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
             assert math.isfinite(cost[key]) and cost[key] > 0, (command, key)
     manifest = json.loads((out / "sample_manifest.json").read_text())
     assert manifest["map_converged"] in (True, False)
+    assert manifest["stepsize"] == 0.1      # the desk delta, not tuned
     assert (out / "map_residuals.csv").is_file()
     assert 0.0 <= manifest["acceptance_rate"] <= 1.0
     # diag counts the chain's stored runs: one more than the kept rows that
@@ -126,7 +127,7 @@ def _kernel_ini(tmp_path, kind, sampler="", model=""):
 
 
 @pytest.mark.parametrize("kind, sampler, model", [
-    ("pcn", "autotune = true\n", ""),
+    ("pcn", "beta = none\n", ""),
     ("pcnl", "", "tv_weight = 0\n"),
 ])
 def test_every_kernel_runs_through_the_cli(tmp_path, kind, sampler, model):
@@ -138,9 +139,35 @@ def test_every_kernel_runs_through_the_cli(tmp_path, kind, sampler, model):
     sidecar = json.loads((out / "chain.bin.json").read_text())
     assert sidecar["kind"] == kind
     assert 0.0 <= sidecar["acceptance_rate"] <= 1.0
-    if "autotune" in sampler:
-        # the tuned chain starts where the tuning pilot ended, so it moves
+    manifest = json.loads((out / "sample_manifest.json").read_text())
+    assert manifest["stepsize"] == sidecar["beta" if kind == "pcn"
+                                           else "delta"]
+    if "none" in sampler:
+        # the chain tunes beta in its burn-in, so it moves, and its files
+        # record the frozen beta
         assert sidecar["acceptance_rate"] > 0.0
+        assert 0.0 < manifest["stepsize"] <= 1.0
+        assert load_chain(out / "chain.bin").config.beta == \
+            manifest["stepsize"]
+
+
+def test_tuned_sample_draws_one_stream(tmp_path, monkeypatch):
+    # the burn-in tunes the stepsize, so no pilot seeds a second generator
+    # with the chain's seed
+    ini = _kernel_ini(tmp_path, "pcn", "beta = none\n")
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate"):
+        assert _run(command, ini, out) == 0, command
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    assert _run("sample", ini, out) == 0
+    assert seeds == [3]
 
 
 def test_gradient_kernel_with_tv_is_a_usage_error(tmp_path):
@@ -413,13 +440,13 @@ def _is_int(text):
 def test_calibrate_reports_every_weight_and_iterate(reports):
     out, seen = reports
     header, rows = _table(out / "calibration.csv")
-    assert header == "tv_weight,p_b,stderr,chain_steps,acceptance"
+    assert header == "tv_weight,p_b,stderr,chain_steps,acceptance,beta"
     result = seen["admissible_search"]
     assert len(rows) == len(result.rows) == 2
     for row, r in zip(rows, result.rows):
         assert _is_int(row[3]) and int(row[3]) == r.chain_steps
-        assert [float(row[i]) for i in (0, 1, 2, 4)] == \
-            [r.tv_weight, r.p, r.stderr, r.acceptance]
+        assert [float(row[i]) for i in (0, 1, 2, 4, 5)] == \
+            [r.tv_weight, r.p, r.stderr, r.acceptance, r.beta]
     header, rows = _table(out / "selection.csv")
     assert header == "iteration,tv_weight,gradient"
     assert all(_is_int(row[0]) for row in rows)

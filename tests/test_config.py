@@ -10,14 +10,21 @@ from poistomo.config import ConfigError, parse_config, write_config
 TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 
 # the hash is what reproducibility is stated against: a change to a default,
-# a preset, a parser or the canonical form moves it
+# a preset, a parser or the canonical form moves it.  Cases are named by
+# their config, so a restated digest keeps the test's name.
 PINNED = [
-    ({"preset": "desk"},
-     "5e781cdae2e35bf86f5f67c964c1592b0cc8691dc8b2e3854498baefd30e2605"),
-    ({"preset": "paper"},
-     "83081ed64a42258ed3bf82d02f33ccb50c291eaf61f7dd6102f80bbafffa4196"),
-    ({"path": TINY, "overrides": {"sampler": {"seed": 3}}},
-     "bb392bfcc4eea8e5205c678165bde56107c3a87f797567dc56938383ed2bc1a8"),
+    pytest.param(
+        {"preset": "desk"},
+        "c878ff4d15836ddaa37f5363b387dc90ed17376f64298d4c21e4f5cf4090c8e8",
+        id="desk"),
+    pytest.param(
+        {"preset": "paper"},
+        "40e165b545198dc4114c5c5525e444b0f6ef6908b331a80a4ca78a9f754f18be",
+        id="paper"),
+    pytest.param(
+        {"path": TINY, "overrides": {"sampler": {"seed": 3}}},
+        "6e0a65987a09b5be48d7a950fe04fc9990cb2425987615604329815dfb7f940d",
+        id="tiny-seed3"),
 ]
 
 
@@ -59,13 +66,16 @@ def test_unknown_preset_is_refused():
 @pytest.mark.parametrize("section, key, raw", [
     ("map", "tol", "small"),                # does not parse
     ("map", "rho_pen", "-1"),               # out of range
-    ("sampler", "autotune", "maybe"),
+    ("sampler", "beta", "maybe"),           # neither a float nor none
     ("sampler", "thinning", "18001"),       # keeps none of 18,000 steps
     ("sampler", "seed", "-1"),              # outside [0, 2**63)
     ("sampler", "seed", str(2 ** 63)),
     ("calibration", "max_eval_samples", "0"),
     ("calibration", "max_eval_samples", "-3"),
     ("calibration", "denominator", "pearson"),
+    ("calibration", "weight_grid", "0.0, 1.0, 1.0"),    # a repeated weight
+    ("calibration", "weight_grid", "1.0, 0.0"),         # decreasing
+    ("calibration", "weight_grid", "-1.0, 1.0"),        # a negative weight
 ])
 def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
     path = _ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
@@ -79,3 +89,16 @@ def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
 def test_no_cap_on_evaluation_samples():
     cfg = parse_config(overrides={"calibration": {"max_eval_samples": "none"}})
     assert cfg.calibration.max_eval_samples is None
+
+
+def test_none_stepsize_is_tuned_in_the_burn_in(tmp_path):
+    # "none" is a stepsize the chain tunes in its burn-in, so it survives the
+    # written config and needs a burn-in
+    cfg = parse_config(overrides={"sampler": {"delta": "none"}})
+    assert cfg.sampler.delta is None
+    assert cfg.canonical["sampler"]["delta"] == "none"
+    path = tmp_path / "effective.ini"
+    write_config(cfg, path)
+    assert parse_config(path=path).sampler.delta is None
+    with pytest.raises(ConfigError, match=r"\[sampler\] delta none"):
+        parse_config(overrides={"sampler": {"delta": "none", "burn_in": "0"}})

@@ -345,8 +345,10 @@ def test_run_chain_collects_the_yielded_states(post16):
     np.testing.assert_array_equal(chain.accepted, [s[2] for s in states])
     np.testing.assert_array_equal(chain.psi_trace, [s[1].psi for s in states])
     np.testing.assert_array_equal(chain.reg_trace, [s[1].reg for s in states])
+    # a given stepsize is the one every step takes
+    assert {s[3] for s in states} == {cfg.beta}
     # each yielded evaluation is the evaluation of the yielded state
-    z, ev, _ = states[-1]
+    z, ev, _, _ = states[-1]
     np.testing.assert_array_equal(ev.z, post16.basis.synthesize_values(z))
 
 
@@ -374,6 +376,45 @@ def test_tuning_runs_one_pilot(post16_strong, map16_strong, monkeypatch):
     assert len(calls) == 400 + 1
     assert 0.0 < beta <= 1.0
     assert last.shape == (post16_strong.n_modes,)
+
+
+@pytest.mark.parametrize("kind", ["pcn", "pdpcn"])
+def test_tuned_burn_in_is_the_tuning_pilot(post16_strong, map16_strong,
+                                           monkeypatch, kind):
+    # with no stepsize, a chain's burn-in walks tune_stepsize's pilot at the
+    # same seed, then every later step takes the stepsize the tuner returns;
+    # the start is evaluated once, so n steps make n + 1 evaluations
+    res, admm = map16_strong
+    anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
+    burn, seed = 300, 33
+    seen = []
+    evaluate = TGPosterior.evaluate
+
+    def recorded(self, c):
+        seen.append(np.array(c))
+        return evaluate(self, c)
+
+    monkeypatch.setattr(TGPosterior, "evaluate", recorded)
+    step, last = tune_stepsize(post16_strong, kind, n_pilot=burn, seed=seed,
+                               init=res.coeffs, anchor=anchor)
+    pilot = list(seen)
+    cfg = SamplerConfig(kind, burn + 100, beta=None, delta=None,
+                        burn_in=burn, seed=seed)
+    seen.clear()
+    states = list(chain_states(post16_strong, cfg, res.coeffs, anchor))
+    assert len(pilot) == burn + 1
+    assert len(seen) == cfg.n_samples + 1
+    for a, b in zip(pilot, seen):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(states[burn - 1][0], last)
+    steps = [s[3] for s in states]
+    assert len(set(steps[:burn])) > 1
+    assert set(steps[burn - 1:]) == {step}
+    seen.clear()
+    chain = run_chain(post16_strong, cfg, init=res.coeffs, anchor=anchor)
+    assert len(seen) == cfg.n_samples + 1
+    assert chain.config.stepsize == step
+    np.testing.assert_array_equal(chain.psi_trace, [s[1].psi for s in states])
 
 
 def test_reg_trace_is_the_tv_of_each_state(post16):
@@ -485,6 +526,7 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
     {"burn_in": -1},
     {"beta": math.nan},
     {"thinning": 91},           # 90 post-burn-in steps keep no state
+    {"beta": None, "burn_in": 0},   # nothing to tune it in
 ])
 def test_config_validation(kwargs):
     base = {"kind": "pcn", "n_samples": 100, "beta": 0.5, "delta": 0.5}
@@ -602,13 +644,35 @@ def test_streamed_chain_file_equals_the_saved_chain(tmp_path, post16, map16,
                         thinning=4, seed=30)
     saved, streamed = tmp_path / "saved.bin", tmp_path / "streamed.bin"
     save_chain(run_chain(post16, cfg, init=res.coeffs, anchor=anchor), saved)
-    rate = stream_chain(post16, cfg, streamed, init=res.coeffs, anchor=anchor)
+    config, rate = stream_chain(post16, cfg, streamed, init=res.coeffs,
+                                anchor=anchor)
+    assert config == cfg
     assert streamed.read_bytes() == saved.read_bytes()
     assert (tmp_path / "streamed.bin.json").read_text() == \
         (tmp_path / "saved.bin.json").read_text()
     assert rate == load_chain(saved).acceptance_rate
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "saved.bin", "saved.bin.json", "streamed.bin", "streamed.bin.json"]
+
+
+def test_tuned_stepsize_round_trips_through_the_chain_file(tmp_path,
+                                                           post16):
+    # the header and sidecar hold the frozen beta, not None, and the file
+    # is the bytes of the tuned chain run and saved
+    cfg = SamplerConfig("pcn", 120, beta=None, burn_in=40, thinning=2,
+                        seed=34)
+    chain = run_chain(post16, cfg)
+    saved, streamed = tmp_path / "saved.bin", tmp_path / "streamed.bin"
+    save_chain(chain, saved)
+    tuned, rate = stream_chain(post16, cfg, streamed)
+    assert tuned == chain.config
+    assert isinstance(tuned.beta, float) and 0.0 < tuned.beta <= 1.0
+    assert streamed.read_bytes() == saved.read_bytes()
+    back = load_chain(streamed)
+    assert back.config == tuned
+    assert back.acceptance_rate == rate == chain.acceptance_rate
+    (tmp_path / "streamed.bin.json").unlink()
+    assert load_chain(streamed).config.beta == tuned.beta
 
 
 def test_failed_stream_leaves_no_chain_file(tmp_path, post16):
