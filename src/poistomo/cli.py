@@ -148,7 +148,7 @@ def cmd_simulate(args, cfg: RunConfig, outdir: Path):
         "nx": op.grid.nx, "ny": op.grid.ny, "n_angles": op.n_angles,
         "n_det": op.n_det, "kappa": op.kappa, "detector_span": DETECTOR_SPAN,
         "rays_kept": op.n_rays, "rays_dropped": op.n_dropped,
-        "nnz": op.matrix.nnz})
+        "nnz": op.nnz})
     print(f"simulated {sino.n_rays} rays, total counts {sino.counts.sum()}")
     return ({"phantom.csv": args.phantom},
             ["sinogram.bin", "sinogram.csv", "geometry.json"],

@@ -238,6 +238,11 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
     c = dict(parsed["calibration"])
     band = (c.pop("band_lo"), c.pop("band_hi"))
     calibration = build("calibration", CalibrationSettings, band=band, **c)
+    if sampler.beta is None and calibration.chain_steps < 10:
+        raise ConfigError(
+            "[calibration] chain_steps must be >= 10 with [sampler] beta "
+            "none, which each sweep chain tunes in its burn-in of a tenth of "
+            f"chain_steps; got {calibration.chain_steps}")
     d = parsed["detect"]
     if d["thin"] < 1:
         raise ConfigError(f"[detect] thin must be >= 1, got {d['thin']}")

@@ -6,11 +6,15 @@ of the intersection of a ray with a pixel, so the adjoint is the plain matrix
 transpose and the operator pair passes a machine-precision adjointness test.
 Point reflection through the image centre maps pixel p to npix-1-p and
 detector offset s_j to s_{n_det-1-j} = -s_j exactly, and keeps each angle's
-direction, so only the near half of each projection is traced, in batches
-within a small fixed budget of floats; a far ray's row is its near twin's,
-reversed onto the reflected pixels.  The build peaks below twice the
-matrix's bytes.  The matrix is canonical CSR (int32, sorted, duplicate-free
-column indices), which fixes the summation order of ``apply``/``adjoint``.
+direction, so a far ray's row is its near twin's, reversed onto the
+reflected pixels.  Only the near half of each projection is traced, in
+batches within a small fixed budget of floats, and only that half H is
+stored, as canonical CSR (int32, sorted, duplicate-free column indices),
+which fixes the summation order of ``apply``/``adjoint``.  ``apply`` forms
+H u and H u reflected and gathers them into angle-major ray order through
+one row map; ``adjoint`` scatters the counts back through that map and
+forms H^T w_near + reflect(H^T w_far) from a transpose made once.  The
+build peaks below the bytes of the full matrix it no longer forms.
 
 Expected counts are theta = kappa * (path integrals of u); ``posterior``
 holds the Poisson likelihood of the counts at theta.
@@ -27,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from scipy.special import erf
 
 from .fields import Grid, ScalarField
@@ -96,51 +101,79 @@ _EPS = 1e-12
 class RadonOperator:
     """Sparse parallel-beam path-integral operator theta = kappa * W u.
 
-    The matrix keeps unit intersection lengths; kappa scales both apply and
-    adjoint.  Rays that miss the domain are dropped at build time, so every
-    retained row has positive weight, bounded by the diagonal sqrt(2).  Rows
-    run angle-major, detector-minor (``angle_idx``, ``det_idx``), and the
-    matrix is canonical CSR, so each row sums its entries in pixel order.
+    W keeps unit intersection lengths; kappa scales both apply and adjoint.
+    Rays that miss the domain are dropped at build time, so every retained
+    row has positive weight, bounded by the diagonal sqrt(2).  Rows run
+    angle-major, detector-minor (``angle_idx``, ``det_idx``).  W is held as
+    ``half`` (H) and ``row_map``: row i of W u is entry ``row_map[i]`` of
+    [H u, H u reflected], near rows then reflected near rows.
     """
 
     grid: Grid
     n_angles: int
     n_det: int
     kappa: float
-    matrix: sp.csr_matrix = field(repr=False)
+    half: sp.csr_matrix = field(repr=False)
+    row_map: np.ndarray = field(repr=False)
     angle_idx: np.ndarray = field(repr=False)
     det_idx: np.ndarray = field(repr=False)
     n_dropped: int
+    # H^T, a CSC view of the arrays of ``half``
+    _half_t: sp.csc_matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_half_t", self.half.T)
 
     @property
     def n_rays(self) -> int:
-        return self.matrix.shape[0]
+        return self.row_map.size
+
+    @property
+    def nnz(self) -> int:
+        """Entries of the full matrix W: each row has its near row's count."""
+        h = self.half
+        return int(np.diff(h.indptr)[self.row_map % h.shape[0]].sum())
 
     def apply(self, u) -> np.ndarray:
         """Expected counts of an image given flat or as (nx, ny) values."""
-        u = np.asarray(u, dtype=float)
-        return self.kappa * (self.matrix @ u.reshape(-1))
+        u = np.asarray(u, dtype=float).reshape(-1)
+        h, (n, npix) = self.half, self.half.shape
+        if u.size != npix:
+            raise ValueError(f"image has {u.size} values, the grid {npix}")
+        both = np.zeros(2 * n)
+        # scipy's CSR product kernel, called directly: ``h @ u`` checks its
+        # operands on every call, which costs as much as a desk-sized product
+        for x, y in ((u, both[:n]), (u[::-1], both[n:])):
+            _sparsetools.csr_matvec(n, npix, h.indptr, h.indices, h.data, x, y)
+        counts = both[self.row_map]
+        counts *= self.kappa
+        return counts
 
     def adjoint(self, w) -> np.ndarray:
         """Transpose action, returned as flat pixel values."""
         w = np.asarray(w, dtype=float).reshape(-1)
-        return self.kappa * (self.matrix.T @ w)
+        if w.size != self.n_rays:
+            raise ValueError(f"{w.size} counts for {self.n_rays} rays")
+        n = self.half.shape[0]
+        both = np.zeros(2 * n)
+        both[self.row_map] = w
+        back = self._half_t @ both.reshape(2, n).T
+        return self.kappa * (back[:, 0] + back[::-1, 1])
 
 
 def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
                          kappa: float = 1.0) -> RadonOperator:
-    """Trace the near half of the rays, mirror the far half, build the matrix.
+    """Trace the near half of the rays and map every kept ray onto it.
 
     Projection angles are equispaced on [0, pi); for each angle the detector
     bins span the full projected width sqrt(2), centered on the domain.  The
     near rays (2 j <= n_det-1) are traced in batches of consecutive rays,
     each batch's crossing table within ``_BATCH_FLOATS`` floats, and put in
-    canonical CSR form, sorting half the entries.  Each angle's rows are then
+    canonical CSR form, sorting their entries.  Each angle's rows are then
     its near rows as traced followed by its near rows but a middle ray,
-    reversed entry by entry onto pixels npix-1-p: rows (k, n_det-1-j), which
-    are already sorted and duplicate-free.  A far row is the exact reflection
-    of its twin, within 1e-14 of its own trace.  Rows run angle-major,
-    detector-minor, and the build peaks below twice the matrix's bytes.
+    reflected onto pixels npix-1-p: rows (k, n_det-1-j), each the exact
+    reflection of its twin and within 1e-14 of its own trace.  Rows run
+    angle-major, detector-minor; only the near half is stored.
     """
     if n_angles < 1 or n_det < 1:
         raise ValueError("need at least one angle and one detector bin")
@@ -169,37 +202,31 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     del cols
     half = sp.csr_matrix((data, indices, indptr), shape=(near.size, grid.npix))
     half.sum_duplicates()
-    # per angle, near rows r0:r1 (entries a:b); r0:r2 (a:c) have a far twin
+    # per angle, near rows r0:r1; r0:r2 have a far twin, in reversed order
     r0, r1, r2 = (np.searchsorted(near, np.arange(n_angles) * n_det + j)
                   for j in (0, n_det, n_det // 2))
-    a, b, c = half.indptr[r0], half.indptr[r1], half.indptr[r2]
 
-    def mirrored(fwd, rev, lo, hi, mid):
-        """Per angle, fwd[lo:hi], then rev[lo:mid] reversed."""
-        return np.concatenate([p for i, j, m in zip(lo, hi, mid)
+    def mirrored(fwd, rev):
+        """Per angle, fwd[r0:r1], then rev[r0:r2] reversed."""
+        return np.concatenate([p for i, j, m in zip(r0, r1, r2)
                                for p in (fwd[i:j], rev[i:m][::-1])])
 
-    kept = mirrored(near, near + n_det - 1 - 2 * (near % n_det), r0, r1, r2)
-    n_rays = kept.size
-    indptr = np.zeros(n_rays + 1, dtype=np.int32)
-    lens = np.diff(half.indptr)
-    np.cumsum(mirrored(lens, lens, r0, r1, r2), out=indptr[1:])
-    indices = mirrored(half.indices, grid.npix - 1 - half.indices, a, b, c)
-    data = mirrored(half.data, half.data, a, b, c)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_rays, grid.npix))
-    matrix.sum_duplicates()  # a linear check: the rows are already canonical
-    n_dropped = n_angles * n_det - n_rays
+    kept = mirrored(near, near + n_det - 1 - 2 * (near % n_det))
+    rows = np.arange(near.size)
+    row_map = mirrored(rows, rows + near.size)
+    n_dropped = n_angles * n_det - kept.size
+    op = RadonOperator(grid, n_angles, n_det, kappa, half, row_map,
+                       (kept // n_det).astype(np.uint32),
+                       (kept % n_det).astype(np.uint32), n_dropped)
     log.info("radon operator: %d rays traced, %d mirrored; %d kept, "
              "%d dropped, %d entries, %d batches, %.3f s", ray_ids.size,
-             n_rays - near.size, n_rays, n_dropped, matrix.nnz,
+             kept.size - near.size, kept.size, n_dropped, op.nnz,
              len(batches), time.perf_counter() - t0)
-    return RadonOperator(grid, n_angles, n_det, kappa, matrix,
-                         (kept // n_det).astype(np.uint32),
-                         (kept % n_det).astype(np.uint32), n_dropped)
+    return op
 
 
 # floats in one batch's crossing table: a batch's work arrays stay small
-# beside the matrix, whose own arrays set the build's peak
+# beside the near half, whose own arrays set the build's peak
 _BATCH_FLOATS = 2 ** 13
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import mmap
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -370,26 +371,36 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     chain_states, so the whole run is a pure function of (posterior,
     config, init, anchor).  chain_states yields the same array object
     until a proposal is accepted, so a kept state is stored once per run
-    (``RunMatrix``); the others add only a run index.  The returned config
-    holds the stepsize the kept states were drawn at, tuned or given.
+    (``RunMatrix``); the others add only a run index.  Each new kept state
+    is copied into the next row of one (n_kept, n_modes) block, an
+    anonymous memory map whose pages cost memory only once written: rows
+    no state reaches are address space, and no state is held twice.
+    Chains whose kept states would not fit in memory belong in
+    ``stream_chain``.  The returned config holds the stepsize the kept
+    states were drawn at, tuned or given.
     """
     keep = kept_steps(config)
-    rows, run = [], np.empty(keep.size, dtype=np.intp)
+    block = np.frombuffer(mmap.mmap(-1, keep.size * post.n_modes * 8)
+                          ).reshape(keep.size, post.n_modes)
+    run = np.empty(keep.size, dtype=np.intp)
     accepted = np.empty(config.n_samples, dtype=bool)
     psi_trace = np.empty(config.n_samples)
     reg_trace = np.empty(config.n_samples)
-    j = 0
+    j = n_runs = 0
+    last = None
     for k, (z, ev, moved, step) in enumerate(chain_states(post, config, init,
                                                           anchor)):
         accepted[k] = moved
         psi_trace[k] = ev.psi
         reg_trace[k] = ev.reg
         if j < keep.size and k == keep[j]:
-            if not rows or z is not rows[-1]:
-                rows.append(z)
-            run[j] = len(rows) - 1
+            if z is not last:
+                block[n_runs] = z
+                last = z
+                n_runs += 1
+            run[j] = n_runs - 1
             j += 1
-    return Chain(RunMatrix(np.array(rows), run),
+    return Chain(RunMatrix(block[:n_runs], run),
                  replace(config, **{config.stepsize_name: step}),
                  float(np.mean(accepted)), accepted, psi_trace, reg_trace)
 

@@ -73,7 +73,9 @@ class _Toy:
         from poistomo import Reparam
         self.post = TGPosterior(self.op, Reparam(), self.basis, sino,
                                 tv_weight=tv_weight)
-        self.dense = self.op.matrix.toarray()
+        # kappa W, column by column: the counts of each one-pixel image
+        self.dense = np.array([self.op.apply(e)
+                               for e in np.eye(self.grid.npix)]).T
         self.counts = sino.counts.astype(float)
 
     def latents(self, coeff_rows):
@@ -98,7 +100,7 @@ class _Toy:
 
     def data_misfit(self, coeff_rows):
         u = self.post.rep.apply(self.latents(coeff_rows))
-        theta = self.op.kappa * (u @ self.dense.T)
+        theta = u @ self.dense.T
         return theta.sum(axis=1) - (self.counts * np.log(theta)).sum(axis=1)
 
     def objective(self, coeff_rows):

@@ -181,6 +181,22 @@ def test_gradient_kernel_with_tv_is_a_usage_error(tmp_path):
     assert not (out / "chain.bin").exists()
 
 
+def test_untunable_calibration_is_a_usage_error(tmp_path, tiny_ini, capsys):
+    # beta none is tuned in each sweep chain's burn-in, a tenth of its 9
+    # steps: refused at config parse, before the operator and the basis
+    ini = _kernel_ini(tmp_path, "pcn", "beta = none\n")
+    ini.write_text(ini.read_text().replace("chain_steps = 100",
+                                           "chain_steps = 9"))
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate"):
+        assert _run(command, tiny_ini, out) == 0, command
+    written = sorted(out.iterdir())
+    capsys.readouterr()
+    assert _run("calibrate", ini, out) == 2
+    assert "chain_steps" in capsys.readouterr().err
+    assert sorted(out.iterdir()) == written
+
+
 def test_sampler_that_keeps_no_state_is_a_usage_error(tmp_path, tiny_ini):
     # 180 post-burn-in steps, every 500th kept: refused before the MAP solve
     # and the chain, not reported as a chain of no samples

@@ -63,6 +63,10 @@ def test_unknown_preset_is_refused():
         parse_config(preset="huge")
 
 
+# the other keys a bad value is bad with, named by the error too
+_BAD_WITH = {("calibration", "chain_steps", "9"): {"sampler": {"beta": "none"}}}
+
+
 @pytest.mark.parametrize("section, key, raw", [
     ("map", "tol", "small"),                # does not parse
     ("map", "rho_pen", "-1"),               # out of range
@@ -76,14 +80,20 @@ def test_unknown_preset_is_refused():
     ("calibration", "weight_grid", "0.0, 1.0, 1.0"),    # a repeated weight
     ("calibration", "weight_grid", "1.0, 0.0"),         # decreasing
     ("calibration", "weight_grid", "-1.0, 1.0"),        # a negative weight
+    ("calibration", "chain_steps", "9"),    # beta none: no sweep burn-in
 ])
 def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
-    path = _ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
-    for kwargs in ({"path": path}, {"overrides": {section: {key: raw}}}):
+    also = _BAD_WITH.get((section, key, raw), {})
+    layers = {**also, section: {**also.get(section, {}), key: raw}}
+    path = _ini(tmp_path, "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+        for s, kv in layers.items()))
+    for kwargs in ({"path": path}, {"overrides": layers}):
         with pytest.raises(ConfigError) as err:
             parse_config(**kwargs)
-        assert f"[{section}]" in str(err.value)
-        assert key in str(err.value)
+        for s, kv in layers.items():
+            assert f"[{s}]" in str(err.value)
+            assert all(k in str(err.value) for k in kv)
 
 
 def test_no_cap_on_evaluation_samples():

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from poistomo import cli, forward
+from poistomo.config import parse_config
 from poistomo.fields import Grid, ScalarField
 from poistomo.forward import (DETECTOR_SPAN, Reparam, Sinogram, _geometry,
                               build_radon_operator, read_sinogram_bin,
@@ -81,7 +82,13 @@ def dense_row(op, ray: int, ds: float = 1e-4) -> np.ndarray:
 
 def ray_lengths(op) -> np.ndarray:
     """Total intersection length of each retained ray."""
-    return np.asarray(op.matrix.sum(axis=1)).reshape(-1)
+    return op.apply(np.ones(op.grid.npix)) / op.kappa
+
+
+def ray_row(op, ray: int) -> np.ndarray:
+    """The matrix row of one ray: the adjoint of its unit count, which adds
+    each entry to zeros only, so the row is exact at kappa 1."""
+    return op.adjoint(np.eye(1, op.n_rays, ray).ravel()) / op.kappa
 
 
 def test_ray_rows_match_dense_sampling():
@@ -89,7 +96,7 @@ def test_ray_rows_match_dense_sampling():
     op = build_radon_operator(g, 12, 16)
     rng = np.random.default_rng(17)
     for ray in rng.choice(op.n_rays, size=8, replace=False):
-        row = op.matrix[int(ray)].toarray().reshape(-1)
+        row = ray_row(op, int(ray))
         approx = dense_row(op, int(ray))
         assert np.abs(row - approx).max() < 5e-4
 
@@ -135,6 +142,29 @@ def test_adjoint_identity():
         lhs = float(op.apply(u) @ w)
         rhs = float(u @ op.adjoint(w))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+    # one count is not broadcast over every ray
+    with pytest.raises(ValueError, match="1 counts for"):
+        op.adjoint([1.0])
+
+
+@pytest.mark.parametrize("preset, seeds", [
+    # at desk seed 132 the gap is 1.8e-11 of <Au, w>
+    pytest.param("desk", [1, 2, 3, 132], id="desk"),
+    pytest.param("paper", [1, 2], id="paper"),
+])
+def test_adjoint_identity_to_rounding_of_its_terms(preset, seeds):
+    # <Au, w> = <u, A^T w> as the benchmark draws u and w, the gap measured
+    # against the sum of |(Au)_i w_i| it rounds: the gap relative to <Au, w>
+    # itself grows without bound when the terms cancel
+    cfg = parse_config(preset=preset)
+    op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(op.grid.npix)
+        w = rng.standard_normal(op.n_rays)
+        au = op.apply(u)
+        gap = abs(float(au @ w) - float(u @ op.adjoint(w)))
+        assert gap <= 8 * np.finfo(float).eps * float(np.abs(au * w).sum())
 
 
 def test_kappa_scales_linearly():
@@ -150,6 +180,9 @@ def test_apply_accepts_images_flat_and_shaped(grid16, op16):
     rng = np.random.default_rng(2)
     vals = rng.uniform(1.0, 3.0, grid16.shape)
     assert np.array_equal(op16.apply(vals), op16.apply(vals.ravel()))
+    # an image of another size is refused before the product reads it
+    with pytest.raises(ValueError, match="image has 255 values"):
+        op16.apply(vals.ravel()[1:])
 
 
 # --- reference tracer --------------------------------------------------------
@@ -223,22 +256,24 @@ def _reference_operator(grid, n_angles, n_det, mirror):
             np.array(det_idx, dtype=np.uint32), n_dropped)
 
 
-def _assert_same_operator(op, reference, atol):
-    """Same structure, ray tables and drop count; entries within atol."""
-    matrix, angle_idx, det_idx, n_dropped = reference
-    assert op.matrix.has_canonical_format
-    assert op.matrix.shape == matrix.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(op.matrix, name), getattr(matrix, name)
-        assert got.dtype == want.dtype
-        if name == "data" and atol:
-            assert np.allclose(got, want, rtol=0.0, atol=atol), name
-        else:
-            assert np.array_equal(got, want), name
+def _assert_same_tables(op, reference):
+    """Same ray tables and drop count as the reference."""
+    _, angle_idx, det_idx, n_dropped = reference
     assert op.angle_idx.dtype == angle_idx.dtype == op.det_idx.dtype
     assert np.array_equal(op.angle_idx, angle_idx)
     assert np.array_equal(op.det_idx, det_idx)
     assert op.n_dropped == n_dropped
+
+
+def _action_gaps(op, matrix, scale):
+    """Entrywise |apply - kappa matrix action| and |adjoint - its transpose
+    action| at random inputs, each beside |scale| acting on |input|."""
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal(op.grid.npix)
+    w = rng.standard_normal(op.n_rays)
+    m, scale = op.kappa * matrix, abs(scale)
+    return ((np.abs(op.apply(u) - m @ u), scale @ np.abs(u)),
+            (np.abs(op.adjoint(w) - m.T @ w), scale.T @ np.abs(w)))
 
 
 GEOMETRIES = [
@@ -269,43 +304,66 @@ def _trace_case(i, geometry, budget):
     for budget in BUDGETS for i, geometry in enumerate(GEOMETRIES)])
 def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det, budget,
                                            monkeypatch):
-    # the batched tracer reproduces the ray-by-ray trace of the near half,
-    # mirrored, bit for bit, so every product with the matrix rounds the
-    # same way
+    # the batched tracer reproduces the ray-by-ray trace of the near half
+    # bit for bit, as the canonical CSR the operator stores
     monkeypatch.setattr(forward, "_BATCH_FLOATS", budget)
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
-    _assert_same_operator(op, _reference_operator(op.grid, n_angles, n_det,
-                                                  mirror=True), atol=0.0)
+    reference = _reference_operator(op.grid, n_angles, n_det, mirror=True)
+    _assert_same_tables(op, reference)
+    near = reference[0][np.flatnonzero(2 * reference[2] <= n_det - 1)]
+    assert op.half.has_canonical_format
+    assert op.half.shape == near.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(op.half, name), getattr(near, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
+def test_operator_acts_as_the_mirrored_matrix(shape, n_angles, n_det):
+    # the near half with its reflections acts as the full matrix the
+    # ray-by-ray trace mirrors, to a few ulps of the magnitudes it sums:
+    # only the order of the sums differs.  The middle rays of odd n_det
+    # have no twin, and n_det = 1 has only a middle ray.
+    op = build_radon_operator(Grid(*shape), n_angles, n_det, kappa=0.7)
+    reference = _reference_operator(op.grid, n_angles, n_det, mirror=True)
+    _assert_same_tables(op, reference)
+    assert op.nnz == reference[0].nnz
+    for gap, terms in _action_gaps(op, reference[0],
+                                   op.kappa * reference[0]):
+        assert np.all(gap <= 4 * np.finfo(float).eps * terms)
 
 
 @pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
 def test_operator_is_within_rounding_of_every_ray_traced(shape, n_angles,
                                                          n_det):
     # every ray traced by itself, far rays too: the mirrored far rows keep
-    # the same pixels, tables and drops, and their lengths move by rounding
+    # the same tables and drops, and the operator acts as if each entry
+    # moved by at most 1e-14, rounding
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
-    _assert_same_operator(op, _reference_operator(op.grid, n_angles, n_det,
-                                                  mirror=False), atol=1e-14)
+    reference = _reference_operator(op.grid, n_angles, n_det, mirror=False)
+    _assert_same_tables(op, reference)
+    pattern = reference[0].copy()
+    pattern.data[:] = 1.0
+    for gap, entries in _action_gaps(op, reference[0], pattern):
+        assert np.all(gap <= 1e-14 * entries)
 
 
 @pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
 def test_far_rows_reflect_their_near_twins(shape, n_angles, n_det):
     # a far ray (k, n_det-1-j) is kept exactly when its near twin (k, j) is,
-    # and its row is that row reversed onto the pixels npix-1-p, bit for bit
-    # (a middle ray along a grid line is traced, and is not its own mirror)
+    # and it counts an image as its twin counts the image reflected onto the
+    # pixels npix-1-p, bit for bit (a middle ray along a grid line is
+    # traced, and is not its own mirror)
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
-    m, npix = op.matrix, op.grid.npix
+    u = np.random.default_rng(5).standard_normal(op.grid.npix)
+    counts, reflected = op.apply(u), op.apply(u[::-1])
     row_of = {(k, j): r for r, (k, j) in enumerate(zip(op.angle_idx.tolist(),
                                                        op.det_idx.tolist()))}
     for (k, j), r in row_of.items():
         if 2 * j <= n_det - 1:
             continue
-        twin = row_of[(k, n_det - 1 - j)]
-        lo, hi = m.indptr[r], m.indptr[r + 1]
-        tlo, thi = m.indptr[twin], m.indptr[twin + 1]
-        assert np.array_equal(m.indices[lo:hi],
-                              npix - 1 - m.indices[tlo:thi][::-1])
-        assert np.array_equal(m.data[lo:hi], m.data[tlo:thi][::-1])
+        assert counts[r] == reflected[row_of[(k, n_det - 1 - j)]]
     assert sum(2 * j < n_det - 1 for _, j in row_of) == sum(
         2 * j > n_det - 1 for _, j in row_of)
     if n_det % 2:   # the middle ray crosses the centre at every angle
@@ -319,25 +377,30 @@ def test_build_logs_one_summary_line(caplog):
              if r.name == "poistomo.forward"]
     assert len(lines) == 1
     # the near half is traced and each near row is mirrored: no 8-bin
-    # projection has a middle ray
+    # projection has a middle ray.  The entries are those of every ray's row.
     near = int(np.sum(op.det_idx < 4))
+    nnz = sum(np.count_nonzero(ray_row(op, r)) for r in range(op.n_rays))
+    assert op.nnz == nnz
     assert f"{near} rays traced, {near} mirrored; {op.n_rays} kept, " \
-           f"{op.n_dropped} dropped, {op.matrix.nnz} entries" in lines[0]
+           f"{op.n_dropped} dropped, {nnz} entries" in lines[0]
     assert ", 1 batches, " in lines[0]   # the near rays fit one batch
 
 
 def test_build_peaks_below_a_multiple_of_the_matrix():
     # batches are traced within a small budget and joined one CSR array at a
-    # time, so the build's peak stays near the finished matrix itself
+    # time, and only the near half is stored, so the build's peak stays
+    # below twice that half and below the full matrix it never forms
     tracemalloc.start()
     try:
         op = build_radon_operator(Grid(64, 64), 30, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    m = op.matrix
-    assert m.indices.dtype == m.indptr.dtype == np.int32
-    assert peak <= 2.25 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    h = op.half
+    assert h.indices.dtype == h.indptr.dtype == np.int32
+    assert peak <= 2.0 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
+    # an int32 CSR of every ray: float64 data, int32 indices and indptr
+    assert peak < op.nnz * (8 + 4) + (op.n_rays + 1) * 4
 
 
 def test_build_validation():
@@ -418,9 +481,10 @@ def test_potential_envelope_contains_all_values(op16, rep, basis60):
 
 
 def test_potential_lipschitz_bound(op16, rep, basis60, sino16, post16_smooth):
-    from scipy.sparse.linalg import svds
-    opnorm = float(svds(op16.kappa * op16.matrix, k=1,
-                        return_singular_vectors=False)[0])
+    from scipy.sparse.linalg import LinearOperator, svds
+    radon = LinearOperator((op16.n_rays, op16.grid.npix), matvec=op16.apply,
+                           rmatvec=op16.adjoint, dtype=float)
+    opnorm = float(svds(radon, k=1, return_singular_vectors=False)[0])
     y = sino16.counts.astype(float)
     theta_min = (op16.kappa * ray_lengths(op16) * rep.bounds[0]).min()
     lip = (math.sqrt(op16.n_rays) + np.linalg.norm(y) / theta_min) \
@@ -530,4 +594,4 @@ def test_geometry_manifest(simulated, op16):
         "nx": 16, "ny": 16, "n_angles": 12, "n_det": 16,
         "kappa": op16.kappa, "detector_span": DETECTOR_SPAN,
         "rays_kept": op16.n_rays, "rays_dropped": op16.n_dropped,
-        "nnz": op16.matrix.nnz}
+        "nnz": op16.nnz}

@@ -655,6 +655,30 @@ def test_streamed_chain_file_equals_the_saved_chain(tmp_path, post16, map16,
         "saved.bin", "saved.bin.json", "streamed.bin", "streamed.bin.json"]
 
 
+def test_kept_states_are_held_once(tmp_path):
+    # every pcn step on a flat target moves, so each of the 300 kept states
+    # is a new one.  Each is copied into one block as it comes, a memory map
+    # that tracemalloc does not trace, so the traced peak is what the chain
+    # holds beyond that block: it stays below one more copy of the states
+    t = _FlatTarget(2000)
+    cfg = SamplerConfig("pcn", 330, beta=0.5, burn_in=30, seed=40)
+    tracemalloc.start()
+    try:
+        chain = run_chain(t, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = chain.samples.rows
+    assert chain.samples.n_runs == cfg.n_kept
+    assert peak < rows.nbytes
+    # the streamed chain holds the same rows and runs
+    path = tmp_path / "chain.bin"
+    stream_chain(t, cfg, path)
+    back = load_chain(path).samples
+    assert np.array_equal(back.rows, rows)
+    assert np.array_equal(back.run, chain.samples.run)
+
+
 def test_tuned_stepsize_round_trips_through_the_chain_file(tmp_path,
                                                            post16):
     # the header and sidecar hold the frozen beta, not None, and the file
