@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from .fields import ScalarField
 from .forward import Reparam
@@ -69,6 +68,22 @@ def _columns(traces):
     return x
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's FFT factors fast
+    (``scipy.fft.next_fast_len(n, real=True)`` without importing
+    ``scipy.fft``)."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            # the least power of two that carries this 3^b 5^c up to n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
 def _column_means(x) -> np.ndarray:
     """Column means, the rows added one at a time in order.  numpy's
     ``mean(axis=0)`` does the same for two columns or more but sums a lone
@@ -88,7 +103,7 @@ def _acf_blocks(x, max_lag: int):
     are freed before the product."""
     n, m = x.shape
     # at least 2 n, so the transform has no circular wrap, and fast to factor
-    nfft = next_fast_len(2 * n, real=True)
+    nfft = _fast_len(2 * n)
     mean = _column_means(x)
     cols = block_rows(3 * (nfft + 2))
     degenerate = 0

@@ -7,14 +7,17 @@ transpose and the operator pair passes a machine-precision adjointness test.
 Point reflection through the image centre maps pixel p to npix-1-p and
 detector offset s_j to s_{n_det-1-j} = -s_j exactly, and keeps each angle's
 direction, so a far ray's row is its near twin's, reversed onto the
-reflected pixels.  Only the near half of each projection is traced, in
-batches within a small fixed budget of floats, and only that half H is
-stored, as canonical CSR (int32, sorted, duplicate-free column indices),
-which fixes the summation order of ``apply``/``adjoint``.  ``apply`` forms
-H u and H u reflected and gathers them into angle-major ray order through
-one row map; ``adjoint`` scatters the counts back through that map and
-forms H^T w_near + reflect(H^T w_far) from a transpose made once.  The
-build peaks below the bytes of the full matrix it no longer forms.
+reflected pixels.  The x-flip and, on a square grid with even n_angles, the
+transpose carry one angle's near rays onto another's, so only the near
+half of each projection at the angles in [0, pi/4] and pi/2 (or [0, pi/2])
+is traced, in batches within a small fixed budget of floats.  Only the near
+half H of every projection is stored, as canonical CSR (int32, sorted,
+duplicate-free column indices), which fixes the summation order of
+``apply``/``adjoint``.  ``apply`` forms H u and H u reflected and gathers
+them into angle-major ray order through one row map; ``adjoint`` scatters
+the counts back through that map and forms H^T w_near + reflect(H^T w_far)
+from a transpose made once.  The build peaks below the bytes of the full
+matrix it no longer forms.
 
 Expected counts are theta = kappa * (path integrals of u); ``posterior``
 holds the Poisson likelihood of the counts at theta.
@@ -163,24 +166,29 @@ class RadonOperator:
 
 def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
                          kappa: float = 1.0) -> RadonOperator:
-    """Trace the near half of the rays and map every kept ray onto it.
+    """Trace the near rays of a few angles and map every kept ray onto them.
 
     Projection angles are equispaced on [0, pi); for each angle the detector
-    bins span the full projected width sqrt(2), centered on the domain.  The
-    near rays (2 j <= n_det-1) are traced in batches of consecutive rays,
-    each batch's crossing table within ``_BATCH_FLOATS`` floats, and put in
-    canonical CSR form, sorting their entries.  Each angle's rows are then
-    its near rows as traced followed by its near rows but a middle ray,
-    reflected onto pixels npix-1-p: rows (k, n_det-1-j), each the exact
-    reflection of its twin and within 1e-14 of its own trace.  Rows run
-    angle-major, detector-minor; only the near half is stored.
+    bins span the full projected width sqrt(2), centered on the domain.  Only
+    the near rays (2 j <= n_det-1) of the angles ``_angle_sources`` keeps are
+    traced, in batches of consecutive rays, each batch's crossing table
+    within ``_BATCH_FLOATS`` floats.  Every other angle's near rows are its
+    source angle's, carried through a pixel permutation (an x-flip, a
+    transpose or both), and the whole near half is then put in canonical CSR
+    form, sorting its entries.  Each angle's rows are its near rows followed
+    by its near rows but a middle ray, reflected onto pixels npix-1-p: rows
+    (k, n_det-1-j).  Each mapped row is the exact image of its source row
+    and within 1e-14 of its own trace.  Rows run angle-major,
+    detector-minor; only the near half is stored.
     """
     if n_angles < 1 or n_det < 1:
         raise ValueError("need at least one angle and one detector bin")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     t0 = time.perf_counter()
-    ray_ids, rays = _ray_table(n_angles, n_det)
+    sources, perms = _angle_sources(grid, n_angles)
+    traced_angles = np.unique(sources)
+    ray_ids, rays = _ray_table(n_angles, n_det, traced_angles)
     n_seg = np.empty(ray_ids.size, dtype=np.intp)
     cols, vals = [], []
     step = max(1, _BATCH_FLOATS // (grid.nx + grid.ny + 4))
@@ -190,17 +198,31 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
                                                         grid)
         cols.append(pix)
         vals.append(lengths)
-    traced = n_seg > 0
-    near = ray_ids[traced]
-    indptr = np.zeros(near.size + 1, dtype=np.int32)
-    np.cumsum(n_seg[traced], out=indptr[1:])
+    kept_traced = n_seg > 0
+    traced = ray_ids[kept_traced]
+    indptr = np.zeros(traced.size + 1, dtype=np.int32)
+    np.cumsum(n_seg[kept_traced], out=indptr[1:])
     # join one array's pieces at a time and drop them: the lengths are
     # joined while only the index pieces wait
     data = np.concatenate(vals)
     del vals
     indices = np.concatenate(cols)
     del cols
-    half = sp.csr_matrix((data, indices, indptr), shape=(near.size, grid.npix))
+    # angle k's near rows are its source angle's, rays j alike: gather them,
+    # then move each mapped angle's pixels through its permutation
+    bounds = np.searchsorted(traced, np.arange(n_angles + 1) * n_det)
+    src = [np.arange(bounds[s], bounds[s + 1]) for s in sources]
+    near = np.concatenate([traced[rows] + (k - s) * n_det
+                           for k, (s, rows) in enumerate(zip(sources, src))])
+    half = sp.csr_matrix((data, indices, indptr),
+                         shape=(traced.size, grid.npix))[np.concatenate(src)]
+    del data, indices
+    r = 0
+    for rows, perm in zip(src, perms):
+        if perm is not None:
+            piece = half.indices[half.indptr[r]:half.indptr[r + rows.size]]
+            piece[:] = perm[piece]
+        r += rows.size
     half.sum_duplicates()
     # per angle, near rows r0:r1; r0:r2 have a far twin, in reversed order
     r0, r1, r2 = (np.searchsorted(near, np.arange(n_angles) * n_det + j)
@@ -218,10 +240,11 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     op = RadonOperator(grid, n_angles, n_det, kappa, half, row_map,
                        (kept // n_det).astype(np.uint32),
                        (kept % n_det).astype(np.uint32), n_dropped)
-    log.info("radon operator: %d rays traced, %d mirrored; %d kept, "
-             "%d dropped, %d entries, %d batches, %.3f s", ray_ids.size,
-             kept.size - near.size, kept.size, n_dropped, op.nnz,
-             len(batches), time.perf_counter() - t0)
+    log.info("radon operator: %d rays traced at %d of %d angles, %d mapped, "
+             "%d mirrored; %d kept, %d dropped, %d entries, %d batches, "
+             "%.3f s", ray_ids.size, traced_angles.size, n_angles,
+             near.size - traced.size, kept.size - near.size, kept.size,
+             n_dropped, op.nnz, len(batches), time.perf_counter() - t0)
     return op
 
 
@@ -237,23 +260,56 @@ def _geometry(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
     return angles, offsets
 
 
-def _ray_table(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
-    """The near rays (2 j <= n_det-1) crossing the unit square: numbers
-    k * n_det + j, angle-major, and a column (p0x, p0y, tx, ty, tlo, thi) each.
+def _angle_sources(grid: Grid, n_angles: int):
+    """For each angle k, the traced angle whose near rows give k's, and the
+    int32 map of a source row's pixels onto k's pixels (None where k is
+    traced itself).
+
+    The mirror y -> 1-y takes ray (k, j) onto ray (n_angles-k, n_det-1-j),
+    since s_{n_det-1-j} = -s_j exactly; after the point reflection, the
+    x-flip (ix, iy) -> (nx-1-ix, iy) takes near ray (k, j) onto
+    (n_angles-k, j).  On a square grid with even n_angles, the transpose
+    (ix, iy) -> (iy, ix) takes (k, j) onto (n_angles/2-k, j).  So the traced
+    angles are those in [0, pi/4] (or [0, pi/2] without the transpose), and
+    pi/2: a ray along a grid line takes its pixels from the rounding of its
+    direction (cos(pi/2) is 6e-17, not 0), which the transpose of angle 0
+    would not carry over.
+    """
+    pix = np.arange(grid.npix, dtype=np.int32).reshape(grid.nx, grid.ny)
+    # keyed by (x-flip, transpose); both at once is the transpose, then the
+    # x-flip
+    maps = {(False, False): None, (True, False): pix[::-1].ravel(),
+            (False, True): pix.T.ravel(), (True, True): pix[::-1].T.ravel()}
+    transpose = grid.nx == grid.ny and n_angles % 2 == 0
+    sources, perms = [], []
+    for k in range(n_angles):
+        flip = 2 * k > n_angles
+        m = n_angles - k if flip else k
+        swap = transpose and n_angles < 4 * m < 2 * n_angles
+        sources.append(n_angles // 2 - m if swap else m)
+        perms.append(maps[flip, swap])
+    return sources, perms
+
+
+def _ray_table(n_angles: int, n_det: int,
+               traced_angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The near rays (2 j <= n_det-1) of the ``traced_angles`` (ascending)
+    that cross the unit square: numbers k * n_det + j, angle-major, and a
+    column (p0x, p0y, tx, ty, tlo, thi) each.
 
     Ray (k, j) is the line p0 + t (tx, ty) with p0 = (0.5, 0.5) + s_j n_k
     and (tx, ty) = (-n_k[1], n_k[0]), n_k = (cos phi_k, sin phi_k) taken
     from ``math``; it lies inside the unit square for t in (tlo, thi).
     """
     angles, offsets = _geometry(n_angles, n_det)
-    rays = np.empty((6, n_angles, n_det))
+    rays = np.empty((6, traced_angles.size, n_det))
     p0x, p0y, tx, ty, tlo, thi = rays
-    nxv = np.array([math.cos(phi) for phi in angles])[:, None]
-    nyv = np.array([math.sin(phi) for phi in angles])[:, None]
+    nxv = np.array([math.cos(angles[k]) for k in traced_angles])[:, None]
+    nyv = np.array([math.sin(angles[k]) for k in traced_angles])[:, None]
     p0x[:], p0y[:] = 0.5 + offsets * nxv, 0.5 + offsets * nyv
     tx[:], ty[:] = -nyv, nxv
     tlo[:], thi[:] = -np.inf, np.inf
-    hit = np.ones((n_angles, n_det), dtype=bool)
+    hit = np.ones((traced_angles.size, n_det), dtype=bool)
     hit[:, (n_det + 1) // 2:] = False   # the far rays are mirrored
     for p, t in ((p0x, tx), (p0y, ty)):
         # a ray parallel to this axis hits only inside the slab 0 < p < 1,
@@ -265,7 +321,8 @@ def _ray_table(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
         np.maximum(tlo, np.where(flat, -np.inf, np.minimum(a1, a2)), out=tlo)
         np.minimum(thi, np.where(flat, np.inf, np.maximum(a1, a2)), out=thi)
     hit &= thi - tlo > _EPS
-    return np.flatnonzero(hit), rays[:, hit]
+    ids = traced_angles[:, None] * n_det + np.arange(n_det)
+    return ids[hit], rays[:, hit]
 
 
 def _trace_rays(rays: np.ndarray, grid: Grid):

@@ -23,7 +23,7 @@ from poistomo import (TGPosterior, brain_phantom, build_kl_basis,
                       simulate_data)
 from poistomo.artifacts import credible_level, credible_level_map
 from poistomo.calibrate import posterior_predictive_p
-from poistomo.diagnostics import (BLOCK_FLOATS, _tau_from_acf,
+from poistomo.diagnostics import (BLOCK_FLOATS, _fast_len, _tau_from_acf,
                                   acf_matrix, block_rows, ess_matrix,
                                   hpdi_sorted, intensity_samples,
                                   pointwise_hpdi, posterior_mean,
@@ -396,6 +396,14 @@ def test_acf_of_a_column_does_not_depend_on_its_block():
     for j in (0, 7, 11):
         assert np.array_equal(rho[:, [j]], acf_matrix(x[:, [j]], max_lag=200))
     assert np.array_equal(ess_matrix(x)[[3]], ess_matrix(x[:, [3]]))
+
+
+def test_fft_length_is_scipys_fast_real_length():
+    # the smallest 2^a 3^b 5^c at least n: every n of a chain up to 10,000
+    # steps (nfft takes 2 n), and far beyond
+    rng = np.random.default_rng(16)
+    for n in [*range(1, 20_001), *rng.integers(20_001, 10 ** 12, 500)]:
+        assert _fast_len(int(n)) == next_fast_len(int(n), real=True), n
 
 
 def test_negative_max_lag_is_refused():

@@ -219,27 +219,62 @@ def _reference_ray(p0x, p0y, tx, ty, nx, ny, hx, hy, eps=1e-12):
     return ix * ny + iy, lengths[keep]
 
 
+def _source_angle(grid, n_angles, k):
+    """The angle whose near rays give angle k's near rays, rays j alike, and
+    the pixel maps that carry them over, in order: "t" the transpose
+    (ix, iy) -> (iy, ix), "x" the x-flip (ix, iy) -> (nx-1-ix, iy).
+
+    The x-flip takes angle m onto n_angles-m.  On a square grid with even
+    n_angles the transpose takes m onto n_angles/2-m; it carries no angle
+    onto 0 or pi/2, whose rays may lie along grid lines."""
+    maps = []
+    if 2 * k > n_angles:
+        k = n_angles - k
+        maps.append("x")
+    if (grid.nx == grid.ny and n_angles % 2 == 0
+            and n_angles < 4 * k < 2 * n_angles):
+        k = n_angles // 2 - k
+        maps.insert(0, "t")
+    return k, maps
+
+
+def _carry(grid, pix, maps):
+    """Pixel numbers moved through the maps of ``_source_angle``."""
+    ix, iy = np.divmod(pix, grid.ny)
+    for m in maps:
+        ix, iy = (iy, ix) if m == "t" else (grid.nx - 1 - ix, iy)
+    return ix * grid.ny + iy
+
+
 def _reference_operator(grid, n_angles, n_det, mirror):
     """Matrix, ray tables and drop count of a ray-by-ray trace, assembled
-    through COO.  With mirror, a far ray (2 j > n_det-1) is not traced: it
-    takes its near twin n_det-1-j's trace, reversed onto pixels npix-1-p."""
+    through COO.  With mirror, only the near rays (2 j <= n_det-1) of the
+    angles that are their own ``_source_angle`` are traced: another angle's
+    near ray j takes its source angle's trace of ray j, carried through the
+    pixel maps, and a far ray takes its near twin n_det-1-j's trace,
+    reversed onto pixels npix-1-p."""
     offsets = (np.arange(n_det) + 0.5 - 0.5 * n_det) * (DETECTOR_SPAN / n_det)
     rows, cols, vals, angle_idx, det_idx = [], [], [], [], []
     n_dropped = 0
+    traces = []
     for k in range(n_angles):
         phi = k * math.pi / n_angles
         nxv, nyv = math.cos(phi), math.sin(phi)
-        traces = []
+        source, maps = _source_angle(grid, n_angles, k) if mirror else (k, [])
+        traces.append([])
         for j, s in enumerate(offsets):
             if mirror and 2 * j > n_det - 1:
-                twin = traces[n_det - 1 - j]
+                twin = traces[k][n_det - 1 - j]
                 traced = twin and (grid.npix - 1 - twin[0][::-1],
                                    twin[1][::-1])
+            elif source != k:
+                twin = traces[source][j]
+                traced = twin and (_carry(grid, twin[0], maps), twin[1])
             else:
                 traced = _reference_ray(0.5 + s * nxv, 0.5 + s * nyv, -nyv,
                                         nxv, grid.nx, grid.ny, grid.hx,
                                         grid.hy)
-            traces.append(traced)
+            traces[k].append(traced)
             if traced is None:
                 n_dropped += 1
                 continue
@@ -304,8 +339,9 @@ def _trace_case(i, geometry, budget):
     for budget in BUDGETS for i, geometry in enumerate(GEOMETRIES)])
 def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det, budget,
                                            monkeypatch):
-    # the batched tracer reproduces the ray-by-ray trace of the near half
-    # bit for bit, as the canonical CSR the operator stores
+    # the batched tracer, with the mapped angles' near rows carried over
+    # from their source angles, reproduces the ray-by-ray trace of the near
+    # half bit for bit, as the canonical CSR the operator stores
     monkeypatch.setattr(forward, "_BATCH_FLOATS", budget)
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
     reference = _reference_operator(op.grid, n_angles, n_det, mirror=True)
@@ -322,8 +358,8 @@ def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det, budget,
 @pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
 def test_operator_acts_as_the_mirrored_matrix(shape, n_angles, n_det):
     # the near half with its reflections acts as the full matrix the
-    # ray-by-ray trace mirrors, to a few ulps of the magnitudes it sums:
-    # only the order of the sums differs.  The middle rays of odd n_det
+    # ray-by-ray trace maps and mirrors, to a few ulps of the magnitudes it
+    # sums: only the order of the sums differs.  The middle rays of odd n_det
     # have no twin, and n_det = 1 has only a middle ray.
     op = build_radon_operator(Grid(*shape), n_angles, n_det, kappa=0.7)
     reference = _reference_operator(op.grid, n_angles, n_det, mirror=True)
@@ -337,9 +373,9 @@ def test_operator_acts_as_the_mirrored_matrix(shape, n_angles, n_det):
 @pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
 def test_operator_is_within_rounding_of_every_ray_traced(shape, n_angles,
                                                          n_det):
-    # every ray traced by itself, far rays too: the mirrored far rows keep
-    # the same tables and drops, and the operator acts as if each entry
-    # moved by at most 1e-14, rounding
+    # every ray traced by itself, mapped and far rays too: the mapped and
+    # mirrored rows keep the same tables and drops, and the operator acts as
+    # if each entry moved by at most 1e-14, rounding
     op = build_radon_operator(Grid(*shape), n_angles, n_det)
     reference = _reference_operator(op.grid, n_angles, n_det, mirror=False)
     _assert_same_tables(op, reference)
@@ -370,18 +406,51 @@ def test_far_rows_reflect_their_near_twins(shape, n_angles, n_det):
         assert all((k, n_det // 2) in row_of for k in range(n_angles))
 
 
+@pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
+def test_mapped_near_rows_carry_their_source_rows(shape, n_angles, n_det):
+    # a near ray (k, j) of an angle that is not its own source is kept
+    # exactly when the source angle's ray j is, and its row is that ray's
+    # row with every pixel carried through the maps, the same lengths on
+    # the carried pixels, bit for bit
+    grid = Grid(*shape)
+    op = build_radon_operator(grid, n_angles, n_det)
+    h = op.half
+    row_of = {(k, j): op.row_map[i] for i, (k, j) in enumerate(
+        zip(op.angle_idx.tolist(), op.det_idx.tolist())) if 2 * j <= n_det - 1}
+    n_mapped = 0
+    for k in range(n_angles):
+        source, maps = _source_angle(grid, n_angles, k)
+        if source == k:
+            continue
+        near = [j for j in range(n_det) if (k, j) in row_of]
+        assert near == [j for j in range(n_det) if (source, j) in row_of]
+        for j in near:
+            got, src = (slice(h.indptr[r], h.indptr[r + 1])
+                        for r in (row_of[(k, j)], row_of[(source, j)]))
+            pix = _carry(grid, h.indices[src], maps)
+            order = np.argsort(pix)
+            assert np.array_equal(h.indices[got], pix[order])
+            assert np.array_equal(h.data[got], h.data[src][order])
+        n_mapped += len(near)
+    # every geometry of more than two angles maps some rows
+    assert (n_mapped > 0) == (n_angles > 2)
+
+
 def test_build_logs_one_summary_line(caplog):
     with caplog.at_level(logging.INFO, logger="poistomo.forward"):
         op = build_radon_operator(Grid(8, 8), 3, 8)
     lines = [r.getMessage() for r in caplog.records
              if r.name == "poistomo.forward"]
     assert len(lines) == 1
-    # the near half is traced and each near row is mirrored: no 8-bin
-    # projection has a middle ray.  The entries are those of every ray's row.
-    near = int(np.sum(op.det_idx < 4))
+    # the near rays of angles 0 and 1 are traced, angle 2's are mapped from
+    # angle 1's, and each near row is mirrored: no 8-bin projection has a
+    # middle ray.  The entries are those of every ray's row.
+    near = op.det_idx < 4
+    traced = int(np.sum(near & (op.angle_idx < 2)))
     nnz = sum(np.count_nonzero(ray_row(op, r)) for r in range(op.n_rays))
     assert op.nnz == nnz
-    assert f"{near} rays traced, {near} mirrored; {op.n_rays} kept, " \
+    assert f"{traced} rays traced at 2 of 3 angles, {near.sum() - traced} " \
+           f"mapped, {near.sum()} mirrored; {op.n_rays} kept, " \
            f"{op.n_dropped} dropped, {nnz} entries" in lines[0]
     assert ", 1 batches, " in lines[0]   # the near rays fit one batch
 

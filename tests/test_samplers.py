@@ -287,13 +287,17 @@ def test_acceptance_exponent_antisymmetry(post16, map16):
         assert fwd == -rev
 
 
-def test_anchored_chain_matches_dense_quadrature():
+@pytest.mark.parametrize("anchor_pen", [1.0, 0.0])
+def test_anchored_chain_matches_dense_quadrature(anchor_pen):
     # two-coefficient target: chain moments against a Riemann sum of
-    # exp(-psi(c) - |c|^2/2) evaluated with the toy's independent math
+    # exp(-psi(c) - |c|^2/2) evaluated with the toy's independent math.
+    # The kernel targets the posterior whatever drift it takes: with the MAP
+    # solve's penalty, or penalty-free (the likelihood gradient and the
+    # multiplier's divergence only)
     toy = _Toy(tv_weight=0.8)
     res = solve_map(toy.post, AdmmConfig(rho_pen=1.0, max_outer=400, tol=1e-6,
                                          inner_iters=300, inner_tol=1e-7))
-    anchor = anchor_from_map(res, 1.0)
+    anchor = anchor_from_map(res, anchor_pen)
     delta, _ = tune_stepsize(toy.post, "pdpcn", seed=14, init=res.coeffs,
                              anchor=anchor)
     cfg = SamplerConfig("pdpcn", 60_000, delta=delta, burn_in=5000, seed=15)
