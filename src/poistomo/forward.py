@@ -11,13 +11,13 @@ reflected pixels.  The x-flip and, on a square grid with even n_angles, the
 transpose carry one angle's near rays onto another's, so only the near
 half of each projection at the angles in [0, pi/4] and pi/2 (or [0, pi/2])
 is traced, in batches within a small fixed budget of floats.  Only the near
-half H of every projection is stored, as canonical CSR (int32, sorted,
-duplicate-free column indices), which fixes the summation order of
-``apply``/``adjoint``.  ``apply`` forms H u and H u reflected and gathers
-them into angle-major ray order through one row map; ``adjoint`` scatters
-the counts back through that map and forms H^T w_near + reflect(H^T w_far)
-from a transpose made once.  The build peaks below the bytes of the full
-matrix it no longer forms.
+half H of every projection is stored, as int32 CSR whose rows repeat no
+pixel and keep their trace's order along the ray (a mapped row its source
+row's), which fixes the summation order of ``apply``.  ``apply`` forms H u
+and H u reflected and gathers them into angle-major ray order through one
+row map; ``adjoint`` scatters the counts back through that map and forms
+H^T w_near + reflect(H^T w_far) from H's arrays read as H^T in CSC form.
+The build peaks below the bytes of the full matrix it no longer forms.
 
 Expected counts are theta = kappa * (path integrals of u); ``posterior``
 holds the Poisson likelihood of the counts at theta.
@@ -121,11 +121,6 @@ class RadonOperator:
     angle_idx: np.ndarray = field(repr=False)
     det_idx: np.ndarray = field(repr=False)
     n_dropped: int
-    # H^T, a CSC view of the arrays of ``half``
-    _half_t: sp.csc_matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_half_t", self.half.T)
 
     @property
     def n_rays(self) -> int:
@@ -157,10 +152,13 @@ class RadonOperator:
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size != self.n_rays:
             raise ValueError(f"{w.size} counts for {self.n_rays} rays")
-        n = self.half.shape[0]
+        h, (n, npix) = self.half, self.half.shape
         both = np.zeros(2 * n)
         both[self.row_map] = w
-        back = self._half_t @ both.reshape(2, n).T
+        # H's CSR arrays are H^T's CSC ones: one kernel pass for both halves
+        back = np.zeros((npix, 2))
+        _sparsetools.csc_matvecs(npix, n, 2, h.indptr, h.indices, h.data,
+                                 both.reshape(2, n).T.ravel(), back.ravel())
         return self.kappa * (back[:, 0] + back[::-1, 1])
 
 
@@ -174,9 +172,9 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     traced, in batches of consecutive rays, each batch's crossing table
     within ``_BATCH_FLOATS`` floats.  Every other angle's near rows are its
     source angle's, carried through a pixel permutation (an x-flip, a
-    transpose or both), and the whole near half is then put in canonical CSR
-    form, sorting its entries.  Each angle's rows are its near rows followed
-    by its near rows but a middle ray, reflected onto pixels npix-1-p: rows
+    transpose or both) in one block copy per angle, so every row keeps the
+    order of its trace.  Each angle's rows are its near rows followed by its
+    near rows but a middle ray, reflected onto pixels npix-1-p: rows
     (k, n_det-1-j).  Each mapped row is the exact image of its source row
     and within 1e-14 of its own trace.  Rows run angle-major,
     detector-minor; only the near half is stored.
@@ -199,43 +197,45 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
         cols.append(pix)
         vals.append(lengths)
     kept_traced = n_seg > 0
-    traced = ray_ids[kept_traced]
-    indptr = np.zeros(traced.size + 1, dtype=np.int32)
-    np.cumsum(n_seg[kept_traced], out=indptr[1:])
+    traced, n_seg = ray_ids[kept_traced], n_seg[kept_traced]
     # join one array's pieces at a time and drop them: the lengths are
     # joined while only the index pieces wait
-    data = np.concatenate(vals)
+    lengths = np.concatenate(vals)
     del vals
-    indices = np.concatenate(cols)
+    pix = np.concatenate(cols)
     del cols
-    # angle k's near rows are its source angle's, rays j alike: gather them,
-    # then move each mapped angle's pixels through its permutation
-    bounds = np.searchsorted(traced, np.arange(n_angles + 1) * n_det)
-    src = [np.arange(bounds[s], bounds[s + 1]) for s in sources]
+    # angle k's near rows are its source angle's traced rows, rays j alike,
+    # whose entries are one block: join the blocks in trace order, one
+    # array at a time, then move each mapped angle's pixels through its
+    # permutation
+    first = np.searchsorted(traced, np.arange(n_angles + 1) * n_det)
+    start = np.concatenate(([0], np.cumsum(n_seg)))
+    src = [slice(first[s], first[s + 1]) for s in sources]
     near = np.concatenate([traced[rows] + (k - s) * n_det
                            for k, (s, rows) in enumerate(zip(sources, src))])
-    half = sp.csr_matrix((data, indices, indptr),
-                         shape=(traced.size, grid.npix))[np.concatenate(src)]
-    del data, indices
-    r = 0
-    for rows, perm in zip(src, perms):
+    indptr = np.zeros(near.size + 1, dtype=np.int32)
+    np.cumsum(np.concatenate([n_seg[rows] for rows in src]), out=indptr[1:])
+    blocks = [slice(start[rows.start], start[rows.stop]) for rows in src]
+    data = np.concatenate([lengths[b] for b in blocks])
+    del lengths
+    indices = np.concatenate([pix[b] for b in blocks])
+    del pix
+    at = 0
+    for b, perm in zip(blocks, perms):
+        to = slice(at, at + b.stop - b.start)
         if perm is not None:
-            piece = half.indices[half.indptr[r]:half.indptr[r + rows.size]]
-            piece[:] = perm[piece]
-        r += rows.size
-    half.sum_duplicates()
-    # per angle, near rows r0:r1; r0:r2 have a far twin, in reversed order
-    r0, r1, r2 = (np.searchsorted(near, np.arange(n_angles) * n_det + j)
-                  for j in (0, n_det, n_det // 2))
-
-    def mirrored(fwd, rev):
-        """Per angle, fwd[r0:r1], then rev[r0:r2] reversed."""
-        return np.concatenate([p for i, j, m in zip(r0, r1, r2)
-                               for p in (fwd[i:j], rev[i:m][::-1])])
-
-    kept = mirrored(near, near + n_det - 1 - 2 * (near % n_det))
-    rows = np.arange(near.size)
-    row_map = mirrored(rows, rows + near.size)
+            indices[to] = perm[indices[to]]
+        at = to.stop
+    half = sp.csr_matrix((data, indices, indptr),
+                         shape=(near.size, grid.npix))
+    # ray (k, j) is kept exactly when its near twin (k, min(j, n_det-1-j))
+    # is, and takes its twin's row, reflected for a far ray
+    ray = np.arange(n_angles * n_det)
+    twin = ray + np.minimum(0, n_det - 1 - 2 * (ray % n_det))
+    row = np.searchsorted(near, twin)
+    hit = near.take(row, mode="clip") == twin
+    kept = ray[hit]
+    row_map = row[hit] + near.size * (twin < ray)[hit]
     n_dropped = n_angles * n_det - kept.size
     op = RadonOperator(grid, n_angles, n_det, kappa, half, row_map,
                        (kept // n_det).astype(np.uint32),
