@@ -28,8 +28,8 @@ from .klbasis import CovarianceSpec, KLBasis, build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
 from .samplers import (Chain, ChainDivergence, SamplerConfig, anchor_from_map,
-                       chain_states, load_chain, run_chain, save_chain,
-                       stream_chain, tune_stepsize)
+                       chain_states, load_chain, run_chain, stream_chain,
+                       tune_stepsize, walk_chain)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,7 @@ __all__ = [
     "brain_phantom",
     "TGPosterior",
     "Chain", "ChainDivergence", "SamplerConfig", "anchor_from_map",
-    "chain_states", "load_chain", "run_chain", "save_chain", "stream_chain",
-    "tune_stepsize",
+    "chain_states", "load_chain", "run_chain", "stream_chain",
+    "tune_stepsize", "walk_chain",
     "__version__",
 ]

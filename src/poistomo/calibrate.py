@@ -16,12 +16,13 @@ per ray its p is near 0 even at the truth.
 Sweeping the TV weight traces p_b down from near 1 (overfit) to near 0
 (oversmoothed); the admissible weights are those with p_b inside a fixed
 band, and a projected stochastic-approximation iteration picks a single
-weight inside that interval.  The sweep streams its chains: p_b comes from
-the expected counts of each subsampled state's own evaluation, so a weight
-costs O(max_eval_samples) floats plus one state, not a chain of kept
-samples.  ``posterior_predictive_p`` computes the same p_b from a stored
-chain: it evaluates each distinct subsampled state once, as the chain did,
-so the same states give the same bits.
+weight inside that interval.  The sweep streams its chains
+(samplers.walk_chain): p_b comes from the expected counts of each distinct
+subsampled state's own evaluation, so a weight costs O(max_eval_samples)
+floats, the per-step traces and one state, not a chain of kept samples.
+``posterior_predictive_p`` computes the same p_b from a stored chain: it
+evaluates each distinct subsampled state once, as the chain did, so the
+same states give the same bits.
 Without a given beta, each sweep chain tunes beta in its own burn-in, and
 the selection tunes one beta on a pilot (samplers.tune_stepsize).
 """
@@ -38,8 +39,8 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .posterior import TGPosterior
-from .samplers import (Chain, SamplerConfig, chain_states, kept_steps,
-                       run_chain, tune_stepsize)
+from .samplers import (Chain, SamplerConfig, kept_steps, run_chain,
+                       tune_stepsize, walk_chain)
 
 __all__ = [
     "chi2_sf",
@@ -223,11 +224,13 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
 
     One pcn chain per weight, p_b averaged over an even subsample of at most
     max_eval_samples kept states (every kept state when it is None), the
-    subsample posterior_predictive_p takes.  Each chain is streamed: a
-    subsampled state's discrepancy is read off the expected counts of the
-    chain's own evaluation of it, so no state is synthesized or projected
-    twice and nothing holds the kept samples; memory is O(max_eval_samples)
-    floats plus one state.  The grid is checked before any chain runs.
+    subsample posterior_predictive_p takes.  Each chain is streamed
+    (walk_chain): a distinct subsampled state's discrepancy is read once
+    off the expected counts of the chain's own evaluation of it and counts
+    once per subsampled step, so no state is synthesized or projected twice
+    and nothing holds the kept samples; memory is O(max_eval_samples)
+    floats, the per-step traces and one state.  The grid is checked before
+    any chain runs.
     Each weight starts at the last state of the previous weight's chain
     (the first at the prior mean, whose zero TV makes it a sticky start at
     large weights).  Without a given beta, each chain tunes beta in its
@@ -242,24 +245,17 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
         cfg = SamplerConfig("pcn", chain_steps, beta=beta,
                             seed=_stream_seed(seed, i))
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
-        d = np.empty(steps.size)
-        n_accepted = 0
-        j = 0
-        for k, (z, ev, moved, step) in enumerate(chain_states(post, cfg,
-                                                              start)):
-            n_accepted += moved
-            if j < steps.size and k == steps[j]:
-                d[j] = chi2_discrepancy(post.data.counts, ev.theta,
-                                        denominator)
-                j += 1
-        start = z
-        res = _predictive(d, post.op.n_rays)
-        acceptance = n_accepted / chain_steps
+        d = []
+        run, (accepted, _, _), cfg, start = walk_chain(
+            post, cfg, steps, lambda j, z, ev: d.append(chi2_discrepancy(
+                post.data.counts, ev.theta, denominator)), start)
+        res = _predictive(np.array(d)[run], post.op.n_rays)
+        acceptance = float(np.mean(accepted))
         rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,
-                                   acceptance, step))
+                                   acceptance, cfg.beta))
         log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "
                  "acceptance %.3f, beta %.4g)", w, res.p, res.stderr,
-                 acceptance, step)
+                 acceptance, cfg.beta)
     interval = admissible_interval(weights, [r.p for r in rows], band)
     return CalibrationResult(tuple(rows), interval)
 

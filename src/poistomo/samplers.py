@@ -19,27 +19,31 @@ The kernels differ only in the drift:
 
 A state is its coefficients, their evaluation and their drift, so each step
 evaluates the posterior once, at the proposal.  ``chain_states`` yields each
-state with its evaluation, so a consumer reads what it needs (kept rows in
-``run_chain``, a file in ``stream_chain``, predictive discrepancies in the
-calibration sweep) without holding the chain or evaluating again.  Every
-kernel consumes randomness in the same order (noise vector first,
-acceptance uniform second), which keeps matched-seed comparisons
-meaningful.
+state with its evaluation.  Every kernel consumes randomness in the same
+order (noise vector first, acceptance uniform second), which keeps
+matched-seed comparisons meaningful.
+
+A rejected step repeats the state, so the kept states of a chain come in
+runs of equal consecutive rows.  ``walk_chain`` is the one pass over a
+chain's chosen steps: it hands each run's state and evaluation to a
+consumer once and returns the run index of every chosen step, the per-step
+traces and the frozen stepsize.  Its consumers read what they need without
+holding the chain or evaluating again: kept rows in ``run_chain``, a file
+in ``stream_chain``, predictive discrepancies in the calibration sweep.
+``Chain.samples`` is a ``RunMatrix``: it stores one row per run plus the
+run index of every kept row, and the passes over a chain gather the row or
+column blocks they need from it.  A chain file stores the same runs: each
+run's row and length.
 
 A stepsize of None (beta for pcn, delta otherwise) is tuned in the chain's
 own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen before the
-first kept state, so a tuned chain needs no separate pilot; ``run_chain``
-and ``stream_chain`` record the frozen value.
-
-A rejected step repeats the state, so the kept states of a chain come in
-runs of equal consecutive rows.  ``Chain.samples`` is a ``RunMatrix``: it
-stores one row per run plus the run index of every kept row, and the passes
-over a chain gather the row or column blocks they need from it.  A chain
-file stores the same runs: each run's row and length.
+first kept state, so a tuned chain needs no separate pilot; ``walk_chain``
+records the frozen value.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import math
@@ -64,10 +68,10 @@ __all__ = [
     "Anchor",
     "chain_states",
     "kept_steps",
+    "walk_chain",
     "run_chain",
     "tune_stepsize",
     "anchor_from_map",
-    "save_chain",
     "stream_chain",
     "load_chain",
 ]
@@ -362,27 +366,20 @@ def kept_steps(config: SamplerConfig) -> np.ndarray:
             + thin * np.arange(config.n_kept))
 
 
-def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
-              anchor: Anchor | None = None) -> Chain:
-    """Drive one chain and collect kept states and per-step traces.
+def walk_chain(post: TGPosterior, config: SamplerConfig, steps, new_state,
+               init=None, anchor: Anchor | None = None):
+    """Drive one chain (chain_states) and hand on the states at ``steps``.
 
-    Burn-in defaults to a tenth of the run; a state is kept every
-    ``thinning`` post-burn-in steps (kept_steps).  The states are those of
-    chain_states, so the whole run is a pure function of (posterior,
-    config, init, anchor).  chain_states yields the same array object
-    until a proposal is accepted, so a kept state is stored once per run
-    (``RunMatrix``); the others add only a run index.  Each new kept state
-    is copied into the next row of one (n_kept, n_modes) block, an
-    anonymous memory map whose pages cost memory only once written: rows
-    no state reaches are address space, and no state is held twice.
-    Chains whose kept states would not fit in memory belong in
-    ``stream_chain``.  The returned config holds the stepsize the kept
-    states were drawn at, tuned or given.
+    steps is an ascending array of step indices, such as kept_steps(config)
+    or a subsample of it.  chain_states yields the same array object until a
+    proposal is accepted, so the chosen steps fall in runs that share a
+    state; ``new_state(i, z, ev)`` is called once per run, with the run's
+    index i, its state and its evaluation.  Returns the run index of each
+    chosen step, the per-step ``(accepted, psi_trace, reg_trace)``, the
+    config with the stepsize the chosen states were drawn at, tuned or
+    given, and the chain's last state.
     """
-    keep = kept_steps(config)
-    block = np.frombuffer(mmap.mmap(-1, keep.size * post.n_modes * 8)
-                          ).reshape(keep.size, post.n_modes)
-    run = np.empty(keep.size, dtype=np.intp)
+    run = np.empty(steps.size, dtype=np.intp)
     accepted = np.empty(config.n_samples, dtype=bool)
     psi_trace = np.empty(config.n_samples)
     reg_trace = np.empty(config.n_samples)
@@ -393,16 +390,55 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
         accepted[k] = moved
         psi_trace[k] = ev.psi
         reg_trace[k] = ev.reg
-        if j < keep.size and k == keep[j]:
+        if j < steps.size and k == steps[j]:
             if z is not last:
-                block[n_runs] = z
+                new_state(n_runs, z, ev)
                 last = z
                 n_runs += 1
             run[j] = n_runs - 1
             j += 1
-    return Chain(RunMatrix(block[:n_runs], run),
-                 replace(config, **{config.stepsize_name: step}),
-                 float(np.mean(accepted)), accepted, psi_trace, reg_trace)
+    return (run, (accepted, psi_trace, reg_trace),
+            replace(config, **{config.stepsize_name: step}), z)
+
+
+def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
+              anchor: Anchor | None = None) -> Chain:
+    """Drive one chain and collect kept states and per-step traces.
+
+    Burn-in defaults to a tenth of the run; a state is kept every
+    ``thinning`` post-burn-in steps (kept_steps).  The states are those of
+    chain_states, so the whole run is a pure function of (posterior,
+    config, init, anchor).  A kept state is stored once per run
+    (walk_chain, ``RunMatrix``); the others add only a run index.  Each new
+    kept state is copied into the next row of one (n_kept, n_modes) block,
+    an anonymous memory map whose pages cost memory only once written: rows
+    no state reaches are address space, and no state is held twice.  A
+    block the system cannot reserve raises MemoryError before the first
+    step; chains whose kept states would not fit belong in ``stream_chain``.
+    The returned config holds the stepsize the kept states were drawn at,
+    tuned or given.
+    """
+    keep = kept_steps(config)
+    size = keep.size * post.n_modes * 8
+    try:
+        buf = mmap.mmap(-1, size)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(
+            f"run_chain cannot reserve {size / 2 ** 30:.1f} GiB for "
+            f"{keep.size} kept states of {post.n_modes} modes; keep fewer "
+            "(a larger thinning) or write them to a file with "
+            "stream_chain") from exc
+    block = np.frombuffer(buf).reshape(keep.size, post.n_modes)
+
+    def store(i, z, ev):
+        block[i] = z
+
+    run, traces, config, _ = walk_chain(post, config, keep, store, init,
+                                        anchor)
+    return Chain(RunMatrix(block[:run[-1] + 1], run), config,
+                 float(np.mean(traces[0])), *traces)
 
 
 def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
@@ -424,90 +460,50 @@ def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
 
 
 # ---------------------------------------------------------------------------
-# chain file: magic "CHN1", little-endian header, one f64 row per run of
-# equal kept states, then the <i8 length of each run; JSON sidecar
+# chain file: a little-endian header (magic "CHN1", format version 2, mode
+# count, kept-sample count, run count, thinning, seed, kernel code,
+# stepsize), one f64 row per run of equal kept states, then the <i8 length
+# of each run; a JSON sidecar (path + ".json") holds the full config and
+# the acceptance rate
 
 _CHAIN_HEADER = struct.Struct("<4sIIIIIqBxxxd")
-
-
-def _write_header(fh, config: SamplerConfig, n_modes: int, n_kept: int,
-                  n_runs: int) -> None:
-    fh.write(_CHAIN_HEADER.pack(b"CHN1", 2, n_modes, n_kept, n_runs,
-                                config.thinning, config.seed,
-                                _KIND_CODE[config.kind], config.stepsize))
-
-
-def _write_sidecar(path, config: SamplerConfig, n_modes: int, n_kept: int,
-                   acceptance_rate: float) -> None:
-    sidecar = {**asdict(config), "n_kept": n_kept,
-               "n_modes": n_modes, "acceptance_rate": acceptance_rate}
-    with open(str(path) + ".json", "w", encoding="ascii") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def save_chain(chain: Chain, path) -> None:
-    """Write the samples' runs in binary with a JSON sidecar (path + ".json").
-
-    Header: magic, format version 2, mode count, kept-sample count, run
-    count, thinning, seed, kernel code, stepsize; then each run's row as
-    little-endian float64, then each run's length as little-endian int64.
-    A run is a stretch of kept rows that share a stored row
-    (``RunMatrix.stretches``), so a thinned chain is written compacted.
-    The sidecar records the full config and acceptance summary.
-    """
-    runs, lengths = chain.samples.stretches()
-    # converts (copies) the stored runs only on a big-endian machine
-    rows = np.asarray(chain.samples.rows, dtype="<f8")
-    with open(path, "wb") as fh:
-        _write_header(fh, chain.config, chain.n_modes, chain.n_kept,
-                      runs.size)
-        for i in runs:
-            fh.write(rows[i])
-        fh.write(lengths.astype("<i8").tobytes())
-    _write_sidecar(path, chain.config, chain.n_modes, chain.n_kept,
-                   chain.acceptance_rate)
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
                  anchor: Anchor | None = None) -> tuple[SamplerConfig, float]:
     """Run a chain and write each new kept state to a chain file as it comes.
 
-    The file and sidecar have the bytes ``save_chain(run_chain(...))``
-    writes, but no kept state is held after the next one is written: a kept
-    state is written when it is a new array (chain_states yields the same
-    object until a proposal is accepted), and the run lengths, counted as
-    the chain goes, follow the rows once it ends, with the header written
-    last.  The file is written beside ``path`` and renamed once the chain
-    completes, so a chain that fails (ChainDivergence, a bad kernel
+    ``load_chain`` of the file gives the samples, config and acceptance rate
+    of ``run_chain``, but no kept state is held after the next one is
+    written (walk_chain): only the per-step traces, 17 bytes a step, are.
+    The run lengths follow the rows once the chain ends, with the header
+    written last.  The file is written beside ``path`` and renamed once the
+    chain completes, so a chain that fails (ChainDivergence, a bad kernel
     configuration) leaves no file at ``path``.  Returns the config, with
     the stepsize the kept states were drawn at, and the acceptance rate.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
-    keep = kept_steps(config)
-    lengths = np.zeros(keep.size, dtype="<i8")
-    n_accepted = n_runs = j = 0
-    last = None
     try:
         with open(part, "wb") as fh:
             fh.seek(_CHAIN_HEADER.size)
-            for k, (z, _, moved, step) in enumerate(
-                    chain_states(post, config, init, anchor)):
-                n_accepted += moved
-                if j < keep.size and k == keep[j]:
-                    if z is not last:
-                        fh.write(np.ascontiguousarray(z, dtype="<f8"))
-                        last = z
-                        n_runs += 1
-                    lengths[n_runs - 1] += 1
-                    j += 1
-            fh.write(lengths[:n_runs].tobytes())
+            run, (accepted, _, _), config, _ = walk_chain(
+                post, config, kept_steps(config),
+                lambda i, z, ev: fh.write(np.ascontiguousarray(z, "<f8")),
+                init, anchor)
+            lengths = np.bincount(run)
+            fh.write(lengths.astype("<i8").tobytes())
             fh.seek(0)
-            config = replace(config, **{config.stepsize_name: step})
-            _write_header(fh, config, post.n_modes, keep.size, n_runs)
-        rate = n_accepted / config.n_samples
-        _write_sidecar(path, config, post.n_modes, keep.size, rate)
+            fh.write(_CHAIN_HEADER.pack(
+                b"CHN1", 2, post.n_modes, run.size, lengths.size,
+                config.thinning, config.seed, _KIND_CODE[config.kind],
+                config.stepsize))
+        rate = float(np.mean(accepted))
+        sidecar = {**asdict(config), "n_kept": run.size,
+                   "n_modes": post.n_modes, "acceptance_rate": rate}
+        with open(str(path) + ".json", "w", encoding="ascii") as fh:
+            json.dump(sidecar, fh, indent=2, sort_keys=True)
+            fh.write("\n")
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)

@@ -266,7 +266,7 @@ def test_search_refuses_a_bad_grid_before_any_chain(post16, monkeypatch,
     def refuse(*args, **kwargs):
         raise AssertionError("no chain should run")
 
-    monkeypatch.setattr(calibrate, "chain_states", refuse)
+    monkeypatch.setattr(calibrate, "walk_chain", refuse)
     with pytest.raises(ValueError, match="weight_grid"):
         admissible_search(_weights_of(post16), grid, chain_steps=50)
 

@@ -6,10 +6,12 @@ quadrature of a two-coefficient posterior; algebraic reductions are checked
 on matched random streams.
 """
 
+import errno
 import json
 import math
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from poistomo.posterior import PosteriorEval
 from poistomo.samplers import (Anchor, Chain, ChainDivergence, RunMatrix,
                                SamplerConfig, _accept, _rho, anchor_from_map,
                                chain_states, kept_steps, load_chain, run_chain,
-                               save_chain, stream_chain, tune_stepsize)
+                               stream_chain, tune_stepsize, walk_chain)
 from poistomo.fields import tv_arrays
 from poistomo.admm import AdmmConfig, offset_direction, solve_map
 
@@ -356,6 +358,31 @@ def test_run_chain_collects_the_yielded_states(post16):
     np.testing.assert_array_equal(ev.z, post16.basis.synthesize_values(z))
 
 
+def test_walk_hands_on_each_run_once(post16):
+    # over a subsample of the steps, each state that starts a new run among
+    # them is handed on once, in order, with its own evaluation; the run
+    # index maps every chosen step to it
+    cfg = SamplerConfig("pcn", 120, beta=0.3, burn_in=0, seed=35)
+    states = list(chain_states(post16, cfg))
+    steps = np.array([0, 1, 2, 7, 8, 40, 41, 42, 100, 119])
+    seen = []
+    run, traces, config, last = walk_chain(
+        post16, cfg, steps, lambda i, z, ev: seen.append((i, z, ev)))
+    chosen = [states[k][0] for k in steps]
+    assert [i for i, _, _ in seen] == list(range(len(seen)))
+    assert 1 < len(seen) < steps.size
+    for k, j in zip(steps, run):
+        np.testing.assert_array_equal(seen[j][1], states[k][0])
+        assert seen[j][2].psi == states[k][1].psi
+    np.testing.assert_array_equal(run, np.cumsum(
+        [True] + [a is not b for a, b in zip(chosen[:-1], chosen[1:])]) - 1)
+    np.testing.assert_array_equal(traces[0], [s[2] for s in states])
+    np.testing.assert_array_equal(traces[1], [s[1].psi for s in states])
+    np.testing.assert_array_equal(traces[2], [s[1].reg for s in states])
+    assert config == cfg
+    np.testing.assert_array_equal(last, states[-1][0])
+
+
 def _refuse_run_chain(*args, **kwargs):
     raise AssertionError("the tuner should not call run_chain")
 
@@ -586,11 +613,29 @@ def test_tuning_is_deterministic(post16_strong, map16_strong):
 # persistence
 
 
+def _write_chain(chain, path):
+    """Reference writer of the chain file format (see samplers), for tests
+    that load a file of chosen contents: one row per stretch of equal rows,
+    as RunMatrix.stretches finds them."""
+    runs, lengths = chain.samples.stretches()
+    cfg = chain.config
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIIIIqBxxxd", b"CHN1", 2, chain.n_modes,
+                             chain.n_kept, runs.size, cfg.thinning, cfg.seed,
+                             samplers.KINDS.index(cfg.kind), cfg.stepsize))
+        fh.write(np.asarray(chain.samples.rows, dtype="<f8")[runs].tobytes())
+        fh.write(lengths.astype("<i8").tobytes())
+    with open(str(path) + ".json", "w", encoding="ascii") as fh:
+        json.dump({**asdict(cfg), "n_kept": chain.n_kept,
+                   "n_modes": chain.n_modes,
+                   "acceptance_rate": chain.acceptance_rate}, fh)
+
+
 def test_chain_roundtrip(tmp_path, post16):
     cfg = SamplerConfig("pcn", 120, beta=0.4, burn_in=20, thinning=2, seed=26)
     chain = run_chain(post16, cfg)
     path = tmp_path / "chain.bin"
-    save_chain(chain, path)
+    stream_chain(post16, cfg, path)
     back = load_chain(path)
     np.testing.assert_array_equal(back.samples, chain.samples)
     assert back.config == cfg
@@ -603,7 +648,7 @@ def test_chain_roundtrip(tmp_path, post16):
     nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
     rows = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 2.0], [0.0, 1.0]])
     odd = RunMatrix(rows, [0, 0, 1, 2, 2, 3])
-    save_chain(Chain(odd, SamplerConfig("pcn", 6, burn_in=0), 1.0), path)
+    _write_chain(Chain(odd, SamplerConfig("pcn", 6, burn_in=0), 1.0), path)
     back = load_chain(path).samples
     assert back.run.tolist() == odd.run.tolist()
     assert np.array_equal(_bits(back.rows), _bits(rows))
@@ -614,49 +659,56 @@ def _bits(a):
 
 
 def test_chain_file_holds_the_little_endian_samples(tmp_path):
-    # 400 runs of 1 to 8 rows of 500 modes: the file holds the header, each
-    # run's row, then each run's length
-    rng = np.random.default_rng(29)
-    rows = rng.standard_normal((400, 500))
-    lengths = rng.integers(1, 9, 400)
-    n_kept = int(lengths.sum())
-    chain = Chain(RunMatrix(rows, np.repeat(np.arange(400), lengths)),
-                  SamplerConfig("pcn", n_kept, beta=0.5, burn_in=0), 1.0)
+    # 400 kept states of 500 modes from a chain that rejects some steps: the
+    # file holds the header, each run's row, then each run's length, and
+    # the states go to the file without being held
+    t = _GaussTarget(500, 0.01, np.zeros(500))
+    cfg = SamplerConfig("pcn", 440, beta=0.5, burn_in=40, seed=29)
+    chain = run_chain(t, cfg)
     path = tmp_path / "chain.bin"
     tracemalloc.start()
     try:
-        save_chain(chain, path)
+        stream_chain(t, cfg, path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the runs go to the file without an intermediate copy
     dense = np.asarray(chain.samples)
     assert peak < dense.nbytes / 4
+    lengths = np.bincount(chain.samples.run)
+    assert 1 < lengths.size < 400 and lengths.max() > 1
     raw = path.read_bytes()
-    assert struct.unpack("<4sIIII", raw[:20]) == (b"CHN1", 2, 500, n_kept,
-                                                  400)
-    assert raw[44:] == (rows.astype("<f8").tobytes()
+    assert struct.unpack("<4sIIII", raw[:20]) == (b"CHN1", 2, 500, 400,
+                                                  lengths.size)
+    assert raw[44:] == (chain.samples.rows.astype("<f8").tobytes()
                         + lengths.astype("<i8").tobytes())
 
 
-@pytest.mark.parametrize("kind", ["pcn", "pdpcn"])
-def test_streamed_chain_file_equals_the_saved_chain(tmp_path, post16, map16,
-                                                    kind):
+@pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
+@pytest.mark.parametrize("stepsize", [0.01, None])
+def test_streamed_chain_loads_as_the_run_chain(tmp_path, post16,
+                                               post16_smooth, map16, kind,
+                                               stepsize):
+    # the file of a thinned chain, at a given or a tuned stepsize, loads as
+    # the chain run_chain collects, bit for bit
     res, admm = map16
+    post = post16_smooth if kind == "pcnl" else post16
     anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
-    cfg = SamplerConfig(kind, 75, beta=0.3, delta=0.01, burn_in=9,
-                        thinning=4, seed=30)
-    saved, streamed = tmp_path / "saved.bin", tmp_path / "streamed.bin"
-    save_chain(run_chain(post16, cfg, init=res.coeffs, anchor=anchor), saved)
-    config, rate = stream_chain(post16, cfg, streamed, init=res.coeffs,
+    cfg = SamplerConfig(kind, 75, beta=stepsize, delta=stepsize, burn_in=9,
+                        thinning=3, seed=30)
+    chain = run_chain(post, cfg, init=res.coeffs, anchor=anchor)
+    path = tmp_path / "chain.bin"
+    config, rate = stream_chain(post, cfg, path, init=res.coeffs,
                                 anchor=anchor)
-    assert config == cfg
-    assert streamed.read_bytes() == saved.read_bytes()
-    assert (tmp_path / "streamed.bin.json").read_text() == \
-        (tmp_path / "saved.bin.json").read_text()
-    assert rate == load_chain(saved).acceptance_rate
+    back = load_chain(path)
+    assert np.array_equal(_bits(back.samples.rows), _bits(chain.samples.rows))
+    assert np.array_equal(back.samples.run, chain.samples.run)
+    assert back.config == config == chain.config
+    assert back.acceptance_rate == rate == chain.acceptance_rate
+    assert isinstance(config.stepsize, float)
+    assert path.stat().st_size == 44 + 8 * chain.samples.n_runs * (
+        post.n_modes + 1)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "saved.bin", "saved.bin.json", "streamed.bin", "streamed.bin.json"]
+        "chain.bin", "chain.bin.json"]
 
 
 def test_kept_states_are_held_once(tmp_path):
@@ -685,22 +737,47 @@ def test_kept_states_are_held_once(tmp_path):
 
 def test_tuned_stepsize_round_trips_through_the_chain_file(tmp_path,
                                                            post16):
-    # the header and sidecar hold the frozen beta, not None, and the file
-    # is the bytes of the tuned chain run and saved
+    # the header and sidecar hold the frozen beta, not None
     cfg = SamplerConfig("pcn", 120, beta=None, burn_in=40, thinning=2,
                         seed=34)
     chain = run_chain(post16, cfg)
-    saved, streamed = tmp_path / "saved.bin", tmp_path / "streamed.bin"
-    save_chain(chain, saved)
+    streamed = tmp_path / "streamed.bin"
     tuned, rate = stream_chain(post16, cfg, streamed)
     assert tuned == chain.config
     assert isinstance(tuned.beta, float) and 0.0 < tuned.beta <= 1.0
-    assert streamed.read_bytes() == saved.read_bytes()
     back = load_chain(streamed)
     assert back.config == tuned
     assert back.acceptance_rate == rate == chain.acceptance_rate
     (tmp_path / "streamed.bin.json").unlink()
     assert load_chain(streamed).config.beta == tuned.beta
+
+
+def test_block_that_cannot_be_reserved_names_the_way_out(monkeypatch):
+    # the paper preset's sampler keeps 500,000 states of 6,000 modes: a
+    # system that cannot reserve the 22.4 GiB block refuses before the first
+    # step, and says what to change.  The reservation is never made here
+    class _NoStep(_FlatTarget):
+        def evaluate(self, c):
+            raise AssertionError("no step should run")
+
+    def refuse(fileno, length):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr(samplers.mmap, "mmap", refuse)
+    cfg = SamplerConfig("pcn", 550000, beta=0.1, burn_in=50000)
+    with pytest.raises(MemoryError, match="22.4 GiB") as info:
+        run_chain(_NoStep(6000), cfg)
+    assert "stream_chain" in str(info.value)
+    assert "thinning" in str(info.value)
+    assert info.value.__cause__.errno == errno.ENOMEM
+
+    # any other failure to map is not a lack of memory
+    def deny(fileno, length):
+        raise OSError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(samplers.mmap, "mmap", deny)
+    with pytest.raises(PermissionError):
+        run_chain(_NoStep(2), SamplerConfig("pcn", 10, beta=0.1))
 
 
 def test_failed_stream_leaves_no_chain_file(tmp_path, post16):
@@ -722,7 +799,7 @@ def test_chain_loads_without_sidecar(tmp_path):
     cfg = SamplerConfig("pcnl", 40, delta=0.7, burn_in=0, thinning=4, seed=27)
     chain = run_chain(t, cfg)
     path = tmp_path / "chain.bin"
-    save_chain(chain, path)
+    stream_chain(t, cfg, path)
     (tmp_path / "chain.bin.json").unlink()
     back = load_chain(path)
     np.testing.assert_array_equal(back.samples, chain.samples)
@@ -738,10 +815,11 @@ def test_chain_loads_without_sidecar(tmp_path):
 
 def test_chain_loads_an_older_sidecar_with_k_proj(tmp_path):
     # sidecars written before the k_proj key was removed hold "k_proj": null
-    chain = run_chain(_FlatTarget(3), SamplerConfig("pcn", 30, beta=0.5,
-                                                    burn_in=5, seed=31))
+    t, cfg = _FlatTarget(3), SamplerConfig("pcn", 30, beta=0.5, burn_in=5,
+                                           seed=31)
+    chain = run_chain(t, cfg)
     path = tmp_path / "chain.bin"
-    save_chain(chain, path)
+    stream_chain(t, cfg, path)
     sidecar_path = tmp_path / "chain.bin.json"
     sidecar = json.loads(sidecar_path.read_text())
     assert "k_proj" not in sidecar
@@ -755,10 +833,9 @@ def test_chain_loads_an_older_sidecar_with_k_proj(tmp_path):
 def test_chain_load_refuses_a_sidecar_without_a_field(tmp_path):
     # the sidecar holds every config field and the acceptance rate; a
     # missing one is named, never filled in with a default
-    chain = run_chain(_FlatTarget(2), SamplerConfig("pcn", 20, beta=0.5,
-                                                    seed=28))
     path = tmp_path / "chain.bin"
-    save_chain(chain, path)
+    stream_chain(_FlatTarget(2), SamplerConfig("pcn", 20, beta=0.5, seed=28),
+                 path)
     sidecar_path = tmp_path / "chain.bin.json"
     sidecar = json.loads(sidecar_path.read_text())
     assert sorted(sidecar) == sorted(
@@ -783,8 +860,8 @@ def test_chain_load_refuses_the_sidecar_of_another_chain(tmp_path):
                   SamplerConfig("pdpcn", 33, delta=0.2, burn_in=3, seed=7),
                   0.1)
     path, other_path = tmp_path / "chain.bin", tmp_path / "other.bin"
-    save_chain(ours, path)
-    save_chain(other, other_path)
+    _write_chain(ours, path)
+    _write_chain(other, other_path)
     sidecar_path = tmp_path / "chain.bin.json"
     sidecar = json.loads(sidecar_path.read_text())
     sidecar_path.write_text((tmp_path / "other.bin.json").read_text())
@@ -806,11 +883,9 @@ def test_chain_load_refuses_the_sidecar_of_another_chain(tmp_path):
 
 
 def test_chain_load_rejects_corruption(tmp_path):
-    t = _FlatTarget(2)
-    chain = run_chain(t, SamplerConfig("pcn", 20, beta=0.5, burn_in=0,
-                                       seed=28))
     path = tmp_path / "chain.bin"
-    save_chain(chain, path)
+    stream_chain(_FlatTarget(2), SamplerConfig("pcn", 20, beta=0.5,
+                                               burn_in=0, seed=28), path)
     raw = path.read_bytes()
 
     bad_magic = tmp_path / "bad_magic.bin"
@@ -862,7 +937,7 @@ def test_load_chain_keeps_only_the_runs(tmp_path):
     chain = Chain(samples, SamplerConfig("pcn", 4500, beta=0.5, burn_in=0),
                   0.002)
     path = tmp_path / "chain.bin"
-    save_chain(chain, path)
+    _write_chain(chain, path)
     dense = np.asarray(samples).nbytes
     tracemalloc.start()
     try:
@@ -873,17 +948,10 @@ def test_load_chain_keeps_only_the_runs(tmp_path):
     assert peak < dense / 4
     assert back.samples.n_runs == 9
     np.testing.assert_array_equal(back.samples, samples)
+    # nothing the file holds is lost in loading
     again = tmp_path / "again.bin"
-    save_chain(back, again)
+    _write_chain(back, again)
     assert again.read_bytes() == path.read_bytes()
-    # a thinned chain is written compacted: every third row of 9 runs of
-    # 500 rows falls in 9 runs of 166 or 167
-    thinned = Chain(samples[::3], SamplerConfig("pcn", 4500, beta=0.5,
-                                                burn_in=0, thinning=3), 0.002)
-    save_chain(thinned, again)
-    assert again.stat().st_size == 44 + 8 * 9 * 501
-    np.testing.assert_array_equal(load_chain(again).samples,
-                                  np.asarray(samples)[::3])
 
 
 def test_run_matrix_answers_every_access_form():
@@ -908,6 +976,12 @@ def test_run_matrix_answers_every_access_form():
         assert isinstance(part, RunMatrix) and part.rows is m.rows
         assert np.array_equal(np.asarray(part), dense[key])
     assert np.array_equal(np.array(list(m)), dense)
+    # a thinned or sliced matrix falls in fewer, shorter stretches
+    for key, runs, lengths in ((slice(None), [0, 1, 2, 3], [2, 3, 1, 3]),
+                               (slice(None, None, 3), [0, 1, 3], [1, 1, 1]),
+                               (slice(1, 5), [0, 1], [1, 3])):
+        got = m[key].stretches()
+        assert [a.tolist() for a in got] == [runs, lengths], key
     with pytest.raises(TypeError):
         np.isfinite(m)
 
