@@ -11,13 +11,13 @@ reflected pixels.  The x-flip and, on a square grid with even n_angles, the
 transpose carry one angle's near rays onto another's, so only the near
 half of each projection at the angles in [0, pi/4] and pi/2 (or [0, pi/2])
 is traced, in batches within a small fixed budget of floats.  Only the near
-half H of every projection is stored, as int32 CSR whose rows repeat no
-pixel and keep their trace's order along the ray (a mapped row its source
-row's), which fixes the summation order of ``apply``.  ``apply`` forms H u
-and H u reflected and gathers them into angle-major ray order through one
-row map; ``adjoint`` scatters the counts back through that map and forms
-H^T w_near + reflect(H^T w_far) from H's arrays read as H^T in CSC form.
-The build peaks below the bytes of the full matrix it no longer forms.
+half H of every projection is stored, as three CSR arrays, written once,
+whose rows repeat no pixel and keep their trace's order along the ray (a
+mapped row its source row's), which fixes the summation order of ``apply``.
+``apply`` runs two CSR products, on u and on u reversed, gathered into
+angle-major ray order through one row map; ``adjoint`` scatters the counts
+back through that map and runs one two-column CSC pass over H's arrays.
+The build peaks below the bytes of the full matrix it never forms.
 
 Expected counts are theta = kappa * (path integrals of u); ``posterior``
 holds the Poisson likelihood of the counts at theta.
@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 from scipy.special import erf
 
@@ -108,19 +107,27 @@ class RadonOperator:
     Rays that miss the domain are dropped at build time, so every retained
     row has positive weight, bounded by the diagonal sqrt(2).  Rows run
     angle-major, detector-minor (``angle_idx``, ``det_idx``).  W is held as
-    ``half`` (H) and ``row_map``: row i of W u is entry ``row_map[i]`` of
-    [H u, H u reflected], near rows then reflected near rows.
+    its near half H's CSR arrays ``indptr``, ``indices`` (int32) and ``data``
+    (float64), and ``row_map``: row i of W u is entry ``row_map[i]`` of
+    [H u, H u reflected], near rows then reflected near rows.  All read-only.
     """
 
     grid: Grid
     n_angles: int
     n_det: int
     kappa: float
-    half: sp.csr_matrix = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    data: np.ndarray = field(repr=False)
     row_map: np.ndarray = field(repr=False)
     angle_idx: np.ndarray = field(repr=False)
     det_idx: np.ndarray = field(repr=False)
     n_dropped: int
+
+    def __post_init__(self):
+        for a in (self.indptr, self.indices, self.data, self.row_map,
+                  self.angle_idx, self.det_idx):
+            a.setflags(write=False)
 
     @property
     def n_rays(self) -> int:
@@ -129,20 +136,21 @@ class RadonOperator:
     @property
     def nnz(self) -> int:
         """Entries of the full matrix W: each row has its near row's count."""
-        h = self.half
-        return int(np.diff(h.indptr)[self.row_map % h.shape[0]].sum())
+        counts = np.diff(self.indptr)
+        return int(counts[self.row_map % counts.size].sum())
 
     def apply(self, u) -> np.ndarray:
         """Expected counts of an image given flat or as (nx, ny) values."""
         u = np.asarray(u, dtype=float).reshape(-1)
-        h, (n, npix) = self.half, self.half.shape
+        n, npix = self.indptr.size - 1, self.grid.npix
         if u.size != npix:
             raise ValueError(f"image has {u.size} values, the grid {npix}")
         both = np.zeros(2 * n)
-        # scipy's CSR product kernel, called directly: ``h @ u`` checks its
-        # operands on every call, which costs as much as a desk-sized product
+        # scipy's CSR product kernel, called directly: a sparse matrix checks
+        # its operands on every product, which costs as much as a desk product
         for x, y in ((u, both[:n]), (u[::-1], both[n:])):
-            _sparsetools.csr_matvec(n, npix, h.indptr, h.indices, h.data, x, y)
+            _sparsetools.csr_matvec(n, npix, self.indptr, self.indices,
+                                    self.data, x, y)
         counts = both[self.row_map]
         counts *= self.kappa
         return counts
@@ -152,13 +160,14 @@ class RadonOperator:
         w = np.asarray(w, dtype=float).reshape(-1)
         if w.size != self.n_rays:
             raise ValueError(f"{w.size} counts for {self.n_rays} rays")
-        h, (n, npix) = self.half, self.half.shape
+        n, npix = self.indptr.size - 1, self.grid.npix
         both = np.zeros(2 * n)
         both[self.row_map] = w
         # H's CSR arrays are H^T's CSC ones: one kernel pass for both halves
         back = np.zeros((npix, 2))
-        _sparsetools.csc_matvecs(npix, n, 2, h.indptr, h.indices, h.data,
-                                 both.reshape(2, n).T.ravel(), back.ravel())
+        _sparsetools.csc_matvecs(npix, n, 2, self.indptr, self.indices,
+                                 self.data, both.reshape(2, n).T.ravel(),
+                                 back.ravel())
         return self.kappa * (back[:, 0] + back[::-1, 1])
 
 
@@ -205,9 +214,8 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     pix = np.concatenate(cols)
     del cols
     # angle k's near rows are its source angle's traced rows, rays j alike,
-    # whose entries are one block: join the blocks in trace order, one
-    # array at a time, then move each mapped angle's pixels through its
-    # permutation
+    # whose entries are one block: join the lengths' blocks in trace order,
+    # then take each block's pixels through its angle's map into place
     first = np.searchsorted(traced, np.arange(n_angles + 1) * n_det)
     start = np.concatenate(([0], np.cumsum(n_seg)))
     src = [slice(first[s], first[s + 1]) for s in sources]
@@ -218,16 +226,13 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     blocks = [slice(start[rows.start], start[rows.stop]) for rows in src]
     data = np.concatenate([lengths[b] for b in blocks])
     del lengths
-    indices = np.concatenate([pix[b] for b in blocks])
-    del pix
+    indices = np.empty(data.size, dtype=np.int32)
     at = 0
     for b, perm in zip(blocks, perms):
         to = slice(at, at + b.stop - b.start)
-        if perm is not None:
-            indices[to] = perm[indices[to]]
+        # "clip": under the default "raise" numpy fills a buffer, then ``out``
+        np.take(perm, pix[b], out=indices[to], mode="clip")
         at = to.stop
-    half = sp.csr_matrix((data, indices, indptr),
-                         shape=(near.size, grid.npix))
     # ray (k, j) is kept exactly when its near twin (k, min(j, n_det-1-j))
     # is, and takes its twin's row, reflected for a far ray
     ray = np.arange(n_angles * n_det)
@@ -237,8 +242,8 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     kept = ray[hit]
     row_map = row[hit] + near.size * (twin < ray)[hit]
     n_dropped = n_angles * n_det - kept.size
-    op = RadonOperator(grid, n_angles, n_det, kappa, half, row_map,
-                       (kept // n_det).astype(np.uint32),
+    op = RadonOperator(grid, n_angles, n_det, kappa, indptr, indices, data,
+                       row_map, (kept // n_det).astype(np.uint32),
                        (kept % n_det).astype(np.uint32), n_dropped)
     log.info("radon operator: %d rays traced at %d of %d angles, %d mapped, "
              "%d mirrored; %d kept, %d dropped, %d entries, %d batches, "
@@ -262,8 +267,8 @@ def _geometry(n_angles: int, n_det: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _angle_sources(grid: Grid, n_angles: int):
     """For each angle k, the traced angle whose near rows give k's, and the
-    int32 map of a source row's pixels onto k's pixels (None where k is
-    traced itself).
+    int32 map of a source row's pixels onto k's pixels (the identity where k
+    is traced itself).
 
     The mirror y -> 1-y takes ray (k, j) onto ray (n_angles-k, n_det-1-j),
     since s_{n_det-1-j} = -s_j exactly; after the point reflection, the
@@ -278,7 +283,7 @@ def _angle_sources(grid: Grid, n_angles: int):
     pix = np.arange(grid.npix, dtype=np.int32).reshape(grid.nx, grid.ny)
     # keyed by (x-flip, transpose); both at once is the transpose, then the
     # x-flip
-    maps = {(False, False): None, (True, False): pix[::-1].ravel(),
+    maps = {(False, False): pix.ravel(), (True, False): pix[::-1].ravel(),
             (False, True): pix.T.ravel(), (True, True): pix[::-1].T.ravel()}
     transpose = grid.nx == grid.ny and n_angles % 2 == 0
     sources, perms = [], []
@@ -348,6 +353,8 @@ def _trace_rays(rays: np.ndarray, grid: Grid):
     # crossings outside (tlo, thi) clip onto an end point, where they only
     # add zero-length segments
     np.minimum(np.maximum(ts, tlo[:, None], out=ts), thi[:, None], out=ts)
+    # the x and y crossings are each monotone, yet the default row sort beats
+    # the run-merging stable sort: 0.9 against 1.1-1.6 ms on a paper table
     ts.sort(axis=1)
     lengths = ts[:, 1:] - ts[:, :-1]
     keep = lengths > 1e-13

@@ -36,8 +36,7 @@ def brain_phantom(grid: Grid, low: float = 1.05, high: float = 2.95
     if not high > low > 0.0:
         raise ValueError(f"need 0 < low < high, got low={low}, high={high}")
     xc, yc = grid.centers()
-    x = xc[:, None] + 0.0 * yc[None, :]
-    y = 0.0 * xc[:, None] + yc[None, :]
+    x, y = xc[:, None], yc[None, :]
 
     span = high - low
     vals = np.full(grid.shape, low)

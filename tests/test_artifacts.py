@@ -1,9 +1,29 @@
-"""Perturbing a test image before it is screened (``inject_artifact``)."""
+"""The test image (``brain_phantom``) and perturbing it before it is
+screened (``inject_artifact``)."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from poistomo import Grid, ScalarField, inject_artifact
+from poistomo import Grid, ScalarField, brain_phantom, inject_artifact
+from poistomo.config import parse_config
+
+
+@pytest.mark.parametrize("preset, digest", [
+    ("desk",
+     "5e54f26a963c78cb5deca99b7301632462ee66f8720121573ca95765afae8063"),
+    ("paper",
+     "c697504a42276f27648927bc9b4c16edde796c32bf16b848474b6f812617d942"),
+])
+def test_preset_phantoms_keep_their_values(preset, digest):
+    # the image `poistomo phantom` writes, pinned by the sha256 of its
+    # row-major float64 values
+    cfg = parse_config(preset=preset)
+    lo, hi = cfg.reparam.bounds
+    values = brain_phantom(cfg.grid, low=lo + 0.05, high=hi - 0.05).values
+    assert values.dtype == np.float64 and values.shape == cfg.grid.shape
+    assert hashlib.sha256(np.ascontiguousarray(values)).hexdigest() == digest
 
 
 @pytest.fixture

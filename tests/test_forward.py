@@ -351,23 +351,23 @@ def test_operator_matches_ray_by_ray_trace(shape, n_angles, n_det, budget,
     reference = _reference_operator(op.grid, n_angles, n_det, mirror=True)
     _assert_same_tables(op, reference)
     rows = np.flatnonzero(2 * reference[2] <= n_det - 1)
-    h, near = op.half, reference[0][rows]
-    assert h.shape == near.shape
-    order = np.lexsort((h.indices, _entry_rows(h)))   # by row, then pixel
+    near = reference[0][rows]
+    assert (op.indptr.size - 1, op.grid.npix) == near.shape
+    order = np.lexsort((op.indices, _entry_rows(op)))   # by row, then pixel
     for name in ("indptr", "indices", "data"):
-        got, want = getattr(h, name), getattr(near, name)
+        got, want = getattr(op, name), getattr(near, name)
         assert got.dtype == want.dtype
         if name != "indptr":
             got = got[order]
         assert np.array_equal(got, want), name
     along = [reference[4][r] for r in rows]
-    assert np.array_equal(h.indices, np.concatenate([p for p, _ in along]))
-    assert np.array_equal(h.data, np.concatenate([v for _, v in along]))
+    assert np.array_equal(op.indices, np.concatenate([p for p, _ in along]))
+    assert np.array_equal(op.data, np.concatenate([v for _, v in along]))
 
 
-def _entry_rows(h):
-    """The row of each stored entry of CSR ``h``."""
-    return np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+def _entry_rows(op):
+    """The near row of each stored entry of ``op``."""
+    return np.repeat(np.arange(op.indptr.size - 1), np.diff(op.indptr))
 
 
 def _build_case(geometry):
@@ -379,29 +379,58 @@ def _build_case(geometry):
     return build_radon_operator(Grid(*shape), n_angles, n_det)
 
 
-@pytest.mark.parametrize("geometry", GEOMETRIES + ["desk", "paper"], ids=(
-    lambda g: g if isinstance(g, str) else "{}x{}-{}-{}".format(*g[0], *g[1:])
-))
+EVERY_GEOMETRY = pytest.mark.parametrize(
+    "geometry", GEOMETRIES + ["desk", "paper"], ids=(
+        lambda g: g if isinstance(g, str)
+        else "{}x{}-{}-{}".format(*g[0], *g[1:])))
+
+
+@EVERY_GEOMETRY
 def test_no_stored_row_repeats_a_pixel(geometry):
     # nothing merges duplicate entries, so ``nnz``, the log's entries and
     # the manifest's nnz count pixels crossed only while no row repeats one
-    h = _build_case(geometry).half
-    assert np.unique(_entry_rows(h) * h.shape[1] + h.indices).size == h.nnz
+    op = _build_case(geometry)
+    assert np.unique(_entry_rows(op) * op.grid.npix + op.indices).size \
+        == op.indices.size
+
+
+@EVERY_GEOMETRY
+def test_stored_arrays_are_a_valid_frozen_csr(geometry):
+    # what a scipy CSR matrix would check of H's arrays, which the kernels
+    # in ``apply`` and ``adjoint`` read unchecked, and every array read-only
+    op = _build_case(geometry)
+    indptr, indices, data = op.indptr, op.indices, op.data
+    assert indptr.dtype == indices.dtype == np.int32
+    assert indptr[0] == 0 and np.all(np.diff(indptr) >= 0)
+    assert indptr[-1] == indices.size == data.size
+    assert indices.min() >= 0 and indices.max() < op.grid.npix
+    assert data.dtype == np.float64 and np.all(data > 0.0)
+    assert op.row_map.min() >= 0 and op.row_map.max() < 2 * (indptr.size - 1)
+    for name in ("indptr", "indices", "data", "row_map", "angle_idx",
+                 "det_idx"):
+        assert not getattr(op, name).flags.writeable, name
+    with pytest.raises(ValueError):
+        op.data[0] = 1.0
 
 
 def test_build_neither_sorts_nor_gathers_rows(monkeypatch):
-    # the near half is assembled in trace order, one block copy per angle:
-    # scipy's per-row sort and CSR row gather are never called
+    # the near half is assembled in trace order, one block copy per angle,
+    # and kept as bare arrays: scipy's per-row sort and CSR row gather are
+    # never called, and neither the build nor the operator's actions form a
+    # scipy sparse matrix
     from scipy.sparse import _compressed, _sparsetools
 
-    def refuse(*args):
-        raise AssertionError("the build sorted or gathered CSR rows")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scipy sparse matrix was formed, or CSR rows "
+                             "sorted or gathered")
 
     for module in (_compressed, _sparsetools):
         for name in ("csr_sort_indices", "csr_row_index"):
             monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(_compressed._cs_matrix, "__init__", refuse)
     for geometry in GEOMETRIES + ["desk", "paper"]:
-        _build_case(geometry)
+        op = _build_case(geometry)
+        op.adjoint(op.apply(np.ones(op.grid.npix)))
 
 
 @pytest.mark.parametrize("shape,n_angles,n_det", GEOMETRIES)
@@ -463,7 +492,6 @@ def test_mapped_near_rows_carry_their_source_rows(shape, n_angles, n_det):
     # with the same lengths, bit for bit
     grid = Grid(*shape)
     op = build_radon_operator(grid, n_angles, n_det)
-    h = op.half
     row_of = {(k, j): op.row_map[i] for i, (k, j) in enumerate(
         zip(op.angle_idx.tolist(), op.det_idx.tolist())) if 2 * j <= n_det - 1}
     n_mapped = 0
@@ -474,11 +502,11 @@ def test_mapped_near_rows_carry_their_source_rows(shape, n_angles, n_det):
         near = [j for j in range(n_det) if (k, j) in row_of]
         assert near == [j for j in range(n_det) if (source, j) in row_of]
         for j in near:
-            got, src = (slice(h.indptr[r], h.indptr[r + 1])
+            got, src = (slice(op.indptr[r], op.indptr[r + 1])
                         for r in (row_of[(k, j)], row_of[(source, j)]))
-            assert np.array_equal(h.indices[got],
-                                  _carry(grid, h.indices[src], maps))
-            assert np.array_equal(h.data[got], h.data[src])
+            assert np.array_equal(op.indices[got],
+                                  _carry(grid, op.indices[src], maps))
+            assert np.array_equal(op.data[got], op.data[src])
         n_mapped += len(near)
     # every geometry of more than two angles maps some rows
     assert (n_mapped > 0) == (n_angles > 2)
@@ -513,9 +541,9 @@ def test_build_peaks_below_a_multiple_of_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    h = op.half
-    assert h.indices.dtype == h.indptr.dtype == np.int32
-    assert peak <= 2.0 * (h.data.nbytes + h.indices.nbytes + h.indptr.nbytes)
+    assert op.indices.dtype == op.indptr.dtype == np.int32
+    assert peak <= 2.0 * (op.data.nbytes + op.indices.nbytes
+                          + op.indptr.nbytes)
     # an int32 CSR of every ray: float64 data, int32 indices and indptr
     assert peak < op.nnz * (8 + 4) + (op.n_rays + 1) * 4
 
