@@ -189,9 +189,9 @@ class MapResult:
     converged: bool
 
 
-def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
-              init=None) -> MapResult:
-    """Run the splitting iteration until both residuals meet tol.
+def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig()) -> MapResult:
+    """Run the splitting iteration from zero coefficients until both
+    residuals meet tol.
 
     Residuals are cell-weighted L2 norms: primal ||grad z - p||, dual
     rho ||div(p_new - p_old)||.  The dual residual must enter the stopping
@@ -200,8 +200,7 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig(),
     before the coefficients are stationary.  The objective column of the
     history is the actual target  phi + tv_weight * TV(z).
     """
-    n = post.n_modes
-    c = np.zeros(n) if init is None else np.array(init, dtype=float).reshape(n)
+    c = np.zeros(post.n_modes)
     ev = post.evaluate(c)
     p, eta = ev.grad, np.zeros_like(ev.grad)   # p = grad z, eta = 0
     sqrt_cell = np.sqrt(post.grid.cell)

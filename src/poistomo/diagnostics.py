@@ -84,32 +84,25 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _column_means(x) -> np.ndarray:
-    """Column means, the rows added one at a time in order.  numpy's
-    ``mean(axis=0)`` does the same for two columns or more but sums a lone
-    contiguous column pairwise, which would make a column's ACF depend on
-    its neighbours."""
-    total = np.array(x[0], dtype=float)
-    for row in x[1:]:
-        total += row
-    return total / x.shape[0]
-
-
 def _acf_blocks(x, max_lag: int):
-    """(first column, ACF block) pairs, lags 0..max_lag about the whole-array
-    column means.  A block takes as many columns as fit their spectra, its
-    product and the inverse transform (3 (nfft + 2) floats a column); the
-    gathered column block and its centred copy (2 n <= nfft floats a column)
-    are freed before the product."""
+    """(first column, ACF block) pairs, lags 0..max_lag about the column
+    means.  A block takes as many columns as fit their spectra, its product
+    and the inverse transform (3 (nfft + 2) floats a column); the gathered
+    column block beside its running sums, then beside its centred copy
+    (2 n <= nfft floats a column), is freed before the product."""
     n, m = x.shape
     # at least 2 n, so the transform has no circular wrap, and fast to factor
     nfft = _fast_len(2 * n)
-    mean = _column_means(x)
     cols = block_rows(3 * (nfft + 2))
     degenerate = 0
     for lo in range(0, m, cols):
-        spec = np.fft.rfft(x[:, lo:lo + cols] - mean[lo:lo + cols], n=nfft,
-                           axis=0)
+        block = x[:, lo:lo + cols]
+        # the rows added one at a time in order: numpy's mean(axis=0) sums a
+        # lone contiguous column pairwise, which would make a column's ACF
+        # depend on its block
+        block = block - np.cumsum(block, axis=0)[-1] / n
+        spec = np.fft.rfft(block, n=nfft, axis=0)
+        del block
         # in place at every block size: numpy elides the temporary of
         # spec * np.conj(spec) only from 256 KiB, and the two products round
         # differently, so a column's values would depend on its block
@@ -159,7 +152,9 @@ def _tau_from_acf(rho: np.ndarray) -> np.ndarray:
 
 def ess_matrix(traces: np.ndarray) -> np.ndarray:
     """Effective sample size n / (1 + 2 tau) per column, over the column
-    blocks of ``acf_matrix``."""
+    blocks of ``acf_matrix``.  A constant column has ACF 1 at every lag and
+    so an ESS of n / (2 n - 1), about 0.5: a chain that never moved has a
+    median ESS near 0.5 and one distinct state (``RunMatrix.n_runs``)."""
     x = _columns(traces)
     tau = [_tau_from_acf(rho) for _, rho in _acf_blocks(x, x.shape[0] - 1)]
     return x.shape[0] / (1.0 + 2.0 * np.concatenate(tau))
@@ -172,7 +167,7 @@ def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
     Synthesis runs in row blocks within ``BLOCK_FLOATS`` on top of the
     result; a row holds 2 n_modes + 2 npix floats at once: the gathered
     coefficients, their weights, and the scatter and its product
-    (``KLModes.__rmatmul__``).
+    (``KLModes.synthesize``).
     """
     if thin < 1:
         raise ValueError("thin must be at least 1")

@@ -2,13 +2,14 @@
 
 The covariance kernel gamma * exp(-||x - x'||_1 / d) is separable in the two
 coordinates, so its discrete eigenpairs are tensor products of two cheap 1d
-eigendecompositions: mode r is the outer product ex[ii_r] (x) ey[jj_r] of two
-1d eigenvectors.  The basis keeps only those factors and index pairs
-(``KLModes``), never the dense (n_modes, npix) matrix, and applies it as
-``ex^T . scatter(weights) . ey``; the transpose gathers ``ex . D . ey^T`` at
-the index pairs.  Coefficient vectors are standard normal under the
-reference measure; the covariance acts diagonally on expansion weights, which
-is what makes the preconditioned samplers dimension-robust.
+eigendecompositions: mode r is the outer product ex[i_r] (x) ey[j_r] of two
+1d eigenvectors.  The basis keeps only those factors and the flat index of
+each (i_r, j_r) (``KLModes``), never the dense (n_modes, npix) matrix, and
+applies it as ``ex^T . scatter(weights) . ey``; the transpose gathers
+``ex . D . ey^T`` at the flat indices.  Coefficient vectors are standard
+normal under the reference measure; the covariance acts diagonally on
+expansion weights, which is what makes the preconditioned samplers
+dimension-robust.
 
 Coordinate conventions used throughout the package:
 
@@ -21,8 +22,7 @@ Coordinate conventions used throughout the package:
 from __future__ import annotations
 
 import logging
-import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,78 +68,64 @@ def _axis_eigpairs(n: int, h: float, corr_len: float):
 class KLModes:
     """The (n_modes, npix) eigenfield matrix, held as its Kronecker factors.
 
-    Row r is ex[ii[r]] (x) ey[jj[r]] flattened row-major, where the rows of
-    ex, ey are 1d eigenvectors.  ``w @ modes`` (synthesis of a weight vector
-    or a (k, n_modes) block) and ``modes @ d`` (inner products with one
-    vector of pixel values) run as two small matrix products each, without
-    forming the matrix.  With ex cut to a band of image x-rows X
-    (``ex[:, X]``) the same two products give only the pixels of those
-    x-rows: since pixels run row-major, those are one contiguous slice of
-    every pixel row.  Integer indexing gives one dense row, and
-    ``np.asarray(modes)`` the dense matrix; both are meant for tests.
-    ``__array_ufunc__ = None`` makes ``ndarray @ modes`` defer to
-    ``__rmatmul__`` instead of densifying.
+    Row r is ex[i] (x) ey[j] flattened row-major, where the rows of ex, ey
+    are 1d eigenvectors and (i, j) = divmod(index[r], len(ey)): ``index``
+    is flat in the (x-mode, y-mode) grid.  ``synthesize`` (pixel rows of a
+    weight vector or block) and ``project`` (inner products with one vector
+    of pixel values) run as two small matrix products each, without forming
+    the matrix.  ``np.asarray(modes)`` gives the dense matrix and is meant
+    for tests; ``__array_ufunc__ = None`` makes ``ndarray @ modes`` raise
+    instead of forming it.
     """
 
     ex: np.ndarray = field(repr=False)
     ey: np.ndarray = field(repr=False)
-    ii: np.ndarray = field(repr=False)
-    jj: np.ndarray = field(repr=False)
+    index: np.ndarray = field(repr=False)
 
     __array_ufunc__ = None
 
     def __post_init__(self):
-        for name, dtype in (("ex", float), ("ey", float), ("ii", np.intp),
-                            ("jj", np.intp)):
+        for name, dtype in (("ex", float), ("ey", float), ("index", np.intp)):
             a = np.asarray(getattr(self, name), dtype=dtype)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.ii.size, self.ex.shape[1] * self.ey.shape[1])
+        return (self.index.size, self.ex.shape[1] * self.ey.shape[1])
 
     @property
     def nbytes(self) -> int:
         # a square grid's ey is its ex: count the shared factor once
-        held = {id(a): a for a in (self.ex, self.ey, self.ii, self.jj)}
+        held = {id(a): a for a in (self.ex, self.ey, self.index)}
         return sum(a.nbytes for a in held.values())
 
-    def __len__(self) -> int:
-        return self.ii.size
-
-    def __getitem__(self, key):
-        r = operator.index(key)     # one row; a slice is refused
-        return np.outer(self.ex[self.ii[r]], self.ey[self.jj[r]]).reshape(-1)
-
     def __array__(self, dtype=None, copy=None):
-        dense = self.ex[self.ii][:, :, None] * self.ey[self.jj][:, None, :]
+        i, j = np.divmod(self.index, self.ey.shape[0])
+        dense = self.ex[i][:, :, None] * self.ey[j][:, None, :]
         return dense.reshape(self.shape).astype(dtype or float, copy=False)
 
-    def __rmatmul__(self, w):
-        """Pixel rows sum_r w[..., r] e_r of a weight vector or block; a
-        (k, n_modes) block peaks at k (n_modes + 2 npix) floats, the count a
-        block budget (``diagnostics.block_rows``) takes."""
+    def synthesize(self, w, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Pixel rows sum_r w[..., r] e_r of a weight vector or (k, n_modes)
+        block, for image x-rows lo:hi only: with pixels row-major, those are
+        one contiguous slice of every pixel row.  A block peaks at
+        k (n_modes + 2 npix) floats, the count a block budget
+        (``diagnostics.block_rows``) takes."""
         w = np.asarray(w, dtype=float)
-        if w.ndim not in (1, 2) or w.shape[-1] != len(self):
-            raise ValueError(f"cannot contract shape {w.shape} with the "
-                             f"{self.shape} modes")
-        buf = np.zeros((w.size // len(self), self.ex.shape[0],
-                        self.ey.shape[0]))
-        buf[:, self.ii, self.jj] = w.reshape(-1, len(self))
-        t = np.matmul(self.ex.T, buf)
+        nx, ny, n = self.ex.shape[0], self.ey.shape[0], self.index.size
+        buf = np.zeros((w.size // n, nx * ny))
+        buf[:, self.index] = w.reshape(-1, n)
+        buf = buf.reshape(-1, nx, ny)
+        t = np.matmul(self.ex[:, lo:hi].T, buf)
         # the product goes back into the scatter, a band's into its first rows
         out = np.matmul(t, self.ey, out=buf[:, :t.shape[1]])
-        return out.reshape(w.shape[:-1] + (self.shape[1],))
+        return out.reshape(w.shape[:-1] + (t.shape[1] * ny,))
 
-    def __matmul__(self, d):
-        """Inner products <e_r, d> with one vector of pixel values."""
-        d = np.asarray(d, dtype=float)
-        if d.shape != (self.shape[1],):
-            raise ValueError(f"cannot contract the {self.shape} modes with "
-                             f"shape {d.shape}")
-        full = self.ex @ d.reshape(self.ex.shape[0], self.ey.shape[0]) @ self.ey.T
-        return full[self.ii, self.jj]
+    def project(self, d) -> np.ndarray:
+        """Inner products <e_r, d> with one vector d of npix pixel values."""
+        d = np.asarray(d, dtype=float).reshape(self.ex.shape[0],
+                                                self.ey.shape[0])
+        return (self.ex @ d @ self.ey.T).reshape(-1)[self.index]
 
 
 @dataclass(frozen=True)
@@ -194,18 +180,13 @@ class KLBasis:
         if c.shape[-1] != self.n_modes:
             raise ValueError(f"expected {self.n_modes} coefficients per row, "
                              f"got {c.shape[-1]}")
-        if x_rows is None:
-            values = (c * self._sqrt_eta) @ self.modes
-            values += self.mean
-            return values
         nx, ny = self.grid.shape
-        start, stop, _ = x_rows.indices(nx)
+        start, stop, _ = (x_rows or slice(None)).indices(nx)
         # numpy runs a one-row product as a matrix-vector product, which
         # rounds differently: a one-row band takes a neighbour along
         lo = min(start, nx - 2) if stop - start == 1 else start
         hi = max(stop, lo + 2)
-        band = replace(self.modes, ex=self.modes.ex[:, lo:hi])
-        values = ((c * self._sqrt_eta) @ band)[
+        values = self.modes.synthesize(c * self._sqrt_eta, lo, hi)[
             ..., (start - lo) * ny:(stop - lo) * ny]
         values += self.mean[start * ny:stop * ny]
         return values
@@ -216,12 +197,11 @@ class KLBasis:
     def pullback(self, dvalues) -> np.ndarray:
         """Chain rule: pixel-value derivative dF/du -> coefficient derivative dF/dc.
 
-        For F(c) = F(values = mean + (c * sqrt(eta)) @ modes) this is
-        sqrt(eta) * (modes @ dF/dvalues); no quadrature weight enters because
+        For F(c) = F(values = mean + sum_i c_i sqrt(eta_i) e_i) this is
+        sqrt(eta_i) <e_i, dF/dvalues>; no quadrature weight enters because
         the derivative pairs raw values, not L2 functions.
         """
-        d = np.asarray(dvalues, dtype=float).reshape(-1)
-        return self._sqrt_eta * (self.modes @ d)
+        return self._sqrt_eta * self.modes.project(dvalues)
 
 
 def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
@@ -231,23 +211,23 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
     The two 1d kernel matrices (one on a square grid) are eigendecomposed
     with the cell-width quadrature weight; products of 1d eigenvalues
     (scaled by gamma) are sorted descending and the top n_modes retained as
-    index pairs into the two 1d eigenvector sets.  Numerically non-positive
-    products are clamped at 1e-14 times the leading eigenvalue and reported.
+    flat indices into the (x-mode, y-mode) grid of 1d eigenvector pairs.
+    Numerically non-positive products are clamped at 1e-14 times the leading
+    eigenvalue and reported.
     """
     if not 1 <= n_modes <= grid.npix:
         raise ValueError(f"n_modes must be in [1, {grid.npix}], got {n_modes}")
     vx, ex = _axis_eigpairs(grid.nx, grid.hx, cov.corr_len)
     vy, ey = ((vx, ex) if (grid.ny, grid.hy) == (grid.nx, grid.hx)
               else _axis_eigpairs(grid.ny, grid.hy, cov.corr_len))
-    prod = cov.gamma * np.outer(vx, vy)  # (nx, ny) products, index (i, j)
-    flat = prod.reshape(-1)
-    order = np.argsort(-flat, kind="stable")[:n_modes]
+    flat = (cov.gamma * np.outer(vx, vy)).reshape(-1)
+    # a copy, so the modes do not hold the whole argsort alive
+    order = np.argsort(-flat, kind="stable")[:n_modes].copy()
     eta = flat[order]
     floor = EIGENVALUE_FLOOR_REL * eta[0]
     n_clamped = int(np.sum(eta < floor))
     if n_clamped:
         log.warning("clamped %d kl eigenvalues below %.3e", n_clamped, floor)
         eta = np.maximum(eta, floor)
-    ii, jj = np.unravel_index(order, prod.shape)
-    return KLBasis(grid, cov, eta, KLModes(ex, ey, ii, jj),
+    return KLBasis(grid, cov, eta, KLModes(ex, ey, order),
                    np.full(grid.npix, float(mean)))

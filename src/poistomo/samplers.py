@@ -213,13 +213,13 @@ class RunMatrix:
     """A read-only (count, n_cols) matrix held as its runs of equal rows.
 
     ``rows`` stores one row per run and ``run`` the run index of every row:
-    row i is ``rows[run[i]]``.  Like ``KLModes`` it answers only the access
-    forms that the passes over a chain use.  A row slice (``[lo:hi]``,
-    ``[::thin]``) or a 1-D index array is another RunMatrix that shares
-    ``rows``; an integer or a (rows, columns) pair gives an ndarray gathered
-    from the runs, and iteration gives the rows in order.  ``np.asarray``
-    forms the dense matrix and is meant for tests; ``__array_ufunc__ = None``
-    keeps ufuncs and operators from forming it unasked.
+    row i is ``rows[run[i]]``.  It answers only the access forms that the
+    passes over a chain use.  A row slice (``[lo:hi]``, ``[::thin]``) or a
+    1-D index array is another RunMatrix that shares ``rows``; an integer or
+    a (rows, columns) pair gives an ndarray gathered from the runs, and
+    iteration gives the rows in order.  ``np.asarray`` forms the dense
+    matrix and is meant for tests; ``__array_ufunc__ = None`` keeps ufuncs
+    and operators from forming it unasked.
     """
 
     rows: np.ndarray = field(repr=False)

@@ -23,8 +23,7 @@ def test_modes_satisfy_weighted_eigenproblem():
     basis = build_kl_basis(grid, cov, 12)
     K = kernel_matrix(grid, cov)
     A = K * grid.cell
-    for i in range(12):
-        e = basis.modes[i]
+    for i, e in enumerate(np.asarray(basis.modes)):
         resid = A @ e - basis.eigenvalues[i] * e
         assert np.abs(resid).max() < 1e-10
 
@@ -37,7 +36,7 @@ def test_modes_orthonormal_in_cell_weighted_product():
     G = grid.cell * (dense @ dense.T)
     assert np.abs(G - np.eye(15)).max() < 1e-10
     # the factored contraction gives the same Gram matrix
-    G2 = grid.cell * np.stack([basis.modes @ row for row in dense])
+    G2 = grid.cell * np.stack([basis.modes.project(row) for row in dense])
     assert np.abs(G2 - np.eye(15)).max() < 1e-10
 
 
@@ -54,7 +53,8 @@ def test_leading_pair_matches_power_iteration():
         v = w / lam
     basis = build_kl_basis(grid, cov, 4)
     assert basis.eigenvalues[0] == pytest.approx(lam, rel=1e-8)
-    e = basis.modes[0] / np.linalg.norm(basis.modes[0])
+    e = np.asarray(basis.modes)[0]
+    e = e / np.linalg.norm(e)
     assert min(np.abs(e - v).max(), np.abs(e + v).max()) < 1e-6
 
 
@@ -72,7 +72,7 @@ def test_each_axis_gets_its_own_eigenpairs(nx, ny):
     assert (modes.ex is modes.ey) == (nx == ny)
     # a shared factor is held, and counted, once
     factors = modes.ex.nbytes + (modes.ey.nbytes if nx != ny else 0)
-    assert modes.nbytes == factors + modes.ii.nbytes + modes.jj.nbytes
+    assert modes.nbytes == factors + modes.index.nbytes
 
 
 def test_eigenvalues_sorted_descending():
@@ -96,7 +96,7 @@ def test_project_inverts_synthesize():
     rng = np.random.default_rng(1)
     c = rng.standard_normal(20)
     f = basis.synthesize(c)
-    weights = grid.cell * (basis.modes @ f.ravel())
+    weights = grid.cell * basis.modes.project(f.ravel())
     coeffs = weights / np.sqrt(basis.eigenvalues)
     assert np.abs(coeffs - c).max() < 1e-10
 
@@ -116,7 +116,7 @@ def test_pullback_is_adjoint_of_synthesize_direction():
     rng = np.random.default_rng(4)
     dc = rng.standard_normal(14)
     w = rng.standard_normal(grid.npix)
-    push = (dc * np.sqrt(basis.eigenvalues)) @ basis.modes
+    push = basis.modes.synthesize(dc * np.sqrt(basis.eigenvalues))
     assert float(push @ w) == pytest.approx(float(dc @ basis.pullback(w)),
                                             rel=1e-12)
 
@@ -196,9 +196,11 @@ def test_synthesize_values_takes_a_block_of_rows():
 
 
 def _dense_from_factors(basis):
-    """Mode matrix row r = ex[ii_r] (x) ey[jj_r], built by explicit loops."""
+    """Mode matrix row r = ex[i] (x) ey[j], (i, j) the grid position of the
+    flat index of mode r, built by explicit loops."""
     m = basis.modes
-    rows = [np.outer(m.ex[i], m.ey[j]).reshape(-1) for i, j in zip(m.ii, m.jj)]
+    ny = m.ey.shape[0]
+    rows = [np.outer(m.ex[r // ny], m.ey[r % ny]).reshape(-1) for r in m.index]
     return np.array(rows)
 
 
@@ -226,12 +228,12 @@ def test_factored_transform_matches_dense_matrix(nx, ny, n):
     d = rng.standard_normal(grid.npix)
     np.testing.assert_allclose(basis.pullback(d), sq * (dense @ d), **tol)
 
-    np.testing.assert_allclose(grid.cell * (basis.modes @ d),
+    np.testing.assert_allclose(grid.cell * basis.modes.project(d),
                                grid.cell * (dense @ d), **tol)
     np.testing.assert_array_equal(np.asarray(basis.modes), dense)
-    np.testing.assert_array_equal(basis.modes[3], dense[3])
-    with pytest.raises(TypeError):
-        basis.modes[:5]     # one row at a time: no sub-basis
+    # a unit weight synthesizes its one mode exactly
+    np.testing.assert_array_equal(basis.modes.synthesize(np.eye(n)[3]),
+                                  dense[3])
 
 
 def _preset_basis(preset):
@@ -273,7 +275,12 @@ def test_factored_modes_are_small_and_read_only():
         basis.modes.ex = None
     with pytest.raises(ValueError):
         basis.modes.ex[0, 0] = 1.0
+    # no operator forms the dense matrix: the products are named methods
+    with pytest.raises(TypeError):
+        np.zeros(2000) @ basis.modes
+    with pytest.raises(TypeError):
+        basis.modes @ np.zeros(grid.npix)
     with pytest.raises(ValueError):
-        basis.modes @ np.zeros(grid.npix + 1)
+        basis.pullback(np.zeros(grid.npix + 1))
     with pytest.raises(ValueError):
-        np.zeros(2001) @ basis.modes
+        basis.synthesize_values(np.zeros(2001))
