@@ -288,6 +288,9 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     lo, hi = interval
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid interval {interval}")
+    for name, value in (("n_iters", n_iters), ("inner_steps", inner_steps)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     probe = make_posterior(0.5 * (lo + hi))
     n_eff = float(probe.n_modes)
     a0 = (hi - lo) / n_eff

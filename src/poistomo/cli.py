@@ -23,7 +23,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import resource
 import sys
 import time
@@ -220,7 +219,7 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
     # kept states go to disk as the chain yields them, never all in memory
     scfg, rate = stream_chain(post, scfg, outdir / "chain.bin", init=init,
                               anchor=anchor)
-    outputs += ["chain.bin", "chain.bin.json"]
+    outputs.append("chain.bin")
     print(f"chain of {scfg.n_kept} kept samples at {scfg.stepsize_name} "
           f"{scfg.stepsize:.5g}, acceptance {rate:.3f}")
     return ({"sinogram.bin": args.sinogram}, outputs,
@@ -304,10 +303,9 @@ def cmd_diag(args, cfg: RunConfig, outdir: Path):
     ess = ess_matrix(chain.samples)
     _write_csv(outdir / "ess.csv", ("series", "ess"), zip(labels, ess))
     print(f"median coefficient ESS {np.median(ess):.1f} of {n} samples")
-    rate = chain.acceptance_rate        # NaN without a sidecar: null
     return ({"chain.bin": args.chain}, ["acf.csv", "ess.csv"],
             {"median_ess": float(np.median(ess)), "min_ess": float(ess.min()),
-             "acceptance_rate": None if math.isnan(rate) else rate,
+             "acceptance_rate": chain.acceptance_rate,
              "distinct_states": chain.samples.n_runs})
 
 

@@ -32,8 +32,8 @@ holding the chain or evaluating again: kept rows in ``run_chain``, a file
 in ``stream_chain``, predictive discrepancies in the calibration sweep.
 ``Chain.samples`` is a ``RunMatrix``: it stores one row per run plus the
 run index of every kept row, and the passes over a chain gather the row or
-column blocks they need from it.  A chain file stores the same runs: each
-run's row and length.
+column blocks they need from it.  A chain file stores the same runs, each
+run's row and length, then a record of the config and acceptance rate.
 
 A stepsize of None (beta for pcn, delta otherwise) is tuned in the chain's
 own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen before the
@@ -79,7 +79,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 KINDS = ("pcn", "pcnl", "pdpcn")
-_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
 TARGET_ACCEPTANCE = 0.25    # where a tuned burn-in steers the stepsize
 
 
@@ -109,7 +108,7 @@ class SamplerConfig:
                                  f"none, got {value}")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
-        # what default_rng takes and the chain header's int64 holds
+        # non-negative int64, the range calibrate's stream seeds wrap in
         if not 0 <= self.seed < 2 ** 63:
             raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
         burn = self.n_samples // 10 if self.burn_in is None else self.burn_in
@@ -460,13 +459,12 @@ def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
 
 
 # ---------------------------------------------------------------------------
-# chain file: a little-endian header (magic "CHN1", format version 2, mode
-# count, kept-sample count, run count, thinning, seed, kernel code,
-# stepsize), one f64 row per run of equal kept states, then the <i8 length
-# of each run; a JSON sidecar (path + ".json") holds the full config and
-# the acceptance rate
+# chain file: a little-endian header (magic "CHN1", format version 3, mode
+# count, run count, record length), one f64 row per run of equal kept
+# states, the <i8 length of each run, then the record: the ASCII JSON of
+# the config's fields and the acceptance rate
 
-_CHAIN_HEADER = struct.Struct("<4sIIIIIqBxxxd")
+_CHAIN_HEADER = struct.Struct("<4sIIII")
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
@@ -476,11 +474,12 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     ``load_chain`` of the file gives the samples, config and acceptance rate
     of ``run_chain``, but no kept state is held after the next one is
     written (walk_chain): only the per-step traces, 17 bytes a step, are.
-    The run lengths follow the rows once the chain ends, with the header
-    written last.  The file is written beside ``path`` and renamed once the
-    chain completes, so a chain that fails (ChainDivergence, a bad kernel
-    configuration) leaves no file at ``path``.  Returns the config, with
-    the stepsize the kept states were drawn at, and the acceptance rate.
+    The run lengths and the record follow the rows once the chain ends,
+    with the header written last.  The file is written beside ``path`` and
+    renamed once the chain completes, so a chain that fails
+    (ChainDivergence, a bad kernel configuration) leaves no file at
+    ``path``.  Returns the config, with the stepsize the kept states were
+    drawn at, and the acceptance rate.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
@@ -493,17 +492,12 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
                 init, anchor)
             lengths = np.bincount(run)
             fh.write(lengths.astype("<i8").tobytes())
+            rate = float(np.mean(accepted))
+            record = json.dumps({**asdict(config), "acceptance_rate": rate})
+            fh.write(record.encode("ascii"))
             fh.seek(0)
-            fh.write(_CHAIN_HEADER.pack(
-                b"CHN1", 2, post.n_modes, run.size, lengths.size,
-                config.thinning, config.seed, _KIND_CODE[config.kind],
-                config.stepsize))
-        rate = float(np.mean(accepted))
-        sidecar = {**asdict(config), "n_kept": run.size,
-                   "n_modes": post.n_modes, "acceptance_rate": rate}
-        with open(str(path) + ".json", "w", encoding="ascii") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_CHAIN_HEADER.pack(b"CHN1", 3, post.n_modes,
+                                        lengths.size, len(record)))
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
@@ -513,60 +507,43 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
 def load_chain(path) -> Chain:
     """Rebuild a chain from disk; per-step traces are not persisted.
 
-    It holds the file's rows, one per run, their lengths and the sidecar's
-    config and acceptance rate; without a sidecar, the header's config (no
-    burn-in) and NaN.  A bad magic or version, an unknown kernel code, a size
-    that does not match the header, run lengths that are not positive or do
-    not sum to the kept count, a sidecar without a field, or one whose kind,
-    thinning, seed, stepsize, kept count or mode count is not the header's
-    raise ValueError.
+    It holds the file's rows, one per run, their lengths and the record's
+    config and acceptance rate.  A bad magic or version, a size that does
+    not match the header, a record that is not a config and an acceptance
+    rate, or run lengths that are not positive or do not add up to the
+    config's kept count raise ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
         if len(head) < _CHAIN_HEADER.size:
             raise ValueError(f"{path}: truncated chain file")
-        (magic, version, n_modes, n_kept, n_runs, thinning, seed, code,
-         step) = _CHAIN_HEADER.unpack(head)
+        magic, version, n_modes, n_runs, n_record = _CHAIN_HEADER.unpack(head)
         if magic != b"CHN1":
             raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != 2:
+        if version != 3:
             raise ValueError(f"{path}: unsupported chain file version "
-                             f"{version}, expected 2")
-        if code >= len(KINDS):
-            raise ValueError(f"{path}: unknown kernel code {code}")
+                             f"{version}, expected 3")
         size = os.fstat(fh.fileno()).st_size - _CHAIN_HEADER.size
-        if size != 8 * n_runs * (n_modes + 1):
-            raise ValueError(f"{path}: sample block has {size} bytes, "
-                             f"expected {8 * n_runs * (n_modes + 1)}")
+        expected = 8 * n_runs * (n_modes + 1) + n_record
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes follow the header, "
+                             f"which promises {expected}")
         rows = np.fromfile(fh, dtype="<f8", count=n_runs * n_modes)
         lengths = np.fromfile(fh, dtype="<i8", count=n_runs)
-    if np.any(lengths < 1) or lengths.sum() != n_kept:
+        record = fh.read(n_record)
+    try:
+        record = json.loads(record.decode("ascii"))
+        cfg = SamplerConfig(**{f.name: record[f.name]
+                               for f in fields(SamplerConfig)})
+        rate = float(record["acceptance_rate"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: the record has no {exc.args[0]!r} "
+                         "field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad record: {exc}") from None
+    if np.any(lengths < 1) or lengths.sum() != cfg.n_kept:
         raise ValueError(f"{path}: run lengths must be positive and add up "
-                         f"to the {n_kept} kept samples")
+                         f"to the config's {cfg.n_kept} kept samples")
     samples = RunMatrix(rows.reshape(n_runs, n_modes),
                         np.repeat(np.arange(n_runs), lengths))
-    try:
-        with open(str(path) + ".json", "r", encoding="ascii") as fh:
-            sidecar = json.load(fh)
-    except FileNotFoundError:
-        cfg = SamplerConfig(KINDS[code], n_kept * thinning, burn_in=0,
-                            thinning=thinning, seed=seed)
-        return Chain(samples, replace(cfg, **{cfg.stepsize_name: step}),
-                     math.nan)
-    try:
-        cfg = SamplerConfig(**{f.name: sidecar[f.name]
-                               for f in fields(SamplerConfig)})
-        rate = float(sidecar["acceptance_rate"])
-        # a sidecar written for another chain must not describe this one
-        for name, value, own in (("kind", cfg.kind, KINDS[code]),
-                                 ("thinning", cfg.thinning, thinning),
-                                 ("seed", cfg.seed, seed),
-                                 ("stepsize", cfg.stepsize, step),
-                                 ("n_kept", sidecar["n_kept"], n_kept),
-                                 ("n_modes", sidecar["n_modes"], n_modes)):
-            if value != own:
-                raise ValueError(f"{path}.json: {name} {value!r} does not "
-                                 f"match the chain file's {own!r}")
-    except KeyError as exc:
-        raise ValueError(f"{path}.json: no {exc.args[0]!r} field") from None
     return Chain(samples, cfg, rate)

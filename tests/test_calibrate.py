@@ -271,6 +271,24 @@ def test_search_refuses_a_bad_grid_before_any_chain(post16, monkeypatch,
         admissible_search(_weights_of(post16), grid, chain_steps=50)
 
 
+@pytest.mark.parametrize("name", ["n_iters", "inner_steps"])
+def test_selection_refuses_no_iterations_before_the_pilot(post16,
+                                                          monkeypatch, name):
+    # no iterate, or chains of no step, are refused before the tuning pilot
+    # and the first chain run
+    from poistomo import calibrate
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no chain should run")
+
+    monkeypatch.setattr(calibrate, "tune_stepsize", refuse)
+    monkeypatch.setattr(calibrate, "run_chain", refuse)
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=name):
+            select_lambda(_weights_of(post16), (1.0, 2.0), beta=None,
+                          **{name: value})
+
+
 def test_search_holds_less_than_one_chain(post16):
     # nothing keeps a weight's samples, the previous weight's chain or a
     # copy of the subsample

@@ -2,13 +2,17 @@
 the exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from poistomo import Grid, ScalarField, acf_matrix, cli, ess_matrix, load_chain
+
+from test_samplers import _record, _with_record
 
 TINY_INI = """
 [grid]
@@ -76,9 +80,12 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
     moves = int(np.any(rows[1:] != rows[:-1], axis=1).sum())
     diag = json.loads((out / "diag_manifest.json").read_text())
     assert diag["distinct_states"] == 1 + moves
-    # the file holds the header, then a row of 24 modes and a length per run
+    # the file holds the header, a row of 24 modes and a length per run,
+    # then the record
     assert (out / "chain.bin").stat().st_size == \
-        44 + 8 * diag["distinct_states"] * (24 + 1)
+        20 + 8 * diag["distinct_states"] * (24 + 1) + \
+        len(json.dumps(_record(out / "chain.bin")))
+    assert not (out / "chain.bin.json").exists()
 
 
 def _refuse(*args, **kwargs):
@@ -136,16 +143,16 @@ def test_every_kernel_runs_through_the_cli(tmp_path, kind, sampler, model):
     for command in ("phantom", "simulate", "sample", "summarize", "diag"):
         assert _run(command, ini, out) == 0, command
         assert (out / f"{command}_manifest.json").is_file(), command
-    sidecar = json.loads((out / "chain.bin.json").read_text())
-    assert sidecar["kind"] == kind
-    assert 0.0 <= sidecar["acceptance_rate"] <= 1.0
+    record = _record(out / "chain.bin")
+    assert record["kind"] == kind
+    assert 0.0 <= record["acceptance_rate"] <= 1.0
     manifest = json.loads((out / "sample_manifest.json").read_text())
-    assert manifest["stepsize"] == sidecar["beta" if kind == "pcn"
-                                           else "delta"]
+    assert manifest["stepsize"] == record["beta" if kind == "pcn"
+                                          else "delta"]
     if "none" in sampler:
-        # the chain tunes beta in its burn-in, so it moves, and its files
-        # record the frozen beta
-        assert sidecar["acceptance_rate"] > 0.0
+        # the chain tunes beta in its burn-in, so it moves, and its file
+        # records the frozen beta
+        assert record["acceptance_rate"] > 0.0
         assert 0.0 < manifest["stepsize"] <= 1.0
         assert load_chain(out / "chain.bin").config.beta == \
             manifest["stepsize"]
@@ -238,11 +245,10 @@ def test_chain_commands_refuse_a_chain_they_cannot_use(tmp_path, tiny_ini,
         assert _run(command, narrow, out) == 2, command
         assert "chain has 24 modes, basis has 20" in capsys.readouterr().err
         assert not (out / f"{command}_manifest.json").exists()
-    # a sidecar that lacks a config field is named, not filled in
-    sidecar_path = out / "chain.bin.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    del sidecar["burn_in"]
-    sidecar_path.write_text(json.dumps(sidecar))
+    # a record that lacks a config field is named, not filled in
+    record = _record(out / "chain.bin")
+    del record["burn_in"]
+    _with_record(out / "chain.bin", record)
     capsys.readouterr()
     assert _run("diag", tiny_ini, out) == 2
     assert "'burn_in'" in capsys.readouterr().err
@@ -273,23 +279,6 @@ def test_calibrate_selects_a_weight_inside_the_interval(tmp_path, tiny_ini,
     assert float(lines[-1].split(",")[1]) == manifest["tv_weight_selected"]
 
 
-def test_diag_refuses_the_sidecar_of_another_chain(tmp_path, tiny_ini,
-                                                   capsys):
-    # a pdpcn chain beside the sidecar of a pcn chain: diag names the field
-    out, other = tmp_path / "out", tmp_path / "other"
-    for command in ("phantom", "simulate", "sample"):
-        assert _run(command, tiny_ini, out) == 0, command
-    pcn = _kernel_ini(tmp_path, "pcn")
-    for command in ("phantom", "simulate", "sample"):
-        assert _run(command, pcn, other) == 0, command
-    (out / "chain.bin.json").write_text(
-        (other / "chain.bin.json").read_text())
-    capsys.readouterr()
-    assert _run("diag", tiny_ini, out) == 2
-    assert "kind 'pcn'" in capsys.readouterr().err
-    assert not (out / "diag_manifest.json").exists()
-
-
 @pytest.fixture(scope="module")
 def sampled(tmp_path_factory):
     """A chain from the tiny pipeline's phantom, simulate and sample."""
@@ -305,19 +294,55 @@ def _strict(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
-def test_diag_without_a_sidecar_writes_strict_json(tmp_path, sampled):
-    # the acceptance rate of a chain without its sidecar is unknown: null
-    ini, src = sampled
+def _copy_chain(src, tmp_path, raw=None):
+    """An output directory that holds only the chain file of src, or raw
+    bytes in its place."""
     out = tmp_path / "out"
     out.mkdir()
-    (out / "chain.bin").write_bytes((src / "chain.bin").read_bytes())
+    (out / "chain.bin").write_bytes(raw if raw is not None
+                                    else (src / "chain.bin").read_bytes())
+    return out
+
+
+def test_diag_reports_the_rate_of_the_chain_it_hashed(tmp_path, sampled):
+    # the chain file alone holds the acceptance rate, and diag's manifest
+    # hashes that file: a number, strict JSON, the rate sample reported
+    ini, src = sampled
+    assert not (src / "chain.bin.json").exists()
+    out = _copy_chain(src, tmp_path)
     assert _run("diag", ini, out) == 0
     manifest = json.loads((out / "diag_manifest.json").read_text(),
                           parse_constant=_strict)
-    assert manifest["acceptance_rate"] is None
+    sample = json.loads((src / "sample_manifest.json").read_text())
+    rate = manifest["acceptance_rate"]
+    assert isinstance(rate, float) and 0.0 <= rate <= 1.0
+    assert rate == sample["acceptance_rate"] == \
+        _record(out / "chain.bin")["acceptance_rate"]
+    digest = hashlib.sha256((out / "chain.bin").read_bytes()).hexdigest()
+    assert manifest["inputs"] == {"chain.bin": digest}
+    assert sample["outputs"]["chain.bin"] == digest
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "bad.json", {"x": value})
+
+
+def test_diag_refuses_a_version_2_chain_file(tmp_path, sampled, capsys):
+    # the runs of the sampled chain in the layout before the record: a
+    # 44-byte header holding part of the config, rows, lengths, no record
+    ini, src = sampled
+    chain = load_chain(src / "chain.bin")
+    cfg, samples = chain.config, chain.samples
+    lengths = np.bincount(samples.run)
+    raw = (struct.pack("<4sIIIIIqBxxxd", b"CHN1", 2, chain.n_modes,
+                       chain.n_kept, samples.n_runs, cfg.thinning, cfg.seed,
+                       2, cfg.stepsize)
+           + samples.rows.astype("<f8").tobytes()
+           + lengths.astype("<i8").tobytes())
+    out = _copy_chain(src, tmp_path, raw)
+    capsys.readouterr()
+    assert _run("diag", ini, out) == 2
+    assert "chain file version 2" in capsys.readouterr().err
+    assert not (out / "diag_manifest.json").exists()
 
 
 def test_summarize_refuses_a_missing_truth_it_was_given(tmp_path, sampled):

@@ -613,22 +613,39 @@ def test_tuning_is_deterministic(post16_strong, map16_strong):
 # persistence
 
 
+_HEADER = struct.Struct("<4sIIII")
+
+
 def _write_chain(chain, path):
     """Reference writer of the chain file format (see samplers), for tests
     that load a file of chosen contents: one row per stretch of equal rows,
-    as RunMatrix.stretches finds them."""
+    as RunMatrix.stretches finds them, then the record."""
     runs, lengths = chain.samples.stretches()
-    cfg = chain.config
+    record = json.dumps({**asdict(chain.config),
+                         "acceptance_rate": chain.acceptance_rate})
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIIIIqBxxxd", b"CHN1", 2, chain.n_modes,
-                             chain.n_kept, runs.size, cfg.thinning, cfg.seed,
-                             samplers.KINDS.index(cfg.kind), cfg.stepsize))
+        fh.write(_HEADER.pack(b"CHN1", 3, chain.n_modes, runs.size,
+                              len(record)))
         fh.write(np.asarray(chain.samples.rows, dtype="<f8")[runs].tobytes())
         fh.write(lengths.astype("<i8").tobytes())
-    with open(str(path) + ".json", "w", encoding="ascii") as fh:
-        json.dump({**asdict(cfg), "n_kept": chain.n_kept,
-                   "n_modes": chain.n_modes,
-                   "acceptance_rate": chain.acceptance_rate}, fh)
+        fh.write(record.encode("ascii"))
+
+
+def _record(path):
+    """The parsed record at the end of the chain file at path."""
+    raw = path.read_bytes()
+    return json.loads(raw[len(raw) - _HEADER.unpack(raw[:20])[4]:])
+
+
+def _with_record(path, record):
+    """Replace the record of the chain file at path by ``record``, a JSON
+    document or raw bytes, and its length in the header."""
+    raw = path.read_bytes()
+    head = _HEADER.unpack(raw[:20])
+    if not isinstance(record, bytes):
+        record = json.dumps(record).encode("ascii")
+    path.write_bytes(_HEADER.pack(*head[:4], len(record))
+                     + raw[20:len(raw) - head[4]] + record)
 
 
 def test_chain_roundtrip(tmp_path, post16):
@@ -640,9 +657,10 @@ def test_chain_roundtrip(tmp_path, post16):
     np.testing.assert_array_equal(back.samples, chain.samples)
     assert back.config == cfg
     assert back.acceptance_rate == chain.acceptance_rate
-    sidecar = json.loads((tmp_path / "chain.bin.json").read_text())
-    assert sidecar["kind"] == "pcn"
-    assert sidecar["n_kept"] == chain.n_kept
+    record = _record(path)
+    assert record["kind"] == "pcn"
+    assert record["acceptance_rate"] == chain.acceptance_rate
+    assert back.config.n_kept == back.n_kept == chain.n_kept
     # -0.0 and 0.0 compare equal but are different states, a NaN payload
     # survives, and a run that stores a row again stays a run of its own
     nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
@@ -660,8 +678,8 @@ def _bits(a):
 
 def test_chain_file_holds_the_little_endian_samples(tmp_path):
     # 400 kept states of 500 modes from a chain that rejects some steps: the
-    # file holds the header, each run's row, then each run's length, and
-    # the states go to the file without being held
+    # file holds the header, each run's row, each run's length, then the
+    # record, and the states go to the file without being held
     t = _GaussTarget(500, 0.01, np.zeros(500))
     cfg = SamplerConfig("pcn", 440, beta=0.5, burn_in=40, seed=29)
     chain = run_chain(t, cfg)
@@ -677,10 +695,12 @@ def test_chain_file_holds_the_little_endian_samples(tmp_path):
     lengths = np.bincount(chain.samples.run)
     assert 1 < lengths.size < 400 and lengths.max() > 1
     raw = path.read_bytes()
-    assert struct.unpack("<4sIIII", raw[:20]) == (b"CHN1", 2, 500, 400,
-                                                  lengths.size)
-    assert raw[44:] == (chain.samples.rows.astype("<f8").tobytes()
-                        + lengths.astype("<i8").tobytes())
+    record = json.dumps({**asdict(cfg), "acceptance_rate":
+                         chain.acceptance_rate}).encode("ascii")
+    assert _HEADER.unpack(raw[:20]) == (b"CHN1", 3, 500, lengths.size,
+                                        len(record))
+    assert raw[20:] == (chain.samples.rows.astype("<f8").tobytes()
+                        + lengths.astype("<i8").tobytes() + record)
 
 
 @pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
@@ -705,10 +725,9 @@ def test_streamed_chain_loads_as_the_run_chain(tmp_path, post16,
     assert back.config == config == chain.config
     assert back.acceptance_rate == rate == chain.acceptance_rate
     assert isinstance(config.stepsize, float)
-    assert path.stat().st_size == 44 + 8 * chain.samples.n_runs * (
-        post.n_modes + 1)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "chain.bin", "chain.bin.json"]
+    assert path.stat().st_size == 20 + 8 * chain.samples.n_runs * (
+        post.n_modes + 1) + len(json.dumps(_record(path)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.bin"]
 
 
 def test_kept_states_are_held_once(tmp_path):
@@ -737,7 +756,7 @@ def test_kept_states_are_held_once(tmp_path):
 
 def test_tuned_stepsize_round_trips_through_the_chain_file(tmp_path,
                                                            post16):
-    # the header and sidecar hold the frozen beta, not None
+    # the record holds the frozen beta, not None
     cfg = SamplerConfig("pcn", 120, beta=None, burn_in=40, thinning=2,
                         seed=34)
     chain = run_chain(post16, cfg)
@@ -748,8 +767,7 @@ def test_tuned_stepsize_round_trips_through_the_chain_file(tmp_path,
     back = load_chain(streamed)
     assert back.config == tuned
     assert back.acceptance_rate == rate == chain.acceptance_rate
-    (tmp_path / "streamed.bin.json").unlink()
-    assert load_chain(streamed).config.beta == tuned.beta
+    assert _record(streamed)["beta"] == tuned.beta
 
 
 def test_block_that_cannot_be_reserved_names_the_way_out(monkeypatch):
@@ -794,92 +812,21 @@ def test_failed_stream_leaves_no_chain_file(tmp_path, post16):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_chain_loads_without_sidecar(tmp_path):
-    t = _FlatTarget(3)
-    cfg = SamplerConfig("pcnl", 40, delta=0.7, burn_in=0, thinning=4, seed=27)
-    chain = run_chain(t, cfg)
-    path = tmp_path / "chain.bin"
-    stream_chain(t, cfg, path)
-    (tmp_path / "chain.bin.json").unlink()
-    back = load_chain(path)
-    np.testing.assert_array_equal(back.samples, chain.samples)
-    assert back.config.kind == "pcnl"
-    assert back.config.thinning == 4
-    assert back.config.seed == 27
-    assert back.config.delta == 0.7
-    # the header's config keeps exactly the file's rows
-    assert back.config.n_kept == back.n_kept
-    assert kept_steps(back.config).size == back.n_kept
-    assert math.isnan(back.acceptance_rate)
-
-
-def test_chain_loads_an_older_sidecar_with_k_proj(tmp_path):
-    # sidecars written before the k_proj key was removed hold "k_proj": null
-    t, cfg = _FlatTarget(3), SamplerConfig("pcn", 30, beta=0.5, burn_in=5,
-                                           seed=31)
-    chain = run_chain(t, cfg)
-    path = tmp_path / "chain.bin"
-    stream_chain(t, cfg, path)
-    sidecar_path = tmp_path / "chain.bin.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    assert "k_proj" not in sidecar
-    sidecar_path.write_text(json.dumps({**sidecar, "k_proj": None}))
-    back = load_chain(path)
-    np.testing.assert_array_equal(back.samples, chain.samples)
-    assert back.config == chain.config
-    assert back.acceptance_rate == chain.acceptance_rate
-
-
 def test_chain_load_refuses_a_sidecar_without_a_field(tmp_path):
-    # the sidecar holds every config field and the acceptance rate; a
+    # the record holds every config field and the acceptance rate; a
     # missing one is named, never filled in with a default
     path = tmp_path / "chain.bin"
     stream_chain(_FlatTarget(2), SamplerConfig("pcn", 20, beta=0.5, seed=28),
                  path)
-    sidecar_path = tmp_path / "chain.bin.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    assert sorted(sidecar) == sorted(
+    record = _record(path)
+    assert sorted(record) == sorted(
         ["kind", "n_samples", "beta", "delta", "burn_in", "thinning", "seed",
-         "n_kept", "n_modes", "acceptance_rate"])
-    assert sidecar["burn_in"] == 2
+         "acceptance_rate"])
+    assert record["burn_in"] == 2
     for key in ("burn_in", "delta", "acceptance_rate"):
-        sidecar_path.write_text(json.dumps(
-            {k: v for k, v in sidecar.items() if k != key}))
+        _with_record(path, {k: v for k, v in record.items() if k != key})
         with pytest.raises(ValueError, match=repr(key)):
             load_chain(path)
-
-
-def test_chain_load_refuses_the_sidecar_of_another_chain(tmp_path):
-    # a 9-row pcn file (thinning 2, seed 1) beside the sidecar of a 30-row
-    # pdpcn chain (seed 7) is refused, not loaded as that chain
-    rng = np.random.default_rng(34)
-    ours = Chain(RunMatrix(rng.standard_normal((3, 4)), np.repeat(range(3), 3)),
-                 SamplerConfig("pcn", 20, beta=0.5, burn_in=2, thinning=2,
-                               seed=1), 0.5)
-    other = Chain(rng.standard_normal((30, 4)),
-                  SamplerConfig("pdpcn", 33, delta=0.2, burn_in=3, seed=7),
-                  0.1)
-    path, other_path = tmp_path / "chain.bin", tmp_path / "other.bin"
-    _write_chain(ours, path)
-    _write_chain(other, other_path)
-    sidecar_path = tmp_path / "chain.bin.json"
-    sidecar = json.loads(sidecar_path.read_text())
-    sidecar_path.write_text((tmp_path / "other.bin.json").read_text())
-    with pytest.raises(ValueError, match="kind 'pdpcn'"):
-        load_chain(path)
-    # each field the header also holds is checked on its own
-    for key, value, name in (("kind", "pcnl", "kind"),
-                             ("thinning", 3, "thinning"), ("seed", 2, "seed"),
-                             ("beta", 0.25, "stepsize"),
-                             ("n_kept", 10, "n_kept"),
-                             ("n_modes", 5, "n_modes")):
-        sidecar_path.write_text(json.dumps({**sidecar, key: value}))
-        with pytest.raises(ValueError, match=name):
-            load_chain(path)
-    sidecar_path.write_text(json.dumps(sidecar))
-    back = load_chain(path)
-    assert back.config == ours.config
-    assert back.acceptance_rate == 0.5
 
 
 def test_chain_load_rejects_corruption(tmp_path):
@@ -900,32 +847,79 @@ def test_chain_load_rejects_corruption(tmp_path):
 
     clipped = tmp_path / "clipped.bin"
     clipped.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="sample block"):
+    with pytest.raises(ValueError, match="header"):
         load_chain(clipped)
 
-    header = struct.Struct("<4sIIIIIqBxxxd")
-    head = header.unpack(raw[:header.size])
-    n_kept, n_runs = head[3], head[4]
-    lengths = np.frombuffer(raw[-8 * n_runs:], dtype="<i8")
-    assert lengths.sum() == n_kept and n_runs > 1
+    head = _HEADER.unpack(raw[:20])
+    n_runs, n_record = head[3], head[4]
+    rows = raw[20:20 + 16 * n_runs]
+    lengths = np.frombuffer(raw[20 + 16 * n_runs:len(raw) - n_record],
+                            dtype="<i8")
+    record = _record(path)
+    assert lengths.sum() == 20 and n_runs > 1
 
-    def refused(match, version=2, kept=n_kept, code=head[7], runs=lengths):
+    def refused(match, version=3, runs=lengths, **changes):
         bad = tmp_path / "bad.bin"
-        bad.write_bytes(header.pack(head[0], version, head[2], kept,
-                                    *head[4:7], code, head[8])
-                        + raw[header.size:-8 * n_runs]
-                        + np.asarray(runs, dtype="<i8").tobytes())
+        text = json.dumps({**record, **changes}).encode("ascii")
+        bad.write_bytes(_HEADER.pack(b"CHN1", version, 2, n_runs, len(text))
+                        + rows + np.asarray(runs, dtype="<i8").tobytes()
+                        + text)
         with pytest.raises(ValueError, match=match):
             load_chain(bad)
 
     refused("version 1", version=1)
-    refused("kernel code 3", code=3)
-    refused("kernel code 255", code=255)
+    refused("version 2", version=2)
+    refused("kind must be one of", kind="hmc")
+    refused("kind must be one of", kind=3)
     zero = lengths.copy()
     zero[1] += zero[0]
     zero[0] = 0
     refused("run lengths", runs=zero)
-    refused("run lengths", kept=n_kept + 1)     # lengths add up to one less
+    refused("run lengths", n_samples=21)     # lengths add up to one less
+    refused("run lengths", thinning=2)       # or to twice the kept count
+    # a record that is not a JSON object of the config's values
+    for text in (b"[1, 2]", b"null", b"{", b"\xff", b""):
+        _with_record(path, text)
+        with pytest.raises(ValueError, match="record"):
+            load_chain(path)
+    _with_record(path, {**record, "n_samples": "20"})
+    with pytest.raises(ValueError, match="record"):
+        load_chain(path)
+
+
+def _small_chain_file(path):
+    stream_chain(_FlatTarget(2), SamplerConfig("pcn", 12, beta=0.5,
+                                               burn_in=2, seed=35), path)
+    return path.read_bytes()
+
+
+def test_every_truncation_of_a_chain_file_is_refused(tmp_path):
+    raw = _small_chain_file(tmp_path / "chain.bin")
+    cut = tmp_path / "cut.bin"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError):
+            load_chain(cut)
+
+
+def test_every_bit_flip_in_the_record_loads_or_is_refused(tmp_path):
+    # a flip in the record loads, with another config or rate, or raises
+    # ValueError; no other exception escapes
+    raw = _small_chain_file(tmp_path / "chain.bin")
+    start = len(raw) - _HEADER.unpack(raw[:20])[4]
+    flipped = tmp_path / "flipped.bin"
+    outcomes = []
+    for i in range(start, len(raw)):
+        for bit in range(8):
+            b = bytearray(raw)
+            b[i] ^= 1 << bit
+            flipped.write_bytes(b)
+            try:
+                outcomes.append(load_chain(flipped).config)
+            except ValueError:
+                outcomes.append(None)
+    assert any(c is None for c in outcomes)
+    assert any(c is not None for c in outcomes)
 
 
 def test_load_chain_keeps_only_the_runs(tmp_path):
