@@ -56,9 +56,9 @@ class AdmmConfig:
     inner_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.rho_pen <= 0.0:
+        if not self.rho_pen > 0.0:
             raise ValueError(f"rho_pen must be positive, got {self.rho_pen}")
-        if self.tol <= 0.0 or self.inner_tol <= 0.0:
+        if not (self.tol > 0.0 and self.inner_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_outer < 1 or self.inner_iters < 1:
             raise ValueError("iteration budgets must be at least 1")

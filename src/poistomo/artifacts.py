@@ -101,14 +101,14 @@ def credible_level(values: np.ndarray, value, weights=None):
     vals = np.asarray(values, dtype=float)
     cols = vals.reshape(vals.shape[0], -1)
     m, k = cols.shape
-    if m == 0:
-        raise ValueError("empty sample")
     if weights is not None and np.shape(weights) != (m,):
         raise ValueError(f"expected {m} weights, got {np.shape(weights)}")
     # unit weights are no weights, so that no array of ones is formed
     w = (None if weights is None or np.all(np.equal(weights, 1))
          else np.asarray(weights, dtype=float))
     target = np.broadcast_to(np.asarray(value, dtype=float), (k,))
+    if not np.isfinite(target).all():
+        raise ValueError("the values to screen must be finite")
     column = 3 * m + 4 * LEVEL_BINS
     chunk = min(block_rows(4 * column), block_rows(column, held=cols.size))
     out = np.empty(k)
@@ -142,14 +142,11 @@ def credible_level_map(chain: Chain, basis: KLBasis, rep: Reparam,
     if thin < 1:
         raise ValueError("thin must be at least 1")
     samples = chain.samples[::thin]
-    n = samples.shape[0]
-    if n == 0:
-        raise ValueError("chain holds no kept samples")
     target = test_image.ravel()
     levels = np.empty(target.size)
     for pixels, strip, lengths in run_strips(samples, basis, rep):
         levels[pixels] = credible_level(strip, target[pixels], lengths)
-    return CredibleLevelMap(ScalarField(basis.grid, levels), n)
+    return CredibleLevelMap(ScalarField(basis.grid, levels), samples.shape[0])
 
 
 def inject_artifact(image: ScalarField, kind: str, magnitude: float,
@@ -166,8 +163,8 @@ def inject_artifact(image: ScalarField, kind: str, magnitude: float,
     """
     if kind not in ARTIFACT_KINDS:
         raise ValueError(f"kind must be one of {ARTIFACT_KINDS}, got {kind!r}")
-    if magnitude < 0.0:
-        raise ValueError(f"magnitude must be nonnegative, got {magnitude}")
+    if not 0.0 <= magnitude < np.inf:
+        raise ValueError(f"magnitude must be finite and >= 0, got {magnitude}")
     vals = image.values.copy()
     if kind == "add_noise":
         if rng is None:

@@ -111,8 +111,6 @@ def _even_subsample(n: int, max_samples: int | None) -> np.ndarray:
 def _predictive(discrepancies: np.ndarray, n_rays: int) -> PredictiveResult:
     """p_b and its Monte Carlo standard error from per-sample discrepancies."""
     n = discrepancies.size
-    if n == 0:
-        raise ValueError("chain holds no kept samples")
     pvals = chi2_sf(discrepancies, n_rays)
     stderr = float(np.std(pvals, ddof=1) / math.sqrt(n)) if n > 1 else math.inf
     return PredictiveResult(float(np.mean(pvals)), stderr, n)

@@ -292,9 +292,6 @@ def cmd_detect(args, cfg: RunConfig, outdir: Path):
 
 def cmd_diag(args, cfg: RunConfig, outdir: Path):
     chain = load_chain(args.chain)
-    n = chain.n_kept
-    if n < 2:
-        raise ValueError("need at least 2 kept samples for diagnostics")
     labels = [f"coeff{j}" for j in range(chain.n_modes)]
     n_show = min(8, chain.n_modes)
     acfs = acf_matrix(chain.samples[:, :n_show], max_lag=args.max_lag)
@@ -302,7 +299,7 @@ def cmd_diag(args, cfg: RunConfig, outdir: Path):
                ((lag, *rho) for lag, rho in enumerate(acfs)))
     ess = ess_matrix(chain.samples)
     _write_csv(outdir / "ess.csv", ("series", "ess"), zip(labels, ess))
-    print(f"median coefficient ESS {np.median(ess):.1f} of {n} samples")
+    print(f"median coefficient ESS {np.median(ess):.1f} of {chain.n_kept} samples")
     return ({"chain.bin": args.chain}, ["acf.csv", "ess.csv"],
             {"median_ess": float(np.median(ess)), "min_ess": float(ess.min()),
              "acceptance_rate": chain.acceptance_rate,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .admm import AdmmConfig
@@ -40,11 +41,19 @@ def _optional(conv):
     return lambda s: None if s.strip().lower() in ("", "none") else conv(s)
 
 
+def _finite(raw: str) -> float:
+    """The float of every float key: nan and infinities are refused."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_float_list(raw: str) -> tuple[float, ...]:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 # section -> key -> (parser, default), defaults as raw INI strings.  The keys
@@ -52,22 +61,22 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
 # section builds.
 _KEYS = {
     "grid": {"nx": (int, "32"), "ny": (int, "32")},
-    "reparam": {"a": (float, "2.0"), "b": (float, "2.0"), "c": (float, "1.0")},
-    "prior": {"gamma": (float, "2.0"), "corr_len": (float, "1e-3"),
-              "n_modes": (int, "500"), "mean": (float, "0.0")},
+    "reparam": {"a": (_finite, "2.0"), "b": (_finite, "2.0"), "c": (_finite, "1.0")},
+    "prior": {"gamma": (_finite, "2.0"), "corr_len": (_finite, "1e-3"),
+              "n_modes": (int, "500"), "mean": (_finite, "0.0")},
     "operator": {"n_angles": (int, "30"), "n_det": (int, "32"),
-                 "kappa": (float, "1.0")},
-    "model": {"tv_weight": (float, "1.0")},
+                 "kappa": (_finite, "1.0")},
+    "model": {"tv_weight": (_finite, "1.0")},
     "sampler": {"kind": (str, "pdpcn"), "n_samples": (int, "20000"),
                 "burn_in": (_optional(int), "2000"), "thinning": (int, "1"),
-                "beta": (_optional(float), "0.1"),
-                "delta": (_optional(float), "0.1"), "seed": (int, "0")},
-    "map": {"rho_pen": (float, "1.0"), "max_outer": (int, "200"),
-            "tol": (float, "1e-4"), "inner_iters": (int, "50"),
-            "inner_tol": (float, "1e-6")},
+                "beta": (_optional(_finite), "0.1"),
+                "delta": (_optional(_finite), "0.1"), "seed": (int, "0")},
+    "map": {"rho_pen": (_finite, "1.0"), "max_outer": (int, "200"),
+            "tol": (_finite, "1e-4"), "inner_iters": (int, "50"),
+            "inner_tol": (_finite, "1e-6")},
     "calibration": {"weight_grid": (_parse_float_list, "0.0, 1.0, 2.0, 3.0"),
-                    "chain_steps": (int, "20000"), "band_lo": (float, "0.1"),
-                    "band_hi": (float, "0.7"), "denominator": (str, "theta"),
+                    "chain_steps": (int, "20000"), "band_lo": (_finite, "0.1"),
+                    "band_hi": (_finite, "0.7"), "denominator": (str, "theta"),
                     "max_eval_samples": (_optional(int), "2000"),
                     "select_iters": (int, "60"),
                     "select_inner_steps": (int, "200")},

@@ -188,8 +188,6 @@ def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
     kept row in chain order, the order of
     ``intensity_samples(...).mean(axis=0)``, without forming that array.
     """
-    if chain.n_kept == 0:
-        raise ValueError("chain holds no kept samples")
     runs, lengths = chain.samples.stretches()
     rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
     total = np.zeros(basis.grid.npix)
@@ -217,8 +215,8 @@ def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     strip buffer serves the pass, so each yielded strip is overwritten by
     the next.
     """
-    lengths = samples.stretches()[1]
-    n = lengths.size
+    runs, lengths = samples.stretches()
+    n = runs.size
     nx, ny = basis.grid.shape
     width = min(nx, block_rows(2 * n * ny))
     buf = np.empty(n * width * ny)
@@ -231,13 +229,9 @@ def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     for x0 in range(0, nx, width):
         x_rows = slice(x0, min(x0 + width, nx))
         strip = buf[:n * (x_rows.stop - x0) * ny].reshape(n, -1)
-        top = 0                                # first sample row of a block
         for a in range(0, n, rows):
-            count = lengths[a:a + rows]
-            first = top + np.cumsum(count) - count
             strip[a:a + rows] = rep.apply(basis.synthesize_values(
-                samples.rows[samples.run[first]], x_rows))
-            top = first[-1] + count[-1]
+                samples.rows[runs[a:a + rows]], x_rows))
         yield slice(x0 * ny, x_rows.stop * ny), strip, lengths
 
 
@@ -302,8 +296,6 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if chain.n_kept == 0:
-        raise ValueError("chain holds no kept samples")
     lo, hi = np.empty(basis.grid.npix), np.empty(basis.grid.npix)
     for pixels, strip, lengths in run_strips(chain.samples, basis, rep):
         # unit lengths are no weights, so that no count array is formed

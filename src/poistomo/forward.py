@@ -67,11 +67,11 @@ class Reparam:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0.0:
+        if not self.a > 0.0:
             raise ValueError(f"a must be positive, got {self.a}")
-        if self.b <= 1.0:
+        if not self.b > 1.0:
             raise ValueError(f"b must exceed 1, got {self.b}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
 
     @property
@@ -190,7 +190,7 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     """
     if n_angles < 1 or n_det < 1:
         raise ValueError("need at least one angle and one detector bin")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     t0 = time.perf_counter()
     sources, perms = _angle_sources(grid, n_angles)

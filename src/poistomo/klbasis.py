@@ -48,9 +48,9 @@ class CovarianceSpec:
     corr_len: float = 1e-3
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.corr_len <= 0.0:
+        if not self.corr_len > 0.0:
             raise ValueError(f"corr_len must be positive, got {self.corr_len}")
 
 

@@ -59,7 +59,7 @@ class TGPosterior:
     tv_weight: float = 0.0
 
     def __post_init__(self):
-        if self.tv_weight < 0.0:
+        if not self.tv_weight >= 0.0:
             raise ValueError(f"tv_weight must be nonnegative, got {self.tv_weight}")
         if self.op.grid != self.basis.grid:
             raise ValueError("operator and basis grids disagree")

@@ -272,7 +272,8 @@ class Chain:
     """Kept samples plus per-step acceptance, potential and TV traces.
 
     ``samples`` is a ``RunMatrix``; a (count, n_modes) array given in its
-    place is stored as one run per row.
+    place is stored as one run per row.  It keeps at least one row, at an
+    acceptance rate in [0, 1]: the passes over a chain need not check.
     """
 
     samples: RunMatrix = field(repr=False)
@@ -283,13 +284,15 @@ class Chain:
     reg_trace: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        s = self.samples
-        if not isinstance(s, RunMatrix):
-            s = np.asarray(s, dtype=float)
+        if not isinstance(self.samples, RunMatrix):
+            s = np.asarray(self.samples, dtype=float)
             if s.ndim != 2:
                 raise ValueError("samples must be a (count, n_modes) array")
-            object.__setattr__(self, "samples",
-                               RunMatrix(s, np.arange(len(s))))
+            object.__setattr__(self, "samples", RunMatrix(s, np.arange(len(s))))
+        if self.n_kept == 0:
+            raise ValueError("chain holds no kept samples")
+        if not 0.0 <= self.acceptance_rate <= 1.0:
+            raise ValueError(f"acceptance rate {self.acceptance_rate} not in [0, 1]")
 
     @property
     def n_kept(self) -> int:
@@ -509,9 +512,9 @@ def load_chain(path) -> Chain:
 
     It holds the file's rows, one per run, their lengths and the record's
     config and acceptance rate.  A bad magic or version, a size that does
-    not match the header, a record that is not a config and an acceptance
-    rate, or run lengths that are not positive or do not add up to the
-    config's kept count raise ValueError.
+    not match the header, a record that is not a config and a rate in
+    [0, 1], run lengths that are not positive or do not add up to the
+    config's kept count, or a non-finite row raise ValueError naming it.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
@@ -544,6 +547,10 @@ def load_chain(path) -> Chain:
     if np.any(lengths < 1) or lengths.sum() != cfg.n_kept:
         raise ValueError(f"{path}: run lengths must be positive and add up "
                          f"to the config's {cfg.n_kept} kept samples")
-    samples = RunMatrix(rows.reshape(n_runs, n_modes),
-                        np.repeat(np.arange(n_runs), lengths))
-    return Chain(samples, cfg, rate)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{path}: a row holds a non-finite value")
+    try:
+        return Chain(RunMatrix(rows.reshape(n_runs, n_modes),
+                               np.repeat(np.arange(n_runs), lengths)), cfg, rate)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

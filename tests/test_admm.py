@@ -570,3 +570,9 @@ def test_solver_evaluates_each_state_once(toy, monkeypatch):
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         AdmmConfig(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["rho_pen", "tol", "inner_tol"])
+def test_config_refuses_nan(key):
+    with pytest.raises(ValueError):
+        AdmmConfig(**{key: float("nan")})

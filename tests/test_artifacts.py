@@ -84,3 +84,12 @@ def test_noise_needs_an_rng_and_repeats_with_its_seed(image):
 def test_bad_perturbations_are_refused(image, kind, magnitude, kwargs, match):
     with pytest.raises(ValueError, match=match):
         inject_artifact(image, kind, magnitude, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["add_blob", "remove_blob", "add_noise"])
+@pytest.mark.parametrize("magnitude", [np.nan, np.inf])
+def test_non_finite_magnitude_is_refused(image, kind, magnitude):
+    # a nan disk would reach the level screen as a nan pixel
+    with pytest.raises(ValueError, match="magnitude must be finite"):
+        inject_artifact(image, kind, magnitude, center=(0.5, 0.5),
+                        radius=0.1, rng=np.random.default_rng(0))

@@ -421,6 +421,35 @@ def test_detect_screens_an_injected_blob(tmp_path, tiny_ini):
     assert not (out / "detect_manifest.json").exists()
 
 
+def test_detect_refuses_a_non_finite_image_as_usage(tmp_path, sampled,
+                                                     capsys):
+    # a nan magnitude and a nan pixel of the test image are bad input, not
+    # a runtime failure
+    ini, src = sampled
+    out = _copy_chain(src, tmp_path)
+    image = out / "phantom.csv"
+    image.write_bytes((src / "phantom.csv").read_bytes())
+    blob = ("--inject", "add_blob", "--center", "0.5,0.5", "--radius", "0.2")
+    capsys.readouterr()
+    assert _run("detect", ini, out, "--test-image", str(image), *blob,
+                "--magnitude", "nan") == 2
+    assert "magnitude must be finite" in capsys.readouterr().err
+    values = np.loadtxt(image)
+    values.flat[5] = np.nan
+    np.savetxt(image, values)
+    assert _run("detect", ini, out, "--test-image", str(image)) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "detect_manifest.json").exists()
+
+
+def test_nan_tv_weight_in_a_config_is_a_usage_error(tmp_path, capsys):
+    ini = tmp_path / "nan.ini"
+    ini.write_text("[model]\ntv_weight = nan\n", encoding="utf-8")
+    assert _run("phantom", ini, tmp_path / "out") == 2
+    assert "[model] tv_weight" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "phantom_manifest.json").exists()
+
+
 def test_paper_preset_simulates_the_paper_geometry(tmp_path):
     out = tmp_path / "out"
     for command in ("phantom", "simulate"):

@@ -81,6 +81,13 @@ _BAD_WITH = {("calibration", "chain_steps", "9"): {"sampler": {"beta": "none"}}}
     ("calibration", "weight_grid", "1.0, 0.0"),         # decreasing
     ("calibration", "weight_grid", "-1.0, 1.0"),        # a negative weight
     ("calibration", "chain_steps", "9"),    # beta none: no sweep burn-in
+    ("model", "tv_weight", "nan"),          # not finite: every float key
+    ("operator", "kappa", "nan"),
+    ("reparam", "c", "nan"),
+    ("map", "tol", "nan"),
+    ("prior", "gamma", "inf"),
+    ("prior", "mean", "nan"),
+    ("calibration", "weight_grid", "0.0, inf"),
 ])
 def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
     also = _BAD_WITH.get((section, key, raw), {})

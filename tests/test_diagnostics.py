@@ -194,6 +194,15 @@ def test_strip_pass_logs_one_line(basis60, rep, caplog):
 # credible levels
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_credible_level_refuses_a_non_finite_value(value):
+    s = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(ValueError, match="finite"):
+        credible_level(s, value)
+    with pytest.raises(ValueError, match="finite"):
+        credible_level(np.column_stack([s, s]), [0.5, value])
+
+
 def test_credible_level_outside_the_range_is_one():
     s = np.sort(np.random.default_rng(3).standard_normal(30))
     assert credible_level(s, s[0] - 1e-9) == 1.0
@@ -303,12 +312,10 @@ def test_credible_level_map_rejects_bad_thin_and_empty_chains(basis60, rep):
     for thin in (0, -1):
         with pytest.raises(ValueError, match="thin"):
             credible_level_map(chain, basis60, rep, image, thin=thin)
-    empty = Chain(np.empty((0, basis60.n_modes)),
-                  SamplerConfig("pcn", 10, burn_in=0), 1.0)
+    # an empty chain cannot be made, so no pass over a chain meets one
     with pytest.raises(ValueError, match="no kept samples"):
-        credible_level_map(empty, basis60, rep, image)
-    with pytest.raises(ValueError, match="no kept samples"):
-        pointwise_hpdi(empty, basis60, rep, 0.05)
+        Chain(np.empty((0, basis60.n_modes)),
+              SamplerConfig("pcn", 10, burn_in=0), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -548,6 +548,17 @@ def test_build_peaks_below_a_multiple_of_the_matrix():
     assert peak < op.nnz * (8 + 4) + (op.n_rays + 1) * 4
 
 
+@pytest.mark.parametrize("key", ["a", "b", "c"])
+def test_reparam_refuses_nan(key):
+    with pytest.raises(ValueError, match=key):
+        Reparam(**{key: math.nan})
+
+
+def test_build_refuses_a_nan_kappa():
+    with pytest.raises(ValueError, match="kappa"):
+        build_radon_operator(Grid(8, 8), 8, 8, kappa=math.nan)
+
+
 def test_build_validation():
     with pytest.raises(ValueError):
         build_radon_operator(Grid(8, 8), 0, 8)

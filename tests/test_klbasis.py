@@ -168,6 +168,12 @@ def test_covariance_spec_validation():
         CovarianceSpec(corr_len=-1.0)
 
 
+@pytest.mark.parametrize("key", ["gamma", "corr_len"])
+def test_covariance_spec_refuses_nan(key):
+    with pytest.raises(ValueError, match=key):
+        CovarianceSpec(**{key: float("nan")})
+
+
 def test_synthesize_returns_field_on_grid():
     grid = Grid(5, 8)
     basis = build_kl_basis(grid, CovarianceSpec(corr_len=0.2), 6)

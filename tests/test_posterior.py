@@ -108,6 +108,12 @@ def test_posterior_validation(op16, rep, basis60, sino16):
         TGPosterior(op16, rep, basis60, sino16, tv_weight=-0.5)
 
 
+def test_posterior_refuses_a_nan_tv_weight(op16, rep, basis60, sino16):
+    # nan fails the nonnegativity check, rather than dropping the TV term
+    with pytest.raises(ValueError, match="tv_weight"):
+        TGPosterior(op16, rep, basis60, sino16, tv_weight=float("nan"))
+
+
 def test_posterior_refuses_the_counts_of_other_rays(op16, rep, basis60,
                                                     sino16):
     # a reversed detector table and another geometry's labels keep the

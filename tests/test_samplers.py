@@ -9,6 +9,7 @@ on matched random streams.
 import errno
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import asdict
@@ -661,10 +662,9 @@ def test_chain_roundtrip(tmp_path, post16):
     assert record["kind"] == "pcn"
     assert record["acceptance_rate"] == chain.acceptance_rate
     assert back.config.n_kept == back.n_kept == chain.n_kept
-    # -0.0 and 0.0 compare equal but are different states, a NaN payload
+    # -0.0 and 0.0 compare equal but are different states, a subnormal
     # survives, and a run that stores a row again stays a run of its own
-    nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(float)[0]
-    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 2.0], [0.0, 1.0]])
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [5e-324, 2.0], [0.0, 1.0]])
     odd = RunMatrix(rows, [0, 0, 1, 2, 2, 3])
     _write_chain(Chain(odd, SamplerConfig("pcn", 6, burn_in=0), 1.0), path)
     back = load_chain(path).samples
@@ -903,8 +903,8 @@ def test_every_truncation_of_a_chain_file_is_refused(tmp_path):
 
 
 def test_every_bit_flip_in_the_record_loads_or_is_refused(tmp_path):
-    # a flip in the record loads, with another config or rate, or raises
-    # ValueError; no other exception escapes
+    # a flip in the record loads, with another config or a rate in [0, 1],
+    # or raises ValueError; no other exception escapes
     raw = _small_chain_file(tmp_path / "chain.bin")
     start = len(raw) - _HEADER.unpack(raw[:20])[4]
     flipped = tmp_path / "flipped.bin"
@@ -915,9 +915,12 @@ def test_every_bit_flip_in_the_record_loads_or_is_refused(tmp_path):
             b[i] ^= 1 << bit
             flipped.write_bytes(b)
             try:
-                outcomes.append(load_chain(flipped).config)
+                chain = load_chain(flipped)
             except ValueError:
                 outcomes.append(None)
+                continue
+            assert 0.0 <= chain.acceptance_rate <= 1.0, (i, bit)
+            outcomes.append(chain.config)
     assert any(c is None for c in outcomes)
     assert any(c is not None for c in outcomes)
 
@@ -983,3 +986,29 @@ def test_run_matrix_answers_every_access_form():
 def test_chain_shape_validation():
     with pytest.raises(ValueError):
         Chain(np.zeros(5), SamplerConfig("pcn", 10, beta=0.5), 1.0)
+
+
+def test_chain_refuses_a_rate_outside_the_unit_interval():
+    cfg = SamplerConfig("pcn", 5, burn_in=0)
+    for rate in (1.5, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"not in \[0, 1\]"):
+            Chain(np.zeros((5, 2)), cfg, rate)
+    for rate in (0.0, 1.0):
+        assert Chain(np.zeros((5, 2)), cfg, rate).acceptance_rate == rate
+
+
+def test_chain_load_refuses_a_rate_or_a_row_it_cannot_hold(tmp_path):
+    # a rate outside [0, 1] and a row that is not finite name the file
+    path = tmp_path / "chain.bin"
+    raw = _small_chain_file(path)
+    _with_record(path, {**_record(path), "acceptance_rate": 1.5})
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: acceptance rate 1.5")):
+        load_chain(path)
+    for value in (math.nan, math.inf):
+        b = bytearray(raw)
+        b[_HEADER.size:_HEADER.size + 8] = struct.pack("<d", value)
+        path.write_bytes(b)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: a row holds a non-finite value")):
+            load_chain(path)
