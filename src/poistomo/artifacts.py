@@ -103,9 +103,7 @@ def credible_level(values: np.ndarray, value, weights=None):
     m, k = cols.shape
     if weights is not None and np.shape(weights) != (m,):
         raise ValueError(f"expected {m} weights, got {np.shape(weights)}")
-    # unit weights are no weights, so that no array of ones is formed
-    w = (None if weights is None or np.all(np.equal(weights, 1))
-         else np.asarray(weights, dtype=float))
+    w = None if weights is None else np.asarray(weights, dtype=float)
     target = np.broadcast_to(np.asarray(value, dtype=float), (k,))
     if not np.isfinite(target).all():
         raise ValueError("the values to screen must be finite")
@@ -135,14 +133,17 @@ def credible_level_map(chain: Chain, basis: KLBasis, rep: Reparam,
 
     Each strip of ``run_strips`` holds every distinct kept state once, and
     ``credible_level`` weighs it by the kept rows it stands for, so the
-    levels are those of the n (thinned) kept samples.
+    levels are those of the n (thinned) kept samples.  A non-finite pixel
+    of the test image is refused before any state is synthesized.
     """
     if test_image.grid != basis.grid:
         raise ValueError("test image grid does not match the basis grid")
     if thin < 1:
         raise ValueError("thin must be at least 1")
-    samples = chain.samples[::thin]
     target = test_image.ravel()
+    if not np.isfinite(target).all():
+        raise ValueError("the values to screen must be finite")
+    samples = chain.samples[::thin]
     levels = np.empty(target.size)
     for pixels, strip, lengths in run_strips(samples, basis, rep):
         levels[pixels] = credible_level(strip, target[pixels], lengths)

@@ -262,6 +262,7 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
 class SelectionResult:
     tv_weight: float
     trace: tuple
+    at_bound: bool     # tv_weight is an end of the searched interval
 
 
 def select_lambda(make_posterior: Callable[[float], TGPosterior],
@@ -281,7 +282,8 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     (approximate for this reference measure, so the iterate is meaningful
     only within the interval) and a0 the interval's width over n_eff.  The
     trace holds (k, weight, gradient) rows; an iterate that does not
-    settle raises a warning but is still returned.
+    settle raises a warning but is still returned.  ``at_bound`` tells
+    whether it is an end of the interval, its lower end floored at 1e-8.
     """
     lo, hi = interval
     if not 0.0 <= lo < hi:
@@ -314,4 +316,4 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
         warnings.warn("weight selection did not settle within the iteration "
                       "cap; returning the last projected iterate",
                       RuntimeWarning, stacklevel=2)
-    return SelectionResult(lam, tuple(trace))
+    return SelectionResult(lam, tuple(trace), lam in (lo, hi))

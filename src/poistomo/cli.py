@@ -184,6 +184,10 @@ def cmd_calibrate(args, cfg: RunConfig, outdir: Path):
                    ("iteration", "tv_weight", "gradient"), sel.trace)
         outputs.append("selection.csv")
         extra["tv_weight_selected"] = sel.tv_weight
+        extra["tv_weight_at_bound"] = sel.at_bound
+        if sel.at_bound:
+            log.warning("selected tv_weight %.4g is an end of the interval",
+                        sel.tv_weight)
         print(f"admissible interval {result.interval}, "
               f"selected tv_weight {sel.tv_weight:.4f}")
     else:

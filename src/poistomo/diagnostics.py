@@ -207,8 +207,9 @@ def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     Yields (pixels, strip, lengths) triples: ``pixels`` slices the flat
     image, ``strip`` holds the intensities of those pixels for each stretch
     of ``samples.stretches()`` (a chain's runs), synthesized once, unsorted,
-    and ``lengths`` counts the sample rows of each stretch.  A strip takes
-    as many x-rows as fit in half of ``BLOCK_FLOATS``, at least one.
+    and ``lengths`` counts the sample rows of each stretch, or is None when
+    every stretch is one row.  A strip takes as many x-rows as fit in half
+    of ``BLOCK_FLOATS``, at least one.
     Synthesis blocks take the rest, at least a sixteenth of the budget, a
     row costing a scatter row, the gathered coefficients, their weights and
     the two products of ``KLBasis.synthesize_values`` for the band.  One
@@ -217,6 +218,10 @@ def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     """
     runs, lengths = samples.stretches()
     n = runs.size
+    if n == samples.shape[0]:
+        # all single rows: the passes then sort in place and form no count
+        # or weight array, which keeps 9,000 distinct desk rows in budget
+        lengths = None
     nx, ny = basis.grid.shape
     width = min(nx, block_rows(2 * n * ny))
     buf = np.empty(n * width * ny)
@@ -290,21 +295,20 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     Marginal credible intervals only; nothing joint is claimed.  Returns the
     lower and upper envelope fields.  Works over ``run_strips``, so it never
     holds the (n, npix) intensity array: each strip is sorted down its
-    columns, together with its run lengths when a run repeats a state, and
-    ``hpdi_sorted`` takes the windows, a chunk of columns at a time that
+    columns, together with its run lengths when ``run_strips`` yields them,
+    and ``hpdi_sorted`` takes the windows, a chunk of columns at a time that
     fits what the strip leaves of ``BLOCK_FLOATS`` (at least one column).
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     lo, hi = np.empty(basis.grid.npix), np.empty(basis.grid.npix)
     for pixels, strip, lengths in run_strips(chain.samples, basis, rep):
-        # unit lengths are no weights, so that no count array is formed
-        unit = lengths.size == chain.n_kept
-        cols = block_rows((2 if unit else 8) * lengths.size, held=strip.size)
+        cols = block_rows((2 if lengths is None else 8) * strip.shape[0],
+                          held=strip.size)
         for j in range(0, strip.shape[1], cols):
             part = strip[:, j:j + cols]
             counts = None
-            if unit:
+            if lengths is None:
                 part.sort(axis=0)
             else:
                 order = np.argsort(part, axis=0)

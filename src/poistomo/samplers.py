@@ -33,7 +33,8 @@ in ``stream_chain``, predictive discrepancies in the calibration sweep.
 ``Chain.samples`` is a ``RunMatrix``: it stores one row per run plus the
 run index of every kept row, and the passes over a chain gather the row or
 column blocks they need from it.  A chain file stores the same runs, each
-run's row and length, then a record of the config and acceptance rate.
+run's row and length, then a record of the config and acceptance rate,
+behind a header that holds a checksum of them.
 
 A stepsize of None (beta for pcn, delta otherwise) is tuned in the chain's
 own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen before the
@@ -50,6 +51,7 @@ import math
 import mmap
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
@@ -271,9 +273,9 @@ class RunMatrix:
 class Chain:
     """Kept samples plus per-step acceptance, potential and TV traces.
 
-    ``samples`` is a ``RunMatrix``; a (count, n_modes) array given in its
-    place is stored as one run per row.  It keeps at least one row, at an
-    acceptance rate in [0, 1]: the passes over a chain need not check.
+    ``samples`` is a ``RunMatrix``; a (count, n_modes) array s of distinct
+    rows is ``RunMatrix(s, np.arange(len(s)))``.  It keeps at least one row,
+    at an acceptance rate in [0, 1]: the passes over a chain need not check.
     """
 
     samples: RunMatrix = field(repr=False)
@@ -285,10 +287,7 @@ class Chain:
 
     def __post_init__(self):
         if not isinstance(self.samples, RunMatrix):
-            s = np.asarray(self.samples, dtype=float)
-            if s.ndim != 2:
-                raise ValueError("samples must be a (count, n_modes) array")
-            object.__setattr__(self, "samples", RunMatrix(s, np.arange(len(s))))
+            raise TypeError("samples must be a RunMatrix")
         if self.n_kept == 0:
             raise ValueError("chain holds no kept samples")
         if not 0.0 <= self.acceptance_rate <= 1.0:
@@ -462,12 +461,12 @@ def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
 
 
 # ---------------------------------------------------------------------------
-# chain file: a little-endian header (magic "CHN1", format version 3, mode
-# count, run count, record length), one f64 row per run of equal kept
-# states, the <i8 length of each run, then the record: the ASCII JSON of
-# the config's fields and the acceptance rate
+# chain file: a little-endian header (magic "CHN1", format version 4, mode
+# count, run count, record length, CRC-32 of every byte after the header),
+# one f64 row per run of equal kept states, the <i8 length of each run, then
+# the record: the ASCII JSON of the config's fields and the acceptance rate
 
-_CHAIN_HEADER = struct.Struct("<4sIIII")
+_CHAIN_HEADER = struct.Struct("<4sIIIII")
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
@@ -478,29 +477,37 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     of ``run_chain``, but no kept state is held after the next one is
     written (walk_chain): only the per-step traces, 17 bytes a step, are.
     The run lengths and the record follow the rows once the chain ends,
-    with the header written last.  The file is written beside ``path`` and
-    renamed once the chain completes, so a chain that fails
+    with the header, whose checksum is summed as the bytes go out, written
+    last.  The file is written beside ``path`` and renamed once the chain
+    completes, so a chain that fails
     (ChainDivergence, a bad kernel configuration) leaves no file at
     ``path``.  Returns the config, with the stepsize the kept states were
     drawn at, and the acceptance rate.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
+    crc = 0
+
+    def write(data):
+        nonlocal crc
+        fh.write(data)
+        crc = zlib.crc32(data, crc)
+
     try:
         with open(part, "wb") as fh:
             fh.seek(_CHAIN_HEADER.size)
             run, (accepted, _, _), config, _ = walk_chain(
                 post, config, kept_steps(config),
-                lambda i, z, ev: fh.write(np.ascontiguousarray(z, "<f8")),
+                lambda i, z, ev: write(np.ascontiguousarray(z, "<f8")),
                 init, anchor)
             lengths = np.bincount(run)
-            fh.write(lengths.astype("<i8").tobytes())
+            write(lengths.astype("<i8").tobytes())
             rate = float(np.mean(accepted))
             record = json.dumps({**asdict(config), "acceptance_rate": rate})
-            fh.write(record.encode("ascii"))
+            write(record.encode("ascii"))
             fh.seek(0)
-            fh.write(_CHAIN_HEADER.pack(b"CHN1", 3, post.n_modes,
-                                        lengths.size, len(record)))
+            fh.write(_CHAIN_HEADER.pack(b"CHN1", 4, post.n_modes,
+                                        lengths.size, len(record), crc))
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
@@ -512,20 +519,22 @@ def load_chain(path) -> Chain:
 
     It holds the file's rows, one per run, their lengths and the record's
     config and acceptance rate.  A bad magic or version, a size that does
-    not match the header, a record that is not a config and a rate in
-    [0, 1], run lengths that are not positive or do not add up to the
-    config's kept count, or a non-finite row raise ValueError naming it.
+    not match the header, a checksum that does not match the bytes after
+    it, a record that is not a config and a rate in [0, 1], run lengths
+    that are not positive or do not add up to the config's kept count, or a
+    non-finite row raise ValueError naming it.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
         if len(head) < _CHAIN_HEADER.size:
             raise ValueError(f"{path}: truncated chain file")
-        magic, version, n_modes, n_runs, n_record = _CHAIN_HEADER.unpack(head)
+        (magic, version, n_modes, n_runs, n_record,
+         crc) = _CHAIN_HEADER.unpack(head)
         if magic != b"CHN1":
             raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != 3:
+        if version != 4:
             raise ValueError(f"{path}: unsupported chain file version "
-                             f"{version}, expected 3")
+                             f"{version}, expected 4")
         size = os.fstat(fh.fileno()).st_size - _CHAIN_HEADER.size
         expected = 8 * n_runs * (n_modes + 1) + n_record
         if size != expected:
@@ -534,6 +543,8 @@ def load_chain(path) -> Chain:
         rows = np.fromfile(fh, dtype="<f8", count=n_runs * n_modes)
         lengths = np.fromfile(fh, dtype="<i8", count=n_runs)
         record = fh.read(n_record)
+    if zlib.crc32(record, zlib.crc32(lengths, zlib.crc32(rows))) != crc:
+        raise ValueError(f"{path}: checksum mismatch, the file is corrupt")
     try:
         record = json.loads(record.decode("ascii"))
         cfg = SamplerConfig(**{f.name: record[f.name]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import poistomo
-from poistomo.samplers import Chain, SamplerConfig
+from poistomo.samplers import Chain, RunMatrix, SamplerConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
@@ -68,7 +68,8 @@ def test_tracer_counts_summary_synthesis(monkeypatch, basis60, rep):
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     samples = np.random.default_rng(11).standard_normal((6, basis60.n_modes))
-    chain = Chain(samples, SamplerConfig("pcn", 6, burn_in=0), 1.0)
+    chain = Chain(RunMatrix(samples, np.arange(6)),
+                  SamplerConfig("pcn", 6, burn_in=0), 1.0)
     image = poistomo.posterior_mean(chain, basis60, rep)
     with tracing.Tracer() as tr:
         poistomo.pointwise_hpdi(chain, basis60, rep, 0.05)

@@ -8,6 +8,7 @@ its chains, so it is checked against the predictive p of the same chains
 run and stored, bit for bit, and for the memory it holds.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -86,7 +87,8 @@ def test_admissible_interval_starts_at_first_weight_inside_band():
 def test_predictive_p_matches_row_loop(post16, denominator):
     rng = np.random.default_rng(4)
     samples = 0.3 * rng.standard_normal((37, post16.n_modes))
-    chain = Chain(samples, SamplerConfig("pcn", 37, burn_in=0), 1.0)
+    chain = Chain(RunMatrix(samples, np.arange(37)),
+                  SamplerConfig("pcn", 37, burn_in=0), 1.0)
     res = posterior_predictive_p(chain, post16, denominator=denominator)
     counts = post16.data.counts
     pvals = []
@@ -131,7 +133,7 @@ def test_predictive_p_synthesizes_each_repeated_state_once(
 @pytest.mark.parametrize("cap", [0, -3])
 def test_sample_cap_below_one_is_refused(post16, cap):
     # a cap that keeps no sample is named, not reported as an empty chain
-    chain = Chain(np.zeros((5, post16.n_modes)),
+    chain = Chain(RunMatrix(np.zeros((5, post16.n_modes)), np.arange(5)),
                   SamplerConfig("pcn", 5, burn_in=0), 1.0)
     with pytest.raises(ValueError, match="sample cap"):
         posterior_predictive_p(chain, post16, max_samples=cap)
@@ -315,6 +317,28 @@ def test_selection_does_not_depend_on_keeping_samples(post16, request):
     asked = request.getfixturevalue("unthinned")
     assert select_lambda(make_posterior, (1.0, 2.0), **kwargs) == thinned
     assert asked and all(t > 1 for t in asked)
+
+
+def test_selection_says_whether_it_ends_at_a_bound(post16, monkeypatch):
+    # on (1, 2) the iterate runs to the upper end; on (1, 1000) two steps
+    # stay inside; a TV trace that swamps n_eff drives it to the lower end,
+    # which is the 1e-8 floor of an interval that starts at 0
+    make_posterior = _weights_of(post16)
+    kwargs = dict(n_iters=2, inner_steps=20, beta=0.3, seed=6)
+    top = select_lambda(make_posterior, (1.0, 2.0), **kwargs)
+    assert (top.tv_weight, top.at_bound) == (2.0, True)
+    inside = select_lambda(make_posterior, (1.0, 1000.0), **kwargs)
+    assert 1.0 < inside.tv_weight < 1000.0 and inside.at_bound is False
+    from poistomo import calibrate
+
+    def swamped(*args, **kwargs):
+        chain = run_chain(*args, **kwargs)
+        return dataclasses.replace(
+            chain, reg_trace=np.full_like(chain.reg_trace, 1e12))
+
+    monkeypatch.setattr(calibrate, "run_chain", swamped)
+    floor = select_lambda(make_posterior, (0.0, 1.0), **kwargs)
+    assert (floor.tv_weight, floor.at_bound) == (1e-8, True)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])

@@ -1,18 +1,21 @@
 """End-to-end runs of every subcommand on a tiny grid, their reports, and
 the exit codes."""
 
+import configparser
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poistomo import Grid, ScalarField, acf_matrix, cli, ess_matrix, load_chain
 
-from test_samplers import _record, _with_record
+from test_samplers import _HEADER, _record, _with_record
 
 TINY_INI = """
 [grid]
@@ -41,6 +44,8 @@ max_eval_samples = 50
 select_iters = 3
 select_inner_steps = 20
 """
+
+BENCH_TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 
 PIPELINE = ("phantom", "simulate", "calibrate", "sample", "summarize",
             "detect", "diag")
@@ -83,7 +88,7 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
     # the file holds the header, a row of 24 modes and a length per run,
     # then the record
     assert (out / "chain.bin").stat().st_size == \
-        20 + 8 * diag["distinct_states"] * (24 + 1) + \
+        _HEADER.size + 8 * diag["distinct_states"] * (24 + 1) + \
         len(json.dumps(_record(out / "chain.bin")))
     assert not (out / "chain.bin.json").exists()
 
@@ -272,11 +277,38 @@ def test_calibrate_selects_a_weight_inside_the_interval(tmp_path, tiny_ini,
     manifest = json.loads((out / "calibrate_manifest.json").read_text())
     assert manifest["interval"] == [0.5, 1.5]
     assert 0.5 <= manifest["tv_weight_selected"] <= 1.5
+    assert manifest["tv_weight_at_bound"] == \
+        (manifest["tv_weight_selected"] in (0.5, 1.5))
     assert "selection.csv" in manifest["outputs"]
     lines = (out / "selection.csv").read_text().splitlines()
     assert lines[0] == "iteration,tv_weight,gradient"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
     assert float(lines[-1].split(",")[1]) == manifest["tv_weight_selected"]
+
+
+def test_calibrate_says_whether_the_weight_is_at_a_bound(tmp_path, caplog):
+    # bench/tiny.ini admits no interval at seed 1 in the default band; with
+    # its upper end at 0.9 the interval is (0, 1), and the manifest and the
+    # log say whether the selection ended at an end of it
+    parser = configparser.ConfigParser()
+    parser.read(BENCH_TINY)
+    parser["calibration"]["band_hi"] = "0.9"
+    ini = tmp_path / "band.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="poistomo.cli"):
+        for command in ("phantom", "simulate", "calibrate"):
+            assert cli.main([command, "--config", str(ini), "--output",
+                             str(out), "--seed", "1"]) == 0, command
+    manifest = json.loads((out / "calibrate_manifest.json").read_text())
+    lo, hi = manifest["interval"]
+    weight, at_bound = (manifest["tv_weight_selected"],
+                        manifest["tv_weight_at_bound"])
+    assert type(at_bound) is bool
+    assert at_bound == (weight in (max(lo, 1e-8), hi))
+    assert at_bound == any("end of the interval" in r.getMessage()
+                           for r in caplog.records)
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +374,19 @@ def test_diag_refuses_a_version_2_chain_file(tmp_path, sampled, capsys):
     capsys.readouterr()
     assert _run("diag", ini, out) == 2
     assert "chain file version 2" in capsys.readouterr().err
+    assert not (out / "diag_manifest.json").exists()
+
+
+def test_diag_refuses_a_chain_file_with_a_flipped_byte(tmp_path, sampled,
+                                                       capsys):
+    # one bit of the record flipped: the checksum no longer matches
+    ini, src = sampled
+    raw = bytearray((src / "chain.bin").read_bytes())
+    raw[-2] ^= 1
+    out = _copy_chain(src, tmp_path, bytes(raw))
+    capsys.readouterr()
+    assert _run("diag", ini, out) == 2
+    assert "checksum mismatch" in capsys.readouterr().err
     assert not (out / "diag_manifest.json").exists()
 
 

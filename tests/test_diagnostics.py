@@ -91,7 +91,8 @@ def test_hpdi_sorted_rejects_bad_input(bad):
 
 def test_pointwise_hpdi_columns_match_the_1d_search(basis60, rep):
     rng = np.random.default_rng(2)
-    chain = Chain(0.7 * rng.standard_normal((40, basis60.n_modes)),
+    chain = Chain(RunMatrix(0.7 * rng.standard_normal((40, basis60.n_modes)),
+                            np.arange(40)),
                   SamplerConfig("pcn", 40, burn_in=0), 1.0)
     lo, hi = pointwise_hpdi(chain, basis60, rep, 0.05)
     u = intensity_samples(chain, basis60, rep)
@@ -102,7 +103,8 @@ def test_pointwise_hpdi_columns_match_the_1d_search(basis60, rep):
 
 def _chain(rows: int, n_modes: int, seed: int) -> Chain:
     samples = 0.7 * np.random.default_rng(seed).standard_normal((rows, n_modes))
-    return Chain(samples, SamplerConfig("pcn", rows, burn_in=0), 1.0)
+    return Chain(RunMatrix(samples, np.arange(rows)),
+                 SamplerConfig("pcn", rows, burn_in=0), 1.0)
 
 
 def _check_strip_summaries(chain, basis, rep):
@@ -285,6 +287,9 @@ def test_credible_levels_are_multiples_of_one_over_n():
     expanded = np.repeat(states, weights, axis=0)
     assert np.allclose(credible_level(expanded, v), level, rtol=0,
                        atol=1e-12)
+    # weights of one each are the unweighted sample
+    assert np.allclose(credible_level(states, v, np.ones(7)),
+                       credible_level(states, v), rtol=0, atol=1e-12)
 
 
 def test_a_chain_that_never_moves_gets_finite_summaries(basis60, rep):
@@ -306,6 +311,21 @@ def test_a_chain_that_never_moves_gets_finite_summaries(basis60, rep):
     assert np.all(off.levels.ravel() == 1.0)
 
 
+def test_credible_level_map_refuses_a_non_finite_pixel_first(basis60, rep,
+                                                              monkeypatch):
+    # the test image is checked before run_strips synthesizes any state
+    chain = _chain(10, basis60.n_modes, 10)
+    values = posterior_mean(chain, basis60, rep).values.copy()
+    values[3, 5] = np.nan
+    synthesized = []
+    monkeypatch.setattr(type(basis60), "synthesize_values",
+                        lambda self, *a, **k: synthesized.append(a))
+    with pytest.raises(ValueError, match="finite"):
+        credible_level_map(chain, basis60, rep,
+                           ScalarField(basis60.grid, values))
+    assert synthesized == []
+
+
 def test_credible_level_map_rejects_bad_thin_and_empty_chains(basis60, rep):
     chain = _chain(10, basis60.n_modes, 10)
     image = posterior_mean(chain, basis60, rep)
@@ -314,7 +334,7 @@ def test_credible_level_map_rejects_bad_thin_and_empty_chains(basis60, rep):
             credible_level_map(chain, basis60, rep, image, thin=thin)
     # an empty chain cannot be made, so no pass over a chain meets one
     with pytest.raises(ValueError, match="no kept samples"):
-        Chain(np.empty((0, basis60.n_modes)),
+        Chain(RunMatrix(np.empty((0, basis60.n_modes)), np.arange(0)),
               SamplerConfig("pcn", 10, burn_in=0), 1.0)
 
 
@@ -422,8 +442,10 @@ def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
     # more rows than one synthesis block holds, ending in a partial block
     rows = block_rows(2 * basis60.n_modes + 2 * basis60.grid.npix)
     n = 2 * rows + 5
-    chain = Chain(0.7 * np.random.default_rng(6).standard_normal(
-        (n, basis60.n_modes)), SamplerConfig("pcn", n, burn_in=0), 1.0)
+    samples = 0.7 * np.random.default_rng(6).standard_normal(
+        (n, basis60.n_modes))
+    chain = Chain(RunMatrix(samples, np.arange(n)),
+                  SamplerConfig("pcn", n, burn_in=0), 1.0)
     mean = posterior_mean(chain, basis60, rep)
     assert np.array_equal(mean.ravel(),
                           intensity_samples(chain, basis60, rep).mean(axis=0))
@@ -443,7 +465,8 @@ def _desk_chain(rows: int):
     basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
     samples = 0.5 * np.random.default_rng(7).standard_normal(
         (rows, basis.n_modes))
-    chain = Chain(samples, SamplerConfig("pcn", rows, burn_in=0), 1.0)
+    chain = Chain(RunMatrix(samples, np.arange(rows)),
+                  SamplerConfig("pcn", rows, burn_in=0), 1.0)
     return chain, basis, cfg
 
 
@@ -536,4 +559,9 @@ def test_strip_count_follows_the_distinct_states(preset, rows, runs, strips):
     basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
     samples = RunMatrix(np.zeros((runs, basis.n_modes)),
                         np.arange(rows) * runs // rows)
-    assert sum(1 for _ in run_strips(samples, basis, cfg.reparam)) == strips
+    passes = list(run_strips(samples, basis, cfg.reparam))
+    assert len(passes) == strips
+    # the lengths are None exactly when every run is one row
+    for _, _, lengths in passes:
+        assert (lengths is None) == (runs == rows)
+        assert lengths is None or lengths.sum() == rows

@@ -12,6 +12,7 @@ import math
 import re
 import struct
 import tracemalloc
+import zlib
 from dataclasses import asdict
 
 import numpy as np
@@ -614,7 +615,14 @@ def test_tuning_is_deterministic(post16_strong, map16_strong):
 # persistence
 
 
-_HEADER = struct.Struct("<4sIIII")
+_HEADER = struct.Struct("<4sIIIII")
+_AFTER = _HEADER.size      # the first byte after the header
+
+
+def _pack(*head, body):
+    """A chain file: the header fields up to the record length, the CRC-32
+    of body, then body, every byte after the header."""
+    return _HEADER.pack(*head, zlib.crc32(body)) + body
 
 
 def _write_chain(chain, path):
@@ -624,29 +632,27 @@ def _write_chain(chain, path):
     runs, lengths = chain.samples.stretches()
     record = json.dumps({**asdict(chain.config),
                          "acceptance_rate": chain.acceptance_rate})
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(b"CHN1", 3, chain.n_modes, runs.size,
-                              len(record)))
-        fh.write(np.asarray(chain.samples.rows, dtype="<f8")[runs].tobytes())
-        fh.write(lengths.astype("<i8").tobytes())
-        fh.write(record.encode("ascii"))
+    path.write_bytes(_pack(
+        b"CHN1", 4, chain.n_modes, runs.size, len(record),
+        body=(np.asarray(chain.samples.rows, dtype="<f8")[runs].tobytes()
+              + lengths.astype("<i8").tobytes() + record.encode("ascii"))))
 
 
 def _record(path):
     """The parsed record at the end of the chain file at path."""
     raw = path.read_bytes()
-    return json.loads(raw[len(raw) - _HEADER.unpack(raw[:20])[4]:])
+    return json.loads(raw[len(raw) - _HEADER.unpack(raw[:_AFTER])[4]:])
 
 
 def _with_record(path, record):
     """Replace the record of the chain file at path by ``record``, a JSON
-    document or raw bytes, and its length in the header."""
+    document or raw bytes, and its length and the checksum in the header."""
     raw = path.read_bytes()
-    head = _HEADER.unpack(raw[:20])
+    head = _HEADER.unpack(raw[:_AFTER])
     if not isinstance(record, bytes):
         record = json.dumps(record).encode("ascii")
-    path.write_bytes(_HEADER.pack(*head[:4], len(record))
-                     + raw[20:len(raw) - head[4]] + record)
+    path.write_bytes(_pack(*head[:4], len(record),
+                           body=raw[_AFTER:len(raw) - head[4]] + record))
 
 
 def test_chain_roundtrip(tmp_path, post16):
@@ -697,10 +703,11 @@ def test_chain_file_holds_the_little_endian_samples(tmp_path):
     raw = path.read_bytes()
     record = json.dumps({**asdict(cfg), "acceptance_rate":
                          chain.acceptance_rate}).encode("ascii")
-    assert _HEADER.unpack(raw[:20]) == (b"CHN1", 3, 500, lengths.size,
-                                        len(record))
-    assert raw[20:] == (chain.samples.rows.astype("<f8").tobytes()
-                        + lengths.astype("<i8").tobytes() + record)
+    body = (chain.samples.rows.astype("<f8").tobytes()
+            + lengths.astype("<i8").tobytes() + record)
+    assert _HEADER.unpack(raw[:_AFTER]) == (b"CHN1", 4, 500, lengths.size,
+                                            len(record), zlib.crc32(body))
+    assert raw[_AFTER:] == body
 
 
 @pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
@@ -725,7 +732,7 @@ def test_streamed_chain_loads_as_the_run_chain(tmp_path, post16,
     assert back.config == config == chain.config
     assert back.acceptance_rate == rate == chain.acceptance_rate
     assert isinstance(config.stepsize, float)
-    assert path.stat().st_size == 20 + 8 * chain.samples.n_runs * (
+    assert path.stat().st_size == _AFTER + 8 * chain.samples.n_runs * (
         post.n_modes + 1) + len(json.dumps(_record(path)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.bin"]
 
@@ -850,25 +857,41 @@ def test_chain_load_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="header"):
         load_chain(clipped)
 
-    head = _HEADER.unpack(raw[:20])
+    head = _HEADER.unpack(raw[:_AFTER])
     n_runs, n_record = head[3], head[4]
-    rows = raw[20:20 + 16 * n_runs]
-    lengths = np.frombuffer(raw[20 + 16 * n_runs:len(raw) - n_record],
+    rows = raw[_AFTER:_AFTER + 16 * n_runs]
+    lengths = np.frombuffer(raw[_AFTER + 16 * n_runs:len(raw) - n_record],
                             dtype="<i8")
     record = _record(path)
     assert lengths.sum() == 20 and n_runs > 1
 
-    def refused(match, version=3, runs=lengths, **changes):
+    def refused(match, version=4, runs=lengths, **changes):
         bad = tmp_path / "bad.bin"
         text = json.dumps({**record, **changes}).encode("ascii")
-        bad.write_bytes(_HEADER.pack(b"CHN1", version, 2, n_runs, len(text))
-                        + rows + np.asarray(runs, dtype="<i8").tobytes()
-                        + text)
+        bad.write_bytes(_pack(b"CHN1", version, 2, n_runs, len(text),
+                              body=rows + np.asarray(runs, "<i8").tobytes()
+                              + text))
         with pytest.raises(ValueError, match=match):
             load_chain(bad)
 
     refused("version 1", version=1)
     refused("version 2", version=2)
+    refused("version 3", version=3)
+    # a version 3 file as it was written: the header before the checksum
+    v3 = tmp_path / "v3.bin"
+    v3.write_bytes(struct.pack("<4sIIII", b"CHN1", 3, *head[2:5])
+                   + raw[_AFTER:])
+    with pytest.raises(ValueError, match="version 3, expected 4"):
+        load_chain(v3)
+    # the checksum of every byte after the header, the header's own
+    # included: a changed row or a changed sum is refused
+    for at in (_AFTER, _AFTER - 1):
+        bad = bytearray(raw)
+        bad[at] ^= 1
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="checksum"):
+            load_chain(path)
+    path.write_bytes(raw)
     refused("kind must be one of", kind="hmc")
     refused("kind must be one of", kind=3)
     zero = lengths.copy()
@@ -902,27 +925,19 @@ def test_every_truncation_of_a_chain_file_is_refused(tmp_path):
             load_chain(cut)
 
 
-def test_every_bit_flip_in_the_record_loads_or_is_refused(tmp_path):
-    # a flip in the record loads, with another config or a rate in [0, 1],
-    # or raises ValueError; no other exception escapes
+def test_every_bit_flip_in_a_chain_file_is_refused(tmp_path):
+    # a flip in the header breaks its magic, version or sizes, or the
+    # checksum; a flip after it, in a row, a run length or the record,
+    # breaks the checksum.  Each raises ValueError naming the file
     raw = _small_chain_file(tmp_path / "chain.bin")
-    start = len(raw) - _HEADER.unpack(raw[:20])[4]
     flipped = tmp_path / "flipped.bin"
-    outcomes = []
-    for i in range(start, len(raw)):
+    for i in range(len(raw)):
         for bit in range(8):
             b = bytearray(raw)
             b[i] ^= 1 << bit
             flipped.write_bytes(b)
-            try:
-                chain = load_chain(flipped)
-            except ValueError:
-                outcomes.append(None)
-                continue
-            assert 0.0 <= chain.acceptance_rate <= 1.0, (i, bit)
-            outcomes.append(chain.config)
-    assert any(c is None for c in outcomes)
-    assert any(c is not None for c in outcomes)
+            with pytest.raises(ValueError, match=re.escape(f"{flipped}: ")):
+                load_chain(flipped)
 
 
 def test_load_chain_keeps_only_the_runs(tmp_path):
@@ -984,17 +999,22 @@ def test_run_matrix_answers_every_access_form():
 
 
 def test_chain_shape_validation():
+    # the samples are a RunMatrix, whose rows are a (runs, n_modes) array
+    with pytest.raises(TypeError, match="RunMatrix"):
+        Chain(np.zeros((5, 2)), SamplerConfig("pcn", 5, burn_in=0), 1.0)
     with pytest.raises(ValueError):
-        Chain(np.zeros(5), SamplerConfig("pcn", 10, beta=0.5), 1.0)
+        Chain(RunMatrix(np.zeros(5), np.arange(5)),
+              SamplerConfig("pcn", 10, beta=0.5), 1.0)
 
 
 def test_chain_refuses_a_rate_outside_the_unit_interval():
     cfg = SamplerConfig("pcn", 5, burn_in=0)
+    samples = RunMatrix(np.zeros((5, 2)), np.arange(5))
     for rate in (1.5, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"not in \[0, 1\]"):
-            Chain(np.zeros((5, 2)), cfg, rate)
+            Chain(samples, cfg, rate)
     for rate in (0.0, 1.0):
-        assert Chain(np.zeros((5, 2)), cfg, rate).acceptance_rate == rate
+        assert Chain(samples, cfg, rate).acceptance_rate == rate
 
 
 def test_chain_load_refuses_a_rate_or_a_row_it_cannot_hold(tmp_path):
@@ -1006,9 +1026,8 @@ def test_chain_load_refuses_a_rate_or_a_row_it_cannot_hold(tmp_path):
                        match=re.escape(f"{path}: acceptance rate 1.5")):
         load_chain(path)
     for value in (math.nan, math.inf):
-        b = bytearray(raw)
-        b[_HEADER.size:_HEADER.size + 8] = struct.pack("<d", value)
-        path.write_bytes(b)
+        body = struct.pack("<d", value) + raw[_AFTER + 8:]
+        path.write_bytes(_pack(*_HEADER.unpack(raw[:_AFTER])[:5], body=body))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: a row holds a non-finite value")):
             load_chain(path)
