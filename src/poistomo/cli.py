@@ -70,10 +70,10 @@ def _sha256(path: Path) -> str:
 
 def _write_json(path: Path, doc: dict) -> None:
     """Strict JSON: a NaN or an infinity raises ValueError, never a token
-    that standard parsers refuse."""
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    that standard parsers refuse.  The document is serialised before the
+    file is opened, so a refused one leaves no partial file behind."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="ascii")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -141,7 +141,7 @@ def cmd_simulate(args, cfg: RunConfig, outdir: Path):
     sino = simulate_data(op, truth, np.random.default_rng(cfg.sampler.seed))
     write_sinogram_bin(sino, outdir / "sinogram.bin")
     _write_csv(outdir / "sinogram.csv", ("angle", "det", "count"),
-               zip(sino.angle_idx, sino.det_idx, sino.counts))
+               zip(op.angle_idx, op.det_idx, sino.counts))
     _write_json(outdir / "geometry.json", {
         "format": "parallel-beam path-integral operator",
         "nx": op.grid.nx, "ny": op.grid.ny, "n_angles": op.n_angles,
@@ -233,6 +233,11 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
 
 def cmd_summarize(args, cfg: RunConfig, outdir: Path):
     chain = _load_basis_chain(args.chain, cfg)
+    truth = None        # read and checked before anything is written
+    if "truth" in args.given or args.truth.exists():
+        truth = read_field_csv(args.truth, cfg.grid)
+        if not np.isfinite(truth.values).all():
+            raise ValueError(f"{args.truth}: a truth pixel is not finite")
     basis = _basis(cfg)
     mean = posterior_mean(chain, basis, cfg.reparam)
     lo, hi = pointwise_hpdi(chain, basis, cfg.reparam, alpha=args.alpha)
@@ -249,8 +254,7 @@ def cmd_summarize(args, cfg: RunConfig, outdir: Path):
         "median_interval_width": float(np.median(width.values)),
     }
     inputs = {"chain.bin": args.chain}
-    if "truth" in args.given or args.truth.exists():
-        truth = read_field_csv(args.truth, cfg.grid)
+    if truth is not None:
         summary["psnr_mean_vs_truth"] = psnr(mean, truth)
         inputs["phantom.csv"] = args.truth
         print(f"posterior mean PSNR {summary['psnr_mean_vs_truth']:.2f} dB")

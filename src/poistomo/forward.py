@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -371,27 +370,19 @@ def _trace_rays(rays: np.ndarray, grid: Grid):
 
 @dataclass(frozen=True)
 class Sinogram:
-    """Observed counts, aligned with the retained rays of an operator."""
+    """Observed counts of an (n_angles, n_det) acquisition: count i is on
+    ray i of the operator built for it, since the geometry fixes its rays."""
 
     counts: np.ndarray = field(repr=False)
-    angle_idx: np.ndarray = field(repr=False)
-    det_idx: np.ndarray = field(repr=False)
     n_angles: int
     n_det: int
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0):
-            raise ValueError("counts must be nonnegative")
-        a = np.asarray(self.angle_idx, dtype=np.uint32)
-        d = np.asarray(self.det_idx, dtype=np.uint32)
-        if not (c.size == a.size == d.size):
-            raise ValueError("counts and ray index tables disagree in length")
-        for arr in (c, a, d):
-            arr.setflags(write=False)
+        if c.ndim != 1 or np.any(c < 0):
+            raise ValueError("counts must be 1-D and nonnegative")
+        c.setflags(write=False)
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "angle_idx", a)
-        object.__setattr__(self, "det_idx", d)
 
     @property
     def n_rays(self) -> int:
@@ -404,8 +395,7 @@ def simulate_data(op: RadonOperator, u_true: ScalarField,
     theta = op.apply(u_true.values)
     if np.any(theta < 0.0):
         raise ValueError("negative expected counts; intensity must be nonnegative")
-    counts = rng.poisson(theta)
-    return Sinogram(counts, op.angle_idx, op.det_idx, op.n_angles, op.n_det)
+    return Sinogram(rng.poisson(theta), op.n_angles, op.n_det)
 
 
 # ---------------------------------------------------------------------------
@@ -415,30 +405,31 @@ _SIN_HEADER = struct.Struct("<4sIII")
 
 
 def write_sinogram_bin(sino: Sinogram, path) -> None:
-    """Binary form: magic "SIN1", geometry and ray tables, then int64 counts."""
+    """Binary form, little-endian: magic "SIN2", the angle, detector-bin and
+    ray counts as uint32, then one int64 count per ray."""
     with open(path, "wb") as fh:
-        fh.write(_SIN_HEADER.pack(b"SIN1", sino.n_angles, sino.n_det, sino.n_rays))
-        # each table is copied only if its dtype or byte order differs
-        fh.write(np.ascontiguousarray(sino.angle_idx, dtype="<u4"))
-        fh.write(np.ascontiguousarray(sino.det_idx, dtype="<u4"))
+        fh.write(_SIN_HEADER.pack(b"SIN2", sino.n_angles, sino.n_det, sino.n_rays))
+        # copied only if the dtype or byte order differs
         fh.write(np.ascontiguousarray(sino.counts, dtype="<i8"))
 
 
 def read_sinogram_bin(path) -> Sinogram:
-    """Read ``write_sinogram_bin``'s form; a bad magic or a size other than
-    the header plus 16 bytes per ray raises ValueError."""
+    """Read ``write_sinogram_bin``'s form; a bad magic, the older "SIN1"
+    layout with its ray tables included, or a size other than the header
+    plus 8 bytes per ray raises ValueError naming the file."""
     with open(path, "rb") as fh:
-        head = fh.read(_SIN_HEADER.size)
-        if len(head) < _SIN_HEADER.size:
-            raise ValueError(f"{path}: truncated sinogram file")
-        magic, n_angles, n_det, d = _SIN_HEADER.unpack(head)
-        if magic != b"SIN1":
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        size = os.fstat(fh.fileno()).st_size - _SIN_HEADER.size
-        if size != 16 * d:
-            raise ValueError(f"{path}: ray block has {size} bytes, expected "
-                             f"{16 * d} for {d} rays")
-        angle = np.frombuffer(fh.read(4 * d), dtype="<u4")
-        det = np.frombuffer(fh.read(4 * d), dtype="<u4")
-        counts = np.frombuffer(fh.read(8 * d), dtype="<i8")
-    return Sinogram(counts, angle, det, n_angles, n_det)
+        raw = fh.read()
+    if len(raw) < _SIN_HEADER.size:
+        raise ValueError(f"{path}: truncated sinogram file")
+    magic, n_angles, n_det, d = _SIN_HEADER.unpack_from(raw)
+    if magic == b"SIN1":
+        raise ValueError(f"{path}: sinogram layout SIN1 (per-ray tables) "
+                         "is no longer read; run simulate again")
+    if magic != b"SIN2":
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    size = len(raw) - _SIN_HEADER.size
+    if size != 8 * d:
+        raise ValueError(f"{path}: ray block has {size} bytes, expected "
+                         f"{8 * d} for {d} rays")
+    return Sinogram(np.frombuffer(raw, "<i8", offset=_SIN_HEADER.size),
+                    n_angles, n_det)

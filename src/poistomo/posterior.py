@@ -64,13 +64,13 @@ class TGPosterior:
         if self.op.grid != self.basis.grid:
             raise ValueError("operator and basis grids disagree")
         d, op = self.data, self.op
-        if ((d.n_angles, d.n_det) != (op.n_angles, op.n_det)
-                or not np.array_equal(d.angle_idx, op.angle_idx)
-                or not np.array_equal(d.det_idx, op.det_idx)):
+        # the geometry alone fixes the kept rays, so this is ray for ray
+        if (d.n_angles, d.n_det, d.n_rays) != (op.n_angles, op.n_det,
+                                               op.n_rays):
             raise ValueError(
                 f"sinogram geometry ({d.n_angles} angles, {d.n_det} bins, "
                 f"{d.n_rays} rays) does not match the operator's "
-                f"({op.n_angles}, {op.n_det}, {op.n_rays}) ray for ray")
+                f"({op.n_angles}, {op.n_det}, {op.n_rays})")
         object.__setattr__(self, "_counts", self.data.counts.astype(float))
 
     @property

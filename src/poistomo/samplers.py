@@ -520,9 +520,9 @@ def load_chain(path) -> Chain:
     It holds the file's rows, one per run, their lengths and the record's
     config and acceptance rate.  A bad magic or version, a size that does
     not match the header, a checksum that does not match the bytes after
-    it, a record that is not a config and a rate in [0, 1], run lengths
-    that are not positive or do not add up to the config's kept count, or a
-    non-finite row raise ValueError naming it.
+    it, no modes, a record that is not a config and a rate in [0, 1], run
+    lengths that are not positive or do not add up to the config's kept
+    count, or a non-finite row raise ValueError naming it.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CHAIN_HEADER.size)
@@ -535,6 +535,8 @@ def load_chain(path) -> Chain:
         if version != 4:
             raise ValueError(f"{path}: unsupported chain file version "
                              f"{version}, expected 4")
+        if n_modes == 0:
+            raise ValueError(f"{path}: the header holds no modes")
         size = os.fstat(fh.fileno()).st_size - _CHAIN_HEADER.size
         expected = 8 * n_runs * (n_modes + 1) + n_record
         if size != expected:
@@ -558,7 +560,8 @@ def load_chain(path) -> Chain:
     if np.any(lengths < 1) or lengths.sum() != cfg.n_kept:
         raise ValueError(f"{path}: run lengths must be positive and add up "
                          f"to the config's {cfg.n_kept} kept samples")
-    if not np.isfinite(rows).all():
+    # NaN and +-inf reach the min or the max: no n_runs x n_modes mask
+    if not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
         raise ValueError(f"{path}: a row holds a non-finite value")
     try:
         return Chain(RunMatrix(rows.reshape(n_runs, n_modes),

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from poistomo import Grid, ScalarField, acf_matrix, cli, ess_matrix, load_chain
+from poistomo.fields import read_field_csv, write_field_csv
 
 from test_samplers import _HEADER, _record, _with_record
 
@@ -398,6 +399,40 @@ def test_summarize_refuses_a_missing_truth_it_was_given(tmp_path, sampled):
     assert not (out / "summarize_manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_summarize_refuses_a_non_finite_truth_before_writing(tmp_path,
+                                                             sampled, value,
+                                                             capsys):
+    # a non-finite truth pixel is a usage error that names the file, found
+    # before any CSV or summary.json is written
+    ini, src = sampled
+    out = _copy_chain(src, tmp_path)
+    grid = Grid(8, 8)
+    truth = read_field_csv(src / "phantom.csv", grid).values.ravel().copy()
+    truth[5] = value
+    bad = tmp_path / "truth.csv"
+    write_field_csv(ScalarField(grid, truth), bad)
+    capsys.readouterr()
+    assert _run("summarize", ini, out, "--truth", str(bad)) == 2
+    assert f"{bad}: a truth pixel is not finite" in \
+        capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["chain.bin"]
+
+
+def test_write_json_leaves_no_partial_file(tmp_path):
+    # the document is refused before the file is opened: no new file, and
+    # an old one keeps its bytes
+    path = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        cli._write_json(path, {"a": 1.0, "b": math.nan})
+    assert not path.exists()
+    cli._write_json(path, {"a": 1.0})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        cli._write_json(path, {"a": 1.0, "b": math.inf})
+    assert path.read_bytes() == before == b'{\n  "a": 1.0\n}\n'
+
+
 def test_summarize_skips_psnr_without_the_default_truth(tmp_path, sampled):
     # <output>/phantom.csv is optional: without it there is no PSNR
     ini, src = sampled
@@ -423,6 +458,25 @@ def test_sample_refuses_a_sinogram_of_another_geometry(tmp_path, tiny_ini,
     capsys.readouterr()
     assert _run("sample", wide, out) == 2
     assert "does not match the operator's" in capsys.readouterr().err
+    assert not (out / "sample_manifest.json").exists()
+
+
+def test_sample_refuses_a_sinogram_with_ray_tables(tmp_path, sampled,
+                                                   capsys):
+    # the layout before the geometry alone fixed the rays: magic SIN1, the
+    # header, uint32 angle and detector tables, then the counts
+    ini, src = sampled
+    table = np.loadtxt(src / "sinogram.csv", delimiter=",", skiprows=1,
+                       dtype=np.int64)
+    old = tmp_path / "old.bin"
+    old.write_bytes(struct.pack("<4sIII", b"SIN1", 6, 8, len(table))
+                    + table[:, 0].astype("<u4").tobytes()
+                    + table[:, 1].astype("<u4").tobytes()
+                    + table[:, 2].astype("<i8").tobytes())
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert _run("sample", ini, out, "--sinogram", str(old)) == 2
+    assert f"{old}: sinogram layout SIN1" in capsys.readouterr().err
     assert not (out / "sample_manifest.json").exists()
 
 

@@ -1,6 +1,8 @@
 import json
 import logging
 import math
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -131,6 +133,18 @@ def test_dropped_plus_retained_is_total():
     assert op.n_dropped > 0  # the sqrt(2) span always overhangs the square
     assert op.angle_idx.max() < 12
     assert op.det_idx.max() < 16
+
+
+@pytest.mark.parametrize("n_angles, n_det", [(12, 16), (7, 5), (30, 32),
+                                             (2, 2), (60, 128)])
+def test_kept_rays_depend_on_the_geometry_alone(n_angles, n_det):
+    # a Sinogram carries no ray table: the operator of any grid, square
+    # (traced with the transpose or not) or not, keeps the same rays
+    ops = [build_radon_operator(Grid(nx, ny), n_angles, n_det)
+           for nx, ny in ((2, 2), (16, 16), (9, 14), (20, 12), (64, 64))]
+    for op in ops[1:]:
+        assert np.array_equal(op.angle_idx, ops[0].angle_idx)
+        assert np.array_equal(op.det_idx, ops[0].det_idx)
 
 
 def test_adjoint_identity():
@@ -573,6 +587,7 @@ def test_simulate_data_deterministic(op16, truth16):
     s2 = simulate_data(op16, truth16, np.random.default_rng(5))
     assert np.array_equal(s1.counts, s2.counts)
     assert s1.n_rays == op16.n_rays
+    assert (s1.n_angles, s1.n_det) == (op16.n_angles, op16.n_det)
 
 
 def test_simulate_data_rejects_negative_intensity(op16, grid16):
@@ -672,19 +687,29 @@ def test_sinogram_bin_roundtrip(tmp_path, sino16):
     assert back.n_det == sino16.n_det
 
 
-def test_sinogram_bin_tables_are_little_endian(tmp_path, sino16):
+def test_sinogram_bin_is_the_header_and_little_endian_counts(tmp_path,
+                                                              sino16):
+    # 8 bytes a ray: no ray table, which the geometry alone fixes
     path = tmp_path / "s.bin"
     write_sinogram_bin(sino16, path)
-    tables = (sino16.angle_idx.astype("<u4").tobytes()
-              + sino16.det_idx.astype("<u4").tobytes()
-              + sino16.counts.astype("<i8").tobytes())
-    assert path.read_bytes()[-len(tables):] == tables
+    assert path.read_bytes() == (
+        struct.pack("<4sIII", b"SIN2", 12, 16, sino16.n_rays)
+        + sino16.counts.astype("<i8").tobytes())
 
 
-def test_sinogram_bin_bad_magic(tmp_path):
+def test_sinogram_bin_bad_magic(tmp_path, op16, sino16):
     path = tmp_path / "s.bin"
     path.write_bytes(b"XXXX" + b"\x00" * 12)
     with pytest.raises(ValueError):
+        read_sinogram_bin(path)
+    # the older layout: magic SIN1, the header, uint32 angle and detector
+    # tables, then the counts
+    path.write_bytes(struct.pack("<4sIII", b"SIN1", 12, 16, sino16.n_rays)
+                     + op16.angle_idx.astype("<u4").tobytes()
+                     + op16.det_idx.astype("<u4").tobytes()
+                     + sino16.counts.astype("<i8").tobytes())
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: sinogram layout SIN1")):
         read_sinogram_bin(path)
 
 
@@ -698,7 +723,7 @@ def test_sinogram_bin_truncated(tmp_path, sino16):
 
 
 def test_sinogram_bin_refuses_trailing_bytes(tmp_path, sino16):
-    # the file is the header plus 16 bytes per ray, nothing after them
+    # the file is the header plus 8 bytes per ray, nothing after them
     path = tmp_path / "s.bin"
     write_sinogram_bin(sino16, path)
     path.write_bytes(path.read_bytes() + bytes(24))
@@ -708,7 +733,9 @@ def test_sinogram_bin_refuses_trailing_bytes(tmp_path, sino16):
 
 def test_sinogram_rejects_negative_counts():
     with pytest.raises(ValueError):
-        Sinogram([-1, 2], [0, 0], [0, 1], 1, 2)
+        Sinogram([-1, 2], 1, 2)
+    with pytest.raises(ValueError):
+        Sinogram([[1, 2]], 1, 2)
 
 
 # --- simulate reports: the sinogram table and the geometry manifest ----------
@@ -728,7 +755,7 @@ def simulated(tmp_path_factory):
     return out
 
 
-def test_sinogram_csv_roundtrip(simulated):
+def test_sinogram_csv_roundtrip(simulated, op16):
     header, *lines = (simulated / "sinogram.csv").read_text(
         encoding="ascii").splitlines()
     assert header == "angle,det,count"
@@ -737,8 +764,8 @@ def test_sinogram_csv_roundtrip(simulated):
     sino = read_sinogram_bin(simulated / "sinogram.bin")
     table = np.array(rows, dtype=np.int64)
     assert table.shape == (sino.n_rays, 3)
-    assert np.array_equal(table[:, 0], sino.angle_idx)
-    assert np.array_equal(table[:, 1], sino.det_idx)
+    assert np.array_equal(table[:, 0], op16.angle_idx)
+    assert np.array_equal(table[:, 1], op16.det_idx)
     assert np.array_equal(table[:, 2], sino.counts)
 
 

@@ -116,11 +116,11 @@ def test_posterior_refuses_a_nan_tv_weight(op16, rep, basis60, sino16):
 
 def test_posterior_refuses_the_counts_of_other_rays(op16, rep, basis60,
                                                     sino16):
-    # a reversed detector table and another geometry's labels keep the
-    # operator's ray count; another operator's counts do not
+    # another geometry's labels keep the operator's ray count; another
+    # operator's counts, or one count too few, do not
     other = build_radon_operator(op16.grid, 12, 15)
-    for data in (dataclasses.replace(sino16, det_idx=sino16.det_idx[::-1]),
-                 dataclasses.replace(sino16, n_angles=7, n_det=999),
+    for data in (dataclasses.replace(sino16, n_angles=7, n_det=999),
+                 dataclasses.replace(sino16, counts=sino16.counts[1:]),
                  simulate_data(other, brain_phantom(op16.grid),
                                np.random.default_rng(0))):
         with pytest.raises(ValueError, match="does not match the operator"):

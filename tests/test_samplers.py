@@ -1025,9 +1025,41 @@ def test_chain_load_refuses_a_rate_or_a_row_it_cannot_hold(tmp_path):
     with pytest.raises(ValueError,
                        match=re.escape(f"{path}: acceptance rate 1.5")):
         load_chain(path)
-    for value in (math.nan, math.inf):
+    for value in (math.nan, math.inf, -math.inf):
         body = struct.pack("<d", value) + raw[_AFTER + 8:]
         path.write_bytes(_pack(*_HEADER.unpack(raw[:_AFTER])[:5], body=body))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: a row holds a non-finite value")):
             load_chain(path)
+
+
+def test_chain_load_refuses_a_header_without_modes(tmp_path):
+    # no rows at all: a run of zero-length rows would load as a chain
+    path = tmp_path / "chain.bin"
+    record = json.dumps({**asdict(SamplerConfig("pcn", 3, burn_in=0)),
+                         "acceptance_rate": 1.0}).encode("ascii")
+    path.write_bytes(_pack(b"CHN1", 4, 0, 1, len(record),
+                           body=struct.pack("<q", 3) + record))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{path}: the header holds no modes")):
+        load_chain(path)
+
+
+def test_load_chain_checks_the_rows_without_a_mask(tmp_path):
+    # 2,000 distinct rows of 100 modes: loading holds the rows, the run
+    # lengths and the run index, and no n_runs x n_modes finiteness mask
+    # (which alone would add an eighth of the row bytes)
+    rng = np.random.default_rng(36)
+    rows = rng.standard_normal((2000, 100))
+    chain = Chain(RunMatrix(rows, np.arange(2000)),
+                  SamplerConfig("pcn", 2000, beta=0.5, burn_in=0), 0.5)
+    path = tmp_path / "chain.bin"
+    _write_chain(chain, path)
+    tracemalloc.start()
+    try:
+        back = load_chain(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * (rows.nbytes + 8 * 2000)
+    assert np.array_equal(back.samples.rows, rows)
