@@ -14,9 +14,10 @@ ascent direction; the last two are plain array updates given grad z.  The
 z-subproblem value and gradient at a line-search point, and the p- and
 multiplier updates, residuals and objective history at the accepted one,
 all read the line search's single ``TGPosterior.evaluate`` of that point,
-grad z included (``PosteriorEval.grad``).  The converged triple also
-anchors the gradient-informed sampler: ``offset_direction`` is the
-coefficient-space derivative of L(., p*, eta*) at the caller's evaluation.
+grad z included (``PosteriorEval.grad``).  The multiplier eta* anchors the
+pdpcn sampler, whose drift is phi_grad_at(ev) + o: ``offset_direction`` is
+o = -pullback(cell * div eta*), the derivative of <eta*, grad z>.  The
+penalty term belongs to the splitting and stays out of the drift.
 """
 
 from __future__ import annotations
@@ -222,24 +223,20 @@ def solve_map(post: TGPosterior, cfg: AdmmConfig = AdmmConfig()) -> MapResult:
         if pr <= cfg.tol and du <= cfg.tol:
             converged = True
             break
-    # final latent polish against the returned splitting pair, so the offset
-    # direction evaluated at the returned coefficients vanishes to inner_tol
+    # final latent polish against the returned splitting pair, so the
+    # z-subproblem gradient at the returned coefficients vanishes to inner_tol
     c, _info = z_step(post, c, ev, p, eta, cfg)
     return MapResult(c, p, eta, np.array(objective), np.array(primal),
                      np.array(dual), it, converged)
 
 
-def offset_direction(post: TGPosterior, ev: PosteriorEval, split: np.ndarray,
-                     multiplier: np.ndarray, rho_pen: float) -> np.ndarray:
-    """Drift used by the gradient-informed sampler at a frozen (p*, eta*).
-
-    Coefficient-space derivative of the augmented Lagrangian in z only, at
-    the state of the caller's evaluation ev.  split and multiplier must be
-    (2, nx, ny) arrays on the posterior's grid.
-    """
-    shape = (2,) + post.grid.shape
-    for name, v in (("split", split), ("multiplier", multiplier)):
-        if np.shape(v) != shape:
-            raise ValueError(f"{name} must have shape {shape}, "
-                             f"got {np.shape(v)}")
-    return _z_grad(post, ev, split, multiplier, rho_pen)
+def offset_direction(post: TGPosterior, multiplier: np.ndarray) -> np.ndarray:
+    """The constant o of the pdpcn drift phi_grad_at(ev) + o at a multiplier
+    eta*: o = -pullback(cell * div eta*), the coefficient-space derivative of
+    <eta*, grad z>.  multiplier must be (2, nx, ny) on the posterior's grid."""
+    g = post.grid
+    if np.shape(multiplier) != (2,) + g.shape:
+        raise ValueError(f"multiplier must have shape {(2,) + g.shape}, "
+                         f"got {np.shape(multiplier)}")
+    return -post.basis.pullback(
+        g.cell * div_arrays(multiplier, g.hx, g.hy).reshape(-1))

@@ -42,7 +42,7 @@ from .forward import (DETECTOR_SPAN, build_radon_operator, read_sinogram_bin,
 from .klbasis import build_kl_basis
 from .phantom import brain_phantom
 from .posterior import TGPosterior
-from .samplers import anchor_from_map, load_chain, stream_chain
+from .samplers import load_chain, stream_chain
 
 log = logging.getLogger(__name__)
 
@@ -215,7 +215,7 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
         write_field_csv(basis.synthesize(result.coeffs),
                         outdir / "map_latent.csv")
         outputs += ["map_residuals.csv", "map_latent.csv"]
-        anchor = anchor_from_map(result, cfg.admm.rho_pen)
+        anchor = result.multiplier
         init = result.coeffs
         map_converged = result.converged
         if not result.converged:

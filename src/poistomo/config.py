@@ -84,10 +84,11 @@ _KEYS = {
 }
 
 # Presets are overlays on the defaults in _KEYS.  "desk" is sized to run in
-# seconds on one core; "paper" reproduces the full-scale tomography setup
-# (128x128 image, 60 projection angles, half-strength source, long chains).
+# seconds on one core; its chain tunes delta in the burn-in and keeps every
+# tenth state.  "paper" reproduces the full-scale tomography setup (128x128
+# image, 60 projection angles, half-strength source, long chains).
 PRESETS = {
-    "desk": {},
+    "desk": {"sampler": {"delta": "none", "thinning": "10"}},
     "paper": {
         "grid": {"nx": "128", "ny": "128"},
         "prior": {"n_modes": "6000"},

@@ -378,7 +378,8 @@ class Sinogram:
     n_det: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
+        # a copy, so that freezing it leaves the caller's array writable
+        c = np.array(self.counts, dtype=np.int64)
         if c.ndim != 1 or np.any(c < 0):
             raise ValueError("counts must be 1-D and nonnegative")
         c.setflags(write=False)

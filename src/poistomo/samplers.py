@@ -13,9 +13,11 @@ The kernels differ only in the drift:
   delta(beta) = 2 beta^2 / (1 + sqrt(1 - beta^2))^2, where
   (2 - delta)/(2 + delta) = sqrt(1 - beta^2) and
   sqrt(8 delta)/(2 + delta) = beta;
-* ``pcnl``   g = gradient of psi (smooth case only);
-* ``pdpcn``  g = offset_direction at the frozen splitting anchor, so the
-  nonsmooth TV term is handled without ever differentiating it.
+* ``pdpcn``  g = phi_grad_at(ev) + o, the likelihood gradient plus a
+  constant offset o = offset_direction(post, eta*) taken once per chain from
+  the MAP multiplier eta* (the anchor), so the nonsmooth TV term is handled
+  without ever differentiating it;
+* ``pcnl``   the same drift with o = 0 (smooth case only).
 
 A state is its coefficients, their evaluation and their drift, so each step
 evaluates the posterior once, at the proposal.  ``chain_states`` yields each
@@ -55,7 +57,6 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,6 @@ __all__ = [
     "Chain",
     "ChainDivergence",
     "RunMatrix",
-    "Anchor",
     "chain_states",
     "kept_steps",
     "walk_chain",
@@ -137,17 +137,10 @@ class SamplerConfig:
         return (self.n_samples - self.burn_in) // self.thinning
 
 
-class Anchor(NamedTuple):
-    """Frozen splitting variables that define the pdpcn drift: the split
-    field and multiplier, each a (2, nx, ny) array, and the penalty."""
-
-    split: np.ndarray
-    multiplier: np.ndarray
-    rho_pen: float
-
-
-def anchor_from_map(result: MapResult, rho_pen: float) -> Anchor:
-    return Anchor(result.split, result.multiplier, rho_pen)
+def anchor_from_map(result: MapResult, rho_pen: float) -> np.ndarray:
+    """The pdpcn anchor of a MAP solve: its multiplier eta*, (2, nx, ny).
+    rho_pen is ignored, and goes once the benchmark stops passing it."""
+    return result.multiplier
 
 
 def _accept(log_ratio: float, rng: np.random.Generator) -> bool:
@@ -170,8 +163,11 @@ def _rho(ev_z: PosteriorEval, z, v, g, delta: float) -> float:
             + 0.25 * delta * float(np.dot(g, g)))
 
 
-def _drift(post: TGPosterior, config: SamplerConfig, anchor: Anchor | None):
-    """The configured kernel's drift, a function of an evaluation."""
+def _drift(post: TGPosterior, config: SamplerConfig,
+           anchor: np.ndarray | None):
+    """The configured kernel's drift, a function of an evaluation: zero for
+    pcn, else phi_grad_at(ev) + o with the offset o taken once per chain,
+    from the anchor for pdpcn and 0 for pcnl."""
     if config.kind == "pcn":
         zero = np.zeros(post.n_modes)
         return lambda ev: zero
@@ -179,16 +175,13 @@ def _drift(post: TGPosterior, config: SamplerConfig, anchor: Anchor | None):
         if post.tv_weight != 0.0:
             raise ValueError("pcnl requires a differentiable potential; "
                              "tv_weight must be 0")
-        return post.phi_grad_at
-    if anchor is None:
-        raise ValueError("the pdpcn kernel needs a splitting anchor; solve the "
-                         "MAP problem and pass anchor_from_map(result, rho_pen)")
-
-    def offset(ev):
-        # looked up at call time, so that a wrapped offset_direction is seen
-        return offset_direction(post, ev, anchor.split, anchor.multiplier,
-                                anchor.rho_pen)
-    return offset
+        o = 0.0
+    elif anchor is None:
+        raise ValueError("the pdpcn kernel needs an anchor; solve the MAP "
+                         "problem and pass its multiplier")
+    else:
+        o = offset_direction(post, anchor)
+    return lambda ev: post.phi_grad_at(ev) + o
 
 
 def _step(post, z, ev, g, delta, drift, rng):
@@ -221,6 +214,9 @@ class RunMatrix:
     iteration gives the rows in order.  ``np.asarray`` forms the dense
     matrix and is meant for tests; ``__array_ufunc__ = None`` keeps ufuncs
     and operators from forming it unasked.
+
+    It holds read-only views of the arrays it is given, not copies (a
+    chain's rows may be a memory map): writing to those arrays changes it.
     """
 
     rows: np.ndarray = field(repr=False)
@@ -235,7 +231,9 @@ class RunMatrix:
             raise ValueError("a run matrix needs (runs, n_cols) rows and a "
                              "1-D run index")
         for name, a in (("rows", rows), ("run", run)):
-            a.setflags(write=False)
+            if a.flags.writeable:       # freeze a view, not the caller's array
+                a = a.view()
+                a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     @property
@@ -311,7 +309,7 @@ def _delta(kind: str, stepsize: float) -> float:
 
 
 def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
-                 anchor: Anchor | None = None):
+                 anchor: np.ndarray | None = None):
     """Drive one chain, yielding ``(z, ev, accepted, stepsize)`` per step.
 
     z is the chain's state after the step (a fresh array whenever a proposal
@@ -319,9 +317,9 @@ def chain_states(post: TGPosterior, config: SamplerConfig, init=None,
     accepted whether the step moved and stepsize (beta for pcn, delta
     otherwise) the one the next step takes.  All ``config.n_samples`` steps
     are yielded; burn-in and thinning are left to the consumer (see
-    run_chain).  The pdpcn kernel needs the caller's splitting anchor (see
-    anchor_from_map).  The sequence is a pure function of (posterior,
-    config, init, anchor); a non-finite potential raises ChainDivergence.
+    run_chain).  The pdpcn kernel needs the caller's anchor, a MAP solve's
+    multiplier.  The sequence is a pure function of (posterior, config,
+    init, anchor); a non-finite potential raises ChainDivergence.
 
     A stepsize of None is tuned in the burn-in by Robbins-Monro on log s:
     from a tenth of the top stepsize (beta 1 for pcn, delta 2 otherwise),
@@ -368,7 +366,7 @@ def kept_steps(config: SamplerConfig) -> np.ndarray:
 
 
 def walk_chain(post: TGPosterior, config: SamplerConfig, steps, new_state,
-               init=None, anchor: Anchor | None = None):
+               init=None, anchor: np.ndarray | None = None):
     """Drive one chain (chain_states) and hand on the states at ``steps``.
 
     steps is an ascending array of step indices, such as kept_steps(config)
@@ -403,7 +401,7 @@ def walk_chain(post: TGPosterior, config: SamplerConfig, steps, new_state,
 
 
 def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
-              anchor: Anchor | None = None) -> Chain:
+              anchor: np.ndarray | None = None) -> Chain:
     """Drive one chain and collect kept states and per-step traces.
 
     Burn-in defaults to a tenth of the run; a state is kept every
@@ -443,8 +441,8 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
 
 
 def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
-                  seed: int = 0, init=None,
-                  anchor: Anchor | None = None) -> tuple[float, np.ndarray]:
+                  seed: int = 0, init=None, anchor: np.ndarray | None = None
+                  ) -> tuple[float, np.ndarray]:
     """Tune the stepsize on a pilot; return it and the pilot's last state.
 
     The pilot is the n_pilot-step burn-in of a chain whose stepsize is None
@@ -470,7 +468,8 @@ _CHAIN_HEADER = struct.Struct("<4sIIIII")
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
-                 anchor: Anchor | None = None) -> tuple[SamplerConfig, float]:
+                 anchor: np.ndarray | None = None
+                 ) -> tuple[SamplerConfig, float]:
     """Run a chain and write each new kept state to a chain file as it comes.
 
     ``load_chain`` of the file gives the samples, config and acceptance rate

@@ -456,38 +456,42 @@ def test_returned_split_pair_near_feasible(post16, map16):
 
 
 def test_offset_direction_vanishes_at_solution(post16, map16):
+    # at the MAP the pdpcn drift, the likelihood gradient plus the
+    # multiplier's offset, is the z-subproblem gradient without its penalty
+    # term, which the near-feasible split makes small
     res, cfg = map16
-    g = offset_direction(post16, post16.evaluate(res.coeffs), res.split,
-                         res.multiplier, cfg.rho_pen)
+    g = (post16.phi_grad_at(post16.evaluate(res.coeffs))
+         + offset_direction(post16, res.multiplier))
     assert float(np.linalg.norm(g)) <= 10.0 * cfg.tol
 
 
 def test_offset_direction_matches_finite_differences(post16, map16):
-    res, cfg = map16
+    # phi_grad_at + offset_direction is the coefficient gradient of
+    # phi + cell * <eta*, grad z>, the z-subproblem without its penalty
+    res, _ = map16
     rng = np.random.default_rng(13)
     c = res.coeffs + 0.4 * rng.standard_normal(post16.n_modes)
-    g = offset_direction(post16, post16.evaluate(c), res.split,
-                         res.multiplier, cfg.rho_pen)
-    anchor = (res.split, res.multiplier, cfg.rho_pen)
+    g = (post16.phi_grad_at(post16.evaluate(c))
+         + offset_direction(post16, res.multiplier))
+    anchor = (res.split, res.multiplier, 0.0)
     for k in rng.choice(post16.n_modes, size=8, replace=False):
         h = 1e-6
         cp = c.copy()
         cp[k] += h
         cm = c.copy()
         cm[k] -= h
-        fd = (lagrangian(post16, cp, *anchor)
-              - lagrangian(post16, cm, *anchor)) / (2 * h)
+        fd = (_subproblem_value(post16, cp, *anchor)
+              - _subproblem_value(post16, cm, *anchor)) / (2 * h)
         assert fd == pytest.approx(g[k], rel=1e-5, abs=1e-8)
 
 
 def test_offset_direction_checks_anchor_shape(post16, map16):
-    # split and multiplier must be (2, nx, ny) on the posterior's grid
-    res, cfg = map16
-    ev = post16.evaluate(res.coeffs)
-    for bad in (res.split[0], res.split[:, :-1], np.zeros((3, 16, 16))):
-        for split, mult in ((bad, res.multiplier), (res.split, bad)):
-            with pytest.raises(ValueError):
-                offset_direction(post16, ev, split, mult, cfg.rho_pen)
+    # the multiplier must be (2, nx, ny) on the posterior's grid
+    res, _ = map16
+    for bad in (res.multiplier[0], res.multiplier[:, :-1],
+                np.zeros((3, 16, 16))):
+        with pytest.raises(ValueError):
+            offset_direction(post16, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,11 @@ def test_every_subcommand_runs_with_the_default_kernel(tmp_path, tiny_ini):
             assert math.isfinite(cost[key]) and cost[key] > 0, (command, key)
     manifest = json.loads((out / "sample_manifest.json").read_text())
     assert manifest["map_converged"] in (True, False)
-    assert manifest["stepsize"] == 0.1      # the desk delta, not tuned
+    # the desk preset tunes delta in the burn-in and keeps every 10th state;
+    # the chain file records the frozen delta the manifest reports
+    record = _record(out / "chain.bin")
+    assert (record["delta"], record["thinning"]) == (manifest["stepsize"], 10)
+    assert manifest["stepsize"] != 0.1      # tuned, not the default delta
     assert (out / "map_residuals.csv").is_file()
     assert 0.0 <= manifest["acceptance_rate"] <= 1.0
     # diag counts the chain's stored runs: one more than the kept rows that

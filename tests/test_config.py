@@ -15,7 +15,7 @@ TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 PINNED = [
     pytest.param(
         {"preset": "desk"},
-        "c878ff4d15836ddaa37f5363b387dc90ed17376f64298d4c21e4f5cf4090c8e8",
+        "994cb3f2ecab0e4ce5a4ac8f338bb0c85def1da3f774459902cae7e561c5d3aa",
         id="desk"),
     pytest.param(
         {"preset": "paper"},
@@ -23,7 +23,7 @@ PINNED = [
         id="paper"),
     pytest.param(
         {"path": TINY, "overrides": {"sampler": {"seed": 3}}},
-        "6e0a65987a09b5be48d7a950fe04fc9990cb2425987615604329815dfb7f940d",
+        "fdecccb7fc28bd06e739b5fdc4702d1285dd746e4a5e3453f157dd929afa9a74",
         id="tiny-seed3"),
 ]
 

@@ -731,6 +731,15 @@ def test_sinogram_bin_refuses_trailing_bytes(tmp_path, sino16):
         read_sinogram_bin(path)
 
 
+def test_sinogram_leaves_the_callers_array_writable():
+    # the sinogram freezes a copy of its counts, not the array it is given
+    a = np.array([1, 2])
+    sino = Sinogram(a, 1, 2)
+    a[0] = 3
+    assert sino.counts.tolist() == [1, 2]
+    assert not sino.counts.flags.writeable
+
+
 def test_sinogram_rejects_negative_counts():
     with pytest.raises(ValueError):
         Sinogram([-1, 2], 1, 2)

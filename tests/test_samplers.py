@@ -20,11 +20,11 @@ import pytest
 
 from poistomo import TGPosterior, samplers
 from poistomo.posterior import PosteriorEval
-from poistomo.samplers import (Anchor, Chain, ChainDivergence, RunMatrix,
+from poistomo.samplers import (Chain, ChainDivergence, RunMatrix,
                                SamplerConfig, _accept, _rho, anchor_from_map,
                                chain_states, kept_steps, load_chain, run_chain,
                                stream_chain, tune_stepsize, walk_chain)
-from poistomo.fields import tv_arrays
+from poistomo.fields import div_arrays, tv_arrays
 from poistomo.admm import AdmmConfig, offset_direction, solve_map
 
 from test_admm import _Toy
@@ -257,51 +257,84 @@ def test_zero_drift_gradient_kernel_is_plain_pcn():
 # anchored kernel
 
 
-def test_anchored_kernel_reduces_to_pcn_without_projection(post16,
-                                                            monkeypatch):
-    # a zero offset direction is the pcn kernel at the matching beta
-    delta = 0.3
-    beta = math.sqrt(8.0 * delta) / (2.0 + delta)
-    zero = np.zeros(post16.n_modes)
-    monkeypatch.setattr(samplers, "offset_direction", lambda *args: zero)
-    zeros = np.zeros((2,) + post16.grid.shape)
-    anchor = Anchor(zeros, zeros, 1.0)
-    a = run_chain(post16, SamplerConfig("pcn", 300, beta=beta,
-                                        burn_in=0, seed=12))
-    b = run_chain(post16, SamplerConfig("pdpcn", 300, delta=delta,
-                                        burn_in=0, seed=12), anchor=anchor)
+def test_pdpcn_with_zero_multiplier_is_pcnl(post16_smooth):
+    # the pdpcn drift is phi_grad_at plus the multiplier's offset, and a zero
+    # multiplier gives pcnl's drift: the same chain, step for step.  At this
+    # delta the chain accepts most steps, so the drift decides every one
+    delta = 0.5
+    a = run_chain(post16_smooth, SamplerConfig("pcnl", 300, delta=delta,
+                                               burn_in=0, seed=12))
+    b = run_chain(post16_smooth, SamplerConfig("pdpcn", 300, delta=delta,
+                                               burn_in=0, seed=12),
+                  anchor=np.zeros((2,) + post16_smooth.grid.shape))
+    assert a.accepted.any()
     np.testing.assert_array_equal(a.accepted, b.accepted)
-    np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
+    np.testing.assert_array_equal(np.asarray(a.samples), np.asarray(b.samples))
+    np.testing.assert_array_equal(a.psi_trace, b.psi_trace)
+
+
+def test_default_kernel_moves_from_the_map(post16, map16):
+    # the penalty-free drift lets pdpcn move at the default delta; with the
+    # ADMM penalty in the drift this chain accepted 2% of its steps
+    res, _ = map16
+    chain = run_chain(post16, SamplerConfig("pdpcn", 1000, delta=0.1,
+                                            burn_in=200, seed=5),
+                      init=res.coeffs, anchor=res.multiplier)
+    assert chain.acceptance_rate >= 0.3
+
+
+def test_anchor_from_map_is_the_multiplier(map16):
+    # its second argument is ignored: the drift carries no penalty term
+    res, cfg = map16
+    assert anchor_from_map(res, cfg.rho_pen) is res.multiplier
+
+
+def test_drift_takes_one_offset_per_chain(post16, map16, monkeypatch):
+    # the offset is a constant of the chain: one offset_direction call and
+    # one divergence of the multiplier, however many steps the chain takes
+    res, _ = map16
+    offsets, divs = [], []
+
+    def counted(calls, fn):
+        def wrapped(*args):
+            calls.append(1)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(samplers, "offset_direction",
+                        counted(offsets, samplers.offset_direction))
+    monkeypatch.setattr("poistomo.admm.div_arrays",
+                        counted(divs, div_arrays))
+    run_chain(post16, SamplerConfig("pdpcn", 50, delta=0.1, burn_in=0,
+                                    seed=5),
+              init=res.coeffs, anchor=res.multiplier)
+    assert (len(offsets), len(divs)) == (1, 1)
 
 
 def test_acceptance_exponent_antisymmetry(post16, map16):
-    res, cfg = map16
+    res, _ = map16
+    o = offset_direction(post16, res.multiplier)
     rng = np.random.default_rng(13)
     delta = 0.2
     for _ in range(6):
         z = 0.5 * rng.standard_normal(post16.n_modes)
         v = 0.5 * rng.standard_normal(post16.n_modes)
         ev_z, ev_v = post16.evaluate(z), post16.evaluate(v)
-        g_z = offset_direction(post16, ev_z, res.split, res.multiplier,
-                               cfg.rho_pen)
-        g_v = offset_direction(post16, ev_v, res.split, res.multiplier,
-                               cfg.rho_pen)
+        g_z = post16.phi_grad_at(ev_z) + o
+        g_v = post16.phi_grad_at(ev_v) + o
         fwd = _rho(ev_z, z, v, g_z, delta) - _rho(ev_v, v, z, g_v, delta)
         rev = _rho(ev_v, v, z, g_v, delta) - _rho(ev_z, z, v, g_z, delta)
         assert fwd == -rev
 
 
-@pytest.mark.parametrize("anchor_pen", [1.0, 0.0])
-def test_anchored_chain_matches_dense_quadrature(anchor_pen):
+def test_anchored_chain_matches_dense_quadrature():
     # two-coefficient target: chain moments against a Riemann sum of
     # exp(-psi(c) - |c|^2/2) evaluated with the toy's independent math.
-    # The kernel targets the posterior whatever drift it takes: with the MAP
-    # solve's penalty, or penalty-free (the likelihood gradient and the
-    # multiplier's divergence only)
+    # The drift is the likelihood gradient plus the multiplier's offset
     toy = _Toy(tv_weight=0.8)
     res = solve_map(toy.post, AdmmConfig(rho_pen=1.0, max_outer=400, tol=1e-6,
                                          inner_iters=300, inner_tol=1e-7))
-    anchor = anchor_from_map(res, anchor_pen)
+    anchor = res.multiplier
     delta, _ = tune_stepsize(toy.post, "pdpcn", seed=14, init=res.coeffs,
                              anchor=anchor)
     cfg = SamplerConfig("pdpcn", 60_000, delta=delta, burn_in=5000, seed=15)
@@ -417,8 +450,8 @@ def test_tuned_burn_in_is_the_tuning_pilot(post16_strong, map16_strong,
     # with no stepsize, a chain's burn-in walks tune_stepsize's pilot at the
     # same seed, then every later step takes the stepsize the tuner returns;
     # the start is evaluated once, so n steps make n + 1 evaluations
-    res, admm = map16_strong
-    anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
+    res, _ = map16_strong
+    anchor = res.multiplier if kind == "pdpcn" else None
     burn, seed = 300, 33
     seen = []
     evaluate = TGPosterior.evaluate
@@ -521,7 +554,7 @@ def test_anchored_chain_requires_anchor():
     admm = AdmmConfig()
     res = solve_map(toy.post, admm)
     chain = run_chain(toy.post, cfg, init=res.coeffs,
-                      anchor=anchor_from_map(res, admm.rho_pen))
+                      anchor=res.multiplier)
     assert chain.samples.shape == (50, 2)
     assert np.all(np.isfinite(np.asarray(chain.samples)))
 
@@ -531,7 +564,7 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
                                          monkeypatch, kind):
     # one posterior evaluation per proposal plus one for the initial state;
     # the drift at a proposal reuses the proposal's evaluation
-    res, admm = map16
+    res, _ = map16
     post = post16_smooth if kind == "pcnl" else post16
     calls = []
     evaluate = TGPosterior.evaluate
@@ -541,7 +574,7 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
         return evaluate(self, c)
 
     monkeypatch.setattr(TGPosterior, "evaluate", counted)
-    anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
+    anchor = res.multiplier if kind == "pdpcn" else None
     cfg = SamplerConfig(kind, 40, beta=0.05, delta=0.01, burn_in=0, seed=26)
     run_chain(post, cfg, init=res.coeffs, anchor=anchor)
     assert len(calls) == 40 + 1
@@ -589,8 +622,8 @@ def test_tuned_plain_stepsize_hits_target(post16_strong, map16_strong):
 
 
 def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
-    res, cfg_map = map16_strong
-    anchor = anchor_from_map(res, cfg_map.rho_pen)
+    res, _ = map16_strong
+    anchor = res.multiplier
     delta, _ = tune_stepsize(post16_strong, "pdpcn", seed=23,
                              init=res.coeffs, anchor=anchor)
     cfg = SamplerConfig("pdpcn", 4000, delta=delta, burn_in=0, seed=24)
@@ -717,9 +750,9 @@ def test_streamed_chain_loads_as_the_run_chain(tmp_path, post16,
                                                stepsize):
     # the file of a thinned chain, at a given or a tuned stepsize, loads as
     # the chain run_chain collects, bit for bit
-    res, admm = map16
+    res, _ = map16
     post = post16_smooth if kind == "pcnl" else post16
-    anchor = anchor_from_map(res, admm.rho_pen) if kind == "pdpcn" else None
+    anchor = res.multiplier if kind == "pdpcn" else None
     cfg = SamplerConfig(kind, 75, beta=stepsize, delta=stepsize, burn_in=9,
                         thinning=3, seed=30)
     chain = run_chain(post, cfg, init=res.coeffs, anchor=anchor)
@@ -996,6 +1029,18 @@ def test_run_matrix_answers_every_access_form():
         assert [a.tolist() for a in got] == [runs, lengths], key
     with pytest.raises(TypeError):
         np.isfinite(m)
+
+
+def test_run_matrix_shares_but_does_not_freeze_the_callers_arrays():
+    # a chain's rows may be a memory map: the matrix holds read-only views
+    # of the arrays it is given, which stay writable and share its memory
+    rows, run = np.zeros((2, 3)), np.array([0, 1, 1])
+    m = RunMatrix(rows, run)
+    rows[1, 0] = 5.0
+    run[0] = 1
+    assert np.shares_memory(m.rows, rows) and np.shares_memory(m.run, run)
+    assert np.asarray(m)[0, 0] == 5.0
+    assert not (m.rows.flags.writeable or m.run.flags.writeable)
 
 
 def test_chain_shape_validation():
