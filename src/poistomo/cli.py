@@ -300,6 +300,9 @@ def cmd_detect(args, cfg: RunConfig, outdir: Path):
 
 def cmd_diag(args, cfg: RunConfig, outdir: Path):
     chain = load_chain(args.chain)
+    if chain.samples.n_runs == 1:
+        log.warning("chain never moved: 1 distinct state in %d kept samples",
+                    chain.n_kept)
     labels = [f"coeff{j}" for j in range(chain.n_modes)]
     n_show = min(8, chain.n_modes)
     acfs = acf_matrix(chain.samples[:, :n_show], max_lag=args.max_lag)

@@ -17,11 +17,14 @@ the credible levels need every sample of a pixel, so both run over
 ``run_strips``: one strip of whole x-rows at a time, holding each run once
 beside its length, never the (n, npix) intensity array.  The strip takes
 half of the budget; synthesis and then the sort and windows of the HPD
-bounds, or the level histograms, take what it leaves.  Floors: one x-row of
-a strip beside a sixteenth of the budget for synthesis and one column of
-windows, and one FFT column (about 3 nfft floats, nfft the smallest
-2^a 3^b 5^c at least 2 n), so a chain whose x-row or column outgrows the
-budget should be thinned first.
+bounds, or the level histograms, take what it leaves.  The HPD bounds
+repeat each run to its length a column chunk at a time, so one plain window
+search serves every chain; the levels weigh each run by its length, as their
+histogram work grows with the rows held.  Floors: one x-row of a strip
+beside a sixteenth of the budget for synthesis and one column of windows,
+and one FFT column (about 3 nfft floats, nfft the smallest 2^a 3^b 5^c at
+least 2 n), so a chain whose x-row or column outgrows the budget should be
+thinned first.
 """
 
 from __future__ import annotations
@@ -208,8 +211,10 @@ def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
     image, ``strip`` holds the intensities of those pixels for each stretch
     of ``samples.stretches()`` (a chain's runs), synthesized once, unsorted,
     and ``lengths`` counts the sample rows of each stretch, or is None when
-    every stretch is one row.  A strip takes as many x-rows as fit in half
-    of ``BLOCK_FLOATS``, at least one.
+    every stretch is one row.  ``pointwise_hpdi`` repeats each stretch to
+    its length (one window search), ``credible_level`` weighs it (histograms
+    of one row a stretch).  A strip takes as many x-rows as fit in half of
+    ``BLOCK_FLOATS``, at least one.
     Synthesis blocks take the rest, at least a sixteenth of the budget, a
     row costing a scatter row, the gathered coefficients, their weights and
     the two products of ``KLBasis.synthesize_values`` for the band.  One
@@ -240,52 +245,28 @@ def run_strips(samples: RunMatrix, basis: KLBasis, rep: Reparam):
         yield slice(x0 * ny, x_rows.stop * ny), strip, lengths
 
 
-def hpdi_sorted(sorted_vals: np.ndarray, alpha: float, weights=None):
+def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
     """Narrowest window of ceil((1 - alpha) n) consecutive order statistics.
 
-    Works along axis 0: a sorted (m,) sample gives the two window ends as
-    scalars, an (m, k) block sorted down its columns gives two length-k
-    arrays, one window per column.  ``weights``, of the sample's shape,
-    counts the copies of each value (a chain's run lengths, sorted with the
-    values), one each by default; n is their total, the same in every
-    column, and the window is one of the sample with every copy written
-    out.  Such a window is narrowest from the first copy of a row, so only
-    those starts are tried, and the row of its last sample is found in the
-    cumulative counts, by one search over the columns' counts offset by n
-    each.  Ties go to the lowest window.  The window arrays are a few times
-    the size of the sample; ``pointwise_hpdi`` hands over column chunks
-    that fit its budget.
+    Works along axis 0: a sorted (n,) sample gives the two window ends as
+    scalars, an (n, k) block sorted down its columns gives two length-k
+    arrays, one window per column.  Ties go to the lowest window.  A chain
+    comes with each run repeated to its length (``pointwise_hpdi``): a
+    window from a later copy of a value is no narrower than one from its
+    first copy, so no search over run weights is needed.
     """
     s = np.asarray(sorted_vals, dtype=float)
-    m = s.shape[0] if s.ndim else 0
-    if m == 0:
+    n = s.shape[0] if s.ndim else 0
+    if n == 0:
         raise ValueError("empty sample")
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if weights is not None and np.shape(weights) != s.shape:
-        raise ValueError(f"expected weights of shape {s.shape}, got "
-                         f"{np.shape(weights)}")
-    v = s.reshape(m, -1)
+    v = s.reshape(n, -1)
     col = np.arange(v.shape[1])
-    w = None if weights is None else np.reshape(weights, v.shape)
-    n = m if w is None else int(w[:, 0].sum())
     size = max(1, int(np.ceil((1.0 - alpha) * n)))
-    if w is None:
-        first = np.argmin(v[size - 1:] - v[:n - size + 1], axis=0)
-        last = first + size - 1
-    else:
-        top = np.cumsum(w, axis=0) + n * col   # copies up to each row
-        r = min(m, n - size + 1)   # a row a copy: no window starts later
-        start = top[:r] - w[:r]                # the row's first copy
-        last = np.searchsorted(top.ravel("F"),
-                               (start + (size - 1)).ravel("F"), side="right")
-        last = np.minimum(last.reshape(-1, r).T - m * col, m - 1)
-        widths = np.take_along_axis(v, last, axis=0) - v[:r]
-        widths[start > n * col + n - size] = np.inf   # past the last window
-        first = np.argmin(widths, axis=0)
-        last = last[first, col]
+    first = np.argmin(v[size - 1:] - v[:n - size + 1], axis=0)
     return (v[first, col].reshape(s.shape[1:])[()],
-            v[last, col].reshape(s.shape[1:])[()])
+            v[first + size - 1, col].reshape(s.shape[1:])[()])
 
 
 def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
@@ -294,27 +275,22 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
 
     Marginal credible intervals only; nothing joint is claimed.  Returns the
     lower and upper envelope fields.  Works over ``run_strips``, so it never
-    holds the (n, npix) intensity array: each strip is sorted down its
-    columns, together with its run lengths when ``run_strips`` yields them,
-    and ``hpdi_sorted`` takes the windows, a chunk of columns at a time that
-    fits what the strip leaves of ``BLOCK_FLOATS`` (at least one column).
+    holds the (n, npix) intensity array: a column chunk of a strip, each run
+    repeated to its length, is sorted in place and ``hpdi_sorted`` takes its
+    windows.  A chunk fits what the strip leaves of ``BLOCK_FLOATS`` (at
+    least one column), at 2 floats a kept row, 3 with the repeated copy.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     lo, hi = np.empty(basis.grid.npix), np.empty(basis.grid.npix)
     for pixels, strip, lengths in run_strips(chain.samples, basis, rep):
-        cols = block_rows((2 if lengths is None else 8) * strip.shape[0],
+        cols = block_rows((2 if lengths is None else 3) * chain.n_kept,
                           held=strip.size)
         for j in range(0, strip.shape[1], cols):
             part = strip[:, j:j + cols]
-            counts = None
-            if lengths is None:
-                part.sort(axis=0)
-            else:
-                order = np.argsort(part, axis=0)
-                part[...] = np.take_along_axis(part, order, axis=0)
-                counts = lengths[order]
-                del order
+            if lengths is not None:
+                part = np.repeat(part, lengths, axis=0)
+            part.sort(axis=0)
             p = slice(pixels.start + j, pixels.start + j + part.shape[1])
-            lo[p], hi[p] = hpdi_sorted(part, alpha, counts)
+            lo[p], hi[p] = hpdi_sorted(part, alpha)
     return (ScalarField(basis.grid, lo), ScalarField(basis.grid, hi))

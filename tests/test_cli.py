@@ -15,8 +15,9 @@ import pytest
 
 from poistomo import Grid, ScalarField, acf_matrix, cli, ess_matrix, load_chain
 from poistomo.fields import read_field_csv, write_field_csv
+from poistomo.samplers import Chain, RunMatrix
 
-from test_samplers import _HEADER, _record, _with_record
+from test_samplers import _HEADER, _record, _with_record, _write_chain
 
 TINY_INI = """
 [grid]
@@ -361,6 +362,28 @@ def test_diag_reports_the_rate_of_the_chain_it_hashed(tmp_path, sampled):
     for value in (math.nan, math.inf):
         with pytest.raises(ValueError):
             cli._write_json(tmp_path / "bad.json", {"x": value})
+
+
+def test_diag_warns_of_a_chain_that_never_moved(tmp_path, sampled, caplog):
+    # the tiny pipeline's chain moves; the same file with one state for
+    # every kept row is a chain that accepted nothing
+    ini, src = sampled
+    chain = load_chain(src / "chain.bin")
+    assert chain.samples.n_runs > 1
+    out = _copy_chain(src, tmp_path)
+    first = chain.samples.rows[:1]
+    still = Chain(RunMatrix(first, np.zeros(chain.n_kept, dtype=int)),
+                  chain.config, 0.0)
+    _write_chain(still, tmp_path / "still.bin")
+    with caplog.at_level(logging.WARNING, logger="poistomo.cli"):
+        assert _run("diag", ini, out) == 0
+        assert "never moved" not in caplog.text
+        assert _run("diag", ini, out, "--chain",
+                    str(tmp_path / "still.bin")) == 0
+    assert f"chain never moved: 1 distinct state in {chain.n_kept} kept " \
+        "samples" in caplog.text
+    manifest = json.loads((out / "diag_manifest.json").read_text())
+    assert manifest["distinct_states"] == 1
 
 
 def test_diag_refuses_a_version_2_chain_file(tmp_path, sampled, capsys):

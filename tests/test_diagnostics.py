@@ -1,10 +1,10 @@
 """Summary and screening tests.
 
-HPD windows are checked against hand-made samples and, weighted, against the
-expanded sample; the per-pixel intervals against the one-dimensional window
-search, credible levels against the HPD regions of a Gaussian and a
-two-component mixture, and the effective sample size against the AR(1)
-formula.  The blocked and strip passes are checked bit for bit against
+HPD windows are checked against hand-made samples, the per-pixel intervals
+against the one-dimensional window search and, for run-held chains, against
+the expanded sample; credible levels against the HPD regions of a Gaussian
+and a two-component mixture, and the effective sample size against the
+AR(1) formula.  The blocked and strip passes are checked bit for bit against
 their unblocked forms, and the memory peak (tracemalloc) of every pass over
 a desk-sized chain against one block budget.
 """
@@ -54,31 +54,6 @@ def test_hpdi_sorted_block_matches_columns():
     assert lo.shape == hi.shape == (6,)
     for j in range(6):
         assert (lo[j], hi[j]) == hpdi_sorted(block[:, j], 0.1)
-
-
-def test_hpdi_sorted_weights_stand_for_repeated_values():
-    s = np.array([0.0, 5.0, 6.0, 7.0, 20.0])
-    # 0 5 6 6 6 7 20: five of seven points, widths 6, 2 and 14
-    assert hpdi_sorted(s, 0.4, [1, 1, 3, 1, 1]) == (5.0, 7.0)
-    # 0 0 0 5 6 7 20: widths 6, 7 and 20
-    assert hpdi_sorted(s, 0.4, [3, 1, 1, 1, 1]) == (0.0, 6.0)
-    # random blocks, sorted down each column with their weights, against
-    # the expanded sample: ties within and across rows, alpha 0 to 0.99
-    rng = np.random.default_rng(11)
-    for case in range(200):
-        rows, k = rng.integers(1, 30), rng.integers(1, 5)
-        vals = (rng.integers(0, 6, (rows, k)).astype(float) if case % 2
-                else rng.standard_normal((rows, k)))
-        weights = rng.integers(1, 6, rows)
-        alpha = rng.choice([0.0, 0.05, 0.5, 0.9, 0.99])
-        order = np.argsort(vals, axis=0)
-        lo, hi = hpdi_sorted(np.take_along_axis(vals, order, axis=0), alpha,
-                             weights[order])
-        ref_lo, ref_hi = hpdi_sorted(
-            np.sort(np.repeat(vals, weights, axis=0), axis=0), alpha)
-        assert np.array_equal(lo, ref_lo) and np.array_equal(hi, ref_hi)
-    with pytest.raises(ValueError, match="weights"):
-        hpdi_sorted(s, 0.1, [1, 1, 1])
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.0])
@@ -154,7 +129,7 @@ def test_strips_beside_a_multirow_scatter_equal_the_reference(
 def test_strips_of_a_run_held_chain_equal_the_expanded_reference(
         basis60, rep, monkeypatch, budget):
     # 41 rows in 5 runs, in one strip or in one-row strips: the HPD bounds
-    # at alpha 0, 0.05 and 0.9 are those of every kept row bit for bit, and
+    # at alpha 0 to 0.99 are those of every kept row bit for bit, and
     # the levels weighted by run length those of the expanded sample; runs
     # that store a row again tie across runs in every pixel
     if budget is not None:
@@ -166,7 +141,7 @@ def test_strips_of_a_run_held_chain_equal_the_expanded_reference(
                       SamplerConfig("pcn", 41, burn_in=0), 0.1)
         u = intensity_samples(chain, basis60, rep)
         u.sort(axis=0)
-        for alpha in (0.0, 0.05, 0.9):
+        for alpha in (0.0, 0.05, 0.5, 0.9, 0.99):
             lo, hi = pointwise_hpdi(chain, basis60, rep, alpha)
             ref_lo, ref_hi = hpdi_sorted(u, alpha)
             assert np.array_equal(lo.ravel(), ref_lo)
@@ -460,12 +435,16 @@ BUDGET_BYTES = BLOCK_FLOATS * 8
 PASS_BUDGETS = 1.25
 
 
-def _desk_chain(rows: int):
+def _desk_chain(rows: int, runs: int | None = None):
+    """A desk chain of rows distinct kept states, or of rows in runs runs of
+    random lengths."""
     cfg = parse_config(preset="desk")
     basis = build_kl_basis(cfg.grid, cfg.cov, cfg.n_modes, cfg.prior_mean)
-    samples = 0.5 * np.random.default_rng(7).standard_normal(
-        (rows, basis.n_modes))
-    chain = Chain(RunMatrix(samples, np.arange(rows)),
+    rng = np.random.default_rng(7)
+    runs = rows if runs is None else runs
+    samples = 0.5 * rng.standard_normal((runs, basis.n_modes))
+    lengths = 1 + rng.multinomial(rows - runs, np.full(runs, 1 / runs))
+    chain = Chain(RunMatrix(samples, np.repeat(np.arange(runs), lengths)),
                   SamplerConfig("pcn", rows, burn_in=0), 1.0)
     return chain, basis, cfg
 
@@ -500,11 +479,15 @@ def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):
         <= 3 * BUDGET_BYTES
 
 
-@pytest.mark.parametrize("rows", [4500, 9000])
-def test_every_chain_pass_stays_within_one_budget(rows):
+@pytest.mark.parametrize("rows, runs", [(4500, None), (9000, None),
+                                        (4500, 1800)],
+                         ids=["4500", "9000", "4500-1800"])
+def test_every_chain_pass_stays_within_one_budget(rows, runs):
     # the (n, npix) intensity array alone is 35 MB at 4,500 samples and
-    # 70 MB at 9,000; with 9,000 samples a strip is one x-row
-    chain, basis, cfg = _desk_chain(rows)
+    # 70 MB at 9,000; with 9,000 samples a strip is one x-row.  4,500 rows
+    # in 1,800 runs lie between those and the bench tail's 9 runs: the HPD
+    # pass sorts a copy of each column chunk with every run written out
+    chain, basis, cfg = _desk_chain(rows, runs)
     assert rows * basis.grid.npix * 8 > 8 * BUDGET_BYTES
     op = build_radon_operator(cfg.grid, cfg.n_angles, cfg.n_det, cfg.kappa)
     sino = simulate_data(op, brain_phantom(cfg.grid),
