@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import block_rows, run_strips
+from .diagnostics import column_block, run_strips
 from .fields import ScalarField
 from .forward import Reparam
 from .klbasis import KLBasis
@@ -94,9 +94,9 @@ def credible_level(values: np.ndarray, value, weights=None):
     and 0 at the one value of a constant sample.  Above about 0.98, in the
     sparse tail of a skewed marginal, the density has a bump at each
     isolated sample, so away from the mode the level can dip by a few 1/n
-    (by at most 6/n on 4,500 gamma(3) draws).  Columns go in chunks of at
-    most a quarter of ``BLOCK_FLOATS`` and of what the values leave of it
-    (3 m + 4 ``LEVEL_BINS`` floats a column), at least one.
+    (by at most 6/n on 4,500 gamma(3) draws).  Columns go in chunks of
+    ``diagnostics.column_block`` (3 m + 4 ``LEVEL_BINS`` floats a column
+    beside the values): a quarter of the budget at most, within L2 cache.
     """
     vals = np.asarray(values, dtype=float)
     cols = vals.reshape(vals.shape[0], -1)
@@ -107,8 +107,7 @@ def credible_level(values: np.ndarray, value, weights=None):
     target = np.broadcast_to(np.asarray(value, dtype=float), (k,))
     if not np.isfinite(target).all():
         raise ValueError("the values to screen must be finite")
-    column = 3 * m + 4 * LEVEL_BINS
-    chunk = min(block_rows(4 * column), block_rows(column, held=cols.size))
+    chunk = column_block(3 * m + 4 * LEVEL_BINS, held=cols.size)
     out = np.empty(k)
     for j in range(0, k, chunk):
         out[j:j + chunk] = _levels(cols[:, j:j + chunk], w,

@@ -8,23 +8,25 @@ nonpositive lag.
 
 Memory: ``BLOCK_FLOATS`` floats (2 MB) bound the extra memory of a whole pass
 over a chain: each blocked loop sizes its block with ``block_rows`` from all
-the buffers live at once.  The samples are a ``RunMatrix`` that stores each
-run of a repeated state once, and every pass that synthesizes intensities
-(``posterior_mean``, the strip passes, and, one state at a time,
+the buffers live at once.  Column blocks (ACF and ESS transforms, level
+chunks) take ``column_block``: at most a quarter of the budget, and no more
+than the pass leaves free, so the diag pass peaks below the strip passes and
+an FFT block fits a 2 MB L2 cache.  The samples are a ``RunMatrix`` that
+stores each run of a repeated state once, and every pass that synthesizes
+intensities (``posterior_mean``, the strip passes, and, one state at a time,
 ``calibrate.posterior_predictive_p``) does so once for each run and carries
 its length; no pass forms the dense (n, n_modes) chain.  The HPD bounds and
 the credible levels need every sample of a pixel, so both run over
 ``run_strips``: one strip of whole x-rows at a time, holding each run once
-beside its length, never the (n, npix) intensity array.  The strip takes
-half of the budget; synthesis and then the sort and windows of the HPD
-bounds, or the level histograms, take what it leaves.  The HPD bounds
-repeat each run to its length a column chunk at a time, so one plain window
-search serves every chain; the levels weigh each run by its length, as their
-histogram work grows with the rows held.  Floors: one x-row of a strip
-beside a sixteenth of the budget for synthesis and one column of windows,
-and one FFT column (about 3 nfft floats, nfft the smallest 2^a 3^b 5^c at
-least 2 n), so a chain whose x-row or column outgrows the budget should be
-thinned first.
+beside its length, never the (n, npix) intensity array.  The strip takes half
+of the budget; synthesis and then the sort and windows of the HPD bounds, or
+the level histograms, take what it leaves.  The HPD bounds repeat each run to
+its length a column chunk at a time, so one plain window search serves every
+chain; the levels weigh each run by its length, as their histogram work grows
+with the rows held.  Floors: one x-row of a strip beside a sixteenth of the
+budget for synthesis and one column of windows, and one FFT column (about 3
+nfft floats, nfft the smallest 2^a 3^b 5^c at least 2 n), so a chain whose
+x-row or column outgrows the budget should be thinned first.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ def block_rows(width: int, held: int = 0) -> int:
     return max(1, (BLOCK_FLOATS - held) // width)
 
 
+def column_block(width: int, held: int = 0) -> int:
+    """Columns of width floats in min(budget / 4, budget - held), >= 1."""
+    return max(1, min(BLOCK_FLOATS // 4, BLOCK_FLOATS - held) // width)
+
+
 def _columns(traces):
     """A (steps, series) float array, or a RunMatrix as it is; a 1-D trace is
     one column."""
@@ -89,14 +96,15 @@ def _fast_len(n: int) -> int:
 
 def _acf_blocks(x, max_lag: int):
     """(first column, ACF block) pairs, lags 0..max_lag about the column
-    means.  A block takes as many columns as fit their spectra, its product
-    and the inverse transform (3 (nfft + 2) floats a column); the gathered
-    column block beside its running sums, then beside its centred copy
-    (2 n <= nfft floats a column), is freed before the product."""
+    means.  A block holds ``column_block`` columns of their spectra, its
+    product and the inverse transform (3 (nfft + 2) floats a column): a
+    quarter of the budget, below the strip passes' peak and within a 2 MB L2
+    cache.  The gathered block beside its running sums, then its centred
+    copy (2 n <= nfft floats a column), is freed before the product."""
     n, m = x.shape
     # at least 2 n, so the transform has no circular wrap, and fast to factor
     nfft = _fast_len(2 * n)
-    cols = block_rows(3 * (nfft + 2))
+    cols = column_block(3 * (nfft + 2))
     degenerate = 0
     for lo in range(0, m, cols):
         block = x[:, lo:lo + cols]

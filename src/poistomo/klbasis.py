@@ -213,7 +213,7 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
     (scaled by gamma) are sorted descending and the top n_modes retained as
     flat indices into the (x-mode, y-mode) grid of 1d eigenvector pairs.
     Numerically non-positive products are clamped at 1e-14 times the leading
-    eigenvalue and reported.
+    eigenvalue and reported, as is a cut inside a set of equal eigenvalues.
     """
     if not 1 <= n_modes <= grid.npix:
         raise ValueError(f"n_modes must be in [1, {grid.npix}], got {n_modes}")
@@ -224,6 +224,11 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
     # a copy, so the modes do not hold the whole argsort alive
     order = np.argsort(-flat, kind="stable")[:n_modes].copy()
     eta = flat[order]
+    # a cut by count can keep (i, j) and drop its equal twin (j, i)
+    kept, tied = np.sum(eta == eta[-1]), np.sum(flat == eta[-1])
+    if tied > kept:
+        log.warning("kl cut splits a tie: keeps %d of the %d modes of "
+                    "eigenvalue %.6e", kept, tied, eta[-1])
     floor = EIGENVALUE_FLOOR_REL * eta[0]
     n_clamped = int(np.sum(eta < floor))
     if n_clamped:

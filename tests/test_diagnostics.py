@@ -24,10 +24,9 @@ from poistomo import (TGPosterior, brain_phantom, build_kl_basis,
 from poistomo.artifacts import credible_level, credible_level_map
 from poistomo.calibrate import posterior_predictive_p
 from poistomo.diagnostics import (BLOCK_FLOATS, _fast_len, _tau_from_acf,
-                                  acf_matrix, block_rows, ess_matrix,
-                                  hpdi_sorted, intensity_samples,
-                                  pointwise_hpdi, posterior_mean,
-                                  run_strips)
+                                  acf_matrix, block_rows, column_block,
+                                  ess_matrix, hpdi_sorted, intensity_samples,
+                                  pointwise_hpdi, posterior_mean, run_strips)
 from poistomo.fields import ScalarField
 from poistomo.samplers import Chain, RunMatrix, SamplerConfig
 
@@ -356,11 +355,12 @@ def _ar1(n, m, seed):
 
 
 def test_blocked_ess_matches_the_whole_array_bit_for_bit(monkeypatch):
-    # 4,500 steps: 9 columns per FFT block (the spectrum, its product and
-    # the inverse transform of a column are 3 x 9,002 floats), so 19
-    # columns leave a last block of one column
-    n = 4500
-    cols = block_rows(3 * (next_fast_len(2 * n, real=True) + 2))
+    # 1,000 steps: 10 columns per FFT block (the spectrum, its product and
+    # the inverse transform of a column are 3 x 2,002 floats, in a quarter
+    # of the budget), so 21 columns leave a last block of one column
+    n = 1000
+    cols = column_block(3 * (next_fast_len(2 * n, real=True) + 2))
+    assert cols == 10
     x = _ar1(n, 2 * cols + 1, 5)
     whole = n / (1.0 + 2.0 * _tau_from_acf(_whole_acf(x, n - 1)))
     widths = _fft_widths(monkeypatch)
@@ -373,9 +373,9 @@ def test_blocked_ess_matches_the_whole_array_bit_for_bit(monkeypatch):
 
 
 def test_blocked_acf_matches_the_whole_array_bit_for_bit(monkeypatch):
-    # a last block of three columns
-    n = 4500
-    cols = block_rows(3 * (next_fast_len(2 * n, real=True) + 2))
+    # 1,000 steps in blocks of 10 columns, a last block of three columns
+    n = 1000
+    cols = column_block(3 * (next_fast_len(2 * n, real=True) + 2))
     x = _ar1(n, 2 * cols + 3, 13)
     whole = _whole_acf(x, n - 1)
     widths = _fft_widths(monkeypatch)
@@ -465,10 +465,15 @@ def desk_chain():
 
 
 def test_ess_peak_memory_stays_below_the_chain(desk_chain):
+    # the FFT blocks take a quarter of the budget (two 4,500-step columns),
+    # so the diag pass peaks below the strip passes, for distinct rows and
+    # for rows held in runs
     chain, _, _ = desk_chain
     assert chain.samples.shape == (4500, 500)
     assert _peak_bytes(ess_matrix, chain.samples) \
         <= np.asarray(chain.samples).nbytes
+    for samples in (chain.samples, _desk_chain(4500, 1800)[0].samples):
+        assert _peak_bytes(ess_matrix, samples) <= 0.3 * BUDGET_BYTES
 
 
 def test_posterior_mean_never_holds_every_intensity_sample(desk_chain):

@@ -153,6 +153,21 @@ def test_floor_applied_to_tiny_eigenvalues(caplog):
     assert any("clamped" in r.getMessage() for r in caplog.records)
 
 
+def test_a_cut_inside_a_tie_is_reported(caplog):
+    # desk's cut keeps 4 of the 8 modes of one eigenvalue (transposed pairs
+    # on a square grid); paper's keeps both modes of its last eigenvalue
+    import logging
+    with caplog.at_level(logging.WARNING, logger="poistomo.klbasis"):
+        _preset_basis("desk")
+    assert [r.getMessage() for r in caplog.records] == [
+        "kl cut splits a tie: keeps 4 of the 8 modes of eigenvalue "
+        "1.953125e-03"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="poistomo.klbasis"):
+        _preset_basis("paper")
+    assert not caplog.records
+
+
 def test_n_modes_bounds():
     grid = Grid(4, 4)
     with pytest.raises(ValueError):
