@@ -8,9 +8,11 @@ augmented Lagrangian
 
 all pairings cell-weighted.  The split field p and the multiplier eta are
 (2, nx, ny) arrays shaped like grad z (see ``fields``).  The z-update is an
-inexact gradient descent with backtracking, the p-update is the exact
-pointwise isotropic shrinkage, and the multiplier follows the standard
-ascent direction; the last two are plain array updates given grad z.  The
+inexact gradient descent whose Armijo line search starts at step 1.0, tries
+the last accepted step first, halves it on failure and judges value ties by
+a Wolfe test; the p-update is the exact pointwise isotropic shrinkage, and
+the multiplier follows the standard ascent direction; the last two are plain
+array updates given grad z.  The
 z-subproblem value and gradient at a line-search point, and the p- and
 multiplier updates, residuals and objective history at the accepted one,
 all read the line search's single ``TGPosterior.evaluate`` of that point,
@@ -102,10 +104,10 @@ def z_step(post: TGPosterior, c: np.ndarray, ev: PosteriorEval, p: np.ndarray,
     """Descend the smooth z-subproblem at frozen (p, eta) from coefficients c
     with Armijo backtracking.
 
-    ev is the evaluation at c.  A trial whose value ties the current one
-    within VALUE_TIE_REL (the Armijo test then reads rounding noise) is
-    accepted instead when its slope along the step passes the approximate
-    Wolfe test; the gradient that test computes is reused.
+    ev is the evaluation at c.  The step starts at 1.0; each iteration first
+    tries the step last accepted and halves it on failure, never growing it.
+    A trial that ties the current value within VALUE_TIE_REL passes instead
+    by the approximate Wolfe test, whose gradient is reused.
     Stops at the gradient tolerance, at the inner budget, or unconverged when
     the step no longer changes the coefficients; returns the coefficients and
     an info dict that says which, and carries the evaluation at the returned
@@ -147,7 +149,6 @@ def z_step(post: TGPosterior, c: np.ndarray, ev: PosteriorEval, p: np.ndarray,
             break   # the step is below the coefficients' resolution
         c, ev, value = c_try, ev_try, v_try
         grad = _z_grad(post, ev, p, eta, rho) if g_try is None else g_try
-        step *= 2.0
         iterations += 1
     info = {"iterations": iterations,
             "grad_norm": float(np.linalg.norm(grad)),

@@ -227,8 +227,8 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     off the expected counts of the chain's own evaluation of it and counts
     once per subsampled step, so no state is synthesized or projected twice
     and nothing holds the kept samples; memory is O(max_eval_samples)
-    floats, the per-step traces and one state.  The grid is checked before
-    any chain runs.
+    floats, the per-step traces and one state.  The grid, the band and the
+    denominator are checked before any chain runs.
     Each weight starts at the last state of the previous weight's chain
     (the first at the prior mean, whose zero TV makes it a sticky start at
     large weights).  Without a given beta, each chain tunes beta in its
@@ -236,6 +236,8 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     at the first weight can leave later chains where they began.
     """
     weights = _check_grid(weight_grid)
+    admissible_interval(weights, np.zeros(len(weights)), band)  # checks band
+    chi2_discrepancy(1.0, 1.0, denominator)           # and the denominator
     rows = []
     start = None
     for i, w in enumerate(weights):

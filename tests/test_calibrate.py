@@ -258,19 +258,28 @@ def test_tuned_row_is_the_tuned_stored_chain(post16_strong):
     assert (row.p, row.stderr) == (ref.p, ref.stderr)
 
 
-@pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]])
+@pytest.mark.parametrize("bad, match", [
+    ({"weight_grid": [0.0, 1.0, 1.0]}, "weight_grid"),
+    ({"weight_grid": [1.0, 0.0]}, "weight_grid"),
+    ({"weight_grid": [-1.0, 1.0]}, "weight_grid"),
+    ({"band": (0.7, 0.1)}, "band"),
+    ({"denominator": "theta_cubed"}, "denominator"),
+], ids=["grid0", "grid1", "grid2", "band", "denominator"])
 def test_search_refuses_a_bad_grid_before_any_chain(post16, monkeypatch,
-                                                    grid):
-    # a repeated, decreasing or negative weight is refused up front, not
-    # after the sweep has run a chain at every weight
+                                                    bad, match):
+    # a repeated, decreasing or negative weight, a reversed band or an
+    # unknown denominator is refused up front, not after the sweep has run
+    # a chain at every weight (the band) or the first chain's burn-in (the
+    # denominator)
     from poistomo import calibrate
 
     def refuse(*args, **kwargs):
         raise AssertionError("no chain should run")
 
     monkeypatch.setattr(calibrate, "walk_chain", refuse)
-    with pytest.raises(ValueError, match="weight_grid"):
-        admissible_search(_weights_of(post16), grid, chain_steps=50)
+    with pytest.raises(ValueError, match=match):
+        admissible_search(_weights_of(post16), chain_steps=50,
+                          **{"weight_grid": [0.0, 1.0], **bad})
 
 
 @pytest.mark.parametrize("name", ["n_iters", "inner_steps"])

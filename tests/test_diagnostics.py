@@ -389,10 +389,13 @@ def test_blocked_acf_matches_the_whole_array_bit_for_bit(monkeypatch):
                           _whole_acf(x[:50, :3], 49))
 
 
-def test_acf_of_a_column_does_not_depend_on_its_block():
-    # one 4,500-step column's spectrum is 128 KiB, under the 256 KiB from
-    # which numpy multiplies spectra in place by itself; the ACF loop always
-    # does, so a column alone and inside a wide block get the same bits
+def test_acf_of_a_column_does_not_depend_on_its_block(monkeypatch):
+    # one 4,500-step column's spectrum is 72 KB, under the 256 KiB from which
+    # numpy multiplies spectra in place by itself; the ACF loop always does,
+    # so a column alone and inside a wide block get the same bits.  At the
+    # default budget no block's spectra reach 256 KiB; at 2^20 floats a
+    # block holds 9 columns, 648 KB of spectra
+    monkeypatch.setattr(diagnostics, "BLOCK_FLOATS", 1 << 20)
     x = _ar1(4500, 12, 15)
     rho = acf_matrix(x, max_lag=200)
     for j in (0, 7, 11):
