@@ -212,8 +212,9 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
                    ("iteration", "primal", "dual", "objective"),
                    zip(range(1, result.primal.size + 1), result.primal,
                        result.dual, result.objective))
-        write_field_csv(basis.synthesize(result.coeffs),
-                        outdir / "map_latent.csv")
+        write_field_csv(
+            ScalarField(cfg.grid, basis.synthesize_values(result.coeffs)),
+            outdir / "map_latent.csv")
         outputs += ["map_residuals.csv", "map_latent.csv"]
         anchor = result.multiplier
         init = result.coeffs
@@ -236,8 +237,6 @@ def cmd_summarize(args, cfg: RunConfig, outdir: Path):
     truth = None        # read and checked before anything is written
     if "truth" in args.given or args.truth.exists():
         truth = read_field_csv(args.truth, cfg.grid)
-        if not np.isfinite(truth.values).all():
-            raise ValueError(f"{args.truth}: a truth pixel is not finite")
     basis = _basis(cfg)
     mean = posterior_mean(chain, basis, cfg.reparam)
     lo, hi = pointwise_hpdi(chain, basis, cfg.reparam, alpha=args.alpha)

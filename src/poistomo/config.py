@@ -3,9 +3,10 @@
 A run is described by a flat INI file layered on top of a named preset:
 preset defaults, then the file, then explicit overrides (the CLI uses this
 for --seed).  Unknown sections or keys are hard errors so that a typo never
-silently falls back to a default.  The canonical form of the merged
-configuration, and the hash derived from it, are what reproducibility
-guarantees are stated against.
+silently falls back to a default.  What a run can work out defaults to
+"none": the stepsizes are tuned in the burn-in, a tenth of the run.  The
+canonical form of the merged configuration, and the hash derived from it,
+are what reproducibility guarantees are stated against.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ _KEYS = {
                  "kappa": (_finite, "1.0")},
     "model": {"tv_weight": (_finite, "1.0")},
     "sampler": {"kind": (str, "pdpcn"), "n_samples": (int, "20000"),
-                "burn_in": (_optional(int), "2000"), "thinning": (int, "1"),
-                "beta": (_optional(_finite), "0.1"),
-                "delta": (_optional(_finite), "0.1"), "seed": (int, "0")},
+                "burn_in": (_optional(int), "none"), "thinning": (int, "1"),
+                "beta": (_optional(_finite), "none"),
+                "delta": (_optional(_finite), "none"), "seed": (int, "0")},
     "map": {"rho_pen": (_finite, "1.0"), "max_outer": (int, "200"),
             "tol": (_finite, "1e-4"), "inner_iters": (int, "50"),
             "inner_tol": (_finite, "1e-6")},
@@ -83,19 +84,18 @@ _KEYS = {
     "detect": {"thin": (int, "1")},
 }
 
-# Presets are overlays on the defaults in _KEYS.  "desk" is sized to run in
-# seconds on one core; its chain tunes delta in the burn-in and keeps every
-# tenth state.  "paper" reproduces the full-scale tomography setup (128x128
-# image, 60 projection angles, half-strength source, long chains).
+# Presets are overlays on the defaults in _KEYS, and neither sets a stepsize.
+# "desk" is sized to run in seconds on one core and keeps every tenth state.
+# "paper" reproduces the full-scale tomography setup (128x128 image, 60
+# projection angles, half-strength source, long chains).
 PRESETS = {
-    "desk": {"sampler": {"delta": "none", "thinning": "10"}},
+    "desk": {"sampler": {"thinning": "10"}},
     "paper": {
         "grid": {"nx": "128", "ny": "128"},
         "prior": {"n_modes": "6000"},
         "operator": {"n_angles": "60", "n_det": "128", "kappa": "0.5"},
         "model": {"tv_weight": "2.4"},
-        "sampler": {"n_samples": "550000", "burn_in": "50000",
-                    "beta": "0.09", "delta": "0.23"},
+        "sampler": {"n_samples": "550000", "burn_in": "50000"},
         "calibration": {"weight_grid": "0.0, 1.0, 2.0, 3.0, 4.0, 5.0",
                         "chain_steps": "100000"},
     },

@@ -190,4 +190,6 @@ def read_field_csv(path, grid: Grid) -> ScalarField:
     vals = np.loadtxt(path, dtype=float).reshape(-1)
     if vals.size != grid.npix:
         raise ValueError(f"{path}: expected {grid.npix} values, found {vals.size}")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"{path}: a pixel is not finite")
     return ScalarField(grid, vals)

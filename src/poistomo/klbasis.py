@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid, ScalarField
+from .fields import Grid
 
 __all__ = [
     "CovarianceSpec",
@@ -135,27 +135,22 @@ class KLBasis:
     ``modes`` holds one eigenfield per row (row-major pixels) in factored
     form (``KLModes``); rows are orthonormal in the cell-weighted inner
     product.  ``eigenvalues`` are the matching covariance eigenvalues, sorted
-    descending.
+    descending.  ``mean`` is the constant prior mean of every pixel.
     """
 
     grid: Grid
-    cov: CovarianceSpec
     eigenvalues: np.ndarray = field(repr=False)
     modes: KLModes = field(repr=False)
-    mean: np.ndarray = field(repr=False)
+    mean: float
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
-        mn = np.asarray(self.mean, dtype=float).reshape(-1)
         if self.modes.shape != (ev.size, self.grid.npix):
             raise ValueError(f"modes shape {self.modes.shape} does not match "
                              f"{ev.size} eigenvalues on {self.grid.npix} pixels")
-        if mn.size != self.grid.npix:
-            raise ValueError("mean length does not match the grid")
-        for a in (ev, mn):
-            a.setflags(write=False)
+        ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "mean", mn)
+        object.__setattr__(self, "mean", np.float64(self.mean))
         object.__setattr__(self, "_sqrt_eta", np.sqrt(ev))
 
     @property
@@ -188,11 +183,8 @@ class KLBasis:
         hi = max(stop, lo + 2)
         values = self.modes.synthesize(c * self._sqrt_eta, lo, hi)[
             ..., (start - lo) * ny:(stop - lo) * ny]
-        values += self.mean[start * ny:stop * ny]
+        values += self.mean
         return values
-
-    def synthesize(self, c) -> ScalarField:
-        return ScalarField(self.grid, self.synthesize_values(c))
 
     def pullback(self, dvalues) -> np.ndarray:
         """Chain rule: pixel-value derivative dF/du -> coefficient derivative dF/dc.
@@ -234,5 +226,4 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
     if n_clamped:
         log.warning("clamped %d kl eigenvalues below %.3e", n_clamped, floor)
         eta = np.maximum(eta, floor)
-    return KLBasis(grid, cov, eta, KLModes(ex, ey, order),
-                   np.full(grid.npix, float(mean)))
+    return KLBasis(grid, eta, KLModes(ex, ey, order), mean)

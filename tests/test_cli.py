@@ -441,9 +441,26 @@ def test_summarize_refuses_a_non_finite_truth_before_writing(tmp_path,
     write_field_csv(ScalarField(grid, truth), bad)
     capsys.readouterr()
     assert _run("summarize", ini, out, "--truth", str(bad)) == 2
-    assert f"{bad}: a truth pixel is not finite" in \
-        capsys.readouterr().err
+    assert f"{bad}: a pixel is not finite" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["chain.bin"]
+
+
+def test_simulate_refuses_a_non_finite_phantom_before_writing(tmp_path,
+                                                              tiny_ini,
+                                                              capsys):
+    # a NaN phantom pixel is bad input that names the file, not numpy's
+    # Poisson error, and no counts file is written
+    out = tmp_path / "out"
+    assert _run("phantom", tiny_ini, out) == 0
+    bad = tmp_path / "phantom.csv"
+    values = np.loadtxt(out / "phantom.csv")
+    values[5] = np.nan
+    np.savetxt(bad, values)
+    capsys.readouterr()
+    assert _run("simulate", tiny_ini, out, "--phantom", str(bad)) == 2
+    assert f"{bad}: a pixel is not finite" in capsys.readouterr().err
+    assert not (out / "sinogram.bin").exists()
+    assert not (out / "simulate_manifest.json").exists()
 
 
 def test_write_json_leaves_no_partial_file(tmp_path):

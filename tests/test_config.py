@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from poistomo.config import ConfigError, parse_config, write_config
+from poistomo.config import PRESETS, ConfigError, parse_config, write_config
 
 TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 
@@ -15,15 +15,15 @@ TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 PINNED = [
     pytest.param(
         {"preset": "desk"},
-        "994cb3f2ecab0e4ce5a4ac8f338bb0c85def1da3f774459902cae7e561c5d3aa",
+        "e2d0ef5f9a19ff4a6019c9f0dc832a70b1d8a5827c02a560ca2743fed26c1312",
         id="desk"),
     pytest.param(
         {"preset": "paper"},
-        "40e165b545198dc4114c5c5525e444b0f6ef6908b331a80a4ca78a9f754f18be",
+        "95e40f088f950b5405be616ed2aff6550110e58f858cae16866a7139483b2941",
         id="paper"),
     pytest.param(
         {"path": TINY, "overrides": {"sampler": {"seed": 3}}},
-        "fdecccb7fc28bd06e739b5fdc4702d1285dd746e4a5e3453f157dd929afa9a74",
+        "a67057ab216bcc7127bcd8979a4bd7fe932db9cda39bb2707a1658d155b6b9ca",
         id="tiny-seed3"),
 ]
 
@@ -119,3 +119,19 @@ def test_none_stepsize_is_tuned_in_the_burn_in(tmp_path):
     assert parse_config(path=path).sampler.delta is None
     with pytest.raises(ConfigError, match=r"\[sampler\] delta none"):
         parse_config(overrides={"sampler": {"delta": "none", "burn_in": "0"}})
+
+
+@pytest.mark.parametrize("preset, burn_in", [("desk", 2000), ("paper", 50000)])
+def test_presets_leave_the_stepsizes_to_the_burn_in(preset, burn_in):
+    # no preset sets a stepsize: both are tuned in a burn-in of a tenth of
+    # the run unless a file or an override fixes them
+    assert not {"beta", "delta"} & set(PRESETS[preset].get("sampler", {}))
+    sampler = parse_config(preset=preset).sampler
+    assert (sampler.beta, sampler.delta) == (None, None)
+    assert sampler.burn_in == burn_in
+
+
+def test_a_short_run_set_alone_takes_a_tenth_as_burn_in():
+    cfg = parse_config(overrides={"sampler": {"n_samples": "1000"}})
+    assert cfg.sampler.burn_in == 100
+    assert cfg.canonical["sampler"]["burn_in"] == "none"

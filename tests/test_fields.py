@@ -160,3 +160,11 @@ def test_csv_wrong_length_rejected(tmp_path):
     path.write_text("1.0\n2.0\n")
     with pytest.raises(ValueError):
         read_field_csv(path, Grid(2, 2))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_rejected_naming_the_file(tmp_path, token):
+    path = tmp_path / "f.csv"
+    path.write_text(f"1.0\n{token}\n3.0\n4.0\n")
+    with pytest.raises(ValueError, match=f"{path}: a pixel is not finite"):
+        read_field_csv(path, Grid(2, 2))
