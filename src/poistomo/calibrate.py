@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
+from ._kernels import gammaincc
 from .posterior import TGPosterior
 from .samplers import (Chain, SamplerConfig, kept_steps, run_chain,
                        tune_stepsize, walk_chain)
@@ -250,7 +250,7 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
             post, cfg, steps, lambda j, z, ev: d.append(chi2_discrepancy(
                 post.data.counts, ev.theta, denominator)), start)
         res = _predictive(np.array(d)[run], post.op.n_rays)
-        acceptance = float(np.mean(accepted))
+        acceptance = float(np.mean(accepted[cfg.burn_in:]))
         rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,
                                    acceptance, cfg.beta))
         log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "

@@ -32,9 +32,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import _sparsetools
-from scipy.special import erf
 
+from ._kernels import erf, sparsetools as _sparsetools
 from .fields import Grid, ScalarField
 
 __all__ = [

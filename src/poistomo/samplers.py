@@ -415,7 +415,8 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     block the system cannot reserve raises MemoryError before the first
     step; chains whose kept states would not fit belong in ``stream_chain``.
     The returned config holds the stepsize the kept states were drawn at,
-    tuned or given.
+    tuned or given, and the acceptance rate is that of the post-burn-in
+    steps, which all ran at it.
     """
     keep = kept_steps(config)
     size = keep.size * post.n_modes * 8
@@ -437,7 +438,7 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     run, traces, config, _ = walk_chain(post, config, keep, store, init,
                                         anchor)
     return Chain(RunMatrix(block[:run[-1] + 1], run), config,
-                 float(np.mean(traces[0])), *traces)
+                 float(np.mean(traces[0][config.burn_in:])), *traces)
 
 
 def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
@@ -481,7 +482,7 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     completes, so a chain that fails
     (ChainDivergence, a bad kernel configuration) leaves no file at
     ``path``.  Returns the config, with the stepsize the kept states were
-    drawn at, and the acceptance rate.
+    drawn at, and the acceptance rate of the post-burn-in steps.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
@@ -501,7 +502,7 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
                 init, anchor)
             lengths = np.bincount(run)
             write(lengths.astype("<i8").tobytes())
-            rate = float(np.mean(accepted))
+            rate = float(np.mean(accepted[config.burn_in:]))
             record = json.dumps({**asdict(config), "acceptance_rate": rate})
             write(record.encode("ascii"))
             fh.seek(0)

@@ -431,14 +431,17 @@ def test_build_neither_sorts_nor_gathers_rows(monkeypatch):
     # the near half is assembled in trace order, one block copy per angle,
     # and kept as bare arrays: scipy's per-row sort and CSR row gather are
     # never called, and neither the build nor the operator's actions form a
-    # scipy sparse matrix
+    # scipy sparse matrix.  poistomo holds its own load of ``_sparsetools``
+    # (``poistomo._kernels``), watched as well as scipy's.
     from scipy.sparse import _compressed, _sparsetools
+
+    from poistomo import _kernels
 
     def refuse(*args, **kwargs):
         raise AssertionError("a scipy sparse matrix was formed, or CSR rows "
                              "sorted or gathered")
 
-    for module in (_compressed, _sparsetools):
+    for module in (_compressed, _sparsetools, _kernels.sparsetools):
         for name in ("csr_sort_indices", "csr_row_index"):
             monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(_compressed._cs_matrix, "__init__", refuse)

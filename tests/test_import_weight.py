@@ -1,10 +1,12 @@
 """Importing the package and its CLI stays light.
 
-Over a bare ``import poistomo`` (about 56.5 MB resident with numpy 2.4 and
-scipy 1.17), ``scipy.optimize`` adds about 21 MB, ``scipy.stats`` 44 MB,
+A bare ``import poistomo`` peaks at about 36 MB resident with numpy 2.4 and
+scipy 1.17.  ``scipy.special`` and ``scipy.sparse`` each import scipy's
+array-API layer, 26 MB together, so poistomo loads the kernels it needs
+from their extension modules alone (``poistomo._kernels``).  Over the bare
+import, ``scipy.optimize`` adds about 21 MB, ``scipy.stats`` 44 MB,
 ``scipy.sparse.linalg`` 8 MB and ``scipy.fft`` 1 MB to every run's peak
-memory.  Code that needs
-one imports it inside the code path that uses it.
+memory.  Code that needs one imports it inside the code path that uses it.
 """
 
 import os
@@ -13,7 +15,7 @@ import sys
 from pathlib import Path
 
 HEAVY = ("scipy.optimize", "scipy.stats", "scipy.sparse.linalg",
-         "scipy.fft")
+         "scipy.fft", "scipy.special", "scipy.sparse")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

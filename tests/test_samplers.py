@@ -632,6 +632,21 @@ def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
     assert abs(rate - 0.25) <= 0.06
 
 
+def test_tuned_chain_reports_the_kept_window_rate(post16_strong,
+                                                  map16_strong, tmp_path):
+    # the burn-in adapts the stepsize, so the reported rate is that of the
+    # steps after it, all at the frozen stepsize: in memory and on file
+    res, _ = map16_strong
+    cfg = SamplerConfig("pcn", 1200, beta=None, burn_in=600, seed=26)
+    chain = run_chain(post16_strong, cfg, init=res.coeffs)
+    kept = float(np.mean(chain.accepted[600:]))
+    assert chain.acceptance_rate == kept
+    assert kept != float(np.mean(chain.accepted))
+    path = tmp_path / "chain.bin"
+    _, rate = stream_chain(post16_strong, cfg, path, init=res.coeffs)
+    assert rate == load_chain(path).acceptance_rate == kept
+
+
 def test_tuning_is_deterministic(post16_strong, map16_strong):
     res, _ = map16_strong
     a, za = tune_stepsize(post16_strong, "pcn", seed=25,
