@@ -4,21 +4,23 @@ Importing ``scipy.special`` or ``scipy.sparse`` also imports scipy's
 array-API layer (about 330 modules, 26 MB resident) that poistomo never
 calls.  The extension modules holding ``erf``, ``gammaincc`` and the CSR
 products load on their own and give the same kernels; a scipy laid out
-otherwise falls back to the public imports.
+otherwise falls back to the public imports.  scipy's directory comes from
+``find_spec``, which runs none of scipy's package code.
 """
 
 import importlib.machinery
 import importlib.util
 import os
 
-import scipy
+_spec = importlib.util.find_spec("scipy")
+_SCIPY = (_spec and _spec.submodule_search_locations) or ()
 
 
 def _bare(package: str, name: str, names: tuple):
     """Extension ``scipy.<package>.<name>`` loaded alone, or None if it
     is not found, fails to load or lacks one of ``names``."""
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(os.path.dirname(scipy.__file__), package)])
+        name, [os.path.join(d, package) for d in _SCIPY])
     if spec is None:
         return None
     try:

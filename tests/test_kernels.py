@@ -2,9 +2,9 @@
 
 ``poistomo._kernels`` loads the extension modules behind ``erf``,
 ``gammaincc`` and the CSR products without ``scipy.special`` or
-``scipy.sparse``.  Each must give the public kernel's values bit for bit,
-and a scipy on which the bare load fails must fall back to the public
-imports.
+``scipy.sparse``, and without running scipy's package ``__init__``.  Each
+must give the public kernel's values bit for bit, and a scipy on which the
+bare load fails must fall back to the public imports.
 """
 
 import os
@@ -89,17 +89,84 @@ def test_bare_kernels_are_scipys_bit_for_bit():
         assert _bits(ours) == _bits(theirs)
 
 
+def _child(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports poistomo
+    from ``src/``; argv[1] is this directory, for ``import test_kernels``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
+        check=True, capture_output=True, text=True).stdout
+
+
+# ``PathFinder.find_spec`` wrapped by ``patch(name, path, target, find)``,
+# which may return a spec or defer to ``find``; the child's finder for
+# every path-based import, ``importlib.util.find_spec`` included
+PATCH_FINDER = (
+    "import importlib.machinery as m, sys\n"
+    "find = m.PathFinder.find_spec\n"
+    "m.PathFinder.find_spec = lambda name, path=None, target=None: "
+    "patch(name, path, target, find)\n")
+
+
+def test_the_bare_load_runs_none_of_scipys_package_code():
+    code = (
+        "import sys\n"
+        "from poistomo import _kernels\n"
+        "print(' '.join(m for m in sys.modules\n"
+        "               if m == 'scipy' or m.startswith('scipy.')))\n"
+        "assert _kernels._special.__name__ == '_special_ufuncs'\n"
+        "assert _kernels.erf is _kernels._special.erf\n"
+        "assert _kernels.gammaincc is _kernels._special.gammaincc\n"
+        "assert _kernels.sparsetools.__name__ == '_sparsetools'\n")
+    assert _child(code).split() == []
+
+
+def test_every_scipy_location_is_searched():
+    # a scipy spec whose first location (this directory) holds neither
+    # extension still loads both bare, from its second location
+    code = (
+        "def patch(name, path, target, find):\n"
+        "    spec = find(name, path, target)\n"
+        "    if name == 'scipy':\n"
+        "        spec.submodule_search_locations.insert(0, sys.argv[1])\n"
+        "    return spec\n"
+        + PATCH_FINDER +
+        "from poistomo import _kernels\n"
+        "assert 'scipy' not in sys.modules\n"
+        "assert len(_kernels._SCIPY) == 2\n"
+        "assert _kernels._special.__name__ == '_special_ufuncs'\n"
+        "assert _kernels.sparsetools.__name__ == '_sparsetools'\n")
+    _child(code)
+
+
+def test_a_missing_scipy_fails_as_the_public_import_does():
+    # a finder that finds no scipy: find_spec gives None, no bare load is
+    # tried, and the public import raises its own error
+    code = (
+        "def patch(name, path, target, find):\n"
+        "    if name == 'scipy' or name.startswith('scipy.'):\n"
+        "        return None\n"
+        "    return find(name, path, target)\n"
+        + PATCH_FINDER +
+        "try:\n"
+        "    from poistomo import _kernels\n"
+        "except BaseException as e:\n"
+        "    print(type(e).__name__, e.name, e, sep='|')\n")
+    assert _child(code).strip() == (
+        "ModuleNotFoundError|scipy|No module named 'scipy'")
+
+
 def test_a_failed_bare_load_falls_back_to_the_public_kernels():
     # a finder that finds neither extension by its bare name makes the bare
     # load fail; the public imports ask for the qualified names
     code = (
-        "import importlib.machinery as m, sys\n"
-        "find = m.PathFinder.find_spec\n"
-        "def refuse(name, path=None, target=None):\n"
+        "def patch(name, path, target, find):\n"
         "    if name in ('_special_ufuncs', '_sparsetools'):\n"
         "        return None\n"
         "    return find(name, path, target)\n"
-        "m.PathFinder.find_spec = refuse\n"
+        + PATCH_FINDER +
         "from poistomo import _kernels\n"
         "import scipy.special\n"
         "from scipy.sparse import _sparsetools\n"
@@ -110,11 +177,5 @@ def test_a_failed_bare_load_falls_back_to_the_public_kernels():
         "import test_kernels as t\n"
         "sys.stdout.write(b''.join(map(t._bits, t._kernel_outputs(_kernels)))"
         ".hex())\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).parent)], env=env,
-        check=True, capture_output=True, text=True).stdout
-    assert bytes.fromhex(out) == b"".join(
+    assert bytes.fromhex(_child(code)) == b"".join(
         map(_bits, _kernel_outputs(_kernels)))
