@@ -5,10 +5,10 @@ Gaussian reference field; a pointwise error-function map squashes it into a
 strictly positive intensity band; a ray-transform operator predicts Poisson
 means; the posterior combines the count likelihood with an optional total
 variation penalty.  MAP estimates come from an operator-splitting solver,
-samples from preconditioned Crank-Nicolson chains (pcn; pdpcn, whose drift is
-the likelihood gradient plus an offset from the MAP multiplier; pcnl, its
-zero-offset case), a posterior-predictive fit test calibrates the smoothing
-weight, and credible-level maps flag unsupported structure in images.
+samples from two preconditioned Crank-Nicolson chains (pcn, and pdpcn, whose
+drift is the likelihood gradient plus an offset from the MAP multiplier), a
+posterior-predictive fit test calibrates the smoothing weight, and
+credible-level maps flag unsupported structure in images.
 """
 
 from .admm import AdmmConfig, MapResult, offset_direction, solve_map

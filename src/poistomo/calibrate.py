@@ -178,7 +178,7 @@ def admissible_interval(weights: Sequence[float], pvalues: Sequence[float],
 
     p is taken piecewise linear between grid points and decreasing in the
     weight; the lower endpoint comes from the upper band threshold and vice
-    versa.  Returns None when the band is never entered.
+    versa.  Returns None when the band is never entered or met at one weight.
     """
     w = np.asarray(_check_grid(weights))
     p = np.asarray(pvalues, dtype=float)
@@ -205,8 +205,8 @@ def admissible_interval(weights: Sequence[float], pvalues: Sequence[float],
     hi = cross(p_lo)          # p has fallen out of the band
     if hi is None:
         hi = float(w[-1])
-    elif hi <= lo:
-        return None           # p starts below the band at w[0]
+    if hi <= lo:
+        return None           # below the band at w[0], or met at one weight
     return (lo, hi)
 
 

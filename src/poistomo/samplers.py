@@ -6,7 +6,7 @@ proposal recentred by a drift vector g,
     (2 + delta) v = (2 - delta) z - 2 delta g + sqrt(8 delta) w,
 
 accepted by the ratio of the acceptance functional ``rho`` (``_rho`` below).
-The kernels differ only in the drift:
+The two kernels differ only in the drift:
 
 * ``pcn``    g = 0, so the step is v = sqrt(1 - beta^2) z + beta w and the
   log ratio is psi(z) - psi(v).  It runs at
@@ -16,12 +16,12 @@ The kernels differ only in the drift:
 * ``pdpcn``  g = phi_grad_at(ev) + o, the likelihood gradient plus a
   constant offset o = offset_direction(post, eta*) taken once per chain from
   the MAP multiplier eta* (the anchor), so the nonsmooth TV term is handled
-  without ever differentiating it;
-* ``pcnl``   the same drift with o = 0 (smooth case only).
+  without ever differentiating it.  A zero anchor gives o = 0, the
+  pCN-Langevin kernel of Cotter et al. (2013).
 
 A state is its coefficients, their evaluation and their drift, so each step
 evaluates the posterior once, at the proposal.  ``chain_states`` yields each
-state with its evaluation.  Every kernel consumes randomness in the same
+state with its evaluation.  Both kernels consume randomness in the same
 order (noise vector first, acceptance uniform second), which keeps
 matched-seed comparisons meaningful.
 
@@ -38,7 +38,7 @@ column blocks they need from it.  A chain file stores the same runs, each
 run's row and length, then a record of the config and acceptance rate,
 behind a header that holds a checksum of them.
 
-A stepsize of None (beta for pcn, delta otherwise) is tuned in the chain's
+A stepsize of None (beta for pcn, delta for pdpcn) is tuned in the chain's
 own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen before the
 first kept state, so a tuned chain needs no separate pilot; ``walk_chain``
 records the frozen value.
@@ -80,7 +80,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-KINDS = ("pcn", "pcnl", "pdpcn")
+KINDS = ("pcn", "pdpcn")
 TARGET_ACCEPTANCE = 0.25    # where a tuned burn-in steers the stepsize
 
 
@@ -166,21 +166,14 @@ def _rho(ev_z: PosteriorEval, z, v, g, delta: float) -> float:
 def _drift(post: TGPosterior, config: SamplerConfig,
            anchor: np.ndarray | None):
     """The configured kernel's drift, a function of an evaluation: zero for
-    pcn, else phi_grad_at(ev) + o with the offset o taken once per chain,
-    from the anchor for pdpcn and 0 for pcnl."""
+    pcn, else phi_grad_at(ev) + o, the offset o taken once from the anchor."""
     if config.kind == "pcn":
         zero = np.zeros(post.n_modes)
         return lambda ev: zero
-    if config.kind == "pcnl":
-        if post.tv_weight != 0.0:
-            raise ValueError("pcnl requires a differentiable potential; "
-                             "tv_weight must be 0")
-        o = 0.0
-    elif anchor is None:
+    if anchor is None:
         raise ValueError("the pdpcn kernel needs an anchor; solve the MAP "
                          "problem and pass its multiplier")
-    else:
-        o = offset_direction(post, anchor)
+    o = offset_direction(post, anchor)
     return lambda ev: post.phi_grad_at(ev) + o
 
 

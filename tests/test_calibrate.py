@@ -67,6 +67,8 @@ def test_admissible_interval_inside_one_grid_step():
 
 def test_admissible_interval_none_when_band_never_entered():
     assert admissible_interval([0.0, 1.0, 2.0], [0.99, 0.9, 0.8]) is None
+    # entered only at the last weight: a single point, no interval
+    assert admissible_interval([0.0, 1.0], [0.9, 0.7]) is None
 
 
 def test_admissible_interval_none_when_p_starts_below_band():
@@ -77,6 +79,9 @@ def test_admissible_interval_starts_at_first_weight_inside_band():
     lo, hi = admissible_interval([1.0, 2.0, 3.0], [0.5, 0.3, 0.2])
     assert lo == 1.0
     assert hi == 3.0          # never leaves the band on the grid
+    # on a one-weight grid that is a single point, no interval
+    assert admissible_interval([1.0], [0.5]) is None
+    assert admissible_interval([0.0], [0.797], band=(0.1, 0.9)) is None
 
 
 # ---------------------------------------------------------------------------

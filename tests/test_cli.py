@@ -146,9 +146,11 @@ def _kernel_ini(tmp_path, kind, sampler="", model=""):
 
 @pytest.mark.parametrize("kind, sampler, model", [
     ("pcn", "beta = none\n", ""),
-    ("pcnl", "", "tv_weight = 0\n"),
+    ("pdpcn", "", "tv_weight = 0\n"),
 ])
 def test_every_kernel_runs_through_the_cli(tmp_path, kind, sampler, model):
+    # pdpcn without TV: the MAP multiplier is zero, so the chain from the MAP
+    # point runs the pCN-Langevin kernel
     ini = _kernel_ini(tmp_path, kind, sampler, model)
     out = tmp_path / "out"
     for command in ("phantom", "simulate", "sample", "summarize", "diag"):
@@ -188,15 +190,26 @@ def test_tuned_sample_draws_one_stream(tmp_path, monkeypatch):
     assert seeds == [3]
 
 
-def test_gradient_kernel_with_tv_is_a_usage_error(tmp_path):
-    # pcnl needs a differentiable potential; the default TV weight is 1
-    ini = _kernel_ini(tmp_path, "pcnl")
+def test_retired_pcnl_kind_is_a_usage_error(tmp_path, sampled, capsys):
+    # pCN-Langevin is pdpcn at a zero multiplier, so the kind names just pcn
+    # and pdpcn: a config or a chain file that names pcnl exits 2
+    ini, src = sampled
     out = tmp_path / "out"
-    for command in ("phantom", "simulate"):
-        assert _run(command, ini, out) == 0, command
-    assert _run("sample", ini, out) == 2
+    capsys.readouterr()
+    assert _run("sample", _kernel_ini(tmp_path, "pcnl"), out, "--sinogram",
+                str(src / "sinogram.bin")) == 2
+    assert "('pcn', 'pdpcn'), got 'pcnl'" in capsys.readouterr().err
     assert not (out / "sample_manifest.json").exists()
     assert not (out / "chain.bin").exists()
+    old = tmp_path / "pcnl.bin"
+    old.write_bytes((src / "chain.bin").read_bytes())
+    _with_record(old, {**_record(old), "kind": "pcnl"})
+    image = ("--test-image", str(src / "phantom.csv"))
+    for command, extra in (("summarize", ()), ("detect", image), ("diag", ())):
+        capsys.readouterr()
+        assert _run(command, ini, out, "--chain", str(old), *extra) == 2
+        assert f"{old}: bad record" in capsys.readouterr().err, command
+        assert not (out / f"{command}_manifest.json").exists()
 
 
 def test_untunable_calibration_is_a_usage_error(tmp_path, tiny_ini, capsys):
@@ -315,6 +328,30 @@ def test_calibrate_says_whether_the_weight_is_at_a_bound(tmp_path, caplog):
     assert at_bound == (weight in (max(lo, 1e-8), hi))
     assert at_bound == any("end of the interval" in r.getMessage()
                            for r in caplog.records)
+
+
+def test_calibrate_on_one_weight_finds_no_interval(tmp_path):
+    # bench/tiny.ini's p-value at weight 0 lies in a band reaching 0.9: the
+    # band is met at that one weight only, which is no interval to select in
+    parser = configparser.ConfigParser()
+    parser.read(BENCH_TINY)
+    parser["calibration"]["weight_grid"] = "0.0"
+    parser["calibration"]["band_hi"] = "0.9"
+    ini = tmp_path / "one.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    for command in ("phantom", "simulate", "calibrate"):
+        assert cli.main([command, "--config", str(ini), "--output",
+                         str(out), "--seed", "1"]) == 0, command
+    rows = (out / "calibration.csv").read_text().splitlines()
+    assert len(rows) == 2
+    lo, hi = cli.parse_config(ini).calibration.band
+    assert lo <= float(rows[1].split(",")[1]) <= hi
+    manifest = json.loads((out / "calibrate_manifest.json").read_text())
+    assert manifest["interval"] is None
+    assert manifest["outputs"].keys() == {"calibration.csv"}
+    assert not (out / "selection.csv").exists()
 
 
 @pytest.fixture(scope="module")

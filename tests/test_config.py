@@ -88,6 +88,7 @@ _BAD_WITH = {("calibration", "chain_steps", "9"): {"sampler": {"beta": "none"}}}
     ("prior", "gamma", "inf"),
     ("prior", "mean", "nan"),
     ("calibration", "weight_grid", "0.0, inf"),
+    ("sampler", "kind", "pcnl"),            # retired: pdpcn at a zero anchor
 ])
 def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
     also = _BAD_WITH.get((section, key, raw), {})

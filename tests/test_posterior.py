@@ -7,7 +7,7 @@ from poistomo.fields import grad_arrays, tv_arrays
 from poistomo.forward import build_radon_operator, simulate_data
 from poistomo.phantom import brain_phantom
 from poistomo.posterior import TGPosterior
-from poistomo.samplers import SamplerConfig, _rho, run_chain
+from poistomo.samplers import SamplerConfig, _rho
 
 
 def transition_logdensity(src, dst, g_src, delta):
@@ -86,12 +86,10 @@ def test_phi_grad_at_reuses_evaluation(post16_smooth):
                        post16_smooth.phi_grad_at(post16_smooth.evaluate(c)))
 
 
-def test_psi_grad_refuses_nonsmooth(post16, post16_smooth):
-    # the gradient of psi exists only without TV: there it is phi_grad (the
-    # pcnl drift), and the pcnl kernel refuses a positive TV weight
+def test_psi_grad_is_phi_grad_without_tv(post16_smooth):
+    # the gradient of psi exists only without TV: there it is phi_grad, the
+    # drift of pdpcn at a zero multiplier
     c = np.zeros(60)
-    with pytest.raises(ValueError):
-        run_chain(post16, SamplerConfig("pcnl", 10, delta=0.3, seed=0))
     g = post16_smooth.phi_grad_at(post16_smooth.evaluate(c))
     h = 1e-6
     for k in (0, 7, 31, 59):

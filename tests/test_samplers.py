@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from poistomo import TGPosterior, samplers
+from poistomo import Grid, TGPosterior, samplers
 from poistomo.posterior import PosteriorEval
 from poistomo.samplers import (Chain, ChainDivergence, RunMatrix,
                                SamplerConfig, _accept, _rho, anchor_from_map,
@@ -31,16 +31,27 @@ from test_admm import _Toy
 
 # ---------------------------------------------------------------------------
 # duck-typed targets: the kernels only touch evaluate / phi_grad_at /
-# tv_weight / n_modes (the acceptance functional reads psi from the
-# evaluation), so small closed-form stand-ins let the statistical checks run
-# against known answers
+# n_modes (the acceptance functional reads psi from the evaluation), and
+# the pdpcn offset reads grid and basis.pullback, so small closed-form
+# stand-ins let the statistical checks run against known answers.  Their
+# pullback is zero: at a zero multiplier, pdpcn's drift is phi_grad_at
+# alone, the pCN-Langevin kernel
+
+
+class _ZeroPullback:
+    def __init__(self, n_modes):
+        self.n_modes = n_modes
+
+    def pullback(self, values):
+        return np.zeros(self.n_modes)
 
 
 class _StubTarget:
-    tv_weight = 0.0
+    grid = Grid(2, 2)
 
     def __init__(self, n_modes):
         self.n_modes = n_modes
+        self.basis = _ZeroPullback(n_modes)
 
     def potential(self, c):
         raise NotImplementedError
@@ -103,6 +114,12 @@ def _pcn_log_ratio(t, z, v):
     zero = np.zeros(z.size)
     return (_rho(t.evaluate(z), z, v, zero, 0.3)
             - _rho(t.evaluate(v), v, z, zero, 0.3))
+
+
+def _zero(post):
+    """The zero multiplier on the grid of post: anchored there, pdpcn runs
+    the pCN-Langevin kernel."""
+    return np.zeros((2,) + post.grid.shape)
 
 
 def _batch_stderr(x, n_batches=100):
@@ -207,23 +224,13 @@ def test_flat_chain_has_unit_coordinate_moments():
 def test_gradient_kernel_matches_conjugate_posterior():
     # unit reference times exp(-tau/2 (c-mu)^2) is again Gaussian
     t = _GaussTarget(1, tau=3.0, mu=1.2)
-    cfg = SamplerConfig("pcnl", 100_000, delta=0.8, burn_in=5000, seed=8)
-    chain = run_chain(t, cfg)
+    cfg = SamplerConfig("pdpcn", 100_000, delta=0.8, burn_in=5000, seed=8)
+    chain = run_chain(t, cfg, anchor=_zero(t))
     x = chain.samples[:, 0]
     se_mean = _batch_stderr(x)
     assert abs(x.mean() - t.post_mean) <= 3.0 * se_mean
     se_var = _batch_stderr((x - x.mean()) ** 2)
     assert abs(x.var() - t.post_var) <= 3.0 * se_var
-
-
-def test_gradient_kernel_rejects_nonsmooth_and_bad_stepsize(post16,
-                                                            post16_smooth):
-    with pytest.raises(ValueError):  # tv_weight > 0
-        run_chain(post16, SamplerConfig("pcnl", 10, delta=0.3, seed=9))
-    for bad in (0.0, 2.5, -0.1):
-        with pytest.raises(ValueError):
-            run_chain(post16_smooth, SamplerConfig("pcnl", 10, delta=bad,
-                                                   seed=9))
 
 
 def test_self_proposal_accepted_with_certainty(post16_smooth):
@@ -246,8 +253,9 @@ def test_zero_drift_gradient_kernel_is_plain_pcn():
     driftless = _DriftlessGauss(3, tau=2.0, mu=0.5)
     a = run_chain(plain, SamplerConfig("pcn", 400, beta=beta,
                                        burn_in=0, seed=11))
-    b = run_chain(driftless, SamplerConfig("pcnl", 400, delta=delta,
-                                           burn_in=0, seed=11))
+    b = run_chain(driftless, SamplerConfig("pdpcn", 400, delta=delta,
+                                           burn_in=0, seed=11),
+                  anchor=_zero(driftless))
     np.testing.assert_array_equal(a.accepted, b.accepted)
     np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
     np.testing.assert_allclose(a.psi_trace, b.psi_trace, atol=1e-12)
@@ -258,15 +266,17 @@ def test_zero_drift_gradient_kernel_is_plain_pcn():
 
 
 def test_pdpcn_with_zero_multiplier_is_pcnl(post16_smooth):
-    # the pdpcn drift is phi_grad_at plus the multiplier's offset, and a zero
-    # multiplier gives pcnl's drift: the same chain, step for step.  At this
-    # delta the chain accepts most steps, so the drift decides every one
-    delta = 0.5
-    a = run_chain(post16_smooth, SamplerConfig("pcnl", 300, delta=delta,
-                                               burn_in=0, seed=12))
-    b = run_chain(post16_smooth, SamplerConfig("pdpcn", 300, delta=delta,
-                                               burn_in=0, seed=12),
-                  anchor=np.zeros((2,) + post16_smooth.grid.shape))
+    # without TV the shrinkage returns grad z + eta / rho exactly, so the
+    # split is exact and the MAP multiplier never leaves zero.  The pdpcn
+    # chain anchored at it is the one anchored at zeros, whose drift is
+    # phi_grad_at alone: the pCN-Langevin (pcnl) kernel, step for step.  At
+    # this delta the chain accepts most steps, so the drift decides each one
+    res = solve_map(post16_smooth, AdmmConfig(max_outer=20))
+    assert not np.any(res.multiplier)
+    cfg = SamplerConfig("pdpcn", 300, delta=0.5, burn_in=0, seed=12)
+    a = run_chain(post16_smooth, cfg, init=res.coeffs,
+                  anchor=_zero(post16_smooth))
+    b = run_chain(post16_smooth, cfg, init=res.coeffs, anchor=res.multiplier)
     assert a.accepted.any()
     np.testing.assert_array_equal(a.accepted, b.accepted)
     np.testing.assert_array_equal(np.asarray(a.samples), np.asarray(b.samples))
@@ -559,13 +569,27 @@ def test_anchored_chain_requires_anchor():
     assert np.all(np.isfinite(np.asarray(chain.samples)))
 
 
-@pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
+# pcnl names the pCN-Langevin kernel: pdpcn anchored at a zero multiplier,
+# on the smooth target
+_KERNELS = pytest.mark.parametrize("kind, anchor", [
+    ("pcn", None), ("pdpcn", "zero"), ("pdpcn", "map")],
+    ids=["pcn", "pcnl", "pdpcn"])
+
+
+def _kernel_case(anchor, post16, post16_smooth, res):
+    """The target and the anchor of a _KERNELS case."""
+    if anchor == "zero":
+        return post16_smooth, _zero(post16_smooth)
+    return post16, res.multiplier if anchor == "map" else None
+
+
+@_KERNELS
 def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
-                                         monkeypatch, kind):
+                                         monkeypatch, kind, anchor):
     # one posterior evaluation per proposal plus one for the initial state;
     # the drift at a proposal reuses the proposal's evaluation
     res, _ = map16
-    post = post16_smooth if kind == "pcnl" else post16
+    post, anchor = _kernel_case(anchor, post16, post16_smooth, res)
     calls = []
     evaluate = TGPosterior.evaluate
 
@@ -574,7 +598,6 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
         return evaluate(self, c)
 
     monkeypatch.setattr(TGPosterior, "evaluate", counted)
-    anchor = res.multiplier if kind == "pdpcn" else None
     cfg = SamplerConfig(kind, 40, beta=0.05, delta=0.01, burn_in=0, seed=26)
     run_chain(post, cfg, init=res.coeffs, anchor=anchor)
     assert len(calls) == 40 + 1
@@ -593,6 +616,7 @@ def test_chain_evaluates_each_state_once(post16, post16_smooth, map16,
     {"beta": math.nan},
     {"thinning": 91},           # 90 post-burn-in steps keep no state
     {"beta": None, "burn_in": 0},   # nothing to tune it in
+    {"delta": -0.1},
 ])
 def test_config_validation(kwargs):
     base = {"kind": "pcn", "n_samples": 100, "beta": 0.5, "delta": 0.5}
@@ -603,8 +627,14 @@ def test_config_validation(kwargs):
 
 def test_config_stepsize_follows_kind():
     assert SamplerConfig("pcn", 10, beta=0.25, delta=0.5).stepsize == 0.25
-    assert SamplerConfig("pcnl", 10, beta=0.25, delta=0.5).stepsize == 0.5
     assert SamplerConfig("pdpcn", 10, beta=0.25, delta=0.5).stepsize == 0.5
+
+
+def test_retired_pcnl_kind_is_refused():
+    # pCN-Langevin is pdpcn at a zero multiplier; the kind names just two
+    assert samplers.KINDS == ("pcn", "pdpcn")
+    with pytest.raises(ValueError, match=r"\('pcn', 'pdpcn'\), got 'pcnl'"):
+        SamplerConfig("pcnl", 10)
 
 
 # ---------------------------------------------------------------------------
@@ -758,16 +788,15 @@ def test_chain_file_holds_the_little_endian_samples(tmp_path):
     assert raw[_AFTER:] == body
 
 
-@pytest.mark.parametrize("kind", ["pcn", "pcnl", "pdpcn"])
+@_KERNELS
 @pytest.mark.parametrize("stepsize", [0.01, None])
 def test_streamed_chain_loads_as_the_run_chain(tmp_path, post16,
                                                post16_smooth, map16, kind,
-                                               stepsize):
+                                               anchor, stepsize):
     # the file of a thinned chain, at a given or a tuned stepsize, loads as
     # the chain run_chain collects, bit for bit
     res, _ = map16
-    post = post16_smooth if kind == "pcnl" else post16
-    anchor = res.multiplier if kind == "pdpcn" else None
+    post, anchor = _kernel_case(anchor, post16, post16_smooth, res)
     cfg = SamplerConfig(kind, 75, beta=stepsize, delta=stepsize, burn_in=9,
                         thinning=3, seed=30)
     chain = run_chain(post, cfg, init=res.coeffs, anchor=anchor)
@@ -941,6 +970,7 @@ def test_chain_load_rejects_corruption(tmp_path):
             load_chain(path)
     path.write_bytes(raw)
     refused("kind must be one of", kind="hmc")
+    refused(r"\('pcn', 'pdpcn'\), got 'pcnl'", kind="pcnl")    # retired
     refused("kind must be one of", kind=3)
     zero = lengths.copy()
     zero[1] += zero[0]
