@@ -29,7 +29,7 @@ from .phantom import brain_phantom
 from .posterior import TGPosterior
 from .samplers import (Chain, ChainDivergence, SamplerConfig, anchor_from_map,
                        chain_states, load_chain, run_chain, stream_chain,
-                       tune_stepsize, walk_chain)
+                       walk_chain)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "brain_phantom",
     "TGPosterior",
     "Chain", "ChainDivergence", "SamplerConfig", "anchor_from_map",
-    "chain_states", "load_chain", "run_chain", "stream_chain",
-    "tune_stepsize", "walk_chain",
+    "chain_states", "load_chain", "run_chain", "stream_chain", "walk_chain",
     "__version__",
 ]

@@ -23,8 +23,8 @@ floats, the per-step traces and one state, not a chain of kept samples.
 ``posterior_predictive_p`` computes the same p_b from a stored chain: it
 evaluates each distinct subsampled state once, as the chain did, so the
 same states give the same bits.
-Without a given beta, each sweep chain tunes beta in its own burn-in, and
-the selection tunes one beta on a pilot (samplers.tune_stepsize).
+Without a given beta, each sweep chain and the first selection chain tune
+beta in their own burn-in, and later selection chains take the first one's.
 """
 
 from __future__ import annotations
@@ -32,15 +32,14 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._kernels import gammaincc
 from .posterior import TGPosterior
-from .samplers import (Chain, SamplerConfig, kept_steps, run_chain,
-                       tune_stepsize, walk_chain)
+from .samplers import Chain, SamplerConfig, kept_steps, run_chain, walk_chain
 
 __all__ = [
     "chi2_sf",
@@ -71,15 +70,25 @@ def chi2_sf(x, dof: float):
     return gammaincc(0.5 * dof, 0.5 * x)
 
 
+def _check_denominator(denominator: str) -> None:
+    if denominator not in DENOMINATORS:
+        raise ValueError(f"denominator must be one of {DENOMINATORS}, "
+                         f"got {denominator!r}")
+
+
+def _check_band(band: tuple[float, float]) -> tuple[float, float]:
+    if not 0.0 <= band[0] < band[1] <= 1.0:
+        raise ValueError(f"band must satisfy 0 <= lo < hi <= 1, got {band}")
+    return band
+
+
 def chi2_discrepancy(counts, theta, denominator: str = "theta") -> float:
     """Squared-misfit statistic of counts against expected counts.
 
     denominator "theta" gives the Pearson form (the default); "theta_sq"
     divides by theta^2.
     """
-    if denominator not in DENOMINATORS:
-        raise ValueError(f"denominator must be one of {DENOMINATORS}, "
-                         f"got {denominator!r}")
+    _check_denominator(denominator)
     y = np.asarray(counts, dtype=float).reshape(-1)
     th = np.asarray(theta, dtype=float).reshape(-1)
     if th.size != y.size:
@@ -141,8 +150,8 @@ def posterior_predictive_p(chain: Chain, post: TGPosterior,
 
 
 def _stream_seed(seed: int, index: int) -> int:
-    """Seed in [0, 2**63) of a calibration's pilot or chain: admissible_search
-    counts index up from 0 and select_lambda down from -1, so none coincide."""
+    """Seed in [0, 2**63) of a calibration's chain: admissible_search counts
+    index up from 0 and select_lambda down from -1, so none coincide."""
     return (seed + index) % 2 ** 63
 
 
@@ -184,9 +193,7 @@ def admissible_interval(weights: Sequence[float], pvalues: Sequence[float],
     p = np.asarray(pvalues, dtype=float)
     if w.size != p.size:
         raise ValueError("need matching, nonempty weight and p-value grids")
-    p_lo, p_hi = band
-    if not 0.0 <= p_lo < p_hi <= 1.0:
-        raise ValueError(f"invalid band {band}")
+    p_lo, p_hi = _check_band(band)
 
     def cross(level: float) -> float | None:
         """First weight at which p falls to the level, by interpolation."""
@@ -236,8 +243,8 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
     at the first weight can leave later chains where they began.
     """
     weights = _check_grid(weight_grid)
-    admissible_interval(weights, np.zeros(len(weights)), band)  # checks band
-    chi2_discrepancy(1.0, 1.0, denominator)           # and the denominator
+    _check_band(band)
+    _check_denominator(denominator)
     rows = []
     start = None
     for i, w in enumerate(weights):
@@ -279,13 +286,14 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     the midpoint, the weight steps by a0 / k times n_eff / weight minus the
     batch-mean TV of the latent field, read off the regularizer trace of a
     short pcn chain warm started at the previous chain's last state.
-    Without a given beta, a pilot at the midpoint tunes it and the first
-    chain starts where the pilot ended.  n_eff is the coefficient dimension
-    (approximate for this reference measure, so the iterate is meaningful
-    only within the interval) and a0 the interval's width over n_eff.  The
-    trace holds (k, weight, gradient) rows; an iterate that does not
-    settle raises a warning but is still returned.  ``at_bound`` tells
-    whether it is an end of the interval, its lower end floored at 1e-8.
+    Without a given beta, the first chain tunes it in a 1,000-step burn-in
+    that no gradient reads, and the later chains take its frozen value.
+    n_eff is the coefficient dimension (approximate for this reference
+    measure, so the iterate is meaningful only within the interval) and a0
+    the interval's width over n_eff.  The trace holds (k, weight, gradient)
+    rows; an iterate that does not settle raises a warning but is still
+    returned.  ``at_bound`` tells whether it is an end of the interval, its
+    lower end floored at 1e-8.
     """
     lo, hi = interval
     if not 0.0 <= lo < hi:
@@ -293,25 +301,21 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     for name, value in (("n_iters", n_iters), ("inner_steps", inner_steps)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    probe = make_posterior(0.5 * (lo + hi))
-    n_eff = float(probe.n_modes)
-    a0 = (hi - lo) / n_eff
-    c = None
-    if beta is None:
-        beta, c = tune_stepsize(probe, "pcn", n_pilot=1000,
-                                seed=_stream_seed(seed, -1))
+    width = hi - lo
     lo = max(lo, 1e-8)  # the gradient needs a positive weight
     lam = 0.5 * (lo + hi)
-    trace = []
+    c, trace = None, []
     for k in range(1, n_iters + 1):
+        burn = 1000 if beta is None else 0    # the first chain tunes beta
         # only the traces and the last state are read: keep one state
-        cfg = SamplerConfig("pcn", inner_steps, beta=beta, burn_in=0,
-                            thinning=inner_steps,
-                            seed=_stream_seed(seed, -1 - k))
+        cfg = SamplerConfig("pcn", burn + inner_steps, beta=beta,
+                            burn_in=burn, thinning=inner_steps,
+                            seed=_stream_seed(seed, -k))
         chain = run_chain(make_posterior(lam), cfg, init=c)
-        c = chain.samples[-1]
-        grad = n_eff / lam - float(np.mean(chain.reg_trace)) / lam
-        lam = min(max(lam + (a0 / k) * grad, lo), hi)
+        beta, c = chain.config.beta, chain.samples[-1]
+        n_eff = float(chain.n_modes)
+        grad = n_eff / lam - float(np.mean(chain.reg_trace[burn:])) / lam
+        lam = min(max(lam + (width / n_eff / k) * grad, lo), hi)
         trace.append((k, lam, grad))
     tail = [t[1] for t in trace[-max(1, n_iters // 4):]]
     if max(tail) - min(tail) > 0.25 * (hi - lo):

@@ -238,8 +238,9 @@ def cmd_summarize(args, cfg: RunConfig, outdir: Path):
     if "truth" in args.given or args.truth.exists():
         truth = read_field_csv(args.truth, cfg.grid)
     basis = _basis(cfg)
-    mean = posterior_mean(chain, basis, cfg.reparam)
+    # the HPD bounds check alpha before any state is synthesized
     lo, hi = pointwise_hpdi(chain, basis, cfg.reparam, alpha=args.alpha)
+    mean = posterior_mean(chain, basis, cfg.reparam)
     width = ScalarField(cfg.grid, hi.values - lo.values)
     write_field_csv(mean, outdir / "mean.csv")
     _write_pgm(mean, outdir / "mean.pgm")

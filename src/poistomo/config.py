@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .admm import AdmmConfig
-from .calibrate import DENOMINATORS, _check_grid
+from .calibrate import _check_band, _check_denominator, _check_grid
 from .fields import Grid
 from .forward import Reparam
 from .klbasis import CovarianceSpec
@@ -114,9 +114,8 @@ class CalibrationSettings:
 
     def __post_init__(self):
         _check_grid(self.weight_grid)
-        lo, hi = self.band
-        if not 0.0 < lo < hi < 1.0:
-            raise ValueError(f"band must satisfy 0 < lo < hi < 1, got {self.band}")
+        _check_band(self.band)
+        _check_denominator(self.denominator)
         if self.chain_steps < 1:
             raise ValueError(f"chain_steps must be >= 1, got {self.chain_steps}")
         if self.select_iters < 1 or self.select_inner_steps < 1:
@@ -124,9 +123,6 @@ class CalibrationSettings:
         if self.max_eval_samples is not None and self.max_eval_samples < 1:
             raise ValueError("max_eval_samples must be none or >= 1, got "
                              f"{self.max_eval_samples}")
-        if self.denominator not in DENOMINATORS:
-            raise ValueError(f"denominator must be one of {DENOMINATORS}, "
-                             f"got {self.denominator!r}")
 
 
 @dataclass(frozen=True)

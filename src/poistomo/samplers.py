@@ -440,9 +440,8 @@ def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
     """Tune the stepsize on a pilot; return it and the pilot's last state.
 
     The pilot is the n_pilot-step burn-in of a chain whose stepsize is None
-    (chain_states).  Start a chain from the returned state: a start such as
-    the prior mean at a large TV weight may be one it never leaves.  The
-    pdpcn kernel needs the caller's anchor, as in run_chain.
+    (chain_states).  Every such chain tunes in its own burn-in, so no library
+    code runs a pilot.  The pdpcn kernel needs the caller's anchor.
     """
     cfg = SamplerConfig(kind, n_pilot + 1, beta=None, delta=None,
                         burn_in=n_pilot, seed=seed)

@@ -84,8 +84,8 @@ def test_tracer_counts_summary_synthesis(monkeypatch, basis60, rep):
 def test_traced_calibration_reports_its_chains(monkeypatch, post16):
     # the traced benchmark divides by the steps of the chains that pass
     # through run_chain; calibration must leave some there (the selection
-    # chains), or the report divides by zero.  The sweep's chains tune beta
-    # in their own burn-in, so the only tuning pilot is the selection's.
+    # chains), or the report divides by zero.  Every chain tunes beta in its
+    # own burn-in, the selection's first chain included, so no pilot runs.
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     run = importlib.import_module("run")
@@ -107,7 +107,7 @@ def test_traced_calibration_reports_its_chains(monkeypatch, post16):
     assert values["samplers.steps"] > 0
     assert values["posterior.evals_per_step"] > 0
     assert 0.0 <= values["samplers.acceptance"] <= 1.0
-    assert tracer.calls("samplers.tune_stepsize") == 1
+    assert tracer.calls("samplers.tune_stepsize") == 0
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

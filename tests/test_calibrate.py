@@ -22,7 +22,8 @@ from poistomo.calibrate import (_even_subsample, _predictive, _stream_seed,
                                 admissible_interval, admissible_search,
                                 chi2_discrepancy, chi2_sf,
                                 posterior_predictive_p, select_lambda)
-from poistomo.samplers import Chain, RunMatrix, SamplerConfig, run_chain
+from poistomo.samplers import (Chain, RunMatrix, SamplerConfig, run_chain,
+                               tune_stepsize)
 
 # ---------------------------------------------------------------------------
 # chi-squared tail
@@ -290,16 +291,15 @@ def test_search_refuses_a_bad_grid_before_any_chain(post16, monkeypatch,
 
 
 @pytest.mark.parametrize("name", ["n_iters", "inner_steps"])
-def test_selection_refuses_no_iterations_before_the_pilot(post16,
+def test_selection_refuses_no_iterations_before_any_chain(post16,
                                                           monkeypatch, name):
-    # no iterate, or chains of no step, are refused before the tuning pilot
-    # and the first chain run
+    # no iterate, or chains of no step, are refused before the first chain
+    # runs, and with it the burn-in that tunes beta
     from poistomo import calibrate
 
     def refuse(*args, **kwargs):
         raise AssertionError("no chain should run")
 
-    monkeypatch.setattr(calibrate, "tune_stepsize", refuse)
     monkeypatch.setattr(calibrate, "run_chain", refuse)
     for value in (0, -1):
         with pytest.raises(ValueError, match=name):
@@ -359,9 +359,10 @@ def test_selection_says_whether_it_ends_at_a_bound(post16, monkeypatch):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_every_selection_chain_accepts(post16, monkeypatch, seed):
-    # the selection chains start where the tuning pilot ended; a tuned beta
-    # with the first chain restarted at the prior mean left every chain
-    # here without an accepted step
+    # each selection chain starts where the one before it ended, the first
+    # after the burn-in that tunes beta; a tuned beta with the first chain
+    # restarted at the prior mean once left every chain here without an
+    # accepted step
     from poistomo import calibrate
     rates = []
 
@@ -377,11 +378,36 @@ def test_every_selection_chain_accepts(post16, monkeypatch, seed):
     assert min(rates) > 0.0, rates
 
 
+def test_first_selection_chain_tunes_the_pilots_beta(post16, monkeypatch):
+    # the first chain's burn-in is the 1,000-step pilot that tune_stepsize
+    # runs from the prior mean at the midpoint on the first stream, so it
+    # freezes that beta bit for bit, and the later chains run at it with no
+    # burn-in
+    from poistomo import calibrate
+    configs = []
+
+    def recorded(*args, **kwargs):
+        chain = run_chain(*args, **kwargs)
+        configs.append(chain.config)
+        return chain
+
+    monkeypatch.setattr(calibrate, "run_chain", recorded)
+    make_posterior = _weights_of(post16)
+    select_lambda(make_posterior, (1.0, 2.0), n_iters=3, inner_steps=20,
+                  seed=7)
+    beta, _ = tune_stepsize(make_posterior(1.5), "pcn", n_pilot=1000,
+                            seed=_stream_seed(7, -1))
+    assert [c.beta for c in configs] == [beta] * 3
+    assert [c.burn_in for c in configs] == [1000, 0, 0]
+    assert [c.seed for c in configs] == [_stream_seed(7, -k)
+                                         for k in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2 ** 63 - 1])
 def test_calibration_streams_are_distinct(post16, monkeypatch, seed):
-    # every chain of a sweep (each tuning its beta in its burn-in) and the
-    # tuning pilot and chains of the selection after it at the same seed
-    # draw their own streams, each seed in [0, 2**63)
+    # every chain of a sweep and of the selection after it at the same seed
+    # (each sweep chain and the first selection chain tuning beta in its
+    # burn-in) draws its own stream, each seed in [0, 2**63)
     seeds = []
     default_rng = np.random.default_rng
 
@@ -395,7 +421,7 @@ def test_calibration_streams_are_distinct(post16, monkeypatch, seed):
                       seed=seed, max_eval_samples=10)
     select_lambda(make_posterior, (1.0, 2.0), n_iters=4, inner_steps=20,
                   seed=seed)
-    assert len(seeds) == 3 + 1 + 4
+    assert len(seeds) == 3 + 4
     assert len(set(seeds)) == len(seeds), seeds
     assert all(0 <= s < 2 ** 63 for s in seeds)
     # each seed is a pure function of the call's seed and the stream's index

@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poistomo import Grid, ScalarField, acf_matrix, cli, ess_matrix, load_chain
+from poistomo import (Grid, KLBasis, ScalarField, acf_matrix, cli, ess_matrix,
+                      load_chain)
 from poistomo.fields import read_field_csv, write_field_csv
 from poistomo.samplers import Chain, RunMatrix
 
@@ -479,6 +480,25 @@ def test_summarize_refuses_a_non_finite_truth_before_writing(tmp_path,
     capsys.readouterr()
     assert _run("summarize", ini, out, "--truth", str(bad)) == 2
     assert f"{bad}: a pixel is not finite" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["chain.bin"]
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+def test_summarize_refuses_a_bad_alpha_before_synthesizing(tmp_path, sampled,
+                                                           monkeypatch,
+                                                           capsys, alpha):
+    # a bad --alpha is a usage error found before any state is synthesized
+    # (a synthesis here would fail as a runtime error) or any file written
+    ini, src = sampled
+    out = _copy_chain(src, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no state should be synthesized")
+
+    monkeypatch.setattr(KLBasis, "synthesize_values", refuse)
+    capsys.readouterr()
+    assert _run("summarize", ini, out, "--alpha", alpha) == 2
+    assert "alpha must lie in [0, 1)" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["chain.bin"]
 
 

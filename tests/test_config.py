@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from poistomo.calibrate import admissible_interval
 from poistomo.config import PRESETS, ConfigError, parse_config, write_config
 
 TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
@@ -102,6 +103,32 @@ def test_bad_value_names_its_section_and_key(tmp_path, section, key, raw):
         for s, kv in layers.items():
             assert f"[{s}]" in str(err.value)
             assert all(k in str(err.value) for k in kv)
+
+
+@pytest.mark.parametrize("band, ok", [
+    ((0.1, 0.7), True),
+    ((0.0, 0.7), True),         # a band may reach 0 and 1
+    ((0.1, 1.0), True),
+    ((0.0, 1.0), True),
+    ((0.7, 0.1), False),        # reversed
+    ((0.5, 0.5), False),        # empty
+    ((-0.1, 0.7), False),       # out of [0, 1]
+    ((0.1, 1.5), False),
+], ids=["default", "lo0", "hi1", "lo0-hi1", "reversed", "empty", "lo-neg",
+        "hi-over1"])
+def test_calibration_band_follows_the_library_rule(band, ok):
+    # the config refuses exactly the bands admissible_interval refuses, so
+    # a band the library brackets is one calibrate can be given
+    lo, hi = band
+    overrides = {"calibration": {"band_lo": repr(lo), "band_hi": repr(hi)}}
+    if ok:
+        assert parse_config(overrides=overrides).calibration.band == band
+        admissible_interval([0.0, 1.0], [0.9, 0.05], band)
+        return
+    with pytest.raises(ConfigError, match=r"\[calibration\] band"):
+        parse_config(overrides=overrides)
+    with pytest.raises(ValueError, match="band"):
+        admissible_interval([0.0, 1.0], [0.9, 0.05], band)
 
 
 def test_no_cap_on_evaluation_samples():
