@@ -24,7 +24,7 @@ from .diagnostics import column_block, run_strips
 from .fields import ScalarField
 from .forward import Reparam
 from .klbasis import KLBasis
-from .samplers import Chain
+from .samplers import Chain, _check_counts
 
 __all__ = [
     "credible_level",
@@ -137,8 +137,7 @@ def credible_level_map(chain: Chain, basis: KLBasis, rep: Reparam,
     """
     if test_image.grid != basis.grid:
         raise ValueError("test image grid does not match the basis grid")
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
+    _check_counts(thin=thin)
     target = test_image.ravel()
     if not np.isfinite(target).all():
         raise ValueError("the values to screen must be finite")

@@ -39,7 +39,8 @@ import numpy as np
 
 from ._kernels import gammaincc
 from .posterior import TGPosterior
-from .samplers import Chain, SamplerConfig, kept_steps, run_chain, walk_chain
+from .samplers import (Chain, SamplerConfig, _check_counts, kept_steps,
+                       run_chain, walk_chain)
 
 __all__ = [
     "chi2_sf",
@@ -110,8 +111,7 @@ class PredictiveResult:
 
 def _even_subsample(n: int, max_samples: int | None) -> np.ndarray:
     """Indices of an even subsample of at most max_samples of n items."""
-    if max_samples is not None and max_samples < 1:
-        raise ValueError(f"sample cap must be None or >= 1, got {max_samples}")
+    _check_counts(max_eval_samples=max_samples)
     if max_samples is not None and n > max_samples:
         return np.linspace(0, n - 1, max_samples).astype(int)
     return np.arange(n)
@@ -298,9 +298,7 @@ def select_lambda(make_posterior: Callable[[float], TGPosterior],
     lo, hi = interval
     if not 0.0 <= lo < hi:
         raise ValueError(f"invalid interval {interval}")
-    for name, value in (("n_iters", n_iters), ("inner_steps", inner_steps)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_counts(n_iters=n_iters, inner_steps=inner_steps)
     width = hi - lo
     lo = max(lo, 1e-8)  # the gradient needs a positive weight
     lam = 0.5 * (lo + hi)

@@ -203,9 +203,7 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
 
     scfg = cfg.sampler
     outputs = []
-    anchor = None
-    init = None
-    map_converged = None
+    anchor = init = map_converged = None
     if scfg.kind == "pdpcn":
         result = solve_map(post, cfg.admm)
         _write_csv(outdir / "map_residuals.csv",
@@ -227,6 +225,9 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
     outputs.append("chain.bin")
     print(f"chain of {scfg.n_kept} kept samples at {scfg.stepsize_name} "
           f"{scfg.stepsize:.5g}, acceptance {rate:.3f}")
+    if rate == 0.0:     # every kept state is the state the burn-in ended at
+        log.warning("chain never moved: 1 distinct state in %d kept samples",
+                    scfg.n_kept)
     return ({"sinogram.bin": args.sinogram}, outputs,
             {"acceptance_rate": rate, "kept_samples": scfg.n_kept,
              "stepsize": scfg.stepsize, "map_converged": map_converged})

@@ -6,7 +6,8 @@ for --seed).  Unknown sections or keys are hard errors so that a typo never
 silently falls back to a default.  What a run can work out defaults to
 "none": the stepsizes are tuned in the burn-in, a tenth of the run.  The
 canonical form of the merged configuration, and the hash derived from it,
-are what reproducibility guarantees are stated against.
+are what reproducibility guarantees are stated against.  parse_config
+checks only the file; each value rule is the library's, which it calls.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass, field
 from .admm import AdmmConfig
 from .calibrate import _check_band, _check_denominator, _check_grid
 from .fields import Grid
-from .forward import Reparam
-from .klbasis import CovarianceSpec
-from .samplers import SamplerConfig
+from .forward import Reparam, _check_geometry
+from .klbasis import CovarianceSpec, _check_n_modes
+from .posterior import _check_tv_weight
+from .samplers import SamplerConfig, _check_counts
 
 __all__ = [
     "ConfigError",
@@ -116,13 +118,9 @@ class CalibrationSettings:
         _check_grid(self.weight_grid)
         _check_band(self.band)
         _check_denominator(self.denominator)
-        if self.chain_steps < 1:
-            raise ValueError(f"chain_steps must be >= 1, got {self.chain_steps}")
-        if self.select_iters < 1 or self.select_inner_steps < 1:
-            raise ValueError("selection iteration counts must be >= 1")
-        if self.max_eval_samples is not None and self.max_eval_samples < 1:
-            raise ValueError("max_eval_samples must be none or >= 1, got "
-                             f"{self.max_eval_samples}")
+        _check_counts(max_eval_samples=self.max_eval_samples,
+                      select_iters=self.select_iters,
+                      select_inner_steps=self.select_inner_steps)
 
 
 @dataclass(frozen=True)
@@ -216,42 +214,32 @@ def parse_config(path=None, preset: str = "desk", overrides=None) -> RunConfig:
         for section, kv in parsed.items()
     }
 
-    def build(section, ctor, **kwargs):
+    def build(where, ctor, *args, **kwargs):
         try:
-            return ctor(**kwargs)
+            return ctor(*args, **kwargs)
         except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
+            raise ConfigError(f"{where} {exc}") from exc
 
-    grid = build("grid", Grid, **parsed["grid"])
-    rep = build("reparam", Reparam, **parsed["reparam"])
+    grid = build("[grid]", Grid, **parsed["grid"])
+    rep = build("[reparam]", Reparam, **parsed["reparam"])
     p = parsed["prior"]
-    cov = build("prior", CovarianceSpec, gamma=p["gamma"],
+    cov = build("[prior]", CovarianceSpec, gamma=p["gamma"],
                 corr_len=p["corr_len"])
-    if p["n_modes"] < 1 or p["n_modes"] > grid.npix:
-        raise ConfigError(
-            f"[prior] n_modes must be in [1, {grid.npix}], got {p['n_modes']}")
+    build("[prior]", _check_n_modes, p["n_modes"], grid)
     o = parsed["operator"]
-    if o["n_angles"] < 1 or o["n_det"] < 1:
-        raise ConfigError("[operator] n_angles and n_det must be >= 1")
-    if o["kappa"] <= 0.0:
-        raise ConfigError(f"[operator] kappa must be positive, got {o['kappa']}")
+    build("[operator]", _check_geometry, **o)
     m = parsed["model"]
-    if m["tv_weight"] < 0.0:
-        raise ConfigError(
-            f"[model] tv_weight must be nonnegative, got {m['tv_weight']}")
-    sampler = build("sampler", SamplerConfig, **parsed["sampler"])
-    admm = build("map", AdmmConfig, **parsed["map"])
+    build("[model]", _check_tv_weight, **m)
+    sampler = build("[sampler]", SamplerConfig, **parsed["sampler"])
+    admm = build("[map]", AdmmConfig, **parsed["map"])
     c = dict(parsed["calibration"])
     band = (c.pop("band_lo"), c.pop("band_hi"))
-    calibration = build("calibration", CalibrationSettings, band=band, **c)
-    if sampler.beta is None and calibration.chain_steps < 10:
-        raise ConfigError(
-            "[calibration] chain_steps must be >= 10 with [sampler] beta "
-            "none, which each sweep chain tunes in its burn-in of a tenth of "
-            f"chain_steps; got {calibration.chain_steps}")
+    calibration = build("[calibration]", CalibrationSettings, band=band, **c)
+    # the sweep's chain config, as admissible_search builds it
+    build("[calibration] chain_steps (n_samples) with [sampler] beta:",
+          SamplerConfig, "pcn", calibration.chain_steps, beta=sampler.beta)
     d = parsed["detect"]
-    if d["thin"] < 1:
-        raise ConfigError(f"[detect] thin must be >= 1, got {d['thin']}")
+    build("[detect]", _check_counts, **d)
 
     return RunConfig(grid=grid, reparam=rep, cov=cov, n_modes=p["n_modes"],
                      prior_mean=p["mean"], n_angles=o["n_angles"],

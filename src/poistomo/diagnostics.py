@@ -38,7 +38,7 @@ import numpy as np
 from .fields import ScalarField
 from .forward import Reparam
 from .klbasis import KLBasis
-from .samplers import Chain, RunMatrix
+from .samplers import Chain, RunMatrix, _check_counts
 
 __all__ = [
     "acf_matrix",
@@ -180,8 +180,7 @@ def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
     coefficients, their weights, and the scatter and its product
     (``KLModes.synthesize``).
     """
-    if thin < 1:
-        raise ValueError("thin must be at least 1")
+    _check_counts(thin=thin)
     samples = chain.samples[::thin]
     rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
     out = np.empty((samples.shape[0], basis.grid.npix))

@@ -169,6 +169,12 @@ class RadonOperator:
         return self.kappa * (back[:, 0] + back[::-1, 1])
 
 
+def _check_geometry(n_angles: int, n_det: int, kappa: float) -> None:
+    if not (n_angles >= 1 and n_det >= 1 and kappa > 0.0):
+        raise ValueError("n_angles and n_det must be >= 1 and kappa positive, "
+                         f"got {n_angles}, {n_det} and {kappa}")
+
+
 def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
                          kappa: float = 1.0) -> RadonOperator:
     """Trace the near rays of a few angles and map every kept ray onto them.
@@ -186,10 +192,7 @@ def build_radon_operator(grid: Grid, n_angles: int, n_det: int,
     and within 1e-14 of its own trace.  Rows run angle-major,
     detector-minor; only the near half is stored.
     """
-    if n_angles < 1 or n_det < 1:
-        raise ValueError("need at least one angle and one detector bin")
-    if not kappa > 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    _check_geometry(n_angles, n_det, kappa)
     t0 = time.perf_counter()
     sources, perms = _angle_sources(grid, n_angles)
     traced_angles = np.unique(sources)

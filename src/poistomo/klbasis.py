@@ -196,6 +196,11 @@ class KLBasis:
         return self._sqrt_eta * self.modes.project(dvalues)
 
 
+def _check_n_modes(n_modes: int, grid: Grid) -> None:
+    if not 1 <= n_modes <= grid.npix:
+        raise ValueError(f"n_modes must be in [1, {grid.npix}], got {n_modes}")
+
+
 def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
                    mean: float = 0.0) -> KLBasis:
     """Assemble the leading n_modes eigenpairs of the separable kernel.
@@ -207,8 +212,7 @@ def build_kl_basis(grid: Grid, cov: CovarianceSpec, n_modes: int,
     Numerically non-positive products are clamped at 1e-14 times the leading
     eigenvalue and reported, as is a cut inside a set of equal eigenvalues.
     """
-    if not 1 <= n_modes <= grid.npix:
-        raise ValueError(f"n_modes must be in [1, {grid.npix}], got {n_modes}")
+    _check_n_modes(n_modes, grid)
     vx, ex = _axis_eigpairs(grid.nx, grid.hx, cov.corr_len)
     vy, ey = ((vx, ex) if (grid.ny, grid.hy) == (grid.nx, grid.hx)
               else _axis_eigpairs(grid.ny, grid.hy, cov.corr_len))

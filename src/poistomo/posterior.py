@@ -37,6 +37,11 @@ def _phi_of_theta(theta: np.ndarray, counts: np.ndarray) -> float:
     return float(np.sum(theta) - np.dot(counts, np.log(theta)))
 
 
+def _check_tv_weight(tv_weight: float) -> None:
+    if not tv_weight >= 0.0:
+        raise ValueError(f"tv_weight must be nonnegative, got {tv_weight}")
+
+
 class PosteriorEval(NamedTuple):
     """Cached pieces of one potential evaluation, reused by the samplers."""
 
@@ -59,8 +64,7 @@ class TGPosterior:
     tv_weight: float = 0.0
 
     def __post_init__(self):
-        if not self.tv_weight >= 0.0:
-            raise ValueError(f"tv_weight must be nonnegative, got {self.tv_weight}")
+        _check_tv_weight(self.tv_weight)
         if self.op.grid != self.basis.grid:
             raise ValueError("operator and basis grids disagree")
         d, op = self.data, self.op

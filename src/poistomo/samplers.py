@@ -38,10 +38,10 @@ column blocks they need from it.  A chain file stores the same runs, each
 run's row and length, then a record of the config and acceptance rate,
 behind a header that holds a checksum of them.
 
-A stepsize of None (beta for pcn, delta for pdpcn) is tuned in the chain's
-own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen before the
-first kept state, so a tuned chain needs no separate pilot; ``walk_chain``
-records the frozen value.
+A stepsize of None (beta for pcn, delta for pdpcn), the default, is tuned
+in the chain's own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen
+before the first kept state, so a tuned chain needs no separate pilot;
+``walk_chain`` records the frozen value.
 """
 
 from __future__ import annotations
@@ -84,6 +84,13 @@ KINDS = ("pcn", "pdpcn")
 TARGET_ACCEPTANCE = 0.25    # where a tuned burn-in steers the stepsize
 
 
+def _check_counts(**counts: int | None) -> None:
+    """A count or cap of steps, states or iterations is >= 1; None: no cap."""
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 class ChainDivergence(RuntimeError):
     """Raised when a chain reaches a non-finite potential."""
 
@@ -92,8 +99,8 @@ class ChainDivergence(RuntimeError):
 class SamplerConfig:
     kind: str
     n_samples: int
-    beta: float | None = 0.1
-    delta: float | None = 0.1
+    beta: float | None = None
+    delta: float | None = None
     burn_in: int | None = None
     thinning: int = 1
     seed: int = 0
@@ -101,15 +108,12 @@ class SamplerConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be positive")
+        _check_counts(n_samples=self.n_samples, thinning=self.thinning)
         for name, top in (("beta", 1.0), ("delta", 2.0)):
             value = getattr(self, name)
             if value is not None and not 0.0 < value <= top:
                 raise ValueError(f"{name} must lie in (0, {top:g}] or be "
                                  f"none, got {value}")
-        if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
         # non-negative int64, the range calibrate's stream seeds wrap in
         if not 0 <= self.seed < 2 ** 63:
             raise ValueError(f"seed must lie in [0, 2**63), got {self.seed}")
@@ -122,7 +126,7 @@ class SamplerConfig:
                              f"keep no state of {self.n_samples}")
         if self.stepsize is None and burn == 0:
             raise ValueError(f"{self.stepsize_name} none is tuned in the "
-                             "burn-in, so burn_in must be positive")
+                             f"burn-in, which is 0 of {self.n_samples} steps")
 
     @property
     def stepsize_name(self) -> str:
@@ -443,8 +447,7 @@ def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
     (chain_states).  Every such chain tunes in its own burn-in, so no library
     code runs a pilot.  The pdpcn kernel needs the caller's anchor.
     """
-    cfg = SamplerConfig(kind, n_pilot + 1, beta=None, delta=None,
-                        burn_in=n_pilot, seed=seed)
+    cfg = SamplerConfig(kind, n_pilot + 1, burn_in=n_pilot, seed=seed)
     for z, _, _, step in islice(chain_states(post, cfg, init, anchor),
                                 n_pilot):
         pass

@@ -69,7 +69,7 @@ def test_tracer_counts_summary_synthesis(monkeypatch, basis60, rep):
     tracing = importlib.import_module("tracing")
     samples = np.random.default_rng(11).standard_normal((6, basis60.n_modes))
     chain = Chain(RunMatrix(samples, np.arange(6)),
-                  SamplerConfig("pcn", 6, burn_in=0), 1.0)
+                  SamplerConfig("pcn", 6, beta=0.1, burn_in=0), 1.0)
     image = poistomo.posterior_mean(chain, basis60, rep)
     with tracing.Tracer() as tr:
         poistomo.pointwise_hpdi(chain, basis60, rep, 0.05)

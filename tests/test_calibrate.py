@@ -94,7 +94,7 @@ def test_predictive_p_matches_row_loop(post16, denominator):
     rng = np.random.default_rng(4)
     samples = 0.3 * rng.standard_normal((37, post16.n_modes))
     chain = Chain(RunMatrix(samples, np.arange(37)),
-                  SamplerConfig("pcn", 37, burn_in=0), 1.0)
+                  SamplerConfig("pcn", 37, beta=0.1, burn_in=0), 1.0)
     res = posterior_predictive_p(chain, post16, denominator=denominator)
     counts = post16.data.counts
     pvals = []
@@ -118,7 +118,7 @@ def test_predictive_p_synthesizes_each_repeated_state_once(
     rng = np.random.default_rng(6)
     runs = RunMatrix(0.3 * rng.standard_normal((6, post16.n_modes)),
                      np.repeat(np.arange(6), [40, 5, 30, 25, 1, 49]))
-    chain = Chain(runs, SamplerConfig("pcn", 150, burn_in=0), 0.03)
+    chain = Chain(runs, SamplerConfig("pcn", 150, beta=0.1, burn_in=0), 0.03)
     rows = np.asarray(runs)[_even_subsample(150, max_samples)]
     ref = _predictive(np.array([chi2_discrepancy(
         post16.data.counts, post16.evaluate(row).theta) for row in rows]),
@@ -140,10 +140,10 @@ def test_predictive_p_synthesizes_each_repeated_state_once(
 def test_sample_cap_below_one_is_refused(post16, cap):
     # a cap that keeps no sample is named, not reported as an empty chain
     chain = Chain(RunMatrix(np.zeros((5, post16.n_modes)), np.arange(5)),
-                  SamplerConfig("pcn", 5, burn_in=0), 1.0)
-    with pytest.raises(ValueError, match="sample cap"):
+                  SamplerConfig("pcn", 5, beta=0.1, burn_in=0), 1.0)
+    with pytest.raises(ValueError, match="max_eval_samples must be at least"):
         posterior_predictive_p(chain, post16, max_samples=cap)
-    with pytest.raises(ValueError, match="sample cap"):
+    with pytest.raises(ValueError, match="max_eval_samples must be at least"):
         admissible_search(_weights_of(post16), [0.0], chain_steps=20,
                           beta=0.3, max_eval_samples=cap)
 

@@ -424,6 +424,27 @@ def test_diag_warns_of_a_chain_that_never_moved(tmp_path, sampled, caplog):
     assert manifest["distinct_states"] == 1
 
 
+def test_sample_warns_of_a_chain_that_never_moved(tmp_path, caplog):
+    # bench/tiny.ini at delta 2 accepts none of its kept steps at seed 1:
+    # sample says so in diag's words, and still exits 0
+    parser = configparser.ConfigParser()
+    parser.read(BENCH_TINY)
+    parser["sampler"]["delta"] = "2.0"
+    ini = tmp_path / "still.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="poistomo.cli"):
+        for command in ("phantom", "simulate", "sample"):
+            assert cli.main([command, "--config", str(ini), "--output",
+                             str(out), "--seed", "1"]) == 0, command
+    manifest = json.loads((out / "sample_manifest.json").read_text())
+    assert manifest["acceptance_rate"] == 0.0
+    assert load_chain(out / "chain.bin").samples.n_runs == 1
+    assert "chain never moved: 1 distinct state in " \
+        f"{manifest['kept_samples']} kept samples" in caplog.text
+
+
 def test_diag_refuses_a_version_2_chain_file(tmp_path, sampled, capsys):
     # the runs of the sampled chain in the layout before the record: a
     # 44-byte header holding part of the config, rows, lengths, no record

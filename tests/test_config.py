@@ -1,12 +1,17 @@
 """Run configuration: pinned hashes, the written-file round trip, and the
 refusals of unknown names and bad values."""
 
+import inspect
 from pathlib import Path
 
 import pytest
 
+from poistomo import (AdmmConfig, CovarianceSpec, Reparam, SamplerConfig,
+                     TGPosterior, admissible_search, build_kl_basis,
+                     build_radon_operator, credible_level_map, select_lambda)
 from poistomo.calibrate import admissible_interval
-from poistomo.config import PRESETS, ConfigError, parse_config, write_config
+from poistomo.config import (_KEYS, PRESETS, ConfigError, parse_config,
+                             write_config)
 
 TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 
@@ -82,6 +87,14 @@ _BAD_WITH = {("calibration", "chain_steps", "9"): {"sampler": {"beta": "none"}}}
     ("calibration", "weight_grid", "1.0, 0.0"),         # decreasing
     ("calibration", "weight_grid", "-1.0, 1.0"),        # a negative weight
     ("calibration", "chain_steps", "9"),    # beta none: no sweep burn-in
+    ("calibration", "select_iters", "0"),
+    ("calibration", "select_inner_steps", "0"),
+    ("prior", "n_modes", "0"),
+    ("prior", "n_modes", "1025"),           # the desk grid has 1,024 pixels
+    ("operator", "n_angles", "0"),
+    ("operator", "kappa", "0"),
+    ("model", "tv_weight", "-1"),
+    ("detect", "thin", "0"),
     ("model", "tv_weight", "nan"),          # not finite: every float key
     ("operator", "kappa", "nan"),
     ("reparam", "c", "nan"),
@@ -129,6 +142,48 @@ def test_calibration_band_follows_the_library_rule(band, ok):
         parse_config(overrides=overrides)
     with pytest.raises(ValueError, match="band"):
         admissible_interval([0.0, 1.0], [0.9, 0.05], band)
+
+
+def _default(fn, name):
+    return inspect.signature(fn).parameters[name].default
+
+
+# (section, key) -> the library callable and parameter that the key's value
+# feeds, wherever both give a default
+_LIBRARY_DEFAULTS = {
+    **{("reparam", k): (Reparam, k) for k in ("a", "b", "c")},
+    **{("map", k): (AdmmConfig, k) for k in _KEYS["map"]},
+    **{("sampler", k): (SamplerConfig, k)
+       for k in ("burn_in", "thinning", "seed", "beta", "delta")},
+    ("prior", "gamma"): (CovarianceSpec, "gamma"),
+    ("prior", "corr_len"): (CovarianceSpec, "corr_len"),
+    ("prior", "mean"): (build_kl_basis, "mean"),
+    ("operator", "kappa"): (build_radon_operator, "kappa"),
+    ("model", "tv_weight"): (TGPosterior, "tv_weight"),
+    ("calibration", "chain_steps"): (admissible_search, "chain_steps"),
+    ("calibration", "max_eval_samples"): (admissible_search,
+                                          "max_eval_samples"),
+    ("calibration", "denominator"): (admissible_search, "denominator"),
+    ("calibration", "select_iters"): (select_lambda, "n_iters"),
+    ("calibration", "select_inner_steps"): (select_lambda, "inner_steps"),
+    ("detect", "thin"): (credible_level_map, "thin"),
+}
+
+
+def test_raw_defaults_are_the_library_defaults():
+    # one default per setting: a key's raw default parses to the default of
+    # the library parameter it feeds.  The one difference is deliberate: a
+    # posterior built without a weight has no TV term, while a run's model
+    # has weight 1
+    differ = {}
+    for (section, key), (fn, name) in _LIBRARY_DEFAULTS.items():
+        conv, raw = _KEYS[section][key]
+        if conv(raw) != _default(fn, name):
+            differ[section, key] = (conv(raw), _default(fn, name))
+    assert differ == {("model", "tv_weight"): (1.0, 0.0)}
+    band = tuple(conv(raw) for conv, raw in (_KEYS["calibration"]["band_lo"],
+                                             _KEYS["calibration"]["band_hi"]))
+    assert band == _default(admissible_search, "band")
 
 
 def test_no_cap_on_evaluation_samples():

@@ -67,7 +67,7 @@ def test_pointwise_hpdi_columns_match_the_1d_search(basis60, rep):
     rng = np.random.default_rng(2)
     chain = Chain(RunMatrix(0.7 * rng.standard_normal((40, basis60.n_modes)),
                             np.arange(40)),
-                  SamplerConfig("pcn", 40, burn_in=0), 1.0)
+                  SamplerConfig("pcn", 40, beta=0.1, burn_in=0), 1.0)
     lo, hi = pointwise_hpdi(chain, basis60, rep, 0.05)
     u = intensity_samples(chain, basis60, rep)
     for j in range(basis60.grid.npix):
@@ -78,7 +78,7 @@ def test_pointwise_hpdi_columns_match_the_1d_search(basis60, rep):
 def _chain(rows: int, n_modes: int, seed: int) -> Chain:
     samples = 0.7 * np.random.default_rng(seed).standard_normal((rows, n_modes))
     return Chain(RunMatrix(samples, np.arange(rows)),
-                 SamplerConfig("pcn", rows, burn_in=0), 1.0)
+                 SamplerConfig("pcn", rows, beta=0.1, burn_in=0), 1.0)
 
 
 def _check_strip_summaries(chain, basis, rep):
@@ -137,7 +137,7 @@ def test_strips_of_a_run_held_chain_equal_the_expanded_reference(
         (5, basis60.n_modes))
     for run in ([0, 1, 2, 3, 4], [0, 1, 0, 2, 1]):
         chain = Chain(RunMatrix(rows, np.repeat(run, [9, 8, 1, 15, 8])),
-                      SamplerConfig("pcn", 41, burn_in=0), 0.1)
+                      SamplerConfig("pcn", 41, beta=0.1, burn_in=0), 0.1)
         u = intensity_samples(chain, basis60, rep)
         u.sort(axis=0)
         for alpha in (0.0, 0.05, 0.5, 0.9, 0.99):
@@ -272,7 +272,7 @@ def test_a_chain_that_never_moves_gets_finite_summaries(basis60, rep):
     state = 0.7 * np.random.default_rng(8).standard_normal(
         (1, basis60.n_modes))
     chain = Chain(RunMatrix(state, np.zeros(30, dtype=int)),
-                  SamplerConfig("pcn", 30, burn_in=0), 0.0)
+                  SamplerConfig("pcn", 30, beta=0.1, burn_in=0), 0.0)
     u = rep.apply(basis60.synthesize_values(state))[0]
     mean = posterior_mean(chain, basis60, rep)
     lo, hi = pointwise_hpdi(chain, basis60, rep, 0.05)
@@ -309,7 +309,7 @@ def test_credible_level_map_rejects_bad_thin_and_empty_chains(basis60, rep):
     # an empty chain cannot be made, so no pass over a chain meets one
     with pytest.raises(ValueError, match="no kept samples"):
         Chain(RunMatrix(np.empty((0, basis60.n_modes)), np.arange(0)),
-              SamplerConfig("pcn", 10, burn_in=0), 1.0)
+              SamplerConfig("pcn", 10, beta=0.1, burn_in=0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +423,7 @@ def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
     samples = 0.7 * np.random.default_rng(6).standard_normal(
         (n, basis60.n_modes))
     chain = Chain(RunMatrix(samples, np.arange(n)),
-                  SamplerConfig("pcn", n, burn_in=0), 1.0)
+                  SamplerConfig("pcn", n, beta=0.1, burn_in=0), 1.0)
     mean = posterior_mean(chain, basis60, rep)
     assert np.array_equal(mean.ravel(),
                           intensity_samples(chain, basis60, rep).mean(axis=0))
@@ -448,7 +448,7 @@ def _desk_chain(rows: int, runs: int | None = None):
     samples = 0.5 * rng.standard_normal((runs, basis.n_modes))
     lengths = 1 + rng.multinomial(rows - runs, np.full(runs, 1 / runs))
     chain = Chain(RunMatrix(samples, np.repeat(np.arange(runs), lengths)),
-                  SamplerConfig("pcn", rows, burn_in=0), 1.0)
+                  SamplerConfig("pcn", rows, beta=0.1, burn_in=0), 1.0)
     return chain, basis, cfg
 
 
@@ -525,7 +525,8 @@ def test_bench_chain_tail_never_holds_the_dense_chain():
     rng = np.random.default_rng(17)
     samples = RunMatrix(0.5 * rng.standard_normal((9, basis.n_modes)),
                         np.repeat(np.arange(9), 500))
-    chain = Chain(samples, SamplerConfig("pcn", 4500, burn_in=0), 0.002)
+    chain = Chain(samples, SamplerConfig("pcn", 4500, beta=0.1, burn_in=0),
+                  0.002)
     dense = chain.n_kept * chain.n_modes * 8
     rep = cfg.reparam
     mean = posterior_mean(chain, basis, rep)

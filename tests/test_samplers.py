@@ -630,6 +630,17 @@ def test_config_stepsize_follows_kind():
     assert SamplerConfig("pdpcn", 10, beta=0.25, delta=0.5).stepsize == 0.5
 
 
+def test_stepsizes_default_to_tuned_in_the_burn_in():
+    # as in the config: a stepsize not given is tuned in the burn-in, so a
+    # run without a burn-in must be given one
+    cfg = SamplerConfig("pcn", 100)
+    assert (cfg.beta, cfg.delta, cfg.burn_in) == (None, None, 10)
+    for kwargs in ({"burn_in": 0}, {}):     # a tenth of 5 steps is 0
+        with pytest.raises(ValueError, match="beta none is tuned in the "
+                                             "burn-in, which is 0 of 5"):
+            SamplerConfig("pcn", 5, **kwargs)
+
+
 def test_retired_pcnl_kind_is_refused():
     # pCN-Langevin is pdpcn at a zero multiplier; the kind names just two
     assert samplers.KINDS == ("pcn", "pdpcn")
@@ -750,7 +761,8 @@ def test_chain_roundtrip(tmp_path, post16):
     # survives, and a run that stores a row again stays a run of its own
     rows = np.array([[0.0, 1.0], [-0.0, 1.0], [5e-324, 2.0], [0.0, 1.0]])
     odd = RunMatrix(rows, [0, 0, 1, 2, 2, 3])
-    _write_chain(Chain(odd, SamplerConfig("pcn", 6, burn_in=0), 1.0), path)
+    _write_chain(Chain(odd, SamplerConfig("pcn", 6, beta=0.1, burn_in=0), 1.0),
+                 path)
     back = load_chain(path).samples
     assert back.run.tolist() == odd.run.tolist()
     assert np.array_equal(_bits(back.rows), _bits(rows))
@@ -1091,14 +1103,15 @@ def test_run_matrix_shares_but_does_not_freeze_the_callers_arrays():
 def test_chain_shape_validation():
     # the samples are a RunMatrix, whose rows are a (runs, n_modes) array
     with pytest.raises(TypeError, match="RunMatrix"):
-        Chain(np.zeros((5, 2)), SamplerConfig("pcn", 5, burn_in=0), 1.0)
+        Chain(np.zeros((5, 2)), SamplerConfig("pcn", 5, beta=0.1, burn_in=0),
+              1.0)
     with pytest.raises(ValueError):
         Chain(RunMatrix(np.zeros(5), np.arange(5)),
               SamplerConfig("pcn", 10, beta=0.5), 1.0)
 
 
 def test_chain_refuses_a_rate_outside_the_unit_interval():
-    cfg = SamplerConfig("pcn", 5, burn_in=0)
+    cfg = SamplerConfig("pcn", 5, beta=0.1, burn_in=0)
     samples = RunMatrix(np.zeros((5, 2)), np.arange(5))
     for rate in (1.5, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"not in \[0, 1\]"):
@@ -1126,8 +1139,8 @@ def test_chain_load_refuses_a_rate_or_a_row_it_cannot_hold(tmp_path):
 def test_chain_load_refuses_a_header_without_modes(tmp_path):
     # no rows at all: a run of zero-length rows would load as a chain
     path = tmp_path / "chain.bin"
-    record = json.dumps({**asdict(SamplerConfig("pcn", 3, burn_in=0)),
-                         "acceptance_rate": 1.0}).encode("ascii")
+    cfg = SamplerConfig("pcn", 3, beta=0.1, burn_in=0)
+    record = json.dumps({**asdict(cfg), "acceptance_rate": 1.0}).encode("ascii")
     path.write_bytes(_pack(b"CHN1", 4, 0, 1, len(record),
                            body=struct.pack("<q", 3) + record))
     with pytest.raises(ValueError,
