@@ -4,7 +4,7 @@ The pieces fit together as: a pixel grid and Karhunen-Loeve basis describe a
 Gaussian reference field; a pointwise error-function map squashes it into a
 strictly positive intensity band; a ray-transform operator predicts Poisson
 means; the posterior combines the count likelihood with an optional total
-variation penalty.  MAP estimates come from an operator-splitting solver,
+variation penalty.  The posterior's mode comes from a primal-dual solver,
 samples from two preconditioned Crank-Nicolson chains (pcn, and pdpcn, whose
 drift is the likelihood gradient plus an offset from the MAP multiplier), a
 posterior-predictive fit test calibrates the smoothing weight, and

@@ -39,6 +39,11 @@ ARTIFACT_KINDS = ("add_blob", "remove_blob", "add_noise")
 LEVEL_BINS = 256   # bins of the density estimate of one pixel's marginal
 
 
+def _check_finite(target: np.ndarray) -> None:
+    if not np.isfinite(target).all():
+        raise ValueError("the values to screen must be finite")
+
+
 def _levels(vals: np.ndarray, weights, target: np.ndarray) -> np.ndarray:
     """Levels of k targets, one a column of (m, k) vals; weights None: one
     each."""
@@ -105,8 +110,7 @@ def credible_level(values: np.ndarray, value, weights=None):
         raise ValueError(f"expected {m} weights, got {np.shape(weights)}")
     w = None if weights is None else np.asarray(weights, dtype=float)
     target = np.broadcast_to(np.asarray(value, dtype=float), (k,))
-    if not np.isfinite(target).all():
-        raise ValueError("the values to screen must be finite")
+    _check_finite(target)
     chunk = column_block(3 * m + 4 * LEVEL_BINS, held=cols.size)
     out = np.empty(k)
     for j in range(0, k, chunk):
@@ -139,8 +143,7 @@ def credible_level_map(chain: Chain, basis: KLBasis, rep: Reparam,
         raise ValueError("test image grid does not match the basis grid")
     _check_counts(thin=thin)
     target = test_image.ravel()
-    if not np.isfinite(target).all():
-        raise ValueError("the values to screen must be finite")
+    _check_finite(target)
     samples = chain.samples[::thin]
     levels = np.empty(target.size)
     for pixels, strip, lengths in run_strips(samples, basis, rep):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -33,6 +34,8 @@ __all__ = [
     "parse_config",
     "write_config",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -74,9 +77,8 @@ _KEYS = {
                 "burn_in": (_optional(int), "none"), "thinning": (int, "1"),
                 "beta": (_optional(_finite), "none"),
                 "delta": (_optional(_finite), "none"), "seed": (int, "0")},
-    "map": {"rho_pen": (_finite, "1.0"), "max_outer": (int, "200"),
-            "tol": (_finite, "1e-4"), "inner_iters": (int, "50"),
-            "inner_tol": (_finite, "1e-6")},
+    "map": {"rho_pen": (_finite, "3.0"), "max_outer": (int, "200"),
+            "tol": (_finite, "1e-4")},
     "calibration": {"weight_grid": (_parse_float_list, "0.0, 1.0, 2.0, 3.0"),
                     "chain_steps": (int, "20000"), "band_lo": (_finite, "0.1"),
                     "band_hi": (_finite, "0.7"), "denominator": (str, "theta"),
@@ -85,6 +87,10 @@ _KEYS = {
                     "select_inner_steps": (int, "200")},
     "detect": {"thin": (int, "1")},
 }
+
+# Keys of solvers since replaced: read, warned about and dropped, so that
+# older files still run.
+_RETIRED = {"map": ("inner_iters", "inner_tol")}
 
 # Presets are overlays on the defaults in _KEYS, and neither sets a stepsize.
 # "desk" is sized to run in seconds on one core and keeps every tenth state.
@@ -166,6 +172,10 @@ def _layer(merged: dict, layer: dict, where: str) -> None:
             raise ConfigError(f"unknown section [{section}] in {where}; "
                               f"known sections: {sorted(_KEYS)}")
         for key, raw in kv.items():
+            if key in _RETIRED.get(section, ()):
+                log.warning("[%s] %s in %s is retired, ignored",
+                            section, key, where)
+                continue
             if key not in _KEYS[section]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{section}] of {where}; "

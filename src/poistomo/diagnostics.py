@@ -56,6 +56,11 @@ log = logging.getLogger(__name__)
 BLOCK_FLOATS = 1 << 18
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+
+
 def block_rows(width: int, held: int = 0) -> int:
     """Rows of width floats that fit the budget beside ``held`` ones, >= 1."""
     return max(1, (BLOCK_FLOATS - held) // width)
@@ -108,6 +113,10 @@ def _acf_blocks(x, max_lag: int):
     degenerate = 0
     for lo in range(0, m, cols):
         block = x[:, lo:lo + cols]
+        # a column is constant when every value equals its first; its
+        # centred copy need not be zero, as the cumsum mean of equal
+        # values can round away from them
+        flat = np.all(block == block[0], axis=0)
         # the rows added one at a time in order: numpy's mean(axis=0) sums a
         # lone contiguous column pairwise, which would make a column's ACF
         # depend on its block
@@ -122,7 +131,6 @@ def _acf_blocks(x, max_lag: int):
         del spec
         cov = np.fft.irfft(power, n=nfft, axis=0)[:max_lag + 1]
         del power
-        flat = cov[0] <= 0.0
         cov = cov / np.where(flat, 1.0, cov[0])   # frees the whole transform
         cov[:, flat] = 1.0
         degenerate += int(np.sum(flat))
@@ -266,8 +274,7 @@ def hpdi_sorted(sorted_vals: np.ndarray, alpha: float):
     n = s.shape[0] if s.ndim else 0
     if n == 0:
         raise ValueError("empty sample")
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     v = s.reshape(n, -1)
     col = np.arange(v.shape[1])
     size = max(1, int(np.ceil((1.0 - alpha) * n)))
@@ -287,8 +294,7 @@ def pointwise_hpdi(chain: Chain, basis: KLBasis, rep: Reparam,
     windows.  A chunk fits what the strip leaves of ``BLOCK_FLOATS`` (at
     least one column), at 2 floats a kept row, 3 with the repeated copy.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     lo, hi = np.empty(basis.grid.npix), np.empty(basis.grid.npix)
     for pixels, strip, lengths in run_strips(chain.samples, basis, rep):
         cols = block_rows((2 if lengths is None else 3) * chain.n_kept,

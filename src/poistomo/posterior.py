@@ -11,8 +11,8 @@ pairings.
 
 One ``evaluate`` synthesizes the latent field once and computes its discrete
 gradient once; ``PosteriorEval.grad`` carries that (2, nx, ny) array to the
-TV term here and to every splitting-solver and drift computation in
-``admm``, none of which differentiates the field again.
+TV term here and to every primal-dual and drift computation in ``admm``,
+none of which differentiates the field again.
 """
 
 from __future__ import annotations

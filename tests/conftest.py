@@ -56,8 +56,7 @@ def post16_smooth(op16, rep, basis60, sino16):
 
 @pytest.fixture(scope="session")
 def map16(post16):
-    cfg = AdmmConfig(rho_pen=1.0, max_outer=300, tol=1e-5,
-                     inner_iters=100, inner_tol=1e-6)
+    cfg = AdmmConfig(max_outer=300, tol=1e-5)
     return solve_map(post16, cfg), cfg
 
 
@@ -72,8 +71,7 @@ def post16_strong(grid16, rep, basis60, truth16):
 
 @pytest.fixture(scope="session")
 def map16_strong(post16_strong):
-    cfg = AdmmConfig(rho_pen=1.0, max_outer=120, tol=1e-4,
-                     inner_iters=100, inner_tol=1e-6)
+    cfg = AdmmConfig(max_outer=120, tol=1e-4)
     return solve_map(post16_strong, cfg), cfg
 
 

@@ -21,15 +21,15 @@ TINY = Path(__file__).resolve().parents[1] / "bench" / "tiny.ini"
 PINNED = [
     pytest.param(
         {"preset": "desk"},
-        "e2d0ef5f9a19ff4a6019c9f0dc832a70b1d8a5827c02a560ca2743fed26c1312",
+        "e99c9539f6c60f7aba6d7da3ffb02d7f23c5e7aae540e6774ca16afae6f566d5",
         id="desk"),
     pytest.param(
         {"preset": "paper"},
-        "95e40f088f950b5405be616ed2aff6550110e58f858cae16866a7139483b2941",
+        "66eb077a53ac0ba980e7507bb9eff8ac382b82058ae232353a7d06bf6b5339a9",
         id="paper"),
     pytest.param(
         {"path": TINY, "overrides": {"sampler": {"seed": 3}}},
-        "a67057ab216bcc7127bcd8979a4bd7fe932db9cda39bb2707a1658d155b6b9ca",
+        "ded50dc45a100589e3b8a3ab1e87311bbc93634aa1c2c6c4aabb14748a008d13",
         id="tiny-seed3"),
 ]
 
@@ -62,6 +62,19 @@ def test_unknown_names_are_refused(tmp_path, section, key, unknown):
         with pytest.raises(ConfigError) as err:
             parse_config(**kwargs)
         assert unknown in str(err.value)
+
+
+def test_retired_map_keys_are_ignored_with_a_warning(tmp_path, caplog):
+    # the ADMM solver's inner_iters and inner_tol still parse, warn, and
+    # leave the configuration and its hash as if they were absent
+    path = _ini(tmp_path, "[map]\ninner_iters = 5\ninner_tol = 1e-6\n")
+    with caplog.at_level("WARNING", logger="poistomo.config"):
+        cfg = parse_config(path=path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"[map] {key} in config file {path} is retired, ignored"
+        for key in ("inner_iters", "inner_tol")]
+    assert "inner_iters" not in cfg.canonical["map"]
+    assert cfg.config_hash() == parse_config().config_hash()
 
 
 def test_unknown_preset_is_refused():

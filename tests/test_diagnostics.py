@@ -326,6 +326,17 @@ def test_ess_of_ar1_matches_the_closed_form():
     assert abs(float(np.mean(ratio)) - 1.0) <= 0.05
 
 
+def test_constant_columns_read_the_documented_ess(caplog):
+    # 450 copies of one row: every column is constant, so each reads
+    # n / (2 n - 1), though the cumsum mean of equal values can round away
+    # from them (which once flagged 7 of these 500 columns)
+    x = np.random.default_rng(4).standard_normal(500)
+    with caplog.at_level(logging.WARNING):
+        ess = ess_matrix(np.tile(x, (450, 1)))
+    np.testing.assert_array_equal(ess, 450 / (2 * 450 - 1))
+    assert "500 degenerate" in caplog.text
+
+
 def _fft_widths(monkeypatch) -> list:
     """Record the column count of every forward FFT the ACF loop runs."""
     widths, rfft = [], np.fft.rfft
