@@ -253,16 +253,16 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
                             seed=_stream_seed(seed, i))
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
         d = []
-        run, (accepted, _, _), cfg, start = walk_chain(
+        walk = walk_chain(
             post, cfg, steps, lambda j, z, ev: d.append(chi2_discrepancy(
                 post.data.counts, ev.theta, denominator)), start)
-        res = _predictive(np.array(d)[run], post.op.n_rays)
-        acceptance = float(np.mean(accepted[cfg.burn_in:]))
+        res = _predictive(np.array(d)[walk.run], post.op.n_rays)
+        start = walk.last
         rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,
-                                   acceptance, cfg.beta))
+                                   walk.acceptance_rate, walk.config.beta))
         log.info("calibration: weight %.4g -> p_b %.4g (stderr %.2g, "
                  "acceptance %.3f, beta %.4g)", w, res.p, res.stderr,
-                 acceptance, cfg.beta)
+                 walk.acceptance_rate, walk.config.beta)
     interval = admissible_interval(weights, [r.p for r in rows], band)
     return CalibrationResult(tuple(rows), interval)
 

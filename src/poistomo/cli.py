@@ -220,17 +220,16 @@ def cmd_sample(args, cfg: RunConfig, outdir: Path):
         if not result.converged:
             log.warning("MAP solve hit max_outer without meeting tol")
     # kept states go to disk as the chain yields them, never all in memory
-    scfg, rate = stream_chain(post, scfg, outdir / "chain.bin", init=init,
-                              anchor=anchor)
+    walk = stream_chain(post, scfg, outdir / "chain.bin", init=init,
+                        anchor=anchor)
     outputs.append("chain.bin")
+    scfg, rate = walk.config, walk.acceptance_rate
     print(f"chain of {scfg.n_kept} kept samples at {scfg.stepsize_name} "
           f"{scfg.stepsize:.5g}, acceptance {rate:.3f}")
-    if rate == 0.0:     # every kept state is the state the burn-in ended at
-        log.warning("chain never moved: 1 distinct state in %d kept samples",
-                    scfg.n_kept)
     return ({"sinogram.bin": args.sinogram}, outputs,
             {"acceptance_rate": rate, "kept_samples": scfg.n_kept,
-             "stepsize": scfg.stepsize, "map_converged": map_converged})
+             "stepsize": scfg.stepsize, "map_converged": map_converged,
+             "distinct_states": walk.distinct_states})
 
 
 def cmd_summarize(args, cfg: RunConfig, outdir: Path):
@@ -301,9 +300,6 @@ def cmd_detect(args, cfg: RunConfig, outdir: Path):
 
 def cmd_diag(args, cfg: RunConfig, outdir: Path):
     chain = load_chain(args.chain)
-    if chain.samples.n_runs == 1:
-        log.warning("chain never moved: 1 distinct state in %d kept samples",
-                    chain.n_kept)
     labels = [f"coeff{j}" for j in range(chain.n_modes)]
     n_show = min(8, chain.n_modes)
     acfs = acf_matrix(chain.samples[:, :n_show], max_lag=args.max_lag)
@@ -315,6 +311,7 @@ def cmd_diag(args, cfg: RunConfig, outdir: Path):
     return ({"chain.bin": args.chain}, ["acf.csv", "ess.csv"],
             {"median_ess": float(np.median(ess)), "min_ess": float(ess.min()),
              "acceptance_rate": chain.acceptance_rate,
+             "kept_samples": chain.n_kept,
              "distinct_states": chain.samples.n_runs})
 
 
@@ -392,6 +389,10 @@ def main(argv=None) -> int:
             setattr(args, dest, Path(given) if given
                     else outdir / _INPUT_FILES[option][0])
         inputs, outputs, extra = args.func(args, cfg, outdir)
+        # sample's and diag's one "never moved" rule, on their manifests
+        if extra.get("distinct_states") == 1:
+            log.warning("chain never moved: 1 distinct state in %d kept "
+                        "samples", extra["kept_samples"])
         # ru_maxrss counts KiB on Linux
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         _write_json(outdir / f"{args.command}_manifest.json", {

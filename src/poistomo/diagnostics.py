@@ -179,40 +179,37 @@ def ess_matrix(traces: np.ndarray) -> np.ndarray:
     return x.shape[0] / (1.0 + 2.0 * np.concatenate(tau))
 
 
+def _run_intensities(samples: RunMatrix, basis: KLBasis, rep: Reparam):
+    """(lengths, u) for each block of the stretches of samples (a chain's
+    runs): u holds one intensity row a stretch, synthesized once, and lengths
+    the stretches' row counts.  A row costs 2 n_modes + 2 npix floats: the
+    gathered coefficients, their weights, and the scatter and its product
+    (``KLModes.synthesize``)."""
+    runs, lengths = samples.stretches()
+    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
+    for a in range(0, runs.size, rows):
+        yield lengths[a:a + rows], rep.apply(basis.synthesize_values(
+            samples.rows[runs[a:a + rows]]))
+
+
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
                       thin: int = 1) -> np.ndarray:
-    """Intensity fields of (possibly thinned) kept samples, (count, npix).
-
-    Synthesis runs in row blocks within ``BLOCK_FLOATS`` on top of the
-    result; a row holds 2 n_modes + 2 npix floats at once: the gathered
-    coefficients, their weights, and the scatter and its product
-    (``KLModes.synthesize``).
-    """
+    """Intensity fields of (possibly thinned) kept samples, (count, npix):
+    each run synthesized once (``_run_intensities``) and repeated to its
+    length, so the result is held twice while its blocks are joined."""
     _check_counts(thin=thin)
-    samples = chain.samples[::thin]
-    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
-    out = np.empty((samples.shape[0], basis.grid.npix))
-    for lo in range(0, samples.shape[0], rows):
-        out[lo:lo + rows] = rep.apply(
-            basis.synthesize_values(samples[lo:lo + rows, :]))
-    return out
+    return np.concatenate([np.repeat(u, n, axis=0) for n, u in
+                           _run_intensities(chain.samples[::thin], basis, rep)])
 
 
 def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
-    """Sample average of the intensity u = f(z) over kept states.
-
-    Each run of a repeated state is synthesized once, in blocks of runs
-    counted as in ``intensity_samples``, and its intensity is added once per
-    kept row in chain order, the order of
-    ``intensity_samples(...).mean(axis=0)``, without forming that array.
-    """
-    runs, lengths = chain.samples.stretches()
-    rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
+    """Sample average of the intensity u = f(z) over kept states: each run
+    synthesized once (``_run_intensities``) and added once per kept row in
+    chain order, the order of ``intensity_samples(...).mean(axis=0)``,
+    without forming that array."""
     total = np.zeros(basis.grid.npix)
-    for a in range(0, runs.size, rows):
-        u = rep.apply(basis.synthesize_values(
-            chain.samples.rows[runs[a:a + rows]]))
-        for row, count in zip(u, lengths[a:a + rows]):
+    for lengths, u in _run_intensities(chain.samples, basis, rep):
+        for row, count in zip(u, lengths):
             for _ in range(count):
                 total += row
         del u, row   # free this block before the next one is synthesized

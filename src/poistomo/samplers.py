@@ -28,10 +28,10 @@ matched-seed comparisons meaningful.
 A rejected step repeats the state, so the kept states of a chain come in
 runs of equal consecutive rows.  ``walk_chain`` is the one pass over a
 chain's chosen steps: it hands each run's state and evaluation to a
-consumer once and returns the run index of every chosen step, the per-step
-traces and the frozen stepsize.  Its consumers read what they need without
-holding the chain or evaluating again: kept rows in ``run_chain``, a file
-in ``stream_chain``, predictive discrepancies in the calibration sweep.
+consumer once and returns a ``Walk``, which alone states the kept window's
+acceptance rate and distinct states.  Its consumers read what they need
+without holding the chain or evaluating again: kept rows in ``run_chain``, a
+file in ``stream_chain``, predictive discrepancies in the calibration sweep.
 ``Chain.samples`` is a ``RunMatrix``: it stores one row per run plus the
 run index of every kept row, and the passes over a chain gather the row or
 column blocks they need from it.  A chain file stores the same runs, each
@@ -70,6 +70,7 @@ __all__ = [
     "RunMatrix",
     "chain_states",
     "kept_steps",
+    "Walk",
     "walk_chain",
     "run_chain",
     "tune_stepsize",
@@ -362,18 +363,32 @@ def kept_steps(config: SamplerConfig) -> np.ndarray:
             + thin * np.arange(config.n_kept))
 
 
+@dataclass(frozen=True)
+class Walk:
+    """A ``walk_chain`` pass: the run index of each chosen step, the per-step
+    traces, the config at the chosen states' stepsize, tuned or given, the
+    last state, the acceptance rate of the post-burn-in steps (all at that
+    stepsize) and the count of distinct chosen states, 1 for a stuck chain."""
+
+    run: np.ndarray = field(repr=False)
+    accepted: np.ndarray = field(repr=False)
+    psi_trace: np.ndarray = field(repr=False)
+    reg_trace: np.ndarray = field(repr=False)
+    config: SamplerConfig
+    last: np.ndarray = field(repr=False)
+    acceptance_rate: float
+    distinct_states: int
+
+
 def walk_chain(post: TGPosterior, config: SamplerConfig, steps, new_state,
-               init=None, anchor: np.ndarray | None = None):
+               init=None, anchor: np.ndarray | None = None) -> Walk:
     """Drive one chain (chain_states) and hand on the states at ``steps``.
 
     steps is an ascending array of step indices, such as kept_steps(config)
     or a subsample of it.  chain_states yields the same array object until a
     proposal is accepted, so the chosen steps fall in runs that share a
     state; ``new_state(i, z, ev)`` is called once per run, with the run's
-    index i, its state and its evaluation.  Returns the run index of each
-    chosen step, the per-step ``(accepted, psi_trace, reg_trace)``, the
-    config with the stepsize the chosen states were drawn at, tuned or
-    given, and the chain's last state.
+    index i, its state and its evaluation.
     """
     run = np.empty(steps.size, dtype=np.intp)
     accepted = np.empty(config.n_samples, dtype=bool)
@@ -393,8 +408,9 @@ def walk_chain(post: TGPosterior, config: SamplerConfig, steps, new_state,
                 n_runs += 1
             run[j] = n_runs - 1
             j += 1
-    return (run, (accepted, psi_trace, reg_trace),
-            replace(config, **{config.stepsize_name: step}), z)
+    return Walk(run, accepted, psi_trace, reg_trace,
+                replace(config, **{config.stepsize_name: step}), z,
+                float(np.mean(accepted[config.burn_in:])), n_runs)
 
 
 def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
@@ -411,9 +427,7 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     no state reaches are address space, and no state is held twice.  A
     block the system cannot reserve raises MemoryError before the first
     step; chains whose kept states would not fit belong in ``stream_chain``.
-    The returned config holds the stepsize the kept states were drawn at,
-    tuned or given, and the acceptance rate is that of the post-burn-in
-    steps, which all ran at it.
+    The config and the acceptance rate are the walk's (``Walk``).
     """
     keep = kept_steps(config)
     size = keep.size * post.n_modes * 8
@@ -432,10 +446,9 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     def store(i, z, ev):
         block[i] = z
 
-    run, traces, config, _ = walk_chain(post, config, keep, store, init,
-                                        anchor)
-    return Chain(RunMatrix(block[:run[-1] + 1], run), config,
-                 float(np.mean(traces[0][config.burn_in:])), *traces)
+    w = walk_chain(post, config, keep, store, init, anchor)
+    return Chain(RunMatrix(block[:w.distinct_states], w.run), w.config,
+                 w.acceptance_rate, w.accepted, w.psi_trace, w.reg_trace)
 
 
 def tune_stepsize(post: TGPosterior, kind: str, n_pilot: int = 2000,
@@ -464,8 +477,7 @@ _CHAIN_HEADER = struct.Struct("<4sIIIII")
 
 
 def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
-                 anchor: np.ndarray | None = None
-                 ) -> tuple[SamplerConfig, float]:
+                 anchor: np.ndarray | None = None) -> Walk:
     """Run a chain and write each new kept state to a chain file as it comes.
 
     ``load_chain`` of the file gives the samples, config and acceptance rate
@@ -476,8 +488,7 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     last.  The file is written beside ``path`` and renamed once the chain
     completes, so a chain that fails
     (ChainDivergence, a bad kernel configuration) leaves no file at
-    ``path``.  Returns the config, with the stepsize the kept states were
-    drawn at, and the acceptance rate of the post-burn-in steps.
+    ``path``.  Returns the chain's walk.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
@@ -491,14 +502,14 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     try:
         with open(part, "wb") as fh:
             fh.seek(_CHAIN_HEADER.size)
-            run, (accepted, _, _), config, _ = walk_chain(
+            walk = walk_chain(
                 post, config, kept_steps(config),
                 lambda i, z, ev: write(np.ascontiguousarray(z, "<f8")),
                 init, anchor)
-            lengths = np.bincount(run)
+            lengths = np.bincount(walk.run)
             write(lengths.astype("<i8").tobytes())
-            rate = float(np.mean(accepted[config.burn_in:]))
-            record = json.dumps({**asdict(config), "acceptance_rate": rate})
+            record = json.dumps({**asdict(walk.config),
+                                 "acceptance_rate": walk.acceptance_rate})
             write(record.encode("ascii"))
             fh.seek(0)
             fh.write(_CHAIN_HEADER.pack(b"CHN1", 4, post.n_modes,
@@ -506,7 +517,7 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
         os.replace(part, path)
     finally:
         part.unlink(missing_ok=True)
-    return config, rate
+    return walk
 
 
 def load_chain(path) -> Chain:

@@ -445,6 +445,34 @@ def test_sample_warns_of_a_chain_that_never_moved(tmp_path, caplog):
         f"{manifest['kept_samples']} kept samples" in caplog.text
 
 
+def test_sample_and_diag_agree_that_a_chain_never_moved(tmp_path, caplog):
+    # tiny's pcn chain at beta 1 and seed 21 accepts its last step at step
+    # 175.  With the burn-in ending there, that acceptance makes the first
+    # kept state and both kept samples repeat it: the post-burn-in rate is
+    # 1/25, yet the chain never moved over its kept samples.  sample and
+    # diag both say so, and both manifests count one distinct state
+    parser = configparser.ConfigParser()
+    parser.read(BENCH_TINY)
+    parser["sampler"].update(kind="pcn", beta="1.0", burn_in="175")
+    ini = tmp_path / "late.ini"
+    with open(ini, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    out = tmp_path / "out"
+    for command, seed in (("phantom", "1"), ("simulate", "1"),
+                          ("sample", "21"), ("diag", "21")):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="poistomo.cli"):
+            assert cli.main([command, "--config", str(ini), "--output",
+                             str(out), "--seed", seed]) == 0, command
+        if command in ("sample", "diag"):
+            assert "chain never moved: 1 distinct state in 2 kept samples" \
+                in caplog.text, command
+            manifest = json.loads(
+                (out / f"{command}_manifest.json").read_text())
+            assert manifest["distinct_states"] == 1
+            assert manifest["acceptance_rate"] == 1 / 25
+
+
 def test_diag_refuses_a_version_2_chain_file(tmp_path, sampled, capsys):
     # the runs of the sampled chain in the layout before the record: a
     # 44-byte header holding part of the config, rows, lengths, no record

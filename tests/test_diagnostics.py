@@ -440,6 +440,31 @@ def test_posterior_mean_matches_the_sample_average_bit_for_bit(basis60, rep):
                           intensity_samples(chain, basis60, rep).mean(axis=0))
 
 
+def test_intensity_samples_synthesizes_each_distinct_state_once(
+        basis60, rep, monkeypatch):
+    # 41 rows in 5 stretches of 3 stored rows; thinned by 2 the
+    # one-row stretch goes, leaving 4: each stretch is synthesized once and
+    # repeated, and the fields are a synthesis of every row, bit for bit
+    rows = 0.7 * np.random.default_rng(17).standard_normal(
+        (3, basis60.n_modes))
+    chain = Chain(RunMatrix(rows, np.repeat([0, 1, 0, 2, 1], [9, 8, 1, 15, 8])),
+                  SamplerConfig("pcn", 41, beta=0.1, burn_in=0), 0.1)
+    synthesize = type(basis60).synthesize_values
+    counted = []
+
+    def counting(basis, c, x_rows=None):
+        counted.append(np.shape(c)[0])
+        return synthesize(basis, c, x_rows)
+
+    monkeypatch.setattr(type(basis60), "synthesize_values", counting)
+    for thin, stretches in ((1, 5), (2, 4)):
+        counted.clear()
+        u = intensity_samples(chain, basis60, rep, thin=thin)
+        assert sum(counted) == stretches
+        assert np.array_equal(u, rep.apply(synthesize(
+            basis60, np.asarray(chain.samples[::thin]))))
+
+
 # ---------------------------------------------------------------------------
 # memory of the passes over desk-sized chains
 

@@ -410,21 +410,22 @@ def test_walk_hands_on_each_run_once(post16):
     states = list(chain_states(post16, cfg))
     steps = np.array([0, 1, 2, 7, 8, 40, 41, 42, 100, 119])
     seen = []
-    run, traces, config, last = walk_chain(
+    walk = walk_chain(
         post16, cfg, steps, lambda i, z, ev: seen.append((i, z, ev)))
     chosen = [states[k][0] for k in steps]
     assert [i for i, _, _ in seen] == list(range(len(seen)))
     assert 1 < len(seen) < steps.size
-    for k, j in zip(steps, run):
+    assert walk.distinct_states == len(seen)
+    for k, j in zip(steps, walk.run):
         np.testing.assert_array_equal(seen[j][1], states[k][0])
         assert seen[j][2].psi == states[k][1].psi
-    np.testing.assert_array_equal(run, np.cumsum(
+    np.testing.assert_array_equal(walk.run, np.cumsum(
         [True] + [a is not b for a, b in zip(chosen[:-1], chosen[1:])]) - 1)
-    np.testing.assert_array_equal(traces[0], [s[2] for s in states])
-    np.testing.assert_array_equal(traces[1], [s[1].psi for s in states])
-    np.testing.assert_array_equal(traces[2], [s[1].reg for s in states])
-    assert config == cfg
-    np.testing.assert_array_equal(last, states[-1][0])
+    np.testing.assert_array_equal(walk.accepted, [s[2] for s in states])
+    np.testing.assert_array_equal(walk.psi_trace, [s[1].psi for s in states])
+    np.testing.assert_array_equal(walk.reg_trace, [s[1].reg for s in states])
+    assert walk.config == cfg
+    np.testing.assert_array_equal(walk.last, states[-1][0])
 
 
 def _refuse_run_chain(*args, **kwargs):
@@ -674,6 +675,24 @@ def test_tuned_anchored_stepsize_hits_target(post16_strong, map16_strong):
     assert abs(rate - 0.25) <= 0.06
 
 
+@pytest.mark.parametrize("kind", ["pcn", "pdpcn"])
+@pytest.mark.parametrize("stepsize", [0.3, None], ids=["fixed", "tuned"])
+def test_walk_states_the_kept_window_once(post16, map16, kind, stepsize):
+    # the walk alone derives the kept window's acceptance, the mean of its
+    # post-burn-in steps, and its distinct states, the runs run_chain stores
+    res, _ = map16
+    anchor = res.multiplier if kind == "pdpcn" else None
+    cfg = SamplerConfig(kind, 160, beta=stepsize, delta=stepsize, burn_in=60,
+                        thinning=2, seed=36)
+    walk = walk_chain(post16, cfg, kept_steps(cfg), lambda i, z, ev: None,
+                      res.coeffs, anchor)
+    chain = run_chain(post16, cfg, init=res.coeffs, anchor=anchor)
+    assert walk.acceptance_rate == walk.accepted[cfg.burn_in:].mean()
+    assert walk.acceptance_rate == chain.acceptance_rate
+    assert walk.distinct_states == chain.samples.n_runs
+    assert 1 < walk.distinct_states < cfg.n_kept
+
+
 def test_tuned_chain_reports_the_kept_window_rate(post16_strong,
                                                   map16_strong, tmp_path):
     # the burn-in adapts the stepsize, so the reported rate is that of the
@@ -685,7 +704,8 @@ def test_tuned_chain_reports_the_kept_window_rate(post16_strong,
     assert chain.acceptance_rate == kept
     assert kept != float(np.mean(chain.accepted))
     path = tmp_path / "chain.bin"
-    _, rate = stream_chain(post16_strong, cfg, path, init=res.coeffs)
+    rate = stream_chain(post16_strong, cfg, path,
+                        init=res.coeffs).acceptance_rate
     assert rate == load_chain(path).acceptance_rate == kept
 
 
@@ -814,8 +834,8 @@ def test_streamed_chain_loads_as_the_run_chain(tmp_path, post16,
                         thinning=3, seed=30)
     chain = run_chain(post, cfg, init=res.coeffs, anchor=anchor)
     path = tmp_path / "chain.bin"
-    config, rate = stream_chain(post, cfg, path, init=res.coeffs,
-                                anchor=anchor)
+    walk = stream_chain(post, cfg, path, init=res.coeffs, anchor=anchor)
+    config, rate = walk.config, walk.acceptance_rate
     back = load_chain(path)
     assert np.array_equal(_bits(back.samples.rows), _bits(chain.samples.rows))
     assert np.array_equal(back.samples.run, chain.samples.run)
@@ -858,7 +878,8 @@ def test_tuned_stepsize_round_trips_through_the_chain_file(tmp_path,
                         seed=34)
     chain = run_chain(post16, cfg)
     streamed = tmp_path / "streamed.bin"
-    tuned, rate = stream_chain(post16, cfg, streamed)
+    walk = stream_chain(post16, cfg, streamed)
+    tuned, rate = walk.config, walk.acceptance_rate
     assert tuned == chain.config
     assert isinstance(tuned.beta, float) and 0.0 < tuned.beta <= 1.0
     back = load_chain(streamed)
