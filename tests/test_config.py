@@ -25,7 +25,7 @@ PINNED = [
         id="desk"),
     pytest.param(
         {"preset": "paper"},
-        "66eb077a53ac0ba980e7507bb9eff8ac382b82058ae232353a7d06bf6b5339a9",
+        "f38df906ab401cc0acef402eca3a702f4a9e057c4399ec3a6dae4ef797860880",
         id="paper"),
     pytest.param(
         {"path": TINY, "overrides": {"sampler": {"seed": 3}}},
