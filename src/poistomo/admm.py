@@ -13,15 +13,15 @@ cell-weighted pairing <y, K c>, the TV term is the largest <y, K c> over
     y+ = projection of y + sigma K(2 c+ - c) onto |y| <= tv_weight,
 
 where K'y = ``offset_direction(post, y)``, sigma |K| = rho_pen and
-tau = 1 / (L/2 + sigma |K|^2), so 1/tau - sigma |K|^2 >= L/2, the step
-condition, holds for the upper bound of |K| that ``_norm_k`` returns.  L,
-the Lipschitz estimate of grad F, starts at the prior's 1 and is doubled by
-``z_step`` until it bounds the step's change of grad F, never shrunk.  Each iteration makes one ``TGPosterior.evaluate``, at c+,
-plus one a backtrack; its ``PosteriorEval.grad`` is K c+.  The dual iterate
-is the multiplier eta* that anchors the pdpcn sampler, whose drift is
-phi_grad_at(ev) + o with o = offset_direction(post, eta*): at the mode
-phi_grad + c + o = 0.  The module and ``AdmmConfig`` keep the names of the
-ADMM solver this one replaced.
+tau = 1 / (L/2 + sigma |K|^2): the step condition 1/tau - sigma |K|^2 >= L/2
+holds for the upper bound of |K| that ``_norm_k`` returns.  L, the Lipschitz
+estimate of grad F, starts at the prior's 1 and is doubled by ``z_step``
+until it bounds the step's change of grad F, never shrunk.  Each iteration
+makes one ``TGPosterior.evaluate``, at c+, plus one a backtrack; its
+``PosteriorEval.grad`` is K c+.  The dual iterate is the multiplier eta*
+that anchors the pdpcn sampler, whose drift is phi_grad_at(ev) + o with
+o = offset_direction(post, eta*): at the mode phi_grad + c + o = 0.  The
+module and ``AdmmConfig`` keep the names of the ADMM solver this replaced.
 """
 
 from __future__ import annotations

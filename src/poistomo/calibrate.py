@@ -253,9 +253,8 @@ def admissible_search(make_posterior: Callable[[float], TGPosterior],
                             seed=_stream_seed(seed, i))
         steps = kept_steps(cfg)[_even_subsample(cfg.n_kept, max_eval_samples)]
         d = []
-        walk = walk_chain(
-            post, cfg, steps, lambda j, z, ev: d.append(chi2_discrepancy(
-                post.data.counts, ev.theta, denominator)), start)
+        walk = walk_chain(post, cfg, steps, lambda j, z, ev: d.append(
+            chi2_discrepancy(post.data.counts, ev.theta, denominator)), start)
         res = _predictive(np.array(d)[walk.run], post.op.n_rays)
         start = walk.last
         rows.append(CalibrationRow(w, res.p, res.stderr, chain_steps,

@@ -389,8 +389,7 @@ def main(argv=None) -> int:
             setattr(args, dest, Path(given) if given
                     else outdir / _INPUT_FILES[option][0])
         inputs, outputs, extra = args.func(args, cfg, outdir)
-        # sample's and diag's one "never moved" rule, on their manifests
-        if extra.get("distinct_states") == 1:
+        if extra.get("distinct_states") == 1:   # sample's and diag's rule
             log.warning("chain never moved: 1 distinct state in %d kept "
                         "samples", extra["kept_samples"])
         # ru_maxrss counts KiB on Linux

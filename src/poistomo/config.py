@@ -94,9 +94,8 @@ _RETIRED = {"map": ("inner_iters", "inner_tol")}
 
 # Presets are overlays on the defaults in _KEYS, and neither sets a stepsize.
 # "desk" is sized to run in seconds on one core and keeps every tenth state.
-# "paper" reproduces the full-scale tomography setup (128x128 image, 60
-# angles, half-strength source, long chains; a MAP budget 40% over the 215
-# iterations of its slowest seed of 1-3).
+# "paper" is the full-scale tomography setup (128x128 image, 60 angles,
+# half-strength source, long chains, a MAP budget 1.4x seeds 1-3's slowest).
 PRESETS = {
     "desk": {"sampler": {"thinning": "10"}},
     "paper": {

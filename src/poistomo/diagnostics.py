@@ -13,7 +13,7 @@ chunks) take ``column_block``: at most a quarter of the budget, and no more
 than the pass leaves free, so the diag pass peaks below the strip passes and
 an FFT block fits a 2 MB L2 cache.  The samples are a ``RunMatrix`` that
 stores each run of a repeated state once, and every pass that synthesizes
-intensities (``posterior_mean``, the strip passes, and, one state at a time,
+intensities (``_run_intensities``, the strip passes and, one state at a time,
 ``calibrate.posterior_predictive_p``) does so once for each run and carries
 its length; no pass forms the dense (n, n_modes) chain.  The HPD bounds and
 the credible levels need every sample of a pixel, so both run over
@@ -180,11 +180,9 @@ def ess_matrix(traces: np.ndarray) -> np.ndarray:
 
 
 def _run_intensities(samples: RunMatrix, basis: KLBasis, rep: Reparam):
-    """(lengths, u) for each block of the stretches of samples (a chain's
-    runs): u holds one intensity row a stretch, synthesized once, and lengths
-    the stretches' row counts.  A row costs 2 n_modes + 2 npix floats: the
-    gathered coefficients, their weights, and the scatter and its product
-    (``KLModes.synthesize``)."""
+    """(lengths, u) per block of samples' stretches (a chain's runs): u one
+    intensity a stretch, lengths their row counts.  A row costs 2 n_modes +
+    2 npix floats: coefficients, weights, scatter and product."""
     runs, lengths = samples.stretches()
     rows = block_rows(2 * basis.n_modes + 2 * basis.grid.npix)
     for a in range(0, runs.size, rows):
@@ -194,19 +192,17 @@ def _run_intensities(samples: RunMatrix, basis: KLBasis, rep: Reparam):
 
 def intensity_samples(chain: Chain, basis: KLBasis, rep: Reparam,
                       thin: int = 1) -> np.ndarray:
-    """Intensity fields of (possibly thinned) kept samples, (count, npix):
-    each run synthesized once (``_run_intensities``) and repeated to its
-    length, so the result is held twice while its blocks are joined."""
+    """Intensity fields of (possibly thinned) kept samples, (count, npix),
+    each run synthesized once and repeated; joining holds the result twice."""
     _check_counts(thin=thin)
     return np.concatenate([np.repeat(u, n, axis=0) for n, u in
                            _run_intensities(chain.samples[::thin], basis, rep)])
 
 
 def posterior_mean(chain: Chain, basis: KLBasis, rep: Reparam) -> ScalarField:
-    """Sample average of the intensity u = f(z) over kept states: each run
-    synthesized once (``_run_intensities``) and added once per kept row in
-    chain order, the order of ``intensity_samples(...).mean(axis=0)``,
-    without forming that array."""
+    """Sample average of the intensity u = f(z) over kept states, each run
+    synthesized once and added once per kept row in chain order: the order
+    of ``intensity_samples(...).mean(axis=0)``, without that array."""
     total = np.zeros(basis.grid.npix)
     for lengths, u in _run_intensities(chain.samples, basis, rep):
         for row, count in zip(u, lengths):

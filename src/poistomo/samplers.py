@@ -34,9 +34,7 @@ without holding the chain or evaluating again: kept rows in ``run_chain``, a
 file in ``stream_chain``, predictive discrepancies in the calibration sweep.
 ``Chain.samples`` is a ``RunMatrix``: it stores one row per run plus the
 run index of every kept row, and the passes over a chain gather the row or
-column blocks they need from it.  A chain file stores the same runs, each
-run's row and length, then a record of the config and acceptance rate,
-behind a header that holds a checksum of them.
+column blocks they need from it.  A chain file stores the same runs.
 
 A stepsize of None (beta for pcn, delta for pdpcn), the default, is tuned
 in the chain's own burn-in (Robbins-Monro, Andrieu & Thoms 2008) and frozen
@@ -365,10 +363,9 @@ def kept_steps(config: SamplerConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Walk:
-    """A ``walk_chain`` pass: the run index of each chosen step, the per-step
-    traces, the config at the chosen states' stepsize, tuned or given, the
-    last state, the acceptance rate of the post-burn-in steps (all at that
-    stepsize) and the count of distinct chosen states, 1 for a stuck chain."""
+    """A ``walk_chain`` pass.  ``acceptance_rate`` is that of the steps after
+    the burn-in, all at ``config``'s stepsize, tuned or given, and
+    ``distinct_states`` counts the runs among the chosen steps."""
 
     run: np.ndarray = field(repr=False)
     accepted: np.ndarray = field(repr=False)
@@ -427,7 +424,6 @@ def run_chain(post: TGPosterior, config: SamplerConfig, init=None,
     no state reaches are address space, and no state is held twice.  A
     block the system cannot reserve raises MemoryError before the first
     step; chains whose kept states would not fit belong in ``stream_chain``.
-    The config and the acceptance rate are the walk's (``Walk``).
     """
     keep = kept_steps(config)
     size = keep.size * post.n_modes * 8
@@ -486,9 +482,8 @@ def stream_chain(post: TGPosterior, config: SamplerConfig, path, init=None,
     The run lengths and the record follow the rows once the chain ends,
     with the header, whose checksum is summed as the bytes go out, written
     last.  The file is written beside ``path`` and renamed once the chain
-    completes, so a chain that fails
-    (ChainDivergence, a bad kernel configuration) leaves no file at
-    ``path``.  Returns the chain's walk.
+    completes, so a chain that fails (ChainDivergence, a bad kernel
+    configuration) leaves no file at ``path``.  Returns the chain's walk.
     """
     path = Path(path)
     part = path.with_name(path.name + ".part")
